@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-serve bench bench-check sweep sweep-parity cluster-sweep cluster-demo check check-long cover experiments examples obs-demo serve-demo density density-smoke serve-capacity-smoke traffic-smoke clean
+.PHONY: all build vet test race race-serve bench bench-check bench-smoke sweep sweep-parity cluster-sweep cluster-demo check check-long cover experiments examples obs-demo serve-demo density density-smoke serve-capacity-smoke traffic-smoke clean
 
 all: build vet test
 
@@ -35,6 +35,15 @@ bench:
 # CI variant: compare against the committed baseline, never rewrite.
 bench-check:
 	$(GO) run ./cmd/eewa-benchjson -check-only
+
+# The repository's benchmark (BENCHMARK.json, bench/) on a short window:
+# builds it the way the contract does and fails unless the result line
+# reports a correct run with no failed operation. Checks that the
+# benchmark still builds and runs, not how fast anything is.
+bench-smoke:
+	bash bench/run.sh --workload rt-iter --seed 1 --seconds 3 --trace 0 | tail -n 1 \
+		| grep '"correct":true' | grep -q '"failed":0,'
+	@echo "bench smoke OK: rt-iter correct, 0 failed"
 
 # Design-space sweep across all cores (-j defaults to GOMAXPROCS).
 sweep:
@@ -178,3 +187,4 @@ clean:
 	rm -f sweep.csv sweep_cells.json sweep_j1.csv sweep_jN.csv
 	rm -f cluster.csv cluster_cells.json cluster_j1.csv cluster_jN.csv
 	rm -f traffic_golden.json
+	rm -rf .bench_build bench/out

@@ -84,8 +84,15 @@ func NewChase[T any]() *Chase[T] {
 	return d
 }
 
-// PushBottom adds v at the owner end. Only the owner may call it.
-func (d *Chase[T]) PushBottom(v T) {
+// PushBottomRef adds p at the owner end without copying *p: the deque
+// stores the pointer itself, so a caller that owns a slab of T can push
+// &slab[i] and pay no allocation per element. p must be non-nil (nil is
+// the empty answer of PopBottomRef and StealRef) and must stay valid
+// until it has been popped or stolen. Only the owner may call it.
+//
+// The pointer forms are the one implementation; PushBottom, PopBottom
+// and Steal are thin wrappers that box and unbox a value.
+func (d *Chase[T]) PushBottomRef(p *T) {
 	b := d.bottom.Load()
 	t := d.top.Load()
 	r := d.ring.Load()
@@ -93,13 +100,14 @@ func (d *Chase[T]) PushBottom(v T) {
 		r = r.grow(t, b)
 		d.ring.Store(r)
 	}
-	r.put(b, &v)
+	r.put(b, p)
 	d.bottom.Store(b + 1)
 }
 
-// PopBottom removes the newest value. Only the owner may call it.
-func (d *Chase[T]) PopBottom() (T, bool) {
-	var zero T
+// PopBottomRef removes the newest pointer, or returns nil when the
+// deque is empty (including when a thief won the race for the last
+// element). Only the owner may call it.
+func (d *Chase[T]) PopBottomRef() *T {
 	b := d.bottom.Load() - 1
 	r := d.ring.Load()
 	d.bottom.Store(b)
@@ -107,28 +115,30 @@ func (d *Chase[T]) PopBottom() (T, bool) {
 	if t > b {
 		// Deque was empty; restore the invariant.
 		d.bottom.Store(t)
-		return zero, false
+		return nil
 	}
 	vp := r.get(b)
 	if t != b {
-		return *vp, true // more than one element: no race possible
+		return vp // more than one element: no race possible
 	}
 	// Single element: race against thieves for it.
 	won := d.top.CompareAndSwap(t, t+1)
 	d.bottom.Store(t + 1)
 	if !won {
-		return zero, false
+		return nil
 	}
-	return *vp, true
+	return vp
 }
 
-// Steal removes the oldest value. Any goroutine may call it.
+// StealRef removes the oldest pointer, or returns nil when the deque is
+// empty or the steal lost a race — nil is not proof of emptiness (Len
+// is). Any goroutine may call it.
 //
 // The operation order is load-bearing (Lê et al., PPoPP 2013, Fig. 1's
 // steal): top is loaded *before* bottom, so a thief can never act on a
 // bottom older than the top it validates — reading them the other way
 // lets a thief holding a stale bottom CAS-claim an index the owner's
-// PopBottom already took on its no-CAS fast path. The ring and slot
+// PopBottomRef already took on its no-CAS fast path. The ring and slot
 // are read after the emptiness check and *before* the CAS: the CAS is
 // the linearization point, and it succeeds only while top is still t,
 // which guarantees the slot read was of the live value (lapping slot
@@ -137,12 +147,11 @@ func (d *Chase[T]) PopBottom() (T, bool) {
 // the published one). A slot read after a winning CAS would have no
 // such guarantee. internal/check explores exactly these interleavings
 // against seeded mutants of this function.
-func (d *Chase[T]) Steal() (T, bool) {
-	var zero T
+func (d *Chase[T]) StealRef() *T {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	if t >= b {
-		return zero, false
+		return nil
 	}
 	r := d.ring.Load()
 	vp := r.get(t)
@@ -151,15 +160,34 @@ func (d *Chase[T]) Steal() (T, bool) {
 		// carried index t — the load raced a grow+wraparound and top
 		// must already have moved past t, so the CAS below would fail.
 		// Bailing out here makes that a guaranteed lost race instead of
-		// leaning on the CAS to shield the dereference: any future
-		// reordering of these loads would otherwise surface as a nil
-		// deref that kills the worker and strands the batch.
-		return zero, false
+		// leaning on the CAS to shield the caller's dereference: any
+		// future reordering of these loads would otherwise surface as a
+		// nil deref that kills the worker and strands the batch.
+		return nil
 	}
 	if !d.top.CompareAndSwap(t, t+1) {
-		return zero, false // lost the race; caller retries elsewhere
+		return nil // lost the race; caller retries elsewhere
 	}
-	return *vp, true
+	return vp
+}
+
+// PushBottom adds a copy of v at the owner end (one heap allocation for
+// the copy; see PushBottomRef). Only the owner may call it.
+func (d *Chase[T]) PushBottom(v T) { d.PushBottomRef(&v) }
+
+// PopBottom removes the newest value. Only the owner may call it.
+func (d *Chase[T]) PopBottom() (T, bool) { return deref(d.PopBottomRef()) }
+
+// Steal removes the oldest value; ok is false when the deque is empty
+// or the steal lost a race. Any goroutine may call it.
+func (d *Chase[T]) Steal() (T, bool) { return deref(d.StealRef()) }
+
+func deref[T any](p *T) (T, bool) {
+	if p == nil {
+		var zero T
+		return zero, false
+	}
+	return *p, true
 }
 
 // Len returns a snapshot size (may be momentarily stale under

@@ -492,6 +492,48 @@ func TestStructValues(t *testing.T) {
 	}
 }
 
+// The pointer forms store the caller's pointer itself: what comes out is
+// what went in, at both ends, and pushing allocates nothing once the
+// ring has grown — the live runtime pushes &slab[i] for every task.
+func TestRefFormsKeepIdentityAndAllocateNothing(t *testing.T) {
+	slab := make([]int, 64)
+	for i := range slab {
+		slab[i] = i
+	}
+	d := NewChase[int]()
+	if d.PopBottomRef() != nil || d.StealRef() != nil {
+		t.Fatal("empty deque must answer nil at both ends")
+	}
+	for i := range slab {
+		d.PushBottomRef(&slab[i])
+	}
+	if p := d.StealRef(); p != &slab[0] {
+		t.Errorf("StealRef = %p, want the oldest pointer %p", p, &slab[0])
+	}
+	if p := d.PopBottomRef(); p != &slab[63] {
+		t.Errorf("PopBottomRef = %p, want the newest pointer %p", p, &slab[63])
+	}
+	// The value forms read through the same slots.
+	if v, ok := d.Steal(); !ok || v != 1 {
+		t.Errorf("Steal = %d,%v, want 1,true", v, ok)
+	}
+	for d.PopBottomRef() != nil {
+	}
+	if d.Len() != 0 {
+		t.Fatalf("Len = %d after draining", d.Len())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range slab {
+			d.PushBottomRef(&slab[i])
+		}
+		for d.StealRef() != nil {
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per 64 PushBottomRef + StealRef, want 0", allocs)
+	}
+}
+
 func BenchmarkChasePushPop(b *testing.B) {
 	d := NewChase[int]()
 	b.ReportAllocs()

@@ -14,9 +14,9 @@
 //   - BeginBatch — per-batch planning: profile snapshot → CC table →
 //     Algorithm 1 backtracking → frequency assignment and class→c-group
 //     allocation, wrapped in a Plan;
-//   - Placer — initial task placement (class→c-group mapping with
-//     unknown classes to the fastest group, round-robin scatter when no
-//     class information exists);
+//   - IndexedPlacer — initial task placement (class→c-group mapping
+//     with unknown classes to the fastest group, round-robin scatter
+//     when no class information exists);
 //   - StealOrder — the victim probe order of an out-of-work core
 //     (classic random stealing, or the paper's rob-the-weaker-first
 //     preference lists, Fig. 5);
@@ -154,49 +154,12 @@ type Policy interface {
 
 // --- Placement --------------------------------------------------------
 
-// Placer maps one batch's tasks, in submission order, to the (core,
-// c-group pool) slots the plan prescribes. Build one per batch; Place
-// is not concurrency-safe (placement happens at the barrier in both
-// engines).
-type Placer struct {
-	plan  *Plan
-	cores int
-	seq   int
-	next  map[string]int
-}
-
-// NewPlacer builds a placer for plan on an m-core (m-worker) engine.
-func NewPlacer(plan *Plan, cores int) *Placer {
-	return &Placer{plan: plan, cores: cores, next: make(map[string]int)}
-}
-
-// Place returns the core and c-group pool the next task of the given
-// class goes to. Scatter plans round-robin over all cores; class plans
-// round-robin each class over its reserved placement cores (its
-// CC-count slice of its c-group), so same-group classes start on
-// disjoint pools. Unknown classes go to the fastest group, the paper's
-// rule for tasks "with no existing task class".
-func (pl *Placer) Place(class string) (core, group int) {
-	asn := pl.plan.Assignment
-	if pl.plan.ScatterAll {
-		c := pl.seq % pl.cores
-		pl.seq++
-		return c, asn.CoreGroup[c]
-	}
-	g := asn.GroupOfClass(class)
-	members := asn.PlacementCores(class)
-	c := members[pl.next[class]%len(members)]
-	pl.next[class]++
-	return c, g
-}
-
-// IndexedPlacer is Placer over compact per-batch class ids instead of
-// class-name strings: the group and placement-core list of every class
-// are resolved once at construction, and Place is pure array indexing
-// — no map operation per task. It is placement-identical to Placer for
-// any id↔name bijection (TestIndexedPlacerMatchesPlacer pins this), so
-// the simulator's SoA hot path can use it without perturbing
-// schedules.
+// IndexedPlacer maps one batch's tasks, in submission order, to the
+// (core, c-group pool) slots the plan prescribes, over compact per-batch
+// class ids: the group and placement-core list of every class are
+// resolved once at construction, and Place is pure array indexing — no
+// map operation per task. Build one per batch; Place is not
+// concurrency-safe (placement happens at the barrier in both engines).
 type IndexedPlacer struct {
 	scatter   bool
 	cores     int
@@ -229,7 +192,11 @@ func NewIndexedPlacer(plan *Plan, cores int, classes []string) *IndexedPlacer {
 }
 
 // Place returns the core and c-group pool the next task of class id
-// cid goes to, with exactly Placer.Place's discipline.
+// cid goes to. Scatter plans round-robin over all cores; class plans
+// round-robin each class over its reserved placement cores (its
+// CC-count slice of its c-group), so same-group classes start on
+// disjoint pools. Unknown classes go to the fastest group, the paper's
+// rule for tasks "with no existing task class".
 func (pl *IndexedPlacer) Place(cid int32) (core, group int) {
 	if pl.scatter {
 		c := pl.seq % pl.cores
@@ -244,10 +211,10 @@ func (pl *IndexedPlacer) Place(cid int32) (core, group int) {
 
 // --- Steal order ------------------------------------------------------
 
-// StealOrder enumerates the victim pools an out-of-work core probes, in
-// the plan's preference order. It is immutable after construction and
-// safe for concurrent use by all workers (each worker supplies its own
-// RNG).
+// StealOrder is the victim order of one plan epoch: which pools an
+// out-of-work core probes, in the plan's preference order. It is
+// immutable after construction; cores walk it through their own
+// VictimWalker (Walker), so all workers may share one concurrently.
 type StealOrder struct {
 	random    bool
 	cores     int
@@ -265,26 +232,6 @@ func NewStealOrder(plan *Plan, cores int) *StealOrder {
 	}
 }
 
-// ForEachVictim calls probe(victim, group) for every remote pool core
-// self may steal from, in the policy's order, stopping early when probe
-// returns true (and reporting whether it did). The caller's local pool
-// (self, its own group) is excluded — owners pop it directly.
-//
-// Random plans probe every other core's own-group pool in one random
-// permutation. Preference plans walk the rob-the-weaker-first group
-// list of self's c-group (Fig. 5) and probe every core's pool for that
-// group in a fresh random permutation per group — exactly the paper's
-// §III-B search, and byte-identical RNG consumption to the historical
-// engines so simulations stay reproducible across the refactor.
-//
-// Each call allocates one scratch permutation. Hot paths (the engines'
-// acquire loops, which run ForEachVictim once per failed local pop)
-// should instead hold a per-core Walker and reuse its buffer.
-func (s *StealOrder) ForEachVictim(self int, rng *xrand.RNG, probe func(victim, group int) bool) bool {
-	w := VictimWalker{so: s, self: self, perm: make([]int, s.cores)}
-	return w.ForEachVictim(rng, probe)
-}
-
 // VictimWalker is a per-core victim iterator bound to a StealOrder. It
 // owns a reusable permutation buffer, so walking the victim order
 // allocates nothing — the engines cache one walker per core and rebind
@@ -292,10 +239,6 @@ func (s *StealOrder) ForEachVictim(self int, rng *xrand.RNG, probe func(victim, 
 // only change at a batch boundary). A walker must only be used by its
 // core's worker; distinct walkers over the same StealOrder are safe
 // concurrently.
-//
-// RNG consumption is byte-identical to StealOrder.ForEachVictim
-// (xrand.PermInto draws exactly as Perm does), so cached walkers
-// reproduce the historical engines' schedules bit for bit.
 type VictimWalker struct {
 	so   *StealOrder
 	self int
@@ -316,8 +259,19 @@ func (w *VictimWalker) Bind(so *StealOrder) {
 	}
 }
 
-// ForEachVictim walks the victim order exactly as
-// StealOrder.ForEachVictim does, reusing the walker's buffer.
+// ForEachVictim calls probe(victim, group) for every remote pool the
+// walker's core may steal from, in the policy's order, stopping early
+// when probe returns true (and reporting whether it did). The core's
+// local pool (itself, its own group) is excluded — owners pop it
+// directly.
+//
+// Random plans probe every other core's own-group pool in one random
+// permutation. Preference plans walk the rob-the-weaker-first group
+// list of the core's c-group (Fig. 5) and probe every core's pool for
+// that group in a fresh random permutation per group — exactly the
+// paper's §III-B search. xrand.PermInto draws exactly as Perm does, so
+// RNG consumption is byte-identical to the historical engines and
+// simulations stay reproducible.
 func (w *VictimWalker) ForEachVictim(rng *xrand.RNG, probe func(victim, group int) bool) bool {
 	s := w.so
 	if s.random {

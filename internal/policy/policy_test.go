@@ -88,9 +88,9 @@ func TestDefaultWATSLevels(t *testing.T) {
 
 func TestPlacerScatterRoundRobins(t *testing.T) {
 	plan := &Plan{Assignment: cgroup.AllFast(4, nil), ScatterAll: true}
-	pl := NewPlacer(plan, 4)
+	pl := NewIndexedPlacer(plan, 4, []string{"anything"})
 	for i := 0; i < 8; i++ {
-		c, g := pl.Place("anything")
+		c, g := pl.Place(0)
 		if c != i%4 {
 			t.Fatalf("task %d placed on core %d, want %d", i, c, i%4)
 		}
@@ -108,11 +108,12 @@ func TestPlacerByClassUsesPlacementCores(t *testing.T) {
 	asn.ClassGroup["heavy"] = 0
 	asn.ClassGroup["light"] = 1
 	plan := &Plan{Assignment: asn}
-	pl := NewPlacer(plan, 4)
+	const heavy, light, unknown = 0, 1, 2
+	pl := NewIndexedPlacer(plan, 4, []string{"heavy", "light", "never-profiled"})
 
 	heavyCores := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		c, g := pl.Place("heavy")
+		c, g := pl.Place(heavy)
 		if g != 0 {
 			t.Fatalf("heavy placed in group %d", g)
 		}
@@ -121,11 +122,11 @@ func TestPlacerByClassUsesPlacementCores(t *testing.T) {
 	if !reflect.DeepEqual(heavyCores, map[int]bool{0: true, 1: true}) {
 		t.Errorf("heavy cores %v, want {0,1}", heavyCores)
 	}
-	if c, g := pl.Place("light"); g != 1 || (c != 2 && c != 3) {
+	if c, g := pl.Place(light); g != 1 || (c != 2 && c != 3) {
 		t.Errorf("light placed on core %d group %d, want group 1 on cores {2,3}", c, g)
 	}
 	// Unknown classes go to the fastest group — the paper's rule.
-	if _, g := pl.Place("never-profiled"); g != 0 {
+	if _, g := pl.Place(unknown); g != 0 {
 		t.Errorf("unknown class placed in group %d, want fastest (0)", g)
 	}
 }
@@ -133,7 +134,7 @@ func TestPlacerByClassUsesPlacementCores(t *testing.T) {
 // collectProbes drains the full probe sequence for a worker.
 func collectProbes(so *StealOrder, self int, rng *xrand.RNG) [][2]int {
 	var seq [][2]int
-	so.ForEachVictim(self, rng, func(v, g int) bool {
+	so.Walker(self).ForEachVictim(rng, func(v, g int) bool {
 		seq = append(seq, [2]int{v, g})
 		return false
 	})
@@ -199,7 +200,7 @@ func TestStealOrderFindsTask(t *testing.T) {
 	plan := &Plan{Assignment: cgroup.AllFast(4, nil), RandomSteal: true}
 	so := NewStealOrder(plan, 4)
 	hits := 0
-	found := so.ForEachVictim(0, xrand.New(1), func(v, g int) bool {
+	found := so.Walker(0).ForEachVictim(xrand.New(1), func(v, g int) bool {
 		hits++
 		return v == 3 // pretend core 3's pool yields
 	})
@@ -295,12 +296,14 @@ func TestEEWAOfflineRejectsZeroMaxWork(t *testing.T) {
 	}
 }
 
-// TestIndexedPlacerMatchesPlacer pins IndexedPlacer to the string-keyed
-// Placer: for any plan and any id↔name bijection, the two must emit the
-// same (core, group) sequence for the same class sequence. The SoA sim
-// engine places through IndexedPlacer, so any divergence here would
-// silently perturb schedules.
-func TestIndexedPlacerMatchesPlacer(t *testing.T) {
+// TestIndexedPlacerDiscipline pins the placement discipline both engines
+// execute: under a class plan the k-th task of a class goes to the
+// (k mod n)-th of its n placement cores in its c-group's pool, unknown
+// classes to the fastest group, independently of how class ids were
+// assigned to names; under a scatter plan tasks round-robin over all
+// cores whatever their class. Any divergence here would silently
+// perturb schedules in the simulator and the live runtime alike.
+func TestIndexedPlacerDiscipline(t *testing.T) {
 	asn, err := cgroup.FromLevels([]int{0, 0, 1, 1, 3, 3}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -312,8 +315,6 @@ func TestIndexedPlacerMatchesPlacer(t *testing.T) {
 		"classes": {Assignment: asn},
 		"scatter": {Assignment: cgroup.AllFast(6, nil), ScatterAll: true},
 	}
-	// Two bijections: first-appearance order and a reversed one — the
-	// equivalence must not depend on how ids are assigned to names.
 	classes := []string{"heavy", "mid", "light", "never-profiled"}
 	orders := map[string][]string{
 		"forward":  classes,
@@ -325,15 +326,19 @@ func TestIndexedPlacerMatchesPlacer(t *testing.T) {
 			for i, name := range order {
 				id[name] = int32(i)
 			}
-			ref := NewPlacer(plan, 6)
-			idx := NewIndexedPlacer(plan, 6, order)
+			pl := NewIndexedPlacer(plan, 6, order)
+			seen := map[string]int{} // tasks placed so far, per class
 			rng := xrand.New(7)
 			for i := 0; i < 500; i++ {
 				name := classes[rng.Intn(len(classes))]
-				wc, wg := ref.Place(name)
-				gc, gg := idx.Place(id[name])
-				if wc != gc || wg != gg {
-					t.Fatalf("%s/%s task %d class %s: IndexedPlacer (%d,%d), Placer (%d,%d)",
+				wc, wg := i%6, 0
+				if !plan.ScatterAll {
+					members := plan.Assignment.PlacementCores(name)
+					wc, wg = members[seen[name]%len(members)], plan.Assignment.GroupOfClass(name)
+				}
+				seen[name]++
+				if gc, gg := pl.Place(id[name]); gc != wc || gg != wg {
+					t.Fatalf("%s/%s task %d class %s: placed (%d,%d), want (%d,%d)",
 						planName, orderName, i, name, gc, gg, wc, wg)
 				}
 			}

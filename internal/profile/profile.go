@@ -55,8 +55,9 @@ type rawStats struct {
 }
 
 // Profiler collects per-batch workload information. It is not
-// concurrency-safe by itself; the simulator is single-threaded and the
-// live runtime wraps it in a mutex at its sync point.
+// concurrency-safe: the simulator is single-threaded, and the live
+// runtime's workers keep their own per-class totals and the RunBatch
+// caller folds them in (RecordBulk) after the barrier.
 type Profiler struct {
 	ladder  machine.FreqLadder
 	classes map[string]*Class
@@ -125,24 +126,45 @@ func (p *Profiler) entries(name string) (*Class, *rawStats) {
 
 // recordInto folds one completed task into pre-resolved entries.
 func (p *Profiler) recordInto(c *Class, rs *rawStats, execTime float64, level int, missIntensity float64) {
-	if execTime < 0 {
-		panic(fmt.Sprintf("profile: negative execution time %g", execTime))
-	}
-	w := p.Normalize(execTime, level)
-	// Running-average update, exactly TC(f, n+1, (n·w + wγ)/(n+1)).
-	c.AvgWork = (float64(c.Count)*c.AvgWork + w) / float64(c.Count+1)
-	c.Count++
-	if w > c.MaxWork {
-		c.MaxWork = w
-	}
-
-	rs.sum[level] += execTime
-	rs.count[level]++
-
-	p.totalTasks++
+	p.foldInto(c, rs, 1, execTime, execTime, level)
 	if missIntensity > p.memBoundThreshold {
 		p.memBoundTasks++
 	}
+}
+
+// foldInto folds count tasks run at one level — summed execution time
+// sumExec, longest single task maxExec — into pre-resolved entries.
+func (p *Profiler) foldInto(c *Class, rs *rawStats, count int, sumExec, maxExec float64, level int) {
+	if sumExec < 0 || maxExec < 0 {
+		panic(fmt.Sprintf("profile: negative execution time %g", min(sumExec, maxExec)))
+	}
+	// Running-average update: for one task exactly the paper's
+	// TC(f, n+1, (n·w + wγ)/(n+1)), for several the same mean in one step.
+	c.AvgWork = (float64(c.Count)*c.AvgWork + p.Normalize(sumExec, level)) / float64(c.Count+count)
+	c.Count += count
+	if w := p.Normalize(maxExec, level); w > c.MaxWork {
+		c.MaxWork = w
+	}
+
+	rs.sum[level] += sumExec
+	rs.count[level] += count
+
+	p.totalTasks += count
+}
+
+// RecordBulk folds count tasks of one class, all run at frequency level
+// `level`, in one step: sumExec is their summed execution time and
+// maxExec the longest single one. The result equals recording the same
+// tasks one by one with a zero miss intensity, up to float rounding
+// (the running average becomes one weighted mean instead of count
+// incremental ones). The live runtime folds each worker's per-class
+// totals through this at the batch barrier.
+func (p *Profiler) RecordBulk(name string, count int, sumExec, maxExec float64, level int) {
+	if count <= 0 {
+		return
+	}
+	c, rs := p.entries(name)
+	p.foldInto(c, rs, count, sumExec, maxExec, level)
 }
 
 // ClassRef is a per-class recording handle that skips the two map

@@ -188,6 +188,51 @@ func TestRunningAverageProperty(t *testing.T) {
 	}
 }
 
+// Property: RecordBulk over groups of tasks (one level per group, as one
+// worker's share of a class is) equals recording the same tasks one by
+// one, in the same order — count and the raw per-level sums exactly, the
+// running average and the maximum to 1e-12 relative.
+func TestRecordBulkMatchesSequential(t *testing.T) {
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	f := func(seed uint64, groupsRaw uint8) bool {
+		rng := xrand.New(seed)
+		seq, bulk := New(ladder), New(ladder)
+		names := []string{"a", "b", "c"}
+		for g := int(groupsRaw%12) + 1; g > 0; g-- {
+			name, level := names[rng.Intn(len(names))], rng.Intn(len(ladder))
+			n := rng.Intn(40) // an empty group must be a no-op
+			sum, longest := 0.0, 0.0
+			for i := 0; i < n; i++ {
+				d := rng.Range(1e-7, 1e-2)
+				seq.Record(name, d, level, 0)
+				sum += d
+				longest = math.Max(longest, d)
+			}
+			bulk.RecordBulk(name, n, sum, longest, level)
+		}
+		if seq.TotalTasks() != bulk.TotalTasks() || seq.NumClasses() != bulk.NumClasses() {
+			return false
+		}
+		for _, want := range seq.Classes() {
+			got, ok := bulk.Lookup(want.Name)
+			if !ok || got.Count != want.Count || !near(got.AvgWork, want.AvgWork) || !near(got.MaxWork, want.MaxWork) {
+				return false
+			}
+			for level := range ladder {
+				sv, sok := seq.RawAvg(want.Name, level)
+				bv, bok := bulk.RawAvg(want.Name, level)
+				if sok != bok || !near(sv, bv) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: Classes() is always sorted by non-increasing AvgWork.
 func TestClassesSortedProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {

@@ -10,9 +10,9 @@ import (
 // rtObs bundles the live runtime's metric handles. Every handle is nil
 // when the registry is nil, and every method on a nil handle is a
 // no-op, so the instrumented sites cost one pointer check when
-// observability is off. All observations happen at batch boundaries —
-// the worker hot loop reports through the pre-existing atomics and is
-// never touched.
+// observability is off. Everything but the per-class execution
+// histogram is observed at batch boundaries, from the counters the
+// workers leave behind.
 type rtObs struct {
 	reg *obs.Registry
 
@@ -100,8 +100,9 @@ func newRTObs(reg *obs.Registry, levels int) rtObs {
 }
 
 // execHist returns the per-class execution-latency histogram handle, or
-// nil when the registry is disabled. Workers fetch it once per class
-// (paying the family mutex there) and then Observe lock-free per task.
+// nil when the registry is disabled. Placement fetches it once per class
+// per batch (paying the family mutex there); workers then Observe
+// lock-free per task.
 func (o *rtObs) execHist(class string) *obs.LogHistogram {
 	if o.reg == nil {
 		return nil

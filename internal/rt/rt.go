@@ -9,17 +9,6 @@
 // executes; this package only supplies the execution substrate. All
 // four policies (Cilk, Cilk-D, WATS, EEWA) therefore run live.
 //
-// Real DVFS needs root access and specific hardware, and Go cannot pin
-// goroutines to cores, so the runtime emulates frequency scaling with
-// *duty-cycle throttling*: a worker logically clocked at Fj runs each
-// payload at native speed and then idles for (F0/Fj − 1)× the measured
-// run time, making its effective throughput Fj/F0 of a full-speed
-// worker. Everything the paper's scheduler observes — execution times,
-// Eq. 1 normalization, class profiles, CC tables, c-groups, preference
-// stealing — is then exercised for real, under true concurrency.
-// Energy is accounted from the same power model the simulator uses,
-// integrated over measured wall time per (state, level).
-//
 // The runtime is batch-structured like the paper's programs:
 //
 //	rt, _ := rt.New(cfg)
@@ -27,10 +16,58 @@
 //	    stats := rt.RunBatch(tasks)   // blocks until the barrier
 //	}
 //	total := rt.Stats()
+//
+// # The batch loop
+//
+// RunBatch plans, places every task single-threaded, then runs the
+// batch on n workers: the caller's goroutine is worker 0 and n−1
+// goroutines are spawned for the others (spawned per batch, not parked
+// between batches: waking a parked goroutine costs the same thread
+// wake-up as starting one, and a measured prototype met every target
+// without them). A batch ends when its last task ends. Tasks are never
+// pushed mid-batch, so an empty pool stays empty: a worker that has
+// popped its own pool dry and walked the policy's whole victim order
+// seeing every pool empty (Len() == 0 — a failed steal alone is a lost
+// race, and makes it scan again) records its dry instant, applies the
+// policy's out-of-work action and returns. Nobody polls, nobody counts
+// remaining tasks, and the barrier is the spawned workers' WaitGroup.
+// A pool can look empty while its owner is still claiming the last
+// task; that task is the owner's to run, so leaving is still right.
+//
+// Per-task state is private to the worker (a struct kept on the Runtime
+// across batches: victim walker, RNG, per-class totals indexed by a
+// class id interned at placement, plain counters) and is folded into
+// BatchStats, the metrics and the profiler once, after the barrier. A
+// task costs two clock reads, and placing it costs no allocation: the
+// pools hold pointers into the runtime's own slot slab.
+//
+// # Frequency emulation
+//
+// Real DVFS needs root access and specific hardware, and Go cannot pin
+// goroutines to cores, so the runtime emulates frequency scaling with
+// *duty-cycle throttling*: a worker logically clocked at Fj runs each
+// payload at native speed and owes (F0/Fj − 1)× the measured run time
+// of idleness, making its effective throughput Fj/F0 of a full-speed
+// worker. The idleness is a debt: it accrues per task and is slept off
+// once it reaches a quantum (200 µs) that sits above the timer's
+// granularity, the measured sleep — overshoot included — is subtracted,
+// so physical time converges on the modelled Σ dur × F0/Fj, and what is
+// left when the worker runs dry is yielded away, never slept.
+// Everything the paper's scheduler observes — execution times, Eq. 1
+// normalization, class profiles, CC tables, c-groups, preference
+// stealing — is then exercised for real, under true concurrency.
+//
+// Energy is accounted from the same power model the simulator uses,
+// integrated per worker over Busy (payload stretched to its level),
+// Search, Dry (from the dry instant to the end of the batch, at the
+// out-of-work level: the modelled core idles there although the
+// goroutine has gone) and Halt (the remainder); see WorkerSecs.
 package rt
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,8 +174,9 @@ type Config struct {
 	// Obs, when non-nil, receives the runtime's metrics: per-batch wall
 	// time, worker busy/idle/barrier seconds, placement pool depths,
 	// emulated DVFS transitions, census gauges and modeled energy (see
-	// internal/obs). All observations happen at batch boundaries; the
-	// worker hot loop is untouched, and a nil registry costs nothing.
+	// internal/obs). Apart from the per-class execution histogram, which
+	// workers feed per task, all observations happen at batch boundaries;
+	// a nil registry costs nothing.
 	Obs *obs.Registry
 	// Invariants enables the internal/check batch invariants: task
 	// conservation (every spawned task acquired exactly once — executed,
@@ -168,18 +206,24 @@ type Hooks struct {
 //
 //	Busy + Search + Dry + Halt − Residual = batch wall time
 //
-// exactly: Halt is the barrier-wait remainder, and Residual is the
-// amount the remainder had to be clipped by because the modeled states
-// overran the measured wall (it should be ≈0; a large value means a
-// state is double-counted and the energy integral is wrong).
+// exactly: Halt is the remainder, and Residual is the amount the
+// remainder had to be clipped by because the modeled states overran the
+// measured wall (it should be ≈0; a large value means a state is
+// double-counted and the energy integral is wrong).
 type WorkerSecs struct {
-	// Busy is duty-cycle-stretched payload execution at the plan level.
+	// Busy is payload execution stretched to the plan level's speed
+	// (Σ dur × F0/Fj) — throttle sleeps are part of it, not of Search.
 	Busy float64
-	// Search is work-search time (probe/steal/sleep) at the plan level.
+	// Search is work-search time (pop/probe/steal) at the plan level.
 	Search float64
-	// Dry is post-out-of-work spin at the policy's out-of-work level.
+	// Dry is the time from the instant the worker found every reachable
+	// pool empty to the end of the batch, at the policy's out-of-work
+	// level: the modelled core idles there until the barrier (the
+	// goroutine itself has returned).
 	Dry float64
-	// Halt is the barrier-wait remainder, clipped at zero.
+	// Halt is the remainder, clipped at zero: the lag before a spawned
+	// worker first ran, plus any throttle oversleep the batch ended
+	// before later tasks could absorb.
 	Halt float64
 	// Residual is the clipped overrun (accounted, never silently lost).
 	Residual float64
@@ -238,13 +282,62 @@ type RunStats struct {
 	Steals  int
 }
 
+// throttleQuantum is the smallest throttle debt a worker pays by
+// sleeping. It sits well above the timer's granularity on a shared host
+// (a short time.Sleep comes back in 60 µs–1 ms), so a sleep's overshoot
+// is a fraction of what it pays; smaller debts wait for more to accrue,
+// and whatever is left when the worker runs dry is paid by yielding.
+const throttleQuantum = int64(200 * time.Microsecond)
+
+// slot is the runtime's record of one placed task. The pools hold
+// pointers into the runtime's slot slab (deque.Chase.PushBottomRef), so
+// placing a task allocates nothing and the per-task class id and
+// conservation counter need no side table.
+type slot struct {
+	task *Task
+	cid  int32 // class id, interned per batch during placement
+	// acquired counts how many times a worker took the task; touched
+	// only with invariants on (task conservation wants exactly 1).
+	acquired atomic.Int32
+}
+
+// classAcc is one worker's running total for one task class in the
+// current batch: stretched busy seconds, the longest single task and
+// the task count. Folded into BatchStats.Classes and the profiler at
+// the barrier.
+type classAcc struct {
+	tasks     int
+	secs, max float64
+}
+
+// worker is one worker's state, kept on the Runtime across batches.
+// During a batch only the worker itself touches it; RunBatch reads the
+// outcome fields after the barrier, so none of it is atomic.
+type worker struct {
+	r      *Runtime
+	id     int
+	spawn  func() // goroutine body for workers 1..n-1: run, then wg.Done
+	walker *policy.VictimWalker
+	rng    xrand.RNG
+	acc    []classAcc // indexed by class id
+
+	// Outcome of the current batch, in nanoseconds since Runtime.start.
+	busyNS    int64 // Σ dur × ratio
+	searchNS  int64
+	dryNS     int64 // the instant the worker found every pool empty
+	idleLevel int   // the level the policy's OutOfWork action left it at
+	steals    int
+	cancelled int
+
+	_ [64]byte // keep neighbouring workers' counters off this cache line
+}
+
 // Runtime executes batches of tasks under a policy.
 type Runtime struct {
 	cfg    Config
 	ladder machine.FreqLadder
 	pol    policy.Policy
-	prof   *profile.Profiler
-	profMu sync.Mutex
+	prof   *profile.Profiler // touched only between batches, by the caller
 
 	plan   policy.Plan
 	asn    *cgroup.Assignment
@@ -254,7 +347,18 @@ type Runtime struct {
 	// count and the plan's group count u hold (a completed batch drains
 	// every deque, so only a shape change forces a rebuild). RunBatch is
 	// single-caller, so no synchronization is needed between batches.
-	pools [][]*deque.Chase[*Task]
+	pools   [][]*deque.Chase[slot]
+	workers []worker
+	wg      sync.WaitGroup
+	start   time.Time // the current batch's time origin
+
+	// Placement scratch, rebuilt single-threaded each batch and read-only
+	// while workers run.
+	slots      []slot
+	classIDs   map[string]int32
+	classNames []string            // by class id
+	classHist  []*obs.LogHistogram // by class id; nil without a registry
+	depths     []int               // per-worker placement count, for the metrics
 
 	batchIndex int
 	idealTime  time.Duration
@@ -290,14 +394,25 @@ func New(cfg Config) (*Runtime, error) {
 		}
 	}
 	r := &Runtime{
-		cfg:    cfg,
-		ladder: mc.Freqs,
-		pol:    pol,
-		prof:   profile.New(mc.Freqs),
-		levels: make([]int, cfg.Workers),
-		asn:    cgroup.AllFast(cfg.Workers, nil),
-		ro:     newRTObs(cfg.Obs, len(mc.Freqs)),
-		inv:    cfg.Invariants || check.BuildEnabled,
+		cfg:      cfg,
+		ladder:   mc.Freqs,
+		pol:      pol,
+		prof:     profile.New(mc.Freqs),
+		levels:   make([]int, cfg.Workers),
+		asn:      cgroup.AllFast(cfg.Workers, nil),
+		workers:  make([]worker, cfg.Workers),
+		depths:   make([]int, cfg.Workers),
+		classIDs: make(map[string]int32),
+		ro:       newRTObs(cfg.Obs, len(mc.Freqs)),
+		inv:      cfg.Invariants || check.BuildEnabled,
+	}
+	for id := range r.workers {
+		w := &r.workers[id]
+		w.r, w.id = r, id
+		w.spawn = func() {
+			w.run()
+			r.wg.Done()
+		}
 	}
 	return r, nil
 }
@@ -336,6 +451,8 @@ func (r *Runtime) Census() []int {
 // RunBatch executes one batch of tasks and blocks until all complete.
 // Between batches the policy plans: under EEWA that means running the
 // workload-aware frequency adjuster on the previous batch's profile.
+// The caller's goroutine runs worker 0; workers 1..n-1 are spawned for
+// the batch and have all returned when RunBatch does.
 func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 	if len(tasks) == 0 {
 		return BatchStats{Census: r.Census()}
@@ -345,243 +462,108 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 	if h := r.cfg.Hooks.BatchStart; h != nil {
 		h(bi, len(tasks))
 	}
+	r.place(tasks)
 
 	n := r.cfg.Workers
-	u := r.asn.U()
-	if len(r.pools) != n || len(r.pools[0]) != u {
-		r.pools = make([][]*deque.Chase[*Task], n)
-		for w := 0; w < n; w++ {
-			r.pools[w] = make([]*deque.Chase[*Task], u)
-			for g := 0; g < u; g++ {
-				r.pools[w][g] = deque.NewChase[*Task]()
-			}
-		}
+	r.start = time.Now()
+	r.wg.Add(n - 1)
+	for id := 1; id < n; id++ {
+		go r.workers[id].spawn()
 	}
-	pools := r.pools
+	r.workers[0].run()
+	r.wg.Wait()
+	wall := time.Since(r.start)
 
-	// Placement per the plan's discipline (scatter or by class over
-	// each class's reserved placement cores) — shared with the sim.
-	placer := policy.NewPlacer(&r.plan, n)
-	var depths []int // per-worker placement count, metrics only
-	if r.ro.reg != nil {
-		depths = make([]int, n)
-	}
-	// Task-conservation bookkeeping: execution counts indexed through a
-	// read-only pointer→index map built during (single-threaded)
-	// placement. Nil and untouched unless invariants are on.
-	var execs []atomic.Int32
-	var taskIdx map[*Task]int
-	if r.inv {
-		execs = make([]atomic.Int32, len(tasks))
-		taskIdx = make(map[*Task]int, len(tasks))
-	}
-	for i := range tasks {
-		t := &tasks[i]
-		w, g := placer.Place(t.Class)
-		pools[w][g].PushBottom(t)
-		if depths != nil {
-			depths[w]++
-		}
-		if taskIdx != nil {
-			taskIdx[t] = i
-		}
-	}
-
-	stealOrder := policy.NewStealOrder(&r.plan, n)
-	var (
-		steals    atomic.Int64
-		cancelled atomic.Int64
-		dvfs      atomic.Int64
-		remain    atomic.Int64
-		busyNS    = make([]atomic.Int64, n)
-		spinNS    = make([]atomic.Int64, n) // out-of-work spin at idleLevels[w]
-		idleNS    = make([]atomic.Int64, n) // work-search lead-in at levels[w]
-	)
-	idleLevels := make([]int, n)
-	copy(idleLevels, r.levels)
-	// Per-worker class attribution: each worker owns its map (no
-	// contention in the hot loop); the per-class histogram handle is
-	// resolved once per class per worker, after which Observe is a
-	// lock-free atomic add. Folded into BatchStats.Classes at the
-	// barrier.
-	classAggs := make([]map[string]*classAgg, n)
-	remain.Store(int64(len(tasks)))
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := xrand.New(r.cfg.Seed + uint64(id)*0x9E3779B97F4A7C15 + uint64(r.batchIndex))
-			aggs := map[string]*classAgg{}
-			classAggs[id] = aggs
-			myG := r.asn.CoreGroup[id]
-			level := r.levels[id]
-			ratio := r.ladder.Ratio(level)
-			outOfWork := false
-			spinStart := time.Now()
-			for remain.Load() > 0 {
-				t, stolen := acquire(pools, stealOrder, id, myG, rng)
-				if t == nil {
-					// Every reachable pool looked empty: apply the
-					// policy's out-of-work action once. Pools only
-					// drain mid-batch, so from here until the barrier
-					// (or until a racing steal surfaces a stray task)
-					// the worker spins at the action's level — that is
-					// what Cilk-D and EEWA down-clock.
-					if !outOfWork {
-						outOfWork = true
-						idleNS[id].Add(int64(time.Since(spinStart)))
-						spinStart = time.Now()
-						if act := r.pol.OutOfWork(id); act.FreqLevel >= 0 && act.FreqLevel != idleLevels[id] {
-							idleLevels[id] = act.FreqLevel
-							dvfs.Add(1)
-						}
-					}
-					time.Sleep(20 * time.Microsecond)
-					continue
-				}
-				if stolen {
-					steals.Add(1)
-				}
-				search := int64(time.Since(spinStart))
-				if outOfWork {
-					// A racing steal lost earlier; the worker is back.
-					outOfWork = false
-					spinNS[id].Add(search)
-				} else {
-					idleNS[id].Add(search)
-				}
-
-				if execs != nil {
-					execs[taskIdx[t]].Add(1)
-				}
-				// Acquired-but-cancelled: the submission layer withdrew
-				// the task (e.g. its deadline expired while it waited in
-				// a pool). It still counts as acquired exactly once.
-				if t.Cancelled != nil && t.Cancelled() {
-					cancelled.Add(1)
-					remain.Add(-1)
-					spinStart = time.Now()
-					continue
-				}
-
-				t0 := time.Now()
-				t.Run()
-				dur := time.Since(t0)
-				// Duty-cycle throttle: stretch to dur × F0/Flevel.
-				if ratio > 1 {
-					time.Sleep(time.Duration(float64(dur) * (ratio - 1)))
-				}
-				wall := time.Duration(float64(dur) * ratio)
-				busyNS[id].Add(int64(wall))
-				a := aggs[t.Class]
-				if a == nil {
-					a = &classAgg{hist: r.ro.execHist(t.Class)}
-					aggs[t.Class] = a
-				}
-				a.secs += wall.Seconds()
-				a.tasks++
-				a.hist.Observe(wall.Seconds())
-
-				r.profMu.Lock()
-				r.prof.Record(t.Class, wall.Seconds(), level, 0)
-				r.profMu.Unlock()
-
-				remain.Add(-1)
-				spinStart = time.Now()
-			}
-			if outOfWork {
-				spinNS[id].Add(int64(time.Since(spinStart)))
-			} else {
-				idleNS[id].Add(int64(time.Since(spinStart)))
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	// Energy accounting from the shared power model: busy and
-	// work-search spin at the worker's level, post-dry spin at the
-	// out-of-work level the policy chose, the barrier-wait remainder
-	// as halted. When the modeled states overrun the measured wall
-	// (duty-cycle stretch rounding, timer overshoot) the overrun is
-	// accounted as an explicit residual — clipping it silently would
-	// hide search/dry double-counting from the energy identity.
+	// Fold the workers' plain counters, in worker order (which fixes the
+	// profiler's first-seen class order for a given per-worker outcome).
+	// Energy comes from the shared power model: busy and work search at
+	// the worker's level, the dry tail at the out-of-work level the
+	// policy chose, the remainder as halted. When the modeled states
+	// overrun the measured wall (duty-cycle stretch rounding) the overrun
+	// is an explicit residual — clipping it silently would hide
+	// double-counting from the energy identity.
 	pm := r.cfg.Machine.Power
-	energy := pm.Base * wall.Seconds()
-	workers := make([]WorkerSecs, n)
-	classes := make(map[string]ClassStats, 4)
-	var busyTot, spinTot, haltTot, residTot float64
-	for w := 0; w < n; w++ {
-		level := r.levels[w]
+	wallS := wall.Seconds()
+	bs := BatchStats{
+		Wall:    wall,
+		Tasks:   len(tasks),
+		Census:  r.Census(),
+		Levels:  append([]int(nil), r.levels...),
+		Energy:  pm.Base * wallS,
+		Workers: make([]WorkerSecs, n),
+		Classes: make(map[string]ClassStats, len(r.classNames)),
+	}
+	var busyTot, spinTot, haltTot float64
+	for id := range r.workers {
+		w := &r.workers[id]
+		level := r.levels[id]
 		busyPower := pm.CorePower(machine.Busy, level, level, r.ladder)
-		for name, a := range classAggs[w] {
-			cs := classes[name]
+		for cid, a := range w.acc {
+			if a.tasks == 0 {
+				continue
+			}
+			name := r.classNames[cid]
+			cs := bs.Classes[name]
 			cs.Tasks += a.tasks
 			cs.BusySecs += a.secs
 			cs.EnergyJ += a.secs * busyPower
-			classes[name] = cs
+			bs.Classes[name] = cs
+			r.prof.RecordBulk(name, a.tasks, a.secs, a.max, level)
 		}
-		busy := time.Duration(busyNS[w].Load()).Seconds()
-		search := time.Duration(idleNS[w].Load()).Seconds()
-		dry := time.Duration(spinNS[w].Load()).Seconds()
-		halt := wall.Seconds() - busy - search - dry
-		var residual float64
-		if halt < 0 {
-			residual = -halt
-			halt = 0
-		}
-		workers[w] = WorkerSecs{Busy: busy, Search: search, Dry: dry, Halt: halt, Residual: residual}
+		busy := time.Duration(w.busyNS).Seconds()
+		search := time.Duration(w.searchNS).Seconds()
+		dry := (wall - time.Duration(w.dryNS)).Seconds()
+		halt := wallS - busy - search - dry
+		residual := max(0, -halt)
+		halt = max(0, halt)
+		bs.Workers[id] = WorkerSecs{Busy: busy, Search: search, Dry: dry, Halt: halt, Residual: residual}
+		bs.Residual += residual
 		busyTot += busy
 		spinTot += search + dry
 		haltTot += halt
-		residTot += residual
 		// The live runtime has no package topology: use own-level
 		// voltage (PackageSize 1 semantics).
-		energy += busy * busyPower
-		energy += search * pm.CorePower(machine.Spinning, level, level, r.ladder)
-		energy += dry * pm.CorePower(machine.Spinning, idleLevels[w], idleLevels[w], r.ladder)
-		energy += halt * pm.CorePower(machine.Halted, level, level, r.ladder)
+		bs.Energy += busy * busyPower
+		bs.Energy += search * pm.CorePower(machine.Spinning, level, level, r.ladder)
+		bs.Energy += dry * pm.CorePower(machine.Spinning, w.idleLevel, w.idleLevel, r.ladder)
+		bs.Energy += halt * pm.CorePower(machine.Halted, level, level, r.ladder)
+		bs.Steals += w.steals
+		bs.Cancelled += w.cancelled
+		if w.idleLevel != level {
+			r.ro.dvfs.Inc()
+		}
 	}
 
 	if r.batchIndex == 0 {
 		r.idealTime = wall
 	}
 	r.batchIndex++
-	r.ro.dvfs.Add(float64(dvfs.Load()))
-
-	bs := BatchStats{
-		Wall:      wall,
-		Tasks:     len(tasks),
-		Census:    r.Census(),
-		Levels:    append([]int(nil), r.levels...),
-		Steals:    int(steals.Load()),
-		Cancelled: int(cancelled.Load()),
-		Energy:    energy,
-		Workers:   workers,
-		Residual:  residTot,
-		Classes:   classes,
-	}
 	r.stats.Batches++
 	r.stats.Tasks += len(tasks)
 	r.stats.Wall += wall
-	r.stats.Energy += energy
+	r.stats.Energy += bs.Energy
 	r.stats.Steals += bs.Steals
-	r.ro.observeBatch(bs, busyTot, spinTot, haltTot, depths)
+	r.ro.observeBatch(bs, busyTot, spinTot, haltTot, r.depths)
 	if r.inv {
-		r.record(check.TaskConservation(execCounts(execs)))
+		counts := make([]int32, len(tasks))
+		for i := range counts {
+			counts[i] = r.slots[i].acquired.Load()
+		}
+		r.record(check.TaskConservation(counts))
 		// Tolerance: the identity is exact by construction up to float
 		// rounding; the residual itself must stay negligible. Timer
 		// quantization bounds per-interval error at well under a
 		// millisecond per task, so a whole millisecond plus a small
 		// fraction of the wall is a conservative ceiling.
-		tol := 1e-3 + 0.01*wall.Seconds()
-		for w := range workers {
-			ws := workers[w]
-			r.record(check.EnergyIdentity(w, wall.Seconds(), ws.Busy, ws.Search, ws.Dry, ws.Halt, ws.Residual, tol))
+		tol := 1e-3 + 0.01*wallS
+		for id, ws := range bs.Workers {
+			r.record(check.EnergyIdentity(id, wallS, ws.Busy, ws.Search, ws.Dry, ws.Halt, ws.Residual, tol))
 		}
+	}
+	// Drop the pointers into the caller's slab: it may be recycled
+	// (TaskArena) or garbage before the next batch overwrites them.
+	for i := range tasks {
+		r.slots[i].task = nil
 	}
 	if h := r.cfg.Hooks.BatchEnd; h != nil {
 		h(bi, bs)
@@ -589,35 +571,13 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 	return bs
 }
 
-// classAgg is one worker's running attribution for one task class: the
-// stretched busy seconds and task count, plus the worker's cached
-// handle on the class's execution-latency histogram (nil when
-// observability is off — Observe on a nil handle no-ops).
-type classAgg struct {
-	secs  float64
-	tasks int
-	hist  *obs.LogHistogram
-}
-
-// execCounts copies the atomic per-task execution counters into the
-// plain slice the invariant checker takes.
-func execCounts(execs []atomic.Int32) []int32 {
-	out := make([]int32, len(execs))
-	for i := range execs {
-		out[i] = execs[i].Load()
-	}
-	return out
-}
-
 // planBatch asks the policy for the batch's plan (under EEWA: the
 // frequency adjuster over the previous batch's profile) and applies
 // the resulting assignment to the workers.
 func (r *Runtime) planBatch() {
 	env := &policy.Env{Cfg: r.cfg.Machine, IdealTime: r.idealTime.Seconds()}
-	r.profMu.Lock()
 	plan := r.pol.BeginBatch(r.batchIndex, r.prof, env)
 	r.prof.Reset()
-	r.profMu.Unlock()
 	if plan.Assignment == nil {
 		plan.Assignment = cgroup.AllFast(r.cfg.Workers, nil)
 	}
@@ -654,21 +614,179 @@ func (r *Runtime) applyLevels() {
 	}
 }
 
-// acquire finds the next task for worker id: local pool first, then
-// remote pools in the policy's victim order. Returns nil when every
-// reachable pool is empty right now.
-func acquire(pools [][]*deque.Chase[*Task], so *policy.StealOrder, id, myG int, rng *xrand.RNG) (*Task, bool) {
-	if t, ok := pools[id][myG].PopBottom(); ok {
-		return t, false
-	}
-	var got *Task
-	so.ForEachVictim(id, rng, func(v, g int) bool {
-		t, ok := pools[v][g].Steal()
-		if !ok {
-			return false
+// place readies the batch, single-threaded: it interns the tasks' class
+// names into per-batch ids, places every task per the plan's discipline
+// (scatter, or by class over each class's reserved placement cores —
+// shared with the sim), binds each worker's victim walker to the plan's
+// steal order and zeroes the workers' batch state.
+func (r *Runtime) place(tasks []Task) {
+	n, u := r.cfg.Workers, r.asn.U()
+	if len(r.pools) != n || len(r.pools[0]) != u {
+		r.pools = make([][]*deque.Chase[slot], n)
+		for w := range r.pools {
+			r.pools[w] = make([]*deque.Chase[slot], u)
+			for g := range r.pools[w] {
+				r.pools[w][g] = deque.NewChase[slot]()
+			}
 		}
-		got = t
-		return true
+	}
+	if len(r.slots) < len(tasks) {
+		r.slots = make([]slot, len(tasks))
+	}
+
+	clear(r.classIDs)
+	r.classNames = r.classNames[:0]
+	lastID := int32(-1) // the previous task's class: runs of one class skip the map
+	for i := range tasks {
+		t := &tasks[i]
+		if lastID < 0 || t.Class != r.classNames[lastID] {
+			id, ok := r.classIDs[t.Class]
+			if !ok {
+				id = int32(len(r.classNames))
+				r.classIDs[t.Class] = id
+				r.classNames = append(r.classNames, t.Class)
+			}
+			lastID = id
+		}
+		s := &r.slots[i]
+		s.task, s.cid = t, lastID
+		if r.inv {
+			s.acquired.Store(0)
+		}
+	}
+	if r.ro.reg != nil {
+		// Resolved once per class per batch (the family mutex is paid
+		// here); workers then Observe lock-free per task.
+		r.classHist = r.classHist[:0]
+		for _, name := range r.classNames {
+			r.classHist = append(r.classHist, r.ro.execHist(name))
+		}
+	}
+
+	clear(r.depths)
+	placer := policy.NewIndexedPlacer(&r.plan, n, r.classNames)
+	for i := range tasks {
+		s := &r.slots[i]
+		w, g := placer.Place(s.cid)
+		r.pools[w][g].PushBottomRef(s)
+		r.depths[w]++
+	}
+
+	order := policy.NewStealOrder(&r.plan, n)
+	for id := range r.workers {
+		w := &r.workers[id]
+		if w.walker == nil {
+			w.walker = order.Walker(id)
+		} else {
+			w.walker.Bind(order)
+		}
+		w.acc = slices.Grow(w.acc[:0], len(r.classNames))[:len(r.classNames)]
+		clear(w.acc)
+	}
+}
+
+// now is the current batch's clock: nanoseconds since its start, one
+// monotonic clock read.
+func (r *Runtime) now() int64 { return int64(time.Since(r.start)) }
+
+// run is one worker's part of a batch. It takes tasks — its own pool
+// first, then the policy's victim order — until every pool it can reach
+// is empty, then records its dry instant, applies the policy's
+// out-of-work action and returns: tasks are never pushed mid-batch, so
+// a pool seen empty stays empty and there is nothing to wait for. The
+// batch therefore ends when its last task does.
+//
+// A worker below F0 is throttled by debt: each task adds dur×(ratio−1),
+// the debt is slept off once it reaches throttleQuantum, the measured
+// sleep (overshoot included) is subtracted so physical time converges
+// on the modelled Σ dur×ratio, and the remainder is yielded away before
+// the worker leaves.
+func (w *worker) run() {
+	r := w.r
+	level := r.levels[w.id]
+	ratio := r.ladder.Ratio(level)
+	local := r.pools[w.id][r.asn.CoreGroup[w.id]]
+	w.rng.Seed(r.cfg.Seed + uint64(w.id)*0x9E3779B97F4A7C15 + uint64(r.batchIndex))
+	w.steals, w.cancelled = 0, 0
+
+	var busy, search, debt int64
+	last := r.now() // end of the last accounted interval
+	for {
+		s, stolen, retry := w.acquire(local)
+		if s == nil {
+			if retry {
+				continue // a pool still held work: a steal lost its race
+			}
+			break
+		}
+		if stolen {
+			w.steals++
+		}
+		if r.inv {
+			s.acquired.Add(1)
+		}
+		t := s.task
+		// Acquired-but-cancelled: the submission layer withdrew the task
+		// (e.g. its deadline expired while it waited in a pool). It
+		// still counts as acquired exactly once.
+		if t.Cancelled != nil && t.Cancelled() {
+			w.cancelled++
+			continue
+		}
+
+		t0 := r.now()
+		t.Run()
+		t1 := r.now()
+		search += t0 - last
+		last = t1
+		wall := int64(float64(t1-t0) * ratio) // ratio is exactly 1 at F0
+		busy += wall
+		if debt += wall - (t1 - t0); debt >= throttleQuantum {
+			time.Sleep(time.Duration(debt))
+			last = r.now()
+			debt -= last - t1
+		}
+		secs := time.Duration(wall).Seconds()
+		a := &w.acc[s.cid]
+		a.tasks++
+		a.secs += secs
+		a.max = max(a.max, secs)
+		if r.classHist != nil {
+			r.classHist[s.cid].Observe(secs)
+		}
+	}
+	now := r.now()
+	search += now - last
+	for end := now + debt; now < end; now = r.now() {
+		runtime.Gosched() // sub-quantum debt: too short to sleep
+	}
+
+	w.busyNS, w.searchNS, w.dryNS = busy, search, now
+	w.idleLevel = level
+	if act := r.pol.OutOfWork(w.id); act.FreqLevel >= 0 {
+		w.idleLevel = act.FreqLevel
+	}
+}
+
+// acquire finds the worker's next task: its local pool first, then the
+// remote pools in the policy's victim order. With no task, retry
+// reports that some probed pool was not empty — a failed steal is a
+// lost race, not proof of emptiness, so the worker must scan again;
+// without retry every pool the worker can reach was seen empty.
+func (w *worker) acquire(local *deque.Chase[slot]) (s *slot, stolen, retry bool) {
+	if s = local.PopBottomRef(); s != nil {
+		return s, false, false
+	}
+	pools := w.r.pools
+	w.walker.ForEachVictim(&w.rng, func(v, g int) bool {
+		p := pools[v][g]
+		if s = p.StealRef(); s != nil {
+			return true
+		}
+		if p.Len() != 0 {
+			retry = true
+		}
+		return false
 	})
-	return got, got != nil
+	return s, s != nil, retry
 }

@@ -37,13 +37,17 @@ bench-check:
 	$(GO) run ./cmd/eewa-benchjson -check-only
 
 # The repository's benchmark (BENCHMARK.json, bench/) on a short window:
-# builds it the way the contract does and fails unless the result line
-# reports a correct run with no failed operation. Checks that the
-# benchmark still builds and runs, not how fast anything is.
+# builds it the way the contract does and fails unless each result line
+# reports a correct run with no failed operation — rt-iter for the live
+# runtime alone, serve-mixed for the served path (demand-driven batches,
+# throttled three-task batches). Checks that the benchmark still builds
+# and runs, not how fast anything is.
 bench-smoke:
 	bash bench/run.sh --workload rt-iter --seed 1 --seconds 3 --trace 0 | tail -n 1 \
 		| grep '"correct":true' | grep -q '"failed":0,'
-	@echo "bench smoke OK: rt-iter correct, 0 failed"
+	bash bench/run.sh --workload serve-mixed --seconds 3 | tail -n 1 \
+		| grep '"correct":true' | grep -q '"failed":0,'
+	@echo "bench smoke OK: rt-iter and serve-mixed correct, 0 failed"
 
 # Design-space sweep across all cores (-j defaults to GOMAXPROCS).
 sweep:

@@ -63,7 +63,7 @@ func main() {
 	ladderSplit := flag.String("ladder-split", "uniform", "shard frequency ladders: uniform (all full) or tiered (shard i drops the top i rungs)")
 	seed := flag.Uint64("seed", 1, "victim-selection seed (shard i>0 uses a split stream)")
 	maxBatch := flag.Int("max-batch", 64, "max tasks per iteration")
-	flushMS := flag.Int("flush-ms", 25, "batching interval in milliseconds")
+	flushMS := flag.Int("flush-ms", 25, "longest an admitted job waits for a batch, in milliseconds: a ceiling, not a cadence (an idle shard runs a job at once)")
 	queueDepth := flag.Int("queue-depth", 128, "per-tenant queued-task bound")
 	maxInflight := flag.Int("max-inflight", 512, "global in-flight task budget")
 	goMetrics := flag.Bool("go-metrics", false, "bridge runtime/metrics (goroutines, heap, GC, sched latency) into /metrics as eewa_go_* gauges")

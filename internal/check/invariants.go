@@ -59,6 +59,21 @@ func EnergyIdentity(worker int, wall, busy, search, dry, halt, residual, tol flo
 	return vs
 }
 
+// SpanIdentity verifies one served job's time account: the queue,
+// batch-wait, execute and barrier spans must sum to the job's end-to-end
+// time to within tol seconds — a gap means a stretch of the request's
+// life belongs to no span, or to two.
+func SpanIdentity(job uint64, queue, batch, exec, barrier, e2e, tol float64) []Violation {
+	if gap := math.Abs(queue + batch + exec + barrier - e2e); gap > tol {
+		return []Violation{{
+			Invariant: "span-identity",
+			Detail: fmt.Sprintf("job %d: queue %.6g + batch %.6g + exec %.6g + barrier %.6g deviates from e2e %.6g by %.3g s",
+				job, queue, batch, exec, barrier, e2e, gap),
+		}}
+	}
+	return nil
+}
+
 // PlanFeasible verifies a batch plan's assignment against the paper's
 // constraints for an m-core, r-level machine: structural consistency
 // (every core in exactly one c-group, groups in descending frequency

@@ -42,6 +42,18 @@ func TestEnergyIdentity(t *testing.T) {
 	}
 }
 
+func TestSpanIdentity(t *testing.T) {
+	// The four spans cover the job's life: clean.
+	if vs := SpanIdentity(7, 1e-3, 2e-4, 9e-4, 3e-4, 2.4e-3, 1e-6); len(vs) != 0 {
+		t.Errorf("closed account flagged: %v", vs)
+	}
+	// The stretch after the last payload belongs to no span.
+	vs := SpanIdentity(7, 1e-3, 2e-4, 9e-4, 0, 2.4e-3, 1e-6)
+	if len(vs) != 1 || vs[0].Invariant != "span-identity" {
+		t.Errorf("open account: got %v, want one span-identity", vs)
+	}
+}
+
 func TestPlanFeasible(t *testing.T) {
 	if vs := PlanFeasible(nil, 4, 3); len(vs) != 1 {
 		t.Errorf("nil assignment: %v", vs)

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"time"
+
 	"repro/internal/cctable"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -94,11 +96,6 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		e.adj = adj
 	}
 
-	classic := Plan{
-		Assignment:  e.adj.AllFast(),
-		RandomSteal: true,
-		ScatterAll:  true,
-	}
 	if bi == 0 {
 		if e.Offline != nil && e.Offline.Validate(env.Cfg.Freqs) == nil {
 			// Offline profile available: configure immediately.
@@ -111,7 +108,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		}
 		// No workload information yet: all cores at the highest
 		// frequency; the batch duration defines T.
-		return classic
+		return e.classic()
 	}
 	if !e.IgnoreMemoryBound && (e.memoryBound || prof.MemoryBound()) {
 		e.memoryBound = true
@@ -119,7 +116,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 			// §IV-D: the CC model does not hold for memory-bound
 			// tasks; use traditional work stealing for the rest of
 			// the run.
-			return classic
+			return e.classic()
 		}
 		hostBefore := e.adj.HostTime
 		asn, dec := e.adj.AdjustMemAware(prof, env.IdealTime)
@@ -139,11 +136,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		case core.MemOK:
 			return Plan{Assignment: asn, Overhead: env.AdjusterCharge, HostTime: host, SearchSteps: e.adj.LastSteps, Adjusted: true, CacheHit: e.adj.LastCacheHit}
 		default:
-			classic.Overhead = env.AdjusterCharge
-			classic.HostTime = host
-			classic.Adjusted = true
-			classic.CacheHit = e.adj.LastCacheHit
-			return classic
+			return e.classicAfterAdjust(env, host)
 		}
 	}
 
@@ -158,11 +151,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 	asn, ok := e.adj.Adjust(prof.Classes(), T)
 	host := e.adj.HostTime - hostBefore
 	if !ok {
-		classic.Overhead = env.AdjusterCharge
-		classic.HostTime = host
-		classic.Adjusted = true
-		classic.CacheHit = e.adj.LastCacheHit
-		return classic
+		return e.classicAfterAdjust(env, host)
 	}
 	return Plan{
 		Assignment:  asn,
@@ -172,6 +161,28 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		Adjusted:    true,
 		CacheHit:    e.adj.LastCacheHit,
 	}
+}
+
+// classic is the all-fast fallback plan: every core at F0, classic
+// random stealing. Built only on the branches that return it — the
+// assignment is five allocations a planned batch has no use for.
+func (e *EEWA) classic() Plan {
+	return Plan{
+		Assignment:  e.adj.AllFast(),
+		RandomSteal: true,
+		ScatterAll:  true,
+	}
+}
+
+// classicAfterAdjust is the fallback for a batch whose adjuster ran and
+// found no tuple: classic stealing, with the adjuster's cost charged.
+func (e *EEWA) classicAfterAdjust(env *Env, host time.Duration) Plan {
+	p := e.classic()
+	p.Overhead = env.AdjusterCharge
+	p.HostTime = host
+	p.Adjusted = true
+	p.CacheHit = e.adj.LastCacheHit
+	return p
 }
 
 // OutOfWork implements Policy: a core that has exhausted every pool

@@ -49,10 +49,23 @@
 // payload at native speed and owes (F0/Fj − 1)× the measured run time
 // of idleness, making its effective throughput Fj/F0 of a full-speed
 // worker. The idleness is a debt: it accrues per task and is slept off
-// once it reaches a quantum (200 µs) that sits above the timer's
-// granularity, the measured sleep — overshoot included — is subtracted,
-// so physical time converges on the modelled Σ dur × F0/Fj, and what is
-// left when the worker runs dry is yielded away, never slept.
+// once it reaches a quantum (200 µs), the measured sleep — overshoot
+// included — is subtracted, so physical time converges on the modelled
+// Σ dur × F0/Fj, and what is left when the worker runs dry is yielded
+// away, never slept.
+//
+// The sleep is nanosleep(2) on the worker's own thread where the
+// platform has it (sleep_linux.go), not time.Sleep: a Go timer fires
+// from the netpoller, whose wait is rounded up to a millisecond when
+// the runtime is otherwise idle — exactly the low-load regime a served
+// three-task batch lives in, where no later task absorbs the overshoot
+// the debt scheme would credit back. Measured on the reference host
+// (2 vCPUs, idle runtime, p10–p90): time.Sleep(290 µs) returns after
+// 1.12 ms (1.10–1.18), nanosleep after 0.38 ms. Spinning on
+// runtime.Gosched until the debt is paid is as precise and was
+// measured worse: on sibling vCPUs it slows the other worker's payload.
+// The quantum stays because each sleep still overshoots by ≈100 µs of
+// thread wake-up, which must remain a fraction of what the sleep pays.
 // Everything the paper's scheduler observes — execution times, Eq. 1
 // normalization, class profiles, CC tables, c-groups, preference
 // stealing — is then exercised for real, under true concurrency.
@@ -283,10 +296,11 @@ type RunStats struct {
 }
 
 // throttleQuantum is the smallest throttle debt a worker pays by
-// sleeping. It sits well above the timer's granularity on a shared host
-// (a short time.Sleep comes back in 60 µs–1 ms), so a sleep's overshoot
-// is a fraction of what it pays; smaller debts wait for more to accrue,
-// and whatever is left when the worker runs dry is paid by yielding.
+// sleeping. A sleep overshoots by the thread's wake-up (≈100 µs with
+// nanosleep, sleep_linux.go), so the quantum keeps the overshoot a
+// fraction of what the sleep pays; smaller debts wait for more to
+// accrue, and whatever is left when the worker runs dry is paid by
+// yielding.
 const throttleQuantum = int64(200 * time.Microsecond)
 
 // slot is the runtime's record of one placed task. The pools hold
@@ -742,7 +756,7 @@ func (w *worker) run() {
 		wall := int64(float64(t1-t0) * ratio) // ratio is exactly 1 at F0
 		busy += wall
 		if debt += wall - (t1 - t0); debt >= throttleQuantum {
-			time.Sleep(time.Duration(debt))
+			sleep(time.Duration(debt))
 			last = r.now()
 			debt -= last - t1
 		}

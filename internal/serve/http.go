@@ -128,6 +128,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, rej.Status, rej.Msg, ra)
 		return
 	}
+	s.shards[j.shard].wakeBatcher()
 
 	// The job is queued; wait for the batcher, the deadline, or the
 	// client hanging up — whichever comes first. On deadline/disconnect
@@ -227,6 +228,17 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		jobs[i] = j
+	}
+	// One wake-up per shard the request touched, after the last job is
+	// in: waking per job would let the batcher run off with the first
+	// few and split what the client sent as one batch.
+	for si, sh := range s.shards {
+		for _, j := range jobs {
+			if j != nil && j.shard == si {
+				sh.wakeBatcher()
+				break
+			}
+		}
 	}
 
 	for i, j := range jobs {

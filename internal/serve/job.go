@@ -257,30 +257,25 @@ var kernelSpecs = map[string]kernelSpec{
 	},
 }
 
-// legacyPayload builds the self-contained closure for kernels outside
-// the slab model ("je" carries an image, not a byte corpus). Corpora
-// are generated up front (at submission, off the worker hot path) so
-// the measured task time is the kernel itself.
-func legacyPayload(fn string, seed uint64, size int) (func(), error) {
-	switch fn {
-	case "je":
-		// Interpret size as pixel count; clamp to a sane square.
-		dim := int(math.Sqrt(float64(size)))
-		if dim < 16 {
-			dim = 16
+// jePayload builds the self-contained closure for the one kernel
+// outside the slab model: "je" carries an image, not a byte corpus. The
+// image is generated up front (at submission, off the worker hot path)
+// so the measured task time is the kernel itself.
+func jePayload(seed uint64, size int) func() {
+	// Interpret size as pixel count; clamp to a sane square.
+	dim := int(math.Sqrt(float64(size)))
+	if dim < 16 {
+		dim = 16
+	}
+	if dim > 512 {
+		dim = 512
+	}
+	im := kernels.GradientImage(seed, dim, dim)
+	return func() {
+		out, err := kernels.EncodeJPEGish(im, 75)
+		if err == nil {
+			kernels.KeepAlive(out)
 		}
-		if dim > 512 {
-			dim = 512
-		}
-		im := kernels.GradientImage(seed, dim, dim)
-		return func() {
-			out, err := kernels.EncodeJPEGish(im, 75)
-			if err == nil {
-				kernels.KeepAlive(out)
-			}
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown func %q (want one of %v)", fn, Funcs())
 	}
 }
 
@@ -302,9 +297,10 @@ func (j *job) grow(count int) {
 	}
 }
 
-// newJob validates req and builds the job with its tasks, reusing a
-// pooled job when one is warm. The returned error is a client error
-// (HTTP 400).
+// newJob validates req and takes a pooled job for it: shape errors,
+// the deadline, the job id — nothing that costs time. The job has no
+// tasks yet; route builds them (fill) once it knows the job will not be
+// refused on sight. The returned error is a client error (HTTP 400).
 func (s *Server) newJob(req JobRequest) (*job, error) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
@@ -330,8 +326,7 @@ func (s *Server) newJob(req JobRequest) (*job, error) {
 	if req.DeadlineMS > 0 && req.DeadlineAtMS > 0 {
 		return nil, fmt.Errorf("deadline_ms and deadline_at_ms are mutually exclusive")
 	}
-	spec, fast := kernelSpecs[req.Func]
-	if !fast && req.Func != "je" {
+	if _, fast := kernelSpecs[req.Func]; !fast && req.Func != "je" {
 		// Same precedence as the old per-task builder: every shape error
 		// above outranks an unknown function name.
 		return nil, fmt.Errorf("unknown func %q (want one of %v)", req.Func, Funcs())
@@ -347,7 +342,17 @@ func (s *Server) newJob(req JobRequest) (*job, error) {
 	if req.DeadlineAtMS > 0 {
 		j.deadline = time.UnixMilli(req.DeadlineAtMS)
 	}
+	return j, nil
+}
+
+// fill builds the validated job's tasks: the corpus slab and its
+// per-task slices, or the self-contained "je" payloads. This is the
+// expensive half of a submission (≈100 µs for 64 KiB of text corpus),
+// so route runs it only after the checks that refuse a job on sight.
+func (j *job) fill() {
+	req := &j.req
 	j.grow(req.Count)
+	spec, fast := kernelSpecs[req.Func]
 	if fast {
 		need := req.Count * req.SizeBytes
 		if cap(j.corpus) >= need {
@@ -355,26 +360,17 @@ func (s *Server) newJob(req JobRequest) (*job, error) {
 		} else {
 			j.corpus = make([]byte, need)
 		}
-		for i := 0; i < req.Count; i++ {
-			data := j.corpus[i*req.SizeBytes : (i+1)*req.SizeBytes]
-			spec.fill(data, req.Seed+uint64(i))
-			j.slots[i].kfn = spec.run
-			j.slots[i].data = data
-			j.slots[i].legacy = nil
-			j.tasks[i].Class = req.Func
-		}
-		return j, nil
 	}
 	for i := 0; i < req.Count; i++ {
-		run, err := legacyPayload(req.Func, req.Seed+uint64(i), req.SizeBytes)
-		if err != nil {
-			j.release()
-			return nil, err
+		ts := &j.slots[i]
+		if fast {
+			ts.data = j.corpus[i*req.SizeBytes : (i+1)*req.SizeBytes]
+			spec.fill(ts.data, req.Seed+uint64(i))
+			ts.kfn, ts.legacy = spec.run, nil
+		} else {
+			ts.kfn, ts.data = nil, nil
+			ts.legacy = jePayload(req.Seed+uint64(i), req.SizeBytes)
 		}
-		j.slots[i].kfn = nil
-		j.slots[i].data = nil
-		j.slots[i].legacy = run
 		j.tasks[i].Class = req.Func
 	}
-	return j, nil
 }

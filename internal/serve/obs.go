@@ -38,10 +38,11 @@ type serveObs struct {
 	// Request-span phase distributions, keyed by task class (the kernel
 	// function) and tenant. Log-bucketed: one family covers µs queue
 	// waits and multi-second saturated batches alike.
-	spanQueue *obs.LogHistogramVec
-	spanBatch *obs.LogHistogramVec
-	spanExec  *obs.LogHistogramVec
-	spanE2E   *obs.LogHistogramVec
+	spanQueue   *obs.LogHistogramVec
+	spanBatch   *obs.LogHistogramVec
+	spanExec    *obs.LogHistogramVec
+	spanBarrier *obs.LogHistogramVec
+	spanE2E     *obs.LogHistogramVec
 
 	// tenantEnergy is the per-tenant share of the runtime's class-level
 	// busy energy, split pro rata by executed tasks.
@@ -156,6 +157,8 @@ func newServeObs(reg *obs.Registry) serveObs {
 			"Request span, batch-wait phase: batch formation to the job's first payload start (planning, placement, pool wait).", "class", "tenant"),
 		spanExec: reg.LogHistogramVec("eewa_serve_exec_seconds",
 			"Request span, execute phase: the job's first payload start to its last payload end.", "class", "tenant"),
+		spanBarrier: reg.LogHistogramVec("eewa_serve_span_barrier_seconds",
+			"Request span, barrier phase: the job's last payload end to outcome delivery (the batch's slowest task, then the flush bookkeeping).", "class", "tenant"),
 		spanE2E: reg.LogHistogramVec("eewa_serve_e2e_seconds",
 			"Request span, end to end: admission to outcome delivery.", "class", "tenant"),
 		tenantEnergy: reg.CounterVec("eewa_serve_energy_tenant_joules_total",

@@ -67,6 +67,83 @@ func TestExpiredDeadlineFastFails(t *testing.T) {
 	}
 }
 
+// A job refused on sight — its deadline already past, or the server
+// draining — is refused before its tasks are built: the pooled job's
+// corpus slab is never sized, let alone written (64 KiB of text corpus
+// for this request, ≈100 µs), and the refusal allocates nothing but the
+// Rejection it returns. The answers are the bytes they always were, and
+// the 400s still come first, then 503, then 504.
+func TestRefusedJobIsNeverFilled(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ts := testServer(t, func(c *Config) { c.Obs = reg })
+	expired := JobRequest{Func: "sha1", SizeBytes: 16 << 10, Count: 4, DeadlineAtMS: 1}
+
+	// No job of this server's pool has been filled yet, and none will be:
+	// every request in this test is refused.
+	refuse := func(req JobRequest, status int) {
+		t.Helper()
+		j, err := s.newJob(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rej := s.route(j)
+		if rej == nil || rej.Status != status {
+			t.Fatalf("route = %+v, want a %d", rej, status)
+		}
+		if cap(j.corpus) != 0 || len(j.tasks) != 0 {
+			t.Errorf("%d: refused job was filled: %d corpus bytes, %d tasks", status, cap(j.corpus), len(j.tasks))
+		}
+		j.release()
+		allocs := testing.AllocsPerRun(100, func() {
+			j, _ := s.newJob(req)
+			s.route(j)
+			j.release()
+		})
+		if allocs > 1 {
+			t.Errorf("%d: refusing a job allocates %.1f times, want only the Rejection", status, allocs)
+		}
+	}
+	refuse(expired, http.StatusGatewayTimeout)
+
+	resp, body := submit(t, ts.URL, expired)
+	want := refEncode(http.StatusGatewayTimeout, errorBody{Error: "deadline already expired at admission"})
+	if resp.StatusCode != want.Code || !bytes.Equal(body, want.Body.Bytes()) {
+		t.Errorf("expired at admission: %d %q, want %d %q", resp.StatusCode, body, want.Code, want.Body.Bytes())
+	}
+	bad := expired
+	bad.Count = -1
+	if resp, _ := submit(t, ts.URL, bad); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed and expired: status %d, want 400 first", resp.StatusCode)
+	}
+
+	drain(t, s)
+	refuse(expired, http.StatusServiceUnavailable) // draining outranks expired
+	resp, body = submit(t, ts.URL, JobRequest{Func: "sha1", SizeBytes: 16 << 10, Count: 4})
+	want = refEncode(http.StatusServiceUnavailable, errorBody{
+		Error: "server is draining, not admitting new jobs", RetryAfter: s.retryAfterSeconds()})
+	if resp.StatusCode != want.Code || !bytes.Equal(body, want.Body.Bytes()) {
+		t.Errorf("draining: %d %q, want %d %q", resp.StatusCode, body, want.Code, want.Body.Bytes())
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("draining 503 lost its Retry-After")
+	}
+
+	if st := s.Stats(); st.Admitted != 0 || st.Batches != 0 {
+		t.Errorf("refused jobs reached a shard: %+v", st)
+	}
+	// One request of each kind came in over HTTP; each moved its own
+	// counter, once.
+	if got := counterAt(t, reg, "eewa_serve_cancelled_jobs_total", "expired_at_admission"); got != 1 {
+		t.Errorf("expired_at_admission counter = %g, want 1", got)
+	}
+	if got := counterAt(t, reg, "eewa_serve_rejected_total", "draining"); got != 1 {
+		t.Errorf("rejected{draining} counter = %g, want 1", got)
+	}
+	if st := s.Stats(); st.Timeouts != 1 || st.Rejected != 1 {
+		t.Errorf("timeouts %d, rejected %d, want 1 and 1", st.Timeouts, st.Rejected)
+	}
+}
+
 // TestDeadlineExclusivity: DeadlineMS and DeadlineAtMS are mutually
 // exclusive; sending both is a 400, not a silent preference.
 func TestDeadlineExclusivity(t *testing.T) {
@@ -91,7 +168,7 @@ func TestDisconnectCountsCancellation(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := testServer(t, func(c *Config) {
 		c.Obs = reg
-		c.FlushEvery = 200 * time.Millisecond // window to disconnect in
+		c.ManualFlush = true // the job stays queued until the drain below flushes
 		c.Workers = 2
 		c.Machine = machine.Generic(2)
 	})
@@ -109,8 +186,8 @@ func TestDisconnectCountsCancellation(t *testing.T) {
 		errc <- err
 	}()
 
-	// Wait until the job is admitted (queued), then hang up before the
-	// batcher's interval elapses.
+	// Wait until the job is admitted (queued), then hang up while it is
+	// still waiting for a batch.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().Admitted == 0 {
 		if time.Now().After(deadline) {
@@ -123,8 +200,8 @@ func TestDisconnectCountsCancellation(t *testing.T) {
 		t.Fatal("expected the client request to fail after disconnect")
 	}
 
-	// The batcher still owns the job; once it processes (and drops) it,
-	// the disconnect counter and the cancelled-task count must move.
+	// The shard still owns the job; the handler counts the disconnect,
+	// and the flush that gets to the job drops it as a timeout.
 	for time.Now().Before(deadline) {
 		if counterAt(t, reg, "eewa_serve_cancelled_jobs_total", "disconnect") >= 1 {
 			break

@@ -146,11 +146,16 @@ func (e errShardRangeT) Error() string {
 	return "serve: shard " + itoa(e.shard) + " outside [0, " + itoa(e.n) + ")"
 }
 
-// route places an admitted job on a shard: the candidate order comes
-// from the routing policy, and the first shard to accept wins
-// (backpressure-aware spillover). When every candidate rejects, the
-// preferred shard's rejection is returned; when every shard is
-// draining, the whole cluster is.
+// route takes a validated job through admission. First the two checks
+// that refuse a job on sight and can only turn one way — the server is
+// draining, the deadline has already passed — then the job's tasks are
+// built (fill, the expensive step a refused job must not pay for), then
+// it is placed on a shard: the candidate order comes from the routing
+// policy, and the first shard to accept wins (backpressure-aware
+// spillover). When every candidate rejects, the preferred shard's
+// rejection is returned; when every shard is draining, the whole
+// cluster is. The authoritative drain, queue-depth and in-flight checks
+// stay in shard.admit, under the stripe lock.
 func (s *Server) route(j *job) *Rejection {
 	if s.draining.Load() {
 		return &Rejection{Status: 503, Reason: "draining",
@@ -165,6 +170,7 @@ func (s *Server) route(j *job) *Rejection {
 		return &Rejection{Status: 504, Reason: "expired",
 			Msg: "deadline already expired at admission"}
 	}
+	j.fill()
 	if len(s.shards) == 1 {
 		// Single-shard fast path: no candidate order to build, no view
 		// snapshot — the admission outcome (and every message) is

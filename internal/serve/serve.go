@@ -14,11 +14,14 @@
 //     unbounded buffering);
 //   - a per-shard in-flight budget (Config.MaxInFlight) across all
 //     tenants, bounding queued + running tasks and therefore memory;
-//   - an interval batcher per shard: admitted jobs accumulate for
-//     Config.FlushEvery (or until Config.MaxBatch tasks are waiting,
-//     whichever is first) and then run as one rt.RunBatch iteration —
-//     exactly the batch boundary at which EEWA's frequency adjuster
-//     plans;
+//   - a demand-driven batcher per shard: a request wakes it once its
+//     jobs are admitted, so an idle shard runs them at once as one
+//     rt.RunBatch iteration — exactly the batch boundary at which
+//     EEWA's frequency adjuster plans — and a busy shard finds
+//     everything that arrived while its batch ran waiting as the next
+//     one, up to Config.MaxBatch tasks: batches grow with load, not
+//     with a timer. Config.FlushEvery is the ceiling on a queued job's
+//     wait, not the cadence;
 //   - per-request deadlines: a job whose deadline passes while it is
 //     still queued is dropped at batch formation (never started), and
 //     tasks already placed into a batch are withdrawn through the
@@ -109,8 +112,12 @@ type Config struct {
 	// MaxBatch is the most tasks packed into one iteration (default
 	// 64). A single job may not exceed it.
 	MaxBatch int
-	// FlushEvery is the batching interval (default 25ms): queued jobs
-	// wait at most this long before an iteration starts.
+	// FlushEvery is the ceiling on how long an admitted job waits for an
+	// idle shard to start an iteration (default 25ms) — a ceiling, not a
+	// cadence: every request wakes its shard's batcher once its jobs are
+	// admitted, so batches form on arrival when the shard is idle and at
+	// the end of the running batch when it is not. The ticker behind
+	// this field only bounds the wait should a wake-up ever be missed.
 	FlushEvery time.Duration
 	// QueueDepth is the per-tenant, per-shard bound on queued tasks
 	// (default 128).
@@ -139,10 +146,11 @@ type Config struct {
 	// early-504 timer is disabled — queued expiry is then decided only
 	// at batch formation, in virtual time.
 	Clock func() time.Time
-	// ManualFlush disables the interval batcher: no ticker goroutine
-	// runs, and batches form only when Flush is called, on the caller's
-	// goroutine. This is the lockstep discipline trace replay uses for
-	// bit-exact outcome logs; Drain still flushes the backlog.
+	// ManualFlush disables the batcher: no batcher goroutine runs,
+	// admission wakes nobody, and batches form only when Flush is called,
+	// on the caller's goroutine. This is the lockstep discipline trace
+	// replay uses for bit-exact outcome logs; Drain still flushes the
+	// backlog.
 	ManualFlush bool
 
 	// Obs, when non-nil, receives the eewa_serve_* metrics and is also
@@ -154,7 +162,8 @@ type Config struct {
 	// when Obs is set.
 	GoMetrics bool
 	// Invariants enables the runtime's internal/check batch invariants
-	// (task conservation, energy identity, plan feasibility).
+	// (task conservation, energy identity, plan feasibility) and the
+	// request-span account (queue + batch wait + exec + barrier == e2e).
 	Invariants bool
 }
 
@@ -290,6 +299,7 @@ func New(cfg Config) (*Server, error) {
 			invariants:  cfg.Invariants,
 			reg:         cfg.Obs,
 			clock:       s.now,
+			checkSpans:  (cfg.Invariants || check.BuildEnabled) && cfg.Clock == nil,
 			manualFlush: cfg.ManualFlush,
 			stripes:     cfg.AdmissionStripes,
 		}, s.so, s.ro)
@@ -314,12 +324,16 @@ func (s *Server) now() time.Time {
 func (s *Server) Runtime() *rt.Runtime { return s.shards[0].rt }
 
 // Violations collects the accumulated invariant violations across
-// every shard runtime (empty unless Config.Invariants, or the
-// eewa_check build tag, is on).
+// every shard — its runtime's, and the request-span accounts that did
+// not close (empty unless Config.Invariants, or the eewa_check build
+// tag, is on).
 func (s *Server) Violations() []check.Violation {
 	var out []check.Violation
 	for _, sh := range s.shards {
 		out = append(out, sh.rt.Violations()...)
+		sh.mu.Lock()
+		out = append(out, sh.violations...)
+		sh.mu.Unlock()
 	}
 	return out
 }
@@ -416,17 +430,18 @@ func (s *Server) Submit(req JobRequest) (*Pending, *Rejection) {
 		j.release()
 		return nil, rej
 	}
+	s.shards[j.shard].wakeBatcher()
 	return &Pending{j: j}, nil
 }
 
 // Flush forms and runs batches from every shard's current backlog, on
 // the calling goroutine, until the backlog is empty. It is the batch
-// boundary under Config.ManualFlush (without it the interval batcher
-// already does this; calling Flush then would race the batchers, so
-// Flush panics to make the misuse loud).
+// boundary under Config.ManualFlush (without it the shards' batchers
+// already do this; calling Flush then would race them, so Flush panics
+// to make the misuse loud).
 func (s *Server) Flush() {
 	if !s.cfg.ManualFlush {
-		panic("serve: Flush without Config.ManualFlush (the interval batcher owns the runtime)")
+		panic("serve: Flush without Config.ManualFlush (the batcher owns the runtime)")
 	}
 	for _, sh := range s.shards {
 		sh.flushAll()

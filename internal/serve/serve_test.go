@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -232,10 +233,15 @@ func TestDrainMidBatchConservesTasks(t *testing.T) {
 
 // A deadline that expires while the job is still queued must cancel it
 // before any task starts: 504, eewa_serve_timeout_total, zero payloads.
+// A job queued behind a running batch whose deadline passes before the
+// shard is free: the handler answers 504 when the deadline fires, and
+// the batcher drops the job unstarted when it gets to it.
 func TestDeadlineExpiresWhileQueued(t *testing.T) {
-	s, ts := testServer(t, func(c *Config) {
-		c.FlushEvery = 400 * time.Millisecond // batcher holds the job past its deadline
-	})
+	reg := obs.NewRegistry()
+	s, ts := testServer(t, func(c *Config) { c.Obs = reg })
+	p := newProbe(t)
+	held := p.hold(t, ts.URL) // the shard is inside a batch until release
+
 	start := time.Now()
 	resp, body := submit(t, ts.URL, JobRequest{Func: "lzw", Count: 2, DeadlineMS: 30})
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -244,10 +250,20 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 	if el := time.Since(start); el > 300*time.Millisecond {
 		t.Errorf("504 took %v — deadline did not cancel the queued job", el)
 	}
+	if got := counterAt(t, reg, "eewa_serve_cancelled_jobs_total", "deadline"); got != 1 {
+		t.Errorf("deadline cancellation counter = %g, want 1", got)
+	}
+	p.release()
+	if st := <-held; st != 200 {
+		t.Errorf("the job holding the shard answered %d", st)
+	}
 	drain(t, s)
 	st := s.Stats()
-	if st.Tasks != 0 {
-		t.Errorf("cancelled job still ran %d tasks", st.Tasks)
+	if st.Admitted != 2 {
+		t.Errorf("admitted %d jobs, want 2 (the expired job was queued, not refused)", st.Admitted)
+	}
+	if st.Tasks != 1 { // the one task that held the shard
+		t.Errorf("cancelled job still ran: %d tasks run, want 1", st.Tasks)
 	}
 	if st.Timeouts == 0 {
 		t.Error("timeout not counted")
@@ -384,6 +400,7 @@ func TestRequestSpansAndEnergyAttribution(t *testing.T) {
 	s, ts := testServer(t, func(c *Config) {
 		c.Obs = reg
 		c.FlushEvery = 5 * time.Millisecond
+		c.Invariants = true
 	})
 
 	type sub struct {
@@ -436,6 +453,24 @@ func TestRequestSpansAndEnergyAttribution(t *testing.T) {
 		if eh, ok := reg.At("eewa_serve_exec_seconds", sb.fn, sb.tenant).(*obs.LogHistogram); !ok || eh.Count() == 0 {
 			t.Errorf("no exec span for %v", sb)
 		}
+		// The account closes: the four phases sum to end to end, so no
+		// stretch of the request's life is outside every span.
+		phases := 0.0
+		for _, name := range []string{"eewa_serve_queue_wait_seconds", "eewa_serve_batch_wait_seconds",
+			"eewa_serve_exec_seconds", "eewa_serve_span_barrier_seconds"} {
+			ph, ok := reg.At(name, sb.fn, sb.tenant).(*obs.LogHistogram)
+			if !ok || ph.Count() != h.Count() {
+				t.Errorf("%v: %s has no observation per job", sb, name)
+				continue
+			}
+			phases += ph.Sum()
+		}
+		if gap := math.Abs(phases - h.Sum()); gap > spanTol {
+			t.Errorf("%v: phases sum to %g s, e2e %g s", sb, phases, h.Sum())
+		}
+	}
+	if vs := s.Violations(); len(vs) != 0 {
+		t.Errorf("violations: %v", vs)
 	}
 
 	// Tenant energy counters match the JobResult attribution.

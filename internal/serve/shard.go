@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -38,6 +39,11 @@ type shardConfig struct {
 	// queued-expiry and cancellation checks all read it so a virtual
 	// clock makes deadline outcomes deterministic under trace replay.
 	clock func() time.Time
+	// checkSpans: verify that every job's spans sum to its end-to-end
+	// time. On with invariants, and only on the wall clock — the payload
+	// stamps are wall time, so under a virtual service clock the spans
+	// are not one time line.
+	checkSpans bool
 	// manualFlush skips the batcher goroutine: batches form only via
 	// flushAll, on the caller's goroutine (Server.Flush / drain).
 	manualFlush bool
@@ -74,7 +80,7 @@ type admitStripe struct {
 
 // shard is the unit the routing tier places work on: one live runtime
 // with its own frequency ladder, profile and policy instance, fronted
-// by the per-tenant bounded queue + interval batcher + graceful drain
+// by the per-tenant bounded queue + demand-driven batcher + graceful drain
 // that used to be the whole of Server. A single-shard cluster routes
 // every job here, making the routed server behave exactly like the
 // pre-router JobServer.
@@ -100,8 +106,9 @@ type shard struct {
 	tasksRun  atomic.Uint64
 	tasksCan  atomic.Uint64
 
-	// mu guards the cold batch-boundary state only: the plan-class set
-	// and the energy roll-up, both rewritten once per batch.
+	// mu guards the cold batch-boundary state only: the plan-class set,
+	// the energy roll-up and the span-account violations, all written at
+	// most once per batch.
 	mu sync.Mutex
 
 	// planClasses are the task classes profiled in the shard's last
@@ -118,6 +125,10 @@ type shard struct {
 	energyTotalJ    float64
 	energyAttrJ     float64
 	energyOverheadJ float64
+
+	// violations are the request-span accounts that did not close
+	// (check.SpanIdentity), collected only with invariants on.
+	violations []check.Violation
 
 	wake        chan struct{}
 	drained     chan struct{}
@@ -155,9 +166,15 @@ type shard struct {
 type spanKey struct{ class, tenant string }
 
 type spanSet struct {
-	queue, batch, exec, e2e *obs.LogHistogram
-	energy                  *obs.Counter // eewa_serve_energy_tenant_joules_total child
+	queue, batch, exec, barrier, e2e *obs.LogHistogram
+	energy                           *obs.Counter // eewa_serve_energy_tenant_joules_total child
 }
+
+// spanTol is how far a job's spans may be from summing to its
+// end-to-end time, in seconds. The spans telescope, so what is left is
+// the service clock's monotonic readings against the payloads' wall
+// stamps over one batch: nanoseconds, unless the wall clock is stepped.
+const spanTol = 1e-3
 
 // pow2 rounds n up to a power of two (minimum 1).
 func pow2(n int) int {
@@ -242,10 +259,20 @@ func (sh *shard) batchEnd(batch int, bs rt.BatchStats) {
 	}
 	sh.mu.Lock()
 	// The next plan derives from this batch's profile, so these classes
-	// are the ones the shard's upcoming plan reserves c-groups for.
-	sh.planClasses = make(map[string]struct{}, len(bs.Classes))
+	// are the ones the shard's upcoming plan reserves c-groups for. The
+	// set is the same from one batch to the next far more often than not.
+	same := len(bs.Classes) == len(sh.planClasses)
 	for name := range bs.Classes {
-		sh.planClasses[name] = struct{}{}
+		if _, ok := sh.planClasses[name]; !ok {
+			same = false
+			break
+		}
+	}
+	if !same {
+		sh.planClasses = make(map[string]struct{}, len(bs.Classes))
+		for name := range bs.Classes {
+			sh.planClasses[name] = struct{}{}
+		}
 	}
 	sh.energyTotalJ += bs.Energy
 	sh.energyAttrJ += attr
@@ -364,7 +391,14 @@ func (sh *shard) admit(j *job) *Rejection {
 	return nil
 }
 
+// wakeBatcher makes the batcher form a batch now instead of at its next
+// tick. The channel holds one token, so waking a batcher that is busy
+// running a batch costs nothing and is not lost: it looks at the queue
+// again when the batch ends. Manual-flush shards have no batcher.
 func (sh *shard) wakeBatcher() {
+	if sh.cfg.manualFlush {
+		return
+	}
 	select {
 	case sh.wake <- struct{}{}:
 	default:
@@ -387,7 +421,13 @@ func (sh *shard) backlogEmpty() bool {
 
 // batcher is the single goroutine that forms and executes iterations.
 // rt.Runtime is batch-structured and not concurrency-safe, so all
-// RunBatch calls happen here.
+// RunBatch calls happen here. Batches form on demand: every request
+// wakes the batcher once its jobs are admitted (wakeBatcher), so an idle
+// shard starts a batch at once, and a busy one finds whatever arrived
+// while its batch ran waiting for it — the flushOnce loop below packs
+// those arrivals into the next batch, which is how batches grow with
+// load. The ticker is only the ceiling on how long an admitted job can
+// sit if a wake-up were ever missed.
 func (sh *shard) batcher() {
 	tick := time.NewTicker(sh.cfg.flushEvery)
 	defer tick.Stop()
@@ -548,16 +588,28 @@ func (sh *shard) flushOnce() bool {
 		sp := sh.spanSetFor(j.req.Func, j.tenant)
 		sp.energy.Add(attr)
 
-		// Close the request span: queue, batch-wait and execute phases,
-		// then end to end. Jobs whose every task was withdrawn have no
-		// payload timestamps and record only queue + e2e.
+		// Close the request span: queue, batch-wait, execute and barrier
+		// phases, then end to end. Jobs whose every task was withdrawn
+		// have no payload timestamps and record only queue + e2e.
 		queueWait := j.started.Sub(j.enqueued).Seconds()
 		sp.queue.Observe(queueWait)
-		if fs := j.firstStart.Load(); fs > 0 {
-			sp.batch.Observe(float64(fs-j.started.UnixNano()) / 1e9)
-			sp.exec.Observe(float64(j.lastEnd.Load()-fs) / 1e9)
-		}
 		e2e := done.Sub(j.enqueued).Seconds()
+		if fs := j.firstStart.Load(); fs > 0 {
+			le := j.lastEnd.Load()
+			batchWait := float64(fs-j.started.UnixNano()) / 1e9
+			exec := float64(le-fs) / 1e9
+			barrier := float64(done.UnixNano()-le) / 1e9
+			sp.batch.Observe(batchWait)
+			sp.exec.Observe(exec)
+			sp.barrier.Observe(barrier)
+			if sh.cfg.checkSpans {
+				if vs := check.SpanIdentity(j.id, queueWait, batchWait, exec, barrier, e2e, spanTol); vs != nil {
+					sh.mu.Lock()
+					sh.violations = append(sh.violations, vs...)
+					sh.mu.Unlock()
+				}
+			}
+		}
 		sp.e2e.Observe(e2e)
 		sh.latE2E.Observe(e2e)
 		sh.latQueue.Observe(queueWait)
@@ -605,11 +657,12 @@ func (sh *shard) spanSetFor(class, tenant string) *spanSet {
 	sp := sh.spans[k]
 	if sp == nil {
 		sp = &spanSet{
-			queue:  sh.so.spanQueue.With(class, tenant),
-			batch:  sh.so.spanBatch.With(class, tenant),
-			exec:   sh.so.spanExec.With(class, tenant),
-			e2e:    sh.so.spanE2E.With(class, tenant),
-			energy: sh.so.tenantEnergy.With(tenant),
+			queue:   sh.so.spanQueue.With(class, tenant),
+			batch:   sh.so.spanBatch.With(class, tenant),
+			exec:    sh.so.spanExec.With(class, tenant),
+			barrier: sh.so.spanBarrier.With(class, tenant),
+			e2e:     sh.so.spanE2E.With(class, tenant),
+			energy:  sh.so.tenantEnergy.With(tenant),
 		}
 		sh.spans[k] = sp
 	}

@@ -113,7 +113,11 @@ type ServeReplay struct {
 	// replay owns the batch boundary and the clock.
 	Config serve.Config
 	// FlushEveryS is the virtual batching interval (default 0.025s,
-	// mirroring serve's default FlushEvery).
+	// serve's default FlushEvery). It models ManualFlush lockstep, not
+	// the live server: the live batcher forms a batch when a request
+	// arrives at an idle shard and treats FlushEvery as a ceiling, so it
+	// forms smaller, earlier batches than these fixed buckets. One
+	// batch-formation rule for both clocks is ROADMAP item 3.
 	FlushEveryS float64
 }
 
@@ -220,8 +224,10 @@ type SimReplay struct {
 	Cores  int    // simulated cores (default 8)
 	Policy string // canonical policy id (default eewa)
 	Seed   uint64 // victim-selection seed (default 1)
-	// FlushEveryS buckets arrivals into batches, mirroring serve's
-	// interval batcher (default 0.025s).
+	// FlushEveryS buckets arrivals into batches (default 0.025s) — the
+	// same fixed boundaries as ServeReplay.FlushEveryS, and like them a
+	// model of ManualFlush lockstep, not of the live server's
+	// demand-driven batcher (ROADMAP item 3).
 	FlushEveryS float64
 	// DefaultWorkS is the per-task work for events without a hint
 	// (live-captured traces); default 150µs. Generated traces always
@@ -231,8 +237,8 @@ type SimReplay struct {
 }
 
 // ReplaySim replays tr through the simulator: arrivals are bucketed
-// into batches at FlushEveryS boundaries (the virtual image of serve's
-// interval batcher), jobs whose deadline falls before their batch
+// into batches at FlushEveryS boundaries (the virtual image of
+// ReplayServe's lockstep flush), jobs whose deadline falls before their batch
 // forms are dropped 504 exactly as serve's queued-expiry check drops
 // them, and the surviving batches run through sched.Run. The entire
 // log — outcome counts, batch count, modeled energy and makespan — is

@@ -35,8 +35,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"

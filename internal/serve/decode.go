@@ -1,101 +1,150 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
+	"slices"
 	"sync"
 )
 
-// Pooled, allocation-free request decoding for the ingest hot path.
+// Pooled, allocation-free request decoding for the ingest hot path,
+// shared by POST /v1/jobs and POST /v1/jobs:batch.
 //
 // The old path built a json.Decoder over an http.MaxBytesReader per
 // request — several heap objects and a reflective decode per job. This
-// path reads the body into a pooled buffer and hand-parses the one
-// fixed shape POST /v1/jobs accepts. The parser is deliberately
-// strict: the moment it sees anything it is not certain about — an
-// escape sequence, a non-ASCII byte, a float that needs slow-path
-// rounding, an unknown field, malformed syntax — it bails and the body
-// is re-parsed with encoding/json into a zeroed struct. The fallback
-// is both the correctness net (exotic-but-valid bodies still decode,
-// with identical results) and the error bank (clients keep the exact
-// stdlib error strings the tests and traces pin).
+// path reads the body into a pooled buffer and hand-parses the two
+// fixed shapes the job endpoints accept: one JobRequest object, or
+// {"jobs":[object,…]}. The parser is deliberately strict: the moment it
+// sees anything it is not certain about — an escape sequence, a
+// non-ASCII byte, a float that needs slow-path rounding, an unknown or
+// repeated envelope key, malformed syntax — it bails and the same
+// buffered bytes are re-parsed with encoding/json into a zeroed value.
+// The fallback is both the correctness net (exotic-but-valid bodies
+// still decode, with identical results) and the error bank (clients
+// keep the exact stdlib error strings the tests and traces pin).
 
-// maxBodyBytes mirrors the old http.MaxBytesReader(…, 1<<16) bound.
+// maxBodyBytes mirrors the old http.MaxBytesReader(…, 1<<16) bound on a
+// single job's body (a batch's is maxBatchBodyBytes).
 const maxBodyBytes = 1 << 16
 
 // errBodyTooLarge reproduces MaxBytesReader's error text, which the
 // old path surfaced through the decoder verbatim.
 var errBodyTooLarge = errors.New("http: request body too large")
 
-// ingest is the pooled per-request decode state: one body buffer, one
-// request struct, neither escaping to the heap between requests.
+// ingest is the pooled per-request decode state: the body buffer, the
+// single endpoint's request struct and the batch endpoint's per-job
+// arrays, none escaping to the heap between requests.
 type ingest struct {
 	buf []byte
+	// cut is why buf ends where it does, as a decoder reading the body
+	// through MaxBytesReader would have been told when it asked for
+	// more: io.EOF at the body's own end, else the limit error or the
+	// transport's.
+	cut error
 	req JobRequest
+
+	jobs  []JobRequest // decoded batch
+	items []BatchItem  // its response, in request order
+	live  []*job       // its admitted jobs (nil where one was refused)
 }
 
 var ingestPool = sync.Pool{New: func() any { return &ingest{buf: make([]byte, 0, 2048)} }}
 
 func getIngest() *ingest { return ingestPool.Get().(*ingest) }
 
+// putIngest zeroes what the request wrote, so everything inside the
+// arrays' capacity is zero between requests, and drops a body buffer
+// that grew past the single-job bound: a hostile 1 MiB batch upload
+// must not pin its megabyte in the pool.
 func putIngest(in *ingest) {
 	in.req = JobRequest{}
+	clear(in.jobs)
+	clear(in.items)
+	clear(in.live)
+	if cap(in.buf) > maxBodyBytes {
+		in.buf = nil
+	}
 	ingestPool.Put(in)
 }
 
-// readBody slurps r into the pooled buffer, stopping one byte past the
-// size limit — enough to know the body overflowed without buffering an
-// arbitrarily large upload.
-func (in *ingest) readBody(r io.Reader) error {
+// batchScratch returns the zeroed item and job arrays of an n-job batch.
+func (in *ingest) batchScratch(n int) ([]BatchItem, []*job) {
+	in.items = slices.Grow(in.items[:0], n)[:n]
+	in.live = slices.Grow(in.live[:0], n)[:n]
+	return in.items, in.live
+}
+
+// readBody slurps r into the pooled buffer up to limit bytes — the
+// window MaxBytesReader would have fed a decoder — reading one byte
+// further only to learn whether the body overflowed.
+func (in *ingest) readBody(r io.Reader, limit int) {
 	buf := in.buf[:0]
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):min(cap(buf), limit+1)])
 		buf = buf[:len(buf)+n]
-		if err == io.EOF || len(buf) > maxBodyBytes {
-			in.buf = buf
-			return nil
-		}
-		if err != nil {
-			in.buf = buf
-			return err
+		switch {
+		case len(buf) > limit:
+			in.buf, in.cut = buf[:limit], errBodyTooLarge
+			return
+		case err != nil:
+			in.buf, in.cut = buf, err
+			return
 		}
 	}
 }
 
-// decodeJob parses the buffered body into in.req with semantics
-// equivalent to the old json.NewDecoder(MaxBytesReader(body)) path:
-// one JSON value, unknown fields rejected, trailing bytes ignored, and
-// a body whose value does not complete inside the limit failing with
-// the MaxBytesReader error text.
-func (s *Server) decodeJob(in *ingest) error {
-	body := in.buf
-	tooLarge := len(body) > maxBodyBytes
-	if tooLarge {
-		// The old reader fed the decoder exactly the first 64 KiB before
-		// erroring; a value that completes inside the window still
-		// decodes, one that needs more input surfaces the limit error.
-		body = body[:maxBodyBytes]
+// cutReader replays a buffered body to the fallback decoder exactly as
+// the old reader chain delivered it: the bytes, then what ended them. A value that completes inside the window therefore
+// still decodes, and one that needs more input fails with that error's
+// text.
+type cutReader struct {
+	b   []byte
+	cut error
+}
+
+func (r *cutReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, r.cut
 	}
-	in.req = JobRequest{}
-	if s.parseJobRequest(body, &in.req) {
-		return nil
-	}
-	in.req = JobRequest{}
-	dec := json.NewDecoder(bytes.NewReader(body))
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// stdlibDecode is the fallback: one JSON value from the buffered body
+// into v, unknown fields rejected, trailing bytes ignored.
+func (in *ingest) stdlibDecode(v any) error {
+	dec := json.NewDecoder(&cutReader{in.buf, in.cut})
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&in.req)
-	if err == nil {
+	return dec.Decode(v)
+}
+
+// decodeJob parses the buffered body into in.req with the semantics of
+// the old json.NewDecoder(MaxBytesReader(body)) path.
+func (s *Server) decodeJob(in *ingest) error {
+	in.req = JobRequest{}
+	if s.parseJobRequest(in.buf, &in.req) {
 		return nil
 	}
-	if tooLarge && (errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)) {
-		return errBodyTooLarge
+	in.req = JobRequest{}
+	return in.stdlibDecode(&in.req)
+}
+
+// decodeBatch is decodeJob for a BatchRequest body. The jobs it returns
+// live in the pooled ingest on the fast path and on the heap after a
+// fallback; either way they are the caller's until putIngest.
+func (s *Server) decodeBatch(in *ingest) ([]JobRequest, error) {
+	var ok bool
+	if in.jobs, ok = s.parseBatch(in.buf, in.jobs); ok {
+		return in.jobs, nil
 	}
-	return err
+	var breq BatchRequest
+	err := in.stdlibDecode(&breq)
+	return breq.Jobs, err
 }
 
 // tenantTable interns tenant strings so steady-state decoding of a
@@ -175,6 +224,12 @@ func (p *jparser) eat(c byte) bool {
 		return true
 	}
 	return false
+}
+
+// next skips whitespace and consumes c.
+func (p *jparser) next(c byte) bool {
+	p.ws()
+	return p.eat(c)
 }
 
 // null consumes a literal null (stdlib semantics: null into any field
@@ -360,11 +415,47 @@ func atofBytes(tok []byte) (float64, bool) {
 	return f, true
 }
 
-// parseJobRequest is the fast path for the one request shape the job
-// endpoints accept. Returns false to fall back to encoding/json.
+// parseJobRequest is the fast path for a single JobRequest body.
+// Returns false to fall back to encoding/json. Trailing bytes after the
+// closing brace are ignored, exactly as json.Decoder.Decode reads one
+// value and stops.
 func (s *Server) parseJobRequest(b []byte, req *JobRequest) bool {
 	p := jparser{b: b, s: s}
 	p.ws()
+	return p.object(req)
+}
+
+// parseBatch is the fast path for a batch body: exactly
+// { "jobs" : [ object (, object)* ] }, decoded over jobs. "jobs": null, a
+// second or differently-cased key, a non-object element and a batch
+// past maxBatchJobs (whose error message needs the full count, and
+// whose jobs must not size the pooled array) are all the stdlib's.
+func (s *Server) parseBatch(b []byte, jobs []JobRequest) ([]JobRequest, bool) {
+	p := jparser{b: b, s: s}
+	jobs = jobs[:0]
+	if !p.next('{') {
+		return jobs, false
+	}
+	p.ws()
+	if key, ok := p.rawString(); !ok || string(key) != "jobs" || !p.next(':') || !p.next('[') {
+		return jobs, false
+	}
+	for p.ws(); !p.eat(']'); p.ws() {
+		if len(jobs) == maxBatchJobs || (len(jobs) > 0 && !p.eat(',')) {
+			return jobs, false
+		}
+		p.ws()
+		jobs = append(jobs, JobRequest{})
+		if !p.object(&jobs[len(jobs)-1]) {
+			return jobs, false
+		}
+	}
+	return jobs, p.next('}')
+}
+
+// object parses one JobRequest object into req and leaves the cursor
+// after its closing brace.
+func (p *jparser) object(req *JobRequest) bool {
 	if !p.eat('{') {
 		return false
 	}
@@ -390,8 +481,6 @@ func (s *Server) parseJobRequest(b []byte, req *JobRequest) bool {
 			p.ws()
 			continue
 		}
-		// Trailing bytes after the closing brace are ignored, exactly as
-		// json.Decoder.Decode reads one value and stops.
 		return p.eat('}')
 	}
 }

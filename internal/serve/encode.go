@@ -92,27 +92,33 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
+// The append* renderers below share one failure protocol: ok is sticky.
+// A value outside the fast subset sets *ok false and the caller, which
+// checks it once at the end, discards the buffer and falls back to
+// writeJSON.
+
 // appendJSONString appends s as a JSON string if it is plain printable
 // ASCII with nothing encoding/json would escape (including the HTML
 // set <, >, &).
-func appendJSONString(b []byte, s string) ([]byte, bool) {
+func appendJSONString(b []byte, s string, ok *bool) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return b, false
+			*ok = false
+			return b
 		}
 	}
 	b = append(b, '"')
 	b = append(b, s...)
-	b = append(b, '"')
-	return b, true
+	return append(b, '"')
 }
 
 // appendJSONFloat appends f exactly as encoding/json renders a
 // float64.
-func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
+func appendJSONFloat(b []byte, f float64, ok *bool) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return b, false
+		*ok = false
+		return b
 	}
 	abs := math.Abs(f)
 	format := byte('f')
@@ -129,124 +135,115 @@ func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
 			b = b[:n-1]
 		}
 	}
-	return b, true
+	return b
 }
 
-// appendJobResult appends res in the indented layout of
-// json.Encoder.SetIndent("", "  ") at nesting depth (0 = top level).
-func appendJobResult(b []byte, res *JobResult, depth int) ([]byte, bool) {
-	var pad, pad2 string
-	switch depth {
-	case 0:
-		pad, pad2 = "", "  "
-	default:
-		pad, pad2 = "  ", "    "
-	}
-	var ok bool
-	b = append(b, '{', '\n')
-	b = append(b, pad2...)
-	b = append(b, `"job": `...)
-	b = strconv.AppendUint(b, res.Job, 10)
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"tenant": `...)
-	if b, ok = appendJSONString(b, res.Tenant); !ok {
-		return b, false
-	}
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"func": `...)
-	if b, ok = appendJSONString(b, res.Func); !ok {
-		return b, false
-	}
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"tasks": `...)
-	b = strconv.AppendInt(b, int64(res.Tasks), 10)
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"tasks_run": `...)
-	b = strconv.AppendInt(b, int64(res.TasksRun), 10)
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"batch": `...)
-	b = strconv.AppendInt(b, int64(res.Batch), 10)
-	b = append(b, ",\n"...)
-	if res.Shard != nil {
-		b = append(b, pad2...)
-		b = append(b, `"shard": `...)
-		b = strconv.AppendInt(b, int64(*res.Shard), 10)
-		b = append(b, ",\n"...)
-	}
-	b = append(b, pad2...)
-	b = append(b, `"queue_ms": `...)
-	if b, ok = appendJSONFloat(b, res.QueueMS); !ok {
-		return b, false
-	}
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"batch_ms": `...)
-	if b, ok = appendJSONFloat(b, res.BatchMS); !ok {
-		return b, false
-	}
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"energy_j": `...)
-	if b, ok = appendJSONFloat(b, res.EnergyJ); !ok {
-		return b, false
-	}
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"energy_attr_j": `...)
-	if b, ok = appendJSONFloat(b, res.EnergyAttrJ); !ok {
-		return b, false
-	}
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"steals": `...)
-	b = strconv.AppendInt(b, int64(res.Steals), 10)
-	b = append(b, ",\n"...)
-	b = append(b, pad2...)
-	b = append(b, `"policy": `...)
-	if b, ok = appendJSONString(b, res.Policy); !ok {
-		return b, false
-	}
+// appendLine starts a new line at nesting depth, in the layout of
+// json.Encoder.SetIndent("", "  ").
+func appendLine(b []byte, depth int) []byte {
 	b = append(b, '\n')
-	b = append(b, pad...)
-	b = append(b, '}')
-	return b, true
+	for ; depth > 0; depth-- {
+		b = append(b, ' ', ' ')
+	}
+	return b
+}
+
+// appendMember starts an object member or array element on its own
+// line at depth — after a comma unless it is the first — with key, the
+// member's `"name": ` text ("" for an array element).
+func appendMember(b []byte, depth int, key string) []byte {
+	if c := b[len(b)-1]; c != '{' && c != '[' {
+		b = append(b, ',')
+	}
+	return append(appendLine(b, depth), key...)
+}
+
+// appendJobResult appends res as an object whose braces sit at nesting
+// depth (0 = top level).
+func appendJobResult(b []byte, res *JobResult, depth int, ok *bool) []byte {
+	d := depth + 1
+	b = append(b, '{')
+	b = strconv.AppendUint(appendMember(b, d, `"job": `), res.Job, 10)
+	b = appendJSONString(appendMember(b, d, `"tenant": `), res.Tenant, ok)
+	b = appendJSONString(appendMember(b, d, `"func": `), res.Func, ok)
+	b = strconv.AppendInt(appendMember(b, d, `"tasks": `), int64(res.Tasks), 10)
+	b = strconv.AppendInt(appendMember(b, d, `"tasks_run": `), int64(res.TasksRun), 10)
+	b = strconv.AppendInt(appendMember(b, d, `"batch": `), int64(res.Batch), 10)
+	if res.Shard != nil {
+		b = strconv.AppendInt(appendMember(b, d, `"shard": `), int64(*res.Shard), 10)
+	}
+	b = appendJSONFloat(appendMember(b, d, `"queue_ms": `), res.QueueMS, ok)
+	b = appendJSONFloat(appendMember(b, d, `"batch_ms": `), res.BatchMS, ok)
+	b = appendJSONFloat(appendMember(b, d, `"energy_j": `), res.EnergyJ, ok)
+	b = appendJSONFloat(appendMember(b, d, `"energy_attr_j": `), res.EnergyAttrJ, ok)
+	b = strconv.AppendInt(appendMember(b, d, `"steals": `), int64(res.Steals), 10)
+	b = appendJSONString(appendMember(b, d, `"policy": `), res.Policy, ok)
+	return append(appendLine(b, depth), '}')
+}
+
+// appendErrorBody appends the errorBody envelope, left open for further
+// members.
+func appendErrorBody(b []byte, msg string, retryAfter int, ok *bool) []byte {
+	b = append(b, '{')
+	b = appendJSONString(appendMember(b, 1, `"error": `), msg, ok)
+	if retryAfter > 0 {
+		b = strconv.AppendInt(appendMember(b, 1, `"retry_after_s": `), int64(retryAfter), 10)
+	}
+	return b
+}
+
+// appendBatchResponse appends BatchResponse{Jobs: items}: per item
+// status, then result / error / retry_after_s under their omitempty
+// rules.
+func appendBatchResponse(b []byte, items []BatchItem, ok *bool) []byte {
+	if items == nil {
+		*ok = false // the stdlib renders a nil slice as null
+		return b
+	}
+	b = append(appendMember(append(b, '{'), 1, `"jobs": `), '[')
+	for i := range items {
+		it := &items[i]
+		b = append(appendMember(b, 2, ""), '{')
+		b = strconv.AppendInt(appendMember(b, 3, `"status": `), int64(it.Status), 10)
+		if it.Result != nil {
+			b = appendJobResult(appendMember(b, 3, `"result": `), it.Result, 3, ok)
+		}
+		if it.Error != "" {
+			b = appendJSONString(appendMember(b, 3, `"error": `), it.Error, ok)
+		}
+		if it.RetryAfter != 0 {
+			b = strconv.AppendInt(appendMember(b, 3, `"retry_after_s": `), int64(it.RetryAfter), 10)
+		}
+		b = append(appendLine(b, 2), '}')
+	}
+	if len(items) > 0 {
+		b = appendLine(b, 1)
+	}
+	return append(appendLine(append(b, ']'), 0), '}')
+}
+
+// commitFast ends a response rendered into a pooled buffer: when the
+// renderer stayed inside the fast subset it writes b plus the encoder's
+// trailing newline; either way the buffer goes back to the pool. A
+// false return is the caller's cue to send the value through writeJSON.
+func commitFast(w http.ResponseWriter, status int, bp *[]byte, b []byte, ok bool) bool {
+	if ok {
+		b = append(b, '\n')
+		writeBody(w, status, b)
+	}
+	*bp = b[:0]
+	respPool.Put(bp)
+	return ok
 }
 
 // writeResult writes a JobResult response (200, or a bare-result
-// shape), falling back to the legacy encoder outside the fast subset.
+// shape).
 func writeResult(w http.ResponseWriter, status int, res *JobResult) {
-	bp := respPool.Get().(*[]byte)
-	b, ok := appendJobResult((*bp)[:0], res, 0)
-	if !ok {
-		*bp = b[:0]
-		respPool.Put(bp)
+	bp, ok := respPool.Get().(*[]byte), true
+	b := appendJobResult((*bp)[:0], res, 0, &ok)
+	if !commitFast(w, status, bp, b, ok) {
 		writeJSON(w, status, res)
-		return
 	}
-	b = append(b, '\n')
-	writeBody(w, status, b)
-	*bp = b[:0]
-	respPool.Put(bp)
-}
-
-// appendErrorBody appends the errorBody envelope.
-func appendErrorBody(b []byte, msg string, retryAfter int) ([]byte, bool) {
-	var ok bool
-	b = append(b, "{\n  \"error\": "...)
-	if b, ok = appendJSONString(b, msg); !ok {
-		return b, false
-	}
-	if retryAfter > 0 {
-		b = append(b, ",\n  \"retry_after_s\": "...)
-		b = strconv.AppendInt(b, int64(retryAfter), 10)
-	}
-	b = append(b, "\n}"...)
-	return b, true
 }
 
 // writeError writes the errorBody envelope (static bytes for the fixed
@@ -256,44 +253,33 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string, retry
 		writeBody(w, status, body)
 		return
 	}
-	bp := respPool.Get().(*[]byte)
-	b, ok := appendErrorBody((*bp)[:0], msg, retryAfter)
-	if !ok {
-		*bp = b[:0]
-		respPool.Put(bp)
+	bp, ok := respPool.Get().(*[]byte), true
+	b := append(appendErrorBody((*bp)[:0], msg, retryAfter, &ok), "\n}"...)
+	if !commitFast(w, status, bp, b, ok) {
 		writeJSON(w, status, errorBody{Error: msg, RetryAfter: retryAfter})
-		return
 	}
-	b = append(b, '\n')
-	writeBody(w, status, b)
-	*bp = b[:0]
-	respPool.Put(bp)
 }
 
 // writePartial writes the 504 mid-batch envelope: the errorBody fields
 // plus the partial result, nested one level deep.
 func (s *Server) writePartial(w http.ResponseWriter, status int, msg string, res *JobResult) {
-	bp := respPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	var ok bool
-	b = append(b, "{\n  \"error\": "...)
-	if b, ok = appendJSONString(b, msg); !ok {
-		ok = false
-	} else {
-		b = append(b, ",\n  \"partial\": "...)
-		b, ok = appendJobResult(b, res, 1)
-	}
-	if !ok {
-		*bp = b[:0]
-		respPool.Put(bp)
+	bp, ok := respPool.Get().(*[]byte), true
+	b := appendErrorBody((*bp)[:0], msg, 0, &ok)
+	b = appendJobResult(appendMember(b, 1, `"partial": `), res, 1, &ok)
+	b = append(b, "\n}"...)
+	if !commitFast(w, status, bp, b, ok) {
 		writeJSON(w, status, struct {
 			errorBody
 			Partial *JobResult `json:"partial,omitempty"`
 		}{errorBody{Error: msg}, res})
-		return
 	}
-	b = append(b, "\n}\n"...)
-	writeBody(w, status, b)
-	*bp = b[:0]
-	respPool.Put(bp)
+}
+
+// writeBatch writes the batch endpoint's per-job status array.
+func writeBatch(w http.ResponseWriter, status int, items []BatchItem) {
+	bp, ok := respPool.Get().(*[]byte), true
+	b := appendBatchResponse((*bp)[:0], items, &ok)
+	if !commitFast(w, status, bp, b, ok) {
+		writeJSON(w, status, BatchResponse{Jobs: items})
+	}
 }

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -270,4 +272,79 @@ func TestManualFlushRunsNothingUntilFlush(t *testing.T) {
 		t.Errorf("after Flush: %+v, want 1 batch of 3 tasks", st)
 	}
 	drain(t, s)
+}
+
+// A client that hangs up on a batch request costs the pool nothing: the
+// handler drops its reference on every job it admitted, those whose
+// outcome it had already read included. MaxBatch is 2, so the four-job
+// request runs as two batches; the second holds a blocking task, and the
+// request is cancelled once the first batch's outcomes have been read.
+// At the parent commit jobs 0 and 1 keep the handler's reference for
+// ever.
+func TestBatchDisconnectReleasesEveryJob(t *testing.T) {
+	s, err := New(Config{Workers: 1, Policy: policy.IDCilk, ManualFlush: true, MaxBatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newProbe(t)
+	breq := BatchRequest{}
+	for _, seed := range []uint64{1, 2, 3, 0} {
+		breq.Jobs = append(breq.Jobs, JobRequest{Func: probeFunc, SizeBytes: 8, Seed: seed})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs:batch", jsonBody(t, breq)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		s.Handler().ServeHTTP(rec, req)
+	}()
+
+	waitAdmitted(t, s, 4)
+	var jobs []*job
+	for i := range s.shards[0].stripes {
+		st := &s.shards[0].stripes[i]
+		st.mu.Lock()
+		jobs = append(jobs, st.pending[st.head:]...)
+		st.mu.Unlock()
+	}
+	if len(jobs) != 4 {
+		t.Fatalf("%d jobs queued, want 4", len(jobs))
+	}
+	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
+
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		s.Flush()
+	}()
+	select {
+	case <-p.started: // batch 0 is answered, batch 1 is inside its blocking task
+	case <-time.After(10 * time.Second):
+		t.Fatal("the blocking task never started")
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(jobs[0].done)+len(jobs[1].done) > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the handler never read the first batch's outcomes")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	cancel()
+	<-returned
+	if rec.Body.Len() != 0 {
+		t.Errorf("a cancelled request was answered: %q", rec.Body.Bytes())
+	}
+	p.release()
+	<-flushed
+	drain(t, s)
+
+	for i, j := range jobs {
+		if refs := j.refs.Load(); refs != 0 {
+			t.Errorf("job %d still has %d references after the disconnect and the drain", i, refs)
+		}
+	}
+	if st := s.Stats(); st.Admitted != 4 || st.Admitted != st.Completed+st.Timeouts {
+		t.Errorf("conservation: %d admitted, %d completed, %d timed out", st.Admitted, st.Completed, st.Timeouts)
+	}
 }

@@ -15,9 +15,13 @@ import (
 //	                      runs or its deadline expires; 200 JobResult,
 //	                      400 invalid, 429/503 + Retry-After
 //	                      backpressure, 504 deadline
-//	POST /v1/jobs:batch — submit N jobs in one request (BatchRequest),
-//	                      one admission pass, blocks until every
-//	                      admitted job resolves; per-job status array
+//	POST /v1/jobs:batch — submit up to 256 jobs in one request
+//	                      (BatchRequest, body ≤ 1 MiB), one admission
+//	                      pass, blocks until every admitted job
+//	                      resolves; per-job status array
+//	                      (BatchResponse), overall 200 or the worst of
+//	                      429 > 504 > 400; 400 for a body that does not
+//	                      decode, has no jobs or too many
 //	GET  /v1/stats      — Stats snapshot (JSON, cluster totals)
 //	GET  /v1/shards     — RouterStats snapshot (JSON): routing policy,
 //	                      per-shard counters, cluster energy roll-up
@@ -25,6 +29,12 @@ import (
 //
 // When the server has a registry, the PR-1 observability endpoints
 // (/metrics, /debug/vars, /debug/pprof) are mounted on the same mux.
+//
+// Both job endpoints decode and encode through the pooled codec of
+// decode.go and encode.go, which is pinned to encoding/json: a body or a
+// value outside its subset goes through the stdlib on the same bytes, so
+// what is accepted, every error string and every response byte are the
+// stdlib's (DESIGN.md §12).
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -98,11 +108,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	in := getIngest()
 	defer putIngest(in)
-	if err := in.readBody(r.Body); err != nil {
-		s.so.rejected.With("invalid").Inc()
-		s.writeError(w, http.StatusBadRequest, "decoding job: "+err.Error(), 0)
-		return
-	}
+	in.readBody(r.Body, maxBodyBytes)
 	if err := s.decodeJob(in); err != nil {
 		s.so.rejected.With("invalid").Inc()
 		s.writeError(w, http.StatusBadRequest, "decoding job: "+err.Error(), 0)
@@ -185,33 +191,42 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
+	in := getIngest()
+	defer putIngest(in)
+	in.readBody(r.Body, maxBatchBodyBytes)
+	reqs, err := s.decodeBatch(in)
+	if err != nil {
 		s.so.rejected.With("invalid").Inc()
 		s.writeError(w, http.StatusBadRequest, "decoding batch: "+err.Error(), 0)
 		return
 	}
-	if len(breq.Jobs) == 0 {
+	if len(reqs) == 0 {
 		s.so.rejected.With("invalid").Inc()
 		s.writeError(w, http.StatusBadRequest, "batch has no jobs", 0)
 		return
 	}
-	if len(breq.Jobs) > maxBatchJobs {
+	if len(reqs) > maxBatchJobs {
 		s.so.rejected.With("invalid").Inc()
 		s.writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d jobs exceeds the limit %d", len(breq.Jobs), maxBatchJobs), 0)
+			fmt.Sprintf("batch of %d jobs exceeds the limit %d", len(reqs), maxBatchJobs), 0)
 		return
 	}
 
 	// One admission pass: every job validates and routes before any is
 	// waited on, so a batch occupies its queue slots atomically enough
 	// to be batched together by the next flush.
-	items := make([]BatchItem, len(breq.Jobs))
-	jobs := make([]*job, len(breq.Jobs))
-	for i := range breq.Jobs {
-		j, err := s.newJob(breq.Jobs[i])
+	items, jobs := in.batchScratch(len(reqs))
+	// The handler's reference on every admitted job is dropped exactly
+	// once, whichever way the request ends.
+	defer func() {
+		for _, j := range jobs {
+			if j != nil {
+				j.release()
+			}
+		}
+	}()
+	for i := range reqs {
+		j, err := s.newJob(reqs[i])
 		if err != nil {
 			s.so.rejected.With("invalid").Inc()
 			items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
@@ -252,12 +267,10 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 			// Client hung up: cancel this job and everything still
 			// pending, then bail without a response.
 			for _, jj := range jobs[i:] {
-				if jj == nil {
-					continue
+				if jj != nil {
+					jj.cancelled.Store(true)
+					s.so.cancelled.With("disconnect").Inc()
 				}
-				jj.cancelled.Store(true)
-				s.so.cancelled.With("disconnect").Inc()
-				jj.release()
 			}
 			return
 		}
@@ -285,12 +298,7 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 	case invalid:
 		overall = http.StatusBadRequest
 	}
-	writeJSON(w, overall, BatchResponse{Jobs: items})
-	for _, j := range jobs {
-		if j != nil {
-			j.release()
-		}
-	}
+	writeBatch(w, overall, items)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -171,9 +171,8 @@ type spanSet struct {
 }
 
 // spanTol is how far a job's spans may be from summing to its
-// end-to-end time, in seconds. The spans telescope, so what is left is
-// the service clock's monotonic readings against the payloads' wall
-// stamps over one batch: nanoseconds, unless the wall clock is stepped.
+// end-to-end time, in seconds. The spans telescope and every edge is a
+// monotonic reading, so what is left is nanoseconds.
 const spanTol = 1e-3
 
 // pow2 rounds n up to a power of two (minimum 1).
@@ -596,9 +595,9 @@ func (sh *shard) flushOnce() bool {
 		e2e := done.Sub(j.enqueued).Seconds()
 		if fs := j.firstStart.Load(); fs > 0 {
 			le := j.lastEnd.Load()
-			batchWait := float64(fs-j.started.UnixNano()) / 1e9
+			batchWait := float64(fs-spanNanos(j.started)) / 1e9
 			exec := float64(le-fs) / 1e9
-			barrier := float64(done.UnixNano()-le) / 1e9
+			barrier := float64(spanNanos(done)-le) / 1e9
 			sp.batch.Observe(batchWait)
 			sp.exec.Observe(exec)
 			sp.barrier.Observe(barrier)

@@ -1,6 +1,6 @@
 // Package stats provides the small set of statistics helpers used by the
 // EEWA experiment harness: means, variance, confidence intervals,
-// normalization against a baseline, and fixed-width histograms.
+// and normalization against a baseline.
 //
 // All functions are pure and operate on float64 slices; none of them
 // mutate their arguments.
@@ -138,56 +138,4 @@ func GeoMean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// Histogram bins xs into nbins equal-width buckets over [lo, hi].
-// Values outside the range are clamped into the first/last bucket so a
-// histogram always accounts for every sample.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram of xs with nbins buckets spanning
-// [lo, hi]. nbins must be positive and hi > lo.
-func NewHistogram(xs []float64, lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: nbins must be positive, got %d", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: invalid range [%g, %g]", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		h.Counts[idx]++
-	}
-	return h, nil
-}
-
-// Total returns the number of samples accounted for by the histogram.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// ArgMax returns the index of the fullest bucket (first one on ties).
-func (h *Histogram) ArgMax() int {
-	best, bestCount := 0, -1
-	for i, c := range h.Counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	return best
 }

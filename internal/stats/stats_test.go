@@ -138,36 +138,6 @@ func TestGeoMean(t *testing.T) {
 	GeoMean([]float64{1, 0})
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, -5, 42}
-	h, err := NewHistogram(xs, 0, 1, 4)
-	if err != nil {
-		t.Fatalf("NewHistogram: %v", err)
-	}
-	if h.Total() != len(xs) {
-		t.Errorf("Total = %d, want %d (clamping must not drop samples)", h.Total(), len(xs))
-	}
-	// -5 clamps into bucket 0; 42 clamps into bucket 3.
-	if h.Counts[0] != 3 { // 0.1, 0.2, -5
-		t.Errorf("bucket 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[3] != 2 { // 0.9, 42
-		t.Errorf("bucket 3 = %d, want 2", h.Counts[3])
-	}
-	if h.ArgMax() != 0 {
-		t.Errorf("ArgMax = %d, want 0", h.ArgMax())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("nbins=0 should error")
-	}
-	if _, err := NewHistogram(nil, 1, 1, 4); err == nil {
-		t.Error("hi<=lo should error")
-	}
-}
-
 // Property: the mean lies within [min, max] for any non-empty input.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {

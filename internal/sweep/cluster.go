@@ -448,7 +448,7 @@ func AggregateCluster(cells []ClusterCell) []ClusterRecord {
 		shards, cores              int
 	}
 	type acc struct {
-		rec                         ClusterRecord
+		rec                           ClusterRecord
 		time, energy, util, imbalance float64
 	}
 	accs := map[key]*acc{}

@@ -41,19 +41,26 @@ bench-check:
 # reports a correct run with no failed operation — rt-iter for the live
 # runtime alone, serve-mixed for the served path (demand-driven batches,
 # throttled three-task batches), serve-batch for the batch endpoint's
-# codec, untraced and traced: the traced run is the one that posts the
-# all-expired batch of the ingest probe. Checks that the benchmark still
-# builds and runs, not how fast anything is.
+# codec, sim-table2 for the plan path driven through sched; serve-mixed
+# and serve-batch untraced and traced: the traced serve-batch run is the
+# one that posts the all-expired batch of the ingest probe, the traced
+# serve-mixed run the one that executes the five kernel probes (through
+# the exported, pooled-scratch wrappers) and the adjuster probe. Checks
+# that the benchmark still builds and runs, not how fast anything is.
 bench-smoke:
 	bash bench/run.sh --workload rt-iter --seed 1 --seconds 3 --trace 0 | tail -n 1 \
 		| grep '"correct":true' | grep -q '"failed":0,'
 	bash bench/run.sh --workload serve-mixed --seconds 3 | tail -n 1 \
 		| grep '"correct":true' | grep -q '"failed":0,'
+	bash bench/run.sh --workload serve-mixed --seconds 3 --trace 1 | tail -n 1 \
+		| grep '"correct":true' | grep -q '"failed":0,'
 	bash bench/run.sh --workload serve-batch --seconds 3 | tail -n 1 \
 		| grep '"correct":true' | grep -q '"failed":0,'
 	bash bench/run.sh --workload serve-batch --seconds 3 --trace 1 | tail -n 1 \
 		| grep '"correct":true' | grep -q '"failed":0,'
-	@echo "bench smoke OK: rt-iter, serve-mixed and serve-batch (untraced, traced) correct, 0 failed"
+	bash bench/run.sh --workload sim-table2 --seconds 3 | tail -n 1 \
+		| grep '"correct":true' | grep -q '"failed":0,'
+	@echo "bench smoke OK: rt-iter, serve-mixed and serve-batch (untraced, traced) and sim-table2 correct, 0 failed"
 
 # Design-space sweep across all cores (-j defaults to GOMAXPROCS).
 sweep:
@@ -100,15 +107,16 @@ check:
 # the whole tree with runtime invariants forced on via the eewa_check
 # build tag, plus a coverage-guided fuzz of the event queue against its
 # sorted-slice oracle (the same interpreter as TestQueueModelRandomized)
-# and 10 s each of the serve codec's differential targets against
-# encoding/json (go test -fuzz takes one target per run).
+# and 10 s each of the differential targets: the serve codec's against
+# encoding/json, the scratch-reusing kernels' against the per-call
+# reference (go test -fuzz takes one target and one package per run).
 check-long:
 	EEWA_STRESS_SECONDS=60 $(GO) test -race -count=2 -timeout 30m \
-		./internal/check/ ./internal/deque/ ./internal/event/ ./internal/policy/ ./internal/rt/ ./internal/serve/
+		./internal/check/ ./internal/deque/ ./internal/event/ ./internal/policy/ ./internal/rt/ ./internal/serve/ ./internal/kernels/
 	$(GO) test -tags eewa_check -race ./internal/rt/ ./internal/check/ ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 60s ./internal/event/
-	for f in FuzzDecodeJob FuzzDecodeBatch FuzzAppendBatchResponse; do \
-		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s ./internal/serve/ || exit 1; \
+	for t in serve/FuzzDecodeJob serve/FuzzDecodeBatch serve/FuzzAppendBatchResponse kernels/FuzzScratchKernels; do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*/}$$" -fuzztime 10s ./internal/$${t%/*}/ || exit 1; \
 	done
 
 cover:

@@ -64,6 +64,7 @@ func (t *Table) Fingerprint(m int) uint64 {
 // engines plan single-threaded, at the batch barrier).
 type Cache struct {
 	entries map[uint64]cacheEntry
+	tuples  []int // every memoized tuple, end to end
 	max     int
 
 	// Hits and Misses count lookups; StepsTotal accumulates the Select
@@ -74,9 +75,10 @@ type Cache struct {
 	StepsTotal   uint64
 }
 
+// cacheEntry locates one search's tuple in Cache.tuples.
 type cacheEntry struct {
-	tuple []int
-	ok    bool
+	off, k int
+	ok     bool
 }
 
 // DefaultCacheSize bounds a plan cache built by NewCache(0). Plans are
@@ -101,22 +103,26 @@ func NewCache(max int) *Cache {
 // code left the previous table's count dangling in metrics), and hit is
 // true. On a miss the search runs and its result is memoized, including
 // the infeasible outcome — an infeasible profile stays infeasible. The
-// returned tuple is a fresh copy either way; callers may keep or mutate
-// it.
+// returned tuple is the table's own either way, as from t.SearchTuple.
+// The memo lives in the cache's map and one slab, both kept across the
+// wholesale reset, so a cache that has filled once allocates nothing.
 func (c *Cache) SearchTuple(t *Table, m int) (tuple []int, ok, hit bool) {
 	key := t.Fingerprint(m)
 	if e, have := c.entries[key]; have {
 		c.Hits++
 		t.LastSearchSteps = 0
-		return append([]int(nil), e.tuple...), e.ok, true
+		t.tuple = append(t.tuple[:0], c.tuples[e.off:e.off+e.k]...)
+		return t.tuple, e.ok, true
 	}
 	c.Misses++
 	tuple, ok = t.SearchTuple(m)
 	c.StepsTotal += uint64(t.LastSearchSteps)
 	if len(c.entries) >= c.max {
-		c.entries = make(map[uint64]cacheEntry, c.max)
+		clear(c.entries)
+		c.tuples = c.tuples[:0]
 	}
-	c.entries[key] = cacheEntry{tuple: append([]int(nil), tuple...), ok: ok}
+	c.entries[key] = cacheEntry{off: len(c.tuples), k: len(tuple), ok: ok}
+	c.tuples = append(c.tuples, tuple...)
 	return tuple, ok, false
 }
 

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/profile"
@@ -78,43 +79,59 @@ type Table struct {
 	// it to 0 (no Select attempts ran); the cumulative count across
 	// real searches lives on Cache.StepsTotal.
 	LastSearchSteps int
+
+	// Rebuild's flat r×k backing for CC and Frac, and the tuple
+	// SearchTuple writes — all reused from one build to the next.
+	cc    []int
+	frac  []float64
+	tuple []int
 }
 
 // Build constructs the CC table for the given classes (which must
 // already be in descending-AvgWork order, as profile.Classes returns
 // them), ladder and ideal time T.
 func Build(classes []profile.Class, ladder machine.FreqLadder, T float64) (*Table, error) {
-	if err := ladder.Validate(); err != nil {
+	t := new(Table)
+	if err := t.Rebuild(classes, ladder, T); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// Rebuild is Build into t's own storage: once t has held a table of
+// this shape it allocates nothing. It copies classes, and validates
+// every input before it touches t.
+func (t *Table) Rebuild(classes []profile.Class, ladder machine.FreqLadder, T float64) error {
+	if err := ladder.Validate(); err != nil {
+		return err
+	}
 	if len(classes) == 0 {
-		return nil, ErrNoClasses
+		return ErrNoClasses
 	}
 	if T <= 0 || math.IsNaN(T) || math.IsInf(T, 0) {
-		return nil, fmt.Errorf("%w: got %g", ErrIdealTime, T)
+		return fmt.Errorf("%w: got %g", ErrIdealTime, T)
 	}
 	for i, c := range classes {
 		if c.Count <= 0 || !(c.AvgWork > 0) || math.IsInf(c.AvgWork, 0) {
-			return nil, fmt.Errorf("%w: class %d (%q) count=%d avg=%g",
+			return fmt.Errorf("%w: class %d (%q) count=%d avg=%g",
 				ErrClassWeight, i, c.Name, c.Count, c.AvgWork)
 		}
 	}
 	for i := 1; i < len(classes); i++ {
 		if classes[i].AvgWork > classes[i-1].AvgWork+1e-12 {
-			return nil, fmt.Errorf("%w: at index %d", ErrUnsorted, i)
+			return fmt.Errorf("%w: at index %d", ErrUnsorted, i)
 		}
 	}
 	r, k := len(ladder), len(classes)
-	t := &Table{
-		CC:      make([][]int, r),
-		Frac:    make([][]float64, r),
-		Classes: append([]profile.Class(nil), classes...),
-		Ladder:  ladder,
-		T:       T,
-	}
+	t.Classes = append(t.Classes[:0], classes...)
+	t.Ladder, t.T = ladder, T
+	t.cc = slices.Grow(t.cc[:0], r*k)[:r*k]
+	t.frac = slices.Grow(t.frac[:0], r*k)[:r*k]
+	t.CC = slices.Grow(t.CC[:0], r)[:r]
+	t.Frac = slices.Grow(t.Frac[:0], r)[:r]
 	for j := 0; j < r; j++ {
-		t.CC[j] = make([]int, k)
-		t.Frac[j] = make([]float64, k)
+		t.CC[j] = t.cc[j*k : (j+1)*k : (j+1)*k]
+		t.Frac[j] = t.frac[j*k : (j+1)*k : (j+1)*k]
 		ratio := ladder.Ratio(j) // F0/Fj
 		for i := 0; i < k; i++ {
 			frac := ratio * classes[i].TotalWork() / T
@@ -126,7 +143,7 @@ func Build(classes []profile.Class, ladder machine.FreqLadder, T float64) (*Tabl
 			t.CC[j][i] = cc
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // BuildGranular constructs the CC table with a task-indivisibility
@@ -148,12 +165,20 @@ func Build(classes []profile.Class, ladder machine.FreqLadder, T float64) (*Tabl
 //
 // maxCores caps the sentinel (pass the machine's core count m).
 func BuildGranular(classes []profile.Class, ladder machine.FreqLadder, T float64, maxCores int) (*Table, error) {
-	t, err := Build(classes, ladder, T)
-	if err != nil {
+	t := new(Table)
+	if err := t.RebuildGranular(classes, ladder, T, maxCores); err != nil {
 		return nil, err
 	}
+	return t, nil
+}
+
+// RebuildGranular is BuildGranular into t's own storage (see Rebuild).
+func (t *Table) RebuildGranular(classes []profile.Class, ladder machine.FreqLadder, T float64, maxCores int) error {
+	if err := t.Rebuild(classes, ladder, T); err != nil {
+		return err
+	}
 	if maxCores <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrMaxCores, maxCores)
+		return fmt.Errorf("%w: got %d", ErrMaxCores, maxCores)
 	}
 	sentinel := maxCores*len(ladder) + 1
 	for j := 0; j < t.R(); j++ {
@@ -180,7 +205,7 @@ func BuildGranular(classes []profile.Class, ladder machine.FreqLadder, T float64
 			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // FromCounts builds a Table directly from integer core counts — used by
@@ -257,46 +282,40 @@ func (t *Table) ValidTuple(tuple []int, m int) bool {
 // cannot fit m cores within T) it returns the all-F0 tuple and false —
 // the adjuster's documented fallback.
 //
-// Search state is two locals (the partial tuple and the running core
-// count), so the function allocates exactly one k-slice.
+// The tuple is the table's own (valid until the table's next
+// SearchTuple or Rebuild) and the recursion is a method, so a search
+// allocates nothing once the table has searched a k this large.
 func (t *Table) SearchTuple(m int) ([]int, bool) {
-	k, r := t.K(), t.R()
-	a := make([]int, k)
-	cn := 0 // running core count, the paper's c_n
-	steps := 0
+	k := t.K()
+	t.tuple = slices.Grow(t.tuple[:0], k)[:k]
+	t.LastSearchSteps = 0
+	if t.search(0, 0, m) {
+		return t.tuple, true
+	}
+	clear(t.tuple)
+	return t.tuple, false
+}
 
-	var search func(i int) bool
-	search = func(i int) bool {
-		if i >= k {
-			return true
-		}
-		lo := 0
-		if i > 0 {
-			lo = a[i-1] // constraint 3: a_i ≥ a_{i-1} in row index
-		}
-		for j := r - 1; j >= lo; j-- {
-			steps++
-			if t.CC[j][i]+cn <= m { // Select(i, j)
-				a[i] = j
-				cn += t.CC[j][i]
-				if search(i + 1) {
-					return true
-				}
-				cn -= t.CC[a[i]][i] // undo, line 15
+// search extends the partial tuple t.tuple[:i], which needs cn cores
+// (the paper's c_n), to a complete one within m cores.
+func (t *Table) search(i, cn, m int) bool {
+	if i >= t.K() {
+		return true
+	}
+	lo := 0
+	if i > 0 {
+		lo = t.tuple[i-1] // constraint 3: a_i ≥ a_{i-1} in row index
+	}
+	for j := t.R() - 1; j >= lo; j-- {
+		t.LastSearchSteps++
+		if t.CC[j][i]+cn <= m { // Select(i, j)
+			t.tuple[i] = j
+			if t.search(i+1, cn+t.CC[j][i], m) {
+				return true
 			}
 		}
-		return false
 	}
-
-	ok := search(0)
-	t.LastSearchSteps = steps
-	if ok {
-		return a, true
-	}
-	for i := range a {
-		a[i] = 0
-	}
-	return a, false
+	return false
 }
 
 // EnergyScore estimates the relative energy of running one iteration

@@ -50,6 +50,9 @@ type Assignment struct {
 	// still rebalances afterwards. Nil for AllFast/FromLevels
 	// assignments.
 	classSlots map[string][]int
+	// cores is 0..m-1 ascending. Rebuild hands cores out in that order,
+	// so every group's Cores and every class's slots are sub-slices of it.
+	cores []int
 }
 
 // PlacementCores returns the cores a class's tasks should initially be
@@ -133,71 +136,65 @@ func (a *Assignment) Validate(m, r int) error {
 // m-core machine. Core IDs are handed out in ascending order, fastest
 // group first, so assignments are deterministic.
 func FromTuple(tuple []int, tab *cctable.Table, m int) (*Assignment, error) {
+	a := new(Assignment)
+	if err := a.Rebuild(tuple, tab, m); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Rebuild is FromTuple into a's own storage: once a has held an
+// assignment for m cores and these class names it allocates nothing. It
+// copies tuple; on error a is left as it was.
+func (a *Assignment) Rebuild(tuple []int, tab *cctable.Table, m int) error {
 	if len(tuple) != tab.K() {
-		return nil, fmt.Errorf("cgroup: tuple has %d entries for %d classes", len(tuple), tab.K())
+		return fmt.Errorf("cgroup: tuple has %d entries for %d classes", len(tuple), tab.K())
 	}
 	if !tab.ValidTuple(tuple, m) {
-		return nil, fmt.Errorf("cgroup: tuple %v invalid for m=%d", tuple, m)
+		return fmt.Errorf("cgroup: tuple %v invalid for m=%d", tuple, m)
 	}
-
-	// Cores required per frequency level.
-	coresPerLevel := make(map[int]int)
-	var levels []int
-	for i, a := range tuple {
-		if coresPerLevel[a] == 0 {
-			levels = append(levels, a)
+	if len(a.cores) != m {
+		a.cores = make([]int, m)
+		for c := range a.cores {
+			a.cores[c] = c
 		}
-		coresPerLevel[a] += tab.CC[a][i]
+		a.CoreGroup = make([]int, m)
 	}
-	// tuple is monotone non-decreasing, so `levels` is already ascending
-	// (descending frequency).
+	if a.ClassGroup == nil {
+		a.ClassGroup = make(map[string]int, tab.K())
+		a.classSlots = make(map[string][]int, tab.K())
+	}
+	clear(a.ClassGroup)
+	clear(a.classSlots)
+	a.Tuple = append(a.Tuple[:0], tuple...)
+	a.Groups = a.Groups[:0]
 
+	// tuple is monotone non-decreasing, so each run of equal levels is
+	// one c-group, fastest first, and class i takes the next CC[a_i][i]
+	// cores: reserved for its initial placement, so same-group classes
+	// spread over disjoint pools.
+	start, next := 0, 0 // the open group's first core; the first core not handed out
+	for i, lvl := range tuple {
+		if i == 0 || lvl != tuple[i-1] {
+			a.Groups = append(a.Groups, Group{Level: lvl})
+			start = next
+		}
+		gi := len(a.Groups) - 1
+		lo := next
+		next += tab.CC[lvl][i]
+		name := tab.Classes[i].Name
+		a.ClassGroup[name] = gi
+		a.classSlots[name] = a.cores[lo:next:next]
+		a.Groups[gi].Cores = a.cores[start:next:next]
+	}
 	// Leftover cores join the slowest selected group.
-	total := 0
-	for _, n := range coresPerLevel {
-		total += n
-	}
-	coresPerLevel[levels[len(levels)-1]] += m - total
-
-	asn := &Assignment{
-		ClassGroup: make(map[string]int, tab.K()),
-		CoreGroup:  make([]int, m),
-		Tuple:      append([]int(nil), tuple...),
-	}
-	next := 0
-	levelGroup := make(map[int]int, len(levels))
-	for gi, lvl := range levels {
-		n := coresPerLevel[lvl]
-		g := Group{Level: lvl, Cores: make([]int, 0, n)}
-		for c := 0; c < n; c++ {
-			g.Cores = append(g.Cores, next)
-			asn.CoreGroup[next] = gi
-			next++
+	a.Groups[len(a.Groups)-1].Cores = a.cores[start:]
+	for gi, g := range a.Groups {
+		for _, c := range g.Cores {
+			a.CoreGroup[c] = gi
 		}
-		asn.Groups = append(asn.Groups, g)
-		levelGroup[lvl] = gi
 	}
-	for i, a := range tuple {
-		asn.ClassGroup[tab.Classes[i].Name] = levelGroup[a]
-	}
-
-	// Reserve CC[a_i][i] cores of each group for each class, in tuple
-	// order, so same-group classes spread over disjoint pools.
-	asn.classSlots = make(map[string][]int, tab.K())
-	used := make([]int, len(asn.Groups))
-	for i, a := range tuple {
-		gi := levelGroup[a]
-		cores := asn.Groups[gi].Cores
-		n := tab.CC[a][i]
-		lo := used[gi]
-		hi := lo + n
-		if hi > len(cores) {
-			hi = len(cores)
-		}
-		asn.classSlots[tab.Classes[i].Name] = cores[lo:hi]
-		used[gi] = hi
-	}
-	return asn, nil
+	return nil
 }
 
 // AllFast returns the degenerate assignment used for the first batch

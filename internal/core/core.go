@@ -14,6 +14,14 @@
 // (internal/rt). The zero-configuration entry point is NewAdjuster;
 // knobs exist for the ablation studies (paper-exact divisible CC
 // formula, alternative tuple searches).
+//
+// An Adjuster decides once per batch, so it owns one CC table, one
+// tuple and one assignment and rebuilds them in place: a warm adjuster
+// decides without allocating. The contract that buys this: what Adjust
+// (or AdjustMemAware) returns, and LastTable and LastTuple, are valid
+// until the adjuster's next Adjust. A caller that keeps a decision
+// across the next one copies what it needs. The all-fast fallback is a
+// separate, immutable assignment and is never rebuilt.
 package core
 
 import (
@@ -46,7 +54,7 @@ type Adjuster struct {
 	DivisibleCC bool
 
 	// LastTable and LastTuple expose the most recent decision for
-	// tracing and the eewa-ktuple CLI.
+	// tracing and the eewa-ktuple CLI (valid until the next Adjust).
 	LastTable *cctable.Table
 	LastTuple []int
 	// Infeasible counts adjustments where not even the all-F0 row fit
@@ -75,6 +83,10 @@ type Adjuster struct {
 	// HostTime accumulates the measured wall time spent deciding —
 	// the quantity Table III reports.
 	HostTime time.Duration
+
+	tab     cctable.Table      // Adjust's table, rebuilt in place
+	asn     cgroup.Assignment  // the decision, rebuilt in place
+	allFast *cgroup.Assignment // the fallback, built once
 }
 
 // NewAdjuster builds an adjuster for an m-core machine with the given
@@ -87,9 +99,10 @@ func NewAdjuster(ladder machine.FreqLadder, cores int) (*Adjuster, error) {
 		return nil, fmt.Errorf("core: need at least one core, got %d", cores)
 	}
 	a := &Adjuster{
-		ladder: ladder,
-		cores:  cores,
-		Cache:  cctable.NewCache(0),
+		ladder:  ladder,
+		cores:   cores,
+		Cache:   cctable.NewCache(0),
+		allFast: cgroup.AllFast(cores, nil),
 	}
 	// The default search consults the plan cache; a profile fingerprint
 	// already searched reuses its tuple and reports LastSearchSteps = 0.
@@ -106,10 +119,9 @@ func NewAdjuster(ladder machine.FreqLadder, cores int) (*Adjuster, error) {
 
 // AllFast returns the degenerate everyone-at-F0 assignment the
 // adjuster falls back to (first batch, memory-bound applications,
-// infeasible instances).
-func (a *Adjuster) AllFast() *cgroup.Assignment {
-	return cgroup.AllFast(a.cores, nil)
-}
+// infeasible instances). It is one shared assignment: read it, do not
+// write it.
+func (a *Adjuster) AllFast() *cgroup.Assignment { return a.allFast }
 
 // Adjust decides the frequency configuration for the next iteration
 // from the previous iteration's task classes (descending average
@@ -125,31 +137,32 @@ func (a *Adjuster) Adjust(classes []profile.Class, T float64) (*cgroup.Assignmen
 	start := time.Now()
 	defer func() { a.HostTime += time.Since(start) }()
 
-	var tab *cctable.Table
 	var err error
 	if a.DivisibleCC {
-		tab, err = cctable.Build(classes, a.ladder, T)
+		err = a.tab.Rebuild(classes, a.ladder, T)
 	} else {
-		tab, err = cctable.BuildGranular(classes, a.ladder, T, a.cores)
+		err = a.tab.RebuildGranular(classes, a.ladder, T, a.cores)
 	}
 	if err != nil {
 		return a.AllFast(), false
 	}
+	return a.decide(&a.tab)
+}
+
+// decide searches tab for a tuple and turns it into the adjuster's
+// assignment; the boolean is false, and the assignment all-fast, when no
+// tuple fits the core budget.
+func (a *Adjuster) decide(tab *cctable.Table) (*cgroup.Assignment, bool) {
 	tuple, ok := a.Search(tab, a.cores)
 	a.LastTable = tab
 	a.LastTuple = tuple
 	a.LastSteps = tab.LastSearchSteps
 	a.TotalSteps += uint64(a.LastSteps)
-	if !ok {
+	if !ok || a.asn.Rebuild(tuple, tab, a.cores) != nil {
 		a.Infeasible++
 		return a.AllFast(), false
 	}
-	asn, err := cgroup.FromTuple(tuple, tab, a.cores)
-	if err != nil {
-		a.Infeasible++
-		return a.AllFast(), false
-	}
-	return asn, true
+	return &a.asn, true
 }
 
 // MemDecision is the outcome of a memory-aware adjustment.
@@ -221,19 +234,8 @@ func (a *Adjuster) AdjustMemAware(p *profile.Profiler, T float64) (*cgroup.Assig
 	if err != nil {
 		return a.AllFast(), MemFallback
 	}
-	tuple, ok := a.Search(tab, a.cores)
-	a.LastTable = tab
-	a.LastTuple = tuple
-	a.LastSteps = tab.LastSearchSteps
-	a.TotalSteps += uint64(a.LastSteps)
-	if !ok {
-		a.Infeasible++
-		return a.AllFast(), MemFallback
+	if asn, ok := a.decide(tab); ok {
+		return asn, MemOK
 	}
-	asn, err := cgroup.FromTuple(tuple, tab, a.cores)
-	if err != nil {
-		a.Infeasible++
-		return a.AllFast(), MemFallback
-	}
-	return asn, MemOK
+	return a.AllFast(), MemFallback
 }

@@ -69,16 +69,22 @@ func StructuredCorpusInto(dst []byte, seed uint64) {
 // GradientImage returns a w×h grayscale test image with smooth
 // gradients and mild texture — the JPEG-ish kernels' standard input.
 func GradientImage(seed uint64, w, h int) *Image {
-	rng := xrand.New(seed)
 	im := NewImage(w, h)
+	GradientImageInto(im.Pix, seed, w, h)
+	return im
+}
+
+// GradientImageInto fills pix (len w*h, row-major) with the pixels
+// GradientImage(seed, w, h) would return, without allocating.
+func GradientImageInto(pix []byte, seed uint64, w, h int) {
+	rng := xrand.New(seed)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			v := 96 + 64*((x+y)%32)/32 + rng.Intn(12)
 			if v > 255 {
 				v = 255
 			}
-			im.Pix[y*w+x] = byte(v)
+			pix[y*w+x] = byte(v)
 		}
 	}
-	return im
 }

@@ -21,8 +21,9 @@ type arithEncoder struct {
 	w         bitWriter
 }
 
-func newArithEncoder() *arithEncoder {
-	return &arithEncoder{low: 0, high: ^uint32(0)}
+// newArithEncoder returns an encoder that appends its bits to out.
+func newArithEncoder(out []byte) arithEncoder {
+	return arithEncoder{high: ^uint32(0), w: bitWriter{out: out}}
 }
 
 // encode narrows the interval for one bit. p1 is P(bit=1) in 1/65536
@@ -148,13 +149,15 @@ type dmcModel struct {
 	maxStates   int
 }
 
-func newDMCModel() *dmcModel {
-	m := &dmcModel{bigThresh: 2, smallThresh: 2, maxStates: 1 << 20}
+// newDMCModel builds the initial machine in slab's memory (nil is
+// fine), which the model then grows by appending clones.
+func newDMCModel(slab []dmcState) dmcModel {
+	m := dmcModel{bigThresh: 2, smallThresh: 2, maxStates: 1 << 20}
 	// Depth-8 binary tree: node i has children 2i+1, 2i+2; leaves wrap
 	// to the root, giving an order-1 (within byte) initial machine.
 	const depth = 8
 	n := (1 << depth) - 1
-	m.states = make([]dmcState, n)
+	m.states = slab[:0]
 	for i := 0; i < n; i++ {
 		l, r := int32(2*i+1), int32(2*i+2)
 		if int(l) >= n {
@@ -163,7 +166,7 @@ func newDMCModel() *dmcModel {
 		if int(r) >= n {
 			r = 0
 		}
-		m.states[i] = dmcState{next: [2]int32{l, r}, count: [2]float32{0.2, 0.2}}
+		m.states = append(m.states, dmcState{next: [2]int32{l, r}, count: [2]float32{0.2, 0.2}})
 	}
 	return m
 }
@@ -213,9 +216,9 @@ func (m *dmcModel) update(bit int) {
 
 // DMCCompress encodes data with dynamic Markov coding.
 // Format: [4 bytes LE length][arithmetic-coded bits].
-func DMCCompress(data []byte) []byte {
-	model := newDMCModel()
-	enc := newArithEncoder()
+func (s *Scratch) DMCCompress(data []byte) []byte {
+	model := newDMCModel(s.dmc)
+	enc := newArithEncoder(binary.LittleEndian.AppendUint32(s.out[:0], uint32(len(data))))
 	for _, b := range data {
 		for i := 7; i >= 0; i-- {
 			bit := int(b>>uint(i)) & 1
@@ -223,10 +226,9 @@ func DMCCompress(data []byte) []byte {
 			model.update(bit)
 		}
 	}
-	payload := enc.finish()
-	out := make([]byte, 4, 4+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(data)))
-	return append(out, payload...)
+	s.dmc = model.states
+	s.out = enc.finish()
+	return s.out
 }
 
 // DMCDecompress inverts DMCCompress.
@@ -241,7 +243,7 @@ func DMCDecompress(data []byte) ([]byte, error) {
 	if capHint > 1<<20 {
 		capHint = 1 << 20
 	}
-	model := newDMCModel()
+	model := newDMCModel(nil)
 	dec := newArithDecoder(data[4:])
 	out := make([]byte, 0, capHint)
 	for len(out) < int(n) {

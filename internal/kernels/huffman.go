@@ -1,10 +1,8 @@
 package kernels
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Canonical Huffman coding over the byte alphabet. The encoded format
@@ -21,116 +19,143 @@ import (
 
 type huffNode struct {
 	freq        uint64
-	sym         int // -1 for internal
+	sym         int // ≥ 256 for internal nodes, in creation order
 	left, right *huffNode
 }
 
-type huffHeap []*huffNode
-
-func (h huffHeap) Len() int { return len(h) }
-func (h huffHeap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
+// less is the heap order: frequency, then symbol — a total order, so
+// the tree does not depend on how the heap is implemented.
+func (n *huffNode) less(o *huffNode) bool {
+	if n.freq != o.freq {
+		return n.freq < o.freq
 	}
-	return h[i].sym < h[j].sym // deterministic tie-break
-}
-func (h huffHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *huffHeap) Push(x any)   { *h = append(*h, x.(*huffNode)) }
-func (h *huffHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return v
+	return n.sym < o.sym
 }
 
-// huffLengths computes per-symbol code lengths from frequencies.
-func huffLengths(freq [256]uint64) [256]uint8 {
-	var lengths [256]uint8
-	h := huffHeap{}
-	for s, f := range freq {
-		if f > 0 {
-			h = append(h, &huffNode{freq: f, sym: s})
-		}
-	}
-	if len(h) == 0 {
-		return lengths
-	}
-	if len(h) == 1 {
-		lengths[h[0].sym] = 1 // a single symbol still needs one bit
-		return lengths
-	}
-	heap.Init(&h)
-	internalSym := 256 // tie-break ids for internal nodes
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*huffNode)
-		b := heap.Pop(&h).(*huffNode)
-		heap.Push(&h, &huffNode{freq: a.freq + b.freq, sym: internalSym, left: a, right: b})
-		internalSym++
-	}
-	root := h[0]
-	var walk func(n *huffNode, depth uint8)
-	walk = func(n *huffNode, depth uint8) {
-		if n.left == nil {
-			lengths[n.sym] = depth
+// huffTree is the storage of one Huffman construction: at most 256
+// leaves and 255 internal nodes, and the min-heap over them.
+type huffTree struct {
+	nodes [511]huffNode
+	heap  [256]*huffNode
+}
+
+// siftDown restores the heap order below h[i].
+func siftDown(h []*huffNode, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
 			return
 		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	walk(root, 0)
+}
+
+// lengths computes per-symbol code lengths from frequencies.
+func (t *huffTree) lengths(freq *[256]uint64) [256]uint8 {
+	var lengths [256]uint8
+	n := 0
+	for s, f := range freq {
+		if f > 0 {
+			t.nodes[n] = huffNode{freq: f, sym: s}
+			t.heap[n] = &t.nodes[n]
+			n++
+		}
+	}
+	if n == 0 {
+		return lengths
+	}
+	if n == 1 {
+		lengths[t.heap[0].sym] = 1 // a single symbol still needs one bit
+		return lengths
+	}
+	h := t.heap[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for next := n; len(h) > 1; next++ {
+		// Take the two lightest nodes; their parent replaces the second.
+		a := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
+		b := h[0]
+		t.nodes[next] = huffNode{freq: a.freq + b.freq, sym: 256 + next - n, left: a, right: b}
+		h[0] = &t.nodes[next]
+		siftDown(h, 0)
+	}
+	h[0].depths(0, &lengths)
 	return lengths
+}
+
+// depths records the depth of every leaf under n as its code length.
+func (n *huffNode) depths(depth uint8, lengths *[256]uint8) {
+	if n.left == nil {
+		lengths[n.sym] = depth
+		return
+	}
+	n.left.depths(depth+1, lengths)
+	n.right.depths(depth+1, lengths)
 }
 
 // canonicalCodes assigns canonical codes (shorter lengths first, then
 // symbol order) from lengths.
-func canonicalCodes(lengths [256]uint8) [256]uint64 {
-	type sl struct {
-		sym int
-		l   uint8
+func canonicalCodes(lengths *[256]uint8) [256]uint64 {
+	// Counting sort of the used symbols by (length, symbol).
+	var start [257]int
+	for _, l := range lengths {
+		start[int(l)+1]++
 	}
-	var syms []sl
+	used := 256 - start[1]
+	start[1] = 0 // length 0 is "unused": those symbols are not placed
+	for l := 2; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	var order [256]uint8
 	for s, l := range lengths {
 		if l > 0 {
-			syms = append(syms, sl{s, l})
+			order[start[l]] = uint8(s)
+			start[l]++
 		}
 	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].l != syms[j].l {
-			return syms[i].l < syms[j].l
-		}
-		return syms[i].sym < syms[j].sym
-	})
 	var codes [256]uint64
 	code := uint64(0)
 	prevLen := uint8(0)
-	for _, s := range syms {
-		code <<= (s.l - prevLen)
-		codes[s.sym] = code
+	for _, s := range order[:used] {
+		l := lengths[s]
+		code <<= (l - prevLen)
+		codes[s] = code
 		code++
-		prevLen = s.l
+		prevLen = l
 	}
 	return codes
 }
 
 // HuffmanEncode compresses data with a canonical Huffman code built
 // from its byte histogram.
-func HuffmanEncode(data []byte) []byte {
+func (s *Scratch) HuffmanEncode(data []byte) []byte {
+	s.out = s.huffAppend(s.out[:0], data)
+	return s.out
+}
+
+// huffAppend appends HuffmanEncode's encoding of data to out. data may
+// be s.syms but not s.out.
+func (s *Scratch) huffAppend(out, data []byte) []byte {
 	var freq [256]uint64
 	for _, b := range data {
 		freq[b]++
 	}
-	lengths := huffLengths(freq)
-	codes := canonicalCodes(lengths)
+	lengths := s.huff.lengths(&freq)
+	codes := canonicalCodes(&lengths)
 
-	out := make([]byte, 0, len(data)/2+260)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-	out = append(out, hdr[:]...)
-	for _, l := range lengths {
-		out = append(out, l)
-	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(data)))
+	out = append(out, lengths[:]...)
 	w := bitWriter{out: out}
 	for _, b := range data {
 		w.write64(codes[b], uint(lengths[b]))

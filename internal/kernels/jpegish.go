@@ -163,17 +163,12 @@ func idct8(block *[64]float64) {
 // Container: [W][H][quality] (4-byte LE each) + Huffman-coded symbol
 // stream of DC deltas and AC (run, level) pairs, byte-serialized with
 // zigzag order per block.
-func EncodeJPEGish(im *Image, quality int) ([]byte, error) {
+func (s *Scratch) EncodeJPEGish(im *Image, quality int) ([]byte, error) {
 	if im == nil || im.W <= 0 || im.H <= 0 || len(im.Pix) != im.W*im.H {
 		return nil, fmt.Errorf("jpegish: invalid image")
 	}
 	quant := scaledQuant(quality)
-	var syms []byte // symbol stream before entropy coding
-	putVarint := func(v int32) {
-		var buf [5]byte
-		n := binary.PutVarint(buf[:], int64(v))
-		syms = append(syms, buf[:n]...)
-	}
+	syms := s.syms[:0] // symbol stream before entropy coding
 
 	prevDC := int32(0)
 	for by := 0; by < im.H; by += 8 {
@@ -191,36 +186,36 @@ func EncodeJPEGish(im *Image, quality int) ([]byte, error) {
 			}
 			// DC delta.
 			dc := q[0]
-			putVarint(dc - prevDC)
+			syms = binary.AppendVarint(syms, int64(dc-prevDC))
 			prevDC = dc
 			// AC: (zero-run, value) pairs in zigzag order; 0xFF run
 			// marks end-of-block.
 			run := 0
-			for s := 1; s < 64; s++ {
-				v := q[zigzag[s]]
+			for z := 1; z < 64; z++ {
+				v := q[zigzag[z]]
 				if v == 0 {
 					run++
 					continue
 				}
 				for run > 62 {
 					syms = append(syms, 62)
-					putVarint(0) // long-run continuation
+					syms = binary.AppendVarint(syms, 0) // long-run continuation
 					run -= 63
 				}
 				syms = append(syms, byte(run))
-				putVarint(v)
+				syms = binary.AppendVarint(syms, int64(v))
 				run = 0
 			}
 			syms = append(syms, 0xFF) // end of block
 		}
 	}
+	s.syms = syms
 
-	payload := HuffmanEncode(syms)
-	out := make([]byte, 12, 12+len(payload))
-	binary.LittleEndian.PutUint32(out[0:], uint32(im.W))
-	binary.LittleEndian.PutUint32(out[4:], uint32(im.H))
-	binary.LittleEndian.PutUint32(out[8:], uint32(quality))
-	return append(out, payload...), nil
+	out := binary.LittleEndian.AppendUint32(s.out[:0], uint32(im.W))
+	out = binary.LittleEndian.AppendUint32(out, uint32(im.H))
+	out = binary.LittleEndian.AppendUint32(out, uint32(quality))
+	s.out = s.huffAppend(out, syms)
+	return s.out, nil
 }
 
 // DecodeJPEGish reconstructs the image from EncodeJPEGish output.

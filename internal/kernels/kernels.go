@@ -2,9 +2,10 @@
 // algorithm families behind the paper's Table II benchmarks:
 //
 //	BWC    — Burrows-Wheeler transform + move-to-front + run-length +
-//	         canonical Huffman (bwt.go, mtf.go, huffman.go, bwc.go)
+//	         canonical Huffman (bwt.go holds the BWT, MTF and RLE stages,
+//	         huffman.go the coder, bwc.go the pipeline)
 //	Bzip-2 — the same pipeline applied block-wise with a container
-//	         format and per-block checksums (bzip2like.go)
+//	         format and per-block checksums (Bzip2Like, also in bwc.go)
 //	DMC    — dynamic Markov coding over a cloning bit-predictor with a
 //	         binary arithmetic coder (dmc.go)
 //	JE     — JPEG-style grayscale encoder: 8×8 DCT, quantization,
@@ -16,10 +17,16 @@
 // Nothing here imports the standard library's crypto or compress
 // packages: the point of the reproduction is to own every substrate
 // (see the system inventory in DESIGN.md §3). The implementations are
-// deliberately straightforward, CPU-bound and allocation-conscious —
-// they are the task payloads of the live work-stealing runtime
-// (internal/rt) and the calibration source for the simulator's
-// workload mixes.
+// deliberately straightforward and CPU-bound — they are the task
+// payloads of the live work-stealing runtime (internal/rt) and the
+// calibration source for the simulator's workload mixes, and EEWA plans
+// from their measured time on the assumption that it is CPU work. So
+// the encoders do not allocate per call: LZW, DMC, Huffman and JE are
+// methods of Scratch (scratch.go), which owns their output buffer,
+// dictionary, state slab and tree and is reset, not rebuilt, between
+// runs; the package-level functions of the same names run the method on
+// a pooled Scratch and return a copy. The digests need no scratch: they
+// hash whole blocks from the input and pad the tail on the stack.
 package kernels
 
 import "sync/atomic"

@@ -32,6 +32,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cgroup"
@@ -157,9 +158,10 @@ type Policy interface {
 // IndexedPlacer maps one batch's tasks, in submission order, to the
 // (core, c-group pool) slots the plan prescribes, over compact per-batch
 // class ids: the group and placement-core list of every class are
-// resolved once at construction, and Place is pure array indexing — no
-// map operation per task. Build one per batch; Place is not
-// concurrency-safe (placement happens at the barrier in both engines).
+// resolved once per batch, by Reset, and Place is pure array indexing —
+// no map operation per task. An engine keeps one and Resets it each
+// batch; Place is not concurrency-safe (placement happens at the
+// barrier in both engines).
 type IndexedPlacer struct {
 	scatter   bool
 	cores     int
@@ -171,24 +173,31 @@ type IndexedPlacer struct {
 }
 
 // NewIndexedPlacer builds a placer for plan on an m-core engine, for a
-// batch whose class id i is named classes[i]. Build one per batch.
+// batch whose class id i is named classes[i].
 func NewIndexedPlacer(plan *Plan, cores int, classes []string) *IndexedPlacer {
-	pl := &IndexedPlacer{
-		scatter:   plan.ScatterAll,
-		cores:     cores,
-		coreGroup: plan.Assignment.CoreGroup,
-	}
-	if !pl.scatter {
-		n := len(classes)
-		pl.group = make([]int, n)
-		pl.members = make([][]int, n)
-		pl.next = make([]int, n)
-		for id, name := range classes {
-			pl.group[id] = plan.Assignment.GroupOfClass(name)
-			pl.members[id] = plan.Assignment.PlacementCores(name)
-		}
-	}
+	pl := new(IndexedPlacer)
+	pl.Reset(plan, cores, classes)
 	return pl
+}
+
+// Reset readies the placer for a batch under plan on an m-core engine,
+// whose class id i is named classes[i], reusing its per-class arrays.
+// It reads plan.Assignment's slices until the next Reset.
+func (pl *IndexedPlacer) Reset(plan *Plan, cores int, classes []string) {
+	pl.scatter, pl.cores, pl.seq = plan.ScatterAll, cores, 0
+	pl.coreGroup = plan.Assignment.CoreGroup
+	if pl.scatter {
+		return
+	}
+	n := len(classes)
+	pl.group = slices.Grow(pl.group[:0], n)[:n]
+	pl.members = slices.Grow(pl.members[:0], n)[:n]
+	pl.next = slices.Grow(pl.next[:0], n)[:n]
+	clear(pl.next)
+	for id, name := range classes {
+		pl.group[id] = plan.Assignment.GroupOfClass(name)
+		pl.members[id] = plan.Assignment.PlacementCores(name)
+	}
 }
 
 // Place returns the core and c-group pool the next task of class id
@@ -212,32 +221,43 @@ func (pl *IndexedPlacer) Place(cid int32) (core, group int) {
 // --- Steal order ------------------------------------------------------
 
 // StealOrder is the victim order of one plan epoch: which pools an
-// out-of-work core probes, in the plan's preference order. It is
-// immutable after construction; cores walk it through their own
-// VictimWalker (Walker), so all workers may share one concurrently.
+// out-of-work core probes, in the plan's preference order. An engine
+// keeps one and Resets it at each batch boundary; between Resets it is
+// read-only, and cores walk it through their own VictimWalker (Walker),
+// so all workers may share it concurrently.
 type StealOrder struct {
 	random    bool
 	cores     int
 	coreGroup []int
 	prefs     [][]int
+	prefsByU  [][][]int // prefsByU[u] = cgroup.PreferenceLists(u), built once
 }
 
 // NewStealOrder builds the steal order for plan on an m-core engine.
 func NewStealOrder(plan *Plan, cores int) *StealOrder {
-	return &StealOrder{
-		random:    plan.RandomSteal,
-		cores:     cores,
-		coreGroup: plan.Assignment.CoreGroup,
-		prefs:     cgroup.PreferenceLists(plan.Assignment.U()),
+	s := new(StealOrder)
+	s.Reset(plan, cores)
+	return s
+}
+
+// Reset points the steal order at plan on an m-core engine. It reads
+// plan.Assignment.CoreGroup until the next Reset.
+func (s *StealOrder) Reset(plan *Plan, cores int) {
+	s.random, s.cores = plan.RandomSteal, cores
+	s.coreGroup = plan.Assignment.CoreGroup
+	u := plan.Assignment.U()
+	for len(s.prefsByU) <= u {
+		s.prefsByU = append(s.prefsByU, cgroup.PreferenceLists(len(s.prefsByU)))
 	}
+	s.prefs = s.prefsByU[u]
 }
 
 // VictimWalker is a per-core victim iterator bound to a StealOrder. It
 // owns a reusable permutation buffer, so walking the victim order
-// allocates nothing — the engines cache one walker per core and rebind
-// it at each plan epoch (the plan, and with it the steal order, can
-// only change at a batch boundary). A walker must only be used by its
-// core's worker; distinct walkers over the same StealOrder are safe
+// allocates nothing — the engines keep one walker per core over their
+// one StealOrder (the plan, and with it the steal order, can only
+// change at a batch boundary, by Reset). A walker must only be used by
+// its core's worker; distinct walkers over the same StealOrder are safe
 // concurrently.
 type VictimWalker struct {
 	so   *StealOrder
@@ -248,15 +268,6 @@ type VictimWalker struct {
 // Walker returns a victim walker for core self over this steal order.
 func (s *StealOrder) Walker(self int) *VictimWalker {
 	return &VictimWalker{so: s, self: self, perm: make([]int, s.cores)}
-}
-
-// Bind rebinds the walker to a new plan epoch's steal order, reusing
-// the permutation buffer when the core count is unchanged.
-func (w *VictimWalker) Bind(so *StealOrder) {
-	w.so = so
-	if len(w.perm) != so.cores {
-		w.perm = make([]int, so.cores)
-	}
 }
 
 // ForEachVictim calls probe(victim, group) for every remote pool the

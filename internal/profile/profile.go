@@ -18,7 +18,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/machine"
 )
@@ -54,16 +53,25 @@ type rawStats struct {
 	count []int
 }
 
+// record is everything the profiler keeps under one function name. It
+// outlives Reset: the class is zeroed (Count 0 = not seen this batch,
+// and invisible to Classes, Lookup and NumClasses), the raw
+// observations persist.
+type record struct {
+	class Class
+	raw   rawStats
+}
+
 // Profiler collects per-batch workload information. It is not
 // concurrency-safe: the simulator is single-threaded, and the live
 // runtime's workers keep their own per-class totals and the RunBatch
 // caller folds them in (RecordBulk) after the barrier.
 type Profiler struct {
 	ladder  machine.FreqLadder
-	classes map[string]*Class
-	order   []string // first-seen order, for deterministic iteration
-	raw     map[string]*rawStats
-	gen     uint64 // bumped by Reset; invalidates ClassRef caches
+	records map[string]*record
+	order   []*record // seen this batch, in first-seen order
+	sorted  []Class   // what Classes returns, reused from call to call
+	gen     uint64    // bumped by Reset; invalidates ClassRef caches
 
 	// memory-boundness bookkeeping
 	memBoundThreshold float64
@@ -78,8 +86,8 @@ func New(ladder machine.FreqLadder) *Profiler {
 	}
 	return &Profiler{
 		ladder:            ladder,
-		classes:           make(map[string]*Class),
-		raw:               make(map[string]*rawStats),
+		records:           make(map[string]*record),
+		sorted:            []Class{}, // Classes never returns nil
 		memBoundThreshold: DefaultMemBoundThreshold,
 	}
 }
@@ -102,42 +110,43 @@ func (p *Profiler) Normalize(t float64, level int) float64 {
 // observed wall time on a core at frequency level `level`;
 // missIntensity is the modeled cache-misses-per-instruction counter.
 func (p *Profiler) Record(name string, execTime float64, level int, missIntensity float64) {
-	c, rs := p.entries(name)
-	p.recordInto(c, rs, execTime, level, missIntensity)
+	p.recordInto(p.entry(name), execTime, level, missIntensity)
 }
 
-// entries returns (creating on first use) the class and raw-stats
-// records for name. Creation order is first-record order — the
-// deterministic tie-break Classes() sorts by.
-func (p *Profiler) entries(name string) (*Class, *rawStats) {
-	c, ok := p.classes[name]
+// entry returns (creating on first use) the record for name, for a
+// caller about to fold a task into it: a record not yet seen this batch
+// joins order, so the order is first-record order — the deterministic
+// tie-break Classes() sorts by.
+func (p *Profiler) entry(name string) *record {
+	rec, ok := p.records[name]
 	if !ok {
-		c = &Class{Name: name}
-		p.classes[name] = c
-		p.order = append(p.order, name)
+		rec = &record{
+			class: Class{Name: name},
+			raw:   rawStats{sum: make([]float64, len(p.ladder)), count: make([]int, len(p.ladder))},
+		}
+		p.records[name] = rec
 	}
-	rs, ok := p.raw[name]
-	if !ok {
-		rs = &rawStats{sum: make([]float64, len(p.ladder)), count: make([]int, len(p.ladder))}
-		p.raw[name] = rs
+	if rec.class.Count == 0 {
+		p.order = append(p.order, rec)
 	}
-	return c, rs
+	return rec
 }
 
-// recordInto folds one completed task into pre-resolved entries.
-func (p *Profiler) recordInto(c *Class, rs *rawStats, execTime float64, level int, missIntensity float64) {
-	p.foldInto(c, rs, 1, execTime, execTime, level)
+// recordInto folds one completed task into a pre-resolved record.
+func (p *Profiler) recordInto(rec *record, execTime float64, level int, missIntensity float64) {
+	p.foldInto(rec, 1, execTime, execTime, level)
 	if missIntensity > p.memBoundThreshold {
 		p.memBoundTasks++
 	}
 }
 
 // foldInto folds count tasks run at one level — summed execution time
-// sumExec, longest single task maxExec — into pre-resolved entries.
-func (p *Profiler) foldInto(c *Class, rs *rawStats, count int, sumExec, maxExec float64, level int) {
+// sumExec, longest single task maxExec — into a pre-resolved record.
+func (p *Profiler) foldInto(rec *record, count int, sumExec, maxExec float64, level int) {
 	if sumExec < 0 || maxExec < 0 {
 		panic(fmt.Sprintf("profile: negative execution time %g", min(sumExec, maxExec)))
 	}
+	c, rs := &rec.class, &rec.raw
 	// Running-average update: for one task exactly the paper's
 	// TC(f, n+1, (n·w + wγ)/(n+1)), for several the same mean in one step.
 	c.AvgWork = (float64(c.Count)*c.AvgWork + p.Normalize(sumExec, level)) / float64(c.Count+count)
@@ -163,22 +172,20 @@ func (p *Profiler) RecordBulk(name string, count int, sumExec, maxExec float64, 
 	if count <= 0 {
 		return
 	}
-	c, rs := p.entries(name)
-	p.foldInto(c, rs, count, sumExec, maxExec, level)
+	p.foldInto(p.entry(name), count, sumExec, maxExec, level)
 }
 
-// ClassRef is a per-class recording handle that skips the two map
-// lookups Record pays per task. A ref survives Reset: it lazily
+// ClassRef is a per-class recording handle that skips the map lookup
+// Record pays per task. A ref survives Reset: it lazily
 // re-resolves its entries on first use in each profiling generation,
 // so classes are still registered in first-*completion* order per
 // batch (the order Classes() tie-breaks by) — holding a ref does not
 // by itself create the class.
 type ClassRef struct {
-	p     *Profiler
-	name  string
-	gen   uint64
-	class *Class
-	raw   *rawStats
+	p    *Profiler
+	name string
+	gen  uint64
+	rec  *record
 }
 
 // Ref returns a recording handle for class name. The handle is owned
@@ -193,43 +200,49 @@ func (p *Profiler) Ref(name string) *ClassRef {
 func (r *ClassRef) Record(execTime float64, level int, missIntensity float64) {
 	p := r.p
 	if r.gen != p.gen {
-		r.class, r.raw = p.entries(r.name)
+		r.rec = p.entry(r.name)
 		r.gen = p.gen
 	}
-	p.recordInto(r.class, r.raw, execTime, level, missIntensity)
+	p.recordInto(r.rec, execTime, level, missIntensity)
 }
 
 // Classes returns the current task classes sorted by descending average
 // workload (the order the CC table requires: w_i descending), breaking
-// ties by first-seen order so results are deterministic.
+// ties by first-seen order so results are deterministic. The slice is
+// the profiler's own, overwritten by the next call: copy what must
+// outlive it.
 func (p *Profiler) Classes() []Class {
-	out := make([]Class, 0, len(p.classes))
-	seen := map[string]int{}
-	for i, name := range p.order {
-		seen[name] = i
-		out = append(out, *p.classes[name])
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].AvgWork != out[j].AvgWork {
-			return out[i].AvgWork > out[j].AvgWork
+	// A stable insertion sort from first-seen order: k is a handful.
+	out := p.sorted[:0]
+	for _, rec := range p.order {
+		c := rec.class
+		if c.Count == 0 {
+			continue
 		}
-		return seen[out[i].Name] < seen[out[j].Name]
-	})
+		i := len(out)
+		out = append(out, c)
+		for ; i > 0 && out[i-1].AvgWork < c.AvgWork; i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = c
+	}
+	p.sorted = out
 	return out
 }
 
 // Lookup returns the class for a function name, if the profiler has
-// seen it.
+// seen it this batch.
 func (p *Profiler) Lookup(name string) (Class, bool) {
-	c, ok := p.classes[name]
-	if !ok {
+	rec, ok := p.records[name]
+	if !ok || rec.class.Count == 0 {
 		return Class{}, false
 	}
-	return *c, true
+	return rec.class, true
 }
 
-// NumClasses returns k, the number of distinct task classes seen.
-func (p *Profiler) NumClasses() int { return len(p.classes) }
+// NumClasses returns k, the number of distinct task classes seen this
+// batch.
+func (p *Profiler) NumClasses() int { return len(p.order) }
 
 // TotalTasks returns how many task completions have been recorded.
 func (p *Profiler) TotalTasks() int { return p.totalTasks }
@@ -256,9 +269,11 @@ func (p *Profiler) MemoryBoundFraction() float64 {
 // counters persist: the paper classifies the application once, from the
 // first batch.
 func (p *Profiler) Reset() {
-	p.classes = make(map[string]*Class)
+	for _, rec := range p.order {
+		rec.class = Class{Name: rec.class.Name}
+	}
 	p.order = p.order[:0]
-	p.gen++ // stale ClassRefs re-resolve on next Record
+	p.gen++ // stale ClassRefs re-resolve (and rejoin order) on next Record
 	// Raw per-level observations persist across batches: the memory-
 	// bound frequency-response model needs samples from *different*
 	// batches (each run at different levels) to fit its two
@@ -269,22 +284,22 @@ func (p *Profiler) Reset() {
 // `name` on cores at frequency level `level`, and whether any sample
 // exists. Unlike Classes, raw observations accumulate across batches.
 func (p *Profiler) RawAvg(name string, level int) (float64, bool) {
-	rs, ok := p.raw[name]
-	if !ok || level < 0 || level >= len(p.ladder) || rs.count[level] == 0 {
+	rec, ok := p.records[name]
+	if !ok || level < 0 || level >= len(p.ladder) || rec.raw.count[level] == 0 {
 		return 0, false
 	}
-	return rs.sum[level] / float64(rs.count[level]), true
+	return rec.raw.sum[level] / float64(rec.raw.count[level]), true
 }
 
 // RawLevels returns the frequency levels at which class `name` has
 // been observed, in ascending order.
 func (p *Profiler) RawLevels(name string) []int {
-	rs, ok := p.raw[name]
+	rec, ok := p.records[name]
 	if !ok {
 		return nil
 	}
 	var out []int
-	for lvl, n := range rs.count {
+	for lvl, n := range rec.raw.count {
 		if n > 0 {
 			out = append(out, lvl)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/machine"
 )
@@ -37,7 +38,7 @@ func (p *Profiler) Snapshot(T float64) *Snapshot {
 	return &Snapshot{
 		Freqs:   append([]float64(nil), p.ladder...),
 		T:       T,
-		Classes: p.Classes(),
+		Classes: slices.Clone(p.Classes()),
 	}
 }
 

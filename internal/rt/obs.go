@@ -14,7 +14,8 @@ import (
 // histogram is observed at batch boundaries, from the counters the
 // workers leave behind.
 type rtObs struct {
-	reg *obs.Registry
+	reg   *obs.Registry
+	names []string // observeBatch's sorted class names, reused
 
 	batches   *obs.Counter
 	tasks     *obs.Counter
@@ -136,12 +137,12 @@ func (o *rtObs) observeBatch(bs BatchStats, busy, idle, barrier float64, depths 
 		attributed := 0.0
 		// Sorted iteration keeps first-registration child order (and so
 		// the Prometheus export) deterministic across runs.
-		names := make([]string, 0, len(bs.Classes))
+		o.names = o.names[:0]
 		for name := range bs.Classes {
-			names = append(names, name)
+			o.names = append(o.names, name)
 		}
-		sort.Strings(names)
-		for _, name := range names {
+		sort.Strings(o.names)
+		for _, name := range o.names {
 			cs := bs.Classes[name]
 			o.classBusy.With(name).Add(cs.BusySecs)
 			o.classEnergy.With(name).Add(cs.EnergyJ)

@@ -353,9 +353,10 @@ type Runtime struct {
 	pol    policy.Policy
 	prof   *profile.Profiler // touched only between batches, by the caller
 
+	env    policy.Env // what the policy plans from; IdealTime set after batch 0
 	plan   policy.Plan
-	asn    *cgroup.Assignment
-	levels []int // per-worker frequency level for the current batch
+	asn    *cgroup.Assignment // plan.Assignment: the policy's own, valid until its next BeginBatch
+	levels []int              // per-worker frequency level for the current batch
 
 	// pools[worker][group] — reused across batches while the worker
 	// count and the plan's group count u hold (a completed batch drains
@@ -368,6 +369,8 @@ type Runtime struct {
 
 	// Placement scratch, rebuilt single-threaded each batch and read-only
 	// while workers run.
+	placer     policy.IndexedPlacer
+	order      policy.StealOrder
 	slots      []slot
 	classIDs   map[string]int32
 	classNames []string            // by class id
@@ -375,7 +378,6 @@ type Runtime struct {
 	depths     []int               // per-worker placement count, for the metrics
 
 	batchIndex int
-	idealTime  time.Duration
 
 	ro rtObs
 
@@ -411,6 +413,7 @@ func New(cfg Config) (*Runtime, error) {
 		cfg:      cfg,
 		ladder:   mc.Freqs,
 		pol:      pol,
+		env:      policy.Env{Cfg: mc},
 		prof:     profile.New(mc.Freqs),
 		levels:   make([]int, cfg.Workers),
 		asn:      cgroup.AllFast(cfg.Workers, nil),
@@ -549,7 +552,7 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 	}
 
 	if r.batchIndex == 0 {
-		r.idealTime = wall
+		r.env.IdealTime = wall.Seconds()
 	}
 	r.batchIndex++
 	r.stats.Batches++
@@ -589,8 +592,7 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 // frequency adjuster over the previous batch's profile) and applies
 // the resulting assignment to the workers.
 func (r *Runtime) planBatch() {
-	env := &policy.Env{Cfg: r.cfg.Machine, IdealTime: r.idealTime.Seconds()}
-	plan := r.pol.BeginBatch(r.batchIndex, r.prof, env)
+	plan := r.pol.BeginBatch(r.batchIndex, r.prof, &r.env)
 	r.prof.Reset()
 	if plan.Assignment == nil {
 		plan.Assignment = cgroup.AllFast(r.cfg.Workers, nil)
@@ -678,21 +680,19 @@ func (r *Runtime) place(tasks []Task) {
 	}
 
 	clear(r.depths)
-	placer := policy.NewIndexedPlacer(&r.plan, n, r.classNames)
+	r.placer.Reset(&r.plan, n, r.classNames)
 	for i := range tasks {
 		s := &r.slots[i]
-		w, g := placer.Place(s.cid)
+		w, g := r.placer.Place(s.cid)
 		r.pools[w][g].PushBottomRef(s)
 		r.depths[w]++
 	}
 
-	order := policy.NewStealOrder(&r.plan, n)
+	r.order.Reset(&r.plan, n)
 	for id := range r.workers {
 		w := &r.workers[id]
 		if w.walker == nil {
-			w.walker = order.Walker(id)
-		} else {
-			w.walker.Bind(order)
+			w.walker = r.order.Walker(id)
 		}
 		w.acc = slices.Grow(w.acc[:0], len(r.classNames))[:len(r.classNames)]
 		clear(w.acc)

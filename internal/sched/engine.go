@@ -148,13 +148,15 @@ type engine struct {
 	pools []*deque.Ring[int32]
 	u     int
 
-	asn   *cgroup.Assignment
-	plan  Plan
-	steal *policy.StealOrder
-	// walkers[core] — the per-core victim iterators, rebound to the new
-	// steal order at each plan epoch so the acquire loop re-derives
-	// neither the preference lists nor a fresh permutation buffer per
-	// attempt.
+	// asn is plan.Assignment — the policy's own, valid until its next
+	// BeginBatch. steal and placer are reset to the plan at each batch
+	// boundary; walkers[core] are the per-core victim iterators over
+	// steal, so the acquire loop re-derives neither the preference lists
+	// nor a fresh permutation buffer per attempt.
+	asn     *cgroup.Assignment
+	plan    Plan
+	steal   policy.StealOrder
+	placer  policy.IndexedPlacer
 	walkers []*policy.VictimWalker
 
 	victimRNG []*xrand.RNG // per-core victim selection streams
@@ -291,15 +293,11 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *Env) error {
 	e.prof.Reset()
 	e.plan = plan
 	e.asn = plan.Assignment
-	e.steal = policy.NewStealOrder(&e.plan, e.cfg.Cores)
+	e.steal.Reset(&e.plan, e.cfg.Cores)
 	if e.walkers == nil {
 		e.walkers = make([]*policy.VictimWalker, e.cfg.Cores)
 		for c := range e.walkers {
 			e.walkers[c] = e.steal.Walker(c)
-		}
-	} else {
-		for c := range e.walkers {
-			e.walkers[c].Bind(e.steal)
 		}
 	}
 	e.res.AdjusterSimTime += plan.Overhead
@@ -457,9 +455,9 @@ func (e *engine) place(b *task.Batch) {
 		e.classH[cid] = e.eo.class(name)
 	}
 
-	pl := policy.NewIndexedPlacer(&e.plan, m, e.soa.Classes)
+	e.placer.Reset(&e.plan, m, e.soa.Classes)
 	for i, cid := range e.soa.ClassID {
-		c, g := pl.Place(cid)
+		c, g := e.placer.Place(cid)
 		e.pools[c*u+g].PushBottom(int32(i))
 	}
 }

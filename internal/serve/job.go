@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -88,12 +89,8 @@ type outcome struct {
 // the steady-state ingest path.
 type taskSlot struct {
 	j    *job
-	kfn  func([]byte) // static kernel over data (nil when legacy is set)
+	kfn  func([]byte) // static kernel over data
 	data []byte       // this task's slice of the job's corpus slab
-	// legacy is the old-style self-contained payload closure, used by
-	// kernels that build per-task state no slab can carry ("je" and its
-	// image); allocated per request on that path only.
-	legacy func()
 }
 
 // spanBase is the origin of the payload stamps (firstStart, lastEnd):
@@ -109,11 +106,7 @@ func spanNanos(t time.Time) int64 { return int64(t.Sub(spanBase)) }
 func (ts *taskSlot) run() {
 	j := ts.j
 	j.firstStart.CompareAndSwap(0, int64(time.Since(spanBase)))
-	if ts.legacy != nil {
-		ts.legacy()
-	} else {
-		ts.kfn(ts.data)
-	}
+	ts.kfn(ts.data)
 	j.ran.Add(1)
 	end := int64(time.Since(spanBase))
 	for {
@@ -198,9 +191,6 @@ func (j *job) release() {
 	j.cancelled.Store(false)
 	j.firstStart.Store(0)
 	j.lastEnd.Store(0)
-	for i := range j.slots {
-		j.slots[i].legacy = nil
-	}
 	j.srv.jobPool.Put(j)
 }
 
@@ -231,12 +221,27 @@ func Funcs() []string {
 // pin arbitrary memory.
 const maxSizeBytes = 1 << 20
 
-// kernelSpec is a slab-friendly kernel: run executes over a corpus
-// slice, fill writes that task's deterministic corpus in place. Both
-// are package-level funcs, so binding one to a task allocates nothing.
+// kernelSpec is a kernel over the job's corpus slab: run executes over
+// one task's slice of it, fill writes that task's deterministic input
+// in place. Both are package-level funcs, so binding one to a task
+// allocates nothing.
 type kernelSpec struct {
 	run  func([]byte)
 	fill func(dst []byte, seed uint64)
+	// stride maps the request's size_bytes to the task's slice length;
+	// nil means size_bytes itself.
+	stride func(sizeBytes int) int
+}
+
+// onScratch adapts a kernels.Scratch method to a run func: the payload
+// takes a pooled scratch, so a warm worker compresses without
+// allocating, and the output dies with the call.
+func onScratch(kernel func(*kernels.Scratch, []byte) []byte) func([]byte) {
+	return func(data []byte) {
+		s := kernels.GetScratch()
+		kernels.KeepAlive(kernel(s, data))
+		kernels.PutScratch(s)
+	}
 }
 
 var kernelSpecs = map[string]kernelSpec{
@@ -249,7 +254,7 @@ var kernelSpecs = map[string]kernelSpec{
 		fill: kernels.TextCorpusInto,
 	},
 	"lzw": {
-		run:  func(data []byte) { kernels.KeepAlive(kernels.LZWCompress(data)) },
+		run:  onScratch((*kernels.Scratch).LZWCompress),
 		fill: kernels.TextCorpusInto,
 	},
 	"bwc": {
@@ -266,31 +271,30 @@ var kernelSpecs = map[string]kernelSpec{
 		fill: kernels.TextCorpusInto,
 	},
 	"dmc": {
-		run:  func(data []byte) { kernels.KeepAlive(kernels.DMCCompress(data)) },
+		run:  onScratch((*kernels.Scratch).DMCCompress),
 		fill: kernels.StructuredCorpusInto,
+	},
+	// je's input is a square image: size_bytes is its pixel count, rounded
+	// down to a square of side 16…512, and the task's slice is its raster.
+	"je": {
+		run: onScratch(func(s *kernels.Scratch, pix []byte) []byte {
+			dim := jeDim(len(pix))
+			out, _ := s.EncodeJPEGish(&kernels.Image{W: dim, H: dim, Pix: pix}, 75)
+			return out
+		}),
+		fill: func(pix []byte, seed uint64) {
+			dim := jeDim(len(pix))
+			kernels.GradientImageInto(pix, seed, dim, dim)
+		},
+		stride: func(sizeBytes int) int { dim := jeDim(sizeBytes); return dim * dim },
 	},
 }
 
-// jePayload builds the self-contained closure for the one kernel
-// outside the slab model: "je" carries an image, not a byte corpus. The
-// image is generated up front (at submission, off the worker hot path)
-// so the measured task time is the kernel itself.
-func jePayload(seed uint64, size int) func() {
-	// Interpret size as pixel count; clamp to a sane square.
-	dim := int(math.Sqrt(float64(size)))
-	if dim < 16 {
-		dim = 16
-	}
-	if dim > 512 {
-		dim = 512
-	}
-	im := kernels.GradientImage(seed, dim, dim)
-	return func() {
-		out, err := kernels.EncodeJPEGish(im, 75)
-		if err == nil {
-			kernels.KeepAlive(out)
-		}
-	}
+// jeDim is the side of the square image a je task of size pixels
+// encodes. It maps dim² back to dim, so run and fill recover the side
+// from the slice stride handed out.
+func jeDim(size int) int {
+	return min(max(int(math.Sqrt(float64(size))), 16), 512)
 }
 
 // grow readies the job's slot and task arrays for count tasks. On
@@ -340,9 +344,8 @@ func (s *Server) newJob(req JobRequest) (*job, error) {
 	if req.DeadlineMS > 0 && req.DeadlineAtMS > 0 {
 		return nil, fmt.Errorf("deadline_ms and deadline_at_ms are mutually exclusive")
 	}
-	if _, fast := kernelSpecs[req.Func]; !fast && req.Func != "je" {
-		// Same precedence as the old per-task builder: every shape error
-		// above outranks an unknown function name.
+	if _, ok := kernelSpecs[req.Func]; !ok {
+		// Every shape error above outranks an unknown function name.
 		return nil, fmt.Errorf("unknown func %q (want one of %v)", req.Func, Funcs())
 	}
 
@@ -360,31 +363,23 @@ func (s *Server) newJob(req JobRequest) (*job, error) {
 }
 
 // fill builds the validated job's tasks: the corpus slab and its
-// per-task slices, or the self-contained "je" payloads. This is the
-// expensive half of a submission (≈100 µs for 64 KiB of text corpus),
-// so route runs it only after the checks that refuse a job on sight.
+// per-task slices. This is the expensive half of a submission (≈100 µs
+// for 64 KiB of text corpus), so route runs it only after the checks
+// that refuse a job on sight.
 func (j *job) fill() {
 	req := &j.req
 	j.grow(req.Count)
-	spec, fast := kernelSpecs[req.Func]
-	if fast {
-		need := req.Count * req.SizeBytes
-		if cap(j.corpus) >= need {
-			j.corpus = j.corpus[:need]
-		} else {
-			j.corpus = make([]byte, need)
-		}
+	spec := kernelSpecs[req.Func]
+	stride := req.SizeBytes
+	if spec.stride != nil {
+		stride = spec.stride(stride)
 	}
+	j.corpus = slices.Grow(j.corpus[:0], req.Count*stride)[:req.Count*stride]
 	for i := 0; i < req.Count; i++ {
 		ts := &j.slots[i]
-		if fast {
-			ts.data = j.corpus[i*req.SizeBytes : (i+1)*req.SizeBytes]
-			spec.fill(ts.data, req.Seed+uint64(i))
-			ts.kfn, ts.legacy = spec.run, nil
-		} else {
-			ts.kfn, ts.data = nil, nil
-			ts.legacy = jePayload(req.Seed+uint64(i), req.SizeBytes)
-		}
+		ts.data = j.corpus[i*stride : (i+1)*stride]
+		spec.fill(ts.data, req.Seed+uint64(i))
+		ts.kfn = spec.run
 		j.tasks[i].Class = req.Func
 	}
 }

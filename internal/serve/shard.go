@@ -140,15 +140,12 @@ type shard struct {
 	latE2E   obs.LogHistogram
 	latQueue obs.LogHistogram
 
-	// arena recycles the per-batch []rt.Task slab across flushes; only
-	// the batcher goroutine leases from it, and the slab is returned
-	// once the batch's outcomes have been delivered.
-	arena rt.TaskArena
-
 	// Batcher-goroutine scratch, reused across flushes so a steady-state
-	// flush allocates nothing: the batch and expired job lists, the
-	// per-class executed-task tally, and the span-histogram handles
-	// resolved per (class, tenant).
+	// flush allocates nothing: the batch's []rt.Task slab (cleared once
+	// its outcomes are delivered, so it pins no job), the batch and
+	// expired job lists, the per-class executed-task tally, and the
+	// span-histogram handles resolved per (class, tenant).
+	taskBuf    []rt.Task
 	batchBuf   []*job
 	expiredBuf []*job
 	classRan   map[string]int
@@ -268,7 +265,7 @@ func (sh *shard) batchEnd(batch int, bs rt.BatchStats) {
 		}
 	}
 	if !same {
-		sh.planClasses = make(map[string]struct{}, len(bs.Classes))
+		clear(sh.planClasses)
 		for name := range bs.Classes {
 			sh.planClasses[name] = struct{}{}
 		}
@@ -548,7 +545,7 @@ func (sh *shard) flushOnce() bool {
 		return 0
 	})
 
-	all := sh.arena.Get(tasks)
+	all := sh.taskBuf[:0]
 	for _, j := range batch {
 		j.started = sh.cfg.clock()
 		sh.so.queueSecs.Observe(j.started.Sub(j.enqueued).Seconds())
@@ -644,8 +641,8 @@ func (sh *shard) flushOnce() bool {
 		j.finish(outcome{status: 200, res: &j.res})
 		j.release()
 	}
-	sh.arena.Put(all)
-	sh.batchBuf, sh.expiredBuf = batch, expired
+	clear(all)
+	sh.taskBuf, sh.batchBuf, sh.expiredBuf = all, batch, expired
 	return true
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cctable"
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/workloads"
 )
@@ -62,14 +63,14 @@ func benchFig6(b *testing.B, bench string) {
 		b.Fatal(err)
 	}
 	w := bm.Workload(1)
-	cilk, err := sched.Run(cfg, w, sched.NewCilk(), sched.DefaultParams())
+	cilk, err := sched.Run(cfg, w, policy.NewCilk(), sched.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
 	var ee *sched.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ee, err = sched.Run(cfg, w, sched.NewEEWA(), sched.DefaultParams())
+		ee, err = sched.Run(cfg, w, policy.NewEEWA(), sched.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +180,7 @@ func BenchmarkAdjusterDecision(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = sched.Run(cfg, w, sched.NewEEWA(), sched.DefaultParams())
+		res, err = sched.Run(cfg, w, policy.NewEEWA(), sched.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,16 +198,16 @@ func BenchmarkAblationSearch(b *testing.B) {
 	w := bm.Workload(1)
 	variants := []struct {
 		name string
-		mk   func() *sched.EEWA
+		mk   func() *policy.EEWA
 	}{
-		{"backtracking", sched.NewEEWA},
-		{"exhaustive", func() *sched.EEWA {
-			e := sched.NewEEWA()
+		{"backtracking", policy.NewEEWA},
+		{"exhaustive", func() *policy.EEWA {
+			e := policy.NewEEWA()
 			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.ExhaustiveSearch(m, cfg.Power) }
 			return e
 		}},
-		{"greedy", func() *sched.EEWA {
-			e := sched.NewEEWA()
+		{"greedy", func() *policy.EEWA {
+			e := policy.NewEEWA()
 			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.GreedySearch(m) }
 			return e
 		}},
@@ -241,7 +242,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			var res *sched.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				e := sched.NewEEWA()
+				e := policy.NewEEWA()
 				e.DivisibleCC = divisible
 				res, err = sched.Run(cfg, w, e, sched.DefaultParams())
 				if err != nil {
@@ -263,7 +264,7 @@ func BenchmarkAblationPackages(b *testing.B) {
 			var res *sched.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = sched.Run(cfg, w, sched.NewEEWA(), sched.DefaultParams())
+				res, err = sched.Run(cfg, w, policy.NewEEWA(), sched.DefaultParams())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -282,7 +283,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Run(cfg, w, sched.NewCilk(), sched.DefaultParams()); err != nil {
+		if _, err := sched.Run(cfg, w, policy.NewCilk(), sched.DefaultParams()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -260,7 +260,7 @@ func writeSampleTrace(cfg machine.Config, path string) error {
 	rec := &trace.Recorder{}
 	params := sched.DefaultParams()
 	params.Recorder = rec
-	if _, err := sched.Run(cfg, b.Workload(1), sched.NewEEWA(), params); err != nil {
+	if _, err := sched.Run(cfg, b.Workload(1), policy.NewEEWA(), params); err != nil {
 		return err
 	}
 	f, err := os.Create(path)

@@ -181,7 +181,7 @@ func GenerateWorkload(name string, batches int, specs []ClassSpec, seed uint64) 
 // policy value drives both the simulator (Simulate) and the live
 // runtime (LiveConfig.Impl) — decisions live in internal/policy, the
 // engines only execute them.
-func NewPolicy(name string, cfg MachineConfig) (sched.Policy, error) {
+func NewPolicy(name string, cfg MachineConfig) (policy.Policy, error) {
 	return policy.New(name, cfg)
 }
 

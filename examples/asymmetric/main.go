@@ -21,6 +21,7 @@ import (
 
 	eewa "repro"
 	"repro/internal/experiments"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/workloads"
 )
@@ -57,7 +58,7 @@ func main() {
 
 	// Step 2: freeze it and run the baselines.
 	params := eewa.DefaultParams()
-	cilkFixed, err := sched.NewCilkFixed(levels, len(cfg.Freqs))
+	cilkFixed, err := policy.NewCilkFixed(levels, len(cfg.Freqs))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wats, err := sched.NewWATS(levels, len(cfg.Freqs))
+	wats, err := policy.NewWATS(levels, len(cfg.Freqs))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"log"
 
 	eewa "repro"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/workloads"
 )
@@ -44,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	aware := sched.NewEEWA()
+	aware := policy.NewEEWA()
 	aware.MemAware = true
 	params := eewa.DefaultParams()
 	res, err := sched.Run(cfg, w, aware, params)

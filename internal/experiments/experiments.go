@@ -23,6 +23,7 @@ import (
 	"repro/internal/cctable"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -45,7 +46,7 @@ func Observe(reg *obs.Registry) { obsReg = reg }
 // runPolicy executes a benchmark under a policy for each seed and
 // returns the per-seed results. The workload is regenerated per seed so
 // jitter varies alongside victim selection.
-func runPolicy(cfg machine.Config, b workloads.Benchmark, mk func() sched.Policy, seeds []uint64) ([]*sched.Result, error) {
+func runPolicy(cfg machine.Config, b workloads.Benchmark, mk func() policy.Policy, seeds []uint64) ([]*sched.Result, error) {
 	out := make([]*sched.Result, 0, len(seeds))
 	for _, seed := range seeds {
 		w := b.Workload(seed)
@@ -176,10 +177,10 @@ func Fig6(cfg machine.Config, seeds []uint64) ([]Fig6Row, error) {
 }
 
 func fig6Row(cfg machine.Config, b workloads.Benchmark, seeds []uint64) (Fig6Row, error) {
-	mks := map[string]func() sched.Policy{
-		"Cilk":   func() sched.Policy { return sched.NewCilk() },
-		"Cilk-D": func() sched.Policy { return sched.NewCilkD(len(cfg.Freqs)) },
-		"EEWA":   func() sched.Policy { return sched.NewEEWA() },
+	mks := map[string]func() policy.Policy{
+		"Cilk":   func() policy.Policy { return policy.NewCilk() },
+		"Cilk-D": func() policy.Policy { return policy.NewCilkD(len(cfg.Freqs)) },
+		"EEWA":   func() policy.Policy { return policy.NewEEWA() },
 	}
 	times := map[string]float64{}
 	energies := map[string]float64{}
@@ -224,13 +225,13 @@ var Fig7Policies = []string{"Cilk", "WATS", "EEWA"}
 func Fig7(cfg machine.Config, seeds []uint64) ([]Fig7Row, error) {
 	var rows []Fig7Row
 	for _, b := range workloads.All() {
-		eewaRS, err := runPolicy(cfg, b, func() sched.Policy { return sched.NewEEWA() }, seeds)
+		eewaRS, err := runPolicy(cfg, b, func() policy.Policy { return policy.NewEEWA() }, seeds)
 		if err != nil {
 			return nil, err
 		}
 		levels := ModalLevels(eewaRS[0].BatchCensus)
-		cilkRS, err := runPolicy(cfg, b, func() sched.Policy {
-			p, perr := sched.NewCilkFixed(levels, len(cfg.Freqs))
+		cilkRS, err := runPolicy(cfg, b, func() policy.Policy {
+			p, perr := policy.NewCilkFixed(levels, len(cfg.Freqs))
 			if perr != nil {
 				panic(perr)
 			}
@@ -239,8 +240,8 @@ func Fig7(cfg machine.Config, seeds []uint64) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		watsRS, err := runPolicy(cfg, b, func() sched.Policy {
-			p, perr := sched.NewWATS(levels, len(cfg.Freqs))
+		watsRS, err := runPolicy(cfg, b, func() policy.Policy {
+			p, perr := policy.NewWATS(levels, len(cfg.Freqs))
 			if perr != nil {
 				panic(perr)
 			}
@@ -310,7 +311,7 @@ func Fig8(cfg machine.Config, seed uint64) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := runPolicy(cfg, b, func() sched.Policy { return sched.NewEEWA() }, []uint64{seed})
+	rs, err := runPolicy(cfg, b, func() policy.Policy { return policy.NewEEWA() }, []uint64{seed})
 	if err != nil {
 		return nil, err
 	}
@@ -343,11 +344,11 @@ func Fig9(seeds []uint64) ([]Fig9Point, error) {
 		cfg := machine.Generic(cores)
 		mks := []struct {
 			name string
-			mk   func() sched.Policy
+			mk   func() policy.Policy
 		}{
-			{"Cilk", func() sched.Policy { return sched.NewCilk() }},
-			{"Cilk-D", func() sched.Policy { return sched.NewCilkD(len(cfg.Freqs)) }},
-			{"EEWA", func() sched.Policy { return sched.NewEEWA() }},
+			{"Cilk", func() policy.Policy { return policy.NewCilk() }},
+			{"Cilk-D", func() policy.Policy { return policy.NewCilkD(len(cfg.Freqs)) }},
+			{"EEWA", func() policy.Policy { return policy.NewEEWA() }},
 		}
 		var cilkT, cilkE float64
 		for _, m := range mks {
@@ -392,7 +393,7 @@ type Table3Row struct {
 func Table3(cfg machine.Config, seed uint64) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, b := range workloads.All() {
-		rs, err := runPolicy(cfg, b, func() sched.Policy { return sched.NewEEWA() }, []uint64{seed})
+		rs, err := runPolicy(cfg, b, func() policy.Policy { return policy.NewEEWA() }, []uint64{seed})
 		if err != nil {
 			return nil, err
 		}
@@ -426,13 +427,13 @@ func MemBound(cfg machine.Config, seeds []uint64) (*MemBoundResult, error) {
 	b := workloads.MemoryBound()
 	out := &MemBoundResult{}
 	runs := []struct {
-		mk  func() sched.Policy
+		mk  func() policy.Policy
 		dst **sched.Result
 	}{
-		{func() sched.Policy { return sched.NewCilk() }, &out.Cilk},
-		{func() sched.Policy { return sched.NewEEWA() }, &out.Fallback},
-		{func() sched.Policy {
-			e := sched.NewEEWA()
+		{func() policy.Policy { return policy.NewCilk() }, &out.Cilk},
+		{func() policy.Policy { return policy.NewEEWA() }, &out.Fallback},
+		{func() policy.Policy {
+			e := policy.NewEEWA()
 			e.MemAware = true
 			return e
 		}, &out.MemAware},
@@ -465,15 +466,15 @@ type AblationRow struct {
 // AblationSearch compares Algorithm 1 against the exhaustive optimum
 // and the greedy heuristic as EEWA's tuple search.
 func AblationSearch(cfg machine.Config, seeds []uint64) ([]AblationRow, error) {
-	variants := map[string]func() sched.Policy{
-		"backtracking": func() sched.Policy { return sched.NewEEWA() },
-		"exhaustive": func() sched.Policy {
-			e := sched.NewEEWA()
+	variants := map[string]func() policy.Policy{
+		"backtracking": func() policy.Policy { return policy.NewEEWA() },
+		"exhaustive": func() policy.Policy {
+			e := policy.NewEEWA()
 			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.ExhaustiveSearch(m, cfg.Power) }
 			return e
 		},
-		"greedy": func() sched.Policy {
-			e := sched.NewEEWA()
+		"greedy": func() policy.Policy {
+			e := policy.NewEEWA()
 			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.GreedySearch(m) }
 			return e
 		},
@@ -484,10 +485,10 @@ func AblationSearch(cfg machine.Config, seeds []uint64) ([]AblationRow, error) {
 // AblationGranularity compares the granularity-aware CC table (our
 // default) against the paper's divisible-load formula.
 func AblationGranularity(cfg machine.Config, seeds []uint64) ([]AblationRow, error) {
-	variants := map[string]func() sched.Policy{
-		"granular": func() sched.Policy { return sched.NewEEWA() },
-		"divisible": func() sched.Policy {
-			e := sched.NewEEWA()
+	variants := map[string]func() policy.Policy{
+		"granular": func() policy.Policy { return policy.NewEEWA() },
+		"divisible": func() policy.Policy {
+			e := policy.NewEEWA()
 			e.DivisibleCC = true
 			return e
 		},
@@ -506,7 +507,7 @@ func AblationPackages(seeds []uint64) ([]AblationRow, error) {
 			"coupled":   machine.Opteron16(),
 			"uncoupled": machine.Uncoupled(machine.Opteron16()),
 		} {
-			rs, err := runPolicy(cfg, b, func() sched.Policy { return sched.NewEEWA() }, seeds)
+			rs, err := runPolicy(cfg, b, func() policy.Policy { return policy.NewEEWA() }, seeds)
 			if err != nil {
 				return nil, err
 			}
@@ -518,7 +519,7 @@ func AblationPackages(seeds []uint64) ([]AblationRow, error) {
 	return rows, nil
 }
 
-func runAblation(cfg machine.Config, seeds []uint64, variants map[string]func() sched.Policy) ([]AblationRow, error) {
+func runAblation(cfg machine.Config, seeds []uint64, variants map[string]func() policy.Policy) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, b := range workloads.All() {
 		row := AblationRow{Benchmark: b.Name, Energy: map[string]float64{}, Time: map[string]float64{}}

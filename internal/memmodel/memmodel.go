@@ -15,7 +15,7 @@
 // *different* frequency levels determine (a, b) exactly; more
 // observations over-determine them and we fit least squares.
 //
-// EEWA's memory-aware mode (sched.EEWA with MemAware=true) therefore:
+// EEWA's memory-aware mode (policy.EEWA with MemAware=true) therefore:
 //
 //  1. runs batch 0 at F0 (as always — this defines T and provides the
 //     first sample point),

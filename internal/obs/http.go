@@ -13,8 +13,8 @@ import (
 // the metrics endpoints.
 type HandlerOptions struct {
 	// Pprof mounts the standard net/http/pprof endpoints under
-	// /debug/pprof/ — the profile taps the density harness points at a
-	// hot run (CPU, heap, block, goroutine).
+	// /debug/pprof/ — the profile taps to point at a hot run (CPU,
+	// heap, block, goroutine).
 	Pprof bool
 	// GoRuntime bridges runtime/metrics (goroutines, heap bytes, GC
 	// cycles/pauses, scheduling latency) into the registry as eewa_go_*

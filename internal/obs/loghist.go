@@ -15,8 +15,7 @@ import (
 // Unlike the fixed-bucket Histogram, a LogHistogram needs no bucket
 // choice at registration time and supports quantile estimation and
 // merging — it is the distribution type behind every latency span
-// metric (queue wait, batch wait, execution, end-to-end) and the
-// percentile summaries of cmd/eewa-density.
+// metric (queue wait, batch wait, execution, end-to-end).
 //
 // Observe is a single atomic add per call plus the shared sum/count
 // words; all methods are safe for concurrent use, and a nil
@@ -242,8 +241,8 @@ func (r *Registry) LogHistogramVec(name, help string, labelNames ...string) *Log
 // called without label values, otherwise the child with exactly those
 // values — or nil when the family or child does not exist. The result
 // is one of *Counter, *Gauge, *Histogram or *LogHistogram. It lets a
-// harness read metrics registered by a layer it did not instrument
-// (e.g. cmd/eewa-density pulling the simulator's latency quantiles).
+// caller read metrics registered by a layer it did not instrument
+// (e.g. a test pulling the simulator's latency quantiles).
 func (r *Registry) At(name string, labelValues ...string) any {
 	if r == nil {
 		return nil

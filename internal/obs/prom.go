@@ -247,8 +247,7 @@ func metricValue(m any) any {
 		return map[string]any{"count": m.Count(), "sum": m.Sum(), "buckets": buckets}
 	case *LogHistogram:
 		// The JSON view reports the estimated quantiles directly — the
-		// payload a CLI summary or the density harness wants — instead
-		// of ~500 bucket lines.
+		// payload a CLI summary wants — instead of ~500 bucket lines.
 		return map[string]any{
 			"count": m.Count(),
 			"sum":   m.Sum(),

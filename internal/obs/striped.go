@@ -19,10 +19,9 @@ import (
 // package.
 //
 // The serve ingest path uses these for its hottest cluster-total
-// families (admissions, in-flight tasks); the density harness's
-// closed-loop driver records client-observed latency through the
-// sharded log-histogram. Everything merges back to the plain types at
-// export time, so the Prometheus/JSON surface is unchanged.
+// families (admissions, in-flight tasks). Everything merges back to the
+// plain types at export time, so the Prometheus/JSON surface is
+// unchanged.
 
 // cacheLine is the assumed coherence-granule size. 64 bytes covers
 // x86-64 and most arm64 parts; on 128-byte-line hosts two cells share a

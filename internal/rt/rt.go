@@ -577,8 +577,8 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 			r.record(check.EnergyIdentity(id, wallS, ws.Busy, ws.Search, ws.Dry, ws.Halt, ws.Residual, tol))
 		}
 	}
-	// Drop the pointers into the caller's slab: it may be recycled
-	// (TaskArena) or garbage before the next batch overwrites them.
+	// Drop the pointers into the caller's slab: it may be reused or
+	// garbage before the next batch overwrites them.
 	for i := range tasks {
 		r.slots[i].task = nil
 	}

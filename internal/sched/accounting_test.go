@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/policy"
 )
 
 // sumRecorder totals the execution span-seconds the engine reports —
@@ -31,7 +32,7 @@ func TestTraceBusySecondsMatchMachineBusySeconds(t *testing.T) {
 	for _, b := range w.Batches {
 		tasks += len(b.Tasks)
 	}
-	for _, p := range []Policy{NewCilk(), NewCilkD(4), NewEEWA()} {
+	for _, p := range []policy.Policy{policy.NewCilk(), policy.NewCilkD(4), policy.NewEEWA()} {
 		rec := &sumRecorder{}
 		params := DefaultParams()
 		params.Recorder = rec

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/policy"
 	"repro/internal/task"
 )
 
@@ -39,8 +40,8 @@ func TestEEWAFollowsGradualDrift(t *testing.T) {
 		lightWork *= 1.15
 	}
 	w := buildWorkload("drift", perBatch, 3)
-	cilk := mustRun(t, cfg, w, NewCilk())
-	ee := mustRun(t, cfg, w, NewEEWA())
+	cilk := mustRun(t, cfg, w, policy.NewCilk())
+	ee := mustRun(t, cfg, w, policy.NewEEWA())
 	if ee.Makespan > 1.10*cilk.Makespan {
 		t.Errorf("EEWA under drift: %.4f vs cilk %.4f (>10%%)", ee.Makespan, cilk.Makespan)
 	}
@@ -70,7 +71,7 @@ func TestEEWAPhaseChangeSwitchesConfig(t *testing.T) {
 		perBatch = append(perBatch, dense)
 	}
 	w := buildWorkload("phase", perBatch, 5)
-	res := mustRun(t, cfg, w, NewEEWA())
+	res := mustRun(t, cfg, w, policy.NewEEWA())
 
 	// Steady skew phase: deep downscaling (many cores below F0).
 	skewSlow := 0
@@ -93,7 +94,7 @@ func TestEEWAPhaseChangeSwitchesConfig(t *testing.T) {
 			res.BatchCensus[3], res.BatchCensus[7])
 	}
 	// All tasks must still complete without pathological overrun.
-	cilk := mustRun(t, cfg, w, NewCilk())
+	cilk := mustRun(t, cfg, w, policy.NewCilk())
 	if res.Makespan > 1.25*cilk.Makespan {
 		t.Errorf("phase change blew the makespan: %.4f vs %.4f", res.Makespan, cilk.Makespan)
 	}
@@ -112,8 +113,8 @@ func TestEEWANewClassGoesToFastGroup(t *testing.T) {
 		task.ClassSpec{Name: "surprise", Count: 12, MeanWork: 0.03, JitterFrac: 0.05})
 	perBatch := [][]task.ClassSpec{base, base, base, withNew, withNew, withNew}
 	w := buildWorkload("newclass", perBatch, 9)
-	res := mustRun(t, cfg, w, NewEEWA())
-	cilk := mustRun(t, cfg, w, NewCilk())
+	res := mustRun(t, cfg, w, policy.NewEEWA())
+	cilk := mustRun(t, cfg, w, policy.NewCilk())
 	if res.Makespan > 1.2*cilk.Makespan {
 		t.Errorf("surprise class degraded EEWA %.4f vs cilk %.4f", res.Makespan, cilk.Makespan)
 	}
@@ -133,7 +134,7 @@ func TestEEWAVanishingClass(t *testing.T) {
 	}
 	perBatch := [][]task.ClassSpec{both, both, only, only, only, only}
 	w := buildWorkload("vanish", perBatch, 13)
-	res := mustRun(t, cfg, w, NewEEWA())
+	res := mustRun(t, cfg, w, policy.NewEEWA())
 	if len(res.BatchTimes) != 6 {
 		t.Fatalf("expected 6 batches, got %d", len(res.BatchTimes))
 	}

@@ -4,16 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/policy"
 	"repro/internal/task"
 )
 
 // benchHotPath measures the simulator's per-task cost on a deep
 // single-class backlog: 3 batches × 1024 tasks on 4 cores, the regime
 // where the SoA hot path (pool pushes, indexed completion events,
-// profiler refs) dominates per-batch planning. It is the profiling
-// companion of eewa-benchjson's soa cells; allocs/op is per full run —
-// per-task allocations are zero once the slabs have grown.
-func benchHotPath(b *testing.B, p Policy) {
+// profiler refs) dominates per-batch planning — the regime the
+// benchmark's sched.deep_host_ns_per_task_* probes time; allocs/op is
+// per full run — per-task allocations are zero once the slabs have
+// grown.
+func benchHotPath(b *testing.B, p policy.Policy) {
 	cfg := machine.Generic(4)
 	w := task.MustGenerate("dens", 3, []task.ClassSpec{
 		{Name: "dens", Count: 1024, MeanWork: 1e-4, JitterFrac: 0.2},
@@ -27,5 +29,5 @@ func benchHotPath(b *testing.B, p Policy) {
 	}
 }
 
-func BenchmarkSimHotPath(b *testing.B)     { benchHotPath(b, NewCilk()) }
-func BenchmarkSimHotPathEEWA(b *testing.B) { benchHotPath(b, NewEEWA()) }
+func BenchmarkSimHotPath(b *testing.B)     { benchHotPath(b, policy.NewCilk()) }
+func BenchmarkSimHotPathEEWA(b *testing.B) { benchHotPath(b, policy.NewEEWA()) }

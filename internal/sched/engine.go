@@ -135,7 +135,7 @@ type engine struct {
 	m      *machine.Machine
 	q      *event.Queue
 	prof   *profile.Profiler
-	policy Policy
+	policy policy.Policy
 	params Params
 
 	// soa holds the current batch's task arrays; ratios[j] = F0/Fj.
@@ -154,7 +154,7 @@ type engine struct {
 	// steal, so the acquire loop re-derives neither the preference lists
 	// nor a fresh permutation buffer per attempt.
 	asn     *cgroup.Assignment
-	plan    Plan
+	plan    policy.Plan
 	steal   policy.StealOrder
 	placer  policy.IndexedPlacer
 	walkers []*policy.VictimWalker
@@ -201,7 +201,7 @@ type engine struct {
 // Run simulates workload w on machine cfg under policy p and returns
 // the full Result. It validates its inputs and is deterministic for a
 // given params.Seed.
-func Run(cfg machine.Config, w *task.Workload, p Policy, params Params) (*Result, error) {
+func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,7 +246,7 @@ func Run(cfg machine.Config, w *task.Workload, p Policy, params Params) (*Result
 		}
 	})
 
-	env := &Env{Cfg: cfg, AdjusterCharge: params.AdjusterCharge}
+	env := &policy.Env{Cfg: cfg, AdjusterCharge: params.AdjusterCharge}
 	for bi := range w.Batches {
 		if err := e.runBatch(bi, &w.Batches[bi], env); err != nil {
 			return nil, err
@@ -275,7 +275,7 @@ func Run(cfg machine.Config, w *task.Workload, p Policy, params Params) (*Result
 }
 
 // runBatch plans, places and executes one batch.
-func (e *engine) runBatch(bi int, b *task.Batch, env *Env) error {
+func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 	now := e.q.Now()
 
 	// Barrier: everyone parks while the plan is computed.
@@ -372,7 +372,7 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *Env) error {
 
 // observeBatch publishes one batch's metrics and events; it is a no-op
 // without a registry.
-func (e *engine) observeBatch(bi int, dur float64, census []int, plan Plan) {
+func (e *engine) observeBatch(bi int, dur float64, census []int, plan policy.Plan) {
 	if e.eo.reg == nil {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/workloads"
 )
 
@@ -24,7 +25,7 @@ func TestObsIntegration(t *testing.T) {
 	reg.Events = ring
 	params := DefaultParams()
 	params.Obs = reg
-	res, err := Run(cfg, b.Workload(1), NewEEWA(), params)
+	res, err := Run(cfg, b.Workload(1), policy.NewEEWA(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

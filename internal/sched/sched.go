@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/profile"
 )
 
@@ -94,21 +93,6 @@ func (p Params) withDefaults() Params {
 	}
 	return p
 }
-
-// The decision-surface types are owned by internal/policy and shared
-// with the live runtime; the aliases keep this package's historical
-// API for the engine's callers.
-type (
-	// Env is the read-only context a Policy sees when planning a batch.
-	Env = policy.Env
-	// Plan is a policy's decision for one batch.
-	Plan = policy.Plan
-	// OutOfWorkAction is what a core does once every reachable pool is
-	// empty for the remainder of a batch.
-	OutOfWorkAction = policy.OutOfWorkAction
-	// Policy is a scheduling discipline the engine can execute.
-	Policy = policy.Policy
-)
 
 // Result is everything a simulation run reports.
 type Result struct {

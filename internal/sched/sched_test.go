@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cgroup"
 	"repro/internal/machine"
+	"repro/internal/policy"
 	"repro/internal/profile"
 	"repro/internal/task"
 	"repro/internal/workloads"
@@ -24,7 +25,7 @@ func tiny(batches int) *task.Workload {
 	}, 7)
 }
 
-func mustRun(t *testing.T, cfg machine.Config, w *task.Workload, p Policy) *Result {
+func mustRun(t *testing.T, cfg machine.Config, w *task.Workload, p policy.Policy) *Result {
 	t.Helper()
 	res, err := Run(cfg, w, p, DefaultParams())
 	if err != nil {
@@ -34,10 +35,10 @@ func mustRun(t *testing.T, cfg machine.Config, w *task.Workload, p Policy) *Resu
 }
 
 func TestRunValidatesInputs(t *testing.T) {
-	if _, err := Run(machine.Config{}, tiny(1), NewCilk(), DefaultParams()); err == nil {
+	if _, err := Run(machine.Config{}, tiny(1), policy.NewCilk(), DefaultParams()); err == nil {
 		t.Error("invalid machine should error")
 	}
-	if _, err := Run(machine.Opteron16(), &task.Workload{Name: "x"}, NewCilk(), DefaultParams()); err == nil {
+	if _, err := Run(machine.Opteron16(), &task.Workload{Name: "x"}, policy.NewCilk(), DefaultParams()); err == nil {
 		t.Error("invalid workload should error")
 	}
 }
@@ -45,7 +46,7 @@ func TestRunValidatesInputs(t *testing.T) {
 func TestAllTasksExecuteExactlyOnce(t *testing.T) {
 	cfg := machine.Opteron16()
 	w := tiny(5)
-	for _, p := range []Policy{NewCilk(), NewCilkD(4), NewEEWA()} {
+	for _, p := range []policy.Policy{policy.NewCilk(), policy.NewCilkD(4), policy.NewEEWA()} {
 		res := mustRun(t, cfg, w, p)
 		if len(res.BatchTimes) != 5 {
 			t.Errorf("%s: %d batch times, want 5", p.Name(), len(res.BatchTimes))
@@ -66,10 +67,10 @@ func TestAllTasksExecuteExactlyOnce(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	cfg := machine.Opteron16()
-	for _, mk := range []func() Policy{
-		func() Policy { return NewCilk() },
-		func() Policy { return NewCilkD(4) },
-		func() Policy { return NewEEWA() },
+	for _, mk := range []func() policy.Policy{
+		func() policy.Policy { return policy.NewCilk() },
+		func() policy.Policy { return policy.NewCilkD(4) },
+		func() policy.Policy { return policy.NewEEWA() },
 	} {
 		a := mustRun(t, cfg, tiny(3), mk())
 		b := mustRun(t, cfg, tiny(3), mk())
@@ -83,11 +84,11 @@ func TestSeedChangesSchedule(t *testing.T) {
 	cfg := machine.Opteron16()
 	p1, p2 := DefaultParams(), DefaultParams()
 	p2.Seed = 99
-	a, err := Run(cfg, tiny(3), NewCilk(), p1)
+	a, err := Run(cfg, tiny(3), policy.NewCilk(), p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, tiny(3), NewCilk(), p2)
+	b, err := Run(cfg, tiny(3), policy.NewCilk(), p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSeedChangesSchedule(t *testing.T) {
 }
 
 func TestCilkStaysAtF0(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(4), NewCilk())
+	res := mustRun(t, machine.Opteron16(), tiny(4), policy.NewCilk())
 	for bi, census := range res.BatchCensus {
 		if census[0] != 16 {
 			t.Errorf("batch %d census %v — Cilk must keep all cores at F0", bi, census)
@@ -109,11 +110,11 @@ func TestCilkStaysAtF0(t *testing.T) {
 }
 
 func TestCilkDDownclocksIdleCores(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(4), NewCilkD(4))
+	res := mustRun(t, machine.Opteron16(), tiny(4), policy.NewCilkD(4))
 	if res.DVFSTransitions == 0 {
 		t.Error("Cilk-D should downclock at least one idle core")
 	}
-	cilk := mustRun(t, machine.Opteron16(), tiny(4), NewCilk())
+	cilk := mustRun(t, machine.Opteron16(), tiny(4), policy.NewCilk())
 	if res.Energy >= cilk.Energy {
 		t.Errorf("Cilk-D energy %g should be below Cilk %g", res.Energy, cilk.Energy)
 	}
@@ -124,7 +125,7 @@ func TestCilkDDownclocksIdleCores(t *testing.T) {
 }
 
 func TestEEWAFirstBatchAllFast(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(4), NewEEWA())
+	res := mustRun(t, machine.Opteron16(), tiny(4), policy.NewEEWA())
 	if res.BatchCensus[0][0] != 16 {
 		t.Errorf("first batch census %v — EEWA must run batch 0 at F0", res.BatchCensus[0])
 	}
@@ -140,9 +141,9 @@ func TestEEWAFig6Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := b.Workload(1)
-	cilk := mustRun(t, cfg, w, NewCilk())
-	cilkd := mustRun(t, cfg, w, NewCilkD(4))
-	eewa := mustRun(t, cfg, w, NewEEWA())
+	cilk := mustRun(t, cfg, w, policy.NewCilk())
+	cilkd := mustRun(t, cfg, w, policy.NewCilkD(4))
+	eewa := mustRun(t, cfg, w, policy.NewEEWA())
 
 	if !(eewa.Energy < cilkd.Energy && cilkd.Energy < cilk.Energy) {
 		t.Errorf("energy ordering violated: EEWA %g, Cilk-D %g, Cilk %g",
@@ -160,7 +161,7 @@ func TestEEWAFig6Shape(t *testing.T) {
 func TestEEWADownscalesAfterFirstBatch(t *testing.T) {
 	cfg := machine.Opteron16()
 	b, _ := workloads.ByName("sha1")
-	res := mustRun(t, cfg, b.Workload(1), NewEEWA())
+	res := mustRun(t, cfg, b.Workload(1), policy.NewEEWA())
 	// Paper Fig. 8: from early batches, more than half the cores sit at
 	// the lowest frequency.
 	for bi := 2; bi < len(res.BatchCensus); bi++ {
@@ -174,7 +175,7 @@ func TestEEWADownscalesAfterFirstBatch(t *testing.T) {
 func TestEEWAMemoryBoundFallback(t *testing.T) {
 	cfg := machine.Opteron16()
 	b := workloads.MemoryBound()
-	res := mustRun(t, cfg, b.Workload(1), NewEEWA())
+	res := mustRun(t, cfg, b.Workload(1), policy.NewEEWA())
 	if !res.MemoryBound {
 		t.Fatal("profiler should classify the synthetic workload as memory-bound")
 	}
@@ -197,7 +198,7 @@ func TestEEWAInfeasibleKeepsAllFast(t *testing.T) {
 		{Name: "y", Count: 24, MeanWork: 0.018, JitterFrac: 0.05},
 		{Name: "z", Count: 24, MeanWork: 0.016, JitterFrac: 0.05},
 	}, 3)
-	eewa := NewEEWA()
+	eewa := policy.NewEEWA()
 	res := mustRun(t, cfg, w, eewa)
 	for bi, census := range res.BatchCensus {
 		if census[0] != 4 {
@@ -207,7 +208,7 @@ func TestEEWAInfeasibleKeepsAllFast(t *testing.T) {
 	if eewa.Infeasible() == 0 {
 		t.Error("expected at least one infeasible adjustment on the starved machine")
 	}
-	cilk := mustRun(t, cfg, w, NewCilk())
+	cilk := mustRun(t, cfg, w, policy.NewCilk())
 	if res.Makespan > 1.04*cilk.Makespan {
 		t.Errorf("EEWA on 4 cores degrades %.1f%%, want < 4%% (paper: 0.3%%)",
 			100*(res.Makespan/cilk.Makespan-1))
@@ -224,19 +225,19 @@ func TestCilkFixedSlowerOnAsymmetric(t *testing.T) {
 	b, _ := workloads.ByName("sha1")
 	w := b.Workload(1)
 
-	fixed, err := NewCilkFixed(levels, 4)
+	fixed, err := policy.NewCilkFixed(levels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cilkFixed := mustRun(t, cfg, w, fixed)
 
-	wats, err := NewWATS(levels, 4)
+	wats, err := policy.NewWATS(levels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	watsRes := mustRun(t, cfg, w, wats)
 
-	eewa := mustRun(t, cfg, w, NewEEWA())
+	eewa := mustRun(t, cfg, w, policy.NewEEWA())
 
 	// Fig. 7 ordering: Cilk ≫ WATS ≥≈ EEWA.
 	if !(cilkFixed.Makespan > watsRes.Makespan) {
@@ -261,14 +262,14 @@ func TestPreferenceStealingMigratesWhenImbalanced(t *testing.T) {
 		{Name: "h", Count: 12, MeanWork: 0.10, JitterFrac: 0.4},
 		{Name: "l", Count: 116, MeanWork: 0.012, JitterFrac: 0.4},
 	}, 11)
-	res := mustRun(t, cfg, w, NewEEWA())
+	res := mustRun(t, cfg, w, policy.NewEEWA())
 	if res.Migrated == 0 {
 		t.Error("expected cross-group task migrations under heavy jitter")
 	}
 }
 
 func TestStealsAndProbesCounted(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(2), NewCilk())
+	res := mustRun(t, machine.Opteron16(), tiny(2), policy.NewCilk())
 	if res.Steals == 0 {
 		t.Error("scatter placement plus 16 cores must require steals")
 	}
@@ -281,7 +282,7 @@ func TestAdjusterOverheadCharged(t *testing.T) {
 	cfg := machine.Opteron16()
 	b, _ := workloads.ByName("md5")
 	w := b.Workload(1)
-	res := mustRun(t, cfg, w, NewEEWA())
+	res := mustRun(t, cfg, w, policy.NewEEWA())
 	if res.AdjusterSimTime <= 0 {
 		t.Error("EEWA runs the adjuster; simulated overhead must be positive")
 	}
@@ -300,7 +301,7 @@ func TestAdjusterOverheadCharged(t *testing.T) {
 
 func TestEnergyConsistency(t *testing.T) {
 	cfg := machine.Opteron16()
-	res := mustRun(t, cfg, tiny(3), NewCilk())
+	res := mustRun(t, cfg, tiny(3), policy.NewCilk())
 	// Whole-machine energy ≥ base draw × makespan + minimum core draw.
 	lower := cfg.Power.Base * res.Makespan
 	if res.Energy <= lower {
@@ -318,7 +319,7 @@ func TestEnergyConsistency(t *testing.T) {
 }
 
 func TestBatchTimesSumToMakespan(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(4), NewCilk())
+	res := mustRun(t, machine.Opteron16(), tiny(4), policy.NewCilk())
 	sum := 0.0
 	for _, bt := range res.BatchTimes {
 		sum += bt
@@ -342,12 +343,12 @@ func TestWATSAllocateByCapacity(t *testing.T) {
 		{Name: "heavy", Count: 16, MeanWork: 0.08, JitterFrac: 0.05},
 		{Name: "light", Count: 112, MeanWork: 0.01, JitterFrac: 0.05},
 	}, 5)
-	wats, err := NewWATS(levels, 4)
+	wats, err := policy.NewWATS(levels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	watsRes := mustRun(t, cfg, w, wats)
-	fixed, err := NewCilkFixed(levels, 4)
+	fixed, err := policy.NewCilkFixed(levels, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestWATSAllocateByCapacity(t *testing.T) {
 }
 
 func TestUtilizationInUnitRange(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(3), NewCilk())
+	res := mustRun(t, machine.Opteron16(), tiny(3), policy.NewCilk())
 	u := res.Utilization()
 	if u <= 0 || u > 1 {
 		t.Errorf("utilization %g outside (0,1]", u)
@@ -367,7 +368,7 @@ func TestUtilizationInUnitRange(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(1), NewCilk())
+	res := mustRun(t, machine.Opteron16(), tiny(1), policy.NewCilk())
 	if res.String() == "" {
 		t.Error("empty String()")
 	}
@@ -390,7 +391,7 @@ func TestSingleCoreMachine(t *testing.T) {
 	w := task.MustGenerate("solo", 2, []task.ClassSpec{
 		{Name: "a", Count: 8, MeanWork: 0.01, JitterFrac: 0},
 	}, 1)
-	for _, p := range []Policy{NewCilk(), NewCilkD(4), NewEEWA()} {
+	for _, p := range []policy.Policy{policy.NewCilk(), policy.NewCilkD(4), policy.NewEEWA()} {
 		res := mustRun(t, cfg, w, p)
 		// One core executes everything serially: makespan ≥ total work.
 		if res.Makespan < w.TotalWork() {
@@ -400,7 +401,7 @@ func TestSingleCoreMachine(t *testing.T) {
 }
 
 func TestSingleBatchWorkload(t *testing.T) {
-	res := mustRun(t, machine.Opteron16(), tiny(1), NewEEWA())
+	res := mustRun(t, machine.Opteron16(), tiny(1), policy.NewEEWA())
 	// With one batch there is nothing to adjust: no DVFS, no overhead.
 	if res.AdjusterSimTime != 0 {
 		t.Errorf("adjuster charged %g on a single-batch run", res.AdjusterSimTime)
@@ -415,8 +416,8 @@ func TestEEWAMemAwareExtension(t *testing.T) {
 	b := workloads.MemoryBound()
 	w := b.Workload(1)
 
-	fallback := mustRun(t, cfg, w, NewEEWA())
-	aware := NewEEWA()
+	fallback := mustRun(t, cfg, w, policy.NewEEWA())
+	aware := policy.NewEEWA()
 	aware.MemAware = true
 	res := mustRun(t, cfg, w, aware)
 
@@ -449,13 +450,13 @@ func TestEEWAMemAwareExtension(t *testing.T) {
 func TestEEWAIgnoreMemoryBoundControl(t *testing.T) {
 	cfg := machine.Opteron16()
 	w := workloads.MemoryBound().Workload(1)
-	naive := NewEEWA()
+	naive := policy.NewEEWA()
 	naive.IgnoreMemoryBound = true
 	res := mustRun(t, cfg, w, naive)
 	// The control applies the CPU-bound model regardless; with the
 	// linear task model it is conservative (overestimates slow-level
 	// times), so it must still not blow the makespan.
-	cilk := mustRun(t, cfg, w, NewCilk())
+	cilk := mustRun(t, cfg, w, policy.NewCilk())
 	if res.Makespan > 1.10*cilk.Makespan {
 		t.Errorf("naive control makespan %g vs cilk %g", res.Makespan, cilk.Makespan)
 	}
@@ -481,7 +482,7 @@ func TestEEWAOfflineProfileSkipsWarmup(t *testing.T) {
 	w := b.Workload(1)
 
 	// First run collects the profile online.
-	first := mustRun(t, cfg, w, NewEEWA())
+	first := mustRun(t, cfg, w, policy.NewEEWA())
 	if first.Profile == nil {
 		t.Fatal("result should carry a reusable profile snapshot")
 	}
@@ -490,7 +491,7 @@ func TestEEWAOfflineProfileSkipsWarmup(t *testing.T) {
 	}
 
 	// Second run applies it offline: batch 0 is already downscaled.
-	offline := NewEEWA()
+	offline := policy.NewEEWA()
 	offline.Offline = first.Profile
 	res := mustRun(t, cfg, w, offline)
 	if res.BatchCensus[0][0] == 16 {
@@ -508,13 +509,13 @@ func TestEEWAOfflineProfileWrongMachineIgnored(t *testing.T) {
 	cfg := machine.Opteron16()
 	b, _ := workloads.ByName("sha1")
 	w := b.Workload(1)
-	first := mustRun(t, cfg, w, NewEEWA())
+	first := mustRun(t, cfg, w, policy.NewEEWA())
 
 	// Mutate the snapshot's ladder: it must be rejected and the run
 	// must behave like a plain online run (batch 0 all-fast).
 	bad := *first.Profile
 	bad.Freqs = []float64{9.9, 1.0, 0.5, 0.1}
-	offline := NewEEWA()
+	offline := policy.NewEEWA()
 	offline.Offline = &bad
 	res := mustRun(t, cfg, w, offline)
 	if res.BatchCensus[0][0] != 16 {
@@ -530,19 +531,19 @@ type badPolicy struct {
 }
 
 func (*badPolicy) Name() string { return "bad" }
-func (p *badPolicy) BeginBatch(int, *profile.Profiler, *Env) Plan {
+func (p *badPolicy) BeginBatch(int, *profile.Profiler, *policy.Env) policy.Plan {
 	if p.nilAssignment {
-		return Plan{}
+		return policy.Plan{}
 	}
 	// An assignment missing cores: invalid for any machine.
-	return Plan{Assignment: &cgroup.Assignment{
+	return policy.Plan{Assignment: &cgroup.Assignment{
 		Groups:     []cgroup.Group{{Level: 0, Cores: []int{0}}},
 		ClassGroup: map[string]int{},
 		CoreGroup:  []int{0},
 	}}
 }
-func (*badPolicy) OutOfWork(int) OutOfWorkAction {
-	return OutOfWorkAction{State: machine.Spinning, FreqLevel: -1}
+func (*badPolicy) OutOfWork(int) policy.OutOfWorkAction {
+	return policy.OutOfWorkAction{State: machine.Spinning, FreqLevel: -1}
 }
 
 func TestEngineRejectsNilAssignment(t *testing.T) {
@@ -564,7 +565,7 @@ func TestSingleFrequencyLadder(t *testing.T) {
 	cfg.Freqs = machine.FreqLadder{2.5}
 	cfg.Power.Volt = []float64{1.30}
 	w := tiny(3)
-	for _, p := range []Policy{NewCilk(), NewCilkD(1), NewEEWA()} {
+	for _, p := range []policy.Policy{policy.NewCilk(), policy.NewCilkD(1), policy.NewEEWA()} {
 		res := mustRun(t, cfg, w, p)
 		if res.BatchCensus[0][0] != 16 {
 			t.Errorf("%s: census %v", p.Name(), res.BatchCensus[0])
@@ -577,7 +578,7 @@ func TestMoreCoresThanTasks(t *testing.T) {
 	w := task.MustGenerate("fewtasks", 3, []task.ClassSpec{
 		{Name: "only", Count: 3, MeanWork: 0.05, JitterFrac: 0.05},
 	}, 1)
-	for _, p := range []Policy{NewCilk(), NewEEWA()} {
+	for _, p := range []policy.Policy{policy.NewCilk(), policy.NewEEWA()} {
 		res := mustRun(t, cfg, w, p)
 		// Makespan at least one task's duration, and everything ran.
 		if res.Makespan <= 0.04 {
@@ -589,7 +590,7 @@ func TestMoreCoresThanTasks(t *testing.T) {
 func TestZeroDVFSLatency(t *testing.T) {
 	cfg := machine.Opteron16()
 	cfg.DVFSLatency = 0
-	res := mustRun(t, cfg, tiny(3), NewEEWA())
+	res := mustRun(t, cfg, tiny(3), policy.NewEEWA())
 	if res.Makespan <= 0 {
 		t.Error("degenerate run")
 	}
@@ -604,8 +605,8 @@ func TestHighJitterRobustness(t *testing.T) {
 		{Name: "h", Count: 10, MeanWork: 0.08, JitterFrac: 0.5},
 		{Name: "l", Count: 118, MeanWork: 0.01, JitterFrac: 0.5},
 	}, 3)
-	cilk := mustRun(t, cfg, w, NewCilk())
-	ee := mustRun(t, cfg, w, NewEEWA())
+	cilk := mustRun(t, cfg, w, policy.NewCilk())
+	ee := mustRun(t, cfg, w, policy.NewEEWA())
 	if ee.Makespan > 1.35*cilk.Makespan {
 		t.Errorf("EEWA under 50%% jitter: %.4f vs cilk %.4f (>35%% degradation)", ee.Makespan, cilk.Makespan)
 	}
@@ -616,7 +617,7 @@ func TestRecorderSeesEveryTask(t *testing.T) {
 	var spans int
 	params := DefaultParams()
 	params.Recorder = recorderFunc(func() { spans++ })
-	if _, err := Run(machine.Opteron16(), w, NewEEWA(), params); err != nil {
+	if _, err := Run(machine.Opteron16(), w, policy.NewEEWA(), params); err != nil {
 		t.Fatal(err)
 	}
 	if spans != w.TotalTasks() {
@@ -646,7 +647,7 @@ func TestEngineInvariantsProperty(t *testing.T) {
 			return false
 		}
 		cfg := machine.Generic(cores)
-		for _, p := range []Policy{NewCilk(), NewCilkD(len(cfg.Freqs)), NewEEWA()} {
+		for _, p := range []policy.Policy{policy.NewCilk(), policy.NewCilkD(len(cfg.Freqs)), policy.NewEEWA()} {
 			params := DefaultParams()
 			params.Seed = seed ^ 0xABCD
 			res, err := Run(cfg, w, p, params)

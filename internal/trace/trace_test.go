@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/task"
 )
@@ -122,7 +123,7 @@ func TestRecorderWithScheduler(t *testing.T) {
 	rec := &Recorder{}
 	params := sched.DefaultParams()
 	params.Recorder = rec
-	res, err := sched.Run(cfg, w, sched.NewCilk(), params)
+	res, err := sched.Run(cfg, w, policy.NewCilk(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -338,8 +338,8 @@ type WallStats struct {
 // translated to an absolute deadline_at on the same scaled timeline
 // (so a driver that falls behind produces honest admission fast-fails
 // instead of silently relaxed deadlines). speed > 1 compresses the
-// trace, the load axis density sweeps use. Not deterministic — use
-// ReplayServe for bit-exact outcome logs.
+// trace, raising the offered load. Not deterministic — use ReplayServe
+// for bit-exact outcome logs.
 func ReplayWall(ctx context.Context, h http.Handler, tr *Trace, speed float64) (*WallStats, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -18,7 +18,7 @@
 //     virtual clock in lockstep, making per-tenant outcome counts
 //     (200/429/504) and batch composition a function of the trace
 //     alone. ReplayWall trades that determinism back for wall-clock
-//     load fidelity — it is the mode density sweeps use.
+//     load fidelity.
 //
 // A trace is a flat, offset-sorted event list. Offsets are seconds
 // from trace start; deadlines are relative milliseconds (replay

@@ -26,11 +26,11 @@ func fnvString(h uint64, s string) uint64 {
 
 // Fingerprint identifies the inputs of SearchTuple(m) on this table: the
 // profile that produced it (class names, counts and exact weight bits),
-// the frequency ladder, the ideal time T, the core budget m — and, to
-// stay exact for tables whose entries were derived another way (FromCounts,
-// memmodel's model-corrected tables), the CC matrix itself. Two tables
-// with equal fingerprints run the identical backtracking search, so a
-// cached tuple can stand in for re-running it.
+// the frequency ladder, the ideal time T, the core budget m — and the CC
+// matrix itself, which covers what the class fields above leave out
+// (MemFrac) and tables whose entries were given rather than derived
+// (FromCounts). Two tables with equal fingerprints run the identical
+// backtracking search, so a cached tuple can stand in for re-running it.
 func (t *Table) Fingerprint(m int) uint64 {
 	h := uint64(fnvOffset)
 	h = fnvMix(h, uint64(m))

@@ -11,7 +11,11 @@
 //
 // (The paper writes the entries analytically without the ceiling; core
 // counts are integral, so we round up — DESIGN.md §5 records the
-// decision and the Fig. 3 test pins the observable behaviour.)
+// decision and the Fig. 3 test pins the observable behaviour.) Every
+// column is built with one formula: F0/Fj generalizes to the class's
+// time scale s_j = 1 + (1 − MemFrac)·(F0/Fj − 1), which is F0/Fj bit for
+// bit for the paper's CPU-bound classes (MemFrac 0) and shrinks toward 1
+// as a class's measured memory-bound share grows (§IV-D extension).
 //
 // A solution is a k-tuple (a_0 … a_{k-1}) meaning "run class i's tasks
 // on cores at frequency F_{a_i}", subject to the paper's three
@@ -50,8 +54,9 @@ var (
 	// meaningless.
 	ErrIdealTime = errors.New("cctable: ideal time must be positive and finite")
 	// ErrClassWeight is returned when a class carries no schedulable
-	// weight (Count ≤ 0, or AvgWork not a positive finite number): its
-	// CC entries would be 0/0, NaN or infinite.
+	// weight (Count ≤ 0, or AvgWork not a positive finite number) or a
+	// MemFrac outside [0, 1]: its CC entries would be 0/0, NaN, infinite
+	// or scaled by a factor no frequency produces.
 	ErrClassWeight = errors.New("cctable: class has no schedulable weight")
 	// ErrUnsorted is returned when classes are not in descending-AvgWork
 	// order, which Algorithm 1's monotonicity constraint assumes.
@@ -112,9 +117,9 @@ func (t *Table) Rebuild(classes []profile.Class, ladder machine.FreqLadder, T fl
 		return fmt.Errorf("%w: got %g", ErrIdealTime, T)
 	}
 	for i, c := range classes {
-		if c.Count <= 0 || !(c.AvgWork > 0) || math.IsInf(c.AvgWork, 0) {
-			return fmt.Errorf("%w: class %d (%q) count=%d avg=%g",
-				ErrClassWeight, i, c.Name, c.Count, c.AvgWork)
+		if c.Count <= 0 || !(c.AvgWork > 0) || math.IsInf(c.AvgWork, 0) || !(c.MemFrac >= 0 && c.MemFrac <= 1) {
+			return fmt.Errorf("%w: class %d (%q) count=%d avg=%g memfrac=%g",
+				ErrClassWeight, i, c.Name, c.Count, c.AvgWork, c.MemFrac)
 		}
 	}
 	for i := 1; i < len(classes); i++ {
@@ -134,7 +139,7 @@ func (t *Table) Rebuild(classes []profile.Class, ladder machine.FreqLadder, T fl
 		t.Frac[j] = t.frac[j*k : (j+1)*k : (j+1)*k]
 		ratio := ladder.Ratio(j) // F0/Fj
 		for i := 0; i < k; i++ {
-			frac := ratio * classes[i].TotalWork() / T
+			frac := scale(&classes[i], ratio) * classes[i].TotalWork() / T
 			t.Frac[j][i] = frac
 			cc := int(math.Ceil(frac - 1e-9)) // tolerance for exact-integer fracs
 			if cc < 1 {
@@ -144,6 +149,15 @@ func (t *Table) Rebuild(classes []profile.Class, ladder machine.FreqLadder, T fl
 		}
 	}
 	return nil
+}
+
+// scale is how much longer a task of class c takes at a level with
+// ladder ratio F0/Fj than at F0: its frequency-sensitive share
+// stretches by the ratio, its MemFrac share does not. At MemFrac 0 it
+// is ratio exactly, since ratio−1 and 1+(ratio−1) are exact in float64
+// for ratio ≥ 1.
+func scale(c *profile.Class, ratio float64) float64 {
+	return 1 + (1-c.MemFrac)*(ratio-1)
 }
 
 // BuildGranular constructs the CC table with a task-indivisibility
@@ -185,8 +199,9 @@ func (t *Table) RebuildGranular(classes []profile.Class, ladder machine.FreqLadd
 		ratio := ladder.Ratio(j)
 		for i := 0; i < t.K(); i++ {
 			c := &t.Classes[i]
+			s := scale(c, ratio)
 			// Capacity per core within T, from the average task size.
-			perTask := c.AvgWork * ratio
+			perTask := c.AvgWork * s
 			rounds := int(math.Floor(T/perTask + 1e-9))
 			// A level is unusable when even the class's largest observed
 			// task would overrun T there (MaxWork 0 = unknown, fall back
@@ -195,7 +210,7 @@ func (t *Table) RebuildGranular(classes []profile.Class, ladder machine.FreqLadd
 			if biggest <= 0 {
 				biggest = c.AvgWork
 			}
-			if rounds <= 0 || biggest*ratio > T*(1+1e-9) {
+			if rounds <= 0 || biggest*s > T*(1+1e-9) {
 				t.CC[j][i] = sentinel
 				continue
 			}

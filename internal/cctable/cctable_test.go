@@ -172,6 +172,9 @@ func TestBuildRejectsBadInput(t *testing.T) {
 		{"zero weight", []profile.Class{{Name: "a", Count: 4, AvgWork: 0}}, ladder4, 1, ErrClassWeight},
 		{"NaN weight", []profile.Class{{Name: "a", Count: 4, AvgWork: math.NaN()}}, ladder4, 1, ErrClassWeight},
 		{"Inf weight", []profile.Class{{Name: "a", Count: 4, AvgWork: math.Inf(1)}}, ladder4, 1, ErrClassWeight},
+		{"NaN mem frac", []profile.Class{{Name: "a", Count: 4, AvgWork: 1, MemFrac: math.NaN()}}, ladder4, 1, ErrClassWeight},
+		{"negative mem frac", []profile.Class{{Name: "a", Count: 4, AvgWork: 1, MemFrac: -0.1}}, ladder4, 1, ErrClassWeight},
+		{"mem frac above one", []profile.Class{{Name: "a", Count: 4, AvgWork: 1, MemFrac: 1.5}}, ladder4, 1, ErrClassWeight},
 		{"unsorted", []profile.Class{
 			{Name: "a", Count: 1, AvgWork: 1},
 			{Name: "b", Count: 1, AvgWork: 2},
@@ -357,6 +360,57 @@ func TestCCMonotoneProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: at MemFrac 0 the one builder is the paper's formula bit for
+// bit — Frac is ratio·n·w/T exactly as the code before MemFrac computed
+// it, and both CC variants equal that code's entries.
+func TestMemFracZeroIsPaperFormula(t *testing.T) {
+	f := func(seed uint64, mRaw uint8) bool {
+		rng := xrand.New(seed)
+		k, m := rng.Intn(5)+1, int(mRaw%64)+1
+		lad := machine.FreqLadder{rng.Range(2, 4)}
+		for len(lad) < 2+rng.Intn(5) {
+			lad = append(lad, lad[len(lad)-1]*rng.Range(0.4, 0.95))
+		}
+		classes := make([]profile.Class, k)
+		work := rng.Range(1e-4, 1)
+		for i := range classes {
+			avg := work
+			classes[i] = profile.Class{Name: string(rune('a' + i)), Count: rng.Intn(200) + 1, AvgWork: avg, MaxWork: avg * rng.Range(1, 3)}
+			work *= rng.Range(0.3, 1.0)
+		}
+		T := rng.Range(1e-3, 5)
+		var div, gran Table
+		if div.Rebuild(classes, lad, T) != nil || gran.RebuildGranular(classes, lad, T, m) != nil {
+			return false
+		}
+		for j := range lad {
+			ratio := lad.Ratio(j)
+			for i, c := range classes {
+				frac := ratio * c.TotalWork() / T
+				cc := max(int(math.Ceil(frac-1e-9)), 1)
+				if math.Float64bits(div.Frac[j][i]) != math.Float64bits(frac) ||
+					math.Float64bits(gran.Frac[j][i]) != math.Float64bits(frac) || div.CC[j][i] != cc {
+					return false
+				}
+				rounds := int(math.Floor(T/(c.AvgWork*ratio) + 1e-9))
+				switch {
+				case rounds <= 0 || c.MaxWork*ratio > T*(1+1e-9):
+					cc = m*len(lad) + 1
+				default:
+					cc = max(cc, (c.Count+rounds-1)/rounds)
+				}
+				if gran.CC[j][i] != cc {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

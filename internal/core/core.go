@@ -18,21 +18,19 @@
 // An Adjuster decides once per batch, so it owns one CC table, one
 // tuple and one assignment and rebuilds them in place: a warm adjuster
 // decides without allocating. The contract that buys this: what Adjust
-// (or AdjustMemAware) returns, and LastTable and LastTuple, are valid
-// until the adjuster's next Adjust. A caller that keeps a decision
+// returns, and LastTable and LastTuple, are valid until the adjuster's
+// next Adjust. A caller that keeps a decision
 // across the next one copies what it needs. The all-fast fallback is a
 // separate, immutable assignment and is never rebuilt.
 package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cctable"
 	"repro/internal/cgroup"
 	"repro/internal/machine"
-	"repro/internal/memmodel"
 	"repro/internal/profile"
 )
 
@@ -146,96 +144,14 @@ func (a *Adjuster) Adjust(classes []profile.Class, T float64) (*cgroup.Assignmen
 	if err != nil {
 		return a.AllFast(), false
 	}
-	return a.decide(&a.tab)
-}
-
-// decide searches tab for a tuple and turns it into the adjuster's
-// assignment; the boolean is false, and the assignment all-fast, when no
-// tuple fits the core budget.
-func (a *Adjuster) decide(tab *cctable.Table) (*cgroup.Assignment, bool) {
-	tuple, ok := a.Search(tab, a.cores)
-	a.LastTable = tab
+	tuple, ok := a.Search(&a.tab, a.cores)
+	a.LastTable = &a.tab
 	a.LastTuple = tuple
-	a.LastSteps = tab.LastSearchSteps
+	a.LastSteps = a.tab.LastSearchSteps
 	a.TotalSteps += uint64(a.LastSteps)
-	if !ok || a.asn.Rebuild(tuple, tab, a.cores) != nil {
+	if !ok || a.asn.Rebuild(tuple, &a.tab, a.cores) != nil {
 		a.Infeasible++
 		return a.AllFast(), false
 	}
 	return &a.asn, true
-}
-
-// MemDecision is the outcome of a memory-aware adjustment.
-type MemDecision int
-
-const (
-	// MemOK: a model-based frequency configuration was found.
-	MemOK MemDecision = iota
-	// MemCalibrate: the classes lack samples at a second frequency
-	// level; the returned assignment runs every core at the
-	// calibration level for one batch to collect them.
-	MemCalibrate
-	// MemFallback: modeling failed (no classes, bad T, or no feasible
-	// tuple); the returned assignment is all-fast classic stealing —
-	// the paper's §IV-D behaviour.
-	MemFallback
-)
-
-// String implements fmt.Stringer.
-func (d MemDecision) String() string {
-	switch d {
-	case MemOK:
-		return "ok"
-	case MemCalibrate:
-		return "calibrate"
-	case MemFallback:
-		return "fallback"
-	default:
-		return fmt.Sprintf("MemDecision(%d)", int(d))
-	}
-}
-
-// CalLevel returns the frequency level used for calibration batches:
-// the middle of the ladder — far enough from F0 that the two sample
-// points separate the (a, b) coefficients, but not so slow that the
-// calibration batch costs a full F0/F(r-1) stretch.
-func (a *Adjuster) CalLevel() int { return len(a.ladder) / 2 }
-
-// AdjustMemAware decides the next batch's configuration for a
-// memory-bound application (the paper's future-work extension; see
-// internal/memmodel). It consumes the profiler directly because the
-// frequency-response fit needs the raw per-level times that Eq. 1
-// normalization would destroy.
-func (a *Adjuster) AdjustMemAware(p *profile.Profiler, T float64) (*cgroup.Assignment, MemDecision) {
-	a.LastCacheHit = false
-	classes := p.Classes()
-	if len(classes) == 0 || T <= 0 {
-		return a.AllFast(), MemFallback
-	}
-	start := time.Now()
-	defer func() { a.HostTime += time.Since(start) }()
-
-	models, ok := memmodel.FitAll(p, classes, a.ladder)
-	if !ok {
-		// Need a second frequency sample: one uniform batch at the
-		// calibration level, classic stealing so every class spreads.
-		levels := make([]int, a.cores)
-		for i := range levels {
-			levels[i] = a.CalLevel()
-		}
-		asn, err := cgroup.FromLevels(levels, len(a.ladder))
-		if err != nil {
-			return a.AllFast(), MemFallback
-		}
-		return asn, MemCalibrate
-	}
-	sort.Slice(models, func(i, j int) bool { return models[i].TimeAt(1) > models[j].TimeAt(1) })
-	tab, err := memmodel.BuildTable(models, a.ladder, T, a.cores)
-	if err != nil {
-		return a.AllFast(), MemFallback
-	}
-	if asn, ok := a.decide(tab); ok {
-		return asn, MemOK
-	}
-	return a.AllFast(), MemFallback
 }

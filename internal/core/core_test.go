@@ -180,82 +180,3 @@ func TestAdjustAlwaysValidProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// --- memory-aware adjustment (§IV-D future work) --------------------------
-
-// feedMemBound populates a profiler with a memory-bound class observed
-// at the given levels, following t(ratio) = a + b·ratio.
-func feedMemBound(p *profile.Profiler, name string, n int, a, b float64, levels ...int) {
-	for _, lvl := range levels {
-		ratio := ladder.Ratio(lvl)
-		for i := 0; i < n; i++ {
-			p.Record(name, a+b*ratio, lvl, 0.5)
-		}
-	}
-}
-
-func TestAdjustMemAwareCalibratesThenConfigures(t *testing.T) {
-	a := mustAdjuster(t, 16)
-	p := profile.New(ladder)
-
-	// Only level-0 samples: the adjuster must ask for calibration at
-	// its mid-ladder level, with every core uniform.
-	feedMemBound(p, "mb", 64, 0.006, 0.004, 0)
-	asn, dec := a.AdjustMemAware(p, 0.1)
-	if dec != MemCalibrate {
-		t.Fatalf("decision = %v, want calibrate", dec)
-	}
-	if err := asn.Validate(16, 4); err != nil {
-		t.Fatal(err)
-	}
-	if asn.U() != 1 || asn.Groups[0].Level != a.CalLevel() {
-		t.Errorf("calibration assignment %+v, want uniform level %d", asn.Groups, a.CalLevel())
-	}
-
-	// After the calibration batch the fit succeeds and a configuration
-	// appears.
-	feedMemBound(p, "mb", 64, 0.006, 0.004, a.CalLevel())
-	asn2, dec2 := a.AdjustMemAware(p, 0.1)
-	if dec2 != MemOK {
-		t.Fatalf("decision = %v, want ok", dec2)
-	}
-	if err := asn2.Validate(16, 4); err != nil {
-		t.Fatal(err)
-	}
-	// The class is 60% memory-bound; with T = 0.1 and 64 tasks of t0 =
-	// 0.01 the model should allow a below-F0 level.
-	if asn2.Groups[0].Level == 0 && asn2.U() == 1 {
-		t.Errorf("expected downscaling, got %+v (tuple %v)", asn2.Groups, a.LastTuple)
-	}
-}
-
-func TestAdjustMemAwareFallbacks(t *testing.T) {
-	a := mustAdjuster(t, 16)
-	p := profile.New(ladder)
-	if _, dec := a.AdjustMemAware(p, 0.1); dec != MemFallback {
-		t.Errorf("empty profile: decision = %v, want fallback", dec)
-	}
-	feedMemBound(p, "mb", 4, 0.01, 0.01, 0, 2)
-	if _, dec := a.AdjustMemAware(p, -1); dec != MemFallback {
-		t.Errorf("bad T: decision = %v, want fallback", dec)
-	}
-	// Overloaded: per-batch work far beyond 16 cores within T.
-	p2 := profile.New(ladder)
-	feedMemBound(p2, "x", 400, 0.05, 0.05, 0, 2)
-	asn, dec := a.AdjustMemAware(p2, 0.1)
-	if dec != MemFallback {
-		t.Errorf("infeasible: decision = %v, want fallback", dec)
-	}
-	if asn.U() != 1 || asn.Groups[0].Level != 0 {
-		t.Error("fallback must be all-fast")
-	}
-}
-
-func TestMemDecisionString(t *testing.T) {
-	if MemOK.String() != "ok" || MemCalibrate.String() != "calibrate" || MemFallback.String() != "fallback" {
-		t.Error("MemDecision labels wrong")
-	}
-	if MemDecision(9).String() == "" {
-		t.Error("unknown decision should stringify")
-	}
-}

@@ -13,21 +13,12 @@
 // simulation runs fully deterministic — a property every scheduler
 // test in this repository relies on.
 //
-// Three scheduling paths exist, from coldest to hottest:
-//
-//   - At returns an *Event handle that can be cancelled, at the cost
-//     of one handle allocation per event;
-//   - AtFast stores just the callback, with no handle and no per-event
-//     allocation, for callers that never cancel;
-//   - AtIndex stores a bare int32 payload dispatched to the callback
-//     registered with SetIndexFn. Buckets hold these as plain integers
-//     — no pointer is written per event, so the hottest path (the sim
-//     engine's per-task completion events, keyed by core index) incurs
-//     neither allocation nor GC write-barrier traffic.
-//
-// The buckets themselves live in a dense arena and the heap orders
-// int32 arena indices, so heap maintenance is pointer-free too: a GC
-// write barrier never fires on the schedule/drain path.
+// An event is a bare int32 payload, scheduled with AtIndex and
+// dispatched to the one callback registered with SetIndexFn (the sim
+// engine keys its events by core index). Buckets hold payloads as plain
+// integers and the heap orders int32 indices into a dense bucket arena,
+// so neither scheduling nor draining allocates per event or writes a
+// pointer — a GC write barrier never fires on the schedule/drain path.
 //
 // Time is a float64 measured in seconds. The engine itself attaches no
 // unit semantics; the machine model defines them.
@@ -38,43 +29,14 @@ import (
 	"math"
 )
 
-// Event is the cancellable handle of a scheduled callback. The zero
-// value is not useful; obtain events from Queue.At. An Event may be
-// cancelled until it fires.
-type Event struct {
-	time     float64
-	canceled bool
-	fired    bool
-}
-
-// Time returns the simulated time at which the event is due.
-func (e *Event) Time() float64 { return e.time }
-
-// Canceled reports whether the event has been cancelled.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// evBox holds a callback-style event's pointers outside the buckets,
-// so bucket slots stay pointer-free. ev is nil for AtFast events.
-type evBox struct {
-	fn func()
-	ev *Event
-}
-
-// bucket holds events due at one simulated instant, in scheduling
-// order. A slot s ≥ 0 is an indexed event with payload s (dispatched
-// to the queue's index fn); s < 0 refers to the boxed event at
-// q.evs[^s]. next is the drain cursor: slots[:next] have been executed
-// or skipped as cancelled.
+// bucket holds the payloads due at one simulated instant, in
+// scheduling order. next is the drain cursor: slots[:next] have fired.
 type bucket struct {
 	time  float64
 	seq   uint64 // creation order; heap tie-break = FIFO across same-time buckets
 	next  int
 	slots []int32
 }
-
-// compactMinCancelled is the floor below which Cancel never triggers a
-// compaction — tiny queues are cheaper to drain lazily than to rebuild.
-const compactMinCancelled = 64
 
 // Queue is a discrete-event queue with its own simulated clock.
 // A Queue is not safe for concurrent use: the simulator is
@@ -84,6 +46,7 @@ type Queue struct {
 	now     float64
 	nextSeq uint64
 	fired   uint64
+	pending int
 
 	// arena owns every bucket; heap is a min-heap of arena indices on
 	// (time, seq), and free recycles exhausted buckets' indices. last
@@ -94,30 +57,15 @@ type Queue struct {
 	// off a bucket nothing can append to it again, so every event in a
 	// lower-seq bucket was scheduled before every event in a higher-seq
 	// one, and the (time, seq) heap order yields global per-timestamp
-	// FIFO without any timestamp index on the schedule path.
+	// FIFO without any timestamp index on the schedule path. Every
+	// bucket on the heap holds a pending event: bucketFor opens one only
+	// to append to it, and StepBatch pops each bucket it exhausts.
 	arena []bucket
 	heap  []int32
 	last  int32
 	free  []int32
 
-	// evs is the box table for At/AtFast events; evFree recycles its
-	// entries. ixFn dispatches AtIndex payloads.
-	evs    []evBox
-	evFree []int32
-	ixFn   func(int32)
-
-	// live counts pending (non-cancelled, non-fired) events; cancelled
-	// counts lazily-deleted events still buried in buckets. Their sum is
-	// the physical slot population the compaction threshold is measured
-	// against.
-	live      int
-	cancelled int
-
-	// draining guards against compacting buckets mid-drain (Cancel may
-	// be called from inside a callback); the compaction is deferred to
-	// the end of the Step/StepBatch that observed it.
-	draining    bool
-	needCompact bool
+	ixFn func(int32)
 }
 
 // New returns an empty queue with the clock at zero.
@@ -128,27 +76,12 @@ func New() *Queue {
 // Now returns the current simulated time in seconds.
 func (q *Queue) Now() float64 { return q.now }
 
-// Len returns the number of pending events: scheduled, not yet fired
-// and not cancelled. Cancelled events are lazily deleted and may still
-// occupy internal storage, but they are never counted here.
-func (q *Queue) Len() int { return q.live }
-
-// Empty reports whether no pending events remain.
-func (q *Queue) Empty() bool { return q.live == 0 }
+// Len returns the number of pending events: scheduled, not yet fired.
+func (q *Queue) Len() int { return q.pending }
 
 // Fired returns the number of events executed so far; useful for
 // overhead accounting and loop-bound assertions in tests.
 func (q *Queue) Fired() uint64 { return q.fired }
-
-// checkTime validates a schedule request against the clock.
-func (q *Queue) checkTime(t float64) {
-	if t < q.now {
-		panic(fmt.Sprintf("event: scheduling at %g before now %g", t, q.now))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("event: non-finite time %g", t))
-	}
-}
 
 // bucketFor returns the arena index of a bucket accepting appends for
 // timestamp t: the cached last bucket when it matches, a fresh (or
@@ -179,60 +112,6 @@ func (q *Queue) bucketFor(t float64) int32 {
 	return bi
 }
 
-// box stores a callback event in the side table and returns its slot
-// encoding (^index, always negative).
-func (q *Queue) box(fn func(), ev *Event) int32 {
-	if fn == nil {
-		panic("event: nil callback")
-	}
-	var i int32
-	if n := len(q.evFree); n > 0 {
-		i = q.evFree[n-1]
-		q.evFree = q.evFree[:n-1]
-		q.evs[i] = evBox{fn: fn, ev: ev}
-	} else {
-		i = int32(len(q.evs))
-		q.evs = append(q.evs, evBox{fn: fn, ev: ev})
-	}
-	return ^i
-}
-
-// unbox removes and returns box i's contents, recycling the entry so
-// the captured closure is released as soon as the event fires or is
-// pruned.
-func (q *Queue) unbox(i int32) evBox {
-	b := q.evs[i]
-	q.evs[i] = evBox{}
-	q.evFree = append(q.evFree, i)
-	return b
-}
-
-// At schedules fn to run at absolute simulated time t and returns the
-// event handle. Scheduling in the past is a programming error in a
-// discrete-event model, so it panics.
-func (q *Queue) At(t float64, fn func()) *Event {
-	q.checkTime(t)
-	e := &Event{time: t}
-	s := q.box(fn, e)
-	bi := q.bucketFor(t)
-	b := &q.arena[bi]
-	b.slots = append(b.slots, s)
-	q.live++
-	return e
-}
-
-// AtFast schedules fn at absolute simulated time t without returning a
-// handle: the event cannot be cancelled, and nothing is allocated per
-// event beyond amortized table growth.
-func (q *Queue) AtFast(t float64, fn func()) {
-	q.checkTime(t)
-	s := q.box(fn, nil)
-	bi := q.bucketFor(t)
-	b := &q.arena[bi]
-	b.slots = append(b.slots, s)
-	q.live++
-}
-
 // SetIndexFn registers the dispatch function for AtIndex events. It
 // must be set before the first AtIndex call; events already scheduled
 // keep firing into the newly registered function, so re-registering
@@ -245,12 +124,16 @@ func (q *Queue) SetIndexFn(fn func(int32)) {
 }
 
 // AtIndex schedules the payload v (≥ 0) to be dispatched to the
-// SetIndexFn callback at absolute simulated time t. The event cannot
-// be cancelled, and the bucket stores v as a bare integer: no
-// allocation and no pointer write per event. This is the sim engine's
-// per-task hot path — completions are keyed by core index.
+// SetIndexFn callback at absolute simulated time t. Scheduling in the
+// past, at a non-finite time or with a negative payload is a
+// programming error in a discrete-event model, so it panics.
 func (q *Queue) AtIndex(t float64, v int32) {
-	q.checkTime(t)
+	if t < q.now {
+		panic(fmt.Sprintf("event: scheduling at %g before now %g", t, q.now))
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(fmt.Sprintf("event: non-finite time %g", t))
+	}
 	if v < 0 {
 		panic(fmt.Sprintf("event: negative index payload %d", v))
 	}
@@ -260,94 +143,11 @@ func (q *Queue) AtIndex(t float64, v int32) {
 	bi := q.bucketFor(t)
 	b := &q.arena[bi]
 	b.slots = append(b.slots, v)
-	q.live++
+	q.pending++
 }
 
-// After schedules fn to run d seconds from now.
-func (q *Queue) After(d float64, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("event: negative delay %g", d))
-	}
-	return q.At(q.now+d, fn)
-}
-
-// Cancel marks e as cancelled. Cancelling an already-fired or
-// already-cancelled event is a no-op, which lets callers cancel
-// defensively. Cancelled events are deleted lazily; when they come to
-// outnumber the pending ones (and exceed a small floor), the queue
-// compacts its buckets so abandoned callbacks do not stay pinned until
-// their original due time.
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.canceled || e.fired {
-		return
-	}
-	e.canceled = true
-	q.live--
-	q.cancelled++
-	if q.cancelled >= compactMinCancelled && q.cancelled > q.live {
-		if q.draining {
-			q.needCompact = true
-		} else {
-			q.compact()
-		}
-	}
-}
-
-// canceledSlot reports whether slot s refers to a cancelled event.
-func (q *Queue) canceledSlot(s int32) bool {
-	if s >= 0 {
-		return false
-	}
-	ev := q.evs[^s].ev
-	return ev != nil && ev.canceled
-}
-
-// compact rebuilds every bucket without its cancelled slots, dropping
-// buckets that become empty, so the closures captured by cancelled
-// events are released immediately rather than at their due time.
-func (q *Queue) compact() {
-	q.needCompact = false
-	kept := q.heap[:0]
-	for _, bi := range q.heap {
-		b := &q.arena[bi]
-		w := 0
-		for _, s := range b.slots[b.next:] {
-			if q.canceledSlot(s) {
-				q.unbox(^s)
-				q.cancelled--
-				continue
-			}
-			b.slots[w] = s
-			w++
-		}
-		b.next = 0
-		b.slots = b.slots[:w]
-		if w == 0 {
-			if q.last == bi {
-				q.last = -1
-			}
-			q.recycle(bi)
-			continue
-		}
-		kept = append(kept, bi)
-	}
-	q.heap = kept
-	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-}
-
-// recycle returns a popped bucket's arena index to the freelist. Slots
-// are bare integers — box entries are released at fire/skip time — so
-// no zeroing is needed.
-func (q *Queue) recycle(bi int32) {
-	b := &q.arena[bi]
-	b.slots = b.slots[:0]
-	b.next = 0
-	q.free = append(q.free, bi)
-}
-
-// popHead removes the exhausted head bucket.
+// popHead removes the exhausted head bucket and returns its arena index
+// to the freelist.
 func (q *Queue) popHead() {
 	bi := q.heap[0]
 	n := len(q.heap) - 1
@@ -359,89 +159,29 @@ func (q *Queue) popHead() {
 	if q.last == bi {
 		q.last = -1
 	}
-	q.recycle(bi)
-}
-
-// headBucket returns the arena index of the bucket holding the next
-// pending event, pruning cancelled slots and exhausted buckets as a
-// side effect, or -1 when no events remain.
-func (q *Queue) headBucket() int32 {
-	for len(q.heap) > 0 {
-		bi := q.heap[0]
-		b := &q.arena[bi]
-		for b.next < len(b.slots) {
-			s := b.slots[b.next]
-			if q.canceledSlot(s) {
-				q.unbox(^s)
-				b.next++
-				q.cancelled--
-				continue
-			}
-			return bi
-		}
-		q.popHead()
-	}
-	return -1
-}
-
-// fire executes slot s (already known non-cancelled), updating the
-// fired/live counters.
-func (q *Queue) fire(s int32) {
-	q.live--
-	q.fired++
-	if s >= 0 {
-		q.ixFn(s)
-		return
-	}
-	box := q.unbox(^s)
-	if box.ev != nil {
-		box.ev.fired = true
-	}
-	box.fn()
-}
-
-// Step pops and runs the next pending event, advancing the clock.
-// It returns false when no events remain. Cancelled events are skipped
-// silently (lazy deletion).
-func (q *Queue) Step() bool {
-	bi := q.headBucket()
-	if bi < 0 {
-		return false
-	}
-	b := &q.arena[bi]
-	s := b.slots[b.next]
-	b.next++
-	q.now = b.time
-	q.draining = true
-	q.fire(s)
-	q.draining = false
-	if q.needCompact {
-		q.compact()
-	}
-	return true
+	q.free = append(q.free, bi)
 }
 
 // StepBatch advances the clock to the next pending timestamp and runs
-// *every* event due at that instant — including events the callbacks
-// schedule at the same instant while the batch drains — touching the
+// *every* event due at that instant — including events the callback
+// schedules at the same instant while the batch drains — touching the
 // heap once per bucket (usually once per distinct timestamp). It
 // returns the number of events executed, 0 when the queue is empty.
 func (q *Queue) StepBatch() int {
-	bi := q.headBucket()
-	if bi < 0 {
+	if len(q.heap) == 0 {
 		return 0
 	}
+	bi := q.heap[0]
 	t := q.arena[bi].time
 	q.now = t
 	n := 0
-	q.draining = true
 	for {
-		// Appends during the drain (callbacks scheduling at q.now) land
-		// either directly in this bucket (when it is still the cached
-		// last bucket) — picked up by the inner loop — or in a fresh
-		// same-time bucket the outer loop reaches next. The arena may
-		// grow inside fire, so the bucket pointer is re-derived each
-		// iteration rather than held across callbacks.
+		// Appends during the drain (the callback scheduling at q.now)
+		// land either directly in this bucket (when it is still the
+		// cached last bucket) — picked up by the inner loop — or in a
+		// fresh same-time bucket the outer loop reaches next. The arena
+		// may grow inside the callback, so the bucket pointer is
+		// re-derived each iteration rather than held across it.
 		for {
 			b := &q.arena[bi]
 			if b.next >= len(b.slots) {
@@ -449,23 +189,19 @@ func (q *Queue) StepBatch() int {
 			}
 			s := b.slots[b.next]
 			b.next++
-			if q.canceledSlot(s) {
-				q.unbox(^s)
-				q.cancelled--
-				continue
-			}
 			n++
-			q.fire(s)
+			q.pending--
+			q.fired++
+			q.ixFn(s)
 		}
 		q.popHead()
-		bi = q.headBucket()
-		if bi < 0 || q.arena[bi].time != t {
+		if len(q.heap) == 0 {
 			break
 		}
-	}
-	q.draining = false
-	if q.needCompact {
-		q.compact()
+		bi = q.heap[0]
+		if q.arena[bi].time != t {
+			break
+		}
 	}
 	return n
 }
@@ -485,11 +221,7 @@ func (q *Queue) RunUntil(deadline float64) int {
 		panic(fmt.Sprintf("event: RunUntil(%g) before now %g", deadline, q.now))
 	}
 	n := 0
-	for {
-		bi := q.headBucket()
-		if bi < 0 || q.arena[bi].time > deadline {
-			break
-		}
+	for len(q.heap) > 0 && q.arena[q.heap[0]].time <= deadline {
 		n += q.StepBatch()
 	}
 	q.now = deadline
@@ -499,23 +231,10 @@ func (q *Queue) RunUntil(deadline float64) int {
 // NextTime returns the timestamp of the next pending event and true, or
 // 0 and false when the queue is empty.
 func (q *Queue) NextTime() (float64, bool) {
-	bi := q.headBucket()
-	if bi < 0 {
+	if len(q.heap) == 0 {
 		return 0, false
 	}
-	return q.arena[bi].time, true
-}
-
-// slotCount returns the physical slot population across all buckets —
-// pending plus lazily-deleted events. Tests use it to pin the
-// cancellation-retention bound.
-func (q *Queue) slotCount() int {
-	n := 0
-	for _, bi := range q.heap {
-		b := &q.arena[bi]
-		n += len(b.slots) - b.next
-	}
-	return n
+	return q.arena[q.heap[0]].time, true
 }
 
 // The heap orders arena indices by (time, seq): seq breaks same-time

@@ -8,31 +8,41 @@ import (
 	"testing/quick"
 )
 
-func TestFIFOAtSameTime(t *testing.T) {
+// recorder returns a queue whose events append their payload to the
+// returned slice, in fire order.
+func recorder() (*Queue, *[]int32) {
 	q := New()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		q.At(1.0, func() { order = append(order, i) })
+	order := new([]int32)
+	q.SetIndexFn(func(v int32) { *order = append(*order, v) })
+	return q, order
+}
+
+func TestFIFOAtSameTime(t *testing.T) {
+	q, order := recorder()
+	for i := int32(0); i < 10; i++ {
+		q.AtIndex(1.0, i)
 	}
 	q.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events fired out of order: %v", order)
+	if len(*order) != 10 {
+		t.Fatalf("fired %v, want ten events", *order)
+	}
+	for i, v := range *order {
+		if v != int32(i) {
+			t.Fatalf("same-time events fired out of order: %v", *order)
 		}
 	}
 }
 
 func TestTimeOrdering(t *testing.T) {
+	times := []float64{5, 1, 3, 2, 4, 0.5}
 	q := New()
 	var order []float64
-	times := []float64{5, 1, 3, 2, 4, 0.5}
-	for _, tm := range times {
-		tm := tm
-		q.At(tm, func() { order = append(order, tm) })
+	q.SetIndexFn(func(v int32) { order = append(order, times[v]) })
+	for i, tm := range times {
+		q.AtIndex(tm, int32(i))
 	}
 	q.Run()
-	if !sort.Float64sAreSorted(order) {
+	if len(order) != len(times) || !sort.Float64sAreSorted(order) {
 		t.Fatalf("events fired out of time order: %v", order)
 	}
 	if q.Now() != 5 {
@@ -40,68 +50,46 @@ func TestTimeOrdering(t *testing.T) {
 	}
 }
 
+// TestAfterUsesCurrentClock: an event scheduled from inside a callback
+// at Now()+d fires d after the callback's instant, not d after zero.
 func TestAfterUsesCurrentClock(t *testing.T) {
 	q := New()
 	var firedAt float64
-	q.At(2, func() {
-		q.After(3, func() { firedAt = q.Now() })
+	q.SetIndexFn(func(v int32) {
+		if v == 0 {
+			q.AtIndex(q.Now()+3, 1)
+			return
+		}
+		firedAt = q.Now()
 	})
+	q.AtIndex(2, 0)
 	q.Run()
 	if firedAt != 5 {
-		t.Errorf("After fired at %g, want 5", firedAt)
+		t.Errorf("relative event fired at %g, want 5", firedAt)
 	}
 }
 
-func TestCancel(t *testing.T) {
-	q := New()
-	fired := false
-	e := q.At(1, func() { fired = true })
-	q.Cancel(e)
-	q.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if !e.Canceled() {
-		t.Error("Canceled() = false after Cancel")
-	}
-	// Double cancel and nil cancel are no-ops.
-	q.Cancel(e)
-	q.Cancel(nil)
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	q := New()
-	var order []int
-	e1 := q.At(1, func() { order = append(order, 1) })
-	q.At(2, func() { order = append(order, 2) })
-	q.At(3, func() { order = append(order, 3) })
-	q.Cancel(e1)
-	q.Run()
-	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
-		t.Errorf("order = %v, want [2 3]", order)
-	}
-}
-
+// TestStepReturnsFalseWhenEmpty: a single step on an empty queue runs
+// nothing, one with a pending event runs it, and one after the drain
+// runs nothing again.
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
-	q := New()
-	if q.Step() {
-		t.Error("Step on empty queue should return false")
+	q, _ := recorder()
+	if q.StepBatch() != 0 {
+		t.Error("StepBatch on empty queue should return 0")
 	}
-	q.At(1, func() {})
-	if !q.Step() {
-		t.Error("Step with pending event should return true")
+	q.AtIndex(1, 0)
+	if q.StepBatch() != 1 {
+		t.Error("StepBatch with one pending event should return 1")
 	}
-	if q.Step() {
-		t.Error("Step after drain should return false")
+	if q.StepBatch() != 0 {
+		t.Error("StepBatch after drain should return 0")
 	}
 }
 
 func TestRunUntil(t *testing.T) {
-	q := New()
-	var fired []float64
-	for _, tm := range []float64{1, 2, 3, 4} {
-		tm := tm
-		q.At(tm, func() { fired = append(fired, tm) })
+	q, fired := recorder()
+	for i, tm := range []float64{1, 2, 3, 4} {
+		q.AtIndex(tm, int32(i))
 	}
 	n := q.RunUntil(2.5)
 	if n != 2 {
@@ -111,46 +99,51 @@ func TestRunUntil(t *testing.T) {
 		t.Errorf("clock = %g, want 2.5 after RunUntil", q.Now())
 	}
 	q.Run()
-	if len(fired) != 4 {
-		t.Errorf("total fired = %d, want 4", len(fired))
+	if len(*fired) != 4 {
+		t.Errorf("total fired = %d, want 4", len(*fired))
 	}
 }
 
 func TestRunUntilExactBoundaryInclusive(t *testing.T) {
-	q := New()
-	fired := false
-	q.At(2, func() { fired = true })
+	q, fired := recorder()
+	q.AtIndex(2, 0)
 	q.RunUntil(2)
-	if !fired {
+	if len(*fired) != 1 {
 		t.Error("event at the deadline should fire")
 	}
 }
 
 func TestNextTime(t *testing.T) {
-	q := New()
+	q, _ := recorder()
 	if _, ok := q.NextTime(); ok {
 		t.Error("NextTime on empty queue should report false")
 	}
-	e := q.At(3, func() {})
-	q.At(5, func() {})
+	q.AtIndex(5, 1)
+	q.AtIndex(3, 0)
 	if tm, ok := q.NextTime(); !ok || tm != 3 {
 		t.Errorf("NextTime = %g,%v want 3,true", tm, ok)
 	}
-	q.Cancel(e)
+	q.StepBatch()
 	if tm, ok := q.NextTime(); !ok || tm != 5 {
-		t.Errorf("NextTime after cancel = %g,%v want 5,true", tm, ok)
+		t.Errorf("NextTime after one batch = %g,%v want 5,true", tm, ok)
+	}
+	q.Run()
+	if _, ok := q.NextTime(); ok {
+		t.Error("NextTime on a drained queue should report false")
 	}
 }
 
 func TestPanicsOnBadInput(t *testing.T) {
 	q := New()
-	q.At(5, func() {})
+	mustPanic(t, "AtIndex before SetIndexFn", func() { q.AtIndex(1, 0) })
+	mustPanic(t, "SetIndexFn nil", func() { q.SetIndexFn(nil) })
+	q.SetIndexFn(func(int32) {})
+	q.AtIndex(5, 0)
 	q.Run()
-	mustPanic(t, "past", func() { q.At(1, func() {}) })
-	mustPanic(t, "nan", func() { q.At(math.NaN(), func() {}) })
-	mustPanic(t, "inf", func() { q.At(math.Inf(1), func() {}) })
-	mustPanic(t, "nil fn", func() { q.At(6, nil) })
-	mustPanic(t, "negative delay", func() { q.After(-1, func() {}) })
+	mustPanic(t, "past", func() { q.AtIndex(1, 0) })
+	mustPanic(t, "nan", func() { q.AtIndex(math.NaN(), 0) })
+	mustPanic(t, "inf", func() { q.AtIndex(math.Inf(1), 0) })
+	mustPanic(t, "negative payload", func() { q.AtIndex(6, -1) })
 	mustPanic(t, "RunUntil past", func() { q.RunUntil(1) })
 }
 
@@ -165,31 +158,33 @@ func mustPanic(t *testing.T, name string, fn func()) {
 }
 
 func TestFiredCounter(t *testing.T) {
-	q := New()
+	q, _ := recorder()
 	for i := 0; i < 7; i++ {
-		q.At(float64(i), func() {})
+		q.AtIndex(float64(i), int32(i))
 	}
-	e := q.At(100, func() {})
-	q.Cancel(e)
-	q.Run()
+	q.AtIndex(100, 7)
+	q.RunUntil(50)
 	if q.Fired() != 7 {
-		t.Errorf("Fired = %d, want 7 (cancelled events don't count)", q.Fired())
+		t.Errorf("Fired = %d, want 7 (events past the deadline don't count)", q.Fired())
+	}
+	q.Run()
+	if q.Fired() != 8 {
+		t.Errorf("Fired = %d, want 8 after Run", q.Fired())
 	}
 }
 
 func TestCascadingSchedule(t *testing.T) {
-	// An event chain where each event schedules the next models how the
-	// simulator advances cores task by task.
+	// An event chain where each event schedules the next relative to the
+	// current clock models how the simulator advances cores task by task.
 	q := New()
 	count := 0
-	var step func()
-	step = func() {
+	q.SetIndexFn(func(int32) {
 		count++
 		if count < 100 {
-			q.After(0.5, step)
+			q.AtIndex(q.Now()+0.5, 0)
 		}
-	}
-	q.After(0.5, step)
+	})
+	q.AtIndex(0.5, 0)
 	q.Run()
 	if count != 100 {
 		t.Errorf("chain executed %d steps, want 100", count)
@@ -204,13 +199,14 @@ func TestCascadingSchedule(t *testing.T) {
 func TestOrderingProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := New()
 		total := int(n%64) + 1
+		times := make([]float64, total)
+		q := New()
 		var fired []float64
-		for i := 0; i < total; i++ {
-			tm := rng.Float64() * 100
-			tm2 := tm
-			q.At(tm, func() { fired = append(fired, tm2) })
+		q.SetIndexFn(func(v int32) { fired = append(fired, times[v]) })
+		for i := range times {
+			times[i] = rng.Float64() * 100
+			q.AtIndex(times[i], int32(i))
 		}
 		q.Run()
 		return len(fired) == total && sort.Float64sAreSorted(fired)

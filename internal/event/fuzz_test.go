@@ -8,11 +8,11 @@ import "testing"
 // finds reproduces as a unit-test seed corpus entry. Wired into the
 // nightly check-long job (see Makefile).
 func FuzzQueue(f *testing.F) {
-	f.Add([]byte{0, 0, 4, 0})                   // schedule, step
-	f.Add([]byte{0, 3, 0, 3, 3, 0, 5, 0})       // same-time pair, cancel, batch
-	f.Add([]byte{1, 2, 1, 2, 2, 5, 6, 7})       // fast events, After, RunUntil
-	f.Add([]byte{0, 7, 3, 0, 0, 7, 3, 1, 4, 0}) // cancel churn
-	f.Add([]byte{2, 0, 2, 0, 5, 0, 0, 1, 6, 3}) // zero-delay After + batch
+	f.Add([]byte{0, 0, 3, 0})                   // schedule, batch
+	f.Add([]byte{0, 3, 0, 3, 2, 3, 3, 0})       // same-time pair, burst, batch
+	f.Add([]byte{1, 2, 1, 10, 4, 7, 3, 0})      // follow-ups, RunUntil
+	f.Add([]byte{1, 0, 1, 0, 2, 24, 3, 0})      // zero-delay follow-ups join the batch
+	f.Add([]byte{0, 7, 2, 1, 4, 2, 0, 7, 4, 7}) // bucket reuse across RunUntil
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			return

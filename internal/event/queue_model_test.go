@@ -1,111 +1,51 @@
 package event
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // ---------------------------------------------------------------------------
-// Contract tests for the pieces ISSUE 9 fixed: Len/Empty semantics,
-// cancelled-event retention, and the batched drain path.
+// Contract tests for Len and the batched drain path.
 // ---------------------------------------------------------------------------
 
 func TestLenReportsPendingNotHeapSize(t *testing.T) {
-	q := New()
-	if q.Len() != 0 || !q.Empty() {
-		t.Fatalf("fresh queue: Len=%d Empty=%v, want 0,true", q.Len(), q.Empty())
+	q, _ := recorder()
+	if q.Len() != 0 {
+		t.Fatalf("fresh queue: Len=%d, want 0", q.Len())
 	}
-	e1 := q.At(1, func() {})
-	q.At(1, func() {})
-	q.At(2, func() {})
-	if q.Len() != 3 || q.Empty() {
-		t.Fatalf("after 3 At: Len=%d Empty=%v, want 3,false", q.Len(), q.Empty())
+	q.AtIndex(1, 0)
+	q.AtIndex(1, 1)
+	q.AtIndex(2, 2)
+	if q.Len() != 3 {
+		t.Fatalf("after 3 AtIndex over 2 buckets: Len=%d, want 3", q.Len())
 	}
-	q.Cancel(e1)
-	if q.Len() != 2 {
-		t.Fatalf("after Cancel: Len=%d, want 2 (cancelled events are not pending)", q.Len())
-	}
-	q.Step()
+	q.StepBatch()
 	if q.Len() != 1 {
-		t.Fatalf("after Step: Len=%d, want 1", q.Len())
+		t.Fatalf("after StepBatch: Len=%d, want 1", q.Len())
 	}
 	q.Run()
-	if q.Len() != 0 || !q.Empty() {
-		t.Fatalf("after Run: Len=%d Empty=%v, want 0,true", q.Len(), q.Empty())
-	}
-}
-
-// Scheduling and cancelling N far-future events must not hold N live
-// slots: once cancelled events outnumber pending ones the queue
-// compacts, releasing the captured closures long before their due time.
-func TestCancelledEventsAreNotRetained(t *testing.T) {
-	const n = 4096
-	q := New()
-	q.At(1e9, func() {}) // one pending survivor keeps the queue non-empty
-	events := make([]*Event, n)
-	for i := range events {
-		events[i] = q.At(1e9+float64(i), func() {})
-	}
-	for _, e := range events {
-		q.Cancel(e)
-	}
-	if got := q.slotCount(); got > compactMinCancelled+1 {
-		t.Fatalf("after cancelling %d events, %d slots retained; want ≤ %d",
-			n, got, compactMinCancelled+1)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len=%d, want 1", q.Len())
-	}
-	q.Run()
-	if q.Fired() != 1 {
-		t.Fatalf("Fired=%d, want 1", q.Fired())
-	}
-}
-
-func TestCancelDuringDrainDefersCompaction(t *testing.T) {
-	q := New()
-	n := compactMinCancelled * 2
-	events := make([]*Event, n)
-	for i := range events {
-		events[i] = q.At(100+float64(i), func() {})
-	}
-	// The triggering Cancels happen inside a firing callback, where
-	// compaction must be deferred (the head bucket is mid-drain).
-	q.At(1, func() {
-		for _, e := range events {
-			q.Cancel(e)
-		}
-	})
-	q.Run()
-	if q.Fired() != 1 {
-		t.Fatalf("Fired=%d, want 1", q.Fired())
-	}
-	if got := q.slotCount(); got != 0 {
-		t.Fatalf("%d slots retained after Run, want 0", got)
+	if q.Len() != 0 {
+		t.Fatalf("after Run: Len=%d, want 0", q.Len())
 	}
 }
 
 func TestStepBatchDrainsOneTimestamp(t *testing.T) {
-	q := New()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		q.At(1, func() { order = append(order, i) })
+	q, order := recorder()
+	for i := int32(0); i < 5; i++ {
+		q.AtIndex(1, i)
 	}
-	q.At(2, func() { order = append(order, 99) })
+	q.AtIndex(2, 99)
 	if n := q.StepBatch(); n != 5 {
 		t.Fatalf("StepBatch = %d, want 5", n)
 	}
 	if q.Now() != 1 {
 		t.Fatalf("Now = %g, want 1", q.Now())
 	}
-	if len(order) != 5 {
-		t.Fatalf("fired %v, want exactly the five t=1 events", order)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("batch fired out of FIFO order: %v", order)
-		}
+	if !slices.Equal(*order, []int32{0, 1, 2, 3, 4}) {
+		t.Fatalf("fired %v, want exactly the five t=1 events in FIFO order", *order)
 	}
 	if n := q.StepBatch(); n != 1 {
 		t.Fatalf("second StepBatch = %d, want 1", n)
@@ -117,277 +57,163 @@ func TestStepBatchDrainsOneTimestamp(t *testing.T) {
 
 // Events scheduled at the current instant from inside a draining batch
 // must run in the same batch — the engine relies on this for same-time
-// completion → coreFree cascades.
+// completion → coreFree cascades — whether they land in the bucket
+// being drained or in a fresh one.
 func TestStepBatchIncludesSameTimeAppends(t *testing.T) {
 	q := New()
-	var order []string
-	q.At(1, func() {
-		order = append(order, "a")
-		q.At(1, func() { order = append(order, "c") })
-		q.AtFast(1, func() { order = append(order, "d") })
+	var order []int32
+	q.SetIndexFn(func(v int32) {
+		order = append(order, v)
+		if v == 0 {
+			q.AtIndex(1, 2)
+			q.AtIndex(5, 9) // moves the bucket cache off t=1
+			q.AtIndex(1, 3)
+		}
 	})
-	q.At(1, func() { order = append(order, "b") })
-	n := q.StepBatch()
-	if n != 4 {
+	q.AtIndex(1, 0)
+	q.AtIndex(1, 1)
+	if n := q.StepBatch(); n != 4 {
 		t.Fatalf("StepBatch = %d, want 4 (same-time appends join the batch)", n)
 	}
-	want := []string{"a", "b", "c", "d"}
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []int32{0, 1, 2, 3}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
-func TestAtFast(t *testing.T) {
-	q := New()
-	var order []int
-	q.AtFast(2, func() { order = append(order, 2) })
-	q.AtFast(1, func() { order = append(order, 1) })
-	q.At(1.5, func() { order = append(order, 15) })
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
-	}
-	q.Run()
-	want := []int{1, 15, 2}
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if q.Fired() != 3 {
-		t.Fatalf("Fired = %d, want 3", q.Fired())
-	}
-	mustPanic(t, "AtFast past", func() { q.AtFast(0, func() {}) })
-	mustPanic(t, "AtFast nil fn", func() { q.AtFast(10, nil) })
-}
-
-// All three scheduling paths share per-timestamp FIFO: At, AtFast and
-// AtIndex events interleaved at one instant fire in scheduling order.
+// Scheduling that alternates between two instants opens a new bucket at
+// every switch; the (time, seq) heap order still fires each instant's
+// events in scheduling order.
 func TestAtIndexInterleavesFIFO(t *testing.T) {
-	q := New()
-	mustPanic(t, "AtIndex before SetIndexFn", func() { q.AtIndex(1, 0) })
-	var order []int
-	q.SetIndexFn(func(v int32) { order = append(order, int(v)) })
-	q.At(1, func() { order = append(order, 100) })
-	q.AtIndex(1, 0)
-	q.AtFast(1, func() { order = append(order, 101) })
-	q.AtIndex(1, 1)
-	q.AtIndex(2, 2)
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", q.Len())
+	q, order := recorder()
+	for i := int32(0); i < 6; i++ {
+		q.AtIndex(float64(1+i%2), i)
 	}
-	if n := q.StepBatch(); n != 4 {
-		t.Fatalf("StepBatch = %d, want 4", n)
+	if n := q.StepBatch(); n != 3 {
+		t.Fatalf("StepBatch = %d, want 3", n)
 	}
 	q.Run()
-	want := []int{100, 0, 101, 1, 2}
-	for i, w := range want {
-		if i >= len(order) || order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []int32{0, 2, 4, 1, 3, 5}; !slices.Equal(*order, want) {
+		t.Fatalf("order = %v, want %v", *order, want)
 	}
-	mustPanic(t, "AtIndex negative payload", func() { q.AtIndex(10, -1) })
-	mustPanic(t, "AtIndex past", func() { q.AtIndex(q.Now()-1, 0) })
-	mustPanic(t, "SetIndexFn nil", func() { q.SetIndexFn(nil) })
 }
 
 // ---------------------------------------------------------------------------
 // Model-based testing: an op interpreter drives the real queue and a
-// sorted-slice oracle in lockstep, checking fire order, Len/Empty,
-// Now, and NextTime after every operation. The same interpreter backs
-// the randomized test here and FuzzQueue.
+// sorted-slice oracle in lockstep, checking fire order, Len, Now and
+// NextTime after every operation. The same interpreter backs the
+// randomized test here and FuzzQueue.
 // ---------------------------------------------------------------------------
 
 // oracleEv mirrors one scheduled event. Pending events live in
-// insertion order; selection is (min time, earliest insertion), which
-// is exactly the queue's (time, FIFO-within-time) contract.
+// scheduling order; selection is (min time, earliest scheduled), which
+// is exactly the queue's (time, FIFO-within-time) contract. An event
+// with child ≥ 0 schedules event id+1 at its own time + child when it
+// fires, as the real callback does.
 type oracleEv struct {
-	id       int
-	time     float64
-	fast     bool
-	canceled bool
+	id    int32
+	time  float64
+	child float64
 }
 
 type model struct {
 	t      *testing.T
 	q      *Queue
 	oracle []oracleEv
-	hs     map[int]*Event
-	fired  []int // ids observed from real callbacks, in fire order
+	child  map[int32]float64 // the real callback's follow-ups, by parent id
+	fired  []int32           // ids observed from the real callback, in fire order
 	now    float64
-	nextID int
+	nextID int32
 }
 
 func newModel(t *testing.T) *model {
-	m := &model{t: t, q: New(), hs: map[int]*Event{}}
-	// Indexed events carry their oracle id as the payload.
-	m.q.SetIndexFn(func(v int32) { m.fired = append(m.fired, int(v)) })
+	m := &model{t: t, q: New(), child: map[int32]float64{}}
+	m.q.SetIndexFn(func(v int32) {
+		m.fired = append(m.fired, v)
+		if d, ok := m.child[v]; ok {
+			delete(m.child, v)
+			m.q.AtIndex(m.q.Now()+d, v+1)
+		}
+	})
 	return m
 }
 
-func (m *model) schedule(tm float64, fast bool) {
+// schedule schedules one event at tm; with child ≥ 0 it reserves the
+// next id for the follow-up the event schedules when it fires.
+func (m *model) schedule(tm, child float64) {
 	id := m.nextID
 	m.nextID++
-	fn := func() { m.fired = append(m.fired, id) }
-	if fast {
-		m.q.AtFast(tm, fn)
-	} else {
-		m.hs[id] = m.q.At(tm, fn)
+	if child >= 0 {
+		m.child[id] = child
+		m.nextID++
 	}
-	m.oracle = append(m.oracle, oracleEv{id: id, time: tm, fast: fast})
+	m.q.AtIndex(tm, id)
+	m.oracle = append(m.oracle, oracleEv{id: id, time: tm, child: child})
 }
 
-// scheduleIndexed schedules through the pointer-free AtIndex path;
-// like AtFast events, indexed events cannot be cancelled.
-func (m *model) scheduleIndexed(tm float64) {
-	id := m.nextID
-	m.nextID++
-	m.q.AtIndex(tm, int32(id))
-	m.oracle = append(m.oracle, oracleEv{id: id, time: tm, fast: true})
-}
-
-// cancelNth cancels the n-th cancellable pending oracle event (mod
-// count); no-op when none exist.
-func (m *model) cancelNth(n int) {
-	var idx []int
-	for i, e := range m.oracle {
-		if !e.fast && !e.canceled {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
-		return
-	}
-	i := idx[n%len(idx)]
-	m.oracle[i].canceled = true
-	m.q.Cancel(m.hs[m.oracle[i].id])
-	delete(m.hs, m.oracle[i].id)
-}
-
-// popExpected removes and returns the oracle's next event, or -1.
-func (m *model) popExpected() int {
+// pop removes and returns the oracle's next event if it is due by
+// limit, scheduling its follow-up as the real callback does.
+func (m *model) pop(limit float64) (int32, bool) {
 	best := -1
 	for i, e := range m.oracle {
-		if e.canceled {
-			continue
-		}
 		if best < 0 || e.time < m.oracle[best].time {
 			best = i
 		}
 	}
-	if best < 0 {
-		return -1
+	if best < 0 || m.oracle[best].time > limit {
+		return 0, false
 	}
 	ev := m.oracle[best]
 	m.oracle = append(m.oracle[:best], m.oracle[best+1:]...)
 	m.now = ev.time
-	return ev.id
+	if ev.child >= 0 {
+		m.oracle = append(m.oracle, oracleEv{id: ev.id + 1, time: ev.time + ev.child, child: -1})
+	}
+	return ev.id, true
 }
 
-func (m *model) dropCancelled() {
-	w := 0
-	for _, e := range m.oracle {
-		if !e.canceled {
-			m.oracle[w] = e
-			w++
-		}
+// expect checks that the last call fired exactly want, in order.
+func (m *model) expect(call string, n, before int, want []int32) {
+	if n != len(want) {
+		m.t.Fatalf("%s = %d events, oracle expected %d", call, n, len(want))
 	}
-	m.oracle = m.oracle[:w]
-}
-
-func (m *model) step() {
-	want := m.popExpected()
-	got := m.q.Step()
-	if want < 0 {
-		if got {
-			m.t.Fatalf("Step fired on an (oracle-)empty queue")
-		}
-		return
-	}
-	if !got {
-		m.t.Fatalf("Step returned false with %d pending events", m.q.Len()+1)
-	}
-	if last := m.fired[len(m.fired)-1]; last != want {
-		m.t.Fatalf("Step fired id %d, oracle expected %d", last, want)
+	if got := m.fired[before:]; !slices.Equal(got, want) {
+		m.t.Fatalf("%s order %v, oracle expected %v", call, got, want)
 	}
 }
 
 func (m *model) stepBatch() {
 	before := len(m.fired)
 	n := m.q.StepBatch()
-	var want []int
-	if first := m.popExpected(); first >= 0 {
-		want = append(want, first)
-		for {
-			best := -1
-			for i, e := range m.oracle {
-				if e.canceled {
-					continue
-				}
-				if e.time == m.now && (best < 0) {
-					best = i
-					break
-				}
-			}
-			if best < 0 {
-				break
-			}
-			want = append(want, m.oracle[best].id)
-			m.oracle = append(m.oracle[:best], m.oracle[best+1:]...)
+	var want []int32
+	for limit := math.Inf(1); ; limit = m.now {
+		id, ok := m.pop(limit)
+		if !ok {
+			break
 		}
+		want = append(want, id)
 	}
-	if n != len(want) {
-		m.t.Fatalf("StepBatch = %d events, oracle expected %d", n, len(want))
-	}
-	got := m.fired[before:]
-	for i, w := range want {
-		if got[i] != w {
-			m.t.Fatalf("StepBatch order %v, oracle expected %v", got, want)
-		}
-	}
+	m.expect("StepBatch", n, before, want)
 }
 
 func (m *model) runUntil(deadline float64) {
 	before := len(m.fired)
 	n := m.q.RunUntil(deadline)
-	var want []int
+	var want []int32
 	for {
-		best := -1
-		for i, e := range m.oracle {
-			if e.canceled || e.time > deadline {
-				continue
-			}
-			if best < 0 || e.time < m.oracle[best].time {
-				best = i
-			}
-		}
-		if best < 0 {
+		id, ok := m.pop(deadline)
+		if !ok {
 			break
 		}
-		want = append(want, m.oracle[best].id)
-		m.oracle = append(m.oracle[:best], m.oracle[best+1:]...)
+		want = append(want, id)
 	}
 	m.now = deadline
-	if n != len(want) {
-		m.t.Fatalf("RunUntil(%g) = %d events, oracle expected %d", deadline, n, len(want))
-	}
-	got := m.fired[before:]
-	for i, w := range want {
-		if got[i] != w {
-			m.t.Fatalf("RunUntil order %v, oracle expected %v", got, want)
-		}
-	}
+	m.expect("RunUntil", n, before, want)
 }
 
 // verify checks every observable against the oracle.
 func (m *model) verify() {
-	m.dropCancelled()
 	if got, want := m.q.Len(), len(m.oracle); got != want {
 		m.t.Fatalf("Len = %d, oracle has %d pending", got, want)
-	}
-	if got, want := m.q.Empty(), len(m.oracle) == 0; got != want {
-		m.t.Fatalf("Empty = %v, oracle pending = %d", got, len(m.oracle))
 	}
 	if m.q.Now() != m.now {
 		m.t.Fatalf("Now = %g, oracle clock = %g", m.q.Now(), m.now)
@@ -410,36 +236,30 @@ func (m *model) verify() {
 
 // applyOp interprets one fuzz/random operation. Times are drawn from a
 // small grid (multiples of 0.5 ahead of now) so duplicate timestamps —
-// the bucket machinery's whole point — occur constantly.
+// the bucket machinery's whole point — occur constantly, and a zero
+// follow-up delay appends to the instant being drained.
 func (m *model) applyOp(op, arg byte) {
-	switch op % 8 {
+	at := m.now + float64(arg%8)*0.5
+	switch op % 5 {
 	case 0:
-		m.schedule(m.now+float64(arg%8)*0.5, false)
-	case 1:
-		m.schedule(m.now+float64(arg%8)*0.5, true)
-	case 2: // After: same grid, via the relative API
-		id := m.nextID
-		m.nextID++
-		d := float64(arg%8) * 0.5
-		m.hs[id] = m.q.After(d, func() { m.fired = append(m.fired, id) })
-		m.oracle = append(m.oracle, oracleEv{id: id, time: m.now + d})
+		m.schedule(at, -1)
+	case 1: // an event that schedules a follow-up when it fires
+		m.schedule(at, float64(arg/8%4)*0.5)
+	case 2: // a same-time burst
+		for i := 0; i <= int(arg/8%4); i++ {
+			m.schedule(at, -1)
+		}
 	case 3:
-		m.cancelNth(int(arg))
-	case 4:
-		m.step()
-	case 5:
 		m.stepBatch()
-	case 6:
-		m.runUntil(m.now + float64(arg%8)*0.5)
-	case 7:
-		m.scheduleIndexed(m.now + float64(arg%8)*0.5)
+	case 4:
+		m.runUntil(at)
 	}
 	m.verify()
 }
 
 func (m *model) finish() {
 	for m.q.Len() > 0 {
-		m.step()
+		m.stepBatch()
 		m.verify()
 	}
 	if len(m.oracle) != 0 {

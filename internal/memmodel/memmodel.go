@@ -1,5 +1,5 @@
 // Package memmodel implements the paper's stated future work (§IV-D):
-// extending EEWA to memory-bound applications by learning each task
+// extending EEWA to memory-bound applications by measuring each task
 // class's frequency response instead of assuming pure CPU-bound
 // scaling.
 //
@@ -13,7 +13,10 @@
 // where a is the frequency-insensitive (memory) component and b the
 // frequency-scaled (compute) component. Two observations of a class at
 // *different* frequency levels determine (a, b) exactly; more
-// observations over-determine them and we fit least squares.
+// observations over-determine them and we fit least squares. A fitted
+// class is an ordinary profile.Class with AvgWork a+b and MemFrac
+// a/(a+b), so the CC table is built by cctable's one builder, exactly
+// as for a CPU-bound class.
 //
 // EEWA's memory-aware mode (policy.EEWA with MemAware=true) therefore:
 //
@@ -23,8 +26,8 @@
 //     runs one *calibration batch* with every core at a lower level
 //     (classic stealing, so classes spread over it), providing the
 //     second sample point,
-//  3. from batch 2 on, builds the CC table from the fitted models via
-//     BuildTable and schedules exactly as CPU-bound EEWA does.
+//  3. from batch 2 on, adjusts from the fitted classes (FitAll) exactly
+//     as CPU-bound EEWA adjusts from the profiled ones.
 //
 // The paper proposed machine learning for this step; a two-point
 // linear fit is the minimal model that is exact for the standard
@@ -33,10 +36,9 @@
 package memmodel
 
 import (
-	"fmt"
-	"math"
+	"cmp"
+	"slices"
 
-	"repro/internal/cctable"
 	"repro/internal/machine"
 	"repro/internal/profile"
 )
@@ -49,24 +51,6 @@ type Model struct {
 	A float64
 	// B is the frequency-scaled seconds per task at F0 (compute).
 	B float64
-	// Count is the number of tasks per batch observed for the class.
-	Count int
-	// MaxRatio is the largest single-task inflation seen relative to
-	// the class average (≥ 1), used for the granularity bar.
-	MaxRatio float64
-}
-
-// TimeAt returns the modeled per-task execution time at a ladder ratio.
-func (m Model) TimeAt(ratio float64) float64 { return m.A + m.B*ratio }
-
-// MemFraction returns the modeled memory-bound share of the task's
-// time at F0 — a/(a+b).
-func (m Model) MemFraction() float64 {
-	t0 := m.A + m.B
-	if t0 <= 0 {
-		return 0
-	}
-	return m.A / t0
 }
 
 // Fit determines a class's (A, B) by least squares over the profiler's
@@ -114,89 +98,30 @@ func Fit(p *profile.Profiler, name string, ladder machine.FreqLadder) (Model, bo
 	return Model{Name: name, A: a, B: b}, true
 }
 
-// FitAll fits every class the profiler has seen, attaching per-batch
-// counts and the max/avg inflation from the normalized class view.
-// Classes lacking a second frequency sample are skipped (ok=false
-// overall signals a calibration batch is still needed).
-func FitAll(p *profile.Profiler, classes []profile.Class, ladder machine.FreqLadder) ([]Model, bool) {
-	out := make([]Model, 0, len(classes))
+// FitAll fits every class in classes (the profiler's current view) and
+// returns them as fitted classes: AvgWork is the modeled F0 time a+b,
+// MemFrac its share a/(a+b), MaxWork (a+b) times the class's observed
+// max/avg inflation, Count carried over. The result is sorted by
+// descending AvgWork, ties in input order, as the CC table requires.
+// ok=false means some class lacks a second frequency sample and a
+// calibration batch is still needed.
+func FitAll(p *profile.Profiler, classes []profile.Class, ladder machine.FreqLadder) ([]profile.Class, bool) {
+	out := make([]profile.Class, 0, len(classes))
 	for _, c := range classes {
 		m, ok := Fit(p, c.Name, ladder)
 		if !ok {
 			return nil, false
 		}
-		m.Count = c.Count
-		m.MaxRatio = 1
+		t0 := m.A + m.B
+		f := profile.Class{Name: c.Name, Count: c.Count, AvgWork: t0, MaxWork: t0}
+		if t0 > 0 {
+			f.MemFrac = m.A / t0
+		}
 		if c.AvgWork > 0 && c.MaxWork > c.AvgWork {
-			m.MaxRatio = c.MaxWork / c.AvgWork
+			f.MaxWork = t0 * (c.MaxWork / c.AvgWork)
 		}
-		out = append(out, m)
+		out = append(out, f)
 	}
+	slices.SortStableFunc(out, func(x, y profile.Class) int { return cmp.Compare(y.AvgWork, x.AvgWork) })
 	return out, true
-}
-
-// BuildTable constructs a granularity-aware CC table from fitted
-// models: entry [j][i] is the number of cores at level j needed so
-// class i's n tasks of modeled time t(ratio_j) finish within T.
-func BuildTable(models []Model, ladder machine.FreqLadder, T float64, maxCores int) (*cctable.Table, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("memmodel: no models")
-	}
-	if T <= 0 || math.IsNaN(T) || math.IsInf(T, 0) {
-		return nil, fmt.Errorf("memmodel: invalid ideal time %g", T)
-	}
-	if maxCores <= 0 {
-		return nil, fmt.Errorf("memmodel: invalid core count %d", maxCores)
-	}
-	// Express the models as pseudo-classes so the table carries the
-	// usual metadata (sorted by descending F0 workload).
-	classes := make([]profile.Class, len(models))
-	for i, m := range models {
-		classes[i] = profile.Class{
-			Name:    m.Name,
-			Count:   m.Count,
-			AvgWork: m.TimeAt(1),
-			MaxWork: m.TimeAt(1) * m.MaxRatio,
-		}
-	}
-	for i := 1; i < len(classes); i++ {
-		if classes[i].AvgWork > classes[i-1].AvgWork {
-			return nil, fmt.Errorf("memmodel: models not sorted by descending F0 time at %d", i)
-		}
-	}
-	r, k := len(ladder), len(models)
-	t := &cctable.Table{
-		CC:      make([][]int, r),
-		Frac:    make([][]float64, r),
-		Classes: classes,
-		Ladder:  ladder,
-		T:       T,
-	}
-	sentinel := maxCores*r + 1
-	for j := 0; j < r; j++ {
-		t.CC[j] = make([]int, k)
-		t.Frac[j] = make([]float64, k)
-		ratio := ladder.Ratio(j)
-		for i, m := range models {
-			perTask := m.TimeAt(ratio)
-			frac := float64(m.Count) * perTask / T
-			t.Frac[j][i] = frac
-			rounds := int(math.Floor(T/perTask + 1e-9))
-			biggest := perTask * m.MaxRatio
-			if rounds <= 0 || biggest > T*(1+1e-9) {
-				t.CC[j][i] = sentinel
-				continue
-			}
-			cc := int(math.Ceil(frac - 1e-9))
-			granular := (m.Count + rounds - 1) / rounds
-			if granular > cc {
-				cc = granular
-			}
-			if cc < 1 {
-				cc = 1
-			}
-			t.CC[j][i] = cc
-		}
-	}
-	return t, nil
 }

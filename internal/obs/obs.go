@@ -177,7 +177,6 @@ const (
 	// plain TYPE — the export surface is identical.
 	kindStripedCounter
 	kindStripedGauge
-	kindShardedLogHistogram
 )
 
 func (k metricKind) String() string {
@@ -335,8 +334,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 		f.plain = NewStripedCounter(0)
 	case kind == kindStripedGauge:
 		f.plain = NewStripedGauge(0)
-	case kind == kindShardedLogHistogram:
-		f.plain = NewShardedLogHistogram(0)
 	default:
 		f.plain = &Counter{}
 	}

@@ -97,9 +97,6 @@ func writeMetricProm(w io.Writer, name, labels string, m any) error {
 	case *StripedGauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
 		return err
-	case *ShardedLogHistogram:
-		// Merge once, emit as a plain log-histogram series.
-		return writeMetricProm(w, name, labels, m.Merged())
 	case *Histogram:
 		cum := uint64(0)
 		// labels here is already rendered "{...}" or ""; rebuild with le.
@@ -234,8 +231,6 @@ func metricValue(m any) any {
 		return m.Value()
 	case *StripedGauge:
 		return m.Value()
-	case *ShardedLogHistogram:
-		return metricValue(m.Merged())
 	case *Histogram:
 		buckets := map[string]uint64{}
 		cum := uint64(0)

@@ -139,74 +139,6 @@ func (g *StripedGauge) Value() float64 {
 	return sum
 }
 
-// ShardedLogHistogram stripes LogHistogram observation over per-P
-// sub-histograms: Observe picks a shard with the per-thread fast
-// random source, so the shared count/sum words of one LogHistogram —
-// the words every core's CAS loop fights over — are split P ways.
-// Reads merge the shards into one LogHistogram snapshot; quantile
-// error is identical to the unsharded type (the bucket layout is
-// shared).
-type ShardedLogHistogram struct {
-	shards []LogHistogram
-	mask   uint64
-}
-
-// NewShardedLogHistogram returns a histogram with the given shard
-// count (rounded up to a power of two; 0 picks one per GOMAXPROCS).
-func NewShardedLogHistogram(shards int) *ShardedLogHistogram {
-	n := stripeCount(shards)
-	return &ShardedLogHistogram{shards: make([]LogHistogram, n), mask: uint64(n - 1)}
-}
-
-// Observe records one sample on one shard.
-func (h *ShardedLogHistogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.shards[rand.Uint64()&h.mask].Observe(v)
-}
-
-// Merged returns a fresh LogHistogram holding the union of every
-// shard — the snapshot the export paths and quantile reads use.
-func (h *ShardedLogHistogram) Merged() *LogHistogram {
-	out := &LogHistogram{}
-	if h == nil {
-		return out
-	}
-	for i := range h.shards {
-		out.Merge(&h.shards[i])
-	}
-	return out
-}
-
-// Count returns the total number of observations across shards.
-func (h *ShardedLogHistogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.shards {
-		n += h.shards[i].Count()
-	}
-	return n
-}
-
-// Quantile estimates the q-quantile over the merged shards.
-func (h *ShardedLogHistogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	return h.Merged().Quantile(q)
-}
-
-// Mean returns the mean over the merged shards.
-func (h *ShardedLogHistogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.Merged().Mean()
-}
-
 // StripedCounter registers (or fetches) an unlabeled striped counter.
 // It exports as an ordinary counter family.
 func (r *Registry) StripedCounter(name, help string) *StripedCounter {
@@ -223,14 +155,4 @@ func (r *Registry) StripedGauge(name, help string) *StripedGauge {
 		return nil
 	}
 	return r.lookup(name, help, kindStripedGauge, nil, nil).plain.(*StripedGauge)
-}
-
-// ShardedLogHistogram registers (or fetches) an unlabeled sharded
-// log-histogram. It exports as an ordinary histogram family, merged at
-// snapshot time.
-func (r *Registry) ShardedLogHistogram(name, help string) *ShardedLogHistogram {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindShardedLogHistogram, nil, nil).plain.(*ShardedLogHistogram)
 }

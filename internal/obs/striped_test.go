@@ -66,89 +66,33 @@ func TestStripeCountRounding(t *testing.T) {
 	}
 }
 
-// The sharded log-histogram must report exactly the distribution an
-// unsharded histogram would: same count, same sum, same quantiles
-// (shards share the bucket layout, and Merged unions the buckets).
-func TestShardedLogHistogramMatchesPlain(t *testing.T) {
-	sh := NewShardedLogHistogram(8)
-	var plain LogHistogram
-	for i := 1; i <= 10000; i++ {
-		v := float64(i) * 1e-5
-		sh.Observe(v)
-		plain.Observe(v)
-	}
-	if sh.Count() != plain.Count() {
-		t.Fatalf("count %d != plain %d", sh.Count(), plain.Count())
-	}
-	m := sh.Merged()
-	// Shard sums accumulate in a different order, so allow float
-	// rounding in the last ulps; bucket counts (and therefore
-	// quantiles) are integers and must match exactly.
-	if got, want := m.Sum(), plain.Sum(); relErr(got, want) > 1e-12 {
-		t.Fatalf("sum %g != plain %g", got, want)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := sh.Quantile(q), plain.Quantile(q); got != want {
-			t.Errorf("q%.2f = %g, want %g", q, got, want)
-		}
-	}
-	if got, want := sh.Mean(), plain.Mean(); relErr(got, want) > 1e-12 {
-		t.Errorf("mean %g != %g", got, want)
-	}
-}
-
-func relErr(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 0
-		}
-		return 1
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if b < 0 {
-		b = -b
-	}
-	return d / b
-}
-
 // Nil receivers no-op like every other obs metric, and a nil registry
 // returns nil handles.
 func TestStripedNilSafety(t *testing.T) {
 	var c *StripedCounter
 	var g *StripedGauge
-	var h *ShardedLogHistogram
 	c.Add(1)
 	c.Inc()
 	g.Add(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil striped metrics must read zero")
 	}
-	if h.Merged() == nil {
-		t.Error("nil ShardedLogHistogram.Merged() must return an empty histogram")
-	}
 	var r *Registry
-	if r.StripedCounter("x", "") != nil || r.StripedGauge("y", "") != nil || r.ShardedLogHistogram("z", "") != nil {
+	if r.StripedCounter("x", "") != nil || r.StripedGauge("y", "") != nil {
 		t.Error("nil registry must hand out nil striped handles")
 	}
 }
 
 // Registered striped metrics export through the plain Prometheus and
-// JSON surfaces: counter/gauge TYPE lines, merged histogram series.
+// JSON surfaces as counter/gauge TYPE lines.
 func TestStripedRegistryExport(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.StripedCounter("striped_total", "striped counter")
 	g := reg.StripedGauge("striped_now", "striped gauge")
-	h := reg.ShardedLogHistogram("striped_seconds", "sharded histogram")
 	c.Add(41)
 	c.Inc()
 	g.Add(7)
 	g.Add(-2)
-	h.Observe(0.25)
-	h.Observe(0.5)
 
 	// Re-registration returns the same handles; mismatched kinds panic
 	// exactly like plain metrics (checked via the distinct kind).
@@ -166,8 +110,6 @@ func TestStripedRegistryExport(t *testing.T) {
 		"striped_total 42",
 		"# TYPE striped_now gauge",
 		"striped_now 5",
-		"# TYPE striped_seconds histogram",
-		"striped_seconds_count 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus export missing %q:\n%s", want, out)
@@ -180,9 +122,5 @@ func TestStripedRegistryExport(t *testing.T) {
 	}
 	if v, ok := snap["striped_now"].(float64); !ok || v != 5 {
 		t.Errorf("snapshot striped_now = %v, want 5", snap["striped_now"])
-	}
-	hv, ok := snap["striped_seconds"].(map[string]any)
-	if !ok || hv["count"].(uint64) != 2 {
-		t.Errorf("snapshot striped_seconds = %v", snap["striped_seconds"])
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"time"
 
 	"repro/internal/cctable"
+	"repro/internal/cgroup"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/memmodel"
 	"repro/internal/profile"
 )
 
@@ -35,8 +37,8 @@ type EEWA struct {
 	// permanently falling back to classic stealing for memory-bound
 	// applications, EEWA spends one calibration batch at a lower
 	// uniform frequency, fits each class's frequency response
-	// t = a + b·(F0/Fj) (internal/memmodel), and schedules from the
-	// model-corrected CC table.
+	// t = a + b·(F0/Fj) (internal/memmodel), and adjusts from the fitted
+	// classes, whose MemFrac the CC table honours.
 	MemAware bool
 	// IgnoreMemoryBound disables the §IV-D detection entirely,
 	// applying the CPU-bound CC model regardless — the negative
@@ -99,11 +101,8 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 	if bi == 0 {
 		if e.Offline != nil && e.Offline.Validate(env.Cfg.Freqs) == nil {
 			// Offline profile available: configure immediately.
-			hostBefore := e.adj.HostTime
-			asn, ok := e.adj.Adjust(e.Offline.Classes, e.Offline.T)
-			host := e.adj.HostTime - hostBefore
-			if ok {
-				return Plan{Assignment: asn, Overhead: env.AdjusterCharge, HostTime: host, SearchSteps: e.adj.LastSteps, Adjusted: true, CacheHit: e.adj.LastCacheHit}
+			if p, ok := e.adjust(e.Offline.Classes, e.Offline.T, env, 0); ok {
+				return p
 			}
 		}
 		// No workload information yet: all cores at the highest
@@ -118,26 +117,20 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 			// the run.
 			return e.classic()
 		}
-		hostBefore := e.adj.HostTime
-		asn, dec := e.adj.AdjustMemAware(prof, env.IdealTime)
-		host := e.adj.HostTime - hostBefore
-		switch dec {
-		case core.MemCalibrate:
-			// One uniform slow batch, classic stealing, to sample the
-			// classes at a second frequency.
-			return Plan{
-				Assignment:  asn,
-				Overhead:    env.AdjusterCharge,
-				HostTime:    host,
-				Adjusted:    true,
-				RandomSteal: true,
-				ScatterAll:  true,
-			}
-		case core.MemOK:
-			return Plan{Assignment: asn, Overhead: env.AdjusterCharge, HostTime: host, SearchSteps: e.adj.LastSteps, Adjusted: true, CacheHit: e.adj.LastCacheHit}
-		default:
-			return e.classicAfterAdjust(env, host)
+		// Fit each class's frequency response; the fitted classes carry
+		// their measured MemFrac into the same adjuster the CPU-bound
+		// path uses. A class still sampled at one level only needs one
+		// calibration batch first (with no usable T the adjuster below
+		// falls back instead).
+		start := time.Now()
+		classes, fitted := memmodel.FitAll(prof, prof.Classes(), env.Cfg.Freqs)
+		if !fitted && env.IdealTime > 0 {
+			p := calibration(env.Cfg)
+			p.Overhead, p.HostTime, p.Adjusted = env.AdjusterCharge, time.Since(start), true
+			return p
 		}
+		p, _ := e.adjust(classes, env.IdealTime, env, time.Since(start))
+		return p
 	}
 
 	// With an offline profile, its measured ideal time remains the
@@ -147,25 +140,28 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 	if e.Offline != nil && e.Offline.Validate(env.Cfg.Freqs) == nil {
 		T = e.Offline.T
 	}
-	hostBefore := e.adj.HostTime
-	asn, ok := e.adj.Adjust(prof.Classes(), T)
-	host := e.adj.HostTime - hostBefore
-	if !ok {
-		return e.classicAfterAdjust(env, host)
+	p, _ := e.adjust(prof.Classes(), T, env, 0)
+	return p
+}
+
+// adjust runs the adjuster on classes and T and wraps its decision in a
+// plan: the assignment when a tuple fit (ok), classic stealing at F0
+// otherwise, with the adjuster's cost charged either way. HostTime adds
+// prep, the host time already spent deriving classes.
+func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Duration) (Plan, bool) {
+	before := e.adj.HostTime
+	asn, ok := e.adj.Adjust(classes, T)
+	p := e.classic()
+	if ok {
+		p = Plan{Assignment: asn, SearchSteps: e.adj.LastSteps}
 	}
-	return Plan{
-		Assignment:  asn,
-		Overhead:    env.AdjusterCharge,
-		HostTime:    host,
-		SearchSteps: e.adj.LastSteps,
-		Adjusted:    true,
-		CacheHit:    e.adj.LastCacheHit,
-	}
+	p.Overhead, p.HostTime, p.Adjusted = env.AdjusterCharge, prep+e.adj.HostTime-before, true
+	p.CacheHit = e.adj.LastCacheHit
+	return p, ok
 }
 
 // classic is the all-fast fallback plan: every core at F0, classic
-// random stealing. Built only on the branches that return it — the
-// assignment is five allocations a planned batch has no use for.
+// random stealing.
 func (e *EEWA) classic() Plan {
 	return Plan{
 		Assignment:  e.adj.AllFast(),
@@ -174,15 +170,21 @@ func (e *EEWA) classic() Plan {
 	}
 }
 
-// classicAfterAdjust is the fallback for a batch whose adjuster ran and
-// found no tuple: classic stealing, with the adjuster's cost charged.
-func (e *EEWA) classicAfterAdjust(env *Env, host time.Duration) Plan {
-	p := e.classic()
-	p.Overhead = env.AdjusterCharge
-	p.HostTime = host
-	p.Adjusted = true
-	p.CacheHit = e.adj.LastCacheHit
-	return p
+// calibration is the plan for a memory-bound batch whose classes lack a
+// second frequency sample: every core at the middle of the ladder — far
+// enough from F0 that the two samples separate a class's (a, b), not so
+// slow that the batch pays a full F0/F(r−1) stretch — under classic
+// stealing, so every class spreads over it.
+func calibration(cfg machine.Config) Plan {
+	levels := make([]int, cfg.Cores)
+	for i := range levels {
+		levels[i] = len(cfg.Freqs) / 2
+	}
+	asn, err := cgroup.FromLevels(levels, len(cfg.Freqs))
+	if err != nil {
+		panic("policy: " + err.Error()) // in range by construction; env.Cfg was validated
+	}
+	return Plan{Assignment: asn, RandomSteal: true, ScatterAll: true}
 }
 
 // OutOfWork implements Policy: a core that has exhausted every pool

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -255,6 +256,110 @@ func TestEEWAAdjustsFromProfile(t *testing.T) {
 	if plan.Assignment.Groups[hg].Level > plan.Assignment.Groups[lg].Level {
 		t.Errorf("heavy class on slower group (level %d) than light (level %d)",
 			plan.Assignment.Groups[hg].Level, plan.Assignment.Groups[lg].Level)
+	}
+}
+
+// --- memory-bound batches under MemAware (§IV-D future work) ---------------
+
+// feedMemBound records n memory-bound tasks of class name at each of
+// the given levels, following t(ratio) = a + b·ratio.
+func feedMemBound(p *profile.Profiler, name string, n int, a, b float64, levels ...int) {
+	for _, lvl := range levels {
+		ratio := machine.Opteron16().Freqs.Ratio(lvl)
+		for i := 0; i < n; i++ {
+			p.Record(name, a+b*ratio, lvl, 0.5)
+		}
+	}
+}
+
+// memAware returns a MemAware EEWA past its all-fast first batch, with
+// T = 0.1 s, and the profiler and env it plans with.
+func memAware(t *testing.T) (*EEWA, *profile.Profiler, *Env) {
+	t.Helper()
+	cfg := machine.Opteron16()
+	e := NewEEWA()
+	e.MemAware = true
+	prof := profile.New(cfg.Freqs)
+	env := &Env{Cfg: cfg, AdjusterCharge: 2e-3}
+	if plan := e.BeginBatch(0, prof, env); plan.Adjusted {
+		t.Fatalf("first batch plan %+v, want classic unadjusted", plan)
+	}
+	env.IdealTime = 0.1
+	return e, prof, env
+}
+
+// wantAllFastClassic fails unless plan is the adjuster's all-fast
+// classic fallback with the adjuster's cost charged.
+func wantAllFastClassic(t *testing.T, what string, plan Plan, env *Env) {
+	t.Helper()
+	if !plan.Adjusted || !plan.ScatterAll || !plan.RandomSteal || plan.Overhead != env.AdjusterCharge {
+		t.Errorf("%s: plan %+v, want the charged classic fallback", what, plan)
+	}
+	if plan.Assignment.U() != 1 || plan.Assignment.Groups[0].Level != 0 {
+		t.Errorf("%s: groups %+v, want all cores at F0", what, plan.Assignment.Groups)
+	}
+}
+
+func TestMemBoundBatchCalibratesThenConfigures(t *testing.T) {
+	e, prof, env := memAware(t)
+	mid := len(env.Cfg.Freqs) / 2
+
+	// Only level-0 samples: one uniform batch at the mid-ladder level,
+	// classic stealing, the adjuster's cost charged.
+	feedMemBound(prof, "mb", 64, 0.006, 0.004, 0)
+	plan := e.BeginBatch(1, prof, env)
+	if !plan.Adjusted || !plan.ScatterAll || !plan.RandomSteal || plan.Overhead != env.AdjusterCharge {
+		t.Fatalf("calibration plan %+v, want charged classic stealing", plan)
+	}
+	if err := plan.Assignment.Validate(env.Cfg.Cores, len(env.Cfg.Freqs)); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Assignment.U() != 1 || plan.Assignment.Groups[0].Level != mid {
+		t.Errorf("calibration groups %+v, want every core at level %d", plan.Assignment.Groups, mid)
+	}
+
+	// After the calibration batch the fit succeeds and a configuration
+	// below F0 appears: the class is 60% memory-bound, and 64 tasks of
+	// t0 = 0.01 s leave 16 cores slack within T = 0.1 s.
+	prof.Reset()
+	feedMemBound(prof, "mb", 64, 0.006, 0.004, mid)
+	plan = e.BeginBatch(2, prof, env)
+	if !plan.Adjusted || plan.ScatterAll || plan.RandomSteal {
+		t.Fatalf("configured plan %+v, want a class plan", plan)
+	}
+	if err := plan.Assignment.Validate(env.Cfg.Cores, len(env.Cfg.Freqs)); err != nil {
+		t.Fatal(err)
+	}
+	if lvl := plan.Assignment.Groups[plan.Assignment.GroupOfClass("mb")].Level; lvl == 0 {
+		t.Errorf("class mb kept at F0 (groups %+v), want downscaling", plan.Assignment.Groups)
+	}
+	if c := e.LastTable().Classes[0]; math.Abs(c.MemFrac-0.6) > 1e-9 {
+		t.Errorf("table class %+v, want the fitted MemFrac 0.6", c)
+	}
+}
+
+func TestMemBoundBatchFallbacks(t *testing.T) {
+	// Bad T, with one sampled level (no calibration without a T to
+	// calibrate for) and with two.
+	e, prof, env := memAware(t)
+	feedMemBound(prof, "mb", 4, 0.01, 0.01, 0)
+	env.IdealTime = -1
+	wantAllFastClassic(t, "bad T, one level", e.BeginBatch(1, prof, env), env)
+	feedMemBound(prof, "mb", 4, 0.01, 0.01, 2)
+	wantAllFastClassic(t, "bad T", e.BeginBatch(2, prof, env), env)
+
+	// Empty profile: the application stays memory-bound, no class to
+	// plan for.
+	prof.Reset()
+	env.IdealTime = 0.1
+	wantAllFastClassic(t, "empty profile", e.BeginBatch(3, prof, env), env)
+
+	// Infeasible: per-batch work far beyond 16 cores within T.
+	e, prof, env = memAware(t)
+	feedMemBound(prof, "x", 400, 0.05, 0.05, 0, 2)
+	wantAllFastClassic(t, "infeasible", e.BeginBatch(1, prof, env), env)
+	if e.Infeasible() != 1 {
+		t.Errorf("Infeasible = %d, want 1", e.Infeasible())
 	}
 }
 

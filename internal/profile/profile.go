@@ -33,12 +33,16 @@ const DefaultMemBoundThreshold = 0.01
 // tracks the largest single normalized workload seen — the quantity
 // that bounds how far the class can be down-clocked before one task no
 // longer fits in the ideal iteration time (task indivisibility; see
-// cctable.BuildGranular).
+// cctable.BuildGranular). MemFrac is the frequency-insensitive share of
+// a task's F0 time, measured for memory-bound classes by
+// internal/memmodel's fit; its zero value is the paper's CPU-bound
+// model, where all of a task's time scales with F0/Fj.
 type Class struct {
 	Name    string  `json:"name"`
 	Count   int     `json:"count"`
 	AvgWork float64 `json:"avg_work_s"`
 	MaxWork float64 `json:"max_work_s"`
+	MemFrac float64 `json:"mem_frac,omitempty"`
 }
 
 // TotalWork returns n·w, the class's aggregate workload — the numerator

@@ -67,6 +67,9 @@ func (s *Snapshot) Validate(ladder machine.FreqLadder) error {
 		if c.MaxWork < c.AvgWork-1e-12 {
 			return fmt.Errorf("profile: snapshot class %d (%s) has max work %g below average %g", i, c.Name, c.MaxWork, c.AvgWork)
 		}
+		if !(c.MemFrac >= 0 && c.MemFrac <= 1) {
+			return fmt.Errorf("profile: snapshot class %d (%s) has mem frac %g outside [0, 1]", i, c.Name, c.MemFrac)
+		}
 		if i > 0 && c.AvgWork > s.Classes[i-1].AvgWork+1e-12 {
 			return fmt.Errorf("profile: snapshot classes not sorted at %d", i)
 		}

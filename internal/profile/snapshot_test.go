@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -166,5 +167,51 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				t.Fatalf("iter %d: class %d changed: %+v != %+v", iter, i, a, b)
 			}
 		}
+	}
+}
+
+// MemFrac arrives from hand-edited or foreign snapshots too: anything
+// but a number in [0, 1] fails Validate.
+func TestSnapshotValidateMemFrac(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		memFrac float64
+		ok      bool
+	}{
+		{"zero", 0, true},
+		{"interior", 0.6, true},
+		{"one", 1, true},
+		{"NaN", math.NaN(), false},
+		{"negative", -0.01, false},
+		{"above one", 1.01, false},
+		{"Inf", math.Inf(1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Snapshot{
+				Freqs:   []float64(ladder),
+				T:       0.25,
+				Classes: []Class{{Name: "c", Count: 4, AvgWork: 0.2, MaxWork: 0.2, MemFrac: tc.memFrac}},
+			}
+			if err := s.Validate(ladder); (err == nil) != tc.ok {
+				t.Errorf("Validate(mem frac %g) = %v, want ok=%v", tc.memFrac, err, tc.ok)
+			}
+		})
+	}
+}
+
+// A profiler-produced snapshot (MemFrac 0) encodes byte for byte as it
+// did before Class had a MemFrac: the bytes below were captured then.
+func TestSnapshotEncodingUnchangedByMemFrac(t *testing.T) {
+	p := New(ladder)
+	p.Record("heavy", 0.2, 0, 0)
+	p.Record("heavy", 0.217348915, 1, 0.5)
+	p.Record("light", 0.0113, 3, 0)
+	var buf bytes.Buffer
+	if err := p.Snapshot(0.25).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "{\n  \"freqs\": [\n    2.5,\n    1.8,\n    1.3,\n    0.8\n  ],\n  \"ideal_time_s\": 0.25,\n  \"classes\": [\n    {\n      \"name\": \"heavy\",\n      \"count\": 2,\n      \"avg_work_s\": 0.1782456094,\n      \"max_work_s\": 0.2\n    },\n    {\n      \"name\": \"light\",\n      \"count\": 1,\n      \"avg_work_s\": 0.003616,\n      \"max_work_s\": 0.003616\n    }\n  ]\n}\n"
+	if got := buf.String(); got != want {
+		t.Errorf("encoding changed:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -73,3 +73,44 @@ func TestTable2Golden(t *testing.T) {
 		t.Errorf("energy %v mJ/task, golden %v", mj, table2GoldenMJPerTask)
 	}
 }
+
+// memBoundGolden pins the memory-bound matrix the way table2Golden pins
+// Table II: Σ makespan (s) and Σ energy (J) over workloads.MemoryBound()
+// at workload seeds 1, 2, 3 on machine.Opteron16() with Params{Seed: 1},
+// captured at the commit before the CC column builder was unified. The
+// MemAware row is the fitted path: it moves if the builder ignores a
+// class's MemFrac.
+var memBoundGolden = map[string]table2Sums{
+	"cilk":          {4.997507584747343, 1719.1426091530939},
+	"eewa-fallback": {4.998857584747343, 1479.094603971535},
+	"eewa-memaware": {4.687067846454407, 1116.9986532266194},
+	"eewa-ignore":   {3.9024262436403516, 1126.9640993043995},
+}
+
+func TestMemBoundGolden(t *testing.T) {
+	cfg := machine.Opteron16()
+	policies := []struct {
+		name string
+		mk   func() policy.Policy
+	}{
+		{"cilk", func() policy.Policy { return policy.NewCilk() }},
+		{"eewa-fallback", func() policy.Policy { return policy.NewEEWA() }},
+		{"eewa-memaware", func() policy.Policy { e := policy.NewEEWA(); e.MemAware = true; return e }},
+		{"eewa-ignore", func() policy.Policy { e := policy.NewEEWA(); e.IgnoreMemoryBound = true; return e }},
+	}
+	for _, pol := range policies {
+		name, mk := pol.name, pol.mk
+		var got table2Sums
+		for seed := uint64(1); seed <= 3; seed++ {
+			res, err := Run(cfg, workloads.MemoryBound().Workload(seed), mk(), Params{Seed: 1})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			got = table2Sums{got.makespan + res.Makespan, got.energy + res.Energy}
+		}
+		want := memBoundGolden[name]
+		if !sameFloat(got.makespan, want.makespan) || !sameFloat(got.energy, want.energy) {
+			t.Errorf("%s: Σ makespan %v s, Σ energy %v J; golden %v s, %v J", name, got.makespan, got.energy, want.makespan, want.energy)
+		}
+	}
+}

@@ -64,14 +64,13 @@ func main() {
 	seed := flag.Uint64("seed", 1, "victim-selection seed (shard i>0 uses a split stream)")
 	maxBatch := flag.Int("max-batch", 64, "max tasks per iteration")
 	flushMS := flag.Int("flush-ms", 25, "longest an admitted job waits for a batch, in milliseconds: a ceiling, not a cadence (an idle shard runs a job at once)")
-	queueDepth := flag.Int("queue-depth", 128, "per-tenant queued-task bound")
-	maxInflight := flag.Int("max-inflight", 512, "global in-flight task budget")
+	queueDepth := flag.Int("queue-depth", 128, "per-tenant queued-task bound, per shard")
+	maxInflight := flag.Int("max-inflight", 512, "per-shard in-flight task budget (queued + running tasks)")
 	goMetrics := flag.Bool("go-metrics", false, "bridge runtime/metrics (goroutines, heap, GC, sched latency) into /metrics as eewa_go_* gauges")
 	metricsOut := flag.String("metrics-out", "", "write a final Prometheus metrics snapshot here on drain")
 	captureOut := flag.String("capture-out", "", "record job submissions and write them as a replayable traffic trace here on drain")
 	drainSecs := flag.Int("drain-timeout", 60, "seconds to wait for the drain to finish")
 	demo := flag.Bool("demo", false, "drive a burst of submissions against the server, print the outcome, drain and exit")
-	stripes := flag.Int("admission-stripes", 0, "admission queue stripes per shard (0 = derive from GOMAXPROCS, rounded to a power of two)")
 	mutexFrac := flag.Int("mutexprofile", 0, "sample 1/N mutex contention events into /debug/pprof/mutex (0 = off)")
 	blockRate := flag.Int("blockprofile", 0, "sample blocking events ≥ N ns into /debug/pprof/block (0 = off)")
 	flag.Parse()
@@ -113,8 +112,6 @@ func main() {
 		QueueDepth:  *queueDepth,
 		MaxInFlight: *maxInflight,
 		GoMetrics:   *goMetrics,
-
-		AdmissionStripes: *stripes,
 	}
 	switch *ladderSplit {
 	case "uniform":

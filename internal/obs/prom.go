@@ -91,12 +91,6 @@ func writeMetricProm(w io.Writer, name, labels string, m any) error {
 	case *Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
 		return err
-	case *StripedCounter:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
-		return err
-	case *StripedGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
-		return err
 	case *Histogram:
 		cum := uint64(0)
 		// labels here is already rendered "{...}" or ""; rebuild with le.
@@ -226,10 +220,6 @@ func metricValue(m any) any {
 	case *Counter:
 		return m.Value()
 	case *Gauge:
-		return m.Value()
-	case *StripedCounter:
-		return m.Value()
-	case *StripedGauge:
 		return m.Value()
 	case *Histogram:
 		buckets := map[string]uint64{}

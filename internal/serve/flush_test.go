@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -302,17 +301,13 @@ func TestBatchDisconnectReleasesEveryJob(t *testing.T) {
 	}()
 
 	waitAdmitted(t, s, 4)
-	var jobs []*job
-	for i := range s.shards[0].stripes {
-		st := &s.shards[0].stripes[i]
-		st.mu.Lock()
-		jobs = append(jobs, st.pending[st.head:]...)
-		st.mu.Unlock()
-	}
+	sh := s.shards[0]
+	sh.qmu.Lock()
+	jobs := slices.Clone(sh.pending[sh.head:])
+	sh.qmu.Unlock()
 	if len(jobs) != 4 {
 		t.Fatalf("%d jobs queued, want 4", len(jobs))
 	}
-	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
 
 	flushed := make(chan struct{})
 	go func() {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/machine"
@@ -469,6 +470,38 @@ func BenchmarkBatchRequest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		post()
 	}
+	b.StopTimer()
+	if err := s.Drain(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSubmitParallel puts concurrent submitters on one shard's
+// admission lock: each goroutine is its own tenant and submits, then
+// waits for, one sha1/256 B job at a time, so -cpu 1,2,4 is the number
+// of admitters contending with each other and with the batcher.
+func BenchmarkSubmitParallel(b *testing.B) {
+	s, err := New(Config{Workers: 2, Machine: machine.Opteron16(), Policy: "cilk"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tenants atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		req := JobRequest{Tenant: fmt.Sprintf("bench-%d", tenants.Add(1)), Func: "sha1", SizeBytes: 256}
+		for pb.Next() {
+			p, rej := s.Submit(req)
+			if rej != nil {
+				b.Errorf("submit refused: %s", rej.Msg)
+				return
+			}
+			if status, _, msg := p.Wait(); status != 200 {
+				b.Errorf("job answered %d: %s", status, msg)
+				return
+			}
+		}
+	})
 	b.StopTimer()
 	if err := s.Drain(context.Background()); err != nil {
 		b.Fatal(err)

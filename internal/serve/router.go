@@ -155,7 +155,7 @@ func (e errShardRangeT) Error() string {
 // spillover). When every candidate rejects, the preferred shard's
 // rejection is returned; when every shard is draining, the whole
 // cluster is. The authoritative drain, queue-depth and in-flight checks
-// stay in shard.admit, under the stripe lock.
+// stay in shard.admit, under the shard's admission lock.
 func (s *Server) route(j *job) *Rejection {
 	if s.draining.Load() {
 		return &Rejection{Status: 503, Reason: "draining",

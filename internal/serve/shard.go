@@ -47,12 +47,9 @@ type shardConfig struct {
 	// manualFlush skips the batcher goroutine: batches form only via
 	// flushAll, on the caller's goroutine (Server.Flush / drain).
 	manualFlush bool
-	// stripes is the admission-stripe count (Config.AdmissionStripes),
-	// rounded up to a power of two.
-	stripes int
 }
 
-// tenantEntry is one tenant's admission state on one stripe: the
+// tenantEntry is one tenant's admission state on its shard: the
 // queued-task count the depth bound checks, plus this tenant's metric
 // handles, resolved once so the admission hot path never walks the
 // labeled-family maps.
@@ -60,22 +57,6 @@ type tenantEntry struct {
 	queued   int
 	qd       *obs.Gauge   // eewa_serve_queue_depth child (cluster total, delta-maintained)
 	admitted *obs.Counter // eewa_serve_admitted_tenant_total child
-}
-
-// admitStripe is an independently locked slice of a shard's admission
-// queue. Tenants hash onto stripes, so a tenant's whole queue state
-// lives on one stripe and the per-tenant depth bound stays exact;
-// concurrent submitters of different tenants admit without sharing a
-// lock. FIFO order across stripes is preserved by the per-shard
-// admission sequence number stamped under the stripe lock — the
-// batcher merges stripes by minimum sequence, reproducing the global
-// arrival order bit for bit.
-type admitStripe struct {
-	mu      sync.Mutex
-	pending []*job
-	head    int // pending[head:] is the live queue; reset when drained
-	tenants map[string]*tenantEntry
-	_       [24]byte // keep neighboring stripe headers off one line
 }
 
 // shard is the unit the routing tier places work on: one live runtime
@@ -90,9 +71,13 @@ type shard struct {
 	so  *serveObs // shared across the cluster: families aggregate
 	ro  *routerObs
 
-	stripes []admitStripe
-	smask   uint64
-	seq     atomic.Uint64 // admission order across stripes (merge key)
+	// The admission queue: one FIFO and one tenant table, both under
+	// qmu. Admitters append, the batcher pops from the head, drain
+	// locks it once as a barrier.
+	qmu     sync.Mutex
+	pending []*job // pending[head:] is the live queue; reset when drained
+	head    int
+	tenants map[string]*tenantEntry
 
 	// Hot counters, all atomic so admission and the batcher never share
 	// a lock with the stats endpoints.
@@ -172,15 +157,6 @@ type spanSet struct {
 // monotonic reading, so what is left is nanoseconds.
 const spanTol = 1e-3
 
-// pow2 rounds n up to a power of two (minimum 1).
-func pow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // newShard builds the shard's policy and runtime and starts its
 // batcher goroutine.
 func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
@@ -205,21 +181,16 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 		}
 		pol.(*policy.EEWA).Offline = cfg.offline
 	}
-	stripes := pow2(max(cfg.stripes, 1))
 	sh := &shard{
 		cfg:         cfg,
 		so:          so,
 		ro:          ro,
-		stripes:     make([]admitStripe, stripes),
-		smask:       uint64(stripes - 1),
+		tenants:     map[string]*tenantEntry{},
 		planClasses: map[string]struct{}{},
 		classRan:    map[string]int{},
 		spans:       map[spanKey]*spanSet{},
 		wake:        make(chan struct{}, 1),
 		drained:     make(chan struct{}),
-	}
-	for i := range sh.stripes {
-		sh.stripes[i].tenants = map[string]*tenantEntry{}
 	}
 	rcfg := rt.Config{
 		Workers:    cfg.workers,
@@ -303,79 +274,59 @@ func (sh *shard) view(class string) shardView {
 	}
 }
 
-// stripeFor hashes a tenant onto its admission stripe (FNV-1a — cheap,
-// alloc-free, and stable so a tenant's state never moves).
-func (sh *shard) stripeFor(tenant string) *admitStripe {
-	if sh.smask == 0 {
-		return &sh.stripes[0]
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(tenant); i++ {
-		h ^= uint64(tenant[i])
-		h *= 1099511628211
-	}
-	return &sh.stripes[h&sh.smask]
-}
-
-// tenant returns the stripe's entry for the tenant, resolving the
-// metric handles on first sight. Caller holds the stripe lock.
-func (st *admitStripe) tenant(name string, so *serveObs) *tenantEntry {
-	te := st.tenants[name]
+// tenant returns the shard's entry for the tenant, resolving the
+// metric handles on first sight. Caller holds qmu.
+func (sh *shard) tenant(name string) *tenantEntry {
+	te := sh.tenants[name]
 	if te == nil {
 		te = &tenantEntry{
-			qd:       so.queueDepth.With(name),
-			admitted: so.admittedTenant.With(name),
+			qd:       sh.so.queueDepth.With(name),
+			admitted: sh.so.admittedTenant.With(name),
 		}
-		st.tenants[name] = te
+		sh.tenants[name] = te
 	}
 	return te
 }
 
 // admit applies the shard's admission policy to j: reject while
 // draining, reject when the tenant's queue or the in-flight budget is
-// full, otherwise enqueue on the tenant's stripe. Backpressure is
-// immediate — nothing blocks, and submitters of different tenants
-// contend only on their own stripe and two striped cluster counters.
+// full, otherwise append it to the shard's queue. Backpressure is
+// immediate — nothing blocks.
 func (sh *shard) admit(j *job) *Rejection {
 	n := len(j.tasks)
-	st := sh.stripeFor(j.tenant)
-	st.mu.Lock()
-	// The drain barrier (drain locks and releases every stripe after
-	// setting the flag) makes this check authoritative: after the
-	// barrier passes, no admit can be past it without seeing draining.
+	sh.qmu.Lock()
+	// The drain barrier (drain locks and releases qmu after setting the
+	// flag) makes this check authoritative: after the barrier passes, no
+	// admit can be past it without seeing draining.
 	if sh.draining.Load() {
-		st.mu.Unlock()
+		sh.qmu.Unlock()
 		return &Rejection{Status: 503, Reason: "draining",
 			Msg: "server is draining, not admitting new jobs"}
 	}
-	te := st.tenant(j.tenant, sh.so)
+	te := sh.tenant(j.tenant)
 	if te.queued+n > sh.cfg.queueDepth {
 		cur := te.queued
-		st.mu.Unlock()
+		sh.qmu.Unlock()
 		return &Rejection{Status: 429, Reason: "tenant_queue_full",
 			Msg: fmt.Sprintf("tenant %q queue full (%d/%d tasks)", j.tenant, cur, sh.cfg.queueDepth)}
 	}
-	// The in-flight budget spans tenants, so it cannot live under one
-	// stripe's lock; reserve optimistically and roll back on overflow.
-	if cur := sh.inflight.Add(int64(n)); cur > int64(sh.cfg.maxInFlight) {
-		sh.inflight.Add(int64(-n))
-		st.mu.Unlock()
+	// Every admitter holds qmu and the batcher only ever lowers
+	// inflight, so checking before adding is exact.
+	if cur := sh.inflight.Load(); cur+int64(n) > int64(sh.cfg.maxInFlight) {
+		sh.qmu.Unlock()
 		return &Rejection{Status: 429, Reason: "inflight_budget",
-			Msg: fmt.Sprintf("in-flight budget full (%d/%d tasks)", cur-int64(n), sh.cfg.maxInFlight)}
+			Msg: fmt.Sprintf("in-flight budget full (%d/%d tasks)", cur, sh.cfg.maxInFlight)}
 	}
+	sh.inflight.Add(int64(n))
 	j.enqueued = sh.cfg.clock()
 	j.shard = sh.cfg.index
 	j.retain() // admission reference, released by the batcher
-	// The sequence number is stamped under the stripe lock, together
-	// with the append: each stripe's queue is sequence-ordered, so the
-	// batcher's min-sequence merge reproduces global FIFO order.
-	j.seq = sh.seq.Add(1)
-	st.pending = append(st.pending, j)
+	sh.pending = append(sh.pending, j)
 	te.queued += n
 	te.admitted.Inc()
 	te.qd.Add(float64(n))
 	queued := sh.queuedN.Add(int64(n))
-	st.mu.Unlock()
+	sh.qmu.Unlock()
 
 	sh.admitted.Add(1)
 	sh.so.admitted.Inc()
@@ -401,18 +352,11 @@ func (sh *shard) wakeBatcher() {
 	}
 }
 
-// backlogEmpty reports whether every stripe's queue is empty.
+// backlogEmpty reports whether the admission queue is empty.
 func (sh *shard) backlogEmpty() bool {
-	for i := range sh.stripes {
-		st := &sh.stripes[i]
-		st.mu.Lock()
-		n := len(st.pending) - st.head
-		st.mu.Unlock()
-		if n > 0 {
-			return false
-		}
-	}
-	return true
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	return sh.head == len(sh.pending)
 }
 
 // batcher is the single goroutine that forms and executes iterations.
@@ -448,44 +392,7 @@ func (sh *shard) flushAll() {
 	}
 }
 
-// popMin pops the job with the lowest admission sequence across all
-// stripes without exceeding the batch budget. Caller holds every
-// stripe lock. Returns nil when the backlog is empty or the head job
-// would overflow a non-empty batch (head-of-line break, same as the
-// single-queue batcher).
-func (sh *shard) popMin(batched int, tasks int) *job {
-	var best *admitStripe
-	for i := range sh.stripes {
-		st := &sh.stripes[i]
-		if st.head < len(st.pending) &&
-			(best == nil || st.pending[st.head].seq < best.pending[best.head].seq) {
-			best = st
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	j := best.pending[best.head]
-	if batched > 0 && tasks+len(j.tasks) > sh.cfg.maxBatch {
-		return nil
-	}
-	best.pending[best.head] = nil
-	best.head++
-	if best.head == len(best.pending) {
-		// Queue drained: rewind so the backing array is reused from the
-		// start instead of growing forever.
-		best.pending = best.pending[:0]
-		best.head = 0
-	}
-	n := len(j.tasks)
-	te := best.tenants[j.tenant]
-	te.queued -= n
-	te.qd.Add(float64(-n))
-	sh.queuedN.Add(int64(-n))
-	return j
-}
-
-// flushOnce forms one batch from the merged head of the stripes and
+// flushOnce forms one batch from the head of the admission queue and
 // runs it. It reports whether any job left the queue (batched or
 // expired), so the batcher can loop until the backlog is gone.
 func (sh *shard) flushOnce() bool {
@@ -494,15 +401,19 @@ func (sh *shard) flushOnce() bool {
 	expired := sh.expiredBuf[:0]
 	tasks, expiredTasks := 0, 0
 
-	for i := range sh.stripes {
-		sh.stripes[i].mu.Lock()
-	}
-	for {
-		j := sh.popMin(len(batch), tasks)
-		if j == nil {
-			break
-		}
+	sh.qmu.Lock()
+	for sh.head < len(sh.pending) {
+		j := sh.pending[sh.head]
 		n := len(j.tasks)
+		if len(batch) > 0 && tasks+n > sh.cfg.maxBatch {
+			break // head-of-line: this job opens the next batch
+		}
+		sh.pending[sh.head] = nil
+		sh.head++
+		te := sh.tenants[j.tenant]
+		te.queued -= n
+		te.qd.Add(float64(-n))
+		sh.queuedN.Add(int64(-n))
 		if j.expiredBy(now) {
 			// Deadline passed while queued: the job is dropped before
 			// any task starts.
@@ -515,9 +426,12 @@ func (sh *shard) flushOnce() bool {
 		batch = append(batch, j)
 		tasks += n
 	}
-	for i := range sh.stripes {
-		sh.stripes[i].mu.Unlock()
+	if sh.head == len(sh.pending) {
+		// Queue drained: rewind so the backing array is reused from the
+		// start instead of growing forever.
+		sh.pending, sh.head = sh.pending[:0], 0
 	}
+	sh.qmu.Unlock()
 	sh.so.inflight.Add(float64(-expiredTasks))
 	sh.ro.shardInflight(sh.cfg.index, int(sh.inflight.Load()))
 
@@ -671,15 +585,12 @@ func (sh *shard) spanSetFor(class, tenant string) *spanSet {
 // batcher keeps draining in the background.
 func (sh *shard) drain(ctx context.Context) error {
 	sh.draining.Store(true)
-	// Barrier: any admit that read draining=false holds its stripe lock
-	// until its job is enqueued; taking and releasing every stripe lock
-	// guarantees all such admissions are visible before the final flush.
-	for i := range sh.stripes {
-		st := &sh.stripes[i]
-		st.mu.Lock()
-		//lint:ignore SA2001 empty section is the barrier
-		st.mu.Unlock()
-	}
+	// Barrier: any admit that read draining=false holds qmu until its
+	// job is enqueued; taking and releasing qmu guarantees all such
+	// admissions are visible before the final flush.
+	sh.qmu.Lock()
+	//lint:ignore SA2001 empty section is the barrier
+	sh.qmu.Unlock()
 	sh.ro.shardDraining(sh.cfg.index, true)
 	if sh.cfg.manualFlush {
 		// No batcher goroutine: the backlog drains here, synchronously.

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,79 +12,77 @@ import (
 	"repro/internal/obs"
 )
 
-// Striped admission must be invisible: the same single-threaded
-// submission sequence against an 8-stripe server and a 1-stripe
-// oracle has to produce identical outcomes — the same rejections with
-// the same messages, and the same batch compositions (admission seq
-// merge == global FIFO).
-func TestStripedAdmissionMatchesSingleStripeOracle(t *testing.T) {
-	run := func(stripes int) []string {
-		cfg := Config{
-			Workers:     4,
-			Machine:     machine.Opteron16(),
-			Policy:      "eewa",
-			Seed:        7,
-			Obs:         obs.NewRegistry(),
-			ManualFlush: true,
-			MaxBatch:    16,
-			QueueDepth:  24,
-			MaxInFlight: 64,
+// A fixed single-threaded submission sequence must keep producing the
+// same outcomes: the same rejections with the same messages, and the
+// same batch compositions (global FIFO, the head-of-line break at
+// MaxBatch). testdata/admission_outcomes.golden was captured from the
+// striped-admission server this queue replaced, at 1 and at 8 stripes,
+// which agreed line for line.
+func TestAdmissionOutcomesGolden(t *testing.T) {
+	s, err := New(Config{
+		Workers:     4,
+		Machine:     machine.Opteron16(),
+		Policy:      "eewa",
+		Seed:        7,
+		Obs:         obs.NewRegistry(),
+		ManualFlush: true,
+		MaxBatch:    16,
+		QueueDepth:  24,
+		MaxInFlight: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
 
-			AdmissionStripes: stripes,
+	tenants := []string{"acme", "beta", "gamma", "delta", "epsilon", "zeta"}
+	var got []string
+	idx := 0
+	for round := 0; round < 3; round++ {
+		type waiting struct {
+			idx int
+			p   *Pending
 		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+		var pend []waiting
+		for i := 0; i < 40; i++ {
+			req := JobRequest{
+				Tenant:    tenants[idx%len(tenants)],
+				Func:      "sha1",
+				Count:     1 + idx%3,
+				SizeBytes: 256,
+				Seed:      uint64(idx),
+				WorkHintS: float64(idx%5) * 1e-4,
+			}
+			p, rej := s.Submit(req)
+			if rej != nil {
+				got = append(got, fmt.Sprintf("%d rej %d %s", idx, rej.Status, rej.Msg))
+			} else {
+				pend = append(pend, waiting{idx, p})
+			}
+			idx++
 		}
-		defer drain(t, s)
-
-		tenants := []string{"acme", "beta", "gamma", "delta", "epsilon", "zeta"}
-		var outcomes []string
-		idx := 0
-		for round := 0; round < 3; round++ {
-			type waiting struct {
-				idx int
-				p   *Pending
-			}
-			var pend []waiting
-			for i := 0; i < 40; i++ {
-				req := JobRequest{
-					Tenant:    tenants[idx%len(tenants)],
-					Func:      "sha1",
-					Count:     1 + idx%3,
-					SizeBytes: 256,
-					Seed:      uint64(idx),
-					WorkHintS: float64(idx%5) * 1e-4,
-				}
-				p, rej := s.Submit(req)
-				if rej != nil {
-					outcomes = append(outcomes, fmt.Sprintf("%d rej %d %s", idx, rej.Status, rej.Msg))
-				} else {
-					pend = append(pend, waiting{idx, p})
-				}
-				idx++
-			}
-			s.Flush()
-			for _, w := range pend {
-				status, res, errMsg := w.p.Wait()
-				if res != nil {
-					outcomes = append(outcomes, fmt.Sprintf("%d st=%d batch=%d run=%d/%d", w.idx, status, res.Batch, res.TasksRun, res.Tasks))
-				} else {
-					outcomes = append(outcomes, fmt.Sprintf("%d st=%d err=%s", w.idx, status, errMsg))
-				}
+		s.Flush()
+		for _, w := range pend {
+			status, res, errMsg := w.p.Wait()
+			if res != nil {
+				got = append(got, fmt.Sprintf("%d st=%d batch=%d run=%d/%d", w.idx, status, res.Batch, res.TasksRun, res.Tasks))
+			} else {
+				got = append(got, fmt.Sprintf("%d st=%d err=%s", w.idx, status, errMsg))
 			}
 		}
-		return outcomes
 	}
 
-	oracle := run(1)
-	striped := run(8)
-	if len(oracle) != len(striped) {
-		t.Fatalf("outcome counts differ: oracle %d, striped %d", len(oracle), len(striped))
+	raw, err := os.ReadFile("testdata/admission_outcomes.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range oracle {
-		if oracle[i] != striped[i] {
-			t.Errorf("outcome %d: oracle %q, striped %q", i, oracle[i], striped[i])
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Errorf("%d outcomes, golden has %d", len(got), len(want))
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Errorf("outcome %d: got %q, golden %q", i, got[i], want[i])
 		}
 	}
 }
@@ -90,8 +90,9 @@ func TestStripedAdmissionMatchesSingleStripeOracle(t *testing.T) {
 // A concurrent multi-tenant submit storm through the full HTTP stack:
 // every submission must resolve to exactly one of 200/429, per-tenant
 // accounting must close (submitted == ok + rejected), and after drain
-// the task ledger must balance — no admitted task lost or double-run
-// by the striped queues. Run under -race (see the race-serve target).
+// the task ledger must balance — no admitted task lost or double-run —
+// and the exported admission families must agree with it. Run under
+// -race, also with more Ps than cores (see the race-serve target).
 func TestConcurrentSubmitStormConservesTasks(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := testServer(t, func(c *Config) {
@@ -100,8 +101,6 @@ func TestConcurrentSubmitStormConservesTasks(t *testing.T) {
 		c.MaxInFlight = 128
 		c.MaxBatch = 32
 		c.FlushEvery = 2 * time.Millisecond
-
-		c.AdmissionStripes = 8
 	})
 
 	const (
@@ -183,5 +182,23 @@ func TestConcurrentSubmitStormConservesTasks(t *testing.T) {
 	}
 	if st.Timeouts != 0 {
 		t.Errorf("timeouts %d, want 0", st.Timeouts)
+	}
+
+	// The exported admission families close the same ledger.
+	snap := reg.Snapshot()
+	if v, ok := snap["eewa_serve_admitted_total"].(float64); !ok || v != float64(st.Admitted) {
+		t.Errorf("eewa_serve_admitted_total = %v, want %d", snap["eewa_serve_admitted_total"], st.Admitted)
+	}
+	if v, ok := snap["eewa_serve_inflight_tasks"].(float64); !ok || v != 0 {
+		t.Errorf("eewa_serve_inflight_tasks = %v after drain, want 0", snap["eewa_serve_inflight_tasks"])
+	}
+	depths, _ := snap["eewa_serve_queue_depth"].(map[string]any)
+	if len(depths) != nTenants {
+		t.Errorf("eewa_serve_queue_depth has %d children, want one per tenant (%d)", len(depths), nTenants)
+	}
+	for tenant, v := range depths {
+		if v != 0.0 {
+			t.Errorf("eewa_serve_queue_depth{%s} = %v after drain, want 0", tenant, v)
+		}
 	}
 }

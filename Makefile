@@ -155,15 +155,16 @@ serve-demo:
 # Traffic harness smoke: generate the 5 s golden diurnal trace, verify
 # it is byte-identical to the checked-in fixture (generator/RNG drift
 # gate), then replay it through the sim and the real serve pipeline
-# with -check, which replays each engine twice and fails unless the
-# canonical per-tenant outcome logs (200/429/504 counts, batch
-# composition) are byte-identical. Outcome conservation — every event
+# (one shard, then two) with -check, which replays each engine twice
+# and fails unless the canonical per-tenant outcome logs (200/429/504
+# counts, batch composition) are byte-identical. Outcome conservation — every event
 # resolving to exactly one status — is asserted inside the replayers.
 traffic-smoke:
 	$(GO) run ./cmd/eewa-traffic generate -golden -out traffic_golden.json
 	cmp traffic_golden.json internal/traffic/testdata/golden.json
 	$(GO) run ./cmd/eewa-traffic replay -in traffic_golden.json -engine sim -check -out /dev/null
 	$(GO) run ./cmd/eewa-traffic replay -in traffic_golden.json -engine serve -check -workers 4 -out /dev/null
+	$(GO) run ./cmd/eewa-traffic replay -in traffic_golden.json -engine serve -check -workers 2 -shards 2 -out /dev/null
 	rm -f traffic_golden.json
 	@echo "traffic smoke OK: golden fixture stable, sim + serve replays deterministic"
 

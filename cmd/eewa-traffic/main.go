@@ -41,6 +41,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -115,17 +116,10 @@ func cmdGenerate(args []string) {
 		log.Fatal("generate needs -spec or -golden")
 	}
 
-	w := *workers
-	if w <= 0 {
-		w = 0 // GenerateWith clamps to 1; Generate uses GOMAXPROCS
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
 	}
-	var tr *traffic.Trace
-	var err error
-	if w == 0 {
-		tr, err = traffic.Generate(spec)
-	} else {
-		tr, err = traffic.GenerateWith(spec, w)
-	}
+	tr, err := traffic.GenerateWith(spec, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -147,10 +141,9 @@ func cmdReplay(args []string) {
 	shards := fs.Int("shards", 1, "serve: runtime shards behind the router")
 	policyName := fs.String("policy", "eewa", "serve/sim: scheduling policy")
 	seed := fs.Uint64("seed", 7, "serve/sim: victim-selection seed")
-	flushMS := fs.Int("flush-ms", 25, "serve/sim: batching interval in milliseconds")
-	maxBatch := fs.Int("max-batch", 64, "serve: max tasks per iteration")
+	maxBatch := fs.Int("max-batch", 64, "serve/sim: max tasks per batch")
 	queueDepth := fs.Int("queue-depth", 128, "serve: per-tenant queued-task bound")
-	maxInflight := fs.Int("max-inflight", 512, "serve: global in-flight task budget")
+	maxInflight := fs.Int("max-inflight", 512, "serve: per-shard in-flight task budget")
 	cores := fs.Int("cores", 8, "sim: simulated cores")
 	target := fs.String("target", "", "wall: base URL of a live server to drive")
 	speed := fs.Float64("speed", 1, "wall: time compression factor (2 = replay twice as fast)")
@@ -170,73 +163,40 @@ func cmdReplay(args []string) {
 		log.Fatal(err)
 	}
 
+	// replay runs the chosen deterministic engine once and logs its
+	// summary line.
+	var replay func() (*traffic.Log, error)
 	switch *engine {
 	case "serve":
-		opt := traffic.ServeReplay{
-			Config: serve.Config{
-				Workers:     *workers,
-				Machine:     machine.Opteron16(),
-				Policy:      *policyName,
-				Seed:        *seed,
-				Shards:      *shards,
-				MaxBatch:    *maxBatch,
-				QueueDepth:  *queueDepth,
-				MaxInFlight: *maxInflight,
-				Obs:         obs.NewRegistry(),
-			},
-			FlushEveryS: float64(*flushMS) / 1e3,
-		}
-		run := func() []byte {
-			// A fresh registry per run: replays must not share mutable state.
-			opt.Config.Obs = obs.NewRegistry()
-			lg, err := traffic.ReplayServe(tr, opt)
-			if err != nil {
-				log.Fatal(err)
-			}
-			c, err := lg.Canonical()
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("serve replay: %d events → %d batches, measured %.1f J in %.2fs wall",
-				lg.Events, lg.Batches, lg.MeasuredEnergyJ, lg.MeasuredWallS)
-			return c
-		}
-		c := run()
-		if *check {
-			if !bytes.Equal(c, run()) {
-				log.Fatal("determinism check FAILED: two serve replays produced different canonical logs")
-			}
-			log.Printf("determinism check passed: canonical logs byte-identical across two replays")
-		}
-		writeOut(*out, c)
-	case "sim":
-		opt := traffic.SimReplay{
-			Cores:       *cores,
+		cfg := serve.Config{
+			Workers:     *workers,
+			Machine:     machine.Opteron16(),
 			Policy:      *policyName,
 			Seed:        *seed,
-			FlushEveryS: float64(*flushMS) / 1e3,
+			Shards:      *shards,
+			MaxBatch:    *maxBatch,
+			QueueDepth:  *queueDepth,
+			MaxInFlight: *maxInflight,
 		}
-		run := func() []byte {
-			lg, _, err := traffic.ReplaySim(tr, opt)
-			if err != nil {
-				log.Fatal(err)
+		replay = func() (*traffic.Log, error) {
+			// A fresh registry per run: replays must not share mutable state.
+			cfg.Obs = obs.NewRegistry()
+			lg, err := traffic.ReplayServe(tr, traffic.ServeReplay{Config: cfg})
+			if err == nil {
+				log.Printf("serve replay: %d events → %d batches, measured %.1f J in %.2fs wall",
+					lg.Events, lg.Batches, lg.MeasuredEnergyJ, lg.MeasuredWallS)
 			}
-			c, err := lg.Canonical()
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("sim replay: %d events → %d batches, %.3f J modeled, makespan %.3fs",
-				lg.Events, lg.Batches, lg.EnergyJ, lg.MakespanS)
-			return c
+			return lg, err
 		}
-		c := run()
-		if *check {
-			if !bytes.Equal(c, run()) {
-				log.Fatal("determinism check FAILED: two sim replays produced different canonical logs")
+	case "sim":
+		replay = func() (*traffic.Log, error) {
+			lg, _, err := traffic.ReplaySim(tr, traffic.SimReplay{Cores: *cores, Policy: *policyName, Seed: *seed, MaxBatch: *maxBatch})
+			if err == nil {
+				log.Printf("sim replay: %d events → %d batches, %.3f J modeled, makespan %.3fs",
+					lg.Events, lg.Batches, lg.EnergyJ, lg.MakespanS)
 			}
-			log.Printf("determinism check passed: canonical logs byte-identical across two replays")
+			return lg, err
 		}
-		writeOut(*out, c)
 	case "wall":
 		if *target == "" {
 			log.Fatal("wall replay needs -target")
@@ -248,15 +208,35 @@ func cmdReplay(args []string) {
 		proxy := httputil.NewSingleHostReverseProxy(u)
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 		defer stop()
-		st, err := traffic.ReplayWallBatch(ctx, proxy, tr, *speed, *wallBatch)
+		st, err := traffic.ReplayWall(ctx, proxy, tr, *speed, *wallBatch)
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("wall replay: %d submitted → %d ok, %d backpressured (429), %d dropped (504), %d other; %d late fires; %.2fs wall",
 			st.Submitted, st.OK, st.Rejected, st.Dropped, st.Other, st.Late, st.WallS)
+		return
 	default:
 		log.Fatalf("unknown engine %q (want serve, sim or wall)", *engine)
 	}
+	run := func() []byte {
+		lg, err := replay()
+		if err != nil {
+			log.Fatal(err)
+		}
+		c, err := lg.Canonical()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return c
+	}
+	c := run()
+	if *check {
+		if !bytes.Equal(c, run()) {
+			log.Fatalf("determinism check FAILED: two %s replays produced different canonical logs", *engine)
+		}
+		log.Printf("determinism check passed: canonical logs byte-identical across two replays")
+	}
+	writeOut(*out, c)
 }
 
 func cmdCapture(args []string) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -106,40 +105,98 @@ func (l *Log) Canonical() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ServeReplay configures a lockstep replay through internal/serve.
+// defaultWorkS is the per-task work the replay clock charges an event
+// without a hint (a captured trace). Generated traces always carry
+// NormPos-sampled hints, so replay never fabricates work for them.
+const defaultWorkS = 150e-6
+
+// workOf is the per-task work the replay clock charges ev.
+func workOf(ev *Event) float64 {
+	if ev.WorkHintS > 0 {
+		return ev.WorkHintS
+	}
+	return defaultWorkS
+}
+
+// offsetNS is ev's arrival on the replay's virtual clock, in the
+// integer nanoseconds both engines compare deadlines in.
+func offsetNS(ev *Event) int64 { return int64(ev.OffsetS * 1e9) }
+
+// requestOf is the job ev submits, with its deadline relative.
+func requestOf(ev *Event) serve.JobRequest {
+	return serve.JobRequest{
+		Tenant:     ev.Tenant,
+		Func:       ev.Class,
+		SizeBytes:  ev.SizeBytes,
+		Count:      ev.Count,
+		Seed:       ev.Seed,
+		DeadlineMS: ev.DeadlineMS,
+		WorkHintS:  ev.WorkHintS,
+	}
+}
+
+// replayClock runs tr through the live batcher's rule in virtual time,
+// the one batch-formation model both replayers share. The replayed
+// server is busy until the instant busy. Each event is admitted at its
+// own offset (admit reports whether it queued); events with equal
+// offsets are all admitted before anything forms. Batches form at instant t when the
+// server is idle and its queue is not empty: an arrival at an idle
+// server forms at its own offset, arrivals while it is busy wait and
+// form when it goes idle. form(t) drains the whole queue at t into
+// batches of at most MaxBatch tasks, drops the jobs whose deadline has
+// passed, and returns the work of the tasks that ran; the server is
+// then busy for that work spread over the workers. All instants are
+// nanoseconds on the virtual clock.
+//
+// One difference from the live server remains, and it only shows when
+// the backlog at one instant exceeds MaxBatch: live, an arrival during
+// the first of two consecutive batches joins the second, while here it
+// waits for both.
+func replayClock(tr *Trace, workers int, admit func(ev *Event) bool, form func(t int64) (workS float64)) {
+	var busy int64
+	queued := false
+	for i := 0; i < len(tr.Events) || queued; {
+		t := busy
+		if !queued && offsetNS(&tr.Events[i]) > busy {
+			t = offsetNS(&tr.Events[i]) // an idle server forms at once
+		}
+		for ; i < len(tr.Events) && offsetNS(&tr.Events[i]) <= t; i++ {
+			if admit(&tr.Events[i]) {
+				queued = true
+			}
+		}
+		if queued {
+			busy = t + int64(form(t)/float64(workers)*1e9)
+			queued = false
+		}
+	}
+}
+
+// ServeReplay configures a virtual-time replay through internal/serve.
 type ServeReplay struct {
 	// Config is the server configuration (workers, policy, shards,
-	// admission bounds…). Clock and ManualFlush are overridden — the
-	// replay owns the batch boundary and the clock.
+	// admission bounds, MaxBatch…). Clock and ManualFlush are
+	// overridden — the replay owns the batch boundary and the clock.
 	Config serve.Config
-	// FlushEveryS is the virtual batching interval (default 0.025s,
-	// serve's default FlushEvery). It models ManualFlush lockstep, not
-	// the live server: the live batcher forms a batch when a request
-	// arrives at an idle shard and treats FlushEvery as a ceiling, so it
-	// forms smaller, earlier batches than these fixed buckets. One
-	// batch-formation rule for both clocks is ROADMAP item 3.
-	FlushEveryS float64
 }
 
 // ReplayServe replays tr through the real admission/batching pipeline
-// of internal/serve in lockstep virtual time: events are submitted at
-// their trace offsets on a virtual clock, batches form exactly at
-// FlushEveryS boundaries on the replay goroutine, and queued-deadline
-// expiry is evaluated against the virtual clock. Admission decisions
-// (429/503), queued 504 drops, batch composition and per-tenant
-// outcome counts are therefore a pure function of (trace, options) —
-// replaying the same trace twice produces identical Canonical logs —
-// while the task payloads still execute for real on the runtime
-// shards. Host-wall quantities (measured energy, batch wall times)
-// remain nondeterministic and are reported via the Measured* fields
-// only.
+// of internal/serve in virtual time: events are submitted at their
+// trace offsets on a virtual clock, and at every formation instant of
+// replayClock the clock stops there and Flush runs the live flushOnce
+// on the replay goroutine, so batch composition, the head-of-line
+// break and queued-deadline expiry are serve's own. With Shards > 1
+// every shard flushes at the same instants and the clock spreads work
+// over all shards' workers. Admission decisions (429/503), queued 504
+// drops, batch count and per-tenant outcome counts are therefore a
+// pure function of (trace, options) — replaying the same trace twice
+// produces identical Canonical logs — while the task payloads still
+// execute for real on the runtime shards. Host-wall quantities
+// (measured energy, batch wall times) remain nondeterministic and are
+// reported via the Measured* fields only.
 func ReplayServe(tr *Trace, opt ServeReplay) (*Log, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
-	}
-	flushEvery := opt.FlushEveryS
-	if flushEvery <= 0 {
-		flushEvery = 0.025
 	}
 	var vnow atomic.Int64 // virtual nanoseconds since the Unix epoch
 	cfg := opt.Config
@@ -153,62 +210,47 @@ func ReplayServe(tr *Trace, opt ServeReplay) (*Log, error) {
 	lg := newLog("serve", tr)
 	hostStart := time.Now()
 	type waiting struct {
-		tenant string
-		p      *serve.Pending
+		ev *Event
+		p  *serve.Pending
 	}
 	var outstanding []waiting
-	// settle collects the outcome of every job the last Flush ran.
-	// Flush drains the whole backlog, so none of these Waits blocks.
-	settle := func() {
+	// settle collects the outcome of every job the last Flush ran and
+	// returns their work. Flush drains the whole backlog, so none of
+	// these Waits blocks.
+	settle := func() (workS float64) {
 		for _, w := range outstanding {
 			st, res, _ := w.p.Wait()
 			ran := 0
 			if res != nil {
 				ran = res.TasksRun
 			}
-			lg.count(w.tenant, st, ran)
+			lg.count(w.ev.Tenant, st, ran)
+			workS += float64(ran) * workOf(w.ev)
 		}
 		outstanding = outstanding[:0]
+		return workS
 	}
-
-	boundary := 1 // next flush boundary is flushEvery·boundary
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		for ev.OffsetS >= flushEvery*float64(boundary) {
-			vnow.Store(int64(flushEvery * float64(boundary) * 1e9))
-			srv.Flush()
-			settle()
-			boundary++
-		}
-		vnow.Store(int64(ev.OffsetS * 1e9))
-		p, rej := srv.Submit(serve.JobRequest{
-			Tenant:     ev.Tenant,
-			Func:       ev.Class,
-			SizeBytes:  ev.SizeBytes,
-			Count:      ev.Count,
-			Seed:       ev.Seed,
-			DeadlineMS: ev.DeadlineMS,
-			WorkHintS:  ev.WorkHintS,
-		})
+	admit := func(ev *Event) bool {
+		vnow.Store(offsetNS(ev))
+		p, rej := srv.Submit(requestOf(ev))
 		if rej != nil {
 			lg.count(ev.Tenant, rej.Status, 0)
-			continue
+			return false
 		}
-		outstanding = append(outstanding, waiting{ev.Tenant, p})
+		outstanding = append(outstanding, waiting{ev, p})
+		return true
 	}
-	// Run out the clock: one boundary past the horizon flushes the
-	// tail, then Drain stops the shards (their backlogs are empty, so
-	// it returns immediately; the context is a formality).
-	end := math.Max(tr.DurationS, flushEvery*float64(boundary))
-	vnow.Store(int64(end * 1e9))
-	srv.Flush()
-	settle()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	form := func(t int64) float64 {
+		vnow.Store(t)
+		srv.Flush()
+		return settle()
+	}
+	replayClock(tr, cfg.Workers*max(cfg.Shards, 1), admit, form)
+	// Every admitted job has settled; a manual-flush Drain only stops
+	// admission and returns at once.
+	if err := srv.Drain(context.TODO()); err != nil {
 		return nil, fmt.Errorf("traffic: drain after replay: %w", err)
 	}
-	settle()
 
 	lg.Batches = srv.Stats().Batches
 	lg.MeasuredEnergyJ = srv.EnergyRollup().TotalJ
@@ -221,31 +263,22 @@ func ReplayServe(tr *Trace, opt ServeReplay) (*Log, error) {
 
 // SimReplay configures a replay through the discrete-event simulator.
 type SimReplay struct {
-	Cores  int    // simulated cores (default 8)
-	Policy string // canonical policy id (default eewa)
-	Seed   uint64 // victim-selection seed (default 1)
-	// FlushEveryS buckets arrivals into batches (default 0.025s) — the
-	// same fixed boundaries as ServeReplay.FlushEveryS, and like them a
-	// model of ManualFlush lockstep, not of the live server's
-	// demand-driven batcher (ROADMAP item 3).
-	FlushEveryS float64
-	// DefaultWorkS is the per-task work for events without a hint
-	// (live-captured traces); default 150µs. Generated traces always
-	// carry NormPos-sampled hints, so replay never fabricates work for
-	// them.
-	DefaultWorkS float64
+	Cores    int    // simulated cores (default 8)
+	Policy   string // canonical policy id (default eewa)
+	Seed     uint64 // victim-selection seed (default 1)
+	MaxBatch int    // most tasks per batch (default 64, serve's default)
 }
 
-// ReplaySim replays tr through the simulator: arrivals are bucketed
-// into batches at FlushEveryS boundaries (the virtual image of
-// ReplayServe's lockstep flush), jobs whose deadline falls before their batch
-// forms are dropped 504 exactly as serve's queued-expiry check drops
-// them, and the surviving batches run through sched.Run. The entire
-// log — outcome counts, batch count, modeled energy and makespan — is
-// bit-exact for a given (trace, options): replaying twice, on any
-// host, yields identical Canonical bytes. The simulator has no
-// admission bounds, so 429/503 never appear here; compare against
-// ReplayServe to see what backpressure subtracts.
+// ReplaySim replays tr through the simulator: replayClock decides when
+// batches form, a mirror of serve's flushOnce pop loop decides what
+// goes into them (FIFO, at most MaxBatch tasks, a job that would
+// overflow a non-empty batch opens the next, a job whose deadline has
+// passed is dropped 504), and the batches run through sched.Run. The
+// entire log — outcome counts, batch count, modeled energy and
+// makespan — is bit-exact for a given (trace, options): replaying
+// twice, on any host, yields identical Canonical bytes. The simulator
+// has no admission bounds, so 429/503 never appear here; compare
+// against ReplayServe to see what backpressure subtracts.
 func ReplaySim(tr *Trace, opt SimReplay) (*Log, *sched.Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, nil, err
@@ -259,44 +292,46 @@ func ReplaySim(tr *Trace, opt SimReplay) (*Log, *sched.Result, error) {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	flushEvery := opt.FlushEveryS
-	if flushEvery <= 0 {
-		flushEvery = 0.025
-	}
-	defaultWork := opt.DefaultWorkS
-	if defaultWork <= 0 {
-		defaultWork = 150e-6
+	if opt.MaxBatch <= 0 {
+		opt.MaxBatch = 64
 	}
 
 	lg := newLog("sim", tr)
 	var batches []task.Batch
-	curWindow := -1
+	var queue []*Event
 	id := 0
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		window := int(ev.OffsetS / flushEvery)
-		// The batch containing this arrival forms at the next flush
-		// boundary; a deadline earlier than that is a queued drop.
-		formAt := flushEvery * float64(window+1)
-		if ev.DeadlineMS > 0 && ev.OffsetS+float64(ev.DeadlineMS)/1e3 <= formAt {
-			lg.count(ev.Tenant, 504, 0)
-			continue
-		}
-		if window != curWindow {
-			batches = append(batches, task.Batch{})
-			curWindow = window
-		}
-		b := &batches[len(batches)-1]
-		work := ev.WorkHintS
-		if work <= 0 {
-			work = defaultWork
-		}
-		for k := 0; k < ev.Count; k++ {
-			b.Tasks = append(b.Tasks, task.Task{ID: id, Class: ev.Class, Work: work})
-			id++
-		}
-		lg.count(ev.Tenant, 200, ev.Count)
+	admit := func(ev *Event) bool {
+		queue = append(queue, ev)
+		return true
 	}
+	form := func(t int64) (workS float64) {
+		for len(queue) > 0 {
+			var b task.Batch
+			for len(queue) > 0 {
+				ev := queue[0]
+				if len(b.Tasks) > 0 && len(b.Tasks)+ev.Count > opt.MaxBatch {
+					break // head-of-line: this job opens the next batch
+				}
+				queue = queue[1:]
+				// serve's now.After(deadline), deadline = admission + DeadlineMS.
+				if ev.DeadlineMS > 0 && t > offsetNS(ev)+ev.DeadlineMS*int64(time.Millisecond) {
+					lg.count(ev.Tenant, 504, 0)
+					continue
+				}
+				for k := 0; k < ev.Count; k++ {
+					b.Tasks = append(b.Tasks, task.Task{ID: id, Class: ev.Class, Work: workOf(ev)})
+					id++
+				}
+				lg.count(ev.Tenant, 200, ev.Count)
+				workS += float64(ev.Count) * workOf(ev)
+			}
+			if len(b.Tasks) > 0 {
+				batches = append(batches, b)
+			}
+		}
+		return workS
+	}
+	replayClock(tr, opt.Cores, admit, form)
 	if len(batches) == 0 {
 		return nil, nil, fmt.Errorf("traffic: trace %q has no replayable events (all dropped or empty)", tr.Name)
 	}
@@ -319,116 +354,85 @@ func ReplaySim(tr *Trace, opt SimReplay) (*Log, *sched.Result, error) {
 	return lg, res, nil
 }
 
-// WallStats summarizes an open-loop wall-clock replay.
+// WallStats summarizes an open-loop wall-clock replay. Counts are jobs,
+// not requests.
 type WallStats struct {
 	Submitted int64
 	OK        int64
 	Rejected  int64 // 429
 	Dropped   int64 // 504
 	Other     int64
-	// Late counts events fired more than one flush interval behind
-	// their scheduled time — the driver falling behind the trace.
+	// Late counts events fired more than 100 ms behind their scheduled
+	// time — the driver falling behind the trace.
 	Late  int64
 	WallS float64
 }
 
-// ReplayWall drives tr against an HTTP handler open-loop in wall
-// time: each event fires at offset/speed seconds after start,
-// regardless of completions, with the event's relative deadline
-// translated to an absolute deadline_at on the same scaled timeline
-// (so a driver that falls behind produces honest admission fast-fails
-// instead of silently relaxed deadlines). speed > 1 compresses the
-// trace, raising the offered load. Not deterministic — use ReplayServe
-// for bit-exact outcome logs.
-func ReplayWall(ctx context.Context, h http.Handler, tr *Trace, speed float64) (*WallStats, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
+// tally counts one job's status.
+func (st *WallStats) tally(status int) {
+	switch status {
+	case 200:
+		atomic.AddInt64(&st.OK, 1)
+	case 429:
+		atomic.AddInt64(&st.Rejected, 1)
+	case 504:
+		atomic.AddInt64(&st.Dropped, 1)
+	default:
+		atomic.AddInt64(&st.Other, 1)
 	}
-	if speed <= 0 {
-		speed = 1
-	}
-	var st WallStats
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		due := start.Add(time.Duration(ev.OffsetS / speed * 1e9))
-		if d := time.Until(due); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				wg.Wait()
-				st.WallS = time.Since(start).Seconds()
-				return &st, ctx.Err()
-			}
-		} else if -d > 100*time.Millisecond {
-			atomic.AddInt64(&st.Late, 1)
-		}
-		req := serve.JobRequest{
-			Tenant:    ev.Tenant,
-			Func:      ev.Class,
-			SizeBytes: ev.SizeBytes,
-			Count:     ev.Count,
-			Seed:      ev.Seed,
-			WorkHintS: ev.WorkHintS,
-		}
-		if ev.DeadlineMS > 0 {
-			expiry := ev.OffsetS + float64(ev.DeadlineMS)/1e3
-			req.DeadlineAtMS = start.Add(time.Duration(expiry / speed * 1e9)).UnixMilli()
-		}
-		atomic.AddInt64(&st.Submitted, 1)
-		wg.Add(1)
-		go func(req serve.JobRequest) {
-			defer wg.Done()
-			body, _ := json.Marshal(req)
-			r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, r)
-			switch w.Code {
-			case 200:
-				atomic.AddInt64(&st.OK, 1)
-			case 429:
-				atomic.AddInt64(&st.Rejected, 1)
-			case 504:
-				atomic.AddInt64(&st.Dropped, 1)
-			default:
-				atomic.AddInt64(&st.Other, 1)
-			}
-		}(req)
-	}
-	wg.Wait()
-	st.WallS = time.Since(start).Seconds()
-	return &st, nil
 }
 
-// ReplayWallBatch is ReplayWall with client-side coalescing: trace
-// order is kept, but every `batch` consecutive events go out as one
-// POST /v1/jobs:batch. A group fires when its last member comes due,
-// so no event ever fires early; per-event lateness is still judged
-// against each event's own scheduled time. Per-job outcomes come from
-// the batch response's status array, so WallStats counts jobs, not
-// requests. batch <= 1 degenerates to ReplayWall.
-func ReplayWallBatch(ctx context.Context, h http.Handler, tr *Trace, speed float64, batch int) (*WallStats, error) {
-	if batch <= 1 {
-		return ReplayWall(ctx, h, tr, speed)
+// post sends jobs to h — one job alone to /v1/jobs, a group to
+// /v1/jobs:batch — and tallies each job's status.
+func (st *WallStats) post(h http.Handler, jobs []serve.JobRequest, grouped bool) {
+	path, v := "/v1/jobs", any(jobs[0])
+	if grouped {
+		path, v = "/v1/jobs:batch", serve.BatchRequest{Jobs: jobs}
 	}
+	body, _ := json.Marshal(v)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if !grouped {
+		st.tally(w.Code)
+		return
+	}
+	var bres serve.BatchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &bres); err != nil || len(bres.Jobs) != len(jobs) {
+		atomic.AddInt64(&st.Other, int64(len(jobs)))
+		return
+	}
+	for i := range bres.Jobs {
+		st.tally(bres.Jobs[i].Status)
+	}
+}
+
+// ReplayWall drives tr against an HTTP handler open-loop in wall
+// time: each event is due offset/speed seconds after start, regardless
+// of completions, with the event's relative deadline translated to an
+// absolute deadline_at on the same scaled timeline (so a driver that
+// falls behind produces honest admission fast-fails instead of
+// silently relaxed deadlines). speed > 1 compresses the trace, raising
+// the offered load. With batch <= 1 each event is POSTed alone to
+// /v1/jobs; a larger batch keeps trace order but sends every batch
+// consecutive events as one POST /v1/jobs:batch, fired when its last
+// member comes due, so no event fires early; lateness is still judged
+// per event. Not deterministic — use ReplayServe for bit-exact outcome
+// logs.
+func ReplayWall(ctx context.Context, h http.Handler, tr *Trace, speed float64, batch int) (*WallStats, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	if speed <= 0 {
 		speed = 1
 	}
+	batch = max(batch, 1)
 	var st WallStats
 	var wg sync.WaitGroup
 	start := time.Now()
+	at := func(offsetS float64) time.Time { return start.Add(time.Duration(offsetS / speed * 1e9)) }
 	for base := 0; base < len(tr.Events); base += batch {
-		end := base + batch
-		if end > len(tr.Events) {
-			end = len(tr.Events)
-		}
-		group := tr.Events[base:end]
-		due := start.Add(time.Duration(group[len(group)-1].OffsetS / speed * 1e9))
-		if d := time.Until(due); d > 0 {
+		group := tr.Events[base:min(base+batch, len(tr.Events))]
+		if d := time.Until(at(group[len(group)-1].OffsetS)); d > 0 {
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
@@ -438,52 +442,24 @@ func ReplayWallBatch(ctx context.Context, h http.Handler, tr *Trace, speed float
 			}
 		}
 		now := time.Now()
-		breq := serve.BatchRequest{Jobs: make([]serve.JobRequest, len(group))}
+		jobs := make([]serve.JobRequest, len(group))
 		for i := range group {
 			ev := &group[i]
-			if now.Sub(start.Add(time.Duration(ev.OffsetS/speed*1e9))) > 100*time.Millisecond {
+			if now.Sub(at(ev.OffsetS)) > 100*time.Millisecond {
 				atomic.AddInt64(&st.Late, 1)
 			}
-			req := serve.JobRequest{
-				Tenant:    ev.Tenant,
-				Func:      ev.Class,
-				SizeBytes: ev.SizeBytes,
-				Count:     ev.Count,
-				Seed:      ev.Seed,
-				WorkHintS: ev.WorkHintS,
-			}
+			jobs[i] = requestOf(ev)
 			if ev.DeadlineMS > 0 {
-				expiry := ev.OffsetS + float64(ev.DeadlineMS)/1e3
-				req.DeadlineAtMS = start.Add(time.Duration(expiry / speed * 1e9)).UnixMilli()
+				jobs[i].DeadlineMS = 0
+				jobs[i].DeadlineAtMS = at(ev.OffsetS + float64(ev.DeadlineMS)/1e3).UnixMilli()
 			}
-			breq.Jobs[i] = req
 		}
-		atomic.AddInt64(&st.Submitted, int64(len(group)))
+		atomic.AddInt64(&st.Submitted, int64(len(jobs)))
 		wg.Add(1)
-		go func(breq serve.BatchRequest) {
+		go func() {
 			defer wg.Done()
-			body, _ := json.Marshal(breq)
-			r := httptest.NewRequest(http.MethodPost, "/v1/jobs:batch", bytes.NewReader(body))
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, r)
-			var bres serve.BatchResponse
-			if err := json.Unmarshal(w.Body.Bytes(), &bres); err != nil || len(bres.Jobs) != len(breq.Jobs) {
-				atomic.AddInt64(&st.Other, int64(len(breq.Jobs)))
-				return
-			}
-			for i := range bres.Jobs {
-				switch bres.Jobs[i].Status {
-				case 200:
-					atomic.AddInt64(&st.OK, 1)
-				case 429:
-					atomic.AddInt64(&st.Rejected, 1)
-				case 504:
-					atomic.AddInt64(&st.Dropped, 1)
-				default:
-					atomic.AddInt64(&st.Other, 1)
-				}
-			}
-		}(breq)
+			st.post(h, jobs, batch > 1)
+		}()
 	}
 	wg.Wait()
 	st.WallS = time.Since(start).Seconds()

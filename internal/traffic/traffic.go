@@ -12,13 +12,14 @@
 //     from its own stream seeded via xrand.Split(seed, hash(tenant)),
 //     so adding a tenant never perturbs another tenant's arrivals —
 //     the same discipline the sweep driver uses for grid cells.
-//   - Replay is bit-exact where the engine allows it: ReplaySim is
-//     fully deterministic (outcomes, energy, makespan), and
-//     ReplayServe runs the real admission/batching pipeline under a
-//     virtual clock in lockstep, making per-tenant outcome counts
-//     (200/429/504) and batch composition a function of the trace
-//     alone. ReplayWall trades that determinism back for wall-clock
-//     load fidelity.
+//   - Replay is bit-exact where the engine allows it. Both
+//     deterministic replayers form batches by the live batcher's rule
+//     in virtual time (replayClock): ReplaySim is fully deterministic
+//     (outcomes, energy, makespan), and ReplayServe runs the real
+//     admission/batching pipeline under a virtual clock, making
+//     per-tenant outcome counts (200/429/504) and batch composition a
+//     function of the trace alone. ReplayWall trades that determinism
+//     back for wall-clock load fidelity.
 //
 // A trace is a flat, offset-sorted event list. Offsets are seconds
 // from trace start; deadlines are relative milliseconds (replay

@@ -237,7 +237,6 @@ func serveReplayOpt() ServeReplay {
 			Seed:    7,
 			Obs:     obs.NewRegistry(),
 		},
-		FlushEveryS: 0.025,
 	}
 }
 
@@ -283,42 +282,108 @@ func TestReplayServeDeterministic(t *testing.T) {
 	}
 }
 
-// TestReplayServeMatchesSimOutcomes: with no admission pressure, the
-// serve pipeline's queued-deadline drops agree with the sim replay's
-// model of them — same per-tenant 200/504 split, same batch count.
-func TestReplayServeMatchesSimOutcomes(t *testing.T) {
-	spec := testSpec()
-	// Tighten interactive deadlines below the flush interval so a
-	// deterministic subset drops.
-	spec.Cohorts[0].DeadlineMeanS = 0.02
-	spec.Cohorts[0].DeadlineStddevS = 0.01
-	tr := mustGenerate(t, spec)
-
-	sv, err := ReplayServe(tr, serveReplayOpt())
+// replayBoth replays tr through serve (2 workers) and sim (2 cores)
+// with the same MaxBatch and fails unless both report the same batch
+// count and the same per-tenant 200/504 counts and tasks run.
+func replayBoth(t *testing.T, tr *Trace, maxBatch int) (*Log, *Log) {
+	t.Helper()
+	opt := serveReplayOpt()
+	opt.Config.MaxBatch = maxBatch
+	sv, err := ReplayServe(tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, _, err := ReplaySim(tr, SimReplay{Cores: 2, FlushEveryS: 0.025})
+	sm, _, err := ReplaySim(tr, SimReplay{Cores: 2, MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drops := 0
 	for tenant, tc := range sv.Tenants {
 		st := sm.Tenants[tenant]
 		if st == nil {
 			t.Fatalf("tenant %q missing from sim log", tenant)
 		}
-		if tc.OK != st.OK || tc.Dropped != st.Dropped {
-			t.Errorf("tenant %q: serve ok/drop %d/%d vs sim %d/%d",
-				tenant, tc.OK, tc.Dropped, st.OK, st.Dropped)
+		if tc.OK != st.OK || tc.Dropped != st.Dropped || tc.TasksRun != st.TasksRun {
+			t.Errorf("tenant %q: serve ok/drop/ran %d/%d/%d vs sim %d/%d/%d", tenant,
+				tc.OK, tc.Dropped, tc.TasksRun, st.OK, st.Dropped, st.TasksRun)
 		}
-		drops += int(tc.Dropped)
 	}
-	if drops == 0 {
-		t.Error("expected some deadline drops with 20ms deadlines and a 25ms flush")
+	if len(sv.Tenants) != len(sm.Tenants) {
+		t.Errorf("tenant sets disagree: serve %d vs sim %d", len(sv.Tenants), len(sm.Tenants))
 	}
 	if sv.Batches != sm.Batches {
 		t.Errorf("batch counts disagree: serve %d vs sim %d", sv.Batches, sm.Batches)
+	}
+	return sv, sm
+}
+
+// TestReplayServeMatchesSimOutcomes: with no admission pressure, the
+// serve pipeline's queued-deadline drops agree with the sim replay's
+// model of them — same per-tenant 200/504 split, same batch count.
+func TestReplayServeMatchesSimOutcomes(t *testing.T) {
+	spec := testSpec()
+	// Heavy batch jobs keep the server busy for tens of milliseconds at
+	// a time; interactive jobs that arrive behind one wait past their
+	// 5–15 ms deadlines, so a deterministic subset drops.
+	spec.Cohorts[0].DeadlineMeanS = 0.01
+	spec.Cohorts[0].DeadlineStddevS = 0.005
+	spec.Cohorts[1].Mix[0].MeanWorkS = 10e-3
+	spec.Cohorts[1].Mix[0].StddevWorkS = 5e-3
+	tr := mustGenerate(t, spec)
+
+	sv, _ := replayBoth(t, tr, 64)
+	drops := 0
+	for _, tc := range sv.Tenants {
+		drops += int(tc.Dropped)
+	}
+	if drops == 0 {
+		t.Error("expected some deadline drops behind busy batches")
+	}
+}
+
+// TestReplayFollowsLiveBatching pins the replay's batching rule with
+// hand-worked numbers: 2 workers, MaxBatch 4, times in seconds chosen
+// to be exact in binary so every instant is exact in nanoseconds.
+//
+//	0      a×2 (0.5)  idle arrival, batch 1; busy until 0 + 1.0/2 = 0.5
+//	0.125  b×1 (0.25) waits
+//	0.25   a×1 (0.25) waits; deadline 250 ms lands on 0.5 exactly: kept
+//	0.5    batch 2 = {b, a}; busy until 0.5 + 0.5/2 = 0.75
+//	0.5625 c×1 (0.125) deadline 125 ms → 0.6875, passed at 0.75: 504
+//	0.625  b×3 (0.125) waits
+//	0.6875 a×2 (0.125) waits
+//	0.75   c dropped; batch 3 = {b×3}; a×2 would make 5 > 4: batch 4;
+//	       busy until 0.75 + 0.625/2 = 1.0625
+//	1.5    c×1 and b×2 (0.25) arrive together at an idle server: batch 5
+func TestReplayFollowsLiveBatching(t *testing.T) {
+	ev := func(off float64, tenant string, count int, hint float64, deadlineMS int64) Event {
+		return Event{OffsetS: off, Tenant: tenant, Class: "sha1", SizeBytes: 256,
+			Count: count, Seed: 1, WorkHintS: hint, DeadlineMS: deadlineMS}
+	}
+	tr := &Trace{SchemaVersion: SchemaVersion, Name: "rule", DurationS: 2, Events: []Event{
+		ev(0, "a", 2, 0.5, 0),
+		ev(0.125, "b", 1, 0.25, 0),
+		ev(0.25, "a", 1, 0.25, 250),
+		ev(0.5625, "c", 1, 0.125, 125),
+		ev(0.625, "b", 3, 0.125, 0),
+		ev(0.6875, "a", 2, 0.125, 0),
+		ev(1.5, "c", 1, 0.25, 0),
+		ev(1.5, "b", 2, 0.25, 0),
+	}}
+	want := map[string]TenantCounts{
+		"a": {OK: 3, TasksRun: 5},
+		"b": {OK: 3, TasksRun: 6},
+		"c": {OK: 1, Dropped: 1, TasksRun: 1},
+	}
+	sv, sm := replayBoth(t, tr, 4)
+	for _, lg := range []*Log{sv, sm} {
+		if lg.Batches != 5 {
+			t.Errorf("%s: %d batches, want 5", lg.Engine, lg.Batches)
+		}
+		for tenant, w := range want {
+			if got := lg.Tenants[tenant]; got == nil || *got != w {
+				t.Errorf("%s: tenant %q = %+v, want %+v", lg.Engine, tenant, got, w)
+			}
+		}
 	}
 }
 
@@ -363,15 +428,29 @@ func TestCaptureRecordsSubmissions(t *testing.T) {
 			break
 		}
 	}
-	st, err := ReplayWall(t.Context(), cap, small, 100 /* compress 3s to 30ms */)
+	st, err := ReplayWall(t.Context(), cap, small, 100 /* compress 3s to 30ms */, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Submitted != 12 {
-		t.Fatalf("submitted %d, want 12", st.Submitted)
+	conserved := func(batch int, st *WallStats) {
+		t.Helper()
+		if got := st.OK + st.Rejected + st.Dropped + st.Other; st.Submitted != 12 || got != 12 || st.Other != 0 {
+			t.Fatalf("batch %d: submitted %d, resolved %d (%+v), want 12 each and no other", batch, st.Submitted, got, *st)
+		}
 	}
+	conserved(1, st)
 	if cap.Len() != 12 {
 		t.Fatalf("captured %d events, want 12", cap.Len())
+	}
+	// The same events in groups of 4 go to /v1/jobs:batch, which the
+	// capture passes through without recording.
+	st4, err := ReplayWall(t.Context(), cap, small, 100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conserved(4, st4)
+	if cap.Len() != 12 {
+		t.Fatalf("captured %d events after grouped posts, want 12", cap.Len())
 	}
 	rec := cap.Trace("captured")
 	if err := rec.Validate(); err != nil {

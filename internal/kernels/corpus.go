@@ -7,12 +7,22 @@ import "repro/internal/xrand"
 // space: natural-language-like (highly compressible), binary-random
 // (incompressible) and structured (periodic, mid-compressible).
 
-// corpusWords is the vocabulary of TextCorpus.
-var corpusWords = []string{
+// corpusWords is the vocabulary of TextCorpus. It is an array, so
+// Intn(len(corpusWords)) divides by a constant.
+var corpusWords = [...]string{
 	"energy ", "efficient ", "workload ", "aware ", "task ",
 	"stealing ", "scheduler ", "frequency ", "multicore ", "dvfs ",
 	"the ", "of ", "and ", "batch ", "profile ",
 }
+
+// corpusPadded[k] is corpusWords[k] zero-padded to one 16-byte store;
+// every word is shorter than that.
+var corpusPadded = func() (t [len(corpusWords)][16]byte) {
+	for k, w := range corpusWords {
+		copy(t[k][:], w)
+	}
+	return t
+}()
 
 // TextCorpus returns n bytes of compressible pseudo-text,
 // deterministic in seed.
@@ -25,9 +35,21 @@ func TextCorpus(seed uint64, n int) []byte {
 // TextCorpusInto fills dst with the same bytes TextCorpus(seed,
 // len(dst)) would return, without allocating — the serve ingest path
 // reuses one corpus slab across pooled jobs.
+//
+// While 16 bytes remain, each word goes down as one 16-byte store of
+// its padded copy: the zeros past the word land where the next word
+// starts, and that word's store overwrites them. Only the last store's
+// padding survives the loop, and the tail, copied one word at a time,
+// overwrites it up to len(dst). The words are drawn in the same order
+// either way, so the bytes are those of copying every word.
 func TextCorpusInto(dst []byte, seed uint64) {
 	rng := xrand.New(seed)
 	i := 0
+	for i+16 <= len(dst) {
+		k := rng.Intn(len(corpusWords))
+		*(*[16]byte)(dst[i:]) = corpusPadded[k]
+		i += len(corpusWords[k])
+	}
 	for i < len(dst) {
 		i += copy(dst[i:], corpusWords[rng.Intn(len(corpusWords))])
 	}

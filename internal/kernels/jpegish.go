@@ -91,9 +91,23 @@ func scaledQuant(quality int) [64]int32 {
 	return out
 }
 
+// dctCos[u][x] is the DCT-II basis cos((2x+1)uπ/16). Its argument is
+// float64 arithmetic on loop variables, rounded step by step as in the
+// reference transforms that TestDCTMatchesReference holds fdct8 and
+// idct8 to bit for bit; written as a constant expression it would be
+// rounded once and could differ in the last bit.
+var dctCos = func() (t [8][8]float64) {
+	for u := 0; u < 8; u++ {
+		for x := 0; x < 8; x++ {
+			t[u][x] = math.Cos((2*float64(x) + 1) * float64(u) * math.Pi / 16)
+		}
+	}
+	return t
+}()
+
 // fdct8 performs a separable 8-point forward DCT-II on rows and
-// columns of the 8×8 block (float path; the kernel is CPU-bound on
-// purpose).
+// columns of the 8×8 block. The float multiply-adds are the kernel's
+// CPU work; the basis is read from dctCos, not recomputed.
 func fdct8(block *[64]float64) {
 	var tmp [64]float64
 	// Rows.
@@ -101,7 +115,7 @@ func fdct8(block *[64]float64) {
 		for u := 0; u < 8; u++ {
 			sum := 0.0
 			for x := 0; x < 8; x++ {
-				sum += block[r*8+x] * math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16)
+				sum += block[r*8+x] * dctCos[u][x]
 			}
 			c := 0.5
 			if u == 0 {
@@ -115,7 +129,7 @@ func fdct8(block *[64]float64) {
 		for v := 0; v < 8; v++ {
 			sum := 0.0
 			for y := 0; y < 8; y++ {
-				sum += tmp[y*8+cidx] * math.Cos((2*float64(y)+1)*float64(v)*math.Pi/16)
+				sum += tmp[y*8+cidx] * dctCos[v][y]
 			}
 			c := 0.5
 			if v == 0 {
@@ -138,7 +152,7 @@ func idct8(block *[64]float64) {
 				if v == 0 {
 					c = 1 / (2 * math.Sqrt2)
 				}
-				sum += c * block[v*8+cidx] * math.Cos((2*float64(y)+1)*float64(v)*math.Pi/16)
+				sum += c * block[v*8+cidx] * dctCos[v][y]
 			}
 			tmp[y*8+cidx] = sum
 		}
@@ -152,7 +166,7 @@ func idct8(block *[64]float64) {
 				if u == 0 {
 					c = 1 / (2 * math.Sqrt2)
 				}
-				sum += c * tmp[r*8+u] * math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16)
+				sum += c * tmp[r*8+u] * dctCos[u][x]
 			}
 			block[r*8+x] = sum
 		}

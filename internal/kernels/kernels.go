@@ -20,13 +20,16 @@
 // deliberately straightforward and CPU-bound — they are the task
 // payloads of the live work-stealing runtime (internal/rt) and the
 // calibration source for the simulator's workload mixes, and EEWA plans
-// from their measured time on the assumption that it is CPU work. So
-// the encoders do not allocate per call: LZW, DMC, Huffman and JE are
-// methods of Scratch (scratch.go), which owns their output buffer,
-// dictionary, state slab and tree and is reset, not rebuilt, between
-// runs; the package-level functions of the same names run the method on
-// a pooled Scratch and return a copy. The digests need no scratch: they
-// hash whole blocks from the input and pad the tail on the stack.
+// from their measured time on the assumption that it is CPU work. So a
+// kernel's time is its algorithm's arithmetic and nothing else: the
+// constants it reads live in package tables built once (the DCT basis,
+// the padded corpus words), and the encoders do not allocate per call.
+// LZW, DMC, Huffman and JE are methods of Scratch (scratch.go), which
+// owns their output buffer, dictionary, state slab and tree and is
+// reset, not rebuilt, between runs; the package-level functions of the
+// same names run the method on a pooled Scratch and return a copy. The
+// digests need no scratch: they hash whole blocks from the input and
+// pad the tail on the stack.
 package kernels
 
 import "sync/atomic"

@@ -131,6 +131,47 @@ func BenchmarkJPEGishEncode(b *testing.B) {
 	}
 }
 
+// The per-job input generators: serve fills every job's body with one
+// of these on the handler, before admission.
+
+func BenchmarkTextCorpusInto(b *testing.B) {
+	for _, n := range []struct {
+		name string
+		size int
+	}{{"256B", 256}, {"64KiB", 64 << 10}} {
+		b.Run(n.name, func(b *testing.B) {
+			dst := make([]byte, n.size)
+			b.SetBytes(int64(len(dst)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				TextCorpusInto(dst, uint64(i))
+			}
+			KeepAlive(dst)
+		})
+	}
+}
+
+func BenchmarkStructuredCorpusInto(b *testing.B) {
+	dst := make([]byte, 4<<10)
+	b.SetBytes(int64(len(dst)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		StructuredCorpusInto(dst, uint64(i))
+	}
+	KeepAlive(dst)
+}
+
+func BenchmarkGradientImageInto(b *testing.B) {
+	const w, h = 64, 64
+	pix := make([]byte, w*h)
+	b.SetBytes(int64(len(pix)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GradientImageInto(pix, uint64(i), w, h)
+	}
+	KeepAlive(pix)
+}
+
 func BenchmarkCRC32(b *testing.B) {
 	data := benchCorpus(64 << 10)
 	b.SetBytes(int64(len(data)))

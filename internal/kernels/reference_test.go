@@ -4,7 +4,10 @@ package kernels
 // the change that introduced it), renamed with a ref prefix and otherwise
 // verbatim: each builds its working memory per call. They are the
 // reference the differential tests and FuzzScratchKernels compare the
-// scratch-reusing kernels against, byte for byte.
+// scratch-reusing kernels against, byte for byte. The DCT and the text
+// corpus fill are kept as they stood before their constant tables
+// (refFdct8, refIdct8, refTextCorpusInto), so the reference JE encoder
+// sees a change to the live transform.
 
 import (
 	"container/heap"
@@ -364,7 +367,7 @@ func refEncodeJPEGish(im *Image, quality int) ([]byte, error) {
 					blk[y*8+x] = float64(im.At(bx+x, by+y)) - 128
 				}
 			}
-			fdct8(&blk)
+			refFdct8(&blk)
 			var q [64]int32
 			for i := 0; i < 64; i++ {
 				q[i] = int32(math.Round(blk[i] / float64(quant[i])))
@@ -401,6 +404,83 @@ func refEncodeJPEGish(im *Image, quality int) ([]byte, error) {
 	binary.LittleEndian.PutUint32(out[4:], uint32(im.H))
 	binary.LittleEndian.PutUint32(out[8:], uint32(quality))
 	return append(out, payload...), nil
+}
+
+// refFdct8 is fdct8 before the basis table: it evaluates the cosine
+// at every multiply.
+func refFdct8(block *[64]float64) {
+	var tmp [64]float64
+	// Rows.
+	for r := 0; r < 8; r++ {
+		for u := 0; u < 8; u++ {
+			sum := 0.0
+			for x := 0; x < 8; x++ {
+				sum += block[r*8+x] * math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16)
+			}
+			c := 0.5
+			if u == 0 {
+				c = 1 / (2 * math.Sqrt2)
+			}
+			tmp[r*8+u] = sum * c
+		}
+	}
+	// Columns.
+	for cidx := 0; cidx < 8; cidx++ {
+		for v := 0; v < 8; v++ {
+			sum := 0.0
+			for y := 0; y < 8; y++ {
+				sum += tmp[y*8+cidx] * math.Cos((2*float64(y)+1)*float64(v)*math.Pi/16)
+			}
+			c := 0.5
+			if v == 0 {
+				c = 1 / (2 * math.Sqrt2)
+			}
+			block[v*8+cidx] = sum * c
+		}
+	}
+}
+
+// refIdct8 is idct8 before the basis table.
+func refIdct8(block *[64]float64) {
+	var tmp [64]float64
+	// Columns.
+	for cidx := 0; cidx < 8; cidx++ {
+		for y := 0; y < 8; y++ {
+			sum := 0.0
+			for v := 0; v < 8; v++ {
+				c := 0.5
+				if v == 0 {
+					c = 1 / (2 * math.Sqrt2)
+				}
+				sum += c * block[v*8+cidx] * math.Cos((2*float64(y)+1)*float64(v)*math.Pi/16)
+			}
+			tmp[y*8+cidx] = sum
+		}
+	}
+	// Rows.
+	for r := 0; r < 8; r++ {
+		for x := 0; x < 8; x++ {
+			sum := 0.0
+			for u := 0; u < 8; u++ {
+				c := 0.5
+				if u == 0 {
+					c = 1 / (2 * math.Sqrt2)
+				}
+				sum += c * tmp[r*8+u] * math.Cos((2*float64(x)+1)*float64(u)*math.Pi/16)
+			}
+			block[r*8+x] = sum
+		}
+	}
+}
+
+// refTextCorpusInto is TextCorpusInto before the 16-byte stores: one
+// copy per word.
+func refTextCorpusInto(dst []byte, seed uint64) {
+	rng := xrand.New(seed)
+	i := 0
+	for i < len(dst) {
+		i += copy(dst[i:], corpusWords[rng.Intn(len(corpusWords))])
+	}
 }
 
 // refSHA1 computes the RFC 3174 digest of data, implemented from the

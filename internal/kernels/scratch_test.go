@@ -2,7 +2,10 @@ package kernels
 
 import (
 	"bytes"
+	"math"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // refSizes brackets the digests' padding boundaries (55/56, 63/64/65,
@@ -128,6 +131,89 @@ func TestGradientImageIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDCTMatchesReference pins the transforms bit for bit against the
+// ones that evaluated the cosine per multiply, over three input ranges:
+// level-shifted pixels (what the encoder feeds fdct8), floats across
+// many binades, and int32-range values (what the decoder's dequantized
+// coefficients can reach).
+func TestDCTMatchesReference(t *testing.T) {
+	rng := xrand.New(29)
+	inputs := []struct {
+		name string
+		gen  func() float64
+	}{
+		{"pixels", func() float64 { return float64(byte(rng.Uint64())) - 128 }},
+		{"wide", func() float64 {
+			v := math.Ldexp(float64(rng.Uint64()>>11)/(1<<53), rng.Intn(121)-60)
+			if rng.Uint64()&1 == 1 {
+				v = -v
+			}
+			return v
+		}},
+		{"int32", func() float64 { return float64(int32(rng.Uint64())) }},
+	}
+	const blocksPerInput = 35_000
+	for _, in := range inputs {
+		bad := 0
+		for n := 0; n < blocksPerInput; n++ {
+			var blk [64]float64
+			for i := range blk {
+				blk[i] = in.gen()
+			}
+			for _, tr := range []struct {
+				name      string
+				live, ref func(*[64]float64)
+			}{{"fdct8", fdct8, refFdct8}, {"idct8", idct8, refIdct8}} {
+				got, want := blk, blk
+				tr.live(&got)
+				tr.ref(&want)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						if bad++; bad <= 3 {
+							t.Errorf("%s %s block %d coefficient %d: %v, reference %v", tr.name, in.name, n, i, got[i], want[i])
+						}
+						break
+					}
+				}
+			}
+		}
+		if bad > 3 {
+			t.Errorf("%s: %d transforms differ in all", in.name, bad)
+		}
+	}
+}
+
+// TestTextCorpusMatchesReference: the 16-byte stores write the bytes
+// copying word by word did, at every length across the store/tail
+// boundary, and nothing past dst — which starts as 0xAA, so a byte the
+// fill misses shows.
+func TestTextCorpusMatchesReference(t *testing.T) {
+	lengths := []int{16 << 10, 64 << 10, 64<<10 + 7}
+	for n := 0; n <= 4096; n++ {
+		lengths = append(lengths, n)
+	}
+	const guard = 32 // bytes past dst that must stay 0xAA
+	buf := make([]byte, 64<<10+7+guard)
+	want := make([]byte, len(buf))
+	for _, n := range lengths {
+		for seed := uint64(1); seed <= 5; seed++ {
+			for i := range buf[:n+guard] {
+				buf[i] = 0xAA
+			}
+			TextCorpusInto(buf[:n], seed)
+			refTextCorpusInto(want[:n], seed)
+			if !bytes.Equal(buf[:n], want[:n]) {
+				t.Fatalf("TextCorpusInto len %d seed %d differs from the reference", n, seed)
+			}
+			for i := n; i < n+guard; i++ {
+				if buf[i] != 0xAA {
+					t.Fatalf("TextCorpusInto len %d seed %d wrote byte %d, past dst", n, seed, i)
+				}
+			}
+		}
+	}
+}
+
 // FuzzScratchKernels feeds fuzzer-chosen bytes (the first 4 KiB of
 // them: DMC costs a microsecond a bit) through a dirty scratch — one
 // that last ran a different, larger input of every kernel — and requires
@@ -160,11 +246,13 @@ func TestKernelAllocBudgets(t *testing.T) {
 	text, structured := TextCorpus(1, 4<<10), StructuredCorpus(1, 4<<10)
 	im := GradientImage(1, 64, 64)
 	s := new(Scratch)
+	fill := make([]byte, 4<<10)
 	for _, c := range []struct {
 		name   string
 		budget float64
 		fn     func()
 	}{
+		{"TextCorpusInto", 0, func() { TextCorpusInto(fill, 1); KeepAlive(fill) }},
 		{"SHA1", 0, func() { d := SHA1(text); KeepAlive(d[:]) }},
 		{"MD5", 0, func() { d := MD5(text); KeepAlive(d[:]) }},
 		{"Scratch.LZWCompress", 0, func() { KeepAlive(s.LZWCompress(text)) }},

@@ -20,7 +20,7 @@ func TestLenReportsPendingNotHeapSize(t *testing.T) {
 	q.AtIndex(1, 1)
 	q.AtIndex(2, 2)
 	if q.Len() != 3 {
-		t.Fatalf("after 3 AtIndex over 2 buckets: Len=%d, want 3", q.Len())
+		t.Fatalf("after 3 AtIndex over 2 instants: Len=%d, want 3", q.Len())
 	}
 	q.StepBatch()
 	if q.Len() != 1 {
@@ -57,8 +57,8 @@ func TestStepBatchDrainsOneTimestamp(t *testing.T) {
 
 // Events scheduled at the current instant from inside a draining batch
 // must run in the same batch — the engine relies on this for same-time
-// completion → coreFree cascades — whether they land in the bucket
-// being drained or in a fresh one.
+// completion → coreFree cascades — after the ones already pending,
+// even when another instant is scheduled between them.
 func TestStepBatchIncludesSameTimeAppends(t *testing.T) {
 	q := New()
 	var order []int32
@@ -66,7 +66,7 @@ func TestStepBatchIncludesSameTimeAppends(t *testing.T) {
 		order = append(order, v)
 		if v == 0 {
 			q.AtIndex(1, 2)
-			q.AtIndex(5, 9) // moves the bucket cache off t=1
+			q.AtIndex(5, 9)
 			q.AtIndex(1, 3)
 		}
 	})
@@ -80,9 +80,8 @@ func TestStepBatchIncludesSameTimeAppends(t *testing.T) {
 	}
 }
 
-// Scheduling that alternates between two instants opens a new bucket at
-// every switch; the (time, seq) heap order still fires each instant's
-// events in scheduling order.
+// Scheduling that alternates between two instants still fires each
+// instant's events in scheduling order.
 func TestAtIndexInterleavesFIFO(t *testing.T) {
 	q, order := recorder()
 	for i := int32(0); i < 6; i++ {
@@ -236,7 +235,7 @@ func (m *model) verify() {
 
 // applyOp interprets one fuzz/random operation. Times are drawn from a
 // small grid (multiples of 0.5 ahead of now) so duplicate timestamps —
-// the bucket machinery's whole point — occur constantly, and a zero
+// where the FIFO tie-break decides — occur constantly, and a zero
 // follow-up delay appends to the instant being drained.
 func (m *model) applyOp(op, arg byte) {
 	at := m.now + float64(arg%8)*0.5
@@ -276,5 +275,135 @@ func TestQueueModelRandomized(t *testing.T) {
 			m.applyOp(byte(rng.Intn(256)), byte(rng.Intn(256)))
 		}
 		m.finish()
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Differential testing: the heap against the calendar queue it replaced
+// (refQueue), driven in lockstep with the same schedule. Both callbacks
+// read one shared, read-only follow-up plan, so every event schedules the
+// same children at the same times on both sides.
+// ---------------------------------------------------------------------------
+
+// kid is a follow-up an event schedules when it fires: payload id at the
+// firing instant + delay.
+type kid struct {
+	delay float64
+	id    int32
+}
+
+type lockstep struct {
+	t         *testing.T
+	q         *Queue
+	ref       *refQueue
+	kids      map[int32][]kid
+	got, want []int32 // dispatch sequences of q and ref
+	next      int32
+}
+
+func newLockstep(t *testing.T) *lockstep {
+	l := &lockstep{t: t, q: New(), ref: newRefQueue(), kids: map[int32][]kid{}}
+	l.q.SetIndexFn(func(v int32) {
+		l.got = append(l.got, v)
+		for _, k := range l.kids[v] {
+			l.q.AtIndex(l.q.Now()+k.delay, k.id)
+		}
+	})
+	l.ref.SetIndexFn(func(v int32) {
+		l.want = append(l.want, v)
+		for _, k := range l.kids[v] {
+			l.ref.AtIndex(l.ref.Now()+k.delay, k.id)
+		}
+	})
+	return l
+}
+
+func (l *lockstep) id() int32 {
+	l.next++
+	return l.next - 1
+}
+
+func (l *lockstep) schedule(tm float64, v int32) {
+	l.q.AtIndex(tm, v)
+	l.ref.AtIndex(tm, v)
+}
+
+// withKids returns a fresh id that, when it fires, schedules n follow-ups
+// with delays cycling through 0, 0.5 and 1 — a zero delay appends to the
+// instant being drained, and alternating instants moves the calendar's
+// bucket cache off and back. With depth > 0 the first follow-up has
+// follow-ups of its own.
+func (l *lockstep) withKids(n, phase, depth int) int32 {
+	v := l.id()
+	for k := 0; k < n; k++ {
+		c := l.id()
+		if k == 0 && depth > 0 {
+			c = l.withKids(n, phase+1, depth-1)
+		}
+		l.kids[v] = append(l.kids[v], kid{delay: 0.5 * float64((phase+k)%3), id: c})
+	}
+	return v
+}
+
+// check compares every observable of the two queues.
+func (l *lockstep) check(call string, n, nRef int) {
+	l.t.Helper()
+	if n != nRef || !slices.Equal(l.got, l.want) {
+		l.t.Fatalf("%s: heap ran %d, calendar %d\nheap     %v\ncalendar %v", call, n, nRef, l.got, l.want)
+	}
+	if l.q.Now() != l.ref.Now() || l.q.Len() != l.ref.Len() || l.q.Fired() != l.ref.Fired() {
+		l.t.Fatalf("%s: heap now=%g len=%d fired=%d; calendar now=%g len=%d fired=%d", call,
+			l.q.Now(), l.q.Len(), l.q.Fired(), l.ref.Now(), l.ref.Len(), l.ref.Fired())
+	}
+	tm, ok := l.q.NextTime()
+	tmRef, okRef := l.ref.NextTime()
+	if tm != tmRef || ok != okRef {
+		l.t.Fatalf("%s: heap NextTime %g,%v; calendar %g,%v", call, tm, ok, tmRef, okRef)
+	}
+}
+
+// applyOp interprets one (op, arg) pair. Times sit on a 0.5 grid ahead
+// of now, so instants collide constantly; RunUntil deadlines fall on the
+// grid (on event times) or a quarter off it (between them).
+func (l *lockstep) applyOp(op, arg byte) {
+	at := l.ref.Now() + float64(arg%8)*0.5
+	switch op % 6 {
+	case 0:
+		l.schedule(at, l.id())
+	case 1: // an event whose callback schedules follow-ups
+		l.schedule(at, l.withKids(1+int(arg/8%4), int(arg/32), int(arg/64%2)))
+	case 2: // a same-instant fan-out
+		for i := 0; i <= int(arg/8%16); i++ {
+			l.schedule(at, l.id())
+		}
+	case 3:
+		l.check("StepBatch", l.q.StepBatch(), l.ref.StepBatch())
+		return
+	case 4:
+		l.check("RunUntil on the grid", l.q.RunUntil(at), l.ref.RunUntil(at))
+		return
+	case 5:
+		l.check("RunUntil off the grid", l.q.RunUntil(at+0.25), l.ref.RunUntil(at+0.25))
+		return
+	}
+	l.check("schedule", 0, 0)
+}
+
+func (l *lockstep) finish() {
+	for l.ref.Len() > 0 {
+		l.check("StepBatch", l.q.StepBatch(), l.ref.StepBatch())
+	}
+	l.check("drained", l.q.StepBatch(), l.ref.StepBatch())
+}
+
+func TestQueueMatchesCalendarReference(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := newLockstep(t)
+		ops := 200 + rng.Intn(400)
+		for i := 0; i < ops; i++ {
+			l.applyOp(byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+		l.finish()
 	}
 }

@@ -262,9 +262,8 @@ type Machine struct {
 
 	lastChange float64
 	coreEnergy []float64
-	busyTime   []float64
-	spinTime   []float64
-	haltTime   []float64
+	// timeIn[id][s] is the seconds core id has spent in state s.
+	timeIn [][3]float64
 
 	// DVFSTransitions counts frequency switches, for overhead
 	// reporting.
@@ -285,9 +284,7 @@ func New(cfg Config) *Machine {
 		states:     make([]CoreState, n),
 		power:      make([]float64, n),
 		coreEnergy: make([]float64, n),
-		busyTime:   make([]float64, n),
-		spinTime:   make([]float64, n),
-		haltTime:   make([]float64, n),
+		timeIn:     make([][3]float64, n),
 	}
 	for i := range m.states {
 		m.states[i] = Halted
@@ -363,16 +360,12 @@ func (m *Machine) charge(now float64) {
 	if dt == 0 {
 		return
 	}
-	for id := range m.freqs {
-		m.coreEnergy[id] += dt * m.power[id]
-		switch m.states[id] {
-		case Busy:
-			m.busyTime[id] += dt
-		case Spinning:
-			m.spinTime[id] += dt
-		case Halted:
-			m.haltTime[id] += dt
-		}
+	// Reslicing to len(states) lets the compiler drop the per-core
+	// bounds checks.
+	energy, power, timeIn := m.coreEnergy[:len(m.states)], m.power[:len(m.states)], m.timeIn[:len(m.states)]
+	for id, s := range m.states {
+		energy[id] += dt * power[id]
+		timeIn[id][s] += dt
 	}
 	m.lastChange = now
 }
@@ -425,29 +418,30 @@ func (m *Machine) CoreEnergyAt(now float64) float64 {
 
 // BusyTime returns the seconds core id has spent executing tasks, as of
 // the machine's last charge point.
-func (m *Machine) BusyTime(id int) float64 { return m.busyTime[id] }
+func (m *Machine) BusyTime(id int) float64 { return m.timeIn[id][Busy] }
 
 // SpinTime returns the seconds core id has spent in the steal loop.
-func (m *Machine) SpinTime(id int) float64 { return m.spinTime[id] }
+func (m *Machine) SpinTime(id int) float64 { return m.timeIn[id][Spinning] }
 
 // HaltTime returns the seconds core id has spent parked.
-func (m *Machine) HaltTime(id int) float64 { return m.haltTime[id] }
+func (m *Machine) HaltTime(id int) float64 { return m.timeIn[id][Halted] }
 
 // TotalBusyTime sums BusyTime across cores.
-func (m *Machine) TotalBusyTime() float64 { return sum(m.busyTime) }
+func (m *Machine) TotalBusyTime() float64 { return m.total(Busy) }
 
 // TotalSpinTime sums SpinTime across cores.
-func (m *Machine) TotalSpinTime() float64 { return sum(m.spinTime) }
+func (m *Machine) TotalSpinTime() float64 { return m.total(Spinning) }
 
 // TotalHaltTime sums HaltTime across cores.
-func (m *Machine) TotalHaltTime() float64 { return sum(m.haltTime) }
+func (m *Machine) TotalHaltTime() float64 { return m.total(Halted) }
 
-func sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
+// total sums the time every core has spent in state s, in core order.
+func (m *Machine) total(s CoreState) float64 {
+	t := 0.0
+	for id := range m.timeIn {
+		t += m.timeIn[id][s]
 	}
-	return s
+	return t
 }
 
 // Sync charges the open interval so that the per-state time counters
@@ -471,12 +465,13 @@ func (m *Machine) ReclassifyBusyAsSpin(id int, dt float64) {
 	if dt < 0 || math.IsNaN(dt) {
 		panic(fmt.Sprintf("machine: reclassify negative interval %g", dt))
 	}
-	if dt > m.busyTime[id]+1e-9 {
+	t := &m.timeIn[id]
+	if dt > t[Busy]+1e-9 {
 		panic(fmt.Sprintf("machine: reclassify %g s busy->spin but core %d has only %g s busy",
-			dt, id, m.busyTime[id]))
+			dt, id, t[Busy]))
 	}
-	m.busyTime[id] -= dt
-	m.spinTime[id] += dt
+	t[Busy] -= dt
+	t[Spinning] += dt
 }
 
 // FreqCensus returns how many cores currently sit at each frequency

@@ -341,8 +341,8 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 		e.idleAt[c] = -1
 	}
 
-	// The fan-out lands in one event-queue bucket (every core wakes at
-	// the same instant), so the whole batch start costs one heap touch.
+	// Every core wakes at the same instant; the queue fires the wake-ups
+	// in core order (same-time events are FIFO).
 	for c := 0; c < e.cfg.Cores; c++ {
 		e.q.AtIndex(now, int32(e.cfg.Cores+c))
 	}

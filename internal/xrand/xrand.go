@@ -36,21 +36,26 @@ func (r *RNG) Uint64() uint64 {
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
+//
+// It returns v % n for the first draw v at or above the threshold
+// 2^64 mod n, rejecting the draws below it so every residue has the
+// same number of preimages. The threshold is always below n, so a draw
+// v ≥ n is accepted without computing it; only a draw below n pays the
+// second division. Values and generator state are the same either way.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
-	// Lemire's multiply-shift rejection-free variant is overkill at this
-	// scale; simple modulo bias is < 2^-40 for the n values used here,
-	// but we keep the rejection loop anyway for correctness.
 	bound := uint64(n)
-	threshold := -bound % bound
-	for {
-		v := r.Uint64()
-		if v >= threshold {
-			return int(v % bound)
-		}
+	v := r.Uint64()
+	if v >= bound {
+		return int(v % bound)
 	}
+	threshold := -bound % bound
+	for v < threshold {
+		v = r.Uint64()
+	}
+	return int(v % bound)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -86,14 +86,16 @@ cluster-sweep:
 
 # Cluster smoke for CI: a 3-shard tiered router survives a demo burst
 # and drains cleanly, and a small cluster sweep is byte-identical
-# across worker counts (the -cluster parity acceptance clause).
+# across worker counts (the -cluster parity acceptance clause). The
+# sweep covers both ladder splits: only on tiered does the class rule's
+# fastest-ladder branch decide.
 cluster-demo:
 	$(GO) run ./cmd/eewa-serve -demo -shards 3 -routing class -ladder-split tiered \
 		-flush-ms 10 -queue-depth 24 -max-inflight 96
 	$(GO) run ./cmd/eewa-sweep -cluster -j 1 -bench md5,lzw -cores 8 -seeds 2 \
-		-shards 1,2,4 -routing class,rr,least -csv cluster_j1.csv
+		-shards 1,2,4 -routing class,rr,least -ladder-split uniform,tiered -csv cluster_j1.csv
 	$(GO) run ./cmd/eewa-sweep -cluster -bench md5,lzw -cores 8 -seeds 2 \
-		-shards 1,2,4 -routing class,rr,least -csv cluster_jN.csv
+		-shards 1,2,4 -routing class,rr,least -ladder-split uniform,tiered -csv cluster_jN.csv
 	cmp cluster_j1.csv cluster_jN.csv
 	rm -f cluster_j1.csv cluster_jN.csv
 	@echo "cluster demo OK: 3-shard drain clean, cluster sweep -j parity byte-identical"

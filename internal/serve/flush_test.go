@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/rt"
 )
 
 // When a batch forms (DESIGN.md §9): a request wakes its shard's batcher
@@ -341,5 +342,81 @@ func TestBatchDisconnectReleasesEveryJob(t *testing.T) {
 	}
 	if st := s.Stats(); st.Admitted != 4 || st.Admitted != st.Completed+st.Timeouts {
 		t.Errorf("conservation: %d admitted, %d completed, %d timed out", st.Admitted, st.Completed, st.Timeouts)
+	}
+}
+
+// NextBatch is the one batching rule: FIFO up to maxBatch tasks with a
+// head-of-line break, expired and cancelled jobs dropped without taking
+// room, then a stable sort by descending work hint.
+func TestNextBatchRule(t *testing.T) {
+	now := time.Unix(100, 0)
+	type spec struct {
+		n         int
+		hint      float64
+		deadline  time.Time // zero = none
+		cancelled bool
+	}
+	cases := []struct {
+		name          string
+		maxBatch      int
+		queue         []spec
+		batch, expire []int // queue indices, in result order
+	}{
+		{name: "empty", maxBatch: 4},
+		{name: "head-of-line break", maxBatch: 4,
+			queue: []spec{{n: 2}, {n: 3}, {n: 1}},
+			batch: []int{0}},
+		{name: "fills to maxBatch", maxBatch: 4,
+			queue: []spec{{n: 2}, {n: 1}, {n: 1}, {n: 1}},
+			batch: []int{0, 1, 2}},
+		{name: "maxBatch job alone", maxBatch: 4,
+			queue: []spec{{n: 4}, {n: 1}},
+			batch: []int{0}},
+		{name: "maxBatch job opens the next batch", maxBatch: 4,
+			queue: []spec{{n: 1}, {n: 4}},
+			batch: []int{0}},
+		{name: "deadline now kept, 1ns past dropped", maxBatch: 8,
+			queue:  []spec{{n: 1, deadline: now}, {n: 1, deadline: now.Add(time.Nanosecond)}, {n: 1, deadline: now.Add(-time.Nanosecond)}},
+			batch:  []int{0, 1},
+			expire: []int{2}},
+		{name: "cancelled dropped", maxBatch: 8,
+			queue:  []spec{{n: 1}, {n: 2, cancelled: true}, {n: 1}},
+			batch:  []int{0, 2},
+			expire: []int{1}},
+		{name: "dropped job takes no room", maxBatch: 4,
+			queue:  []spec{{n: 3, cancelled: true}, {n: 3}, {n: 1}},
+			batch:  []int{1, 2},
+			expire: []int{0}},
+		{name: "heaviest hint first, equal hints FIFO", maxBatch: 8,
+			queue: []spec{{n: 1, hint: 1}, {n: 1, hint: 2}, {n: 1, hint: 1}, {n: 1, hint: 2}, {n: 1}},
+			batch: []int{1, 3, 0, 2, 4}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			queue := make([]*job, len(tc.queue))
+			index := map[*job]int{}
+			for i, sp := range tc.queue {
+				j := &job{tasks: make([]rt.Task, sp.n), req: JobRequest{WorkHintS: sp.hint}, deadline: sp.deadline}
+				j.cancelled.Store(sp.cancelled)
+				queue[i], index[j] = j, i
+			}
+			batch, expired, popped := NextBatch(now, queue, tc.maxBatch, nil, nil)
+			idx := func(js []*job) []int {
+				var out []int
+				for _, j := range js {
+					out = append(out, index[j])
+				}
+				return out
+			}
+			if got := idx(batch); !slices.Equal(got, tc.batch) {
+				t.Errorf("batch = %v, want %v", got, tc.batch)
+			}
+			if got := idx(expired); !slices.Equal(got, tc.expire) {
+				t.Errorf("expired = %v, want %v", got, tc.expire)
+			}
+			if want := len(tc.batch) + len(tc.expire); popped != want {
+				t.Errorf("popped = %d, want %d", popped, want)
+			}
+		})
 	}
 }

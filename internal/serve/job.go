@@ -160,7 +160,11 @@ type job struct {
 	lastEnd    atomic.Int64
 }
 
-func (j *job) expiredBy(now time.Time) bool {
+// TaskCount, WorkHint and ExpiredBy are the job as the batching rule
+// (NextBatch) sees it.
+func (j *job) TaskCount() int    { return len(j.tasks) }
+func (j *job) WorkHint() float64 { return j.req.WorkHintS }
+func (j *job) ExpiredBy(now time.Time) bool {
 	return j.cancelled.Load() || (!j.deadline.IsZero() && now.After(j.deadline))
 }
 

@@ -1,6 +1,10 @@
 package serve
 
-import "repro/internal/obs"
+import (
+	"strconv"
+
+	"repro/internal/obs"
+)
 
 // serveObs bundles the service's metric handles under the eewa_serve_*
 // namespace. Like the runtime's rtObs, every handle is nil when the
@@ -76,7 +80,7 @@ func newRouterObs(reg *obs.Registry) *routerObs {
 }
 
 // shardLabel formats a shard index as a metric label.
-func shardLabel(idx int) string { return itoa(idx) }
+func shardLabel(idx int) string { return strconv.Itoa(idx) }
 
 func (ro *routerObs) routed(idx int) {
 	if ro == nil {

@@ -11,6 +11,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sort"
 )
 
@@ -29,15 +30,6 @@ const (
 
 // RoutingPolicies returns the canonical routing-policy identifiers.
 func RoutingPolicies() []string { return []string{RouteClass, RouteRR, RouteLeast} }
-
-func validRouting(name string) bool {
-	for _, id := range RoutingPolicies() {
-		if name == id {
-			return true
-		}
-	}
-	return false
-}
 
 // ShardStats is one shard's slice of /v1/shards: admission counters,
 // the classes its current plan covers, and its energy roll-up.
@@ -134,16 +126,9 @@ func (s *Server) EnergyRollup() EnergyRollup {
 // the cluster answering 503.
 func (s *Server) DrainShard(ctx context.Context, shard int) error {
 	if shard < 0 || shard >= len(s.shards) {
-		return errShardRange(shard, len(s.shards))
+		return fmt.Errorf("serve: shard %d outside [0, %d)", shard, len(s.shards))
 	}
 	return s.shards[shard].drain(ctx)
-}
-
-type errShardRangeT struct{ shard, n int }
-
-func errShardRange(shard, n int) error { return errShardRangeT{shard, n} }
-func (e errShardRangeT) Error() string {
-	return "serve: shard " + itoa(e.shard) + " outside [0, " + itoa(e.n) + ")"
 }
 
 // route takes a validated job through admission. First the two checks
@@ -161,7 +146,7 @@ func (s *Server) route(j *job) *Rejection {
 		return &Rejection{Status: 503, Reason: "draining",
 			Msg: "server is draining, not admitting new jobs"}
 	}
-	if j.expiredBy(s.now()) {
+	if j.ExpiredBy(s.now()) {
 		// Admission fast-fail: the deadline has already passed (an
 		// absolute deadline_at in the past, or a cancellation raced
 		// in), so queuing the job would only burn a batch slot before
@@ -182,7 +167,7 @@ func (s *Server) route(j *job) *Rejection {
 		}
 		return sh.admit(j)
 	}
-	order := s.shardOrder(j.req.Func, len(j.tasks))
+	order := s.shardOrder(j.req.Func)
 	if len(order) == 0 {
 		return &Rejection{Status: 503, Reason: "draining",
 			Msg: "every shard is draining, not admitting new jobs"}
@@ -204,99 +189,82 @@ func (s *Server) route(j *job) *Rejection {
 	return firstRej
 }
 
-// shardOrder returns the candidate shard indices for a job of `class`
-// with n tasks, best first. Draining shards never appear; with one
-// shard the order is always [0], so the single-shard cluster admits
-// exactly like the pre-router server.
-func (s *Server) shardOrder(class string, n int) []int {
-	views := make([]shardView, 0, len(s.shards))
+// shardOrder returns the candidate shard indices for a job of `class`,
+// best first. Draining shards never appear; with one shard the order
+// is always [0], so the single-shard cluster admits exactly like the
+// pre-router server.
+func (s *Server) shardOrder(class string) []int {
+	views := make([]ShardView, 0, len(s.shards))
 	for _, sh := range s.shards {
-		v := sh.view(class)
-		if v.draining {
-			continue
+		if !sh.draining.Load() {
+			views = append(views, sh.view(class))
 		}
-		views = append(views, v)
 	}
-	if len(views) <= 1 {
-		if len(views) == 0 {
-			return nil
-		}
-		return []int{views[0].idx}
+	var rr uint64
+	if s.cfg.Routing == RouteRR && len(views) > 1 {
+		rr = s.rr.Add(1) - 1
 	}
-	switch s.cfg.Routing {
+	return RankShards(s.cfg.Routing, views, rr)
+}
+
+// ShardView is one healthy shard as a routing decision sees it.
+type ShardView struct {
+	Index    int
+	Headroom int     // in-flight budget left; only its order matters
+	Knows    bool    // the job's class ran in the shard's last batch
+	Fastest  float64 // top rung of the shard's ladder
+}
+
+// RankShards is the routing rule: it orders the candidate shards for a
+// job under routing, best first, and returns their indices. It sorts
+// views in place. rr is the round-robin cursor, read by RouteRR only.
+// The live router and the cluster sweep both place by it.
+func RankShards(routing string, views []ShardView, rr uint64) []int {
+	if len(views) == 0 {
+		return nil
+	}
+	switch routing {
 	case RouteRR:
-		start := int(s.rr.Add(1)-1) % len(views)
+		start := int(rr % uint64(len(views)))
 		order := make([]int, 0, len(views))
-		for k := 0; k < len(views); k++ {
-			order = append(order, views[(start+k)%len(views)].idx)
+		for k := range views {
+			order = append(order, views[(start+k)%len(views)].Index)
 		}
 		return order
 	case RouteLeast:
 		sort.SliceStable(views, func(a, b int) bool {
-			if views[a].headroom != views[b].headroom {
-				return views[a].headroom > views[b].headroom
+			if views[a].Headroom != views[b].Headroom {
+				return views[a].Headroom > views[b].Headroom
 			}
-			return views[a].idx < views[b].idx
+			return views[a].Index < views[b].Index
 		})
 	default: // RouteClass
 		anyKnows := false
 		for _, v := range views {
-			if v.knows {
-				anyKnows = true
-				break
-			}
+			anyKnows = anyKnows || v.Knows
 		}
 		sort.SliceStable(views, func(a, b int) bool {
 			va, vb := views[a], views[b]
 			if anyKnows {
 				// Known class: its planning shards first, each by
 				// headroom; spillover targets follow, also by headroom.
-				if va.knows != vb.knows {
-					return va.knows
+				if va.Knows != vb.Knows {
+					return va.Knows
 				}
-				if va.headroom != vb.headroom {
-					return va.headroom > vb.headroom
-				}
-				return va.idx < vb.idx
+			} else if va.Fastest != vb.Fastest {
+				// Class unknown cluster-wide: fastest ladder first — the
+				// paper's "unknown class → fastest group" at cluster scope.
+				return va.Fastest > vb.Fastest
 			}
-			// Class unknown cluster-wide: fastest ladder first — the
-			// paper's "unknown class → fastest group" at cluster scope.
-			if va.fastest != vb.fastest {
-				return va.fastest > vb.fastest
+			if va.Headroom != vb.Headroom {
+				return va.Headroom > vb.Headroom
 			}
-			if va.headroom != vb.headroom {
-				return va.headroom > vb.headroom
-			}
-			return va.idx < vb.idx
+			return va.Index < vb.Index
 		})
 	}
 	order := make([]int, len(views))
 	for i, v := range views {
-		order[i] = v.idx
+		order[i] = v.Index
 	}
 	return order
-}
-
-// itoa is strconv.Itoa for the tiny error path (avoids the import in
-// this file's hot section).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

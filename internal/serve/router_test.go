@@ -176,23 +176,23 @@ func TestShardOrderClassAware(t *testing.T) {
 	// Only shard 1's plan knows sha1: it leads; the spillover tail is
 	// ordered by headroom (all equal here → by index).
 	setPlan(s.shards[1], "sha1")
-	if got := s.shardOrder("sha1", 1); got[0] != 1 {
+	if got := s.shardOrder("sha1"); got[0] != 1 {
 		t.Errorf("class-aware order = %v, want shard 1 first", got)
 	}
 
 	// Shards 1 and 2 both know it; shard 2 has more headroom.
 	setPlan(s.shards[2], "sha1")
 	setInflight(s.shards[1], 100)
-	if got := s.shardOrder("sha1", 1); got[0] != 2 || got[1] != 1 {
+	if got := s.shardOrder("sha1"); got[0] != 2 || got[1] != 1 {
 		t.Errorf("headroom tiebreak order = %v, want [2 1 0]", got)
 	}
 	setInflight(s.shards[1], 0)
 
 	// A draining shard leaves every order.
 	s.shards[2].draining.Store(true)
-	for _, idx := range s.shardOrder("sha1", 1) {
+	for _, idx := range s.shardOrder("sha1") {
 		if idx == 2 {
-			t.Errorf("draining shard 2 still in order %v", s.shardOrder("sha1", 1))
+			t.Errorf("draining shard 2 still in order %v", s.shardOrder("sha1"))
 		}
 	}
 	s.shards[2].draining.Store(false)
@@ -210,13 +210,13 @@ func TestShardOrderUnknownClassFastestLadder(t *testing.T) {
 			base, // full ladder: fastest
 		}
 	})
-	got := s.shardOrder("never-profiled", 1)
+	got := s.shardOrder("never-profiled")
 	if got[0] != 2 || got[1] != 1 || got[2] != 0 {
 		t.Errorf("unknown-class order = %v, want fastest-first [2 1 0]", got)
 	}
 	// Once a slower shard's plan knows the class, it outranks raw speed.
 	setPlan(s.shards[0], "never-profiled")
-	if got := s.shardOrder("never-profiled", 1); got[0] != 0 {
+	if got := s.shardOrder("never-profiled"); got[0] != 0 {
 		t.Errorf("known-class order = %v, want planning shard 0 first", got)
 	}
 }
@@ -225,7 +225,7 @@ func TestShardOrderRoundRobin(t *testing.T) {
 	s := routedServer(t, func(c *Config) { c.Shards = 3; c.Routing = RouteRR })
 	var starts []int
 	for i := 0; i < 6; i++ {
-		starts = append(starts, s.shardOrder("sha1", 1)[0])
+		starts = append(starts, s.shardOrder("sha1")[0])
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	for i := range want {
@@ -240,7 +240,7 @@ func TestShardOrderLeastLoaded(t *testing.T) {
 	setInflight(s.shards[0], 50)
 	setInflight(s.shards[1], 10)
 	setInflight(s.shards[2], 90)
-	got := s.shardOrder("sha1", 1)
+	got := s.shardOrder("sha1")
 	if got[0] != 1 || got[1] != 0 || got[2] != 2 {
 		t.Errorf("least order = %v, want [1 0 2]", got)
 	}

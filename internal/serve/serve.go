@@ -53,6 +53,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("serve: shards must be positive, got %d", cfg.Shards)
 	}
-	if !validRouting(cfg.Routing) {
+	if !slices.Contains(RoutingPolicies(), cfg.Routing) {
 		return nil, fmt.Errorf("serve: unknown routing policy %q (want one of %v)", cfg.Routing, RoutingPolicies())
 	}
 	if len(cfg.ShardMachines) != 0 && len(cfg.ShardMachines) != cfg.Shards {

@@ -253,24 +253,15 @@ func (sh *shard) batchEnd(batch int, bs rt.BatchStats) {
 
 // view is the router's snapshot of the shard for one placement
 // decision.
-type shardView struct {
-	idx      int
-	draining bool
-	headroom int  // maxInFlight − inflight
-	knows    bool // class is in the shard's current plan
-	fastest  float64
-}
-
-func (sh *shard) view(class string) shardView {
+func (sh *shard) view(class string) ShardView {
 	sh.mu.Lock()
 	_, knows := sh.planClasses[class]
 	sh.mu.Unlock()
-	return shardView{
-		idx:      sh.cfg.index,
-		draining: sh.draining.Load(),
-		headroom: sh.cfg.maxInFlight - int(sh.inflight.Load()),
-		knows:    knows,
-		fastest:  sh.cfg.mc.Freqs[0],
+	return ShardView{
+		Index:    sh.cfg.index,
+		Headroom: sh.cfg.maxInFlight - int(sh.inflight.Load()),
+		Knows:    knows,
+		Fastest:  sh.cfg.mc.Freqs[0],
 	}
 }
 
@@ -385,6 +376,16 @@ func (sh *shard) batcher() {
 	}
 }
 
+// dequeued takes a job that left the queue off its tenant's and the
+// shard's queued counts. Caller holds qmu.
+func (sh *shard) dequeued(j *job) {
+	n := len(j.tasks)
+	te := sh.tenants[j.tenant]
+	te.queued -= n
+	te.qd.Add(float64(-n))
+	sh.queuedN.Add(int64(-n))
+}
+
 // flushAll drains the current backlog into consecutive batches on the
 // calling goroutine — the batch boundary of manual-flush mode.
 func (sh *shard) flushAll() {
@@ -392,45 +393,81 @@ func (sh *shard) flushAll() {
 	}
 }
 
-// flushOnce forms one batch from the head of the admission queue and
-// runs it. It reports whether any job left the queue (batched or
-// expired), so the batcher can loop until the backlog is gone.
-func (sh *shard) flushOnce() bool {
-	now := sh.cfg.clock()
-	batch := sh.batchBuf[:0]
-	expired := sh.expiredBuf[:0]
-	tasks, expiredTasks := 0, 0
+// Queued is a job waiting in an admission queue as the batching rule
+// sees it. The live job implements it, and so does the trace replay's
+// simulated job, so both clocks form batches by the one rule.
+type Queued interface {
+	TaskCount() int
+	WorkHint() float64
+	ExpiredBy(now time.Time) bool
+}
 
-	sh.qmu.Lock()
-	for sh.head < len(sh.pending) {
-		j := sh.pending[sh.head]
-		n := len(j.tasks)
-		if len(batch) > 0 && tasks+n > sh.cfg.maxBatch {
+// NextBatch is the batcher's rule for what goes into one batch formed
+// at now. It pops jobs from the head of queue in FIFO order until the
+// next job would push a non-empty batch past maxBatch tasks (that job
+// opens the next batch); a popped job that has expired is dropped into
+// expired instead. The batch is then sorted by descending work hint:
+// heavier-hinted jobs first, so their classes are placed before the
+// fine-grained filler (the descending-AvgWork order the CC table
+// wants), and stably, so equal hints keep FIFO fairness. batch and
+// expired come in empty and are appended to, so callers can reuse
+// their backing arrays; popped is how many jobs left the head of
+// queue, which NextBatch does not modify.
+func NextBatch[J Queued](now time.Time, queue []J, maxBatch int, batch, expired []J) (_, _ []J, popped int) {
+	tasks := 0
+	for _, j := range queue {
+		n := j.TaskCount()
+		if len(batch) > 0 && tasks+n > maxBatch {
 			break // head-of-line: this job opens the next batch
 		}
-		sh.pending[sh.head] = nil
-		sh.head++
-		te := sh.tenants[j.tenant]
-		te.queued -= n
-		te.qd.Add(float64(-n))
-		sh.queuedN.Add(int64(-n))
-		if j.expiredBy(now) {
-			// Deadline passed while queued: the job is dropped before
-			// any task starts.
-			sh.inflight.Add(int64(-n))
-			sh.timeouts.Add(1)
+		popped++
+		if j.ExpiredBy(now) {
 			expired = append(expired, j)
-			expiredTasks += n
 			continue
 		}
 		batch = append(batch, j)
 		tasks += n
 	}
+	slices.SortStableFunc(batch, func(a, b J) int {
+		switch ha, hb := a.WorkHint(), b.WorkHint(); {
+		case ha > hb:
+			return -1
+		case ha < hb:
+			return 1
+		}
+		return 0
+	})
+	return batch, expired, popped
+}
+
+// flushOnce forms one batch from the head of the admission queue and
+// runs it. It reports whether any job left the queue (batched or
+// expired), so the batcher can loop until the backlog is gone.
+func (sh *shard) flushOnce() bool {
+	now := sh.cfg.clock()
+	tasks, expiredTasks := 0, 0
+
+	sh.qmu.Lock()
+	batch, expired, popped := NextBatch(now, sh.pending[sh.head:], sh.cfg.maxBatch, sh.batchBuf[:0], sh.expiredBuf[:0])
+	clear(sh.pending[sh.head : sh.head+popped])
+	sh.head += popped
 	if sh.head == len(sh.pending) {
 		// Queue drained: rewind so the backing array is reused from the
 		// start instead of growing forever.
 		sh.pending, sh.head = sh.pending[:0], 0
 	}
+	for _, j := range batch {
+		tasks += len(j.tasks)
+		sh.dequeued(j)
+	}
+	for _, j := range expired {
+		// Deadline passed while queued: the job is dropped before any
+		// task starts.
+		expiredTasks += len(j.tasks)
+		sh.dequeued(j)
+	}
+	sh.inflight.Add(int64(-expiredTasks))
+	sh.timeouts.Add(uint64(len(expired)))
 	sh.qmu.Unlock()
 	sh.so.inflight.Add(float64(-expiredTasks))
 	sh.ro.shardInflight(sh.cfg.index, int(sh.inflight.Load()))
@@ -444,20 +481,6 @@ func (sh *shard) flushOnce() bool {
 		sh.batchBuf, sh.expiredBuf = batch, expired
 		return len(expired) > 0
 	}
-
-	// Workload-aware packing: heavier-hinted jobs first, so their
-	// classes are placed before the fine-grained filler (mirrors the
-	// descending-AvgWork order the CC table wants). Stable, so equal
-	// hints keep FIFO fairness.
-	slices.SortStableFunc(batch, func(a, b *job) int {
-		switch {
-		case a.req.WorkHintS > b.req.WorkHintS:
-			return -1
-		case a.req.WorkHintS < b.req.WorkHintS:
-			return 1
-		}
-		return 0
-	})
 
 	all := sh.taskBuf[:0]
 	for _, j := range batch {

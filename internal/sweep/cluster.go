@@ -1,8 +1,9 @@
 // Cluster topology sweep: the paper's policy × benchmark grid lifted
 // to cluster scope. A cluster cell simulates N runtime shards fed by a
-// routing policy — the same class/rr/least rules internal/serve's
-// router applies to live jobs — so routing policies are compared
-// cell-for-cell exactly like scheduling policies already are. Every
+// routing policy — every task is placed by serve.RankShards, the rule
+// internal/serve's router applies to live jobs, over views built from
+// the simulated shards — so routing policies are compared cell-for-cell
+// exactly like scheduling policies already are. Every
 // cell is a deterministic function of its identity fields: the
 // workload comes from the raw grid seed (all topologies face the
 // byte-identical task stream) and each shard's engine stream is split
@@ -13,37 +14,27 @@ package sweep
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/machine"
 	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/task"
 	"repro/internal/workloads"
 	"repro/internal/xrand"
 )
 
-// Routing-policy and ladder-split identifiers for the topology axes.
-// The routing names deliberately match internal/serve's RouteClass /
-// RouteRR / RouteLeast so a sweep row names the policy a live router
-// would run.
+// Ladder-split identifiers for the topology axis. SplitUniform gives
+// every shard the base machine's full ladder; SplitTiered hands shard i
+// a ladder with the top i rungs dropped (machine.Tiered), making the
+// cluster heterogeneous.
 const (
-	ClusterRouteClass = "class"
-	ClusterRouteRR    = "rr"
-	ClusterRouteLeast = "least"
-
-	// SplitUniform gives every shard the base machine's full ladder;
-	// SplitTiered hands shard i a ladder with the top i rungs dropped
-	// (machine.Tiered), making the cluster heterogeneous.
 	SplitUniform = "uniform"
 	SplitTiered  = "tiered"
 )
-
-// ClusterRoutings returns the canonical routing-policy names.
-func ClusterRoutings() []string {
-	return []string{ClusterRouteClass, ClusterRouteRR, ClusterRouteLeast}
-}
 
 // LadderSplits returns the canonical ladder-split names.
 func LadderSplits() []string { return []string{SplitUniform, SplitTiered} }
@@ -58,7 +49,7 @@ type ClusterGrid struct {
 	Policies []string
 	// Shards are the cluster widths to sweep; empty = {1, 2, 4}.
 	Shards []int
-	// Routings are ClusterRoutings() names; empty = all three.
+	// Routings are serve.RoutingPolicies() names; empty = all three.
 	Routings []string
 	// LadderSplits are LadderSplits() names; empty = {uniform}.
 	LadderSplits []string
@@ -79,7 +70,7 @@ func (g ClusterGrid) withDefaults() ClusterGrid {
 		g.Shards = []int{1, 2, 4}
 	}
 	if len(g.Routings) == 0 {
-		g.Routings = ClusterRoutings()
+		g.Routings = serve.RoutingPolicies()
 	}
 	if len(g.LadderSplits) == 0 {
 		g.LadderSplits = []string{SplitUniform}
@@ -109,25 +100,16 @@ func (g ClusterGrid) Validate() error {
 		}
 	}
 	for _, r := range g.Routings {
-		if !contains(ClusterRoutings(), r) {
-			return fmt.Errorf("sweep: unknown routing %q (want one of %v)", r, ClusterRoutings())
+		if !slices.Contains(serve.RoutingPolicies(), r) {
+			return fmt.Errorf("sweep: unknown routing %q (want one of %v)", r, serve.RoutingPolicies())
 		}
 	}
 	for _, s := range g.LadderSplits {
-		if !contains(LadderSplits(), s) {
+		if !slices.Contains(LadderSplits(), s) {
 			return fmt.Errorf("sweep: unknown ladder split %q (want one of %v)", s, LadderSplits())
 		}
 	}
 	return nil
-}
-
-func contains(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // ClusterCell is one (benchmark, policy, topology, seed) cluster
@@ -230,94 +212,41 @@ func shardMachines(split string, shards, cores int) []machine.Config {
 	return mcs
 }
 
-// splitWorkload routes w's tasks across shards batch by batch,
-// mirroring the serve router's policies on a known (offline) task
-// stream:
-//
-//   - class: class groups go whole to the shard that minimizes its
-//     speed-weighted load, heaviest group first — the placement a
-//     plan-aware router converges to when every shard knows the class
-//     mix (LPT over class groups, weighted by each shard's fastest
-//     frequency);
-//   - rr: tasks round-robin over shards, blind to class and load;
-//   - least: each task to the shard with the least speed-weighted
-//     load.
-//
-// Batches are barriers within a shard but not across shards, so each
-// batch's tasks are balanced independently. Shards routed no task in a
-// batch simply skip it; a shard routed nothing at all stays idle.
+// splitWorkload routes w's tasks across shards batch by batch through
+// serve.RankShards, the live router's rule, taking each task as a job
+// of one and handing it to the first candidate (there are no admission
+// bounds offline). The views come from the simulated shards: a shard
+// knows a class if the class ran in the shard's previous batch (the
+// live plan-class set), its headroom is minus the tasks already routed
+// to it in this batch, its fastest rung is Freqs[0], and the cell keeps
+// one round-robin cursor. Batches are barriers within a shard but not
+// across shards. A shard routed no task in a batch skips it and keeps
+// its previous batch's classes; a shard routed nothing at all stays
+// idle.
 func splitWorkload(w *task.Workload, mcs []machine.Config, routing string) []*task.Workload {
 	shards := len(mcs)
-	if shards == 1 {
-		// One shard takes the stream as-is. The class split below would
-		// regroup tasks by class (harmless balance-wise, but it reorders
-		// the batch), and the 1-shard cell must be the routing-independent
-		// baseline.
-		return []*task.Workload{w}
-	}
-	speeds := make([]float64, shards)
-	for i, mc := range mcs {
-		speeds[i] = mc.Freqs[0]
-	}
+	known := make([]map[string]bool, shards)
+	views := make([]serve.ShardView, shards)
 	parts := make([][]task.Batch, shards)
-
+	var rr uint64
 	for _, b := range w.Batches {
 		assigned := make([][]task.Task, shards)
-		loads := make([]float64, shards)
-		cheapest := func(extra float64) int {
-			best, bestCost := 0, 0.0
-			for i := 0; i < shards; i++ {
-				cost := (loads[i] + extra) / speeds[i]
-				if i == 0 || cost < bestCost {
-					best, bestCost = i, cost
-				}
+		for _, t := range b.Tasks {
+			for i, mc := range mcs {
+				views[i] = serve.ShardView{Index: i, Headroom: -len(assigned[i]), Knows: known[i][t.Class], Fastest: mc.Freqs[0]}
 			}
-			return best
+			i := serve.RankShards(routing, views, rr)[0]
+			rr++
+			assigned[i] = append(assigned[i], t)
 		}
-		switch routing {
-		case ClusterRouteRR:
-			for ti, t := range b.Tasks {
-				assigned[ti%shards] = append(assigned[ti%shards], t)
+		for i, ts := range assigned {
+			if len(ts) == 0 {
+				continue
 			}
-		case ClusterRouteLeast:
-			for _, t := range b.Tasks {
-				i := cheapest(t.Work)
-				assigned[i] = append(assigned[i], t)
-				loads[i] += t.Work
-			}
-		default: // ClusterRouteClass
-			type group struct {
-				class string
-				work  float64
-				tasks []task.Task
-			}
-			byClass := map[string]*group{}
-			var order []*group
-			for _, t := range b.Tasks {
-				g := byClass[t.Class]
-				if g == nil {
-					g = &group{class: t.Class}
-					byClass[t.Class] = g
-					order = append(order, g)
-				}
-				g.work += t.Work
-				g.tasks = append(g.tasks, t)
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				if order[a].work != order[b].work {
-					return order[a].work > order[b].work
-				}
-				return order[a].class < order[b].class
-			})
-			for _, g := range order {
-				i := cheapest(g.work)
-				assigned[i] = append(assigned[i], g.tasks...)
-				loads[i] += g.work
-			}
-		}
-		for i := 0; i < shards; i++ {
-			if len(assigned[i]) > 0 {
-				parts[i] = append(parts[i], task.Batch{Tasks: assigned[i]})
+			parts[i] = append(parts[i], task.Batch{Tasks: ts})
+			known[i] = map[string]bool{}
+			for _, t := range ts {
+				known[i][t.Class] = true
 			}
 		}
 	}

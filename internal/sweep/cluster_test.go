@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/serve"
 	"repro/internal/task"
 	"repro/internal/workloads"
 )
@@ -15,7 +17,7 @@ func smallClusterGrid() ClusterGrid {
 		Benchmarks:   []string{"md5"},
 		Policies:     []string{"cilk", "eewa"},
 		Shards:       []int{1, 2},
-		Routings:     []string{ClusterRouteClass, ClusterRouteRR},
+		Routings:     []string{serve.RouteClass, serve.RouteRR},
 		LadderSplits: []string{SplitUniform},
 		Cores:        []int{8},
 		Seeds:        []uint64{1},
@@ -88,7 +90,7 @@ func clusterJSON(t *testing.T, cells []ClusterCell) string {
 func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 	small, err := RunClusterCells(ClusterGrid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
-		Shards: []int{2}, Routings: []string{ClusterRouteClass},
+		Shards: []int{2}, Routings: []string{serve.RouteClass},
 		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1},
 	}, 1)
 	if err != nil {
@@ -96,7 +98,7 @@ func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 	}
 	big, err := RunClusterCells(ClusterGrid{
 		Benchmarks: []string{"lzw", "md5"}, Policies: []string{"cilk", "eewa"},
-		Shards: []int{1, 2, 4}, Routings: ClusterRoutings(),
+		Shards: []int{1, 2, 4}, Routings: serve.RoutingPolicies(),
 		LadderSplits: LadderSplits(), Cores: []int{8}, Seeds: []uint64{3, 1},
 	}, 4)
 	if err != nil {
@@ -138,8 +140,41 @@ func TestClusterGridValidate(t *testing.T) {
 	}
 }
 
-// splitWorkload invariants per routing: task conservation within each
-// batch, no empty batches, and the policy-specific placement shapes.
+// synWorkload builds a workload whose batches hold one task per class
+// name listed, with IDs numbered through the whole stream.
+func synWorkload(batches ...[]string) *task.Workload {
+	w := &task.Workload{Name: "syn"}
+	id := 0
+	for _, classes := range batches {
+		var b task.Batch
+		for _, c := range classes {
+			b.Tasks = append(b.Tasks, task.Task{ID: id, Class: c, Work: 1e-3})
+			id++
+		}
+		w.Batches = append(w.Batches, b)
+	}
+	return w
+}
+
+// shardOf maps every task ID to the shard splitWorkload routed it to.
+func shardOf(parts []*task.Workload) map[int]int {
+	at := map[int]int{}
+	for i, part := range parts {
+		if part == nil {
+			continue
+		}
+		for _, b := range part.Batches {
+			for _, tk := range b.Tasks {
+				at[tk.ID] = i
+			}
+		}
+	}
+	return at
+}
+
+// The sweep's router over the shared rule: task conservation and no
+// empty batches under every routing and split, and the shape each rule
+// promises.
 func TestSplitWorkload(t *testing.T) {
 	b, err := workloads.ByName("md5")
 	if err != nil {
@@ -151,65 +186,138 @@ func TestSplitWorkload(t *testing.T) {
 		total += len(batch.Tasks)
 	}
 	base := machine.Generic(8)
-	mcs := []machine.Config{base, base, base}
+	uniform := []machine.Config{base, base, base}
+	// Fastest ladder last, so "fastest first" is not the index order.
+	tiered := []machine.Config{machine.Tiered(base, 2), machine.Tiered(base, 1), base}
 
-	for _, routing := range ClusterRoutings() {
-		parts := splitWorkload(w, mcs, routing)
-		if len(parts) != 3 {
-			t.Fatalf("%s: %d parts", routing, len(parts))
-		}
-		got := 0
-		for i, part := range parts {
-			if part == nil {
-				continue
+	for _, mcs := range [][]machine.Config{uniform, tiered} {
+		for _, routing := range serve.RoutingPolicies() {
+			parts := splitWorkload(w, mcs, routing)
+			if len(parts) != 3 {
+				t.Fatalf("%s: %d parts", routing, len(parts))
 			}
-			if err := part.Validate(); err != nil {
-				t.Errorf("%s shard %d: split produced an invalid workload: %v", routing, i, err)
-			}
-			for _, batch := range part.Batches {
-				if len(batch.Tasks) == 0 {
-					t.Errorf("%s shard %d: empty batch survived the split", routing, i)
+			got := 0
+			for i, part := range parts {
+				if part == nil {
+					continue
 				}
-				got += len(batch.Tasks)
+				if err := part.Validate(); err != nil {
+					t.Errorf("%s shard %d: split produced an invalid workload: %v", routing, i, err)
+				}
+				for _, batch := range part.Batches {
+					if len(batch.Tasks) == 0 {
+						t.Errorf("%s shard %d: empty batch survived the split", routing, i)
+					}
+					got += len(batch.Tasks)
+				}
 			}
-		}
-		if got != total {
-			t.Errorf("%s: split lost tasks: %d of %d", routing, got, total)
+			if got != total {
+				t.Errorf("%s: split lost tasks: %d of %d", routing, got, total)
+			}
 		}
 	}
 
-	// Round-robin on a single synthetic batch spreads tasks evenly.
-	syn := &task.Workload{Name: "syn", Batches: []task.Batch{{Tasks: make([]task.Task, 9)}}}
-	for i := range syn.Batches[0].Tasks {
-		syn.Batches[0].Tasks[i] = task.Task{Class: "a", Work: 1e-3}
-	}
-	parts := splitWorkload(syn, mcs, ClusterRouteRR)
-	for i, part := range parts {
+	// rr deals a batch evenly, whatever the classes.
+	syn := synWorkload([]string{"a", "a", "b", "a", "c", "a", "b", "a", "a"})
+	for i, part := range splitWorkload(syn, tiered, serve.RouteRR) {
 		if part == nil || len(part.Batches[0].Tasks) != 3 {
 			t.Errorf("rr shard %d got %+v, want 3 tasks", i, part)
 		}
 	}
 
-	// Class routing keeps a class's tasks on one shard per batch.
-	syn2 := &task.Workload{Name: "syn2", Batches: []task.Batch{{Tasks: []task.Task{
-		{Class: "a", Work: 4e-3}, {Class: "a", Work: 4e-3},
-		{Class: "b", Work: 1e-3}, {Class: "b", Work: 1e-3},
-	}}}}
-	parts = splitWorkload(syn2, mcs, ClusterRouteClass)
-	seen := map[string]int{}
-	for i, part := range parts {
-		if part == nil {
-			continue
+	// least balances task counts in every batch, whatever the classes.
+	for _, part := range splitWorkload(w, uniform, serve.RouteLeast) {
+		if part == nil || len(part.Batches) != len(w.Batches) {
+			t.Fatalf("least left a shard out of some batch: %+v", part)
 		}
-		for _, tk := range part.Batches[0].Tasks {
-			if prev, ok := seen[tk.Class]; ok && prev != i {
-				t.Errorf("class %q split across shards %d and %d", tk.Class, prev, i)
+		for bi, batch := range part.Batches {
+			if n, want := len(batch.Tasks), len(w.Batches[bi].Tasks); n < want/3 || n > (want+2)/3 {
+				t.Errorf("least batch %d: shard got %d of %d tasks", bi, n, want)
 			}
-			seen[tk.Class] = i
 		}
 	}
-	if seen["a"] == seen["b"] {
-		t.Error("class routing put both classes on one shard with two idle")
+
+	// class, tiered: a class no shard has run goes to the fastest ladder.
+	at := shardOf(splitWorkload(syn, tiered, serve.RouteClass))
+	for id := range syn.Batches[0].Tasks {
+		if at[id] != 2 {
+			t.Errorf("class/tiered: unknown-class task %d went to shard %d, want the fastest (2)", id, at[id])
+		}
+	}
+
+	// class: a class a shard ran in the previous batch stays there. The
+	// first batch spreads three unknown classes over the equal shards by
+	// headroom (a→0, b→1, c→2); the second follows them.
+	two := synWorkload([]string{"a", "b", "c"}, []string{"c", "c", "a", "b", "a"})
+	at = shardOf(splitWorkload(two, uniform, serve.RouteClass))
+	want := map[string]int{"a": 0, "b": 1, "c": 2}
+	for _, batch := range two.Batches {
+		for _, tk := range batch.Tasks {
+			if at[tk.ID] != want[tk.Class] {
+				t.Errorf("class: task %d (%s) went to shard %d, want %d", tk.ID, tk.Class, at[tk.ID], want[tk.Class])
+			}
+		}
+	}
+}
+
+// The sweep routes by the live router's rule: a manual-flush server
+// with the same shards, fed each batch as one-task jobs and flushed at
+// the batch boundary, places every job on the shard splitWorkload picks.
+// Between flushes a live shard's headroom falls by the tasks routed to
+// it, and its plan classes are the ones its previous batch ran — the
+// two views the sweep builds.
+func TestSplitWorkloadMatchesLiveRouter(t *testing.T) {
+	base := machine.Generic(8)
+	uniform := []machine.Config{base, base, base}
+	tiered := []machine.Config{machine.Tiered(base, 1), base, machine.Tiered(base, 2)}
+	w := synWorkload(
+		[]string{"sha1", "sha1", "lzw", "sha1", "dmc"},
+		[]string{"lzw", "sha1", "lzw", "lzw", "sha1", "sha1", "dmc"},
+		[]string{"dmc", "dmc", "sha1"},
+		[]string{"lzw", "je", "sha1", "lzw", "sha1", "je", "dmc", "lzw"},
+	)
+	for _, routing := range serve.RoutingPolicies() {
+		routeLive(t, w, uniform, routing+"/uniform")
+		routeLive(t, w, tiered, routing+"/tiered")
+	}
+}
+
+// routeLive checks every job of w lands on the live shard the sweep
+// routes its task to.
+func routeLive(t *testing.T, w *task.Workload, mcs []machine.Config, cell string) {
+	t.Helper()
+	routing, _, _ := strings.Cut(cell, "/")
+	srv, err := serve.New(serve.Config{
+		Workers: 2, Policy: "cilk", Seed: 1, Shards: len(mcs), ShardMachines: mcs,
+		Routing: routing, ManualFlush: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := shardOf(splitWorkload(w, mcs, routing))
+	for bi, b := range w.Batches {
+		pending := make([]*serve.Pending, len(b.Tasks))
+		for k, tk := range b.Tasks {
+			p, rej := srv.Submit(serve.JobRequest{Tenant: "t", Func: tk.Class, SizeBytes: 64, Count: 1})
+			if rej != nil {
+				t.Fatalf("%s: batch %d job %d rejected: %+v", cell, bi, k, rej)
+			}
+			pending[k] = p
+		}
+		srv.Flush()
+		for k, p := range pending {
+			st, res, msg := p.Wait()
+			if st != 200 || res.Shard == nil {
+				t.Fatalf("%s: batch %d job %d: status %d %s", cell, bi, k, st, msg)
+			}
+			if id := b.Tasks[k].ID; *res.Shard != at[id] {
+				t.Errorf("%s: batch %d job %d (%s): live shard %d, sweep shard %d",
+					cell, bi, k, b.Tasks[k].Class, *res.Shard, at[id])
+			}
+		}
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -218,7 +326,7 @@ func TestSplitWorkload(t *testing.T) {
 func TestClusterSingleShardDegenerates(t *testing.T) {
 	cells, err := RunClusterCells(ClusterGrid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
-		Shards: []int{1}, Routings: ClusterRoutings(),
+		Shards: []int{1}, Routings: serve.RoutingPolicies(),
 		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1},
 	}, 1)
 	if err != nil {
@@ -241,7 +349,7 @@ func TestAggregateClusterNormalization(t *testing.T) {
 	// strictly beat one on makespan even for a single-class benchmark.
 	cells, err := RunClusterCells(ClusterGrid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
-		Shards: []int{1, 2}, Routings: []string{ClusterRouteLeast},
+		Shards: []int{1, 2}, Routings: []string{serve.RouteLeast},
 		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1, 2},
 	}, 2)
 	if err != nil {

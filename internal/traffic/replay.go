@@ -269,11 +269,22 @@ type SimReplay struct {
 	MaxBatch int    // most tasks per batch (default 64, serve's default)
 }
 
+// simJob is a trace event queued on the simulated server, as serve's
+// batching rule sees it. Its deadline runs from its own offset, as a
+// live job's runs from admission.
+type simJob Event
+
+func (j *simJob) TaskCount() int    { return j.Count }
+func (j *simJob) WorkHint() float64 { return j.WorkHintS }
+func (j *simJob) ExpiredBy(now time.Time) bool {
+	return j.DeadlineMS > 0 && now.UnixNano() > offsetNS((*Event)(j))+j.DeadlineMS*int64(time.Millisecond)
+}
+
 // ReplaySim replays tr through the simulator: replayClock decides when
-// batches form, a mirror of serve's flushOnce pop loop decides what
-// goes into them (FIFO, at most MaxBatch tasks, a job that would
-// overflow a non-empty batch opens the next, a job whose deadline has
-// passed is dropped 504), and the batches run through sched.Run. The
+// batches form, serve.NextBatch — the live batcher's own rule — decides
+// what goes into them and in which order (FIFO up to MaxBatch tasks,
+// expired jobs dropped 504, then heaviest work hint first), and the
+// batches run through sched.Run. The
 // entire log — outcome counts, batch count, modeled energy and
 // makespan — is bit-exact for a given (trace, options): replaying
 // twice, on any host, yields identical Canonical bytes. The simulator
@@ -298,36 +309,33 @@ func ReplaySim(tr *Trace, opt SimReplay) (*Log, *sched.Result, error) {
 
 	lg := newLog("sim", tr)
 	var batches []task.Batch
-	var queue []*Event
+	var queue, batch, expired []*simJob
 	id := 0
 	admit := func(ev *Event) bool {
-		queue = append(queue, ev)
+		queue = append(queue, (*simJob)(ev))
 		return true
 	}
 	form := func(t int64) (workS float64) {
 		for len(queue) > 0 {
+			var popped int
+			batch, expired, popped = serve.NextBatch(time.Unix(0, t), queue, opt.MaxBatch, batch[:0], expired[:0])
+			queue = queue[popped:]
+			for _, j := range expired {
+				lg.count(j.Tenant, 504, 0)
+			}
+			if len(batch) == 0 {
+				continue
+			}
 			var b task.Batch
-			for len(queue) > 0 {
-				ev := queue[0]
-				if len(b.Tasks) > 0 && len(b.Tasks)+ev.Count > opt.MaxBatch {
-					break // head-of-line: this job opens the next batch
-				}
-				queue = queue[1:]
-				// serve's now.After(deadline), deadline = admission + DeadlineMS.
-				if ev.DeadlineMS > 0 && t > offsetNS(ev)+ev.DeadlineMS*int64(time.Millisecond) {
-					lg.count(ev.Tenant, 504, 0)
-					continue
-				}
-				for k := 0; k < ev.Count; k++ {
-					b.Tasks = append(b.Tasks, task.Task{ID: id, Class: ev.Class, Work: workOf(ev)})
+			for _, j := range batch {
+				for k := 0; k < j.Count; k++ {
+					b.Tasks = append(b.Tasks, task.Task{ID: id, Class: j.Class, Work: workOf((*Event)(j))})
 					id++
 				}
-				lg.count(ev.Tenant, 200, ev.Count)
-				workS += float64(ev.Count) * workOf(ev)
+				lg.count(j.Tenant, 200, j.Count)
+				workS += float64(j.Count) * workOf((*Event)(j))
 			}
-			if len(b.Tasks) > 0 {
-				batches = append(batches, b)
-			}
+			batches = append(batches, b)
 		}
 		return workS
 	}

@@ -11,7 +11,10 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/policy"
+	"repro/internal/sched"
 	"repro/internal/serve"
+	"repro/internal/task"
 )
 
 // testSpec is a small two-cohort spec covering all three arrival
@@ -476,4 +479,51 @@ func TestCaptureRecordsSubmissions(t *testing.T) {
 		}
 	}
 	drain()
+}
+
+// ReplaySim hands the simulator each batch in the order the live
+// batcher runs it: heaviest work hint first. One batch of jobs with
+// rising hints must model exactly like sched.Run on that batch sorted
+// by hint, bit for bit.
+func TestReplaySimRunsBatchInLiveOrder(t *testing.T) {
+	jobs := []struct {
+		class string
+		count int
+		hint  float64
+	}{{"a", 3, 100e-6}, {"b", 2, 200e-6}, {"c", 3, 400e-6}, {"d", 2, 800e-6}}
+	tr := &Trace{SchemaVersion: SchemaVersion, Name: "rising", DurationS: 1}
+	for _, j := range jobs {
+		tr.Events = append(tr.Events, Event{Tenant: "t", Class: j.class, Count: j.count, Seed: 1, WorkHintS: j.hint})
+	}
+	const cores = 4
+	lg, _, err := ReplaySim(tr, SimReplay{Cores: cores})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lg.Batches != 1 {
+		t.Fatalf("%d batches, want 1", lg.Batches)
+	}
+
+	var b task.Batch
+	for k := len(jobs) - 1; k >= 0; k-- {
+		for range jobs[k].count {
+			b.Tasks = append(b.Tasks, task.Task{ID: len(b.Tasks), Class: jobs[k].class, Work: jobs[k].hint})
+		}
+	}
+	cfg := machine.Generic(cores)
+	pol, err := policy.New(policy.IDEEWA, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := sched.DefaultParams()
+	params.Seed = 1
+	want, err := sched.Run(cfg, &task.Workload{Name: "trace:" + tr.Name, Batches: []task.Batch{b}}, pol, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(lg.EnergyJ) != math.Float64bits(want.Energy) ||
+		math.Float64bits(lg.MakespanS) != math.Float64bits(want.Makespan) {
+		t.Errorf("replay energy %v J, makespan %v s; sched.Run on the hint-sorted batch %v J, %v s",
+			lg.EnergyJ, lg.MakespanS, want.Energy, want.Makespan)
+	}
 }

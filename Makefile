@@ -70,35 +70,32 @@ loc:
 sweep:
 	$(GO) run ./cmd/eewa-sweep -csv sweep.csv -json sweep_cells.json
 
-# Determinism gate for the parallel sweep driver: the same small grid
-# run sequentially and with maximal fan-out must produce byte-identical
-# CSVs (per-cell wall-clock lives only in the JSON output).
+# Determinism gate for the parallel sweep driver: the same grid run
+# sequentially and with maximal fan-out must produce byte-identical
+# CSVs (per-cell wall-clock lives only in the JSON output). The grid
+# spans both core counts and the cluster topology axes, both ladder
+# splits included: only on tiered does the class rule's fastest-ladder
+# branch decide.
+PARITY_GRID = -bench md5,lzw -cores 8,16 -seeds 2 -shards 1,2,4 \
+	-routing class,rr,least -ladder-split uniform,tiered
 sweep-parity:
-	$(GO) run ./cmd/eewa-sweep -j 1 -bench md5,lzw -cores 8,16 -seeds 2 -csv sweep_j1.csv
-	$(GO) run ./cmd/eewa-sweep -bench md5,lzw -cores 8,16 -seeds 2 -csv sweep_jN.csv
+	$(GO) run ./cmd/eewa-sweep -j 1 $(PARITY_GRID) -csv sweep_j1.csv
+	$(GO) run ./cmd/eewa-sweep $(PARITY_GRID) -csv sweep_jN.csv
 	cmp sweep_j1.csv sweep_jN.csv
 	rm -f sweep_j1.csv sweep_jN.csv
 	@echo "sweep parity OK: -j 1 and -j GOMAXPROCS byte-identical"
 
-# Cluster topology sweep: shard count × ladder split × routing policy.
+# Cluster topology sweep: shard count × routing policy.
 cluster-sweep:
-	$(GO) run ./cmd/eewa-sweep -cluster -csv cluster.csv -json cluster_cells.json
+	$(GO) run ./cmd/eewa-sweep -shards 1,2,4 -routing class,rr,least -policies cilk,eewa \
+		-csv cluster.csv -json cluster_cells.json
 
 # Cluster smoke for CI: a 3-shard tiered router survives a demo burst
-# and drains cleanly, and a small cluster sweep is byte-identical
-# across worker counts (the -cluster parity acceptance clause). The
-# sweep covers both ladder splits: only on tiered does the class rule's
-# fastest-ladder branch decide.
+# and drains cleanly.
 cluster-demo:
 	$(GO) run ./cmd/eewa-serve -demo -shards 3 -routing class -ladder-split tiered \
 		-flush-ms 10 -queue-depth 24 -max-inflight 96
-	$(GO) run ./cmd/eewa-sweep -cluster -j 1 -bench md5,lzw -cores 8 -seeds 2 \
-		-shards 1,2,4 -routing class,rr,least -ladder-split uniform,tiered -csv cluster_j1.csv
-	$(GO) run ./cmd/eewa-sweep -cluster -bench md5,lzw -cores 8 -seeds 2 \
-		-shards 1,2,4 -routing class,rr,least -ladder-split uniform,tiered -csv cluster_jN.csv
-	cmp cluster_j1.csv cluster_jN.csv
-	rm -f cluster_j1.csv cluster_jN.csv
-	@echo "cluster demo OK: 3-shard drain clean, cluster sweep -j parity byte-identical"
+	@echo "cluster demo OK: 3-shard drain clean"
 
 # Concurrency-correctness harness, tier-1 budget: the deque model
 # checker (with its mutant self-test), the short stress mode and the
@@ -179,6 +176,6 @@ clean:
 	$(GO) clean ./...
 	rm -f test_output.txt bench_output.txt obs_metrics.prom obs_trace.json serve_metrics.prom
 	rm -f sweep.csv sweep_cells.json sweep_j1.csv sweep_jN.csv
-	rm -f cluster.csv cluster_cells.json cluster_j1.csv cluster_jN.csv
+	rm -f cluster.csv cluster_cells.json
 	rm -f traffic_golden.json
 	rm -rf .bench_build bench/out

@@ -5,7 +5,6 @@
 //
 //	eewa-bench -exp fig1|fig6|fig7|fig8|fig9|table3|ablation|all [-seeds n]
 //	eewa-bench -exp fig6 -metrics-out bench.prom     # metrics over all runs
-//	eewa-bench -exp live [-live-workers 8]           # goroutine runtime, all policies
 //	eewa-bench -trace-out sha1.json                  # trace one EEWA run
 package main
 
@@ -14,14 +13,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -30,10 +26,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("eewa-bench: ")
-	exp := flag.String("exp", "all", "experiment to run: fig1, fig6, fig7, fig8, fig9, table3, membound, ablation, live, all (live is excluded from all — it measures wall time)")
+	exp := flag.String("exp", "all", "experiment to run: fig1, fig6, fig7, fig8, fig9, table3, membound, ablation, all")
 	nseeds := flag.Int("seeds", len(experiments.DefaultSeeds), "number of seeds to average over")
-	liveWorkers := flag.Int("live-workers", 8, "worker goroutines for -exp live")
-	liveBatches := flag.Int("live-batches", 5, "batches per policy for -exp live")
 	plot := flag.Bool("plot", false, "append ASCII bar charts to fig6/fig9 output")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus-format metrics accumulated over every simulation to this file")
 	traceOut := flag.String("trace-out", "", "write a Perfetto trace of one SHA-1/EEWA run (seed 1) to this file")
@@ -148,16 +142,8 @@ func main() {
 		return nil
 	})
 
-	// The live experiment measures real wall time on whatever machine
-	// runs it, so it is opt-in only — never part of -exp all.
-	if *exp == "live" {
-		if err := runLive(*liveWorkers, *liveBatches, reg); err != nil {
-			log.Fatalf("live: %v", err)
-		}
-	}
-
 	switch *exp {
-	case "fig1", "fig6", "fig7", "fig8", "fig9", "table3", "membound", "ablation", "live", "all":
+	case "fig1", "fig6", "fig7", "fig8", "fig9", "table3", "membound", "ablation", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
@@ -183,68 +169,6 @@ func main() {
 		}
 		fmt.Printf("trace written to %s (open at https://ui.perfetto.dev)\n", *traceOut)
 	}
-}
-
-// runLive executes the liveruntime workload (SHA-1 over large files +
-// BWC over many small chunks) on the goroutine runtime under every
-// policy and prints a comparison table. All four policies go through
-// the shared internal/policy core — the same decision code the
-// simulator executes.
-func runLive(workers, batches int, reg *obs.Registry) error {
-	large := make([][]byte, 2)
-	for i := range large {
-		large[i] = kernels.TextCorpus(42+uint64(i), 96<<10)
-	}
-	small := make([][]byte, 40)
-	for i := range small {
-		small[i] = kernels.TextCorpus(100+uint64(i), 3<<10)
-	}
-	makeBatch := func() []rt.Task {
-		var tasks []rt.Task
-		for _, data := range large {
-			data := data
-			tasks = append(tasks, rt.Task{Class: "sha1/file", Run: func() {
-				sum := kernels.SHA1(data)
-				kernels.KeepAlive(sum[:])
-			}})
-		}
-		for _, data := range small {
-			data := data
-			tasks = append(tasks, rt.Task{Class: "bwc/chunk", Run: func() {
-				kernels.KeepAlive(kernels.BWC(data))
-			}})
-		}
-		return tasks
-	}
-
-	fmt.Printf("Live goroutine runtime — %d workers, %d batches per policy\n", workers, batches)
-	fmt.Printf("%-8s %10s %10s %8s\n", "policy", "wall", "energy_j", "steals")
-	var baseline float64
-	for _, name := range policy.IDs() {
-		pol, err := rt.ParsePolicy(name)
-		if err != nil {
-			return err
-		}
-		r, err := rt.New(rt.Config{Workers: workers, Machine: machine.Opteron16(), Policy: pol, Seed: 1, Obs: reg})
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		for b := 0; b < batches; b++ {
-			r.RunBatch(makeBatch())
-		}
-		wall := time.Since(start)
-		st := r.Stats()
-		note := ""
-		if name == policy.IDCilk {
-			baseline = st.Energy
-		} else if baseline > 0 {
-			note = fmt.Sprintf("  (%+.1f%% energy vs cilk)", 100*(st.Energy/baseline-1))
-		}
-		fmt.Printf("%-8s %10v %10.1f %8d%s\n",
-			name, wall.Round(time.Millisecond), st.Energy, st.Steals, note)
-	}
-	return nil
 }
 
 // writeSampleTrace runs the paper's flagship benchmark (SHA-1 under

@@ -1,8 +1,9 @@
 // Command eewa-sweep explores the design space: any combination of
 // benchmarks, policies, core counts and seeds, as a text table or CSV.
-// With -cluster it sweeps cluster topologies instead — shard count ×
-// ladder split × routing policy — comparing routing rules
-// cell-for-cell the way the flat sweep compares scheduling policies.
+// The cluster topology axes — shard count × ladder split × routing
+// policy — are axes of the same grid, comparing routing rules cell for
+// cell the way scheduling policies are compared; they default to one
+// shard, which is the paper's own grid.
 //
 // Usage:
 //
@@ -10,8 +11,8 @@
 //	eewa-sweep -bench sha1,md5 -cores 4,8,16,32 -policies cilk,eewa
 //	eewa-sweep -csv out.csv -seeds 5
 //	eewa-sweep -j 8 -json cells.json             # 8-way fan-out, per-cell JSON
-//	eewa-sweep -cluster -shards 1,2,4 -routing class,rr,least
-//	eewa-sweep -cluster -ladder-split uniform,tiered -csv cluster.csv
+//	eewa-sweep -shards 1,2,4 -routing class,rr,least -policies cilk,eewa
+//	eewa-sweep -shards 1,2 -ladder-split uniform,tiered -csv cluster.csv
 //
 // Cells are sharded across -j worker goroutines (default GOMAXPROCS;
 // the count must be positive); every worker count produces
@@ -35,16 +36,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("eewa-sweep: ")
 	benches := flag.String("bench", "", "comma-separated benchmarks (default: all seven)")
-	policies := flag.String("policies", "", "comma-separated policies: cilk,cilk-d,wats,eewa (default: cilk,cilk-d,eewa; cluster default: cilk,eewa)")
-	cores := flag.String("cores", "", "comma-separated core counts (default: 16; per shard with -cluster)")
+	policies := flag.String("policies", "", "comma-separated policies: cilk,cilk-d,wats,eewa (default: cilk,cilk-d,eewa)")
+	cores := flag.String("cores", "", "comma-separated core counts per shard (default: 16)")
 	nseeds := flag.Int("seeds", 3, "number of seeds per cell")
 	csvPath := flag.String("csv", "", "write CSV to this file instead of a table to stdout")
 	jsonPath := flag.String("json", "", "write per-cell JSON (with host wall time) to this file")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "cells simulated concurrently (must be positive)")
-	cluster := flag.Bool("cluster", false, "sweep cluster topologies (shards × ladder split × routing) instead of the flat grid")
-	shardsList := flag.String("shards", "", "with -cluster: comma-separated shard counts (default: 1,2,4)")
-	routings := flag.String("routing", "", "with -cluster: comma-separated routing policies: class,rr,least (default: all)")
-	splits := flag.String("ladder-split", "", "with -cluster: comma-separated ladder splits: uniform,tiered (default: uniform)")
+	shardsList := flag.String("shards", "", "comma-separated shard counts (default: 1)")
+	routings := flag.String("routing", "", "comma-separated routing policies: class,rr,least (default: class)")
+	splits := flag.String("ladder-split", "", "comma-separated ladder splits: uniform,tiered (default: uniform)")
 	flag.Parse()
 
 	// A zero or negative worker count is a misconfiguration, not a
@@ -55,36 +55,28 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if !*cluster && (*shardsList != "" || *routings != "" || *splits != "") {
-		log.Printf("-shards, -routing and -ladder-split require -cluster")
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	var seeds []uint64
 	for i := 0; i < *nseeds; i++ {
 		seeds = append(seeds, uint64(i+1))
 	}
-
-	if *cluster {
-		runCluster(sweep.ClusterGrid{
-			Benchmarks:   splitList(*benches),
-			Policies:     splitList(*policies),
-			Shards:       intList("-shards", *shardsList),
-			Routings:     splitList(*routings),
-			LadderSplits: splitList(*splits),
-			Cores:        intList("-cores", *cores),
-			Seeds:        seeds,
-		}, *workers, *csvPath, *jsonPath)
-		return
-	}
-
 	grid := sweep.Grid{
-		Benchmarks: splitList(*benches),
-		Policies:   splitList(*policies),
-		Cores:      intList("-cores", *cores),
-		Seeds:      seeds,
+		Benchmarks:   splitList(*benches),
+		Policies:     splitList(*policies),
+		Cores:        intList("-cores", *cores),
+		Seeds:        seeds,
+		Shards:       intList("-shards", *shardsList),
+		Routings:     splitList(*routings),
+		LadderSplits: splitList(*splits),
 	}
+	// The axes get the same up-front validation as -j: a typo'd routing
+	// name is a usage error before any cell runs.
+	if err := grid.Validate(); err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	cells, err := sweep.RunCells(grid, *workers)
 	if err != nil {
 		log.Fatal(err)
@@ -100,34 +92,6 @@ func main() {
 		return
 	}
 	if err := sweep.WriteTable(os.Stdout, records); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func runCluster(grid sweep.ClusterGrid, workers int, csvPath, jsonPath string) {
-	// Topology axes get the same up-front validation as -j: a typo'd
-	// routing name or a non-positive shard count is a usage error before
-	// any cell runs.
-	if err := grid.Validate(); err != nil {
-		log.Print(err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	cells, err := sweep.RunClusterCells(grid, workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	records := sweep.AggregateCluster(cells)
-	if jsonPath != "" {
-		writeFile(jsonPath, func(f *os.File) error { return sweep.WriteClusterCellsJSON(f, cells) })
-		log.Printf("wrote %d cluster cells to %s", len(cells), jsonPath)
-	}
-	if csvPath != "" {
-		writeFile(csvPath, func(f *os.File) error { return sweep.WriteClusterCSV(f, records) })
-		log.Printf("wrote %d cluster records to %s", len(records), csvPath)
-		return
-	}
-	if err := sweep.WriteClusterTable(os.Stdout, records); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -114,11 +114,12 @@ type (
 	// attributed + overhead joules summing to the cluster total
 	// ((*JobServer).EnergyRollup).
 	ServeEnergyRollup = serve.EnergyRollup
-	// ClusterGrid declares a cluster topology sweep (shard count ×
-	// ladder split × routing policy); run it with ClusterSweep.
-	ClusterGrid = sweep.ClusterGrid
-	// ClusterCell is one deterministic cluster topology simulation.
-	ClusterCell = sweep.ClusterCell
+	// ClusterGrid declares a sweep: benchmark × policy × cores × seed,
+	// with the cluster topology axes (shard count × ladder split ×
+	// routing policy) defaulting to one shard; run it with ClusterSweep.
+	ClusterGrid = sweep.Grid
+	// ClusterCell is one deterministic sweep cell.
+	ClusterCell = sweep.Cell
 )
 
 // Policy names accepted by Simulate, NewPolicy and every CLI's -policy
@@ -270,12 +271,12 @@ func ServeFuncs() []string { return serve.Funcs() }
 // JobServer accepts as ServeConfig.Routing ("class", "rr", "least").
 func ServeRoutingPolicies() []string { return serve.RoutingPolicies() }
 
-// ClusterSweep runs a cluster topology sweep — shard count × ladder
-// split × routing policy over the paper's benchmarks — on `workers`
-// goroutines, returning per-cell results that are byte-identical for
-// every worker count. See cmd/eewa-sweep -cluster.
+// ClusterSweep runs a sweep — the paper's benchmark × policy × cores
+// grid, over shard count × ladder split × routing policy — on
+// `workers` goroutines, returning per-cell results that are
+// byte-identical for every worker count. See cmd/eewa-sweep.
 func ClusterSweep(g ClusterGrid, workers int) ([]ClusterCell, error) {
-	return sweep.RunClusterCells(g, workers)
+	return sweep.RunCells(g, workers)
 }
 
 // NewMetrics builds an observability registry. Pass it as Params.Obs

@@ -10,7 +10,7 @@ import (
 )
 
 func TestHandlerMetrics(t *testing.T) {
-	srv := httptest.NewServer(Handler(buildSample()))
+	srv := httptest.NewServer(HandlerWith(buildSample(), HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -28,12 +28,7 @@ func TestHandlerMetrics(t *testing.T) {
 }
 
 func TestHandlerDebugVars(t *testing.T) {
-	reg := buildSample()
-	ring := NewRing(8)
-	reg.Events = ring
-	ring.Emit(Event{Time: 1, Name: "batch", Core: -1, Value: 0.5})
-
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(HandlerWith(buildSample(), HandlerOptions{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/vars")
@@ -47,10 +42,6 @@ func TestHandlerDebugVars(t *testing.T) {
 	}
 	if snap["jobs_total"] != 3.0 {
 		t.Errorf("jobs_total = %v", snap["jobs_total"])
-	}
-	evs, ok := snap["events"].([]any)
-	if !ok || len(evs) != 1 {
-		t.Errorf("events = %v", snap["events"])
 	}
 }
 
@@ -81,7 +72,7 @@ func TestServe(t *testing.T) {
 // into a buffer so an export error becomes a 500 rather than a
 // truncated 200.
 func TestHandlerContentTypes(t *testing.T) {
-	srv := httptest.NewServer(Handler(buildSample()))
+	srv := httptest.NewServer(HandlerWith(buildSample(), HandlerOptions{}))
 	defer srv.Close()
 
 	for path, want := range map[string]string{
@@ -104,9 +95,9 @@ func TestHandlerContentTypes(t *testing.T) {
 }
 
 // A nil registry is the documented no-op mode; the handler must still
-// serve well-formed (empty) responses, including the events path.
+// serve well-formed (empty) responses.
 func TestHandlerNilRegistry(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil))
+	srv := httptest.NewServer(HandlerWith(nil, HandlerOptions{}))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/debug/vars"} {
 		resp, err := http.Get(srv.URL + path)

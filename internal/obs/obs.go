@@ -275,18 +275,13 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values).(*Histogram)
 }
 
-// Registry holds metric families and an optional event sink. A nil
-// *Registry is valid: every constructor returns nil and Emit no-ops,
-// which is how instrumented code runs un-observed for free.
+// Registry holds metric families. A nil *Registry is valid: every
+// constructor returns nil, which is how instrumented code runs
+// un-observed for free.
 type Registry struct {
 	mu     sync.Mutex
 	fams   []*family
 	byName map[string]*family
-
-	// Events, when non-nil, receives structured scheduler events (see
-	// Event). Set it before handing the registry to an execution layer;
-	// it is read without synchronization on the emit path.
-	Events Sink
 }
 
 // NewRegistry returns an empty registry.
@@ -380,15 +375,3 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 	}
 	return &HistogramVec{f: r.lookup(name, help, kindHistogram, buckets, labelNames)}
 }
-
-// Emit forwards e to the registry's event sink, if any. Nil-safe.
-func (r *Registry) Emit(e Event) {
-	if r == nil || r.Events == nil {
-		return
-	}
-	r.Events.Emit(e)
-}
-
-// HasEvents reports whether an event sink is attached — use it to skip
-// building expensive event payloads when nobody is listening.
-func (r *Registry) HasEvents() bool { return r != nil && r.Events != nil }

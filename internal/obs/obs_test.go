@@ -68,10 +68,6 @@ func TestNilSafety(t *testing.T) {
 	r.CounterVec("cv", "", "l").With("x").Inc()
 	r.GaugeVec("gv", "", "l").With("x").Set(1)
 	r.HistogramVec("hv", "", nil, "l").With("x").Observe(1)
-	r.Emit(Event{Name: "e"})
-	if r.HasEvents() {
-		t.Error("nil registry claims to have events")
-	}
 	if r.Counter("c", "").Value() != 0 || r.Histogram("h", "", nil).Count() != 0 {
 		t.Error("nil metrics should read zero")
 	}
@@ -129,22 +125,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Errorf("histogram count = %d, want 8000", h.Count())
-	}
-}
-
-func TestRing(t *testing.T) {
-	ring := NewRing(3)
-	for i := 0; i < 5; i++ {
-		ring.Emit(Event{Time: float64(i), Name: "e"})
-	}
-	evs := ring.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events, want 3", len(evs))
-	}
-	for i, e := range evs {
-		if e.Time != float64(i+2) {
-			t.Errorf("event %d time = %g, want %d (oldest-first)", i, e.Time, i+2)
-		}
 	}
 }
 

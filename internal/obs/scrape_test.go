@@ -12,14 +12,12 @@ import (
 
 // TestConcurrentScrapeDuringRecording drives the Prometheus and JSON
 // handlers while writer goroutines hammer counters, gauges, fixed and
-// log histograms, labeled families and the event ring. Under -race this
+// log histograms and labeled families. Under -race this
 // is the proof that a scrape never tears concurrent recording; the
 // final scrape must also see exact counter totals.
 func TestConcurrentScrapeDuringRecording(t *testing.T) {
 	reg := NewRegistry()
-	ring := NewRing(256)
-	reg.Events = ring
-	srv := httptest.NewServer(HandlerWith(reg, HandlerOptions{Pprof: true, GoRuntime: true}))
+	srv := httptest.NewServer(HandlerWith(reg, HandlerOptions{GoRuntime: true}))
 	defer srv.Close()
 
 	ctr := reg.Counter("scrape_test_total", "writes")
@@ -63,7 +61,7 @@ func TestConcurrentScrapeDuringRecording(t *testing.T) {
 	var ww sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		ww.Add(1)
-		go func(w int) {
+		go func() {
 			defer ww.Done()
 			for i := 0; i < per; i++ {
 				ctr.Inc()
@@ -71,12 +69,11 @@ func TestConcurrentScrapeDuringRecording(t *testing.T) {
 				g.Set(float64(i))
 				fh.Observe(float64(i) * 1e-6)
 				lh.With(classes[i%len(classes)], "t0").Observe(float64(i+1) * 1e-5)
-				reg.Emit(Event{Name: "w", Core: w, Value: float64(i)})
 				if i%256 == 0 {
 					runtime.Gosched()
 				}
 			}
-		}(w)
+		}()
 	}
 	ww.Wait()
 	close(stop)

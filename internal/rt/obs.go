@@ -162,7 +162,4 @@ func (o *rtObs) observeBatch(bs BatchStats, busy, idle, barrier float64, depths 
 			o.census[j].Set(float64(n))
 		}
 	}
-	if o.reg.HasEvents() {
-		o.reg.Emit(obs.Event{Name: "rt_batch", Value: bs.Wall.Seconds()})
-	}
 }

@@ -360,7 +360,7 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 			}
 		}
 	}
-	e.observeBatch(bi, dur, census, plan)
+	e.observeBatch(dur, census, plan)
 	// Advance the clock to the barrier (the queue's clock stops at the
 	// last event, which is the final core going idle ≈ lastCompletion).
 	if _, ok := e.q.NextTime(); ok {
@@ -370,9 +370,9 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 	return nil
 }
 
-// observeBatch publishes one batch's metrics and events; it is a no-op
-// without a registry.
-func (e *engine) observeBatch(bi int, dur float64, census []int, plan policy.Plan) {
+// observeBatch publishes one batch's metrics; it is a no-op without a
+// registry.
+func (e *engine) observeBatch(dur float64, census []int, plan policy.Plan) {
 	if e.eo.reg == nil {
 		return
 	}
@@ -399,19 +399,6 @@ func (e *engine) observeBatch(bi int, dur float64, census []int, plan policy.Pla
 			e.eo.planHits.Inc()
 		} else {
 			e.eo.planMisses.Inc()
-		}
-	}
-	if e.eo.reg.HasEvents() {
-		e.eo.reg.Emit(obs.Event{
-			Time: e.lastCompletion, Name: "batch", Core: -1,
-			Label: e.policy.Name(), Value: dur,
-		})
-		if plan.Overhead > 0 {
-			e.eo.reg.Emit(obs.Event{
-				Time: e.batchStart, Name: "adjust", Core: -1,
-				Label: fmt.Sprintf("batch %d tuple %v", bi, plan.Assignment.Tuple),
-				Value: plan.Overhead,
-			})
 		}
 	}
 }

@@ -21,8 +21,6 @@ func TestObsIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	ring := obs.NewRing(256)
-	reg.Events = ring
 	params := DefaultParams()
 	params.Obs = reg
 	res, err := Run(cfg, b.Workload(1), policy.NewEEWA(), params)
@@ -116,15 +114,6 @@ func TestObsIntegration(t *testing.T) {
 	}
 	if want := uint64(totalTasks(b)); waitCount != want || latCount != want {
 		t.Errorf("class histogram counts = %d/%d, want %d", waitCount, latCount, want)
-	}
-
-	// The event stream carries batch and adjust events.
-	names := map[string]int{}
-	for _, e := range ring.Events() {
-		names[e.Name]++
-	}
-	if names["batch"] == 0 || names["adjust"] == 0 {
-		t.Errorf("event stream missing batch/adjust events: %v", names)
 	}
 
 	// And the whole registry must export cleanly.

@@ -79,7 +79,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/shards", s.handleShards)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	if s.cfg.Obs != nil {
-		oh := obs.HandlerWith(s.cfg.Obs, obs.HandlerOptions{Pprof: true, GoRuntime: s.cfg.GoMetrics})
+		oh := obs.HandlerWith(s.cfg.Obs, obs.HandlerOptions{GoRuntime: s.cfg.GoMetrics})
 		mux.Handle("/metrics", oh)
 		mux.Handle("/debug/", oh)
 	}

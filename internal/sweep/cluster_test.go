@@ -12,8 +12,8 @@ import (
 	"repro/internal/workloads"
 )
 
-func smallClusterGrid() ClusterGrid {
-	return ClusterGrid{
+func smallClusterGrid() Grid {
+	return Grid{
 		Benchmarks:   []string{"md5"},
 		Policies:     []string{"cilk", "eewa"},
 		Shards:       []int{1, 2},
@@ -25,7 +25,7 @@ func smallClusterGrid() ClusterGrid {
 }
 
 func TestRunClusterSmallGrid(t *testing.T) {
-	cells, err := RunClusterCells(smallClusterGrid(), 0)
+	cells, err := RunCells(smallClusterGrid(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,43 +52,29 @@ func TestRunClusterSmallGrid(t *testing.T) {
 	}
 }
 
-// The parity contract the -cluster acceptance clause demands: any
-// worker count yields byte-for-byte the sequential cells, modulo wall
-// clock.
+// The parity contract holds across shards too: any worker count yields
+// byte-for-byte the sequential cells, modulo wall clock.
 func TestClusterParallelParity(t *testing.T) {
 	g := smallClusterGrid()
-	seq, err := RunClusterCells(g, 1)
+	seq, err := RunCells(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range []int{2, 8} {
-		par, err := RunClusterCells(g, j)
+		par, err := RunCells(g, j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := clusterJSON(t, par), clusterJSON(t, seq); got != want {
+		if got, want := cellsJSON(t, par), cellsJSON(t, seq); got != want {
 			t.Errorf("-j %d diverged from -j 1:\n%s\nvs\n%s", j, got, want)
 		}
 	}
 }
 
-func clusterJSON(t *testing.T, cells []ClusterCell) string {
-	t.Helper()
-	c2 := append([]ClusterCell(nil), cells...)
-	for i := range c2 {
-		c2[i].WallNS = 0
-	}
-	var buf bytes.Buffer
-	if err := WriteClusterCellsJSON(&buf, c2); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
 // Adding a routing or width to the grid must not reseed anyone else's
 // cells — the cluster cell seed derives from identity, not grid shape.
 func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
-	small, err := RunClusterCells(ClusterGrid{
+	small, err := RunCells(Grid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
 		Shards: []int{2}, Routings: []string{serve.RouteClass},
 		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1},
@@ -96,7 +82,7 @@ func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunClusterCells(ClusterGrid{
+	big, err := RunCells(Grid{
 		Benchmarks: []string{"lzw", "md5"}, Policies: []string{"cilk", "eewa"},
 		Shards: []int{1, 2, 4}, Routings: serve.RoutingPolicies(),
 		LadderSplits: LadderSplits(), Cores: []int{8}, Seeds: []uint64{3, 1},
@@ -110,7 +96,7 @@ func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 			c.Routing == want.Routing && c.LadderSplit == want.LadderSplit &&
 			c.Shards == want.Shards && c.Cores == want.Cores && c.Seed == want.Seed {
 			c.WallNS, want.WallNS = 0, 0
-			if clusterJSON(t, []ClusterCell{c}) != clusterJSON(t, []ClusterCell{want}) {
+			if cellsJSON(t, []Cell{c}) != cellsJSON(t, []Cell{want}) {
 				t.Errorf("cell outcome depends on grid shape:\n%+v\n%+v", c, want)
 			}
 			return
@@ -120,7 +106,7 @@ func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 }
 
 func TestClusterGridValidate(t *testing.T) {
-	bad := []ClusterGrid{
+	bad := []Grid{
 		{Shards: []int{0}},
 		{Shards: []int{-2}},
 		{Cores: []int{0}},
@@ -132,11 +118,11 @@ func TestClusterGridValidate(t *testing.T) {
 			t.Errorf("case %d: invalid grid accepted: %+v", i, g)
 		}
 	}
-	if err := (ClusterGrid{}.withDefaults()).Validate(); err != nil {
+	if err := (Grid{}.withDefaults()).Validate(); err != nil {
 		t.Errorf("default grid invalid: %v", err)
 	}
-	if _, err := RunClusterCells(ClusterGrid{Benchmarks: []string{"md5"}, Shards: []int{0}}, 1); err == nil {
-		t.Error("RunClusterCells must validate the grid")
+	if _, err := RunCells(Grid{Benchmarks: []string{"md5"}, Shards: []int{0}}, 1); err == nil {
+		t.Error("RunCells must validate the grid")
 	}
 }
 
@@ -321,72 +307,92 @@ func routeLive(t *testing.T, w *task.Workload, mcs []machine.Config, cell string
 	}
 }
 
-// A single-shard cluster cell must agree with the flat sweep's grid on
-// outcome shape: one active shard holding the whole workload.
+// A one-shard cell is the plain grid's cell: under every routing and
+// both ladder splits it runs the whole workload on one full-ladder
+// shard and draws the plain cell's seed, so all six are the cell of
+// the default topology, bit for bit.
 func TestClusterSingleShardDegenerates(t *testing.T) {
-	cells, err := RunClusterCells(ClusterGrid{
+	g := Grid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
 		Shards: []int{1}, Routings: serve.RoutingPolicies(),
-		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1},
-	}, 1)
+		LadderSplits: LadderSplits(), Cores: []int{8}, Seeds: []uint64{1},
+	}
+	cells, err := RunCells(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All three routings degenerate to the same single-shard placement.
-	a := cells[0]
-	for _, c := range cells[1:] {
-		if c.Makespan != a.Makespan || c.Energy != a.Energy || c.Steals != a.Steals {
-			t.Errorf("1-shard outcomes differ across routings:\n%+v\n%+v", a, c)
-		}
+	if len(cells) != 6 {
+		t.Fatalf("got %d cells, want 6 (3 routings × 2 splits)", len(cells))
 	}
-	if a.ActiveShards != 1 || a.Imbalance != 1 {
-		t.Errorf("single-shard cell %+v", a)
+	g.Routings, g.LadderSplits = nil, nil
+	plain, err := RunCells(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := plain[0]
+	for _, c := range cells {
+		if c.Makespan != a.Makespan || c.Energy != a.Energy || c.Utilization != a.Utilization || c.Steals != a.Steals {
+			t.Errorf("1-shard %s/%s differs from the default topology:\n%+v\n%+v", c.Routing, c.LadderSplit, c, a)
+		}
+		if c.ActiveShards != 1 || c.Imbalance != 1 {
+			t.Errorf("single-shard cell %+v", c)
+		}
 	}
 }
 
 func TestAggregateClusterNormalization(t *testing.T) {
-	// "least" spreads tasks regardless of class mix, so two shards must
-	// strictly beat one on makespan even for a single-class benchmark.
-	cells, err := RunClusterCells(ClusterGrid{
-		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
+	// Every row divides by the one-shard cilk row of its (benchmark,
+	// cores, split, routing). "least" spreads tasks regardless of class
+	// mix, so two shards must strictly beat one on makespan even for a
+	// single-class benchmark.
+	cells, err := RunCells(Grid{
+		Benchmarks: []string{"md5"}, Policies: []string{"cilk", "eewa"},
 		Shards: []int{1, 2}, Routings: []string{serve.RouteLeast},
 		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1, 2},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := AggregateCluster(cells)
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	recs := Aggregate(cells)
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 4", len(recs))
+	}
+	base := recs[0]
+	if base.Shards != 1 || base.Policy != "cilk" {
+		t.Fatalf("first record is not the one-shard cilk baseline: %+v", base)
 	}
 	for _, r := range recs {
 		if r.Runs != 2 {
 			t.Errorf("runs = %d, want 2 seeds folded: %+v", r.Runs, r)
 		}
-		switch r.Shards {
-		case 1:
+		if r.NormTime != r.Makespan/base.Makespan || r.NormEnergy != r.Energy/base.Energy {
+			t.Errorf("%s/%d shards not normalized against one-shard cilk: %+v", r.Policy, r.Shards, r)
+		}
+		switch {
+		case r.Shards == 1 && r.Policy == "cilk":
 			if r.NormTime != 1 || r.NormEnergy != 1 {
-				t.Errorf("1-shard row must normalize to itself: %+v", r)
+				t.Errorf("baseline must normalize to itself: %+v", r)
 			}
-		case 2:
+		case r.Shards == 1:
+			if r.NormEnergy >= 1 {
+				t.Errorf("one-shard eewa should save energy against cilk: %+v", r)
+			}
+		default:
 			if r.NormTime <= 0 || r.NormTime >= 1 {
-				t.Errorf("2 shards should beat 1 on makespan: norm_time %g", r.NormTime)
-			}
-			if r.NormEnergy <= 0 {
-				t.Errorf("norm energy unset: %+v", r)
+				t.Errorf("2 shards should beat 1 on makespan: %+v", r)
 			}
 		}
 	}
 }
 
 func TestWriteClusterCSVAndTable(t *testing.T) {
-	cells, err := RunClusterCells(smallClusterGrid(), 4)
+	cells, err := RunCells(smallClusterGrid(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := AggregateCluster(cells)
+	recs := Aggregate(cells)
 	var csv bytes.Buffer
-	if err := WriteClusterCSV(&csv, recs); err != nil {
+	if err := WriteCSV(&csv, recs); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -403,7 +409,7 @@ func TestWriteClusterCSVAndTable(t *testing.T) {
 		}
 	}
 	var tbl bytes.Buffer
-	if err := WriteClusterTable(&tbl, recs); err != nil {
+	if err := WriteTable(&tbl, recs); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tbl.String(), "md5") || !strings.Contains(tbl.String(), "shards") {

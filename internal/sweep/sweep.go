@@ -1,7 +1,21 @@
-// Package sweep runs policy × benchmark × machine grids and collects
+// Package sweep runs benchmark × policy × machine grids and collects
 // tidy records — the generalization of the paper's figures into an
 // arbitrary design-space exploration (core counts, seeds, policies,
 // benchmarks), with CSV export for external plotting.
+//
+// The same grid carries the cluster topology axes: shard count ×
+// ladder split × routing policy. A cell simulates N runtime shards fed
+// by serve.RankShards, the rule internal/serve's router applies to
+// live jobs, so routing policies are compared cell for cell exactly
+// like scheduling policies are. One shard is the paper's own grid:
+// every routing places every task on it, and its cell draws the same
+// engine seed whatever the routing or ladder split.
+//
+// Every cell is a deterministic function of its identity fields: the
+// workload comes from the raw grid seed (every policy and topology
+// faces the byte-identical task stream) and each shard's engine stream
+// is split from the cell identity via xrand.Split, so sweeps are
+// byte-identical for every worker count.
 package sweep
 
 import (
@@ -9,14 +23,15 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 	"repro/internal/xrand"
@@ -26,13 +41,20 @@ import (
 type Grid struct {
 	// Benchmarks are Table II names; empty = all seven.
 	Benchmarks []string
-	// Policies are "cilk", "cilk-d", "wats", "eewa"; empty defaults to
-	// the Fig. 6 trio (cilk, cilk-d, eewa).
+	// Policies are the per-shard scheduling policies "cilk", "cilk-d",
+	// "wats", "eewa"; empty defaults to the Fig. 6 trio (cilk, cilk-d,
+	// eewa).
 	Policies []string
-	// Cores are machine sizes; empty = {16}.
+	// Cores are per-shard machine sizes; empty = {16}.
 	Cores []int
 	// Seeds are per-cell repetitions; empty = {1, 2, 3}.
 	Seeds []uint64
+	// Shards are the cluster widths to sweep; empty = {1}.
+	Shards []int
+	// Routings are serve.RoutingPolicies() names; empty = {class}.
+	Routings []string
+	// LadderSplits are LadderSplits() names; empty = {uniform}.
+	LadderSplits []string
 }
 
 func (g Grid) withDefaults() Grid {
@@ -48,80 +70,131 @@ func (g Grid) withDefaults() Grid {
 	if len(g.Seeds) == 0 {
 		g.Seeds = []uint64{1, 2, 3}
 	}
+	if len(g.Shards) == 0 {
+		g.Shards = []int{1}
+	}
+	if len(g.Routings) == 0 {
+		g.Routings = []string{serve.RouteClass}
+	}
+	if len(g.LadderSplits) == 0 {
+		g.LadderSplits = []string{SplitUniform}
+	}
 	return g
 }
 
-// Record is one cell of the sweep (seed-averaged).
-type Record struct {
-	Benchmark string
-	Policy    string
-	Cores     int
-	Runs      int
-
-	// Seed-averaged outcomes.
-	Makespan    float64
-	MakespanCI  float64 // 95 % half-width
-	Energy      float64
-	EnergyCI    float64
-	Utilization float64
-	Steals      float64
-
-	// Normalized against the same-cell Cilk baseline (1.0 for Cilk).
-	NormTime   float64
-	NormEnergy float64
+// Validate rejects axes the sweep cannot run: non-positive shard counts
+// or core counts, and unknown routing or ladder-split names. The CLI
+// calls this before spawning workers so a typo is a usage error, not a
+// mid-sweep failure.
+func (g Grid) Validate() error {
+	for _, n := range g.Shards {
+		if n <= 0 {
+			return fmt.Errorf("sweep: shard count must be positive, got %d", n)
+		}
+	}
+	for _, n := range g.Cores {
+		if n <= 0 {
+			return fmt.Errorf("sweep: cores must be positive, got %d", n)
+		}
+	}
+	for _, r := range g.Routings {
+		if !slices.Contains(serve.RoutingPolicies(), r) {
+			return fmt.Errorf("sweep: unknown routing %q (want one of %v)", r, serve.RoutingPolicies())
+		}
+	}
+	for _, s := range g.LadderSplits {
+		if !slices.Contains(LadderSplits(), s) {
+			return fmt.Errorf("sweep: unknown ladder split %q (want one of %v)", s, LadderSplits())
+		}
+	}
+	return nil
 }
 
-// Cell is one (benchmark, policy, cores, seed) simulation: the unit the
-// parallel driver fans out. Outcomes are deterministic functions of the
-// identity fields alone — every RNG a cell consumes is derived from
-// (Seed, identity), never from shared mutable state — so a sweep's
-// cells are bit-identical no matter how many workers run them or in
-// what order they are scheduled. WallNS is the one exception: it is
-// host wall time, reported for profiling and excluded from parity
-// comparisons.
+// Cell is one (benchmark, policy, topology, cores, seed) simulation:
+// the unit the parallel driver fans out. Outcomes are deterministic
+// functions of the identity fields alone — every RNG a cell consumes
+// is derived from (Seed, identity), never from shared mutable state —
+// so a sweep's cells are bit-identical no matter how many workers run
+// them or in what order they are scheduled. WallNS is the one
+// exception: it is host wall time, reported for profiling and excluded
+// from parity comparisons.
 type Cell struct {
-	Benchmark string `json:"benchmark"`
-	Policy    string `json:"policy"`
-	Cores     int    `json:"cores"`
-	Seed      uint64 `json:"seed"`
+	Benchmark   string `json:"benchmark"`
+	Policy      string `json:"policy"`
+	Routing     string `json:"routing"`
+	LadderSplit string `json:"ladder_split"`
+	Shards      int    `json:"shards"`
+	Cores       int    `json:"cores"` // per shard
+	Seed        uint64 `json:"seed"`
 
-	Makespan    float64 `json:"makespan_s"`
+	// Makespan is the slowest shard's execution time: shards run their
+	// batch sequences independently (the router imposes no cluster-wide
+	// barrier), so the cluster finishes when the last shard does.
+	Makespan float64 `json:"makespan_s"`
+	// Energy is summed over the shards that received work; a shard
+	// routed nothing runs nothing and draws nothing.
 	Energy      float64 `json:"energy_j"`
-	Utilization float64 `json:"utilization"`
+	Utilization float64 `json:"utilization"` // core-second weighted
 	Steals      int     `json:"steals"`
+	// Imbalance is max/mean shard makespan over active shards (1.0 =
+	// perfectly balanced) — the routing quality signal.
+	Imbalance float64 `json:"imbalance"`
+	// ActiveShards counts shards that received at least one task.
+	ActiveShards int `json:"active_shards"`
+
+	ShardMakespans []float64 `json:"shard_makespans_s"`
+	ShardEnergies  []float64 `json:"shard_energies_j"`
+
 	// WallNS is the host wall-clock the cell's simulation took, in
 	// nanoseconds (not deterministic; zero it before parity diffs).
 	WallNS int64 `json:"wall_ns"`
 }
 
-// id hashes the cell's identity — benchmark, policy and core count, but
-// deliberately not its position in any particular grid — so the engine
-// seed below does not depend on how the enumeration happened to be
-// shaped (adding a policy to the grid must not reseed everyone else's
-// cells).
+// id hashes the cell's identity — but deliberately not its position in
+// any particular grid — so the engine seed does not depend on how the
+// enumeration happened to be shaped (adding a policy or a routing to
+// the grid must not reseed everyone else's cells). The topology enters
+// the hash only when it can matter, at more than one shard: one shard
+// runs the whole workload whatever the routing or split, so every
+// one-shard cell draws the seed of the plain (benchmark, policy,
+// cores) cell.
 func (c *Cell) id() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(c.Benchmark); i++ {
-		h = (h ^ uint64(c.Benchmark[i])) * prime
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+		h = (h ^ 0xff) * prime
 	}
-	h = (h ^ 0xff) * prime
-	for i := 0; i < len(c.Policy); i++ {
-		h = (h ^ uint64(c.Policy[i])) * prime
+	mix(c.Benchmark)
+	mix(c.Policy)
+	if c.Shards > 1 {
+		mix(c.Routing)
+		mix(c.LadderSplit)
+		h = (h ^ uint64(c.Shards)) * prime
 	}
-	h = (h ^ 0xff) * prime
 	return (h ^ uint64(c.Cores)) * prime
 }
 
-// enumerate lists the grid's cells in canonical order: benchmark, then
-// cores, then policy, then seed — the historical sequential loop nest.
+// enumerate lists the grid's cells in canonical order: benchmark,
+// cores, shards, ladder split, routing, policy, seed.
 func enumerate(g Grid) []Cell {
-	cells := make([]Cell, 0, len(g.Benchmarks)*len(g.Cores)*len(g.Policies)*len(g.Seeds))
+	var cells []Cell
 	for _, bench := range g.Benchmarks {
 		for _, cores := range g.Cores {
-			for _, pol := range g.Policies {
-				for _, seed := range g.Seeds {
-					cells = append(cells, Cell{Benchmark: bench, Policy: pol, Cores: cores, Seed: seed})
+			for _, shards := range g.Shards {
+				for _, split := range g.LadderSplits {
+					for _, routing := range g.Routings {
+						for _, pol := range g.Policies {
+							for _, seed := range g.Seeds {
+								cells = append(cells, Cell{
+									Benchmark: bench, Policy: pol, Routing: routing,
+									LadderSplit: split, Shards: shards, Cores: cores, Seed: seed,
+								})
+							}
+						}
+					}
 				}
 			}
 		}
@@ -129,33 +202,70 @@ func enumerate(g Grid) []Cell {
 	return cells
 }
 
-// run executes one cell. The workload is generated from the raw grid
-// seed — every policy in a (benchmark, cores, seed) comparison must
-// face the byte-identical task stream or the normalized columns compare
-// different workloads — while the engine's victim-selection stream is
-// split per cell identity, so no two cells share an RNG stream.
+// run executes one cell: split the workload, simulate every active
+// shard on its own machine with its own split RNG stream, and roll the
+// shard results up.
 func (c Cell) run() (Cell, error) {
 	b, err := workloads.ByName(c.Benchmark)
 	if err != nil {
 		return c, err
 	}
-	cfg := machine.Generic(c.Cores)
-	p, err := policy.New(c.Policy, cfg)
-	if err != nil {
-		return c, err
-	}
-	params := sched.DefaultParams()
-	params.Seed = xrand.Split(c.Seed, c.id())
+	mcs := shardMachines(c.LadderSplit, c.Shards, c.Cores)
+	// The workload comes from the raw grid seed so every policy and
+	// topology in a (benchmark, cores, seed) comparison faces the
+	// byte-identical task stream; only the split differs.
+	parts := splitWorkload(b.Workload(c.Seed), mcs, c.Routing)
+
+	cellSeed := xrand.Split(c.Seed, c.id())
+	c.ShardMakespans = make([]float64, c.Shards)
+	c.ShardEnergies = make([]float64, c.Shards)
+	var busy, denom float64
 	start := time.Now()
-	res, err := sched.Run(cfg, b.Workload(c.Seed), p, params)
-	if err != nil {
-		return c, fmt.Errorf("sweep: %s/%s/%d seed %d: %w", c.Benchmark, c.Policy, c.Cores, c.Seed, err)
+	for i, part := range parts {
+		if part == nil {
+			continue
+		}
+		p, err := policy.New(c.Policy, mcs[i])
+		if err != nil {
+			return c, err
+		}
+		params := sched.DefaultParams()
+		// Same derivation the serve router uses for shard runtimes:
+		// shard 0 keeps the cell stream, shard i>0 splits off it.
+		params.Seed = cellSeed
+		if i > 0 {
+			params.Seed = xrand.Split(cellSeed, uint64(i))
+		}
+		res, err := sched.Run(mcs[i], part, p, params)
+		if err != nil {
+			return c, fmt.Errorf("sweep: %s/%s %s/%s shard %d/%d cores %d seed %d: %w",
+				c.Benchmark, c.Policy, c.Routing, c.LadderSplit, i, c.Shards, c.Cores, c.Seed, err)
+		}
+		c.ActiveShards++
+		c.ShardMakespans[i] = res.Makespan
+		c.ShardEnergies[i] = res.Energy
+		if res.Makespan > c.Makespan {
+			c.Makespan = res.Makespan
+		}
+		c.Energy += res.Energy
+		c.Steals += res.Steals
+		busy += res.BusyTime
+		denom += res.BusyTime + res.SpinTime + res.HaltTime
 	}
 	c.WallNS = time.Since(start).Nanoseconds()
-	c.Makespan = res.Makespan
-	c.Energy = res.Energy
-	c.Utilization = res.Utilization()
-	c.Steals = res.Steals
+	if denom > 0 {
+		c.Utilization = busy / denom
+	}
+	if c.ActiveShards > 0 {
+		mean := 0.0
+		for _, m := range c.ShardMakespans {
+			mean += m
+		}
+		mean /= float64(c.ActiveShards)
+		if mean > 0 {
+			c.Imbalance = c.Makespan / mean
+		}
+	}
 	return c, nil
 }
 
@@ -165,8 +275,7 @@ func (c Cell) run() (Cell, error) {
 // cursor and writes its result into the item's own slot, so the merge
 // is a no-op and the output is identical for every worker count,
 // including 1. On error the first failing item in input order wins
-// (also independent of scheduling). Both the flat policy sweep and the
-// cluster topology sweep fan out through here.
+// (also independent of scheduling).
 func runPool[T any](items []T, workers int, run func(T) (T, error)) ([]T, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -200,57 +309,76 @@ func runPool[T any](items []T, workers int, run func(T) (T, error)) ([]T, error)
 	return results, nil
 }
 
-// RunCells executes the grid's cells on a pool of `workers` goroutines
-// (0 or less means GOMAXPROCS) and returns them in canonical
-// enumeration order, bit-identical — modulo WallNS — for every worker
-// count.
+// RunCells validates the grid, executes its cells on a pool of
+// `workers` goroutines (0 or less means GOMAXPROCS) and returns them
+// in canonical enumeration order, bit-identical — modulo WallNS — for
+// every worker count.
 func RunCells(g Grid, workers int) ([]Cell, error) {
 	g = g.withDefaults()
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
 	return runPool(enumerate(g), workers, Cell.run)
 }
 
-// Run executes the grid sequentially. Cells are deterministic per seed;
-// rows come back sorted by (benchmark, cores, policy).
-func Run(g Grid) ([]Record, error) { return RunParallel(g, 1) }
+// Record is one seed-averaged row of the sweep.
+type Record struct {
+	Benchmark   string
+	Policy      string
+	Routing     string
+	LadderSplit string
+	Shards      int
+	Cores       int
+	Runs        int
 
-// RunParallel executes the grid on `workers` goroutines (see RunCells)
-// and aggregates the cells into seed-averaged Records. The records are
-// bit-identical for every worker count.
-func RunParallel(g Grid, workers int) ([]Record, error) {
-	cells, err := RunCells(g, workers)
-	if err != nil {
-		return nil, err
-	}
-	return Aggregate(cells), nil
+	// Seed-averaged outcomes.
+	Makespan    float64
+	MakespanCI  float64 // 95 % half-width
+	Energy      float64
+	EnergyCI    float64
+	Utilization float64
+	Steals      float64
+	Imbalance   float64
+
+	// Normalized against the one-shard cilk record of the same
+	// (benchmark, cores, ladder split, routing) — 1.0 for that record,
+	// 0 when the grid has none.
+	NormTime   float64
+	NormEnergy float64
 }
 
-// Aggregate folds per-seed cells into seed-averaged records, normalized
-// against the same-(benchmark, cores) Cilk record when one exists, and
-// sorted by (benchmark, cores, policy). Aggregation order follows the
-// cells' order, so canonical cell input yields canonical records.
+// Aggregate folds per-seed cells into seed-averaged records,
+// normalized against the one-shard cilk record (see Record), and
+// sorted by (benchmark, cores, shards, ladder split, routing, policy).
+// Aggregation order follows the cells' order, so canonical cell input
+// yields canonical records.
 func Aggregate(cells []Cell) []Record {
-	type cellKey struct {
-		bench  string
-		cores  int
-		policy string
+	type key struct {
+		bench, pol, routing, split string
+		shards, cores              int
 	}
-	groups := map[cellKey]*Record{}
-	samples := map[cellKey]*struct{ times, energies, utils, steals []float64 }{}
+	type samples struct{ times, energies, utils, steals, imbalances []float64 }
+	groups := map[key]*Record{}
+	acc := map[key]*samples{}
 	for _, c := range cells {
-		key := cellKey{c.Benchmark, c.Cores, c.Policy}
-		s := samples[key]
+		k := key{c.Benchmark, c.Policy, c.Routing, c.LadderSplit, c.Shards, c.Cores}
+		s := acc[k]
 		if s == nil {
-			s = &struct{ times, energies, utils, steals []float64 }{}
-			samples[key] = s
-			groups[key] = &Record{Benchmark: c.Benchmark, Policy: c.Policy, Cores: c.Cores}
+			s = &samples{}
+			acc[k] = s
+			groups[k] = &Record{
+				Benchmark: c.Benchmark, Policy: c.Policy, Routing: c.Routing,
+				LadderSplit: c.LadderSplit, Shards: c.Shards, Cores: c.Cores,
+			}
 		}
 		s.times = append(s.times, c.Makespan)
 		s.energies = append(s.energies, c.Energy)
 		s.utils = append(s.utils, c.Utilization)
 		s.steals = append(s.steals, float64(c.Steals))
+		s.imbalances = append(s.imbalances, c.Imbalance)
 	}
-	for key, rec := range groups {
-		s := samples[key]
+	for k, rec := range groups {
+		s := acc[k]
 		rec.Runs = len(s.times)
 		rec.Makespan = stats.Mean(s.times)
 		rec.MakespanCI = stats.CI95(s.times)
@@ -258,13 +386,12 @@ func Aggregate(cells []Cell) []Record {
 		rec.EnergyCI = stats.CI95(s.energies)
 		rec.Utilization = stats.Mean(s.utils)
 		rec.Steals = stats.Mean(s.steals)
+		rec.Imbalance = stats.Mean(s.imbalances)
 	}
 
-	// Normalize each (benchmark, cores) against its Cilk cell when one
-	// exists.
-	var out []Record
-	for key, rec := range groups {
-		base, ok := groups[cellKey{key.bench, key.cores, "cilk"}]
+	out := make([]Record, 0, len(groups))
+	for k, rec := range groups {
+		base, ok := groups[key{k.bench, "cilk", k.routing, k.split, 1, k.cores}]
 		if ok && base.Makespan > 0 {
 			rec.NormTime = rec.Makespan / base.Makespan
 			rec.NormEnergy = rec.Energy / base.Energy
@@ -272,13 +399,23 @@ func Aggregate(cells []Cell) []Record {
 		out = append(out, *rec)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Benchmark != out[j].Benchmark {
-			return out[i].Benchmark < out[j].Benchmark
+		a, b := out[i], out[j]
+		if a.Benchmark != b.Benchmark {
+			return a.Benchmark < b.Benchmark
 		}
-		if out[i].Cores != out[j].Cores {
-			return out[i].Cores < out[j].Cores
+		if a.Cores != b.Cores {
+			return a.Cores < b.Cores
 		}
-		return out[i].Policy < out[j].Policy
+		if a.Shards != b.Shards {
+			return a.Shards < b.Shards
+		}
+		if a.LadderSplit != b.LadderSplit {
+			return a.LadderSplit < b.LadderSplit
+		}
+		if a.Routing != b.Routing {
+			return a.Routing < b.Routing
+		}
+		return a.Policy < b.Policy
 	})
 	return out
 }
@@ -287,25 +424,21 @@ func Aggregate(cells []Cell) []Record {
 // the machine-readable sweep output, including each cell's host wall
 // time for profiling the parallel driver.
 func WriteCellsJSON(w io.Writer, cells []Cell) error {
-	return writeJSONArray(w, cells)
-}
-
-func writeJSONArray[T any](w io.Writer, items []T) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(items)
+	return enc.Encode(cells)
 }
 
 // WriteCSV emits the records with a header row.
 func WriteCSV(w io.Writer, records []Record) error {
-	if _, err := fmt.Fprintln(w, "benchmark,policy,cores,runs,makespan_s,makespan_ci95,energy_j,energy_ci95,utilization,steals,norm_time,norm_energy"); err != nil {
+	if _, err := fmt.Fprintln(w, "benchmark,policy,routing,ladder_split,shards,cores,runs,makespan_s,makespan_ci95,energy_j,energy_ci95,utilization,steals,imbalance,norm_time,norm_energy"); err != nil {
 		return err
 	}
 	for _, r := range records {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%.6f,%.6f,%.2f,%.2f,%.4f,%.1f,%.4f,%.4f\n",
-			r.Benchmark, r.Policy, r.Cores, r.Runs,
+		if _, err := fmt.Fprintf(w, "%s,%s,%s,%s,%d,%d,%d,%.6f,%.6f,%.2f,%.2f,%.4f,%.1f,%.4f,%.4f,%.4f\n",
+			r.Benchmark, r.Policy, r.Routing, r.LadderSplit, r.Shards, r.Cores, r.Runs,
 			r.Makespan, r.MakespanCI, r.Energy, r.EnergyCI,
-			r.Utilization, r.Steals, r.NormTime, r.NormEnergy); err != nil {
+			r.Utilization, r.Steals, r.Imbalance, r.NormTime, r.NormEnergy); err != nil {
 			return err
 		}
 	}
@@ -314,14 +447,14 @@ func WriteCSV(w io.Writer, records []Record) error {
 
 // WriteTable renders an aligned text table of the records.
 func WriteTable(w io.Writer, records []Record) error {
-	if _, err := fmt.Fprintf(w, "%-8s %-7s %6s %12s %12s %8s %8s %8s\n",
-		"bench", "policy", "cores", "time (s)", "energy (J)", "util", "norm t", "norm E"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-8s %-7s %-6s %-8s %6s %6s %12s %12s %8s %8s %8s %8s\n",
+		"bench", "policy", "route", "split", "shards", "cores", "time (s)", "energy (J)", "util", "imbal", "norm t", "norm E"); err != nil {
 		return err
 	}
 	for _, r := range records {
-		if _, err := fmt.Fprintf(w, "%-8s %-7s %6d %12.4f %12.1f %8.2f %8.3f %8.3f\n",
-			r.Benchmark, r.Policy, r.Cores, r.Makespan, r.Energy,
-			r.Utilization, r.NormTime, r.NormEnergy); err != nil {
+		if _, err := fmt.Fprintf(w, "%-8s %-7s %-6s %-8s %6d %6d %12.4f %12.1f %8.2f %8.3f %8.3f %8.3f\n",
+			r.Benchmark, r.Policy, r.Routing, r.LadderSplit, r.Shards, r.Cores,
+			r.Makespan, r.Energy, r.Utilization, r.Imbalance, r.NormTime, r.NormEnergy); err != nil {
 			return err
 		}
 	}

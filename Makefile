@@ -118,7 +118,7 @@ check-long:
 		./internal/check/ ./internal/deque/ ./internal/event/ ./internal/policy/ ./internal/rt/ ./internal/serve/ ./internal/kernels/
 	$(GO) test -tags eewa_check -race ./internal/rt/ ./internal/check/ ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 60s ./internal/event/
-	for t in serve/FuzzDecodeJob serve/FuzzDecodeBatch serve/FuzzAppendBatchResponse kernels/FuzzScratchKernels; do \
+	for t in serve/FuzzDecodeJob serve/FuzzDecodeBatch serve/FuzzAppendBatchResponse kernels/FuzzScratchKernels kernels/FuzzDigests; do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*/}$$" -fuzztime 10s ./internal/$${t%/*}/ || exit 1; \
 	done
 

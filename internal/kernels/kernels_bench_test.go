@@ -19,13 +19,23 @@ func BenchmarkMD5(b *testing.B) {
 	}
 }
 
+// BenchmarkSHA1 runs the digest at the sizes the benchmark's workloads
+// hash: 256 B (serve-batch), 4 KiB (rt-iter), 16 KiB (serve-mixed) and
+// 64 KiB.
 func BenchmarkSHA1(b *testing.B) {
-	data := benchCorpus(64 << 10)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sum := SHA1(data)
-		KeepAlive(sum[:])
+	for _, n := range []struct {
+		name string
+		size int
+	}{{"256B", 256}, {"4KiB", 4 << 10}, {"16KiB", 16 << 10}, {"64KiB", 64 << 10}} {
+		b.Run(n.name, func(b *testing.B) {
+			data := benchCorpus(n.size)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sum := SHA1(data)
+				KeepAlive(sum[:])
+			}
+		})
 	}
 }
 

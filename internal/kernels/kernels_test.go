@@ -2,7 +2,10 @@ package kernels
 
 import (
 	"bytes"
+	"crypto/md5"
+	"crypto/sha1"
 	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +77,57 @@ func TestMD5BlockBoundaries(t *testing.T) {
 			t.Errorf("len %d: digest ignores first byte", n)
 		}
 	}
+}
+
+// TestDigestsMatchStdlib holds both hand-written digests to the
+// standard library's at every length up to 16 blocks, so every padding
+// shape (one tail block or two) is met at every block count, over
+// compressible text and over random bytes.
+func TestDigestsMatchStdlib(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"text":   TextCorpus(11, 1024),
+		"random": RandomCorpus(12, 1024),
+	} {
+		for n := 0; n <= len(data); n++ {
+			if !checkDigests(t, fmt.Sprintf("%s[:%d]", name, n), data[:n]) {
+				break // the shortest failing length says enough
+			}
+		}
+	}
+}
+
+// FuzzDigests compares both digests with the standard library's on
+// fuzzer-chosen bytes, up to 64 KiB of them (FuzzScratchKernels stops at
+// 4 KiB and compares with the in-package reference only).
+func FuzzDigests(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("abc"))
+	f.Add(bytes.Repeat([]byte{0xFF}, 55))
+	f.Add(bytes.Repeat([]byte{0x80}, 64))
+	f.Add(RandomCorpus(13, 119))
+	f.Add(TextCorpus(14, 16<<10))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			data = data[:64<<10]
+		}
+		checkDigests(t, fmt.Sprintf("%d bytes", len(data)), data)
+	})
+}
+
+// checkDigests reports whether SHA1 and MD5 of data equal the standard
+// library's, failing t for each that does not.
+func checkDigests(t *testing.T, name string, data []byte) bool {
+	t.Helper()
+	ok := true
+	if got, want := SHA1(data), sha1.Sum(data); got != want {
+		t.Errorf("SHA1(%s) = %x, crypto/sha1 %x", name, got, want)
+		ok = false
+	}
+	if got, want := MD5(data), md5.Sum(data); got != want {
+		t.Errorf("MD5(%s) = %x, crypto/md5 %x", name, got, want)
+		ok = false
+	}
+	return ok
 }
 
 // --- corpora --------------------------------------------------------------

@@ -12,10 +12,10 @@ import (
 // 1/lhSub = 12.5% per bucket (half that in expectation, since quantile
 // reads interpolate linearly inside the bucket).
 //
-// Unlike the fixed-bucket Histogram, a LogHistogram needs no bucket
-// choice at registration time and supports quantile estimation and
-// merging — it is the distribution type behind every latency span
-// metric (queue wait, batch wait, execution, end-to-end).
+// A LogHistogram needs no bucket choice at registration time and
+// supports quantile estimation and merging — it is the one distribution
+// type behind every histogram family (latency spans, batch durations,
+// batch sizes, search depths).
 //
 // Observe is a single atomic add per call plus the shared sum/count
 // words; all methods are safe for concurrent use, and a nil
@@ -225,7 +225,7 @@ func (r *Registry) LogHistogram(name, help string) *LogHistogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindLogHistogram, nil, nil).plain.(*LogHistogram)
+	return r.lookup(name, help, kindLogHistogram, nil).plain.(*LogHistogram)
 }
 
 // LogHistogramVec registers (or fetches) a labeled log-bucketed
@@ -234,13 +234,13 @@ func (r *Registry) LogHistogramVec(name, help string, labelNames ...string) *Log
 	if r == nil {
 		return nil
 	}
-	return &LogHistogramVec{f: r.lookup(name, help, kindLogHistogram, nil, labelNames)}
+	return &LogHistogramVec{f: r.lookup(name, help, kindLogHistogram, labelNames)}
 }
 
 // At returns the registered metric for name — the unlabeled metric when
 // called without label values, otherwise the child with exactly those
 // values — or nil when the family or child does not exist. The result
-// is one of *Counter, *Gauge, *Histogram or *LogHistogram. It lets a
+// is one of *Counter, *Gauge or *LogHistogram. It lets a
 // caller read metrics registered by a layer it did not instrument
 // (e.g. a test pulling the simulator's latency quantiles).
 func (r *Registry) At(name string, labelValues ...string) any {

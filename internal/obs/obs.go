@@ -1,7 +1,7 @@
 // Package obs is the repository's unified observability layer: a
-// low-overhead metrics registry (atomic counters, gauges, fixed-bucket
-// histograms and labeled families), a structured event sink, a
-// Prometheus text-exposition writer and an opt-in net/http endpoint.
+// low-overhead metrics registry (atomic counters, gauges, log-bucketed
+// histograms and labeled families), a Prometheus text-exposition writer
+// and an opt-in net/http endpoint.
 //
 // Both execution layers — the discrete-event simulator (internal/sched)
 // and the live goroutine runtime (internal/rt) — publish into the same
@@ -11,9 +11,9 @@
 // Design constraints, in order:
 //
 //  1. Disabled must be free. Every metric type is nil-safe: methods on
-//     a nil *Counter/*Gauge/*Histogram (and Emit on a nil *Registry)
-//     are no-ops that neither allocate nor touch shared memory, so an
-//     uninstrumented run pays only a nil check per call site.
+//     a nil *Counter/*Gauge/*LogHistogram are no-ops that neither
+//     allocate nor touch shared memory, so an uninstrumented run pays
+//     only a nil check per call site.
 //  2. Hot-path updates are lock-free. Counters and gauges are single
 //     atomic words; histograms are an atomic word per bucket. Locks
 //     appear only at registration and export time.
@@ -24,7 +24,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,80 +96,12 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket histogram with cumulative Prometheus
-// semantics. Buckets are upper bounds in ascending order; an implicit
-// +Inf bucket is always present. A nil *Histogram no-ops.
-type Histogram struct {
-	upper   []float64
-	counts  []atomic.Uint64 // len(upper)+1; last is +Inf
-	sumBits atomic.Uint64
-	count   atomic.Uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.upper) && v > h.upper[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		neu := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, neu) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// ExpBuckets returns n upper bounds starting at start, each factor×
-// the previous — the usual latency-histogram shape.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n upper bounds start, start+width, … .
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // metricKind discriminates family types in the registry.
 type metricKind int
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindLogHistogram
 )
 
@@ -181,8 +112,8 @@ func (k metricKind) String() string {
 	case kindGauge:
 		return "gauge"
 	default:
-		// Log-bucketed histograms expose the same cumulative-bucket
-		// series as fixed-bucket ones, so both advertise "histogram".
+		// A log-bucketed histogram exposes cumulative _bucket/_sum/_count
+		// series: a Prometheus histogram.
 		return "histogram"
 	}
 }
@@ -190,14 +121,13 @@ func (k metricKind) String() string {
 // family is one named metric family: either a single unlabeled metric
 // or a set of labeled children.
 type family struct {
-	name    string
-	help    string
-	kind    metricKind
-	labels  []string  // empty ⇒ unlabeled
-	buckets []float64 // histograms only
+	name   string
+	help   string
+	kind   metricKind
+	labels []string // empty ⇒ unlabeled
 
 	mu       sync.Mutex
-	plain    any            // *Counter / *Gauge / *Histogram
+	plain    any            // *Counter / *Gauge / *LogHistogram
 	order    []string       // child keys in first-use order
 	children map[string]any // label-values key → metric
 	values   map[string][]string
@@ -218,27 +148,23 @@ func (f *family) child(values []string) any {
 	if m, ok := f.children[key]; ok {
 		return m
 	}
-	var m any
-	switch f.kind {
-	case kindCounter:
-		m = &Counter{}
-	case kindGauge:
-		m = &Gauge{}
-	case kindLogHistogram:
-		m = &LogHistogram{}
-	default:
-		m = newHistogram(f.buckets)
-	}
+	m := newMetric(f.kind)
 	f.children[key] = m
 	f.values[key] = append([]string(nil), values...)
 	f.order = append(f.order, key)
 	return m
 }
 
-func newHistogram(buckets []float64) *Histogram {
-	upper := append([]float64(nil), buckets...)
-	sort.Float64s(upper)
-	return &Histogram{upper: upper, counts: make([]atomic.Uint64, len(upper)+1)}
+// newMetric returns a zero metric of kind k.
+func newMetric(k metricKind) any {
+	switch k {
+	case kindCounter:
+		return &Counter{}
+	case kindGauge:
+		return &Gauge{}
+	default:
+		return &LogHistogram{}
+	}
 }
 
 // CounterVec is a labeled counter family.
@@ -264,17 +190,6 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.child(values).(*Gauge)
 }
 
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
-
-// With returns the child histogram for the label values; nil-safe.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(values).(*Histogram)
-}
-
 // Registry holds metric families. A nil *Registry is valid: every
 // constructor returns nil, which is how instrumented code runs
 // un-observed for free.
@@ -292,7 +207,7 @@ func NewRegistry() *Registry {
 // lookup returns the family, creating it on first registration. Kind or
 // label mismatches on re-registration panic: they are programming
 // errors that would silently corrupt the export otherwise.
-func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64, labelNames []string) *family {
+func (r *Registry) lookup(name, help string, kind metricKind, labelNames []string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
@@ -307,21 +222,11 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 		help:     help,
 		kind:     kind,
 		labels:   append([]string(nil), labelNames...),
-		buckets:  append([]float64(nil), buckets...),
 		children: map[string]any{},
 		values:   map[string][]string{},
 	}
-	switch {
-	case len(labelNames) > 0:
-		// children created on demand
-	case kind == kindHistogram:
-		f.plain = newHistogram(buckets)
-	case kind == kindLogHistogram:
-		f.plain = &LogHistogram{}
-	case kind == kindGauge:
-		f.plain = &Gauge{}
-	default:
-		f.plain = &Counter{}
+	if len(labelNames) == 0 { // labeled children are created on demand
+		f.plain = newMetric(kind)
 	}
 	r.byName[name] = f
 	r.fams = append(r.fams, f)
@@ -333,7 +238,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindCounter, nil, nil).plain.(*Counter)
+	return r.lookup(name, help, kindCounter, nil).plain.(*Counter)
 }
 
 // Gauge registers (or fetches) an unlabeled gauge.
@@ -341,15 +246,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindGauge, nil, nil).plain.(*Gauge)
-}
-
-// Histogram registers (or fetches) an unlabeled fixed-bucket histogram.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindHistogram, buckets, nil).plain.(*Histogram)
+	return r.lookup(name, help, kindGauge, nil).plain.(*Gauge)
 }
 
 // CounterVec registers (or fetches) a labeled counter family.
@@ -357,7 +254,7 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.lookup(name, help, kindCounter, nil, labelNames)}
+	return &CounterVec{f: r.lookup(name, help, kindCounter, labelNames)}
 }
 
 // GaugeVec registers (or fetches) a labeled gauge family.
@@ -365,13 +262,5 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{f: r.lookup(name, help, kindGauge, nil, labelNames)}
-}
-
-// HistogramVec registers (or fetches) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	return &HistogramVec{f: r.lookup(name, help, kindHistogram, buckets, labelNames)}
+	return &GaugeVec{f: r.lookup(name, help, kindGauge, labelNames)}
 }

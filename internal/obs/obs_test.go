@@ -26,36 +26,6 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Errorf("Count = %d, want 4", h.Count())
-	}
-	if h.Sum() != 105 {
-		t.Errorf("Sum = %g, want 105", h.Sum())
-	}
-	want := []uint64{1, 1, 1, 1} // ≤1, ≤2, ≤4, +Inf (non-cumulative)
-	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
-			t.Errorf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-}
-
-func TestBucketHelpers(t *testing.T) {
-	exp := ExpBuckets(1, 2, 4)
-	if len(exp) != 4 || exp[0] != 1 || exp[3] != 8 {
-		t.Errorf("ExpBuckets = %v", exp)
-	}
-	lin := LinearBuckets(0, 5, 3)
-	if len(lin) != 3 || lin[1] != 5 || lin[2] != 10 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
-}
-
 // TestNilSafety is the contract the instrumentation sites rely on: a
 // nil registry hands out nil handles, and every method on them no-ops.
 func TestNilSafety(t *testing.T) {
@@ -64,11 +34,11 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("c", "").Add(1)
 	r.Gauge("g", "").Set(1)
 	r.Gauge("g", "").Add(1)
-	r.Histogram("h", "", nil).Observe(1)
+	r.LogHistogram("h", "").Observe(1)
 	r.CounterVec("cv", "", "l").With("x").Inc()
 	r.GaugeVec("gv", "", "l").With("x").Set(1)
-	r.HistogramVec("hv", "", nil, "l").With("x").Observe(1)
-	if r.Counter("c", "").Value() != 0 || r.Histogram("h", "", nil).Count() != 0 {
+	r.LogHistogramVec("hv", "", "l").With("x").Observe(1)
+	if r.Counter("c", "").Value() != 0 || r.LogHistogram("h", "").Count() != 0 {
 		t.Error("nil metrics should read zero")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -107,7 +77,7 @@ func TestVecChildren(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	h := r.Histogram("h", "", ExpBuckets(1, 2, 8))
+	h := r.LogHistogram("h", "")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -137,6 +107,10 @@ func TestFormatFloat(t *testing.T) {
 		{2.5, "2.5"},
 		{math.Inf(1), "+Inf"},
 		{math.Inf(-1), "-Inf"},
+		{math.NaN(), "NaN"},
+		{1e-9, "1e-09"},
+		{1.1e-9, "1.1e-09"},
+		{1.0000000001, "1.0000000001"}, // no cut at nine decimals
 	} {
 		if got := formatFloat(tc.in); got != tc.want {
 			t.Errorf("formatFloat(%g) = %q, want %q", tc.in, got, tc.want)

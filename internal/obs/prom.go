@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -91,31 +92,6 @@ func writeMetricProm(w io.Writer, name, labels string, m any) error {
 	case *Gauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(m.Value()))
 		return err
-	case *Histogram:
-		cum := uint64(0)
-		// labels here is already rendered "{...}" or ""; rebuild with le.
-		base := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
-		pair := func(le string) string {
-			if base == "" {
-				return fmt.Sprintf(`{le=%q}`, le)
-			}
-			return fmt.Sprintf(`{%s,le=%q}`, base, le)
-		}
-		for i, ub := range m.upper {
-			cum += m.counts[i].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, pair(formatFloat(ub)), cum); err != nil {
-				return err
-			}
-		}
-		cum += m.counts[len(m.upper)].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, pair("+Inf"), cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(m.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, m.Count())
-		return err
 	case *LogHistogram:
 		// Log-bucketed histograms have ~500 fixed buckets; only the
 		// occupied ones are emitted (cumulatively, so the series is
@@ -159,6 +135,8 @@ func writeMetricProm(w io.Writer, name, labels string, m any) error {
 	}
 }
 
+// formatFloat prints the shortest form that parses back to v, so two
+// distinct log-bucket bounds never share an le label.
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
@@ -168,7 +146,7 @@ func formatFloat(v float64) string {
 	case math.IsNaN(v):
 		return "NaN"
 	}
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.9f", v), "0"), ".")
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func escapeHelp(s string) string {
@@ -185,7 +163,7 @@ func escapeLabel(s string) string {
 // Snapshot returns every family's current values as a JSON-marshalable
 // tree — the payload of the /debug/vars endpoint. Unlabeled metrics map
 // name → value; labeled families map name → {"a=x,b=y": value};
-// histograms report count, sum and cumulative bucket counts.
+// histograms report count, sum and the p50/p90/p95/p99 estimates.
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	if r == nil {
@@ -221,15 +199,6 @@ func metricValue(m any) any {
 		return m.Value()
 	case *Gauge:
 		return m.Value()
-	case *Histogram:
-		buckets := map[string]uint64{}
-		cum := uint64(0)
-		for i, ub := range m.upper {
-			cum += m.counts[i].Load()
-			buckets[formatFloat(ub)] = cum
-		}
-		buckets["+Inf"] = m.Count()
-		return map[string]any{"count": m.Count(), "sum": m.Sum(), "buckets": buckets}
 	case *LogHistogram:
 		// The JSON view reports the estimated quantiles directly — the
 		// payload a CLI summary wants — instead of ~500 bucket lines.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func buildSample() *Registry {
 	r := NewRegistry()
 	r.Counter("jobs_total", "Jobs run.").Add(3)
 	r.Gauge("depth", "Queue depth.").Set(7)
-	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1})
+	h := r.LogHistogram("latency_seconds", "Latency.")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(10)
@@ -31,8 +32,9 @@ func TestWritePrometheus(t *testing.T) {
 		"# HELP jobs_total Jobs run.\n# TYPE jobs_total counter\njobs_total 3\n",
 		"# TYPE depth gauge\ndepth 7\n",
 		"# TYPE latency_seconds histogram\n",
-		`latency_seconds_bucket{le="0.1"} 1`,
-		`latency_seconds_bucket{le="1"} 2`,
+		`latency_seconds_bucket{le="0.05078125"} 1`,
+		`latency_seconds_bucket{le="0.5625"} 2`,
+		`latency_seconds_bucket{le="11"} 3`,
 		`latency_seconds_bucket{le="+Inf"} 3`,
 		"latency_seconds_sum 10.55\nlatency_seconds_count 3\n",
 		`steals_total{victim="0"} 4`,
@@ -81,5 +83,46 @@ func TestSnapshotAndJSON(t *testing.T) {
 	hist, ok := decoded["latency_seconds"].(map[string]any)
 	if !ok || hist["count"] != 3.0 {
 		t.Errorf("latency snapshot = %v", decoded["latency_seconds"])
+	}
+}
+
+// TestPromBoundsDistinctBelowNanosecond pins the exposition's float
+// format: log-bucket bounds a few nanoseconds apart must print as
+// distinct, strictly increasing le labels, and _sum must round-trip
+// to the exact float the histogram holds.
+func TestPromBoundsDistinctBelowNanosecond(t *testing.T) {
+	r := NewRegistry()
+	h := r.LogHistogram("tiny_seconds", "")
+	for _, v := range []float64{1.0e-9, 1.1e-9, 1.25e-9} {
+		h.Observe(v)
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	prev := -1.0
+	buckets := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "tiny_seconds_bucket{le="):
+			le := line[len(`tiny_seconds_bucket{le="`):strings.Index(line, `"}`)]
+			v, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				t.Fatalf("le %q: %v", le, err)
+			}
+			if v <= prev {
+				t.Errorf("le %q does not exceed the previous bound %g:\n%s", le, prev, buf.String())
+			}
+			prev = v
+			buckets++
+		case strings.HasPrefix(line, "tiny_seconds_sum "):
+			v, err := strconv.ParseFloat(strings.TrimPrefix(line, "tiny_seconds_sum "), 64)
+			if err != nil || v != h.Sum() {
+				t.Errorf("_sum line %q parses to %g (%v), want exactly %g", line, v, err, h.Sum())
+			}
+		}
+	}
+	if buckets != 4 { // three occupied buckets plus +Inf
+		t.Errorf("%d bucket lines, want 4:\n%s", buckets, buf.String())
 	}
 }

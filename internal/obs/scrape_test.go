@@ -11,8 +11,8 @@ import (
 )
 
 // TestConcurrentScrapeDuringRecording drives the Prometheus and JSON
-// handlers while writer goroutines hammer counters, gauges, fixed and
-// log histograms and labeled families. Under -race this
+// handlers while writer goroutines hammer counters, gauges, histograms
+// and labeled families. Under -race this
 // is the proof that a scrape never tears concurrent recording; the
 // final scrape must also see exact counter totals.
 func TestConcurrentScrapeDuringRecording(t *testing.T) {
@@ -23,7 +23,7 @@ func TestConcurrentScrapeDuringRecording(t *testing.T) {
 	ctr := reg.Counter("scrape_test_total", "writes")
 	vec := reg.CounterVec("scrape_test_by_class_total", "writes by class", "class")
 	g := reg.Gauge("scrape_test_gauge", "last value")
-	fh := reg.Histogram("scrape_test_hist", "fixed", ExpBuckets(1e-6, 2, 20))
+	fh := reg.LogHistogram("scrape_test_hist", "unlabeled")
 	lh := reg.LogHistogramVec("scrape_test_lat_seconds", "log-bucketed", "class", "tenant")
 
 	const writers, per = 8, 2000

@@ -78,9 +78,8 @@ type Profiler struct {
 	gen     uint64    // bumped by Reset; invalidates ClassRef caches
 
 	// memory-boundness bookkeeping
-	memBoundThreshold float64
-	memBoundTasks     int
-	totalTasks        int
+	memBoundTasks int
+	totalTasks    int
 }
 
 // New creates a profiler for a machine with the given frequency ladder.
@@ -89,16 +88,11 @@ func New(ladder machine.FreqLadder) *Profiler {
 		panic("profile: " + err.Error())
 	}
 	return &Profiler{
-		ladder:            ladder,
-		records:           make(map[string]*record),
-		sorted:            []Class{}, // Classes never returns nil
-		memBoundThreshold: DefaultMemBoundThreshold,
+		ladder:  ladder,
+		records: make(map[string]*record),
+		sorted:  []Class{}, // Classes never returns nil
 	}
 }
-
-// SetMemBoundThreshold overrides the memory-bound cutoff (for tests and
-// sensitivity studies).
-func (p *Profiler) SetMemBoundThreshold(v float64) { p.memBoundThreshold = v }
 
 // Normalize applies Eq. 1: a task that took t seconds on a core at
 // frequency level j has workload t · Fj/F0 (its hypothetical time on
@@ -139,7 +133,7 @@ func (p *Profiler) entry(name string) *record {
 // recordInto folds one completed task into a pre-resolved record.
 func (p *Profiler) recordInto(rec *record, execTime float64, level int, missIntensity float64) {
 	p.foldInto(rec, 1, execTime, execTime, level)
-	if missIntensity > p.memBoundThreshold {
+	if missIntensity > DefaultMemBoundThreshold {
 		p.memBoundTasks++
 	}
 }
@@ -256,15 +250,6 @@ func (p *Profiler) TotalTasks() int { return p.totalTasks }
 // are memory-bound" — we use a strict majority.
 func (p *Profiler) MemoryBound() bool {
 	return p.totalTasks > 0 && p.memBoundTasks*2 > p.totalTasks
-}
-
-// MemoryBoundFraction returns the fraction of recorded tasks labelled
-// memory-bound, for reporting.
-func (p *Profiler) MemoryBoundFraction() float64 {
-	if p.totalTasks == 0 {
-		return 0
-	}
-	return float64(p.memBoundTasks) / float64(p.totalTasks)
 }
 
 // Reset clears per-batch state. EEWA re-profiles every batch (workloads

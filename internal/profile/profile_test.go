@@ -99,7 +99,6 @@ func TestLookupMissing(t *testing.T) {
 
 func TestMemoryBoundMajorityRule(t *testing.T) {
 	p := New(ladder)
-	p.SetMemBoundThreshold(0.01)
 	// 2 of 4 memory-bound: not a strict majority.
 	p.Record("a", 1, 0, 0.5)
 	p.Record("a", 1, 0, 0.5)
@@ -112,8 +111,11 @@ func TestMemoryBoundMajorityRule(t *testing.T) {
 	if !p.MemoryBound() {
 		t.Error("3 of 5 memory-bound should classify the app as memory-bound")
 	}
-	if got, want := p.MemoryBoundFraction(), 3.0/5.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("fraction = %g, want %g", got, want)
+	// A task exactly at the threshold is not memory-bound: 3 of 7.
+	p.Record("a", 1, 0, DefaultMemBoundThreshold)
+	p.Record("a", 1, 0, DefaultMemBoundThreshold)
+	if p.MemoryBound() {
+		t.Error("3 of 7 memory-bound (two at the threshold) must not classify the app as memory-bound")
 	}
 }
 
@@ -121,9 +123,6 @@ func TestMemoryBoundEmptyProfiler(t *testing.T) {
 	p := New(ladder)
 	if p.MemoryBound() {
 		t.Error("empty profiler must not be memory-bound")
-	}
-	if p.MemoryBoundFraction() != 0 {
-		t.Error("empty profiler fraction should be 0")
 	}
 }
 

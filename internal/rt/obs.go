@@ -21,13 +21,13 @@ type rtObs struct {
 	tasks     *obs.Counter
 	steals    *obs.Counter
 	wallSecs  *obs.Counter
-	batchSecs *obs.Histogram
+	batchSecs *obs.LogHistogram
 
 	busySecs    *obs.Counter
 	idleSecs    *obs.Counter
 	barrierSecs *obs.Counter
 
-	poolDepth *obs.Histogram
+	poolDepth *obs.LogHistogram
 	dvfs      *obs.Counter
 	energy    *obs.Counter
 	residual  *obs.Counter
@@ -54,16 +54,16 @@ func newRTObs(reg *obs.Registry, levels int) rtObs {
 		steals:  reg.Counter("eewa_rt_steals_total", "Non-local task acquisitions in the live runtime."),
 		wallSecs: reg.Counter("eewa_rt_wall_seconds_total",
 			"Wall-clock seconds spent inside RunBatch."),
-		batchSecs: reg.Histogram("eewa_rt_batch_seconds",
-			"Per-batch wall-clock duration in seconds.", obs.ExpBuckets(1e-3, 2, 14)),
+		batchSecs: reg.LogHistogram("eewa_rt_batch_seconds",
+			"Per-batch wall-clock duration in seconds."),
 		busySecs: reg.Counter("eewa_rt_worker_busy_seconds_total",
 			"Worker-seconds spent executing task payloads (duty-cycle stretched)."),
 		idleSecs: reg.Counter("eewa_rt_worker_idle_seconds_total",
 			"Worker-seconds spent searching for work (probe/steal/sleep)."),
 		barrierSecs: reg.Counter("eewa_rt_worker_barrier_seconds_total",
 			"Worker-seconds spent waiting at the batch barrier after running dry."),
-		poolDepth: reg.Histogram("eewa_rt_pool_depth",
-			"Tasks placed into each worker's pools at batch start.", obs.ExpBuckets(1, 2, 12)),
+		poolDepth: reg.LogHistogram("eewa_rt_pool_depth",
+			"Tasks placed into each worker's pools at batch start."),
 		dvfs: reg.Counter("eewa_rt_dvfs_transitions_total",
 			"Emulated frequency-level changes applied to workers."),
 		energy: reg.Counter("eewa_rt_energy_joules_total",

@@ -51,12 +51,12 @@ func TestObsIntegration(t *testing.T) {
 	if got := reg.Counter("eewa_rt_energy_joules_total", "").Value(); got <= 0 || got > st.Energy+1e-9 {
 		t.Errorf("energy = %g, stats = %g", got, st.Energy)
 	}
-	if got := reg.Histogram("eewa_rt_batch_seconds", "", nil).Count(); got != uint64(st.Batches) {
+	if got := reg.LogHistogram("eewa_rt_batch_seconds", "").Count(); got != uint64(st.Batches) {
 		t.Errorf("batch histogram count = %d, want %d", got, st.Batches)
 	}
 	// Every task was placed on some worker, so pool-depth observations
 	// must sum to the task count.
-	if got := reg.Histogram("eewa_rt_pool_depth", "", nil).Sum(); got != float64(st.Tasks) {
+	if got := reg.LogHistogram("eewa_rt_pool_depth", "").Sum(); got != float64(st.Tasks) {
 		t.Errorf("pool depth sum = %g, want %d", got, st.Tasks)
 	}
 	// Busy time is real work and must be positive.

@@ -199,19 +199,6 @@ type Config struct {
 	// eewa_rt_invariant_violations_total metric. Building with
 	// -tags eewa_check forces this on for every runtime.
 	Invariants bool
-	// Hooks receives batch-lifecycle callbacks (both run on the
-	// RunBatch caller's goroutine). A zero Hooks is inert.
-	Hooks Hooks
-}
-
-// Hooks are the runtime's batch-lifecycle callbacks — the submission
-// hook surface a serving layer (internal/serve) builds on. BatchStart
-// fires after planning, immediately before workers launch; BatchEnd
-// fires after the barrier with the batch's statistics. Either field may
-// be nil. Empty batches fire neither.
-type Hooks struct {
-	BatchStart func(batch, tasks int)
-	BatchEnd   func(batch int, stats BatchStats)
 }
 
 // WorkerSecs is one worker's wall-time decomposition for a batch, in
@@ -475,10 +462,6 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 		return BatchStats{Census: r.Census()}
 	}
 	r.planBatch()
-	bi := r.batchIndex // stable across the increment below
-	if h := r.cfg.Hooks.BatchStart; h != nil {
-		h(bi, len(tasks))
-	}
 	r.place(tasks)
 
 	n := r.cfg.Workers
@@ -581,9 +564,6 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 	// garbage before the next batch overwrites them.
 	for i := range tasks {
 		r.slots[i].task = nil
-	}
-	if h := r.cfg.Hooks.BatchEnd; h != nil {
-		h(bi, bs)
 	}
 	return bs
 }

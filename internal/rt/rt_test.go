@@ -381,37 +381,3 @@ func TestRunBatchCancelledTasksSkipPayload(t *testing.T) {
 		t.Errorf("invariant violations with cancellation: %v", vs)
 	}
 }
-
-// Hooks fire once per non-empty batch, on the caller's goroutine, with
-// a stable batch index and the same stats RunBatch returns.
-func TestRunBatchHooks(t *testing.T) {
-	cfg := testConfig(2, PolicyCilk)
-	type startRec struct{ batch, tasks int }
-	var starts []startRec
-	var ends []int
-	var endStats []BatchStats
-	cfg.Hooks = Hooks{
-		BatchStart: func(batch, tasks int) { starts = append(starts, startRec{batch, tasks}) },
-		BatchEnd:   func(batch int, stats BatchStats) { ends = append(ends, batch); endStats = append(endStats, stats) },
-	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Int64
-	rt.RunBatch(makeBatch(&n, 1, 3, time.Millisecond, 100*time.Microsecond))
-	rt.RunBatch(nil) // empty: no hooks
-	bs := rt.RunBatch(makeBatch(&n, 1, 3, time.Millisecond, 100*time.Microsecond))
-	if len(starts) != 2 || len(ends) != 2 {
-		t.Fatalf("hooks fired %d/%d times, want 2/2", len(starts), len(ends))
-	}
-	if starts[0] != (startRec{0, 4}) || starts[1] != (startRec{1, 4}) {
-		t.Errorf("BatchStart records = %+v", starts)
-	}
-	if ends[0] != 0 || ends[1] != 1 {
-		t.Errorf("BatchEnd indices = %v", ends)
-	}
-	if endStats[1].Tasks != bs.Tasks || endStats[1].Wall != bs.Wall {
-		t.Errorf("BatchEnd stats diverge from RunBatch return")
-	}
-}

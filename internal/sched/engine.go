@@ -30,7 +30,7 @@ type engineObs struct {
 	tasks         *obs.Counter
 	migrations    *obs.Counter
 	batches       *obs.Counter
-	batchSeconds  *obs.Histogram
+	batchSeconds  *obs.LogHistogram
 	energy        *obs.Counter
 	dvfs          *obs.Counter
 	adjInv        *obs.Counter
@@ -38,7 +38,7 @@ type engineObs struct {
 	adjHost       *obs.Counter
 	planHits      *obs.Counter
 	planMisses    *obs.Counter
-	searchSteps   *obs.Histogram
+	searchSteps   *obs.LogHistogram
 	makespan      *obs.Gauge
 	runs          *obs.Counter
 
@@ -85,7 +85,7 @@ func newEngineObs(reg *obs.Registry, levels int) engineObs {
 		tasks:        reg.Counter("eewa_sim_tasks_total", "Tasks executed."),
 		migrations:   reg.Counter("eewa_sim_migrations_total", "Tasks executed outside their class's allocated c-group."),
 		batches:      reg.Counter("eewa_sim_batches_total", "Batches executed."),
-		batchSeconds: reg.Histogram("eewa_sim_batch_seconds", "Per-batch simulated duration.", obs.ExpBuckets(1e-3, 2, 14)),
+		batchSeconds: reg.LogHistogram("eewa_sim_batch_seconds", "Per-batch simulated duration."),
 		energy:       reg.Counter("eewa_sim_energy_joules_total", "Whole-machine simulated energy."),
 		dvfs:         reg.Counter("eewa_sim_dvfs_transitions_total", "Core frequency switches."),
 		adjInv:       reg.Counter("eewa_sim_adjuster_invocations_total", "Batches that charged a frequency-adjuster decision."),
@@ -93,7 +93,7 @@ func newEngineObs(reg *obs.Registry, levels int) engineObs {
 		adjHost:      reg.Counter("eewa_sim_adjuster_host_seconds_total", "Measured host time of adjuster decisions."),
 		planHits:     reg.Counter("eewa_plan_cache_hits_total", "Adjusted plans served from the memoized tuple-search cache."),
 		planMisses:   reg.Counter("eewa_plan_cache_misses_total", "Adjusted plans that ran the backtracking tuple search."),
-		searchSteps:  reg.Histogram("eewa_sim_adjuster_search_steps", "Select attempts per Algorithm 1 tuple search.", obs.ExpBuckets(1, 2, 11)),
+		searchSteps:  reg.LogHistogram("eewa_sim_adjuster_search_steps", "Select attempts per Algorithm 1 tuple search."),
 		makespan:     reg.Gauge("eewa_sim_makespan_seconds", "Makespan of the most recent run."),
 		runs:         reg.Counter("eewa_sim_runs_total", "Completed simulation runs."),
 		taskWait: reg.LogHistogramVec("eewa_sim_task_wait_seconds",

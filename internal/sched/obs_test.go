@@ -43,7 +43,7 @@ func TestObsIntegration(t *testing.T) {
 	if got := reg.Counter("eewa_sim_dvfs_transitions_total", "").Value(); got != float64(res.DVFSTransitions) {
 		t.Errorf("dvfs = %g, result = %d", got, res.DVFSTransitions)
 	}
-	if got := reg.Histogram("eewa_sim_batch_seconds", "", nil).Count(); got != uint64(len(res.BatchTimes)) {
+	if got := reg.LogHistogram("eewa_sim_batch_seconds", "").Count(); got != uint64(len(res.BatchTimes)) {
 		t.Errorf("batch histogram count = %d, result has %d batches", got, len(res.BatchTimes))
 	}
 
@@ -84,7 +84,7 @@ func TestObsIntegration(t *testing.T) {
 	if got := reg.Counter("eewa_sim_adjuster_invocations_total", "").Value(); got != float64(len(res.BatchTimes)-1) {
 		t.Errorf("adjuster invocations = %g, want %d", got, len(res.BatchTimes)-1)
 	}
-	if reg.Histogram("eewa_sim_adjuster_search_steps", "", nil).Sum() <= 0 {
+	if reg.LogHistogram("eewa_sim_adjuster_search_steps", "").Sum() <= 0 {
 		t.Error("search-steps histogram saw no backtracking work")
 	}
 

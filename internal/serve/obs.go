@@ -30,9 +30,9 @@ type serveObs struct {
 	inflight   *obs.Gauge    // admitted-but-unfinished tasks
 
 	batches    *obs.Counter
-	batchSecs  *obs.Histogram
-	batchTasks *obs.Histogram
-	queueSecs  *obs.Histogram
+	batchSecs  *obs.LogHistogram
+	batchTasks *obs.LogHistogram
+	queueSecs  *obs.LogHistogram
 
 	tasksRun       *obs.Counter
 	tasksCancelled *obs.Counter
@@ -143,12 +143,12 @@ func newServeObs(reg *obs.Registry) serveObs {
 			"Admitted tasks not yet finished (queued + running)."),
 		batches: reg.Counter("eewa_serve_batches_total",
 			"Iterations executed on the live runtime."),
-		batchSecs: reg.Histogram("eewa_serve_batch_seconds",
-			"Per-iteration wall-clock duration in seconds.", obs.ExpBuckets(1e-3, 2, 14)),
-		batchTasks: reg.Histogram("eewa_serve_batch_tasks",
-			"Tasks packed into each iteration.", obs.ExpBuckets(1, 2, 10)),
-		queueSecs: reg.Histogram("eewa_serve_queue_seconds",
-			"Per-job wait between admission and batch start, in seconds.", obs.ExpBuckets(1e-4, 2, 16)),
+		batchSecs: reg.LogHistogram("eewa_serve_batch_seconds",
+			"Per-iteration wall-clock duration in seconds."),
+		batchTasks: reg.LogHistogram("eewa_serve_batch_tasks",
+			"Tasks packed into each iteration."),
+		queueSecs: reg.LogHistogram("eewa_serve_queue_seconds",
+			"Per-job wait between admission and batch start, in seconds."),
 		tasksRun: reg.Counter("eewa_serve_tasks_run_total",
 			"Task payloads executed."),
 		tasksCancelled: reg.Counter("eewa_serve_tasks_cancelled_total",

@@ -199,9 +199,6 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 		Seed:       cfg.seed,
 		Obs:        cfg.reg,
 		Invariants: cfg.invariants,
-		Hooks: rt.Hooks{
-			BatchEnd: sh.batchEnd,
-		},
 	}
 	sh.rt, err = rt.New(rcfg)
 	if err != nil {
@@ -213,8 +210,9 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 	return sh, nil
 }
 
-// batchEnd is the shard's runtime hook: cluster-family metrics, the
-// plan-class set the router consults, and the energy roll-up.
+// batchEnd is the shard's bookkeeping after each batch: cluster-family
+// metrics, the plan-class set the router consults, and the energy
+// roll-up.
 func (sh *shard) batchEnd(batch int, bs rt.BatchStats) {
 	sh.so.batches.Inc()
 	sh.so.batchSecs.Observe(bs.Wall.Seconds())
@@ -490,6 +488,7 @@ func (sh *shard) flushOnce() bool {
 	}
 	bs := sh.rt.RunBatch(all)
 	batchIdx := sh.rt.Stats().Batches - 1
+	sh.batchEnd(batchIdx, bs)
 
 	for _, j := range batch {
 		sh.inflight.Add(int64(-len(j.tasks)))

@@ -138,6 +138,26 @@ func appendJSONFloat(b []byte, f float64, ok *bool) []byte {
 	return b
 }
 
+// floatMemo holds, per JobResult float field, the bits of its last
+// rendering and where in the buffer it sits, so a repeat is a copy
+// (DESIGN.md §12). Bits, not values: 0 == -0, but they render apart.
+type floatMemo [4]struct {
+	bits     uint64
+	from, to int // the rendering is b[from:to]; to == 0: none yet
+}
+
+// appendFloat appends f, the value of float field k.
+func (m *floatMemo) appendFloat(b []byte, k int, f float64, ok *bool) []byte {
+	e, bits := &m[k], math.Float64bits(f)
+	if e.to > 0 && e.bits == bits {
+		return append(b, b[e.from:e.to]...)
+	}
+	from := len(b)
+	b = appendJSONFloat(b, f, ok)
+	e.bits, e.from, e.to = bits, from, len(b)
+	return b
+}
+
 // appendLine starts a new line at nesting depth, in the layout of
 // json.Encoder.SetIndent("", "  ").
 func appendLine(b []byte, depth int) []byte {
@@ -159,8 +179,8 @@ func appendMember(b []byte, depth int, key string) []byte {
 }
 
 // appendJobResult appends res as an object whose braces sit at nesting
-// depth (0 = top level).
-func appendJobResult(b []byte, res *JobResult, depth int, ok *bool) []byte {
+// depth (0 = top level), its floats through m.
+func appendJobResult(b []byte, res *JobResult, depth int, m *floatMemo, ok *bool) []byte {
 	d := depth + 1
 	b = append(b, '{')
 	b = strconv.AppendUint(appendMember(b, d, `"job": `), res.Job, 10)
@@ -172,10 +192,10 @@ func appendJobResult(b []byte, res *JobResult, depth int, ok *bool) []byte {
 	if res.Shard != nil {
 		b = strconv.AppendInt(appendMember(b, d, `"shard": `), int64(*res.Shard), 10)
 	}
-	b = appendJSONFloat(appendMember(b, d, `"queue_ms": `), res.QueueMS, ok)
-	b = appendJSONFloat(appendMember(b, d, `"batch_ms": `), res.BatchMS, ok)
-	b = appendJSONFloat(appendMember(b, d, `"energy_j": `), res.EnergyJ, ok)
-	b = appendJSONFloat(appendMember(b, d, `"energy_attr_j": `), res.EnergyAttrJ, ok)
+	b = m.appendFloat(appendMember(b, d, `"queue_ms": `), 0, res.QueueMS, ok)
+	b = m.appendFloat(appendMember(b, d, `"batch_ms": `), 1, res.BatchMS, ok)
+	b = m.appendFloat(appendMember(b, d, `"energy_j": `), 2, res.EnergyJ, ok)
+	b = m.appendFloat(appendMember(b, d, `"energy_attr_j": `), 3, res.EnergyAttrJ, ok)
 	b = strconv.AppendInt(appendMember(b, d, `"steals": `), int64(res.Steals), 10)
 	b = appendJSONString(appendMember(b, d, `"policy": `), res.Policy, ok)
 	return append(appendLine(b, depth), '}')
@@ -200,13 +220,14 @@ func appendBatchResponse(b []byte, items []BatchItem, ok *bool) []byte {
 		*ok = false // the stdlib renders a nil slice as null
 		return b
 	}
+	var m floatMemo
 	b = append(appendMember(append(b, '{'), 1, `"jobs": `), '[')
 	for i := range items {
 		it := &items[i]
 		b = append(appendMember(b, 2, ""), '{')
 		b = strconv.AppendInt(appendMember(b, 3, `"status": `), int64(it.Status), 10)
 		if it.Result != nil {
-			b = appendJobResult(appendMember(b, 3, `"result": `), it.Result, 3, ok)
+			b = appendJobResult(appendMember(b, 3, `"result": `), it.Result, 3, &m, ok)
 		}
 		if it.Error != "" {
 			b = appendJSONString(appendMember(b, 3, `"error": `), it.Error, ok)
@@ -240,7 +261,7 @@ func commitFast(w http.ResponseWriter, status int, bp *[]byte, b []byte, ok bool
 // shape).
 func writeResult(w http.ResponseWriter, status int, res *JobResult) {
 	bp, ok := respPool.Get().(*[]byte), true
-	b := appendJobResult((*bp)[:0], res, 0, &ok)
+	b := appendJobResult((*bp)[:0], res, 0, &floatMemo{}, &ok)
 	if !commitFast(w, status, bp, b, ok) {
 		writeJSON(w, status, res)
 	}
@@ -265,7 +286,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string, retry
 func (s *Server) writePartial(w http.ResponseWriter, status int, msg string, res *JobResult) {
 	bp, ok := respPool.Get().(*[]byte), true
 	b := appendErrorBody((*bp)[:0], msg, 0, &ok)
-	b = appendJobResult(appendMember(b, 1, `"partial": `), res, 1, &ok)
+	b = appendJobResult(appendMember(b, 1, `"partial": `), res, 1, &floatMemo{}, &ok)
 	b = append(b, "\n}"...)
 	if !commitFast(w, status, bp, b, ok) {
 		writeJSON(w, status, struct {

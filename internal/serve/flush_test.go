@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,6 +181,48 @@ func TestBatchRequestFormsOneBatch(t *testing.T) {
 	}
 	if got := after.Tasks - before.Tasks; got != jobs {
 		t.Errorf("tasks run %d, want %d", got, jobs)
+	}
+	drain(t, s)
+}
+
+// Bookkeeping is paid per edge, not per job: a 64-job batch request
+// with no deadlines reads the service clock once at admission, once at
+// batch formation and once at completion, however many jobs it carries
+// (and the batcher once more, when it finds the queue empty again).
+// One admission stamp and one formation reading give every job of the
+// request the same queue_ms.
+func TestBatchRequestClockBudget(t *testing.T) {
+	var reads atomic.Int64
+	s, ts := testServer(t, func(c *Config) {
+		c.FlushEvery = time.Hour
+		c.MaxBatch = 128
+		c.Clock = func() time.Time { reads.Add(1); return time.Now() }
+	})
+	const jobs, budget = 64, 4
+	var breq BatchRequest
+	for i := 0; i < jobs; i++ {
+		breq.Jobs = append(breq.Jobs, JobRequest{Func: "sha1", SizeBytes: 256, Seed: uint64(i)})
+	}
+	body := jsonBody(t, breq)
+	reads.Store(0)
+	resp, err := http.Post(ts.URL+"/v1/jobs:batch", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bres BatchResponse
+	err = json.NewDecoder(resp.Body).Decode(&bres)
+	resp.Body.Close()
+	got := reads.Load()
+	if err != nil || resp.StatusCode != 200 || len(bres.Jobs) != jobs {
+		t.Fatalf("status %d, %d items, decode error %v", resp.StatusCode, len(bres.Jobs), err)
+	}
+	if got > budget {
+		t.Errorf("a %d-job request read the service clock %d times, budget %d", jobs, got, budget)
+	}
+	for i, it := range bres.Jobs {
+		if it.Result == nil || it.Result.QueueMS != bres.Jobs[0].Result.QueueMS {
+			t.Errorf("item %d = %+v, want queue_ms %g like item 0", i, it.Result, bres.Jobs[0].Result.QueueMS)
+		}
 	}
 	drain(t, s)
 }

@@ -64,6 +64,11 @@ func FuzzAppendBatchResponse(f *testing.F) {
 	f.Add("acme", "deadline expired mid-batch", 0.75, 2.5e-7, 200, 2, 0, uint8(3))
 	f.Add("a<b>", `tenant "acme" queue full`, 1e21, math.Copysign(0, -1), 429, -1, -1, uint8(0))
 	f.Add("héllo", "", 5e-324, 1e-6, 0, 0, 7, uint8(1))
+	// The float memo's edges: equal floats with different bytes, and
+	// neighbours across the 'f'/'e' switches.
+	f.Add("acme", "", 0.0, math.Copysign(0, -1), 200, 1, -1, uint8(7))
+	f.Add("acme", "x", 1e-6, belowMicro, 200, 0, -1, uint8(6))
+	f.Add("acme", "x", below1e21, 1e21, 504, 0, 2, uint8(5))
 	for _, c := range batchEncodeCases() {
 		for _, it := range c.items {
 			if it.Result != nil {
@@ -77,10 +82,15 @@ func FuzzAppendBatchResponse(f *testing.F) {
 		if shard >= 0 {
 			res.Shard = &shard
 		}
+		// swapped puts each float where res has the other one, so items
+		// alternate values field by field as well as repeat them.
+		swapped := *res
+		swapped.QueueMS, swapped.BatchMS, swapped.EnergyJ, swapped.EnergyAttrJ = f2, f1, -f2, f1*f2
 		shapes := []BatchItem{
 			{Status: status, Result: res},
 			{Status: status, Error: msg, RetryAfter: retry},
 			{Status: status, Error: msg, Result: res},
+			{Status: status, Result: &swapped},
 			{Status: status},
 		}
 		items := make([]BatchItem, 0, n%8)

@@ -94,12 +94,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // headers are committed; nothing left to surface
 }
 
-// retryAfterSeconds rounds the configured hint up to whole seconds, as
-// the Retry-After header requires.
-func (s *Server) retryAfterSeconds() int {
-	return s.static.retryAfterSecs
-}
-
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -212,9 +206,9 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One admission pass: every job validates and routes before any is
-	// waited on, so a batch occupies its queue slots atomically enough
-	// to be batched together by the next flush.
+	// One admission pass: every job is accepted, then stamped with one
+	// reading, then placed before any is waited on, so the next flush
+	// batches the request together.
 	items, jobs := in.batchScratch(len(reqs))
 	// The handler's reference on every admitted job is dropped exactly
 	// once, whichever way the request ends.
@@ -225,6 +219,14 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}()
+	refuse := func(i int, j *job, rej *Rejection) {
+		s.noteRejection(rej)
+		j.release()
+		items[i] = BatchItem{Status: rej.Status, Error: rej.Msg}
+		if rej.Status != http.StatusGatewayTimeout {
+			items[i].RetryAfter = s.static.retryAfterSecs
+		}
+	}
 	for i := range reqs {
 		j, err := s.newJob(reqs[i])
 		if err != nil {
@@ -232,17 +234,22 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 			items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		if rej := s.route(j); rej != nil {
-			s.noteRejection(rej)
-			j.release()
-			it := BatchItem{Status: rej.Status, Error: rej.Msg}
-			if rej.Status != http.StatusGatewayTimeout {
-				it.RetryAfter = s.static.retryAfterSecs
-			}
-			items[i] = it
+		if rej := s.accept(j); rej != nil {
+			refuse(i, j, rej)
 			continue
 		}
 		jobs[i] = j
+	}
+	enqueued := s.now()
+	for i, j := range jobs {
+		if j == nil {
+			continue
+		}
+		j.enqueued = enqueued
+		if rej := s.place(j); rej != nil {
+			jobs[i] = nil
+			refuse(i, j, rej)
+		}
 	}
 	// One wake-up per shard the request touched, after the last job is
 	// in: waking per job would let the batcher run off with the first

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // refDecode is the pre-pooling decode path, verbatim: MaxBytesReader
@@ -396,8 +397,34 @@ func batchEncodeCases() []struct {
 		{"tenant-escape", []BatchItem{{Status: 200, Result: &JobResult{Tenant: "a&b", Func: "sha1", Policy: "eewa"}}}, false},
 		{"nan", []BatchItem{{Status: 200, Result: res(1, math.NaN())}}, false},
 		{"inf", []BatchItem{{Status: 200, Result: res(1, math.Inf(-1))}}, false},
+		// The encoder's float memo copies a repeat from the field's last
+		// rendering: wherever repeats fall and whatever lies between
+		// them, the bytes must still be the stdlib's.
+		{"repeat-adjacent", []BatchItem{{Status: 200, Result: res(1, 0.1)}, {Status: 200, Result: res(2, 0.1)},
+			{Status: 200, Result: res(3, 0.1)}}, true},
+		{"repeat-apart", []BatchItem{{Status: 200, Result: res(1, 0.1)}, {Status: 200, Result: res(2, 123.456789)},
+			{Status: 200, Result: res(3, 0.1)}, {Status: 200, Result: res(4, 123.456789)}}, true},
+		{"repeat-around-error", []BatchItem{{Status: 200, Result: res(1, 0.1)},
+			{Status: 429, Error: "in-flight budget full (513/512 tasks)", RetryAfter: 2},
+			{Status: 504, Error: "deadline expired mid-batch", Result: res(2, 0.1)}}, true},
+		// 0 and -0 are equal floats with different bytes.
+		{"signed-zero", []BatchItem{{Status: 200, Result: res(1, 0)}, {Status: 200, Result: res(2, math.Copysign(0, -1))},
+			{Status: 200, Result: res(3, 0)}, {Status: 200, Result: res(4, math.Copysign(0, -1))}}, true},
+		// Both sides of the 'f'/'e' switches at 1e-6 and 1e21.
+		{"format-switch", []BatchItem{{Status: 200, Result: res(1, 1e-6)}, {Status: 200, Result: res(2, belowMicro)},
+			{Status: 200, Result: res(3, belowMicro)}, {Status: 200, Result: res(4, 1e-6)},
+			{Status: 200, Result: res(5, 1e21)}, {Status: 200, Result: res(6, below1e21)},
+			{Status: 200, Result: res(7, below1e21)}, {Status: 200, Result: res(8, 1e21)}}, true},
 	}
 }
+
+// The largest floats below encoding/json's two format switches: the
+// last rendered in 'e' below 1e-6 and the last rendered in 'f' below
+// 1e21.
+var (
+	belowMicro = math.Nextafter(1e-6, 0)
+	below1e21  = math.Nextafter(1e21, 0)
+)
 
 func TestWriteBatchMatchesStdlib(t *testing.T) {
 	for _, c := range batchEncodeCases() {
@@ -459,20 +486,32 @@ func batchPoster(tb testing.TB, s *Server, body []byte) func() {
 
 // BenchmarkBatchRequest is serve-batch's request in a loop, for
 // profiles: go test -run '^$' -bench BatchRequest -cpuprofile … .
+// /plain is the gated, untraced server; /obs attaches a registry, so
+// the difference between the two is what tracing costs per request.
 func BenchmarkBatchRequest(b *testing.B) {
-	s, err := New(Config{Workers: 2, Machine: machine.Opteron16(), Policy: "cilk", MaxBatch: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	post := batchPoster(b, s, benchBatchBody(64))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post()
-	}
-	b.StopTimer()
-	if err := s.Drain(context.Background()); err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		reg  *obs.Registry
+	}{
+		{"plain", nil},
+		{"obs", obs.NewRegistry()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := New(Config{Workers: 2, Machine: machine.Opteron16(), Policy: "cilk", MaxBatch: 64, Obs: c.reg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			post := batchPoster(b, s, benchBatchBody(64))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+			b.StopTimer()
+			if err := s.Drain(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -105,6 +105,11 @@ func spanNanos(t time.Time) int64 { return int64(t.Sub(spanBase)) }
 
 func (ts *taskSlot) run() {
 	j := ts.j
+	if !j.srv.stamps {
+		ts.kfn(ts.data)
+		j.ran.Add(1)
+		return
+	}
 	j.firstStart.CompareAndSwap(0, int64(time.Since(spanBase)))
 	ts.kfn(ts.data)
 	j.ran.Add(1)

@@ -53,6 +53,40 @@ func TestServedJobAllocBudget(t *testing.T) {
 	}
 }
 
+// A payload takes its span stamps only when something reads them: the
+// span histograms (Obs) or the span check. Without either, a job that
+// ran leaves both stamps at 0.
+func TestPayloadStampsOnlyWhenRead(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		reg    *obs.Registry
+		stamps bool
+	}{
+		{"unread", nil, check.BuildEnabled},
+		{"obs", obs.NewRegistry(), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(Config{Workers: 2, Policy: "cilk", ManualFlush: true, Obs: c.reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer drain(t, s)
+			p, rej := s.Submit(JobRequest{Func: "sha1", SizeBytes: 256, Count: 3})
+			if rej != nil {
+				t.Fatalf("rejected: %+v", rej)
+			}
+			s.Flush()
+			fs, le := p.j.firstStart.Load(), p.j.lastEnd.Load()
+			if status, res, msg := p.Wait(); status != 200 || res.TasksRun != 3 {
+				t.Fatalf("status %d (%s), result %+v", status, msg, res)
+			}
+			if stamped := fs > 0 && le >= fs; stamped != c.stamps || (!c.stamps && le != 0) {
+				t.Errorf("stamps firstStart=%d lastEnd=%d, want stamped=%v", fs, le, c.stamps)
+			}
+		})
+	}
+}
+
 // TestJEIsASlabKernel pins what the je entry of kernelSpecs must keep
 // from the per-task closure it replaced: size_bytes is a pixel count
 // rounded down to a square of side 16…512, task i encodes

@@ -11,7 +11,8 @@ import (
 // TestServeBatchFamilies pins the per-batch and per-job distributions
 // against the server's own counts: six two-task jobs flushed with
 // MaxBatch 4 run as three batches, and a seventh job that expires in the
-// queue is never batched, so it must not reach the queue-wait family.
+// queue is never batched, so it must not reach the queue-wait family
+// nor any in-batch span.
 func TestServeBatchFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := New(Config{Workers: 2, Policy: policy.IDCilk, ManualFlush: true, MaxBatch: 4, Obs: reg})
@@ -55,5 +56,13 @@ func TestServeBatchFamilies(t *testing.T) {
 	}
 	if got := reg.LogHistogram("eewa_serve_queue_seconds", "").Count(); got != jobs {
 		t.Errorf("eewa_serve_queue_seconds count = %d, want %d batched jobs", got, jobs)
+	}
+	// With Obs set the payloads take their stamps, so every job that ran
+	// one has an observation in each in-batch span.
+	for _, name := range []string{"eewa_serve_batch_wait_seconds", "eewa_serve_exec_seconds", "eewa_serve_span_barrier_seconds"} {
+		h, ok := reg.At(name, "sha1", "default").(*obs.LogHistogram)
+		if !ok || h.Count() != jobs {
+			t.Errorf("%s has no observation for each of the %d jobs that ran a payload", name, jobs)
+		}
 	}
 }

@@ -131,31 +131,31 @@ func (s *Server) DrainShard(ctx context.Context, shard int) error {
 	return s.shards[shard].drain(ctx)
 }
 
-// route takes a validated job through admission. First the two checks
-// that refuse a job on sight and can only turn one way — the server is
-// draining, the deadline has already passed — then the job's tasks are
-// built (fill, the expensive step a refused job must not pay for), then
-// it is placed on a shard: the candidate order comes from the routing
-// policy, and the first shard to accept wins (backpressure-aware
-// spillover). When every candidate rejects, the preferred shard's
-// rejection is returned; when every shard is draining, the whole
-// cluster is. The authoritative drain, queue-depth and in-flight checks
-// stay in shard.admit, under the shard's admission lock.
-func (s *Server) route(j *job) *Rejection {
+// accept is admission's first step: refuse a job on sight (the server is
+// draining, the deadline has passed), else fill it — the expensive step
+// a refused job must not pay for. The caller then stamps j.enqueued,
+// once per request, and places the job.
+func (s *Server) accept(j *job) *Rejection {
 	if s.draining.Load() {
 		return &Rejection{Status: 503, Reason: "draining",
 			Msg: "server is draining, not admitting new jobs"}
 	}
-	if j.ExpiredBy(s.now()) {
-		// Admission fast-fail: the deadline has already passed (an
-		// absolute deadline_at in the past, or a cancellation raced
-		// in), so queuing the job would only burn a batch slot before
-		// the batcher dropped it. Refuse it here — it must never reach
-		// a shard queue. DESIGN.md §9 documents the semantics change.
+	if !j.deadline.IsZero() && j.ExpiredBy(s.now()) {
+		// Admission fast-fail: never queue a job only to drop it (DESIGN.md §9).
 		return &Rejection{Status: 504, Reason: "expired",
 			Msg: "deadline already expired at admission"}
 	}
 	j.fill()
+	return nil
+}
+
+// place is admission's second step: the candidate order comes from the
+// routing policy, and the first shard to accept wins (backpressure-aware
+// spillover). When every candidate rejects, the preferred shard's
+// rejection is returned; when every shard is draining, the whole
+// cluster is. The authoritative drain, queue-depth and in-flight checks
+// stay in shard.admit, under the shard's admission lock.
+func (s *Server) place(j *job) *Rejection {
 	if len(s.shards) == 1 {
 		// Single-shard fast path: no candidate order to build, no view
 		// snapshot — the admission outcome (and every message) is
@@ -187,6 +187,15 @@ func (s *Server) route(j *job) *Rejection {
 		}
 	}
 	return firstRej
+}
+
+// route admits one validated job: accept, stamp, place.
+func (s *Server) route(j *job) *Rejection {
+	if rej := s.accept(j); rej != nil {
+		return rej
+	}
+	j.enqueued = s.now()
+	return s.place(j)
 }
 
 // shardOrder returns the candidate shard indices for a job of `class`,

@@ -215,6 +215,7 @@ type Server struct {
 	shards []*shard
 	so     *serveObs
 	ro     *routerObs // nil with one shard: no router-only families
+	stamps bool       // payloads stamp their spans: Obs or the span check reads them
 
 	mu       sync.Mutex
 	rejected uint64 // jobs refused at admission (router-level counter)
@@ -244,7 +245,8 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.ShardOfflines) != 0 && len(cfg.ShardOfflines) != cfg.Shards {
 		return nil, fmt.Errorf("serve: %d shard profiles for %d shards", len(cfg.ShardOfflines), cfg.Shards)
 	}
-	s := &Server{cfg: cfg}
+	checkSpans := (cfg.Invariants || check.BuildEnabled) && cfg.Clock == nil
+	s := &Server{cfg: cfg, stamps: cfg.Obs != nil || checkSpans}
 	so := newServeObs(cfg.Obs)
 	s.so = &so
 	s.static.init(cfg.RetryAfter)
@@ -283,7 +285,7 @@ func New(cfg Config) (*Server, error) {
 			invariants:  cfg.Invariants,
 			reg:         cfg.Obs,
 			clock:       s.now,
-			checkSpans:  (cfg.Invariants || check.BuildEnabled) && cfg.Clock == nil,
+			checkSpans:  checkSpans,
 			manualFlush: cfg.ManualFlush,
 		}, s.so, s.ro)
 		if err != nil {
@@ -427,7 +429,8 @@ func (s *Server) Flush() {
 		panic("serve: Flush without Config.ManualFlush (the batcher owns the runtime)")
 	}
 	for _, sh := range s.shards {
-		sh.flushAll()
+		for sh.flushOnce() {
+		}
 	}
 }
 

@@ -40,12 +40,11 @@ type shardConfig struct {
 	// clock makes deadline outcomes deterministic under trace replay.
 	clock func() time.Time
 	// checkSpans: verify that every job's spans sum to its end-to-end
-	// time. On with invariants, and only on the wall clock — the payload
-	// stamps are wall time, so under a virtual service clock the spans
-	// are not one time line.
+	// time. On with invariants, and only on the wall clock: the payload
+	// stamps are wall time, not the service clock's.
 	checkSpans bool
-	// manualFlush skips the batcher goroutine: batches form only via
-	// flushAll, on the caller's goroutine (Server.Flush / drain).
+	// manualFlush skips the batcher goroutine: batches form only in
+	// Server.Flush and drain, on the caller's goroutine.
 	manualFlush bool
 }
 
@@ -277,10 +276,10 @@ func (sh *shard) tenant(name string) *tenantEntry {
 	return te
 }
 
-// admit applies the shard's admission policy to j: reject while
-// draining, reject when the tenant's queue or the in-flight budget is
-// full, otherwise append it to the shard's queue. Backpressure is
-// immediate — nothing blocks.
+// admit applies the shard's admission policy to j, which the caller has
+// already stamped (j.enqueued): reject while draining, reject when the
+// tenant's queue or the in-flight budget is full, otherwise append it
+// to the shard's queue. Backpressure is immediate — nothing blocks.
 func (sh *shard) admit(j *job) *Rejection {
 	n := len(j.tasks)
 	sh.qmu.Lock()
@@ -307,7 +306,6 @@ func (sh *shard) admit(j *job) *Rejection {
 			Msg: fmt.Sprintf("in-flight budget full (%d/%d tasks)", cur, sh.cfg.maxInFlight)}
 	}
 	sh.inflight.Add(int64(n))
-	j.enqueued = sh.cfg.clock()
 	j.shard = sh.cfg.index
 	j.retain() // admission reference, released by the batcher
 	sh.pending = append(sh.pending, j)
@@ -384,13 +382,6 @@ func (sh *shard) dequeued(j *job) {
 	sh.queuedN.Add(int64(-n))
 }
 
-// flushAll drains the current backlog into consecutive batches on the
-// calling goroutine — the batch boundary of manual-flush mode.
-func (sh *shard) flushAll() {
-	for sh.flushOnce() {
-	}
-}
-
 // Queued is a job waiting in an admission queue as the batching rule
 // sees it. The live job implements it, and so does the trace replay's
 // simulated job, so both clocks form batches by the one rule.
@@ -442,10 +433,12 @@ func NextBatch[J Queued](now time.Time, queue []J, maxBatch int, batch, expired 
 // runs it. It reports whether any job left the queue (batched or
 // expired), so the batcher can loop until the backlog is gone.
 func (sh *shard) flushOnce() bool {
-	now := sh.cfg.clock()
 	tasks, expiredTasks := 0, 0
 
+	// The formation reading, every batched job's started edge. Under qmu,
+	// so no job it pops was stamped at admission after it.
 	sh.qmu.Lock()
+	now := sh.cfg.clock()
 	batch, expired, popped := NextBatch(now, sh.pending[sh.head:], sh.cfg.maxBatch, sh.batchBuf[:0], sh.expiredBuf[:0])
 	clear(sh.pending[sh.head : sh.head+popped])
 	sh.head += popped
@@ -482,8 +475,8 @@ func (sh *shard) flushOnce() bool {
 
 	all := sh.taskBuf[:0]
 	for _, j := range batch {
-		j.started = sh.cfg.clock()
-		sh.so.queueSecs.Observe(j.started.Sub(j.enqueued).Seconds())
+		j.started = now
+		sh.so.queueSecs.Observe(now.Sub(j.enqueued).Seconds())
 		all = append(all, j.tasks...)
 	}
 	bs := sh.rt.RunBatch(all)
@@ -521,7 +514,8 @@ func (sh *shard) flushOnce() bool {
 		sp.energy.Add(attr)
 
 		// Close the request span: queue, batch-wait, execute and barrier
-		// phases, then end to end. Jobs whose every task was withdrawn
+		// phases, then end to end. Jobs whose every task was withdrawn,
+		// and every job when nothing reads payload stamps (Server.stamps),
 		// have no payload timestamps and record only queue + e2e.
 		queueWait := j.started.Sub(j.enqueued).Seconds()
 		sp.queue.Observe(queueWait)
@@ -616,7 +610,8 @@ func (sh *shard) drain(ctx context.Context) error {
 	sh.ro.shardDraining(sh.cfg.index, true)
 	if sh.cfg.manualFlush {
 		// No batcher goroutine: the backlog drains here, synchronously.
-		sh.flushAll()
+		for sh.flushOnce() {
+		}
 		sh.drainedOnce.Do(func() { close(sh.drained) })
 		return nil
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
 
@@ -128,7 +129,7 @@ func BenchmarkFig8_SHA1Census(b *testing.B) {
 // BenchmarkFig9 regenerates the DMC scalability sweep and reports the
 // 16-core EEWA energy ratio.
 func BenchmarkFig9(b *testing.B) {
-	var points []experiments.Fig9Point
+	var points []sweep.Record
 	var err error
 	for i := 0; i < b.N; i++ {
 		points, err = experiments.Fig9([]uint64{1})
@@ -137,10 +138,10 @@ func BenchmarkFig9(b *testing.B) {
 		}
 	}
 	for _, p := range points {
-		if p.Cores == 16 && p.Policy == "EEWA" {
+		if p.Cores == 16 && p.Policy == "eewa" {
 			b.ReportMetric(p.NormEnergy, "normE@16")
 		}
-		if p.Cores == 4 && p.Policy == "EEWA" {
+		if p.Cores == 4 && p.Policy == "eewa" {
 			b.ReportMetric(p.NormTime, "normT@4")
 		}
 	}

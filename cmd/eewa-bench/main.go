@@ -19,6 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -27,7 +28,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("eewa-bench: ")
 	exp := flag.String("exp", "all", "experiment to run: fig1, fig6, fig7, fig8, fig9, table3, membound, ablation, all")
-	nseeds := flag.Int("seeds", len(experiments.DefaultSeeds), "number of seeds to average over")
+	nseeds := flag.Int("seeds", len(sweep.DefaultSeeds), "number of seeds to average over")
 	plot := flag.Bool("plot", false, "append ASCII bar charts to fig6/fig9 output")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus-format metrics accumulated over every simulation to this file")
 	traceOut := flag.String("trace-out", "", "write a Perfetto trace of one SHA-1/EEWA run (seed 1) to this file")
@@ -60,7 +61,7 @@ func main() {
 		return nil
 	})
 	run("fig6", func() error {
-		rows, err := experiments.Fig6(cfg, seeds)
+		rows, err := experiments.Fig6(seeds)
 		if err != nil {
 			return err
 		}

@@ -17,8 +17,9 @@
 // Cells are sharded across -j worker goroutines (default GOMAXPROCS;
 // the count must be positive); every worker count produces
 // byte-identical results — per-cell RNG streams are derived from the
-// cell's identity, never shared — so -j only changes wall-clock time,
-// which -json reports per cell.
+// cell's seed, never shared — so -j only changes wall-clock time,
+// which -json reports per cell. A one-shard cell is the cell
+// eewa-bench's Fig. 6 and Fig. 9 report.
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 	benches := flag.String("bench", "", "comma-separated benchmarks (default: all seven)")
 	policies := flag.String("policies", "", "comma-separated policies: cilk,cilk-d,wats,eewa (default: cilk,cilk-d,eewa)")
 	cores := flag.String("cores", "", "comma-separated core counts per shard (default: 16)")
-	nseeds := flag.Int("seeds", 3, "number of seeds per cell")
+	nseeds := flag.Int("seeds", len(sweep.DefaultSeeds), "number of seeds per cell")
 	csvPath := flag.String("csv", "", "write CSV to this file instead of a table to stdout")
 	jsonPath := flag.String("json", "", "write per-cell JSON (with host wall time) to this file")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "cells simulated concurrently (must be positive)")

@@ -2,7 +2,9 @@
 // paper's evaluation (§IV), plus the ablations called out in DESIGN.md.
 // Each driver returns a typed result that the cmd/eewa-bench CLI and
 // the repository's bench harness render; the drivers themselves never
-// print.
+// print. Fig. 6 and Fig. 9 are queries on the internal/sweep grid and
+// return its records; every driver runs the engine on the workload's
+// seed, the grid's seed rule.
 //
 // Experiment index (see DESIGN.md §4):
 //
@@ -26,13 +28,9 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
-
-// DefaultSeeds are the seeds runs are averaged over (the paper averages
-// 100 hardware runs; three simulator seeds give comparable stability at
-// a fraction of the time).
-var DefaultSeeds = []uint64{1, 2, 3}
 
 // obsReg is the registry Observe installed; nil means no metrics.
 var obsReg *obs.Registry
@@ -151,53 +149,22 @@ func Fig1(t float64) []Fig1Schedule {
 
 // --- Fig. 6 ------------------------------------------------------------
 
-// Fig6Row is one benchmark's bar group: execution time and energy for
-// each policy, normalized against Cilk.
-type Fig6Row struct {
-	Benchmark  string
-	NormTime   map[string]float64
-	NormEnergy map[string]float64
+// Fig6 runs the seven benchmarks under Cilk, Cilk-D and EEWA on 16
+// cores — the sweep's default grid — and returns one record per
+// (benchmark, policy), normalized against Cilk.
+func Fig6(seeds []uint64) ([]sweep.Record, error) {
+	return query(sweep.Grid{Seeds: seeds})
 }
 
-// Fig6Policies is the fixed policy order of the figure.
-var Fig6Policies = []string{"Cilk", "Cilk-D", "EEWA"}
-
-// Fig6 runs the seven benchmarks under Cilk, Cilk-D and EEWA on cfg and
-// returns one normalized row per benchmark.
-func Fig6(cfg machine.Config, seeds []uint64) ([]Fig6Row, error) {
-	var rows []Fig6Row
-	for _, b := range workloads.All() {
-		row, err := fig6Row(cfg, b, seeds)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+// query runs a grid's cells, feeding the registry Observe installed,
+// and folds them into seed-averaged records.
+func query(g sweep.Grid) ([]sweep.Record, error) {
+	g.Obs = obsReg
+	cells, err := sweep.RunCells(g, 0)
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
-}
-
-func fig6Row(cfg machine.Config, b workloads.Benchmark, seeds []uint64) (Fig6Row, error) {
-	mks := map[string]func() policy.Policy{
-		"Cilk":   func() policy.Policy { return policy.NewCilk() },
-		"Cilk-D": func() policy.Policy { return policy.NewCilkD(len(cfg.Freqs)) },
-		"EEWA":   func() policy.Policy { return policy.NewEEWA() },
-	}
-	times := map[string]float64{}
-	energies := map[string]float64{}
-	for name, mk := range mks {
-		rs, err := runPolicy(cfg, b, mk, seeds)
-		if err != nil {
-			return Fig6Row{}, err
-		}
-		times[name] = meanMakespan(rs)
-		energies[name] = meanEnergy(rs)
-	}
-	row := Fig6Row{Benchmark: b.Name, NormTime: map[string]float64{}, NormEnergy: map[string]float64{}}
-	for name := range mks {
-		row.NormTime[name] = times[name] / times["Cilk"]
-		row.NormEnergy[name] = energies[name] / energies["Cilk"]
-	}
-	return row, nil
+	return sweep.Aggregate(cells), nil
 }
 
 // --- Fig. 7 ------------------------------------------------------------
@@ -320,54 +287,13 @@ func Fig8(cfg machine.Config, seed uint64) (*Fig8Result, error) {
 
 // --- Fig. 9 ------------------------------------------------------------
 
-// Fig9Point is one (core count, policy) cell of the scalability study.
-type Fig9Point struct {
-	Cores      int
-	Policy     string
-	Time       float64
-	Energy     float64
-	NormTime   float64 // vs Cilk at the same core count
-	NormEnergy float64
-}
-
-// Fig9 runs DMC under the three policies at 4, 8, 12 and 16 cores.
-// The paper's shape: at 4 cores EEWA saves nothing (every core is
-// needed at full speed) and costs ≈0.3 % time; savings grow with the
-// core count.
-func Fig9(seeds []uint64) ([]Fig9Point, error) {
-	b, err := workloads.ByName("dmc")
-	if err != nil {
-		return nil, err
-	}
-	var out []Fig9Point
-	for _, cores := range []int{4, 8, 12, 16} {
-		cfg := machine.Generic(cores)
-		mks := []struct {
-			name string
-			mk   func() policy.Policy
-		}{
-			{"Cilk", func() policy.Policy { return policy.NewCilk() }},
-			{"Cilk-D", func() policy.Policy { return policy.NewCilkD(len(cfg.Freqs)) }},
-			{"EEWA", func() policy.Policy { return policy.NewEEWA() }},
-		}
-		var cilkT, cilkE float64
-		for _, m := range mks {
-			rs, err := runPolicy(cfg, b, m.mk, seeds)
-			if err != nil {
-				return nil, err
-			}
-			t, e := meanMakespan(rs), meanEnergy(rs)
-			if m.name == "Cilk" {
-				cilkT, cilkE = t, e
-			}
-			out = append(out, Fig9Point{
-				Cores: cores, Policy: m.name,
-				Time: t, Energy: e,
-				NormTime: t / cilkT, NormEnergy: e / cilkE,
-			})
-		}
-	}
-	return out, nil
+// Fig9 runs DMC under Cilk, Cilk-D and EEWA at 4, 8, 12 and 16 cores
+// and returns one record per (cores, policy), normalized against Cilk at
+// the same core count. The paper's shape: at 4 cores EEWA saves nothing
+// (every core is needed at full speed) and costs ≈0.3 % time; savings
+// grow with the core count.
+func Fig9(seeds []uint64) ([]sweep.Record, error) {
+	return query(sweep.Grid{Benchmarks: []string{"dmc"}, Cores: []int{4, 8, 12, 16}, Seeds: seeds})
 }
 
 // --- Table III ----------------------------------------------------------
@@ -463,68 +389,61 @@ type AblationRow struct {
 	Time   map[string]float64
 }
 
+// variant is one ablation column: a policy on a machine.
+type variant struct {
+	cfg machine.Config
+	mk  func() policy.Policy
+}
+
+func newEEWA() policy.Policy { return policy.NewEEWA() }
+
 // AblationSearch compares Algorithm 1 against the exhaustive optimum
 // and the greedy heuristic as EEWA's tuple search.
 func AblationSearch(cfg machine.Config, seeds []uint64) ([]AblationRow, error) {
-	variants := map[string]func() policy.Policy{
-		"backtracking": func() policy.Policy { return policy.NewEEWA() },
-		"exhaustive": func() policy.Policy {
+	return runAblation(seeds, map[string]variant{
+		"backtracking": {cfg, newEEWA},
+		"exhaustive": {cfg, func() policy.Policy {
 			e := policy.NewEEWA()
 			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.ExhaustiveSearch(m, cfg.Power) }
 			return e
-		},
-		"greedy": func() policy.Policy {
+		}},
+		"greedy": {cfg, func() policy.Policy {
 			e := policy.NewEEWA()
 			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.GreedySearch(m) }
 			return e
-		},
-	}
-	return runAblation(cfg, seeds, variants)
+		}},
+	})
 }
 
 // AblationGranularity compares the granularity-aware CC table (our
 // default) against the paper's divisible-load formula.
 func AblationGranularity(cfg machine.Config, seeds []uint64) ([]AblationRow, error) {
-	variants := map[string]func() policy.Policy{
-		"granular": func() policy.Policy { return policy.NewEEWA() },
-		"divisible": func() policy.Policy {
+	return runAblation(seeds, map[string]variant{
+		"granular": {cfg, newEEWA},
+		"divisible": {cfg, func() policy.Policy {
 			e := policy.NewEEWA()
 			e.DivisibleCC = true
 			return e
-		},
-	}
-	return runAblation(cfg, seeds, variants)
+		}},
+	})
 }
 
 // AblationPackages quantifies how much of EEWA's saving comes from
 // package-aligned c-groups by re-running Fig. 6 on a machine with
 // per-core voltage planes.
 func AblationPackages(seeds []uint64) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, b := range workloads.All() {
-		row := AblationRow{Benchmark: b.Name, Energy: map[string]float64{}, Time: map[string]float64{}}
-		for name, cfg := range map[string]machine.Config{
-			"coupled":   machine.Opteron16(),
-			"uncoupled": machine.Uncoupled(machine.Opteron16()),
-		} {
-			rs, err := runPolicy(cfg, b, func() policy.Policy { return policy.NewEEWA() }, seeds)
-			if err != nil {
-				return nil, err
-			}
-			row.Energy[name] = meanEnergy(rs)
-			row.Time[name] = meanMakespan(rs)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return runAblation(seeds, map[string]variant{
+		"coupled":   {machine.Opteron16(), newEEWA},
+		"uncoupled": {machine.Uncoupled(machine.Opteron16()), newEEWA},
+	})
 }
 
-func runAblation(cfg machine.Config, seeds []uint64, variants map[string]func() policy.Policy) ([]AblationRow, error) {
+func runAblation(seeds []uint64, variants map[string]variant) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, b := range workloads.All() {
 		row := AblationRow{Benchmark: b.Name, Energy: map[string]float64{}, Time: map[string]float64{}}
-		for name, mk := range variants {
-			rs, err := runPolicy(cfg, b, mk, seeds)
+		for name, v := range variants {
+			rs, err := runPolicy(v.cfg, b, v.mk, seeds)
 			if err != nil {
 				return nil, err
 			}

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
 
 // Experiments are slow-ish (full benchmark runs); share results across
@@ -43,32 +46,40 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig. 6 sweep in -short mode")
 	}
-	rows, err := Fig6(machine.Opteron16(), []uint64{1, 2})
+	recs, err := Fig6([]uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := byBenchmark(recs)
 	if len(rows) != 7 {
 		t.Fatalf("got %d rows, want 7 benchmarks", len(rows))
 	}
 	var minSave, maxSave float64 = 1, 0
-	for _, r := range rows {
-		if r.NormTime["Cilk"] != 1 || r.NormEnergy["Cilk"] != 1 {
-			t.Errorf("%s: Cilk must normalize to 1", r.Benchmark)
+	for _, row := range rows {
+		if len(row) != 3 {
+			t.Fatalf("%s: %d policies, want Cilk, Cilk-D, EEWA", row[0].Benchmark, len(row))
+		}
+		cilk, cilkD, eewa := row[0], row[1], row[2]
+		if cilk.Policy != "cilk" || cilkD.Policy != "cilk-d" || eewa.Policy != "eewa" {
+			t.Fatalf("%s: policies %s, %s, %s, want cilk, cilk-d, eewa", cilk.Benchmark, cilk.Policy, cilkD.Policy, eewa.Policy)
+		}
+		if cilk.NormTime != 1 || cilk.NormEnergy != 1 {
+			t.Errorf("%s: Cilk must normalize to 1", cilk.Benchmark)
 		}
 		// Orderings: EEWA ≤ Cilk-D ≤ Cilk in energy (small tolerance for
 		// seeds where the adjuster finds nothing and EEWA ≈ Cilk-D).
-		if r.NormEnergy["EEWA"] > r.NormEnergy["Cilk-D"]+0.01 {
-			t.Errorf("%s: EEWA energy %.3f above Cilk-D %.3f", r.Benchmark, r.NormEnergy["EEWA"], r.NormEnergy["Cilk-D"])
+		if eewa.NormEnergy > cilkD.NormEnergy+0.01 {
+			t.Errorf("%s: EEWA energy %.3f above Cilk-D %.3f", eewa.Benchmark, eewa.NormEnergy, cilkD.NormEnergy)
 		}
-		if r.NormEnergy["Cilk-D"] >= 1 {
-			t.Errorf("%s: Cilk-D should save energy, got %.3f", r.Benchmark, r.NormEnergy["Cilk-D"])
+		if cilkD.NormEnergy >= 1 {
+			t.Errorf("%s: Cilk-D should save energy, got %.3f", cilkD.Benchmark, cilkD.NormEnergy)
 		}
 		// Performance: EEWA within ±13%% of Cilk (the paper sees
 		// +0.8–3.7%%; our deterministic placement can also run faster).
-		if r.NormTime["EEWA"] < 0.85 || r.NormTime["EEWA"] > 1.06 {
-			t.Errorf("%s: EEWA normalized time %.3f outside [0.85, 1.06]", r.Benchmark, r.NormTime["EEWA"])
+		if eewa.NormTime < 0.85 || eewa.NormTime > 1.06 {
+			t.Errorf("%s: EEWA normalized time %.3f outside [0.85, 1.06]", eewa.Benchmark, eewa.NormTime)
 		}
-		save := 1 - r.NormEnergy["EEWA"]
+		save := 1 - eewa.NormEnergy
 		if save < minSave {
 			minSave = save
 		}
@@ -154,17 +165,17 @@ func TestFig9Shape(t *testing.T) {
 	if len(points) != 12 {
 		t.Fatalf("got %d points, want 12 (4 sizes × 3 policies)", len(points))
 	}
-	get := func(cores int, policy string) Fig9Point {
+	get := func(cores int, policy string) sweep.Record {
 		for _, p := range points {
 			if p.Cores == cores && p.Policy == policy {
 				return p
 			}
 		}
 		t.Fatalf("missing point %d/%s", cores, policy)
-		return Fig9Point{}
+		return sweep.Record{}
 	}
 	// 4 cores: no meaningful saving, tiny degradation (paper: 0.3%).
-	e4 := get(4, "EEWA")
+	e4 := get(4, "eewa")
 	if e4.NormEnergy < 0.97 {
 		t.Errorf("4-core EEWA energy %.3f — should have almost no headroom", e4.NormEnergy)
 	}
@@ -172,13 +183,13 @@ func TestFig9Shape(t *testing.T) {
 		t.Errorf("4-core EEWA time %.3f, want ≤ 1.02 (paper: +0.3%%)", e4.NormTime)
 	}
 	// Savings grow with the core count.
-	e8, e12, e16 := get(8, "EEWA"), get(12, "EEWA"), get(16, "EEWA")
+	e8, e12, e16 := get(8, "eewa"), get(12, "eewa"), get(16, "eewa")
 	if !(e16.NormEnergy < e12.NormEnergy && e12.NormEnergy < e8.NormEnergy && e8.NormEnergy < e4.NormEnergy) {
 		t.Errorf("EEWA savings must grow with cores: %.3f %.3f %.3f %.3f",
 			e4.NormEnergy, e8.NormEnergy, e12.NormEnergy, e16.NormEnergy)
 	}
 	// Makespans shrink as cores grow (same workload).
-	if !(get(16, "Cilk").Time < get(8, "Cilk").Time && get(8, "Cilk").Time < get(4, "Cilk").Time) {
+	if !(get(16, "cilk").Makespan < get(8, "cilk").Makespan && get(8, "cilk").Makespan < get(4, "cilk").Makespan) {
 		t.Error("Cilk makespan should shrink with more cores")
 	}
 }
@@ -356,7 +367,7 @@ func TestRenderFig6Fig7Fig9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("render sweep in -short mode")
 	}
-	rows6, err := Fig6(machine.Opteron16(), []uint64{1})
+	rows6, err := Fig6([]uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,16 +391,16 @@ func TestRenderFig6Fig7Fig9(t *testing.T) {
 }
 
 func TestRenderCharts(t *testing.T) {
-	rows := []Fig6Row{{
-		Benchmark:  "x",
-		NormTime:   map[string]float64{"Cilk": 1, "Cilk-D": 1, "EEWA": 0.95},
-		NormEnergy: map[string]float64{"Cilk": 1, "Cilk-D": 0.9, "EEWA": 0.7},
-	}}
+	rows := []sweep.Record{
+		{Benchmark: "x", Policy: "cilk", NormTime: 1, NormEnergy: 1},
+		{Benchmark: "x", Policy: "cilk-d", NormTime: 1, NormEnergy: 0.9},
+		{Benchmark: "x", Policy: "eewa", NormTime: 0.95, NormEnergy: 0.7},
+	}
 	out := RenderFig6Chart(rows)
 	if !strings.Contains(out, "EEWA") || !strings.Contains(out, "#") {
 		t.Errorf("chart output:\n%s", out)
 	}
-	points := []Fig9Point{{Cores: 4, Policy: "EEWA", NormEnergy: 0.5}}
+	points := []sweep.Record{{Cores: 4, Policy: "eewa", NormEnergy: 0.5}}
 	out9 := RenderFig9Chart(points)
 	if !strings.Contains(out9, "4 cores") {
 		t.Errorf("fig9 chart output:\n%s", out9)
@@ -400,5 +411,49 @@ func TestRenderCharts(t *testing.T) {
 	}
 	if got := bar(5, 1, 10, '#'); len(got) != 10 {
 		t.Errorf("overflow bar = %q", got)
+	}
+}
+
+// TestObserveRecordsFigures pins what `eewa-bench -metrics-out` records:
+// with Observe installed, every simulation Fig. 6 and Fig. 9 run feeds
+// the registry, so the task counter equals the tasks of every cell's
+// workload and the run counter the number of cells.
+func TestObserveRecordsFigures(t *testing.T) {
+	reg := obs.NewRegistry()
+	Observe(reg)
+	t.Cleanup(func() { Observe(nil) })
+	seeds := []uint64{1, 2}
+	if _, err := Fig6(seeds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig9(seeds); err != nil {
+		t.Fatal(err)
+	}
+
+	const policies = 3 // Cilk, Cilk-D, EEWA
+	dmc, err := workloads.ByName("dmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTasks, wantRuns := 0, 0
+	for _, seed := range seeds {
+		for _, b := range workloads.All() { // Fig. 6: every benchmark at 16 cores
+			wantTasks += policies * b.Workload(seed).TotalTasks()
+			wantRuns += policies
+		}
+		wantTasks += 4 * policies * dmc.Workload(seed).TotalTasks() // Fig. 9: 4, 8, 12, 16 cores
+		wantRuns += 4 * policies
+	}
+	for _, c := range []struct {
+		name string
+		want int
+	}{{"eewa_sim_tasks_total", wantTasks}, {"eewa_sim_runs_total", wantRuns}} {
+		ctr, ok := reg.At(c.name).(*obs.Counter)
+		if !ok {
+			t.Fatalf("%s not registered", c.name)
+		}
+		if got := ctr.Value(); got != float64(c.want) {
+			t.Errorf("%s = %g, want %d", c.name, got, c.want)
+		}
 	}
 }

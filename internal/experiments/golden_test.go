@@ -1,0 +1,153 @@
+package experiments
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/sweep"
+)
+
+// sameFloat is bit equality on amd64, where the constants were
+// captured; other ports may fuse multiply-adds, so they get 1e-9.
+func sameFloat(got, want float64) bool {
+	if runtime.GOARCH == "amd64" {
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	return math.Abs(got-want) <= 1e-9*math.Abs(want)
+}
+
+// figPoint is one (benchmark, cores, policy) point of Fig. 6 or Fig. 9
+// as the golden tables pin it: the policy by its canonical identifier,
+// the floats as they come out of the driver.
+type figPoint struct {
+	bench, policy                      string
+	cores                              int
+	time, energy, normTime, normEnergy float64
+}
+
+// figPoints lists a figure's records as points, in figure order.
+func figPoints(t *testing.T, recs []sweep.Record, err error) []figPoint {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []figPoint
+	for _, r := range recs {
+		out = append(out, figPoint{bench: r.Benchmark, policy: r.Policy, cores: r.Cores,
+			time: r.Makespan, energy: r.Energy, normTime: r.NormTime, normEnergy: r.NormEnergy})
+	}
+	return out
+}
+
+// fig6Points runs Fig. 6 and lists its points in figure order.
+func fig6Points(t *testing.T, seeds []uint64) []figPoint {
+	t.Helper()
+	recs, err := Fig6(seeds)
+	return figPoints(t, recs, err)
+}
+
+// fig9Points runs Fig. 9 and lists its points in figure order.
+func fig9Points(t *testing.T, seeds []uint64) []figPoint {
+	t.Helper()
+	recs, err := Fig9(seeds)
+	return figPoints(t, recs, err)
+}
+
+// TestFiguresGolden pins Fig. 6's 21 normalized (time, energy) pairs
+// and Fig. 9's 12 points at seeds {1, 2, 3}, the default seeds of
+// `eewa-bench`. A change here moves the paper's headline figures; only
+// a deliberate model or policy change may update the tables.
+func TestFiguresGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Fig. 6 and Fig. 9 sweeps in -short mode")
+	}
+	// {bench, policy, norm time, norm energy} as math.Float64bits.
+	fig6 := []struct {
+		bench, policy        string
+		normTime, normEnergy uint64
+	}{
+		{"bwc", "cilk", 0x3ff0000000000000, 0x3ff0000000000000},
+		{"bwc", "cilk-d", 0x3ff000d22ac462e9, 0x3fec7fe68f8991aa},
+		{"bwc", "eewa", 0x3fedfb7c91f7606f, 0x3fea0871fe15a303},
+		{"bzip2", "cilk", 0x3ff0000000000000, 0x3ff0000000000000},
+		{"bzip2", "cilk-d", 0x3ff000d36747671d, 0x3feda0f346079b26},
+		{"bzip2", "eewa", 0x3fefb661e14927f7, 0x3fec095dc324e152},
+		{"dmc", "cilk", 0x3ff0000000000000, 0x3ff0000000000000},
+		{"dmc", "cilk-d", 0x3ff00108d05cdf1c, 0x3fec55ecb5b6f744},
+		{"dmc", "eewa", 0x3fefbb66e5e69830, 0x3feaadb5606ef082},
+		{"je", "cilk", 0x3ff0000000000000, 0x3ff0000000000000},
+		{"je", "cilk-d", 0x3ff000eb98d2def4, 0x3feceb76082c21dc},
+		{"je", "eewa", 0x3fee6486166196c2, 0x3feb98b601928750},
+		{"lzw", "cilk", 0x3ff0000000000000, 0x3ff0000000000000},
+		{"lzw", "cilk-d", 0x3ff000e329466366, 0x3fecb026f3e345ad},
+		{"lzw", "eewa", 0x3fed1ab13af7438a, 0x3fe9ac9ebe505b2c},
+		{"md5", "cilk", 0x3ff0000000000000, 0x3ff0000000000000},
+		{"md5", "cilk-d", 0x3ff001207107b599, 0x3fea8ecce61af66e},
+		{"md5", "eewa", 0x3feb796c62375ade, 0x3fe5dd7ae40f3cd7},
+		{"sha1", "cilk", 0x3ff0000000000000, 0x3ff0000000000000},
+		{"sha1", "cilk-d", 0x3ff000ea0f7e8dbd, 0x3fe8caf642f7ccd5},
+		{"sha1", "eewa", 0x3fec3c5101091930, 0x3fe3f14ec0f2ad89},
+	}
+	// {cores, policy, time, energy, norm time, norm energy} as
+	// math.Float64bits; the benchmark is dmc.
+	fig9 := []struct {
+		cores                              int
+		policy                             string
+		time, energy, normTime, normEnergy uint64
+	}{
+		{4, "cilk", 0x4015ab98d6cf96d7, 0x408dcbf2275d6f7c, 0x3ff0000000000000, 0x3ff0000000000000},
+		{4, "cilk-d", 0x4015ac0ecdccb8d5, 0x408d8d551fbc464b, 0x3ff00057190d40c5, 0x3fefbcc1b1178b8c},
+		{4, "eewa", 0x4015be7d655a08b3, 0x408da112c3903657, 0x3ff00df3031f5fb5, 0x3fefd1f506dfc5a9},
+		{8, "cilk", 0x4007e659db3c35e8, 0x4085a8c16eae90f0, 0x3ff0000000000000, 0x3ff0000000000000},
+		{8, "cilk-d", 0x4007e745c93679e5, 0x4084ca8476d647a9, 0x3ff0009df21dc8f1, 0x3feeb7a88069131f},
+		{8, "eewa", 0x40080c22f85119a4, 0x4084e0b81069ace3, 0x3ff0194bc6c52ebe, 0x3feed875a278321e},
+		{12, "cilk", 0x400191431fad318b, 0x4083c36b83a2d7d4, 0x3ff0000000000000, 0x3ff0000000000000},
+		{12, "cilk-d", 0x4001922f0da7758b, 0x4082309163f7f06c, 0x3ff000d6e10c82a7, 0x3fed73b80abbdac7},
+		{12, "eewa", 0x3ffedb17e3fa96ab, 0x40809a649f8abb75, 0x3fec1a4eaa9a45eb, 0x3feae20ec1ee2481},
+		{16, "cilk", 0x3ffc82773636787b, 0x408327a8186c9909, 0x3ff0000000000000, 0x3ff0000000000000},
+		{16, "cilk-d", 0x3ffc844f122b0079, 0x4080f6221d1d6ed8, 0x3ff00108d05cdf1c, 0x3fec55ecb5b6f744},
+		{16, "eewa", 0x3ffc455991d8a640, 0x407ff0671548e457, 0x3fefbb66e5e69830, 0x3feaadb5606ef082},
+	}
+	seeds := []uint64{1, 2, 3}
+
+	got6 := fig6Points(t, seeds)
+	if len(got6) != len(fig6) {
+		t.Fatalf("Fig. 6: got %d points, want %d", len(got6), len(fig6))
+	}
+	for i, g := range fig6 {
+		p := got6[i]
+		if p.bench != g.bench || p.policy != g.policy {
+			t.Fatalf("Fig. 6 point %d is %s/%s, want %s/%s", i, p.bench, p.policy, g.bench, g.policy)
+		}
+		if !sameFloat(p.normTime, math.Float64frombits(g.normTime)) || !sameFloat(p.normEnergy, math.Float64frombits(g.normEnergy)) {
+			t.Errorf("Fig. 6 %s/%s: norm time %#x energy %#x, want %#x %#x", g.bench, g.policy,
+				math.Float64bits(p.normTime), math.Float64bits(p.normEnergy), g.normTime, g.normEnergy)
+		}
+	}
+
+	got9 := fig9Points(t, seeds)
+	if len(got9) != len(fig9) {
+		t.Fatalf("Fig. 9: got %d points, want %d", len(got9), len(fig9))
+	}
+	for i, g := range fig9 {
+		p := got9[i]
+		if p.bench != "dmc" || p.cores != g.cores || p.policy != g.policy {
+			t.Fatalf("Fig. 9 point %d is %s/%d/%s, want dmc/%d/%s", i, p.bench, p.cores, p.policy, g.cores, g.policy)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"time", p.time, math.Float64frombits(g.time)},
+			{"energy", p.energy, math.Float64frombits(g.energy)},
+			{"norm time", p.normTime, math.Float64frombits(g.normTime)},
+			{"norm energy", p.normEnergy, math.Float64frombits(g.normEnergy)},
+		} {
+			if !sameFloat(f.got, f.want) {
+				t.Errorf("Fig. 9 %d/%s %s: %#x, want %#x", g.cores, g.policy, f.name,
+					math.Float64bits(f.got), math.Float64bits(f.want))
+			}
+		}
+	}
+}

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/machine"
+	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // RenderFig1 formats the four-schedule example as an aligned table.
@@ -18,25 +21,51 @@ func RenderFig1(schedules []Fig1Schedule) string {
 	return b.String()
 }
 
-// RenderFig6 formats the normalized time/energy rows.
-func RenderFig6(rows []Fig6Row) string {
+// label is a policy identifier's display name (Policy.Name).
+func label(id string) string {
+	p, err := policy.New(id, machine.Opteron16())
+	if err != nil {
+		return id
+	}
+	return p.Name()
+}
+
+// byBenchmark cuts records in sweep.Aggregate order into one row per
+// benchmark, its policies in record order.
+func byBenchmark(recs []sweep.Record) [][]sweep.Record {
+	var rows [][]sweep.Record
+	for i, r := range recs {
+		if i == 0 || r.Benchmark != recs[i-1].Benchmark {
+			rows = append(rows, nil)
+		}
+		rows[len(rows)-1] = append(rows[len(rows)-1], r)
+	}
+	return rows
+}
+
+// RenderFig6 formats the normalized time/energy records, one line per
+// benchmark.
+func RenderFig6(recs []sweep.Record) string {
+	rows := byBenchmark(recs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 6 — normalized execution time and energy (Cilk = 1.00), 16 cores\n")
 	fmt.Fprintf(&b, "%-8s", "bench")
-	for _, p := range Fig6Policies {
-		fmt.Fprintf(&b, " %10s", p+" t")
-	}
-	for _, p := range Fig6Policies {
-		fmt.Fprintf(&b, " %10s", p+" E")
+	if len(rows) > 0 {
+		for _, r := range rows[0] {
+			fmt.Fprintf(&b, " %10s", label(r.Policy)+" t")
+		}
+		for _, r := range rows[0] {
+			fmt.Fprintf(&b, " %10s", label(r.Policy)+" E")
+		}
 	}
 	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s", r.Benchmark)
-		for _, p := range Fig6Policies {
-			fmt.Fprintf(&b, " %10.3f", r.NormTime[p])
+	for _, row := range rows {
+		fmt.Fprintf(&b, "%-8s", row[0].Benchmark)
+		for _, r := range row {
+			fmt.Fprintf(&b, " %10.3f", r.NormTime)
 		}
-		for _, p := range Fig6Policies {
-			fmt.Fprintf(&b, " %10.3f", r.NormEnergy[p])
+		for _, r := range row {
+			fmt.Fprintf(&b, " %10.3f", r.NormEnergy)
 		}
 		b.WriteString("\n")
 	}
@@ -85,13 +114,13 @@ func RenderFig8(res *Fig8Result) string {
 }
 
 // RenderFig9 formats the scalability table.
-func RenderFig9(points []Fig9Point) string {
+func RenderFig9(recs []sweep.Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 — DMC on 4/8/12/16 cores (normalized to Cilk at each size)\n")
 	fmt.Fprintf(&b, "%-6s %-8s %12s %12s %10s %10s\n", "cores", "policy", "time (s)", "energy (J)", "norm t", "norm E")
-	for _, p := range points {
+	for _, r := range recs {
 		fmt.Fprintf(&b, "%-6d %-8s %12.4f %12.1f %10.3f %10.3f\n",
-			p.Cores, p.Policy, p.Time, p.Energy, p.NormTime, p.NormEnergy)
+			r.Cores, label(r.Policy), r.Makespan, r.Energy, r.NormTime, r.NormEnergy)
 	}
 	return b.String()
 }
@@ -169,15 +198,14 @@ func bar(value, scale float64, width int, glyph byte) string {
 
 // RenderFig6Chart draws the normalized-energy comparison as grouped
 // horizontal bars — the visual shape of the paper's Fig. 6.
-func RenderFig6Chart(rows []Fig6Row) string {
+func RenderFig6Chart(recs []sweep.Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 6 (chart) — normalized energy, bar width = Cilk baseline\n")
 	const width = 50
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s\n", r.Benchmark)
-		for _, p := range Fig6Policies {
-			v := r.NormEnergy[p]
-			fmt.Fprintf(&b, "  %-7s |%-*s| %.3f\n", p, width, bar(v, 1.0, width, '#'), v)
+	for _, row := range byBenchmark(recs) {
+		fmt.Fprintf(&b, "%s\n", row[0].Benchmark)
+		for _, r := range row {
+			fmt.Fprintf(&b, "  %-7s |%-*s| %.3f\n", label(r.Policy), width, bar(r.NormEnergy, 1.0, width, '#'), r.NormEnergy)
 		}
 	}
 	return b.String()
@@ -185,13 +213,13 @@ func RenderFig6Chart(rows []Fig6Row) string {
 
 // RenderFig9Chart draws the scalability sweep: one bar row per
 // (cores, policy) of normalized energy.
-func RenderFig9Chart(points []Fig9Point) string {
+func RenderFig9Chart(recs []sweep.Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 9 (chart) — DMC normalized energy by machine size\n")
 	const width = 50
-	for _, p := range points {
+	for _, r := range recs {
 		fmt.Fprintf(&b, "%2d cores %-7s |%-*s| %.3f\n",
-			p.Cores, p.Policy, width, bar(p.NormEnergy, 1.0, width, '#'), p.NormEnergy)
+			r.Cores, label(r.Policy), width, bar(r.NormEnergy, 1.0, width, '#'), r.NormEnergy)
 	}
 	return b.String()
 }

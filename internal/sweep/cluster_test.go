@@ -72,7 +72,7 @@ func TestClusterParallelParity(t *testing.T) {
 }
 
 // Adding a routing or width to the grid must not reseed anyone else's
-// cells — the cluster cell seed derives from identity, not grid shape.
+// cells — a cell's engine seeds derive from its seed, not grid shape.
 func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 	small, err := RunCells(Grid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
@@ -309,7 +309,7 @@ func routeLive(t *testing.T, w *task.Workload, mcs []machine.Config, cell string
 
 // A one-shard cell is the plain grid's cell: under every routing and
 // both ladder splits it runs the whole workload on one full-ladder
-// shard and draws the plain cell's seed, so all six are the cell of
+// shard on the plain cell's seed, so all six are the cell of
 // the default topology, bit for bit.
 func TestClusterSingleShardDegenerates(t *testing.T) {
 	g := Grid{

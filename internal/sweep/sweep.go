@@ -11,11 +11,14 @@
 // every routing places every task on it, and its cell draws the same
 // engine seed whatever the routing or ladder split.
 //
-// Every cell is a deterministic function of its identity fields: the
-// workload comes from the raw grid seed (every policy and topology
-// faces the byte-identical task stream) and each shard's engine stream
-// is split from the cell identity via xrand.Split, so sweeps are
-// byte-identical for every worker count.
+// One seed rule: a cell's workload and its engine both take the raw
+// grid seed (shard i > 0 takes xrand.Split(seed, i), as the live
+// router's shards do). Every policy and topology of a (benchmark,
+// cores, seed) therefore faces the same task stream and the same
+// victim stream, a paired comparison; every cell is a deterministic
+// function of its identity fields, and sweeps are byte-identical for
+// every worker count. The paper's Fig. 6 and Fig. 9 are queries on this
+// grid (internal/experiments).
 package sweep
 
 import (
@@ -29,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/serve"
@@ -36,6 +40,11 @@ import (
 	"repro/internal/workloads"
 	"repro/internal/xrand"
 )
+
+// DefaultSeeds are the seeds runs are averaged over (the paper averages
+// 100 hardware runs; three simulator seeds give comparable stability at
+// a fraction of the time).
+var DefaultSeeds = []uint64{1, 2, 3}
 
 // Grid declares the sweep space. Zero-valued fields get defaults.
 type Grid struct {
@@ -47,7 +56,7 @@ type Grid struct {
 	Policies []string
 	// Cores are per-shard machine sizes; empty = {16}.
 	Cores []int
-	// Seeds are per-cell repetitions; empty = {1, 2, 3}.
+	// Seeds are per-cell repetitions; empty = DefaultSeeds.
 	Seeds []uint64
 	// Shards are the cluster widths to sweep; empty = {1}.
 	Shards []int
@@ -55,6 +64,8 @@ type Grid struct {
 	Routings []string
 	// LadderSplits are LadderSplits() names; empty = {uniform}.
 	LadderSplits []string
+	// Obs, when non-nil, receives every cell's engine metrics.
+	Obs *obs.Registry
 }
 
 func (g Grid) withDefaults() Grid {
@@ -68,7 +79,7 @@ func (g Grid) withDefaults() Grid {
 		g.Cores = []int{16}
 	}
 	if len(g.Seeds) == 0 {
-		g.Seeds = []uint64{1, 2, 3}
+		g.Seeds = DefaultSeeds
 	}
 	if len(g.Shards) == 0 {
 		g.Shards = []int{1}
@@ -113,8 +124,7 @@ func (g Grid) Validate() error {
 // Cell is one (benchmark, policy, topology, cores, seed) simulation:
 // the unit the parallel driver fans out. Outcomes are deterministic
 // functions of the identity fields alone — every RNG a cell consumes
-// is derived from (Seed, identity), never from shared mutable state —
-// so a sweep's cells are bit-identical no matter how many workers run
+// is derived from Seed, never from shared mutable state — so a sweep's cells are bit-identical no matter how many workers run
 // them or in what order they are scheduled. WallNS is the one
 // exception: it is host wall time, reported for profiling and excluded
 // from parity comparisons.
@@ -150,33 +160,6 @@ type Cell struct {
 	WallNS int64 `json:"wall_ns"`
 }
 
-// id hashes the cell's identity — but deliberately not its position in
-// any particular grid — so the engine seed does not depend on how the
-// enumeration happened to be shaped (adding a policy or a routing to
-// the grid must not reseed everyone else's cells). The topology enters
-// the hash only when it can matter, at more than one shard: one shard
-// runs the whole workload whatever the routing or split, so every
-// one-shard cell draws the seed of the plain (benchmark, policy,
-// cores) cell.
-func (c *Cell) id() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime
-		}
-		h = (h ^ 0xff) * prime
-	}
-	mix(c.Benchmark)
-	mix(c.Policy)
-	if c.Shards > 1 {
-		mix(c.Routing)
-		mix(c.LadderSplit)
-		h = (h ^ uint64(c.Shards)) * prime
-	}
-	return (h ^ uint64(c.Cores)) * prime
-}
-
 // enumerate lists the grid's cells in canonical order: benchmark,
 // cores, shards, ladder split, routing, policy, seed.
 func enumerate(g Grid) []Cell {
@@ -203,20 +186,16 @@ func enumerate(g Grid) []Cell {
 }
 
 // run executes one cell: split the workload, simulate every active
-// shard on its own machine with its own split RNG stream, and roll the
-// shard results up.
-func (c Cell) run() (Cell, error) {
+// shard on its own machine with its own RNG stream, and roll the shard
+// results up. reg, when non-nil, receives the engine metrics.
+func (c Cell) run(reg *obs.Registry) (Cell, error) {
 	b, err := workloads.ByName(c.Benchmark)
 	if err != nil {
 		return c, err
 	}
 	mcs := shardMachines(c.LadderSplit, c.Shards, c.Cores)
-	// The workload comes from the raw grid seed so every policy and
-	// topology in a (benchmark, cores, seed) comparison faces the
-	// byte-identical task stream; only the split differs.
 	parts := splitWorkload(b.Workload(c.Seed), mcs, c.Routing)
 
-	cellSeed := xrand.Split(c.Seed, c.id())
 	c.ShardMakespans = make([]float64, c.Shards)
 	c.ShardEnergies = make([]float64, c.Shards)
 	var busy, denom float64
@@ -230,11 +209,13 @@ func (c Cell) run() (Cell, error) {
 			return c, err
 		}
 		params := sched.DefaultParams()
-		// Same derivation the serve router uses for shard runtimes:
-		// shard 0 keeps the cell stream, shard i>0 splits off it.
-		params.Seed = cellSeed
+		params.Obs = reg
+		// The package's one seed rule, the derivation the serve router
+		// uses for shard runtimes: shard 0 runs on the grid seed, shard
+		// i > 0 on a stream split off it.
+		params.Seed = c.Seed
 		if i > 0 {
-			params.Seed = xrand.Split(cellSeed, uint64(i))
+			params.Seed = xrand.Split(c.Seed, uint64(i))
 		}
 		res, err := sched.Run(mcs[i], part, p, params)
 		if err != nil {
@@ -318,7 +299,7 @@ func RunCells(g Grid, workers int) ([]Cell, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return runPool(enumerate(g), workers, Cell.run)
+	return runPool(enumerate(g), workers, func(c Cell) (Cell, error) { return c.run(g.Obs) })
 }
 
 // Record is one seed-averaged row of the sweep.

@@ -5,6 +5,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/policy"
+	"repro/internal/sched"
+	"repro/internal/workloads"
 )
 
 func smallGrid() Grid {
@@ -254,30 +259,30 @@ func TestFlatSweepGolden(t *testing.T) {
 		seed             uint64
 		makespan, energy uint64 // math.Float64bits
 	}{
-		{"md5", "cilk", 8, 1, 0x40044e5dae191219, 0x40826704e5c6b877},
-		{"md5", "cilk", 8, 2, 0x4003bfda55081ba3, 0x4081e5dddd0f591d},
-		{"md5", "cilk-d", 8, 1, 0x400472ad2d08acb7, 0x408109d350c17e28},
-		{"md5", "cilk-d", 8, 2, 0x40038f98c24afa36, 0x40808117f242d642},
-		{"md5", "eewa", 8, 1, 0x4003b46e97ebd35d, 0x40800ea8f89198aa},
-		{"md5", "eewa", 8, 2, 0x4003c50540307a07, 0x408015b2e18b91be},
-		{"md5", "cilk", 16, 1, 0x3ffa1352c9bd0bce, 0x408184fb9f8b040f},
-		{"md5", "cilk", 16, 2, 0x3ffa1e9485898060, 0x40818c8bc9b86256},
-		{"md5", "cilk-d", 16, 1, 0x3ff9fe9e8600d04e, 0x407d0ae41a8c3b7a},
-		{"md5", "cilk-d", 16, 2, 0x3ffa182d7d38f972, 0x407d23892ec33d20},
-		{"md5", "eewa", 16, 1, 0x3ff734e27423393f, 0x40786d4d615112b2},
-		{"md5", "eewa", 16, 2, 0x3ff6612a928b28a6, 0x4077f7736b9153c0},
-		{"lzw", "cilk", 8, 1, 0x400cda9d1cb966e0, 0x408a261e6208055a},
-		{"lzw", "cilk", 8, 2, 0x400c429da5ef5458, 0x40899c5ede60e485},
-		{"lzw", "cilk-d", 8, 1, 0x400cb2c52871b34c, 0x4088f4b26ff9b38d},
-		{"lzw", "cilk-d", 8, 2, 0x400c6a7ff2e0b154, 0x4088c3163dd816df},
-		{"lzw", "eewa", 8, 1, 0x400bc87a154a126d, 0x408849275486b841},
-		{"lzw", "eewa", 8, 2, 0x400ba8adaa934318, 0x408836830927445f},
-		{"lzw", "cilk", 16, 1, 0x400092e4d3a47288, 0x408645637c64fa00},
-		{"lzw", "cilk", 16, 2, 0x40006d0898a13098, 0x408612838d189966},
-		{"lzw", "cilk-d", 16, 1, 0x4000b8a36f633b1d, 0x408414488762981b},
-		{"lzw", "cilk-d", 16, 2, 0x4000b4d16c97a6e1, 0x40840d05afae5a2e},
-		{"lzw", "eewa", 16, 1, 0x3ffe3887400776a4, 0x4081ebfa8bb0f3a4},
-		{"lzw", "eewa", 16, 2, 0x3ffe2f9eec4d17fe, 0x4081e52d4774b71c},
+		{"md5", "cilk", 8, 1, 0x4004ba1867f84f6c, 0x4082c8a61e39080e},
+		{"md5", "cilk", 8, 2, 0x40039638f8fcac63, 0x4081c023a1a4fc4a},
+		{"md5", "cilk-d", 8, 1, 0x4004bb0455f2936a, 0x4081377894889b26},
+		{"md5", "cilk-d", 8, 2, 0x40039724e6f6f063, 0x408085c3fd713dd9},
+		{"md5", "eewa", 8, 1, 0x4003b86cdd1f9eba, 0x408010945e232b7a},
+		{"md5", "eewa", 8, 2, 0x400395521bb8d838, 0x407fefce7a9c07d4},
+		{"md5", "cilk", 16, 1, 0x3ffa175f2a076845, 0x408187b3f03cfa2d},
+		{"md5", "cilk", 16, 2, 0x3ffa1db53ce917f7, 0x40818bf5c4ec9c2e},
+		{"md5", "cilk-d", 16, 1, 0x3ffa193705fbf043, 0x407d227b8494d5b6},
+		{"md5", "cilk-d", 16, 2, 0x3ffa1f8d18dd9ff5, 0x407d2762e3cab20a},
+		{"md5", "eewa", 16, 1, 0x3ff6a6bf45837770, 0x40782adf0b7e0651},
+		{"md5", "eewa", 16, 2, 0x3ff65cb76e231e55, 0x4077f4045f789ae5},
+		{"lzw", "cilk", 8, 1, 0x400ca570a5113c89, 0x4089f5ee15979ef8},
+		{"lzw", "cilk", 8, 2, 0x400c7049cea8771a, 0x4089c5c2e348ac09},
+		{"lzw", "cilk-d", 8, 1, 0x400ca65c930b8087, 0x4088e72c7c6d5218},
+		{"lzw", "cilk-d", 8, 2, 0x400c7135bca2bb18, 0x4088c9ee58afc777},
+		{"lzw", "eewa", 8, 1, 0x400bccd0d7f7da47, 0x40884d713ed99b97},
+		{"lzw", "eewa", 8, 2, 0x400bd142d40fd1c6, 0x40884ff286fc6ae9},
+		{"lzw", "cilk", 16, 1, 0x4000b46deca0a87e, 0x40867273b5f7e284},
+		{"lzw", "cilk", 16, 2, 0x4000a9659cbf147c, 0x408663a08aa0c3a2},
+		{"lzw", "cilk-d", 16, 1, 0x4000b559da9aec7e, 0x408411c5d137c453},
+		{"lzw", "cilk-d", 16, 2, 0x4000aa518ab9587b, 0x40840b8621ba2288},
+		{"lzw", "eewa", 16, 1, 0x3ffe39fe1920188a, 0x4081eab5603ac77d},
+		{"lzw", "eewa", 16, 2, 0x3ffe4216859ad5fb, 0x4081eae58c5716c5},
 	}
 	cells, err := RunCells(Grid{Benchmarks: []string{"md5", "lzw"}, Cores: []int{8, 16}, Seeds: []uint64{1, 2}}, 0)
 	if err != nil {
@@ -297,5 +302,33 @@ func TestFlatSweepGolden(t *testing.T) {
 				g.bench, g.policy, g.cores, g.seed,
 				math.Float64bits(c.Makespan), math.Float64bits(c.Energy), g.makespan, g.energy)
 		}
+	}
+}
+
+// TestCellRunsOnGridSeed pins the seed rule: a one-shard cell is
+// sched.Run of the benchmark's workload at the grid seed, with the
+// engine seeded by the same grid seed — the run every experiment
+// driver makes.
+func TestCellRunsOnGridSeed(t *testing.T) {
+	const seed = 7
+	cells, err := RunCells(Grid{Benchmarks: []string{"md5"}, Policies: []string{"cilk"}, Cores: []int{8}, Seeds: []uint64{seed}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := workloads.ByName("md5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := sched.DefaultParams()
+	params.Seed = seed
+	want, err := sched.Run(machine.Generic(8), b.Workload(seed), policy.NewCilk(), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cells[0]
+	if math.Float64bits(c.Makespan) != math.Float64bits(want.Makespan) ||
+		math.Float64bits(c.Energy) != math.Float64bits(want.Energy) || c.Steals != want.Steals {
+		t.Errorf("cell makespan %v energy %v steals %d, want the grid-seed run's %v %v %d",
+			c.Makespan, c.Energy, c.Steals, want.Makespan, want.Energy, want.Steals)
 	}
 }

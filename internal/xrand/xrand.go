@@ -157,8 +157,9 @@ func (r *RNG) Split() *RNG {
 }
 
 // Split derives the seed of an independent stream for one cell of a
-// partitioned computation (e.g. one (benchmark × policy × rep) cell of
-// a sweep grid) from a base seed and a stable cell identifier. The
+// partitioned computation (e.g. one shard of a simulated cluster, one
+// tenant of a traffic trace) from a base seed and a stable cell
+// identifier. The
 // derivation is pure — no generator state is consumed — so every cell's
 // stream is the same whether the cells run sequentially, in parallel,
 // or in any order: seed the cell's RNG with Split(seed, cell) instead

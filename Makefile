@@ -22,10 +22,11 @@ race:
 # admission queue, pooled jobs and concurrent storm tests are where a
 # lifecycle bug would surface. The second line runs the admission tests
 # with more Ps than a small runner has cores, so admitters, the batcher
-# and drain interleave on the one queue lock more often.
+# and drain interleave on the one queue lock more often, and so does a
+# LatencySummary reader with the batchers recording its span families.
 race-serve:
 	$(GO) test -race -count=2 ./internal/serve/ ./internal/traffic/
-	$(GO) test -race -cpu 4 -run 'Storm|Admission|Disconnect' ./internal/serve/
+	$(GO) test -race -cpu 4 -run 'Storm|Admission|Disconnect|LatencySummary' ./internal/serve/
 
 # The repository's one benchmark (BENCHMARK.json): every workload's
 # end-to-end metrics over the contract's 30 s window. bench/README.md has

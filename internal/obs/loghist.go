@@ -219,6 +219,25 @@ func (v *LogHistogramVec) With(values ...string) *LogHistogram {
 	return v.f.child(values).(*LogHistogram)
 }
 
+// MergeInto adds every child of the family into dst — the family's
+// distribution across all label values. The child list is copied under
+// the family lock and merged outside it, as the exporter does, so a
+// reader never holds up a With on the hot path. Nil-safe both ways.
+func (v *LogHistogramVec) MergeInto(dst *LogHistogram) {
+	if v == nil || dst == nil {
+		return
+	}
+	v.f.mu.Lock()
+	kids := make([]*LogHistogram, 0, len(v.f.order))
+	for _, key := range v.f.order {
+		kids = append(kids, v.f.children[key].(*LogHistogram))
+	}
+	v.f.mu.Unlock()
+	for _, h := range kids {
+		dst.Merge(h)
+	}
+}
+
 // LogHistogram registers (or fetches) an unlabeled log-bucketed
 // histogram.
 func (r *Registry) LogHistogram(name, help string) *LogHistogram {

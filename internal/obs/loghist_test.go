@@ -131,6 +131,31 @@ func TestLogHistogramMerge(t *testing.T) {
 	}
 }
 
+// MergeInto folds every child of a labeled family into one histogram,
+// the same distribution as observing each value into a single one.
+func TestLogHistogramVecMergeInto(t *testing.T) {
+	vec := NewRegistry().LogHistogramVec("x_seconds", "", "class")
+	var one, merged LogHistogram
+	rng := xrand.New(5)
+	for i := 0; i < 3000; i++ {
+		v := rng.Float64() * float64(1+i%3)
+		vec.With([]string{"a", "b", "c"}[i%3]).Observe(v)
+		one.Observe(v)
+	}
+	vec.MergeInto(&merged)
+	if merged.Count() != one.Count() {
+		t.Fatalf("merged count = %d, want %d", merged.Count(), one.Count())
+	}
+	if math.Abs(merged.Sum()-one.Sum()) > 1e-9*one.Sum() {
+		t.Fatalf("merged sum = %g, want %g", merged.Sum(), one.Sum())
+	}
+	for _, q := range []float64{0.25, 0.5, 0.75, 0.99} {
+		if got, want := merged.Quantile(q), one.Quantile(q); got != want {
+			t.Errorf("merged q%.2f = %g, want %g", q, got, want)
+		}
+	}
+}
+
 func TestLogHistogramNilSafe(t *testing.T) {
 	var h *LogHistogram
 	h.Observe(1)
@@ -140,6 +165,12 @@ func TestLogHistogramNilSafe(t *testing.T) {
 	}
 	var v *LogHistogramVec
 	v.With("x").Observe(1) // must not panic
+	var dst LogHistogram
+	v.MergeInto(&dst)
+	NewRegistry().LogHistogramVec("z", "", "l").MergeInto(nil)
+	if dst.Count() != 0 {
+		t.Fatal("a nil family must merge nothing")
+	}
 	var r *Registry
 	if r.LogHistogram("x", "") != nil || r.LogHistogramVec("y", "", "l") != nil || r.At("x") != nil {
 		t.Fatal("nil registry constructors must return nil")

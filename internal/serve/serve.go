@@ -146,7 +146,8 @@ type Config struct {
 	ManualFlush bool
 
 	// Obs, when non-nil, receives the eewa_serve_* metrics and is also
-	// wired into the runtime (eewa_rt_*).
+	// wired into the runtime (eewa_rt_*). LatencySummary reads its
+	// request-span families, so without it the summary is zero.
 	Obs *obs.Registry
 	// GoMetrics additionally bridges runtime/metrics (goroutines, heap,
 	// GC pauses, scheduling latency) into the /metrics and /debug/vars
@@ -448,24 +449,17 @@ type LatencySummary struct {
 	QueueP99 float64 `json:"queue_p99_s"`
 }
 
-// LatencySummary snapshots the end-to-end and queue-wait distributions
-// across all shards. It covers every job a batch processed (completed
-// or timed out); jobs dropped unstarted are excluded. Safe to call
+// LatencySummary merges the request-span families
+// eewa_serve_e2e_seconds and eewa_serve_queue_wait_seconds over every
+// class and tenant; the families are cluster totals, so this covers
+// every shard. It counts every job a batch processed (completed or
+// timed out); jobs dropped unstarted are excluded. Without Config.Obs
+// there are no span families and the summary is zero. Safe to call
 // concurrently with the batchers — the histograms are lock-free.
 func (s *Server) LatencySummary() LatencySummary {
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		return latencySummaryFrom(&sh.latE2E, &sh.latQueue)
-	}
 	var e2e, queue obs.LogHistogram
-	for _, sh := range s.shards {
-		e2e.Merge(&sh.latE2E)
-		queue.Merge(&sh.latQueue)
-	}
-	return latencySummaryFrom(&e2e, &queue)
-}
-
-func latencySummaryFrom(e2e, queue *obs.LogHistogram) LatencySummary {
+	s.so.spanE2E.MergeInto(&e2e)
+	s.so.spanQueue.MergeInto(&queue)
 	return LatencySummary{
 		Jobs:     e2e.Count(),
 		E2EMean:  e2e.Mean(),

@@ -118,12 +118,6 @@ type shard struct {
 	drained     chan struct{}
 	drainedOnce sync.Once // manual-flush mode: drain may be called repeatedly
 
-	// latE2E and latQueue aggregate end-to-end and queue-wait latency
-	// across every class and tenant; the cluster LatencySummary merges
-	// the per-shard histograms.
-	latE2E   obs.LogHistogram
-	latQueue obs.LogHistogram
-
 	// Batcher-goroutine scratch, reused across flushes so a steady-state
 	// flush allocates nothing: the batch's []rt.Task slab (cleared once
 	// its outcomes are delivered, so it pins no job), the batch and
@@ -209,12 +203,10 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 	return sh, nil
 }
 
-// batchEnd is the shard's bookkeeping after each batch: cluster-family
-// metrics, the plan-class set the router consults, and the energy
-// roll-up.
+// batchEnd is the shard's bookkeeping after each batch: the batch-size
+// family, the plan-class set the router consults, and the energy
+// roll-up. The batch's count and wall time are the runtime's to record.
 func (sh *shard) batchEnd(batch int, bs rt.BatchStats) {
-	sh.so.batches.Inc()
-	sh.so.batchSecs.Observe(bs.Wall.Seconds())
 	sh.so.batchTasks.Observe(float64(bs.Tasks))
 
 	attr := 0.0
@@ -316,7 +308,6 @@ func (sh *shard) admit(j *job) *Rejection {
 	sh.qmu.Unlock()
 
 	sh.admitted.Add(1)
-	sh.so.admitted.Inc()
 	sh.so.inflight.Add(float64(n))
 	sh.ro.shardInflight(sh.cfg.index, int(sh.inflight.Load()))
 	if queued >= int64(sh.cfg.maxBatch) {
@@ -476,7 +467,6 @@ func (sh *shard) flushOnce() bool {
 	all := sh.taskBuf[:0]
 	for _, j := range batch {
 		j.started = now
-		sh.so.queueSecs.Observe(now.Sub(j.enqueued).Seconds())
 		all = append(all, j.tasks...)
 	}
 	bs := sh.rt.RunBatch(all)
@@ -537,8 +527,6 @@ func (sh *shard) flushOnce() bool {
 			}
 		}
 		sp.e2e.Observe(e2e)
-		sh.latE2E.Observe(e2e)
-		sh.latQueue.Observe(queueWait)
 
 		j.res = JobResult{
 			Job:         j.id,

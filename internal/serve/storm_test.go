@@ -186,8 +186,13 @@ func TestConcurrentSubmitStormConservesTasks(t *testing.T) {
 
 	// The exported admission families close the same ledger.
 	snap := reg.Snapshot()
-	if v, ok := snap["eewa_serve_admitted_total"].(float64); !ok || v != float64(st.Admitted) {
-		t.Errorf("eewa_serve_admitted_total = %v, want %d", snap["eewa_serve_admitted_total"], st.Admitted)
+	admitted, _ := snap["eewa_serve_admitted_tenant_total"].(map[string]any)
+	sum := 0.0
+	for _, v := range admitted {
+		sum += v.(float64)
+	}
+	if sum != float64(st.Admitted) {
+		t.Errorf("eewa_serve_admitted_tenant_total sums to %v, want %d", sum, st.Admitted)
 	}
 	if v, ok := snap["eewa_serve_inflight_tasks"].(float64); !ok || v != 0 {
 		t.Errorf("eewa_serve_inflight_tasks = %v after drain, want 0", snap["eewa_serve_inflight_tasks"])

@@ -6,8 +6,9 @@ import "testing"
 // the queue twice: against the sorted-slice oracle (the interpreter of
 // TestQueueModelRandomized) and against the calendar queue it replaced
 // (the interpreter of TestQueueMatchesCalendarReference), so anything
-// the fuzzer finds reproduces as a unit-test seed corpus entry. Wired
-// into the nightly check-long job (see Makefile).
+// the fuzzer finds reproduces as a unit-test seed corpus entry. Run
+// for 20 s by CI's check job and for 60 s by the nightly check-long
+// job (see Makefile).
 func FuzzQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0})                       // schedule, batch
 	f.Add([]byte{0, 3, 0, 3, 2, 3, 3, 0})           // same-time pair, burst, batch

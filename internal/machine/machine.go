@@ -28,6 +28,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CoreState is the activity state of a simulated core.
@@ -43,6 +44,10 @@ const (
 	// leakage plus a small fraction of dynamic power.
 	Halted
 )
+
+// nStates is the number of CoreState values; per-state arrays and the
+// power table are sized by it.
+const nStates = int(Halted) + 1
 
 // String implements fmt.Stringer for diagnostics.
 func (s CoreState) String() string {
@@ -251,7 +256,10 @@ func Tiered(base Config, shard int) Config {
 type Machine struct {
 	Config Config
 
-	freqs  []int
+	freqs []int
+	// volt caches each core's voltage-plane level: the fastest level
+	// among its package peers. Only SetFreq moves it.
+	volt   []int
 	states []CoreState
 	// power caches each core's current draw (= PowerOf) so charge —
 	// which runs on every state or frequency change — is a pure
@@ -259,11 +267,14 @@ type Machine struct {
 	// the core's own state, its frequency, or its package's voltage
 	// plane (any package peer's frequency).
 	power []float64
+	// table[(state·r + f)·r + v] is CorePower(state, f, v), precomputed
+	// at New, so a refresh is one indexed load.
+	table []float64
 
 	lastChange float64
 	coreEnergy []float64
 	// timeIn[id][s] is the seconds core id has spent in state s.
-	timeIn [][3]float64
+	timeIn [][nStates]float64
 
 	// DVFSTransitions counts frequency switches, for overhead
 	// reporting.
@@ -277,18 +288,27 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic("machine: " + err.Error())
 	}
-	n := cfg.Cores
+	n, r := cfg.Cores, len(cfg.Freqs)
+	// One slab each for the per-core ints and floats; the power table
+	// rides in the float slab.
+	ints := make([]int, 2*n)
+	floats := make([]float64, 2*n+nStates*r*r)
 	m := &Machine{
 		Config:     cfg,
-		freqs:      make([]int, n),
+		freqs:      ints[:n:n],
+		volt:       ints[n:],
 		states:     make([]CoreState, n),
-		power:      make([]float64, n),
-		coreEnergy: make([]float64, n),
-		timeIn:     make([][3]float64, n),
+		power:      floats[:n:n],
+		coreEnergy: floats[n : 2*n : 2*n],
+		table:      floats[2*n:],
+		timeIn:     make([][nStates]float64, n),
+	}
+	for i := range m.table {
+		m.table[i] = cfg.Power.CorePower(CoreState(i/(r*r)), i/r%r, i%r, cfg.Freqs)
 	}
 	for i := range m.states {
 		m.states[i] = Halted
-		m.power[i] = m.Config.Power.CorePower(Halted, 0, 0, m.Config.Freqs)
+		m.recomputePower(i)
 	}
 	return m
 }
@@ -299,51 +319,26 @@ func (m *Machine) Freq(id int) int { return m.freqs[id] }
 // State returns core id's current activity state.
 func (m *Machine) State(id int) CoreState { return m.states[id] }
 
-// voltLevel returns the voltage level core id's plane sits at: the
-// minimum (fastest) frequency level among its package peers when
-// coupling is on, its own level otherwise.
-func (m *Machine) voltLevel(id int) int {
-	ps := m.Config.PackageSize
-	if ps <= 1 {
-		return m.freqs[id]
-	}
-	start := (id / ps) * ps
-	end := start + ps
-	if end > m.Config.Cores {
-		end = m.Config.Cores
-	}
-	lvl := m.freqs[start]
-	for c := start + 1; c < end; c++ {
-		if m.freqs[c] < lvl {
-			lvl = m.freqs[c]
-		}
-	}
-	return lvl
-}
-
 // PowerOf returns core id's current draw in watts.
 func (m *Machine) PowerOf(id int) float64 { return m.power[id] }
 
-// recomputePower refreshes core id's cached draw.
+// recomputePower refreshes core id's cached draw from the table.
 func (m *Machine) recomputePower(id int) {
-	m.power[id] = m.Config.Power.CorePower(m.states[id], m.freqs[id], m.voltLevel(id), m.Config.Freqs)
+	r := len(m.Config.Freqs)
+	m.power[id] = m.table[(int(m.states[id])*r+m.freqs[id])*r+m.volt[id]]
 }
 
-// recomputePackagePower refreshes the cached draw of every core on
-// id's voltage plane — required after a frequency change, which can
-// move the whole plane's voltage.
+// recomputePackagePower refreshes the voltage level and cached draw of
+// every core on id's voltage plane — required after a frequency change,
+// which can move the whole plane's voltage. A PackageSize of 1 makes
+// each core its own plane.
 func (m *Machine) recomputePackagePower(id int) {
 	ps := m.Config.PackageSize
-	if ps <= 1 {
-		m.recomputePower(id)
-		return
-	}
 	start := (id / ps) * ps
-	end := start + ps
-	if end > m.Config.Cores {
-		end = m.Config.Cores
-	}
+	end := min(start+ps, m.Config.Cores)
+	lvl := slices.Min(m.freqs[start:end])
 	for c := start; c < end; c++ {
+		m.volt[c] = lvl
 		m.recomputePower(c)
 	}
 }

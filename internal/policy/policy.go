@@ -311,3 +311,38 @@ func (w *VictimWalker) ForEachVictim(rng *xrand.RNG, probe func(victim, group in
 	}
 	return false
 }
+
+// SkipVictims advances rng exactly as a ForEachVictim walk whose every
+// probe fails, without probing, and returns the number of probes that
+// walk makes. When missed is non-nil it receives the walk's probes per
+// victim group. An engine that knows every pool is empty calls it
+// instead of walking: the draws, and so every later victim order, stay
+// the same.
+func (w *VictimWalker) SkipVictims(rng *xrand.RNG, missed func(group, probes int)) int {
+	s, n := w.so, len(w.perm)
+	if s.random {
+		rng.SkipPerm(n)
+		if missed != nil {
+			for v, g := range s.coreGroup {
+				if v != w.self {
+					missed(g, 1)
+				}
+			}
+		}
+		return n - 1
+	}
+	myG := s.coreGroup[w.self]
+	probes := 0
+	for _, g := range s.prefs[myG] {
+		rng.SkipPerm(n)
+		k := n
+		if g == myG {
+			k-- // the owner's local pool
+		}
+		probes += k
+		if missed != nil {
+			missed(g, k)
+		}
+	}
+	return probes
+}

@@ -450,3 +450,53 @@ func TestIndexedPlacerDiscipline(t *testing.T) {
 		}
 	}
 }
+
+// SkipVictims stands in for a walk whose every probe fails, so it must
+// leave the victim stream where that walk does and count the same
+// probes, in total and per victim group — for random and preference
+// plans, interleaved c-groups, every core, and walks in sequence (odd
+// walks skip without a per-group counter).
+func TestSkipVictimsMatchesFailedWalk(t *testing.T) {
+	for _, cores := range []int{2, 4, 16} {
+		for u := 1; u <= 4 && u <= cores; u++ {
+			levels := make([]int, cores)
+			for c := range levels {
+				levels[c] = c % u
+			}
+			for _, random := range []bool{true, false} {
+				asn, err := cgroup.FromLevels(levels, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				so := NewStealOrder(&Plan{Assignment: asn, RandomSteal: random}, cores)
+				for self := 0; self < cores; self++ {
+					walkRNG, skipRNG := xrand.New(uint64(self)), xrand.New(uint64(self))
+					walker, skipper := so.Walker(self), so.Walker(self)
+					for walk := 0; walk < 8; walk++ {
+						want := make([]int, u)
+						walker.ForEachVictim(walkRNG, func(v, g int) bool {
+							want[g]++
+							return false
+						})
+						got := make([]int, u)
+						var n int
+						if walk%2 == 0 {
+							n = skipper.SkipVictims(skipRNG, func(g, k int) { got[g] += k })
+						} else {
+							n = skipper.SkipVictims(skipRNG, nil)
+							copy(got, want)
+						}
+						total := 0
+						for _, k := range want {
+							total += k
+						}
+						if n != total || !reflect.DeepEqual(got, want) || *skipRNG != *walkRNG {
+							t.Fatalf("cores %d u %d random %v self %d walk %d: skip %d probes %v, walk %d probes %v (same stream: %v)",
+								cores, u, random, self, walk, n, got, total, want, *skipRNG == *walkRNG)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -181,6 +181,9 @@ type engine struct {
 	runLead  []float64
 	runLevel []int32
 
+	// pooled counts the batch's tasks still in a pool: placed, not yet
+	// popped or stolen. At zero every steal walk must fail.
+	pooled         int
 	remaining      int
 	lastCompletion float64
 	batchStart     float64
@@ -334,6 +337,7 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 	e.res.BatchCensus = append(e.res.BatchCensus, census)
 
 	e.place(b)
+	e.pooled = len(b.Tasks)
 	e.remaining = len(b.Tasks)
 	e.batchStart = now
 	e.lastCompletion = now
@@ -538,12 +542,24 @@ func (e *engine) acquire(c int) (int32, int, bool, int) {
 	// Local pool first — both disciplines.
 	probes++
 	if ti, ok := e.pools[c*e.u+myG].PopBottom(); ok {
+		e.pooled--
 		return ti, probes, false, -1
+	}
+
+	w, rng := e.walkers[c], e.victimRNG[c]
+	if e.pooled == 0 {
+		// Every pool is dry, so the walk fails: advance the core's
+		// victim stream and count its probes without probing a pool.
+		var missed func(g, n int)
+		if counted {
+			missed = func(g, n int) { e.eo.stealAttempts[g].Add(float64(n)) }
+		}
+		return -1, probes + w.SkipVictims(rng, missed), false, -1
 	}
 
 	got := int32(-1)
 	victimG := -1
-	e.walkers[c].ForEachVictim(e.victimRNG[c], func(v, g int) bool {
+	w.ForEachVictim(rng, func(v, g int) bool {
 		probes++
 		if counted {
 			e.eo.stealAttempts[g].Inc()
@@ -552,6 +568,7 @@ func (e *engine) acquire(c int) (int32, int, bool, int) {
 		if !ok {
 			return false
 		}
+		e.pooled--
 		if counted {
 			e.eo.steals[g].Inc()
 		}

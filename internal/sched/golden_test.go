@@ -14,6 +14,11 @@ import (
 // table2Sums is Σ makespan (s) and Σ energy (J) of one policy's runs.
 type table2Sums struct{ makespan, energy float64 }
 
+// table2Counts is Σ Probes, Σ Steals, Σ Migrated and Σ DVFSTransitions
+// of one policy's runs. Probes and steals never reach makespan or
+// energy on their own, so a miscounted dry walk shows only here.
+type table2Counts struct{ probes, steals, migrated, dvfs int }
+
 // table2Golden is what the Table II matrix simulated when this test
 // was written: the sums per policy over the 7 benchmarks × workload
 // seeds 1, 2, 3 on machine.Opteron16() with Params{Seed: 1}. A change
@@ -24,6 +29,15 @@ var table2Golden = map[string]table2Sums{
 	policy.IDCilkD: {42.007845596286415, 12630.166086228188},
 	policy.IDWATS:  {72.43003102938329, 18097.100211542387},
 	policy.IDEEWA:  {39.63406659795239, 11454.518693309892},
+}
+
+// table2CountsGolden is the same matrix's counts, captured with
+// table2Golden's constants, before dry steal walks stopped probing.
+var table2CountsGolden = map[string]table2Counts{
+	policy.IDCilk:  {95245, 4704, 0, 0},
+	policy.IDCilkD: {95245, 4704, 0, 6384},
+	policy.IDWATS:  {213741, 5400, 4786, 210},
+	policy.IDEEWA:  {147270, 2908, 693, 5790},
 }
 
 // table2GoldenMJPerTask is the benchmark's sim-table2 energy_mj_per_unit
@@ -43,6 +57,7 @@ func sameFloat(got, want float64) bool {
 func TestTable2Golden(t *testing.T) {
 	cfg := machine.Opteron16()
 	got := map[string]table2Sums{}
+	counts := map[string]table2Counts{}
 	var energies []float64
 	tasks := 0
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -58,6 +73,8 @@ func TestTable2Golden(t *testing.T) {
 					t.Fatalf("%s/%s seed %d: %v", b.Name, id, seed, err)
 				}
 				got[id] = table2Sums{got[id].makespan + res.Makespan, got[id].energy + res.Energy}
+				n := counts[id]
+				counts[id] = table2Counts{n.probes + res.Probes, n.steals + res.Steals, n.migrated + res.Migrated, n.dvfs + res.DVFSTransitions}
 				energies = append(energies, res.Energy)
 				tasks += w.TotalTasks()
 			}
@@ -67,6 +84,9 @@ func TestTable2Golden(t *testing.T) {
 		want, g := table2Golden[id], got[id]
 		if !sameFloat(g.makespan, want.makespan) || !sameFloat(g.energy, want.energy) {
 			t.Errorf("%s: Σ makespan %v s, Σ energy %v J; golden %v s, %v J", id, g.makespan, g.energy, want.makespan, want.energy)
+		}
+		if g, want := counts[id], table2CountsGolden[id]; g != want {
+			t.Errorf("%s: Σ probes/steals/migrated/DVFS %+v; golden %+v", id, g, want)
 		}
 	}
 	if mj := stats.Sum(energies) * 1e3 / float64(tasks); !sameFloat(mj, table2GoldenMJPerTask) {

@@ -141,3 +141,44 @@ func close(a, b, tol float64) bool {
 	}
 	return d <= tol
 }
+
+// TestStealCountersGolden pins the per-victim-group probe and steal
+// counters and the probe-miss counter on one Table II cell (sha1,
+// workload seed 1) per policy, captured before dry steal walks stopped
+// probing: a dry walk's probes reach no makespan or joule, only these.
+func TestStealCountersGolden(t *testing.T) {
+	type counters struct {
+		attempts, steals [4]float64
+		misses           float64
+	}
+	golden := map[string]counters{
+		policy.IDCilk:  {[4]float64{3081}, [4]float64{157}, 3241},
+		policy.IDCilkD: {[4]float64{3081}, [4]float64{157}, 3241},
+		policy.IDWATS:  {[4]float64{6850, 3285}, [4]float64{5, 352}, 10295},
+		policy.IDEEWA:  {[4]float64{2560, 2547}, [4]float64{16, 148}, 5267},
+	}
+	cfg := machine.Opteron16()
+	b, err := workloads.ByName("sha1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range policy.IDs() {
+		p, err := policy.New(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		if _, err := Run(cfg, b.Workload(1), p, Params{Seed: 1, Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		var got counters
+		for g, lbl := range []string{"0", "1", "2", "3"} {
+			got.attempts[g] = reg.CounterVec("eewa_sim_steal_attempts_total", "", "victim_group").With(lbl).Value()
+			got.steals[g] = reg.CounterVec("eewa_sim_steals_total", "", "victim_group").With(lbl).Value()
+		}
+		got.misses = reg.Counter("eewa_sim_probe_misses_total", "").Value()
+		if got != golden[id] {
+			t.Errorf("%s: attempts %v steals %v misses %v; golden %+v", id, got.attempts, got.steals, got.misses, golden[id])
+		}
+	}
+}

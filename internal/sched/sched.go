@@ -36,7 +36,9 @@ type Params struct {
 	// charge is fixed for determinism and set conservatively above the
 	// measured values (Table III reports both).
 	AdjusterCharge float64
-	// Seed drives victim selection and placement shuffles.
+	// Seed derives the per-core victim-selection streams, the engine's
+	// only random draws (placement is IndexedPlacer's deterministic
+	// round-robin).
 	Seed uint64
 	// Recorder, when non-nil, receives one span per executed task
 	// (internal/trace.Recorder satisfies it). If it also implements

@@ -134,12 +134,19 @@ func TestIntnBranchesMatchReference(t *testing.T) {
 	}
 }
 
-func TestPermIntoMatchesReference(t *testing.T) {
+// permSeeds are the seeds the permutation tests start from: two whose
+// first draw is 0 or 1 (rejected or accepted by Intn(3)'s threshold),
+// then 64 split streams.
+func permSeeds() []uint64 {
 	seeds := []uint64{seedDrawing(0), seedDrawing(1)}
 	for s := uint64(0); s < 64; s++ {
 		seeds = append(seeds, Split(s, 1))
 	}
-	for _, seed := range seeds {
+	return seeds
+}
+
+func TestPermIntoMatchesReference(t *testing.T) {
+	for _, seed := range permSeeds() {
 		for size := 0; size <= 64; size++ {
 			r, ref := New(seed), New(seed)
 			got, want := make([]int, size), make([]int, size)
@@ -162,5 +169,20 @@ func TestPermIntoMatchesReference(t *testing.T) {
 	r.PermInto(make([]int, 3))
 	if want := seedDrawing(0) + gamma + gamma + gamma; r.state != want {
 		t.Fatalf("PermInto(3) from a zero draw: state %#x, want %#x (three draws)", r.state, want)
+	}
+}
+
+// SkipPerm must leave the generator where PermInto of the same size
+// does, or a dry steal walk would shift every later victim draw.
+func TestSkipPermMatchesPermInto(t *testing.T) {
+	for _, seed := range permSeeds() {
+		for size := 0; size <= 64; size++ {
+			r, ref := New(seed), New(seed)
+			r.SkipPerm(size)
+			ref.PermInto(make([]int, size))
+			if r.state != ref.state {
+				t.Fatalf("seed %#x SkipPerm(%d): state %#x, PermInto %#x", seed, size, r.state, ref.state)
+			}
+		}
 	}
 }

@@ -186,3 +186,19 @@ func (r *RNG) PermInto(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
+
+// SkipPerm advances r exactly as PermInto of an n-element slice does —
+// the same Uint64 draws, Intn's rejection redraws included — without
+// building the permutation. A draw at or above the bound is accepted
+// outright, so only a draw below it pays the threshold division.
+func (r *RNG) SkipPerm(n int) {
+	for i := n - 1; i > 0; i-- {
+		bound := uint64(i + 1)
+		if v := r.Uint64(); v < bound {
+			threshold := -bound % bound
+			for v < threshold {
+				v = r.Uint64()
+			}
+		}
+	}
+}

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/cctable"
 	"repro/internal/cgroup"
@@ -31,7 +33,7 @@ func main() {
 	cores := flag.Int("cores", 16, "machine core count")
 	flag.Parse()
 
-	ladder := machine.FreqLadder{2.5, 1.8, 1.3, 0.8}
+	ladder := machine.Opteron16().Freqs
 
 	if *benchName == "" {
 		fig3(ladder, *cores)
@@ -47,14 +49,9 @@ func main() {
 	for _, s := range b.Specs {
 		classes = append(classes, profile.Class{Name: s.Name, Count: s.Count, AvgWork: s.MeanWork})
 	}
-	// profile.Classes() order: descending average workload.
-	for i := 0; i < len(classes); i++ {
-		for j := i + 1; j < len(classes); j++ {
-			if classes[j].AvgWork > classes[i].AvgWork {
-				classes[i], classes[j] = classes[j], classes[i]
-			}
-		}
-	}
+	// profile.Classes() order: descending average workload, first seen
+	// first on a tie.
+	slices.SortStableFunc(classes, func(a, b profile.Class) int { return cmp.Compare(b.AvgWork, a.AvgWork) })
 
 	adj, err := core.NewAdjuster(ladder, *cores)
 	if err != nil {

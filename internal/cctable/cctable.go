@@ -61,8 +61,8 @@ var (
 	// ErrUnsorted is returned when classes are not in descending-AvgWork
 	// order, which Algorithm 1's monotonicity constraint assumes.
 	ErrUnsorted = errors.New("cctable: classes not sorted by descending workload")
-	// ErrMaxCores is returned by BuildGranular for a non-positive core
-	// budget.
+	// ErrMaxCores is returned by RebuildGranular for a non-positive
+	// core budget.
 	ErrMaxCores = errors.New("cctable: maxCores must be positive")
 )
 
@@ -92,20 +92,11 @@ type Table struct {
 	tuple []int
 }
 
-// Build constructs the CC table for the given classes (which must
+// Rebuild builds the CC table for the given classes (which must
 // already be in descending-AvgWork order, as profile.Classes returns
-// them), ladder and ideal time T.
-func Build(classes []profile.Class, ladder machine.FreqLadder, T float64) (*Table, error) {
-	t := new(Table)
-	if err := t.Rebuild(classes, ladder, T); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Rebuild is Build into t's own storage: once t has held a table of
-// this shape it allocates nothing. It copies classes, and validates
-// every input before it touches t.
+// them), ladder and ideal time T into t's own storage: once t has held
+// a table of this shape it allocates nothing. It copies classes, and
+// validates every input before it touches t.
 func (t *Table) Rebuild(classes []profile.Class, ladder machine.FreqLadder, T float64) error {
 	if err := ladder.Validate(); err != nil {
 		return err
@@ -160,9 +151,9 @@ func scale(c *profile.Class, ratio float64) float64 {
 	return 1 + (1-c.MemFrac)*(ratio-1)
 }
 
-// BuildGranular constructs the CC table with a task-indivisibility
-// refinement. The paper's entry ceil((F0/Fj)·n·w/T) is the divisible-
-// load approximation: it assumes a class's aggregate work can be sliced
+// RebuildGranular is Rebuild with a task-indivisibility refinement.
+// The paper's entry ceil((F0/Fj)·n·w/T) is the divisible-load
+// approximation: it assumes a class's aggregate work can be sliced
 // arbitrarily across cores. Real tasks are indivisible, so a core can
 // complete at most floor(T / (w·F0/Fj)) tasks of average size w within
 // T, and class i therefore needs
@@ -178,15 +169,6 @@ func scale(c *profile.Class, ratio float64) float64 {
 // this variant by default; the ablation bench quantifies the gap.
 //
 // maxCores caps the sentinel (pass the machine's core count m).
-func BuildGranular(classes []profile.Class, ladder machine.FreqLadder, T float64, maxCores int) (*Table, error) {
-	t := new(Table)
-	if err := t.RebuildGranular(classes, ladder, T, maxCores); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// RebuildGranular is BuildGranular into t's own storage (see Rebuild).
 func (t *Table) RebuildGranular(classes []profile.Class, ladder machine.FreqLadder, T float64, maxCores int) error {
 	if err := t.Rebuild(classes, ladder, T); err != nil {
 		return err

@@ -58,6 +58,40 @@ func TestFig3TupleIsValid(t *testing.T) {
 	}
 }
 
+// TestValidTuple pins both of Algorithm 1's constraints as ValidTuple
+// enforces them for cgroup.Assignment.Rebuild: the search's own tuple
+// passes, and a tuple that breaks monotonicity, the class count, the
+// ladder or the core budget is rejected.
+func TestValidTuple(t *testing.T) {
+	tab, err := Build([]profile.Class{
+		{Name: "a", Count: 8, AvgWork: 0.5},
+		{Name: "b", Count: 8, AvgWork: 0.25},
+	}, machine.FreqLadder{3.0, 2.0, 1.0}, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, ok := tab.SearchTuple(8)
+	if !ok {
+		t.Fatal("no tuple for a feasible instance")
+	}
+	for _, tc := range []struct {
+		name  string
+		tuple []int
+		m     int
+		want  bool
+	}{
+		{"algorithm-1", found, 8, true},
+		{"non-monotone", []int{2, 0}, 8, false},
+		{"short", []int{0}, 8, false},
+		{"out-of-ladder", []int{0, 5}, 8, false},
+		{"over-budget", found, 1, false},
+	} {
+		if got := tab.ValidTuple(tc.tuple, tc.m); got != tc.want {
+			t.Errorf("%s: ValidTuple(%v, %d) = %v, want %v", tc.name, tc.tuple, tc.m, got, tc.want)
+		}
+	}
+}
+
 func TestSearchTupleAllFastWhenTight(t *testing.T) {
 	// Classes so heavy that only F0 fits.
 	tab, err := FromCounts([][]int{

@@ -61,8 +61,8 @@ func TestFromTupleFig3(t *testing.T) {
 
 func TestLeftoverCoresJoinSlowestGroup(t *testing.T) {
 	classes := []profile.Class{{Name: "a", Count: 4, AvgWork: 1}}
-	tab, err := cctable.Build(classes, ladder4, 2.0) // CC[0][0]=2 … CC[3][0]=ceil(6.25)=7
-	if err != nil {
+	tab := new(cctable.Table)
+	if err := tab.Rebuild(classes, ladder4, 2.0); err != nil { // CC[0][0]=2 … CC[3][0]=ceil(6.25)=7
 		t.Fatal(err)
 	}
 	tuple, ok := tab.SearchTuple(16)
@@ -222,8 +222,8 @@ func TestFromTupleAlwaysValidProperty(t *testing.T) {
 			classes[i] = profile.Class{Name: string(rune('a' + i)), Count: rng.Intn(20) + 1, AvgWork: w}
 			w *= rng.Range(0.4, 1.0)
 		}
-		tab, err := cctable.Build(classes, ladder4, rng.Range(10, 200))
-		if err != nil {
+		tab := new(cctable.Table)
+		if err := tab.Rebuild(classes, ladder4, rng.Range(10, 200)); err != nil {
 			return false
 		}
 		tuple, ok := tab.SearchTuple(m)
@@ -277,7 +277,8 @@ func TestFromLevelsErrors(t *testing.T) {
 func TestPlacementCoresPartitionsSharedGroup(t *testing.T) {
 	// Two classes forced onto one c-group: their placement slots must
 	// be disjoint slices of the group.
-	tab, err := cctable.Build([]profile.Class{
+	tab := new(cctable.Table)
+	err := tab.Rebuild([]profile.Class{
 		{Name: "a", Count: 32, AvgWork: 0.02},
 		{Name: "b", Count: 32, AvgWork: 0.01},
 	}, ladder4, 0.1)

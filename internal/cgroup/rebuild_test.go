@@ -113,8 +113,8 @@ func TestRebuildMatchesReference(t *testing.T) {
 			classes[i] = profile.Class{Name: fmt.Sprintf("c%d", rng.Intn(9)), Count: 1 + rng.Intn(40), AvgWork: w, MaxWork: w}
 			w *= 0.2 + 0.8*rng.Float64()
 		}
-		tab, err := cctable.BuildGranular(classes, ladder, 0.5+2*rng.Float64(), m)
-		if err != nil {
+		tab := new(cctable.Table)
+		if err := tab.RebuildGranular(classes, ladder, 0.5+2*rng.Float64(), m); err != nil {
 			t.Fatal(err)
 		}
 		tuple, ok := tab.SearchTuple(m)

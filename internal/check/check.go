@@ -1,27 +1,43 @@
-// Package check is the concurrency-correctness harness for the live
-// EEWA runtime. It attacks the same failure mode from three sides:
+// Package check holds the runtime invariants of the live EEWA engines:
+// cheap algebraic checks evaluated when invariant checking is on
+// (rt.Config.Invariants / serve.Config.Invariants, or every binary
+// built with -tags eewa_check), each failure reported through the
+// eewa_rt_invariant_violations_total metric and the engine's
+// Violations list.
 //
-//   - a deterministic *schedule explorer* (Explore): the Chase–Lev
-//     deque algorithm is transliterated into resumable steps, one per
-//     shared atomic access, and a context-bounded DFS enumerates the
-//     interleavings of one owner and K thieves, asserting after every
-//     complete execution that the outcome is linearizable against the
-//     deque.Locked oracle — every pushed value delivered exactly once,
-//     no phantom values, Len within bounds, steals claiming strictly
-//     increasing indices. Seeded mutants (Mutations) prove the
-//     explorer has teeth: each must be flagged;
+//   - internal/rt evaluates TaskConservation, EnergyIdentity and
+//     PlanFeasible at every batch boundary;
+//   - internal/serve evaluates SpanIdentity on every served job.
 //
-//   - a randomized *stress mode* (Stress): the real internal/deque
-//     implementations hammered under the Go scheduler with preemption
-//     injection and ring-growth/wraparound pressure, checking the same
-//     conservation properties — run it under -race;
+// Tuple feasibility (monotone, inside the ladder, Σ CC[a_i][i] ≤ m) is
+// not re-checked here: cgroup.Assignment.Rebuild enforces
+// cctable.Table.ValidTuple on every adjuster decision, and an invalid
+// tuple falls back to all-fast (counted in core.Adjuster.Infeasible).
 //
-//   - *runtime invariants* (TaskConservation, EnergyIdentity,
-//     PlanFeasible, TupleFeasible): algebraic batch-boundary checks
-//     internal/rt evaluates when rt.Config.Invariants is set or the
-//     binary is built with -tags eewa_check, reporting failures
-//     through the eewa_rt_invariant_violations_total metric.
-//
-// See DESIGN.md §8 for the memory-model argument the explorer encodes
-// and the exploration bounds.
+// The package's tests also hold the concurrency harness for the
+// Chase–Lev deque the runtime steals from: a deterministic schedule
+// explorer over a step model of the algorithm, with seeded mutants
+// that prove it has teeth (explore_harness_test.go, model_test.go),
+// and a randomized stress driver over the real internal/deque
+// implementations (stress_harness_test.go). DESIGN.md §8 has the
+// memory-model argument the explorer encodes and its bounds.
 package check
+
+import "fmt"
+
+// Violation is one invariant failure, with the schedule (sequence of
+// thread ids, one per step) that produced it when the deque explorer
+// found it.
+type Violation struct {
+	// Invariant names the failed property.
+	Invariant string
+	// Detail is a human-readable description of the failure.
+	Detail string
+	// Schedule is the thread id chosen at each global step (owner = 0,
+	// thief i = i+1), enough to replay the interleaving by hand.
+	Schedule []int
+}
+
+func (v Violation) String() string {
+	return fmt.Sprintf("%s: %s (schedule %v)", v.Invariant, v.Detail, v.Schedule)
+}

@@ -1,10 +1,12 @@
 // Runtime invariants: cheap algebraic checks the live runtime
-// (internal/rt) evaluates at batch boundaries when invariant checking
-// is enabled (Config.Invariants or the eewa_check build tag). They
-// catch exactly the silent corruptions that would invalidate the
-// makespan/energy comparisons against the paper: a lost or doubled
-// task, wall time leaking out of the energy decomposition, and a plan
-// that violates Algorithm 1's own constraints.
+// (internal/rt) evaluates at batch boundaries, and the job service
+// (internal/serve) per served job, when invariant checking is enabled
+// (Config.Invariants or the eewa_check build tag). They catch exactly
+// the silent corruptions that would invalidate the makespan/energy
+// comparisons against the paper: a lost or doubled task, wall time
+// leaking out of the energy decomposition, a plan that violates
+// Algorithm 1's own constraints, and a stretch of a request's life
+// that belongs to no span.
 
 package check
 
@@ -12,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cctable"
 	"repro/internal/cgroup"
 )
 
@@ -95,43 +96,6 @@ func PlanFeasible(asn *cgroup.Assignment, m, r int) []Violation {
 			})
 			break
 		}
-	}
-	return vs
-}
-
-// TupleFeasible verifies a k-tuple against its CC table: monotone and
-// Σ CC[a_i][i] ≤ m — the two constraints Algorithm 1 must never
-// violate when it reports success.
-func TupleFeasible(tab *cctable.Table, tuple []int, m int) []Violation {
-	var vs []Violation
-	if len(tuple) != tab.K() {
-		return []Violation{{
-			Invariant: "plan-feasible",
-			Detail:    fmt.Sprintf("tuple has %d entries for %d classes", len(tuple), tab.K()),
-		}}
-	}
-	prev := 0
-	for i, a := range tuple {
-		if a < 0 || a >= tab.R() {
-			vs = append(vs, Violation{
-				Invariant: "plan-feasible",
-				Detail:    fmt.Sprintf("tuple[%d] = %d outside ladder [0,%d)", i, a, tab.R()),
-			})
-			return vs
-		}
-		if a < prev {
-			vs = append(vs, Violation{
-				Invariant: "plan-feasible",
-				Detail:    fmt.Sprintf("tuple %v not monotone at %d", tuple, i),
-			})
-		}
-		prev = a
-	}
-	if need := tab.CoresNeeded(tuple); need > m {
-		vs = append(vs, Violation{
-			Invariant: "plan-feasible",
-			Detail:    fmt.Sprintf("tuple %v needs %d cores, machine has %d", tuple, need, m),
-		})
 	}
 	return vs
 }

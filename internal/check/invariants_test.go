@@ -4,10 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cctable"
 	"repro/internal/cgroup"
-	"repro/internal/machine"
-	"repro/internal/profile"
 )
 
 func TestTaskConservation(t *testing.T) {
@@ -71,36 +68,5 @@ func TestPlanFeasible(t *testing.T) {
 	vs := PlanFeasible(asn, 4, 3)
 	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "monotone") {
 		t.Errorf("non-monotone tuple: %v", vs)
-	}
-}
-
-func TestTupleFeasible(t *testing.T) {
-	ladder := machine.FreqLadder{3.0, 2.0, 1.0}
-	classes := []profile.Class{
-		{Name: "a", Count: 8, AvgWork: 0.5},
-		{Name: "b", Count: 8, AvgWork: 0.25},
-	}
-	tab, err := cctable.Build(classes, ladder, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuple, ok := tab.SearchTuple(8)
-	if !ok {
-		t.Fatal("no tuple for a feasible instance")
-	}
-	if vs := TupleFeasible(tab, tuple, 8); len(vs) != 0 {
-		t.Errorf("Algorithm 1 result flagged: %v", vs)
-	}
-	if vs := TupleFeasible(tab, []int{2, 0}, 8); len(vs) == 0 {
-		t.Error("non-monotone tuple accepted")
-	}
-	if vs := TupleFeasible(tab, []int{0}, 8); len(vs) == 0 {
-		t.Error("short tuple accepted")
-	}
-	if vs := TupleFeasible(tab, []int{0, 5}, 8); len(vs) == 0 {
-		t.Error("out-of-ladder tuple accepted")
-	}
-	if vs := TupleFeasible(tab, tuple, 1); len(vs) == 0 {
-		t.Error("over-budget tuple accepted for a 1-core machine")
 	}
 }

@@ -48,7 +48,7 @@ type Adjuster struct {
 	Search SearchFunc
 	// DivisibleCC selects the paper's divisible-load CC formula
 	// instead of the granularity-aware default (see
-	// cctable.BuildGranular).
+	// cctable.Table.RebuildGranular).
 	DivisibleCC bool
 
 	// LastTable and LastTuple expose the most recent decision for

@@ -180,9 +180,6 @@ type Fig7Row struct {
 	RelTime map[string]float64
 }
 
-// Fig7Policies is the fixed policy order of the figure.
-var Fig7Policies = []string{"Cilk", "WATS", "EEWA"}
-
 // Fig7 reproduces the asymmetric-machine comparison: for each
 // benchmark, EEWA's most frequent frequency configuration is frozen
 // into the hardware, then Cilk (random stealing) and WATS (workload-

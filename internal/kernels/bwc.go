@@ -19,30 +19,6 @@ func BWC(data []byte) []byte {
 	return append(out, payload...)
 }
 
-// UnBWC inverts BWC.
-func UnBWC(data []byte) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("bwc: truncated header")
-	}
-	primary := int(binary.LittleEndian.Uint32(data))
-	rle, err := HuffmanDecode(data[4:])
-	if err != nil {
-		return nil, fmt.Errorf("bwc: %w", err)
-	}
-	mtf, err := InverseRLE(rle)
-	if err != nil {
-		return nil, fmt.Errorf("bwc: %w", err)
-	}
-	bwt := InverseMTF(mtf)
-	if len(bwt) == 0 {
-		if primary != 0 {
-			return nil, fmt.Errorf("bwc: empty payload with primary %d", primary)
-		}
-		return nil, nil
-	}
-	return InverseBWT(bwt, primary)
-}
-
 // --- Bzip2-like block compressor ---------------------------------------
 
 // crc32Table is the IEEE 802.3 polynomial table, built at init — we
@@ -73,11 +49,6 @@ func CRC32(data []byte) uint32 {
 	return ^crc
 }
 
-// Bzip2BlockSize is the default block size of the bzip2-like
-// compressor (real bzip2 uses 100 kB × level; blocks here are smaller
-// so the parallel examples get many tasks).
-const Bzip2BlockSize = 64 << 10
-
 // Bzip2Like compresses data block-wise: each block is independently
 // BWC-compressed and carries a CRC-32 of its plaintext, so blocks can
 // be compressed by parallel tasks and verified on decode — the
@@ -105,45 +76,6 @@ func Bzip2Like(data []byte, blockSize int) ([]byte, error) {
 		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(comp)))
 		out = append(out, hdr[:]...)
 		out = append(out, comp...)
-	}
-	return out, nil
-}
-
-// UnBzip2Like decompresses a Bzip2Like container, verifying every
-// block's checksum.
-func UnBzip2Like(data []byte) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("bzip2: truncated container")
-	}
-	nblocks := binary.LittleEndian.Uint32(data)
-	pos := 4
-	var out []byte
-	for i := uint32(0); i < nblocks; i++ {
-		if pos+12 > len(data) {
-			return nil, fmt.Errorf("bzip2: block %d header truncated", i)
-		}
-		plainLen := binary.LittleEndian.Uint32(data[pos:])
-		crc := binary.LittleEndian.Uint32(data[pos+4:])
-		compLen := binary.LittleEndian.Uint32(data[pos+8:])
-		pos += 12
-		if pos+int(compLen) > len(data) {
-			return nil, fmt.Errorf("bzip2: block %d payload truncated", i)
-		}
-		block, err := UnBWC(data[pos : pos+int(compLen)])
-		if err != nil {
-			return nil, fmt.Errorf("bzip2: block %d: %w", i, err)
-		}
-		pos += int(compLen)
-		if uint32(len(block)) != plainLen {
-			return nil, fmt.Errorf("bzip2: block %d length %d, want %d", i, len(block), plainLen)
-		}
-		if CRC32(block) != crc {
-			return nil, fmt.Errorf("bzip2: block %d checksum mismatch", i)
-		}
-		out = append(out, block...)
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("bzip2: %d trailing bytes", len(data)-pos)
 	}
 	return out, nil
 }

@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // BWT computes the Burrows-Wheeler transform of data by sorting all n
 // cyclic rotations with prefix doubling (O(n log² n), no sentinel
@@ -61,39 +58,6 @@ func BWT(data []byte) ([]byte, int) {
 	return out, primary
 }
 
-// InverseBWT reconstructs the original data from a BWT string and its
-// primary index using the standard LF-mapping walk.
-func InverseBWT(bwt []byte, primary int) ([]byte, error) {
-	n := len(bwt)
-	if n == 0 {
-		return nil, nil
-	}
-	if primary < 0 || primary >= n {
-		return nil, fmt.Errorf("bwt: primary index %d out of range [0,%d)", primary, n)
-	}
-	// count[b]: number of bytes < b in bwt; next[i]: LF mapping.
-	var count [257]int
-	for _, b := range bwt {
-		count[int(b)+1]++
-	}
-	for i := 1; i < 257; i++ {
-		count[i] += count[i-1]
-	}
-	next := make([]int, n)
-	occ := [256]int{}
-	for i, b := range bwt {
-		next[count[b]+occ[b]] = i
-		occ[b]++
-	}
-	out := make([]byte, n)
-	p := next[primary]
-	for i := 0; i < n; i++ {
-		out[i] = bwt[p]
-		p = next[p]
-	}
-	return out, nil
-}
-
 // MTF applies the move-to-front transform: each byte is replaced by
 // its current index in a self-organizing list, so recently seen bytes
 // map to small values — the property the post-BWT entropy coder
@@ -114,22 +78,6 @@ func MTF(data []byte) []byte {
 		}
 		out[i] = byte(idx)
 		copy(alphabet[1:idx+1], alphabet[:idx])
-		alphabet[0] = b
-	}
-	return out
-}
-
-// InverseMTF inverts MTF.
-func InverseMTF(data []byte) []byte {
-	var alphabet [256]byte
-	for i := range alphabet {
-		alphabet[i] = byte(i)
-	}
-	out := make([]byte, len(data))
-	for i, idx := range data {
-		b := alphabet[idx]
-		out[i] = b
-		copy(alphabet[1:int(idx)+1], alphabet[:idx])
 		alphabet[0] = b
 	}
 	return out
@@ -159,33 +107,4 @@ func RLE(data []byte) []byte {
 		i += run
 	}
 	return out
-}
-
-// InverseRLE inverts RLE.
-func InverseRLE(data []byte) ([]byte, error) {
-	out := make([]byte, 0, len(data)*2)
-	i := 0
-	for i < len(data) {
-		b := data[i]
-		run := 1
-		for i+run < len(data) && data[i+run] == b && run < 4 {
-			run++
-		}
-		if run == 4 {
-			if i+4 >= len(data) {
-				return nil, fmt.Errorf("rle: run of 4 at end without count byte")
-			}
-			extra := int(data[i+4])
-			for j := 0; j < 4+extra; j++ {
-				out = append(out, b)
-			}
-			i += 5
-			continue
-		}
-		for j := 0; j < run; j++ {
-			out = append(out, b)
-		}
-		i += run
-	}
-	return out, nil
 }

@@ -55,16 +55,6 @@ func TextCorpusInto(dst []byte, seed uint64) {
 	}
 }
 
-// RandomCorpus returns n bytes of incompressible pseudo-random data.
-func RandomCorpus(seed uint64, n int) []byte {
-	rng := xrand.New(seed)
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(rng.Uint64())
-	}
-	return out
-}
-
 // StructuredCorpus returns n bytes of periodic data with short runs —
 // the profile of tabular or sensor-log inputs.
 func StructuredCorpus(seed uint64, n int) []byte {

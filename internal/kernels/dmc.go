@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Dynamic Markov Coding (Cormack & Horspool, 1987): a bit-level
 // adaptive model — a finite-state machine whose states hold 0/1
@@ -74,59 +71,6 @@ func (e *arithEncoder) finish() []byte {
 	}
 	e.w.flush()
 	return e.w.out
-}
-
-// arithDecoder mirrors arithEncoder.
-type arithDecoder struct {
-	low, high, code uint32
-	r               bitReader
-}
-
-func newArithDecoder(data []byte) *arithDecoder {
-	d := &arithDecoder{low: 0, high: ^uint32(0), r: bitReader{in: data}}
-	for i := 0; i < 32; i++ {
-		d.code = d.code<<1 | d.readBit()
-	}
-	return d
-}
-
-func (d *arithDecoder) readBit() uint32 {
-	b, ok := d.r.read(1)
-	if !ok {
-		return 0 // zero-padding past the end is part of the format
-	}
-	return b
-}
-
-func (d *arithDecoder) decode(p1 uint32) int {
-	span := uint64(d.high) - uint64(d.low)
-	split := d.low + uint32((span*uint64(p1))>>16)
-	var bit int
-	if d.code <= split {
-		bit = 1
-		d.high = split
-	} else {
-		d.low = split + 1
-	}
-	for {
-		switch {
-		case d.high < 1<<31:
-			// nothing
-		case d.low >= 1<<31:
-			d.low -= 1 << 31
-			d.high -= 1 << 31
-			d.code -= 1 << 31
-		case d.low >= 1<<30 && d.high < 3<<30:
-			d.low -= 1 << 30
-			d.high -= 1 << 30
-			d.code -= 1 << 30
-		default:
-			return bit
-		}
-		d.low <<= 1
-		d.high = d.high<<1 | 1
-		d.code = d.code<<1 | d.readBit()
-	}
 }
 
 // --- DMC model ----------------------------------------------------------
@@ -229,31 +173,4 @@ func (s *Scratch) DMCCompress(data []byte) []byte {
 	s.dmc = model.states
 	s.out = enc.finish()
 	return s.out
-}
-
-// DMCDecompress inverts DMCCompress.
-func DMCDecompress(data []byte) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("dmc: truncated header")
-	}
-	n := binary.LittleEndian.Uint32(data)
-	// A corrupted header must not force a giant upfront allocation; the
-	// slice grows on demand if the stream really is that long.
-	capHint := n
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	model := newDMCModel(nil)
-	dec := newArithDecoder(data[4:])
-	out := make([]byte, 0, capHint)
-	for len(out) < int(n) {
-		var b byte
-		for i := 0; i < 8; i++ {
-			bit := dec.decode(model.p1())
-			model.update(bit)
-			b = b<<1 | byte(bit)
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }

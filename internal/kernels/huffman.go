@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Canonical Huffman coding over the byte alphabet. The encoded format
 // is self-describing:
@@ -172,87 +169,4 @@ func (w *bitWriter) write64(code uint64, width uint) {
 		code &= (1 << 32) - 1
 	}
 	w.write(uint32(code), width)
-}
-
-// HuffmanDecode inverts HuffmanEncode.
-func HuffmanDecode(data []byte) ([]byte, error) {
-	if len(data) < 4+256 {
-		return nil, fmt.Errorf("huffman: header truncated (%d bytes)", len(data))
-	}
-	n := binary.LittleEndian.Uint32(data[:4])
-	var lengths [256]uint8
-	copy(lengths[:], data[4:260])
-	payload := data[260:]
-	if n == 0 {
-		return nil, nil
-	}
-
-	// Canonical decode tables: for each length, the first code and the
-	// symbols in canonical order. Lengths come from the (untrusted)
-	// header, so all arithmetic is done in int — a length of 255 must
-	// not wrap the uint8 table sizes.
-	maxLen := 0
-	for _, l := range lengths {
-		if int(l) > maxLen {
-			maxLen = int(l)
-		}
-	}
-	if maxLen == 0 {
-		return nil, fmt.Errorf("huffman: no symbols for %d bytes of output", n)
-	}
-	count := make([]uint32, maxLen+1)
-	for _, l := range lengths {
-		if l > 0 {
-			count[l]++
-		}
-	}
-	firstCode := make([]uint64, maxLen+2)
-	symIndex := make([]uint32, maxLen+2) // offset into symsByLen
-	var symsByLen []byte
-	{
-		code := uint64(0)
-		offset := uint32(0)
-		for l := 1; l <= maxLen; l++ {
-			firstCode[l] = code
-			symIndex[l] = offset
-			for s := 0; s < 256; s++ {
-				if int(lengths[s]) == l {
-					symsByLen = append(symsByLen, byte(s))
-					offset++
-				}
-			}
-			code = (code + uint64(count[l])) << 1
-		}
-	}
-
-	// Cap the preallocation: n comes from the (untrusted) header, and a
-	// corrupted length must not allocate gigabytes up front. The slice
-	// still grows to n if the payload really decodes that far.
-	capHint := n
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	out := make([]byte, 0, capHint)
-	r := bitReader{in: payload}
-	for uint32(len(out)) < n {
-		code := uint64(0)
-		matched := false
-		for l := 1; l <= maxLen; l++ {
-			bit, ok := r.read(1)
-			if !ok {
-				return nil, fmt.Errorf("huffman: truncated payload at symbol %d/%d", len(out), n)
-			}
-			code = (code << 1) | uint64(bit)
-			if count[l] > 0 && code < firstCode[l]+uint64(count[l]) && code >= firstCode[l] {
-				idx := symIndex[l] + uint32(code-firstCode[l])
-				out = append(out, symsByLen[idx])
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("huffman: invalid code at symbol %d/%d", len(out), n)
-		}
-	}
-	return out, nil
 }

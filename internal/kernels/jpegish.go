@@ -8,9 +8,10 @@ import (
 
 // JPEG-style grayscale encoder (the paper's JE benchmark family):
 // 8×8 blocks → level shift → forward DCT → quantization → zigzag →
-// DC delta + AC zero-run coding → canonical Huffman. The decoder
-// inverts everything back to pixels, so tests can measure
-// reconstruction quality (PSNR) exactly as a JPEG pipeline would.
+// DC delta + AC zero-run coding → canonical Huffman. The tests'
+// decoder (decode_test.go) inverts everything back to pixels, so they
+// measure reconstruction quality (PSNR) exactly as a JPEG pipeline
+// would.
 //
 // The bitstream is our own container, not ITU T.81 interchange format:
 // the goal is the computational kernel, not file compatibility.
@@ -140,39 +141,6 @@ func fdct8(block *[64]float64) {
 	}
 }
 
-// idct8 inverts fdct8.
-func idct8(block *[64]float64) {
-	var tmp [64]float64
-	// Columns.
-	for cidx := 0; cidx < 8; cidx++ {
-		for y := 0; y < 8; y++ {
-			sum := 0.0
-			for v := 0; v < 8; v++ {
-				c := 0.5
-				if v == 0 {
-					c = 1 / (2 * math.Sqrt2)
-				}
-				sum += c * block[v*8+cidx] * dctCos[v][y]
-			}
-			tmp[y*8+cidx] = sum
-		}
-	}
-	// Rows.
-	for r := 0; r < 8; r++ {
-		for x := 0; x < 8; x++ {
-			sum := 0.0
-			for u := 0; u < 8; u++ {
-				c := 0.5
-				if u == 0 {
-					c = 1 / (2 * math.Sqrt2)
-				}
-				sum += c * tmp[r*8+u] * dctCos[u][x]
-			}
-			block[r*8+x] = sum
-		}
-	}
-}
-
 // EncodeJPEGish compresses im at the given quality (1–100).
 // Container: [W][H][quality] (4-byte LE each) + Huffman-coded symbol
 // stream of DC deltas and AC (run, level) pairs, byte-serialized with
@@ -230,110 +198,4 @@ func (s *Scratch) EncodeJPEGish(im *Image, quality int) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint32(out, uint32(quality))
 	s.out = s.huffAppend(out, syms)
 	return s.out, nil
-}
-
-// DecodeJPEGish reconstructs the image from EncodeJPEGish output.
-func DecodeJPEGish(data []byte) (*Image, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("jpegish: truncated header")
-	}
-	w := int(binary.LittleEndian.Uint32(data[0:]))
-	h := int(binary.LittleEndian.Uint32(data[4:]))
-	quality := int(binary.LittleEndian.Uint32(data[8:]))
-	if w <= 0 || h <= 0 || w > 1<<16 || h > 1<<16 {
-		return nil, fmt.Errorf("jpegish: bad dimensions %d×%d", w, h)
-	}
-	syms, err := HuffmanDecode(data[12:])
-	if err != nil {
-		return nil, fmt.Errorf("jpegish: %w", err)
-	}
-	quant := scaledQuant(quality)
-	im := NewImage(w, h)
-
-	pos := 0
-	getVarint := func() (int32, error) {
-		v, n := binary.Varint(syms[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("jpegish: bad varint at %d", pos)
-		}
-		pos += n
-		return int32(v), nil
-	}
-
-	prevDC := int32(0)
-	for by := 0; by < h; by += 8 {
-		for bx := 0; bx < w; bx += 8 {
-			var q [64]int32
-			delta, err := getVarint()
-			if err != nil {
-				return nil, err
-			}
-			prevDC += delta
-			q[0] = prevDC
-			s := 1
-			for {
-				if pos >= len(syms) {
-					return nil, fmt.Errorf("jpegish: truncated block stream")
-				}
-				run := syms[pos]
-				pos++
-				if run == 0xFF {
-					break
-				}
-				v, err := getVarint()
-				if err != nil {
-					return nil, err
-				}
-				s += int(run)
-				if v == 0 { // long-run continuation marker
-					s++
-					continue
-				}
-				if s >= 64 {
-					return nil, fmt.Errorf("jpegish: AC index %d out of block", s)
-				}
-				q[zigzag[s]] = v
-				s++
-			}
-			var blk [64]float64
-			for i := 0; i < 64; i++ {
-				blk[i] = float64(q[i] * quant[i])
-			}
-			idct8(&blk)
-			for y := 0; y < 8; y++ {
-				for x := 0; x < 8; x++ {
-					if bx+x >= w || by+y >= h {
-						continue
-					}
-					v := math.Round(blk[y*8+x] + 128)
-					if v < 0 {
-						v = 0
-					}
-					if v > 255 {
-						v = 255
-					}
-					im.Pix[(by+y)*w+bx+x] = byte(v)
-				}
-			}
-		}
-	}
-	return im, nil
-}
-
-// PSNR returns the peak signal-to-noise ratio between two same-size
-// images, in dB (+Inf for identical images).
-func PSNR(a, b *Image) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("jpegish: size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	var mse float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		mse += d * d
-	}
-	mse /= float64(len(a.Pix))
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 20*math.Log10(255) - 10*math.Log10(mse), nil
 }

@@ -30,6 +30,11 @@
 // same names run the method on a pooled Scratch and return a copy. The
 // digests need no scratch: they hash whole blocks from the input and
 // pad the tail on the stack.
+//
+// Only the encoders and digests are here: a served job compresses,
+// encodes or hashes, and nothing a program runs decodes. The inverse
+// of every kernel, which the round-trip tests check the encoders
+// against, is in decode_test.go.
 package kernels
 
 import "sync/atomic"

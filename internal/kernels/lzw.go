@@ -1,11 +1,9 @@
 package kernels
 
-import "fmt"
-
 // LZW implements Lempel-Ziv-Welch compression with variable-width
 // codes (9 → lzwMaxBits bits, MSB-first), dictionary reset on
-// overflow. The format is self-contained: LZWDecompress inverts
-// LZWCompress exactly.
+// overflow. The format is self-contained: the tests' LZWDecompress
+// (decode_test.go) inverts LZWCompress exactly.
 
 const (
 	lzwMinBits   = 9
@@ -36,28 +34,6 @@ func (w *bitWriter) flush() {
 		w.bits = 0
 	}
 	w.cur = 0
-}
-
-// bitReader unpacks MSB-first variable-width codes.
-type bitReader struct {
-	in   []byte
-	pos  int
-	cur  uint64
-	bits uint
-}
-
-func (r *bitReader) read(width uint) (uint32, bool) {
-	for r.bits < width {
-		if r.pos >= len(r.in) {
-			return 0, false
-		}
-		r.cur = (r.cur << 8) | uint64(r.in[r.pos])
-		r.pos++
-		r.bits += 8
-	}
-	r.bits -= width
-	code := uint32(r.cur>>r.bits) & ((1 << width) - 1)
-	return code, true
 }
 
 // lzwTable is the encoder's dictionary: an open-addressed
@@ -138,106 +114,4 @@ func (s *Scratch) LZWCompress(data []byte) []byte {
 	w.flush()
 	s.out = w.out
 	return w.out
-}
-
-// LZWDecompress decodes a stream produced by LZWCompress.
-func LZWDecompress(data []byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	r := bitReader{in: data}
-	width := uint(lzwMinBits)
-
-	// Dictionary as (prefix code, appended byte) pairs; entries < 256
-	// are literals.
-	prefixes := make([]uint32, lzwFirstCode, 1<<lzwMaxBits)
-	suffixes := make([]byte, lzwFirstCode, 1<<lzwMaxBits)
-	reset := func() {
-		prefixes = prefixes[:lzwFirstCode]
-		suffixes = suffixes[:lzwFirstCode]
-		width = lzwMinBits
-	}
-
-	expand := func(code uint32, buf []byte) ([]byte, error) {
-		start := len(buf)
-		for code >= 256 {
-			if int(code) >= len(prefixes) {
-				return nil, fmt.Errorf("lzw: invalid code %d", code)
-			}
-			buf = append(buf, suffixes[code])
-			code = prefixes[code]
-		}
-		buf = append(buf, byte(code))
-		// Reverse the appended segment (we walked leaf→root).
-		for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
-			buf[i], buf[j] = buf[j], buf[i]
-		}
-		return buf, nil
-	}
-
-	var out []byte
-	prev, ok := r.read(width)
-	if !ok {
-		return nil, fmt.Errorf("lzw: truncated stream")
-	}
-	if prev == lzwClearCode || prev >= lzwFirstCode {
-		return nil, fmt.Errorf("lzw: stream starts with non-literal code %d", prev)
-	}
-	out = append(out, byte(prev))
-
-	for {
-		// Mirror the encoder's widening bookkeeping: after the encoder
-		// has allocated entry (len(prefixes)), its `next` counter is
-		// len(prefixes)+1 relative to our state at read time.
-		if uint32(len(prefixes)+1) > (1<<width)-1 && width < lzwMaxBits {
-			width++
-		}
-		code, more := r.read(width)
-		if !more {
-			break
-		}
-		if code == lzwClearCode {
-			reset()
-			c, more2 := r.read(width)
-			if !more2 {
-				break
-			}
-			if c >= 256 {
-				return nil, fmt.Errorf("lzw: non-literal %d after reset", c)
-			}
-			out = append(out, byte(c))
-			prev = c
-			continue
-		}
-		var firstByte byte
-		if int(code) < len(prefixes) {
-			segStart := len(out)
-			var err error
-			out, err = expand(code, out)
-			if err != nil {
-				return nil, err
-			}
-			firstByte = out[segStart]
-		} else if int(code) == len(prefixes) {
-			// The KwKwK case: the code being defined right now.
-			segStart := len(out)
-			var err error
-			out, err = expand(prev, out)
-			if err != nil {
-				return nil, err
-			}
-			firstByte = out[segStart]
-			out = append(out, firstByte)
-		} else {
-			return nil, fmt.Errorf("lzw: code %d ahead of dictionary (size %d)", code, len(prefixes))
-		}
-		prefixes = append(prefixes, prev)
-		suffixes = append(suffixes, firstByte)
-		if uint32(len(prefixes)) >= (1<<lzwMaxBits)-1 {
-			// Encoder emitted a clear code here; it arrives next.
-			continue
-		}
-		prev = code
-	}
-	return out, nil
 }

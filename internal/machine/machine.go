@@ -261,7 +261,7 @@ type Machine struct {
 	// among its package peers. Only SetFreq moves it.
 	volt   []int
 	states []CoreState
-	// power caches each core's current draw (= PowerOf) so charge —
+	// power caches each core's current draw in watts so charge —
 	// which runs on every state or frequency change — is a pure
 	// multiply-accumulate. It is recomputed only when an input moves:
 	// the core's own state, its frequency, or its package's voltage
@@ -315,12 +315,6 @@ func New(cfg Config) *Machine {
 
 // Freq returns core id's current frequency level.
 func (m *Machine) Freq(id int) int { return m.freqs[id] }
-
-// State returns core id's current activity state.
-func (m *Machine) State(id int) CoreState { return m.states[id] }
-
-// PowerOf returns core id's current draw in watts.
-func (m *Machine) PowerOf(id int) float64 { return m.power[id] }
 
 // recomputePower refreshes core id's cached draw from the table.
 func (m *Machine) recomputePower(id int) {
@@ -411,23 +405,14 @@ func (m *Machine) CoreEnergyAt(now float64) float64 {
 	return total
 }
 
-// BusyTime returns the seconds core id has spent executing tasks, as of
+// TotalBusyTime returns the core-seconds spent executing tasks, as of
 // the machine's last charge point.
-func (m *Machine) BusyTime(id int) float64 { return m.timeIn[id][Busy] }
-
-// SpinTime returns the seconds core id has spent in the steal loop.
-func (m *Machine) SpinTime(id int) float64 { return m.timeIn[id][Spinning] }
-
-// HaltTime returns the seconds core id has spent parked.
-func (m *Machine) HaltTime(id int) float64 { return m.timeIn[id][Halted] }
-
-// TotalBusyTime sums BusyTime across cores.
 func (m *Machine) TotalBusyTime() float64 { return m.total(Busy) }
 
-// TotalSpinTime sums SpinTime across cores.
+// TotalSpinTime returns the core-seconds spent in the steal loop.
 func (m *Machine) TotalSpinTime() float64 { return m.total(Spinning) }
 
-// TotalHaltTime sums HaltTime across cores.
+// TotalHaltTime returns the core-seconds spent parked.
 func (m *Machine) TotalHaltTime() float64 { return m.total(Halted) }
 
 // total sums the time every core has spent in state s, in core order.

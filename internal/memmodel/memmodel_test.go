@@ -130,8 +130,8 @@ func TestBuildTableMemoryAware(t *testing.T) {
 	recordAt(p, "m", 50, 0.7*t0, 0.3*t0, 0)
 	recordAt(p, "m", 50, 0.7*t0, 0.3*t0, 2)
 	T := 0.1
-	tab, err := cctable.BuildGranular(fitted(t, p), ladder, T, 16)
-	if err != nil {
+	tab := new(cctable.Table)
+	if err := tab.RebuildGranular(fitted(t, p), ladder, T, 16); err != nil {
 		t.Fatal(err)
 	}
 	// CC at F0: ceil(100·0.01/0.1) = 10.
@@ -159,8 +159,8 @@ func TestBuildTableGranularityBar(t *testing.T) {
 	recordAt(p, "m", 1, 0, 0.05, 3)
 	p.Reset()
 	recordAt(p, "m", 1, 0, 0.05, 0) // this batch: one task
-	tab, err := cctable.BuildGranular(fitted(t, p), ladder, 0.06, 16)
-	if err != nil {
+	tab := new(cctable.Table)
+	if err := tab.RebuildGranular(fitted(t, p), ladder, 0.06, 16); err != nil {
 		t.Fatal(err)
 	}
 	if tab.CC[0][0] != 1 {
@@ -190,13 +190,13 @@ func TestBuildTableErrors(t *testing.T) {
 	if classes[0].Name != "big" {
 		t.Errorf("FitAll order %v, want big first", classes)
 	}
-	if _, err := cctable.BuildGranular(classes, ladder, 1, 16); err != nil {
+	if err := new(cctable.Table).RebuildGranular(classes, ladder, 1, 16); err != nil {
 		t.Errorf("fitted classes rejected: %v", err)
 	}
-	if _, err := cctable.BuildGranular(classes, ladder, 0, 16); !errors.Is(err, cctable.ErrIdealTime) {
+	if err := new(cctable.Table).RebuildGranular(classes, ladder, 0, 16); !errors.Is(err, cctable.ErrIdealTime) {
 		t.Errorf("zero T: error %v, want ErrIdealTime", err)
 	}
-	if _, err := cctable.BuildGranular(classes, ladder, 1, 0); !errors.Is(err, cctable.ErrMaxCores) {
+	if err := new(cctable.Table).RebuildGranular(classes, ladder, 1, 0); !errors.Is(err, cctable.ErrMaxCores) {
 		t.Errorf("zero cores: error %v, want ErrMaxCores", err)
 	}
 	if _, ok := FitAll(profile.New(ladder), []profile.Class{{Name: "ghost", Count: 1, AvgWork: 1}}, ladder); ok {
@@ -231,8 +231,8 @@ func TestFitRecoveryProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
-		tab, err := cctable.BuildGranular(classes, ladder, 1.0, 64)
-		if err != nil {
+		tab := new(cctable.Table)
+		if err := tab.RebuildGranular(classes, ladder, 1.0, 64); err != nil {
 			return false
 		}
 		for j := 1; j < len(ladder); j++ {
@@ -345,7 +345,7 @@ func refBuildTable(models []refModel, ladder machine.FreqLadder, T float64, maxC
 	return t, nil
 }
 
-// The unified path (FitAll → cctable.BuildGranular) reproduces the
+// The unified path (FitAll → cctable.Table.RebuildGranular) reproduces the
 // replaced one (fit → models → BuildTable) on random profiles: 1–3
 // classes of random memory share (a, b), per-batch count, max/avg
 // inflation and sampled level pair, random T and core budget. CC must
@@ -380,8 +380,8 @@ func TestBuilderMatchesReplacedBuildTable(t *testing.T) {
 		if !ok {
 			t.Fatalf("iter %d: FitAll failed", iter)
 		}
-		got, err := cctable.BuildGranular(classes, ladder, T, m)
-		if err != nil {
+		got := new(cctable.Table)
+		if err := got.RebuildGranular(classes, ladder, T, m); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		for j := range want.CC {

@@ -3,7 +3,6 @@ package policy
 import (
 	"time"
 
-	"repro/internal/cctable"
 	"repro/internal/cgroup"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -61,18 +60,6 @@ func NewEEWA() *EEWA { return &EEWA{} }
 
 // Name implements Policy.
 func (*EEWA) Name() string { return "EEWA" }
-
-// Adjuster exposes the underlying frequency adjuster (nil until the
-// first planned batch) for tests and the ktuple CLI.
-func (e *EEWA) Adjuster() *core.Adjuster { return e.adj }
-
-// LastTable returns the most recent CC table, if any.
-func (e *EEWA) LastTable() *cctable.Table {
-	if e.adj == nil {
-		return nil
-	}
-	return e.adj.LastTable
-}
 
 // Infeasible reports how many batches fell back to all-fast because no
 // tuple fit.

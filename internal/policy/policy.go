@@ -172,14 +172,6 @@ type IndexedPlacer struct {
 	next      []int   // per class id: round-robin cursor
 }
 
-// NewIndexedPlacer builds a placer for plan on an m-core engine, for a
-// batch whose class id i is named classes[i].
-func NewIndexedPlacer(plan *Plan, cores int, classes []string) *IndexedPlacer {
-	pl := new(IndexedPlacer)
-	pl.Reset(plan, cores, classes)
-	return pl
-}
-
 // Reset readies the placer for a batch under plan on an m-core engine,
 // whose class id i is named classes[i], reusing its per-class arrays.
 // It reads plan.Assignment's slices until the next Reset.
@@ -231,13 +223,6 @@ type StealOrder struct {
 	coreGroup []int
 	prefs     [][]int
 	prefsByU  [][][]int // prefsByU[u] = cgroup.PreferenceLists(u), built once
-}
-
-// NewStealOrder builds the steal order for plan on an m-core engine.
-func NewStealOrder(plan *Plan, cores int) *StealOrder {
-	s := new(StealOrder)
-	s.Reset(plan, cores)
-	return s
 }
 
 // Reset points the steal order at plan on an m-core engine. It reads

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cctable"
 	"repro/internal/cgroup"
 	"repro/internal/machine"
 	"repro/internal/profile"
@@ -499,4 +500,27 @@ func TestSkipVictimsMatchesFailedWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// LastTable returns the most recent CC table, if any.
+func (e *EEWA) LastTable() *cctable.Table {
+	if e.adj == nil {
+		return nil
+	}
+	return e.adj.LastTable
+}
+
+// NewIndexedPlacer builds a placer for plan on an m-core engine, for a
+// batch whose class id i is named classes[i].
+func NewIndexedPlacer(plan *Plan, cores int, classes []string) *IndexedPlacer {
+	pl := new(IndexedPlacer)
+	pl.Reset(plan, cores, classes)
+	return pl
+}
+
+// NewStealOrder builds the steal order for plan on an m-core engine.
+func NewStealOrder(plan *Plan, cores int) *StealOrder {
+	s := new(StealOrder)
+	s.Reset(plan, cores)
+	return s
 }

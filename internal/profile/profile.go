@@ -33,7 +33,7 @@ const DefaultMemBoundThreshold = 0.01
 // tracks the largest single normalized workload seen — the quantity
 // that bounds how far the class can be down-clocked before one task no
 // longer fits in the ideal iteration time (task indivisibility; see
-// cctable.BuildGranular). MemFrac is the frequency-insensitive share of
+// cctable.Table.RebuildGranular). MemFrac is the frequency-insensitive share of
 // a task's F0 time, measured for memory-bound classes by
 // internal/memmodel's fit; its zero value is the paper's CPU-bound
 // model, where all of a task's time scales with F0/Fj.
@@ -59,7 +59,7 @@ type rawStats struct {
 
 // record is everything the profiler keeps under one function name. It
 // outlives Reset: the class is zeroed (Count 0 = not seen this batch,
-// and invisible to Classes, Lookup and NumClasses), the raw
+// and invisible to Classes and NumClasses), the raw
 // observations persist.
 type record struct {
 	class Class
@@ -228,22 +228,9 @@ func (p *Profiler) Classes() []Class {
 	return out
 }
 
-// Lookup returns the class for a function name, if the profiler has
-// seen it this batch.
-func (p *Profiler) Lookup(name string) (Class, bool) {
-	rec, ok := p.records[name]
-	if !ok || rec.class.Count == 0 {
-		return Class{}, false
-	}
-	return rec.class, true
-}
-
 // NumClasses returns k, the number of distinct task classes seen this
 // batch.
 func (p *Profiler) NumClasses() int { return len(p.order) }
-
-// TotalTasks returns how many task completions have been recorded.
-func (p *Profiler) TotalTasks() int { return p.totalTasks }
 
 // MemoryBound reports whether the application should be treated as
 // memory-bound: the paper's rule is "if most tasks of an application

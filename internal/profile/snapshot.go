@@ -57,7 +57,7 @@ func (s *Snapshot) Validate(ladder machine.FreqLadder) error {
 		}
 		// MaxWork bounds how far a class can be down-clocked before a
 		// single task overruns T (task indivisibility — see
-		// cctable.BuildGranular). A zero or missing MaxWork in a
+		// cctable.Table.RebuildGranular). A zero or missing MaxWork in a
 		// hand-edited or truncated snapshot would silently disable that
 		// bound; a MaxWork below AvgWork is arithmetically impossible
 		// for a max over the samples that produced the average.

@@ -13,7 +13,7 @@ import (
 // Regression for the MaxWork ingestion hole: a snapshot whose classes
 // carry MaxWork == 0 (e.g. hand-edited JSON, or a file written by a
 // tool that dropped the field) must fail Validate — before this check
-// such a snapshot sailed through to cctable.BuildGranular, where
+// such a snapshot sailed through to cctable.Table.RebuildGranular, where
 // MaxWork 0 means "unknown" and silently disables the
 // task-indivisibility bound.
 func TestSnapshotValidateRejectsZeroMaxWork(t *testing.T) {

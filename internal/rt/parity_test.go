@@ -168,7 +168,8 @@ func TestSimLiveEEWAParity(t *testing.T) {
 	// IndexedPlacer: replay it and check it is in-bounds for the agreed
 	// plan.
 	names := []string{"heavy", "light"}
-	pl := policy.NewIndexedPlacer(&simPlan, workers, names)
+	var pl policy.IndexedPlacer
+	pl.Reset(&simPlan, workers, names)
 	for _, cid := range []int32{0, 0, 1, 1} {
 		class := names[cid]
 		c, g := pl.Place(cid)

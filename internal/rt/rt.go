@@ -163,11 +163,6 @@ func ParsePolicy(name string) (Policy, error) {
 	}
 }
 
-// Policies returns every live policy in canonical order.
-func Policies() []Policy {
-	return []Policy{PolicyCilk, PolicyCilkD, PolicyWATS, PolicyEEWA}
-}
-
 // Config configures a Runtime.
 type Config struct {
 	// Workers is the number of worker goroutines ("cores").

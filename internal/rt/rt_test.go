@@ -381,3 +381,8 @@ func TestRunBatchCancelledTasksSkipPayload(t *testing.T) {
 		t.Errorf("invariant violations with cancellation: %v", vs)
 	}
 }
+
+// Policies returns every live policy in canonical order.
+func Policies() []Policy {
+	return []Policy{PolicyCilk, PolicyCilkD, PolicyWATS, PolicyEEWA}
+}

@@ -9,11 +9,7 @@
 // rest of the cluster.
 package serve
 
-import (
-	"context"
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Routing-policy identifiers for Config.Routing (and the cluster
 // sweep's routing axis — internal/sweep uses the same names).
@@ -118,17 +114,6 @@ func (s *Server) EnergyRollup() EnergyRollup {
 		r.OverheadJ += se.OverheadJ
 	}
 	return r
-}
-
-// DrainShard drains one shard: it stops admitting, flushes its queue
-// into final batches and leaves every candidate order, while the rest
-// of the cluster keeps serving. Draining the last healthy shard leaves
-// the cluster answering 503.
-func (s *Server) DrainShard(ctx context.Context, shard int) error {
-	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("serve: shard %d outside [0, %d)", shard, len(s.shards))
-	}
-	return s.shards[shard].drain(ctx)
 }
 
 // accept is admission's first step: refuse a job on sight (the server is

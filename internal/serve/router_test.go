@@ -295,17 +295,6 @@ func TestSpilloverPastFullShard(t *testing.T) {
 
 // ---- shard lifecycle ----
 
-func TestDrainShardRange(t *testing.T) {
-	s := routedServer(t, func(c *Config) { c.Shards = 2 })
-	ctx := context.Background()
-	if err := s.DrainShard(ctx, -1); err == nil {
-		t.Error("DrainShard(-1) accepted")
-	}
-	if err := s.DrainShard(ctx, 2); err == nil {
-		t.Error("DrainShard(2) accepted on a 2-shard cluster")
-	}
-}
-
 // Draining every shard individually leaves the cluster answering 503
 // with Retry-After, same as a cluster-wide drain.
 func TestAllShardsDraining503(t *testing.T) {
@@ -313,7 +302,7 @@ func TestAllShardsDraining503(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < 2; i++ {
-		if err := s.DrainShard(ctx, i); err != nil {
+		if err := s.shards[i].drain(ctx); err != nil {
 			t.Fatalf("drain shard %d: %v", i, err)
 		}
 	}
@@ -454,11 +443,11 @@ func TestRouterChaosDrainShardMidBurst(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.DrainShard(ctx, 1); err != nil {
+	if err := s.shards[1].drain(ctx); err != nil {
 		t.Fatalf("mid-burst shard drain: %v", err)
 	}
 	// admit() rejects under the draining flag, so shard 1's admission
-	// counter is final the moment DrainShard returns.
+	// counter is final the moment its drain returns.
 	admitted1 := s.ShardStats()[1].Admitted
 	wg.Wait()
 	drain(t, s)

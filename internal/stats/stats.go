@@ -1,13 +1,12 @@
 // Package stats provides the small set of statistics helpers used by the
-// EEWA experiment harness: means, variance, confidence intervals,
-// and normalization against a baseline.
+// EEWA experiment harness: means, variance, medians and confidence
+// intervals.
 //
 // All functions are pure and operate on float64 slices; none of them
 // mutate their arguments.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -44,35 +43,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the minimum of xs. It panics on an empty slice because a
-// minimum of nothing is a caller bug, not a recoverable condition.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	s := 0.0
@@ -97,20 +67,6 @@ func Median(xs []float64) float64 {
 	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
-// Normalize returns xs scaled so that base maps to 1.0. A zero base
-// yields a slice of zeros rather than Inf, because the experiment tables
-// treat an absent baseline as "no data".
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
 // CI95 returns the half-width of the 95% confidence interval for the
 // mean of xs, using the normal approximation (z = 1.96). The paper
 // averages 100 runs per benchmark, so the normal approximation is the
@@ -121,21 +77,4 @@ func CI95(xs []float64) float64 {
 		return 0
 	}
 	return 1.96 * StdDev(xs) / math.Sqrt(float64(n))
-}
-
-// GeoMean returns the geometric mean of xs. Non-positive inputs panic:
-// the harness only ever geo-means normalized times/energies, which are
-// strictly positive by construction.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %g", x))
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }

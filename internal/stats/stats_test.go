@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -46,33 +47,9 @@ func TestVarianceAndStdDev(t *testing.T) {
 
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %g, want -1", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %g, want 7", got)
-	}
 	if got := Sum(xs); got != 9 {
 		t.Errorf("Sum = %g, want 9", got)
 	}
-}
-
-func TestMinPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Min(nil) should panic")
-		}
-	}()
-	Min(nil)
-}
-
-func TestMaxPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Max(nil) should panic")
-		}
-	}()
-	Max(nil)
 }
 
 func TestMedian(t *testing.T) {
@@ -93,20 +70,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 8}, 4)
-	want := []float64{0.5, 1, 2}
-	for i := range want {
-		if !almostEq(out[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %g, want %g", i, out[i], want[i])
-		}
-	}
-	zero := Normalize([]float64{1, 2}, 0)
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize with zero base should yield zeros, got %v", zero)
-	}
-}
-
 func TestCI95(t *testing.T) {
 	if CI95([]float64{1}) != 0 {
 		t.Error("CI95 of singleton should be 0")
@@ -123,21 +86,6 @@ func TestCI95(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); !almostEq(got, 4, 1e-12) {
-		t.Errorf("GeoMean = %g, want 4", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %g, want 0", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("GeoMean with non-positive input should panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
 // Property: the mean lies within [min, max] for any non-empty input.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -151,27 +99,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 			return true
 		}
 		m := Mean(clean)
-		return m >= Min(clean)-1e-6 && m <= Max(clean)+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: normalizing by the slice's own mean gives mean 1.
-func TestNormalizeSelfMeanProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0:0]
-		for _, x := range xs {
-			if x > 0.001 && x < 1e6 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		m := Mean(clean)
-		return almostEq(Mean(Normalize(clean, m)), 1, 1e-9)
+		return m >= slices.Min(clean)-1e-6 && m <= slices.Max(clean)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -66,21 +66,6 @@ func (b *Batch) TotalWork() float64 {
 	return sum
 }
 
-// Classes returns the distinct class names in the batch, in first-seen
-// order.
-func (b *Batch) Classes() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range b.Tasks {
-		c := b.Tasks[i].Class
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Workload is a named sequence of batches — one complete application
 // run in the paper's model.
 type Workload struct {

@@ -38,10 +38,6 @@ func TestBatchTotalWorkAndClasses(t *testing.T) {
 	if got := b.TotalWork(); got != 6 {
 		t.Errorf("TotalWork = %g, want 6", got)
 	}
-	classes := b.Classes()
-	if len(classes) != 2 || classes[0] != "md5" || classes[1] != "sha1" {
-		t.Errorf("Classes = %v, want [md5 sha1] in first-seen order", classes)
-	}
 }
 
 func TestGenerateShape(t *testing.T) {

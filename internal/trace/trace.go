@@ -94,13 +94,6 @@ func (r *Recorder) Len() int { return len(r.spans) }
 // Dropped returns how many spans the MaxSpans cap has evicted.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
-// All returns the retained spans in recording order (a copy).
-func (r *Recorder) All() []Span {
-	out := make([]Span, 0, len(r.spans))
-	r.forEach(func(s Span) { out = append(out, s) })
-	return out
-}
-
 // Record implements the scheduler's trace hook: one task execution.
 func (r *Recorder) Record(core int, start, end float64, label string, level int) {
 	r.add(Span{Core: core, Start: start, End: end, Label: label, Level: level, Kind: KindExec})
@@ -207,63 +200,4 @@ func (r *Recorder) CSV(w io.Writer) error {
 		_, werr = fmt.Fprintf(w, "%d,%.9f,%.9f,%s,%d,%s\n", s.Core, s.Start, s.End, s.Label, s.Level, s.Kind)
 	})
 	return werr
-}
-
-// BusyTime returns the summed execution-span durations per core (steal
-// and idle intervals are excluded).
-func (r *Recorder) BusyTime() map[int]float64 {
-	out := map[int]float64{}
-	r.forEach(func(s Span) {
-		if s.Kind == KindExec {
-			out[s.Core] += s.End - s.Start
-		}
-	})
-	return out
-}
-
-// ClassTime returns the summed execution-span durations per task class.
-func (r *Recorder) ClassTime() map[string]float64 {
-	out := map[string]float64{}
-	r.forEach(func(s Span) {
-		if s.Kind == KindExec {
-			out[s.Label] += s.End - s.Start
-		}
-	})
-	return out
-}
-
-// WriteTable renders a generic aligned text table (helper shared by the
-// CLIs).
-func WriteTable(w io.Writer, header []string, rows [][]string) error {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) error {
-		var b strings.Builder
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-		return err
-	}
-	if err := line(header); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := line(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }

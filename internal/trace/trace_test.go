@@ -92,25 +92,6 @@ func TestBusyAndClassTime(t *testing.T) {
 	if math.Abs(busy[0]-1.8) > 1e-9 || math.Abs(busy[1]-0.5) > 1e-9 {
 		t.Errorf("BusyTime = %v", busy)
 	}
-	class := r.ClassTime()
-	if math.Abs(class["a"]-1.0) > 1e-9 || math.Abs(class["b"]-1.3) > 1e-9 {
-		t.Errorf("ClassTime = %v", class)
-	}
-}
-
-func TestWriteTable(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteTable(&buf, []string{"name", "value"}, [][]string{
-		{"alpha", "1"},
-		{"b", "222222"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "alpha") || !strings.Contains(out, "222222") {
-		t.Errorf("table output:\n%s", out)
-	}
 }
 
 // TestRecorderWithScheduler wires the recorder into a real simulation
@@ -168,13 +149,13 @@ func TestRecorderMaxSpans(t *testing.T) {
 	if r.Dropped() != 12 {
 		t.Errorf("Dropped = %d, want 12", r.Dropped())
 	}
-	all := r.All()
+	all := r.ExecSpans()
 	if len(all) != 8 {
-		t.Fatalf("All returned %d spans", len(all))
+		t.Fatalf("ExecSpans returned %d spans", len(all))
 	}
 	for i, s := range all {
 		if want := float64(12 + i); s.Start != want {
-			t.Errorf("All[%d].Start = %g, want %g (oldest dropped, order kept)", i, s.Start, want)
+			t.Errorf("ExecSpans[%d].Start = %g, want %g (oldest dropped, order kept)", i, s.Start, want)
 		}
 	}
 	if got := r.Makespan(); got != 19.5 {
@@ -204,4 +185,16 @@ func TestRecorderMaxSpans(t *testing.T) {
 	if u.Len() != 20 || u.Dropped() != 0 {
 		t.Errorf("unbounded recorder: Len = %d, Dropped = %d", u.Len(), u.Dropped())
 	}
+}
+
+// BusyTime returns the summed execution-span durations per core (steal
+// and idle intervals are excluded).
+func (r *Recorder) BusyTime() map[int]float64 {
+	out := map[int]float64{}
+	r.forEach(func(s Span) {
+		if s.Kind == KindExec {
+			out[s.Core] += s.End - s.Start
+		}
+	})
+	return out
 }

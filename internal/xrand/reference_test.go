@@ -186,3 +186,17 @@ func TestSkipPermMatchesPermInto(t *testing.T) {
 		}
 	}
 }
+
+// Perm returns a pseudo-random permutation of [0, n) in a new slice.
+// It is the reference TestPermIntoMatchesPerm holds PermInto to.
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}

@@ -128,19 +128,6 @@ func (r *RNG) Jitter(base, frac float64) float64 {
 	return v
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle pseudo-randomly permutes the first n elements using swap.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -174,9 +161,10 @@ func Split(seed, cell uint64) uint64 {
 }
 
 // PermInto fills p with a pseudo-random permutation of [0, len(p)),
-// drawing exactly the same values from r as Perm(len(p)) — callers on
-// hot paths reuse one buffer across calls without perturbing streams
-// that were recorded against Perm.
+// drawing exactly the same values from r as the allocating Perm(len(p))
+// that the tests keep as its reference (TestPermIntoMatchesPerm) —
+// callers on hot paths reuse one buffer across calls without perturbing
+// streams that were recorded against Perm.
 func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i

@@ -64,14 +64,14 @@ func benchFig6(b *testing.B, bench string) {
 		b.Fatal(err)
 	}
 	w := bm.Workload(1)
-	cilk, err := sched.Run(cfg, w, policy.NewCilk(), sched.DefaultParams())
+	cilk, err := sched.Run(cfg, w, policy.NewCilk(), sched.Params{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var ee *sched.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ee, err = sched.Run(cfg, w, policy.NewEEWA(), sched.DefaultParams())
+		ee, err = sched.Run(cfg, w, policy.NewEEWA(), sched.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkAdjusterDecision(b *testing.B) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = sched.Run(cfg, w, policy.NewEEWA(), sched.DefaultParams())
+		res, err = sched.Run(cfg, w, policy.NewEEWA(), sched.Params{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 			var res *sched.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = sched.Run(cfg, w, v.mk(), sched.DefaultParams())
+				res, err = sched.Run(cfg, w, v.mk(), sched.Params{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -245,7 +245,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := policy.NewEEWA()
 				e.DivisibleCC = divisible
-				res, err = sched.Run(cfg, w, e, sched.DefaultParams())
+				res, err = sched.Run(cfg, w, e, sched.Params{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func BenchmarkAblationPackages(b *testing.B) {
 			var res *sched.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = sched.Run(cfg, w, policy.NewEEWA(), sched.DefaultParams())
+				res, err = sched.Run(cfg, w, policy.NewEEWA(), sched.Params{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -284,7 +284,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Run(cfg, w, policy.NewCilk(), sched.DefaultParams()); err != nil {
+		if _, err := sched.Run(cfg, w, policy.NewCilk(), sched.Params{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,8 @@
 //
 //	eewa-bench -exp fig1|fig6|fig7|fig8|fig9|table3|ablation|all [-seeds n]
 //	eewa-bench -exp fig6 -metrics-out bench.prom     # metrics over all runs
-//	eewa-bench -trace-out sha1.json                  # trace one EEWA run
+//
+// A Perfetto trace of one run is eewa-sim's -trace-out.
 package main
 
 import (
@@ -17,11 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/sched"
 	"repro/internal/sweep"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -31,7 +28,6 @@ func main() {
 	nseeds := flag.Int("seeds", len(sweep.DefaultSeeds), "number of seeds to average over")
 	plot := flag.Bool("plot", false, "append ASCII bar charts to fig6/fig9 output")
 	metricsOut := flag.String("metrics-out", "", "write Prometheus-format metrics accumulated over every simulation to this file")
-	traceOut := flag.String("trace-out", "", "write a Perfetto trace of one SHA-1/EEWA run (seed 1) to this file")
 	flag.Parse()
 
 	seeds := make([]uint64, *nseeds)
@@ -164,37 +160,4 @@ func main() {
 		}
 		fmt.Printf("metrics written to %s\n", *metricsOut)
 	}
-	if *traceOut != "" {
-		if err := writeSampleTrace(cfg, *traceOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("trace written to %s (open at https://ui.perfetto.dev)\n", *traceOut)
-	}
-}
-
-// writeSampleTrace runs the paper's flagship benchmark (SHA-1 under
-// EEWA, seed 1) with the span recorder attached and writes the schedule
-// as Perfetto-compatible trace-event JSON. Tracing one representative
-// run keeps the file meaningful; overlaying every experiment run on the
-// same timeline would not be.
-func writeSampleTrace(cfg machine.Config, path string) error {
-	b, err := workloads.ByName("sha1")
-	if err != nil {
-		return err
-	}
-	rec := &trace.Recorder{}
-	params := sched.DefaultParams()
-	params.Recorder = rec
-	if _, err := sched.Run(cfg, b.Workload(1), policy.NewEEWA(), params); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteTraceEvents(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -66,7 +66,6 @@ func main() {
 	flushMS := flag.Int("flush-ms", 25, "longest an admitted job waits for a batch, in milliseconds: a ceiling, not a cadence (an idle shard runs a job at once)")
 	queueDepth := flag.Int("queue-depth", 128, "per-tenant queued-task bound, per shard")
 	maxInflight := flag.Int("max-inflight", 512, "per-shard in-flight task budget (queued + running tasks)")
-	goMetrics := flag.Bool("go-metrics", false, "bridge runtime/metrics (goroutines, heap, GC, sched latency) into /metrics as eewa_go_* gauges")
 	metricsOut := flag.String("metrics-out", "", "write a final Prometheus metrics snapshot here on drain")
 	captureOut := flag.String("capture-out", "", "record job submissions and write them as a replayable traffic trace here on drain")
 	drainSecs := flag.Int("drain-timeout", 60, "seconds to wait for the drain to finish")
@@ -111,7 +110,6 @@ func main() {
 		FlushEvery:  time.Duration(*flushMS) * time.Millisecond,
 		QueueDepth:  *queueDepth,
 		MaxInFlight: *maxInflight,
-		GoMetrics:   *goMetrics,
 	}
 	switch *ladderSplit {
 	case "uniform":

@@ -119,9 +119,7 @@ func main() {
 			if e, ok := p.(*policy.EEWA); ok {
 				e.Offline = offline
 			}
-			params := sched.DefaultParams()
-			params.Seed = *seed
-			params.Obs = reg
+			params := sched.Params{Seed: *seed, Obs: reg}
 			var rec *trace.Recorder
 			if *gantt || *csvPath != "" || *traceOut != "" {
 				rec = &trace.Recorder{MaxSpans: *maxSpans}

@@ -6,16 +6,15 @@
 // Usage:
 //
 //	eewa-traffic generate -golden -out trace.json
-//	eewa-traffic generate -spec spec.json -out trace.json -j 8
+//	eewa-traffic generate -spec spec.json -out trace.json
 //	eewa-traffic replay -in trace.json -engine serve -check
 //	eewa-traffic replay -in trace.json -engine sim -cores 16 -out log.json
 //	eewa-traffic replay -in trace.json -engine wall -target http://localhost:8080 -speed 2
 //	eewa-traffic capture -addr :8081 -backend http://localhost:8080 -out captured.json
 //
 // generate is a pure function of the spec: the same spec and seed
-// always produce byte-identical traces, per-cohort streams are
-// independent (adding a tenant never perturbs another's arrivals), and
-// -j only changes generation wall time, never the bytes.
+// always produce byte-identical traces, and per-cohort streams are
+// independent (adding a tenant never perturbs another's arrivals).
 //
 // replay -engine sim is fully deterministic (outcomes, energy,
 // makespan); -engine serve runs the real admission/batching pipeline
@@ -41,7 +40,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -97,7 +95,6 @@ func cmdGenerate(args []string) {
 	specPath := fs.String("spec", "", "cohort spec (JSON traffic.Spec)")
 	golden := fs.Bool("golden", false, "use the built-in golden spec instead of -spec")
 	out := fs.String("out", "-", "trace output path (- for stdout)")
-	workers := fs.Int("j", 0, "cohort-generation workers (0 = GOMAXPROCS; any value yields identical bytes)")
 	_ = fs.Parse(args)
 
 	var spec traffic.Spec
@@ -116,10 +113,7 @@ func cmdGenerate(args []string) {
 		log.Fatal("generate needs -spec or -golden")
 	}
 
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	tr, err := traffic.GenerateWith(spec, *workers)
+	tr, err := traffic.Generate(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

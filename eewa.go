@@ -153,9 +153,6 @@ func Opteron16() MachineConfig { return machine.Opteron16() }
 // core count (the Fig. 9 scalability sweep uses 4–16).
 func GenericMachine(cores int) MachineConfig { return machine.Generic(cores) }
 
-// DefaultParams returns the engine parameters every experiment uses.
-func DefaultParams() Params { return sched.DefaultParams() }
-
 // Benchmarks returns the seven paper benchmarks of Table II.
 func Benchmarks() []Benchmark { return workloads.All() }
 
@@ -189,7 +186,7 @@ func NewPolicy(name string, cfg MachineConfig) (policy.Policy, error) {
 // Simulate runs workload w on machine cfg under the named policy with
 // default parameters.
 func Simulate(cfg MachineConfig, w *Workload, policy string) (*Result, error) {
-	return SimulateWithParams(cfg, w, policy, sched.DefaultParams())
+	return SimulateWithParams(cfg, w, policy, Params{})
 }
 
 // SimulateWithParams is Simulate with explicit engine parameters.

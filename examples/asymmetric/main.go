@@ -57,12 +57,11 @@ func main() {
 	fmt.Println()
 
 	// Step 2: freeze it and run the baselines.
-	params := eewa.DefaultParams()
 	cilkFixed, err := policy.NewCilkFixed(levels, len(cfg.Freqs))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cilkRes, err := sched.Run(cfg, w, cilkFixed, params)
+	cilkRes, err := sched.Run(cfg, w, cilkFixed, eewa.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	watsRes, err := sched.Run(cfg, w, wats, params)
+	watsRes, err := sched.Run(cfg, w, wats, eewa.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}

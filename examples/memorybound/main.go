@@ -47,8 +47,7 @@ func main() {
 
 	aware := policy.NewEEWA()
 	aware.MemAware = true
-	params := eewa.DefaultParams()
-	res, err := sched.Run(cfg, w, aware, params)
+	res, err := sched.Run(cfg, w, aware, eewa.Params{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,8 @@
 // Tuple feasibility (monotone, inside the ladder, Σ CC[a_i][i] ≤ m) is
 // not re-checked here: cgroup.Assignment.Rebuild enforces
 // cctable.Table.ValidTuple on every adjuster decision, and an invalid
-// tuple falls back to all-fast (counted in core.Adjuster.Infeasible).
+// tuple falls back to all-fast, counted on the engines'
+// eewa_sim_adjuster_infeasible_total and eewa_rt_adjuster_infeasible_total.
 //
 // The package's tests also hold the concurrency harness for the
 // Chase–Lev deque the runtime steals from: a deterministic schedule
@@ -23,21 +24,14 @@
 // memory-model argument the explorer encodes and its bounds.
 package check
 
-import "fmt"
-
-// Violation is one invariant failure, with the schedule (sequence of
-// thread ids, one per step) that produced it when the deque explorer
-// found it.
+// Violation is one invariant failure.
 type Violation struct {
 	// Invariant names the failed property.
 	Invariant string
 	// Detail is a human-readable description of the failure.
 	Detail string
-	// Schedule is the thread id chosen at each global step (owner = 0,
-	// thief i = i+1), enough to replay the interleaving by hand.
-	Schedule []int
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s: %s (schedule %v)", v.Invariant, v.Detail, v.Schedule)
+	return v.Invariant + ": " + v.Detail
 }

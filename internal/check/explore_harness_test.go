@@ -47,13 +47,25 @@ type Report struct {
 	Execs int
 	// Violations holds the first failures found (exploration stops
 	// after the first violating execution).
-	Violations []Violation
+	Violations []scheduledViolation
 	// Truncated reports that MaxExecs cut the search short.
 	Truncated bool
 }
 
 // Failed reports whether the exploration found any violation.
 func (r *Report) Failed() bool { return len(r.Violations) > 0 }
+
+// scheduledViolation is a Violation with the schedule that produced it.
+type scheduledViolation struct {
+	Violation
+	// Schedule is the thread id chosen at each global step (owner = 0,
+	// thief i = i+1), enough to replay the interleaving by hand.
+	Schedule []int
+}
+
+func (v scheduledViolation) String() string {
+	return fmt.Sprintf("%s (schedule %v)", v.Violation, v.Schedule)
+}
 
 // world is one node of the search: deque state, thread states, and the
 // schedule prefix that led here.
@@ -159,12 +171,14 @@ func Explore(s Scenario) Report {
 // checkStep asserts the per-step bounds: bottom may transiently dip
 // one below top (PopBottom's empty probe) but never further, and the
 // size estimate never exceeds the number of pushes so far.
-func checkStep(w *world) *Violation {
+func checkStep(w *world) *scheduledViolation {
 	if d := w.st.bottom - w.st.top; d < -1 {
-		return &Violation{
-			Invariant: "len-bounds",
-			Detail:    fmt.Sprintf("bottom-top = %d (< -1): bottom under-run past the empty probe", d),
-			Schedule:  append([]int(nil), w.sched...),
+		return &scheduledViolation{
+			Violation: Violation{
+				Invariant: "len-bounds",
+				Detail:    fmt.Sprintf("bottom-top = %d (< -1): bottom under-run past the empty probe", d),
+			},
+			Schedule: append([]int(nil), w.sched...),
 		}
 	}
 	return nil
@@ -183,11 +197,11 @@ func checkStep(w *world) *Violation {
 //   - linearizability: replaying every successful operation at its
 //     linearization point against the deque.Locked oracle yields the
 //     same values, and the oracle holds exactly the drained remainder.
-func checkExecution(w *world, pushed map[int64]bool) []Violation {
+func checkExecution(w *world, pushed map[int64]bool) []scheduledViolation {
 	sched := append([]int(nil), w.sched...)
-	var vs []Violation
+	var vs []scheduledViolation
 	fail := func(inv, format string, args ...any) {
-		vs = append(vs, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...), Schedule: sched})
+		vs = append(vs, scheduledViolation{Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)}, sched})
 	}
 
 	// Collect successful results in linearization order.

@@ -48,10 +48,7 @@ func runPolicy(cfg machine.Config, b workloads.Benchmark, mk func() policy.Polic
 	out := make([]*sched.Result, 0, len(seeds))
 	for _, seed := range seeds {
 		w := b.Workload(seed)
-		params := sched.DefaultParams()
-		params.Seed = seed
-		params.Obs = obsReg
-		res, err := sched.Run(cfg, w, mk(), params)
+		res, err := sched.Run(cfg, w, mk(), sched.Params{Seed: seed, Obs: obsReg})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s/%s seed %d: %w", b.Name, mk().Name(), seed, err)
 		}

@@ -6,38 +6,38 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"time"
 )
 
-// HandlerOptions selects the optional debug surfaces mounted next to
-// the metrics endpoints.
-type HandlerOptions struct {
-	// GoRuntime bridges runtime/metrics (goroutines, heap bytes, GC
-	// cycles/pauses, scheduling latency) into the registry as eewa_go_*
-	// gauges, re-sampled immediately before every /metrics and
-	// /debug/vars render.
-	GoRuntime bool
-}
-
-// HandlerWith returns an http.Handler exposing the registry:
+// Handler returns an http.Handler exposing the registry:
 //
 //	/metrics      — Prometheus text exposition
 //	/debug/vars   — JSON snapshot of every family
 //	/debug/pprof  — the standard Go profiling endpoints (CPU, heap,
 //	                block, goroutine)
 //
+// The first /metrics or /debug/vars render registers the Go runtime
+// bridge (GoRuntimeMetrics: goroutines, heap bytes, GC cycles and
+// pauses, scheduling latency as eewa_go_* gauges) on r, and every
+// render re-samples it first, so the bridge costs nothing between
+// scrapes and a registry nobody scrapes never carries the gauges.
 // The handler is safe to serve while the registry is being written.
-func HandlerWith(r *Registry, opts HandlerOptions) http.Handler {
+func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
-	var goMetrics *GoRuntimeMetrics
-	if opts.GoRuntime {
-		goMetrics = NewGoRuntimeMetrics(r)
+	var (
+		bridgeOnce sync.Once
+		bridge     *GoRuntimeMetrics
+	)
+	sample := func() {
+		bridgeOnce.Do(func() { bridge = NewGoRuntimeMetrics(r) })
+		bridge.Sample()
 	}
 	// Both exports render into a buffer first: a render error can then
 	// still become a 500 instead of a silently truncated 200 (once body
 	// bytes are on the wire the status is committed).
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		goMetrics.Sample()
+		sample()
 		var buf bytes.Buffer
 		if err := r.WritePrometheus(&buf); err != nil {
 			http.Error(w, "rendering metrics: "+err.Error(), http.StatusInternalServerError)
@@ -47,7 +47,7 @@ func HandlerWith(r *Registry, opts HandlerOptions) http.Handler {
 		_, _ = w.Write(buf.Bytes())
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		goMetrics.Sample()
+		sample()
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		enc.SetIndent("", "  ")
@@ -66,7 +66,7 @@ func HandlerWith(r *Registry, opts HandlerOptions) http.Handler {
 	return mux
 }
 
-// Serve starts an HTTP server for HandlerWith(r, HandlerOptions{}) on
+// Serve starts an HTTP server for Handler(r) on
 // addr (":0" picks a free port). It returns the bound address and a
 // shutdown function. The server runs until the shutdown function is
 // called.
@@ -75,7 +75,7 @@ func Serve(addr string, r *Registry) (net.Addr, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: HandlerWith(r, HandlerOptions{}), ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: 10 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr(), srv.Close, nil
 }

@@ -10,8 +10,18 @@ import (
 )
 
 func TestHandlerMetrics(t *testing.T) {
-	srv := httptest.NewServer(HandlerWith(buildSample(), HandlerOptions{}))
+	reg := buildSample()
+	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
+	// The Go runtime bridge registers on the first render, never
+	// before: a registry nobody scrapes carries no eewa_go_* gauge.
+	var before strings.Builder
+	if err := reg.WritePrometheus(&before); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(before.String(), "eewa_go_") {
+		t.Errorf("eewa_go_* registered before any scrape:\n%s", before.String())
+	}
 
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -25,10 +35,13 @@ func TestHandlerMetrics(t *testing.T) {
 	if !strings.Contains(string(body), "jobs_total 3") {
 		t.Errorf("/metrics body:\n%s", body)
 	}
+	if g, ok := reg.At("eewa_go_goroutines").(*Gauge); !ok || g.Value() < 1 {
+		t.Errorf("the first scrape left eewa_go_goroutines unsampled: %v", reg.At("eewa_go_goroutines"))
+	}
 }
 
 func TestHandlerDebugVars(t *testing.T) {
-	srv := httptest.NewServer(HandlerWith(buildSample(), HandlerOptions{}))
+	srv := httptest.NewServer(Handler(buildSample()))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/vars")
@@ -72,7 +85,7 @@ func TestServe(t *testing.T) {
 // into a buffer so an export error becomes a 500 rather than a
 // truncated 200.
 func TestHandlerContentTypes(t *testing.T) {
-	srv := httptest.NewServer(HandlerWith(buildSample(), HandlerOptions{}))
+	srv := httptest.NewServer(Handler(buildSample()))
 	defer srv.Close()
 
 	for path, want := range map[string]string{
@@ -97,7 +110,7 @@ func TestHandlerContentTypes(t *testing.T) {
 // A nil registry is the documented no-op mode; the handler must still
 // serve well-formed (empty) responses.
 func TestHandlerNilRegistry(t *testing.T) {
-	srv := httptest.NewServer(HandlerWith(nil, HandlerOptions{}))
+	srv := httptest.NewServer(Handler(nil))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/debug/vars"} {
 		resp, err := http.Get(srv.URL + path)

@@ -20,8 +20,8 @@ type goSample struct {
 // GoRuntimeMetrics bridges runtime/metrics into a Registry under the
 // eewa_go_* namespace: goroutine count, heap bytes, GC cycles, GC pause
 // and goroutine scheduling-latency quantiles. Build one with
-// NewGoRuntimeMetrics and call Sample before each export — the HTTP
-// handler does this automatically when HandlerOptions.GoRuntime is set.
+// NewGoRuntimeMetrics and call Sample before each export — Handler
+// builds one on its first render and samples it before every render.
 type GoRuntimeMetrics struct {
 	samples []metrics.Sample
 	binds   []goSample

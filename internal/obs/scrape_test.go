@@ -17,7 +17,7 @@ import (
 // final scrape must also see exact counter totals.
 func TestConcurrentScrapeDuringRecording(t *testing.T) {
 	reg := NewRegistry()
-	srv := httptest.NewServer(HandlerWith(reg, HandlerOptions{GoRuntime: true}))
+	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
 	ctr := reg.Counter("scrape_test_total", "writes")

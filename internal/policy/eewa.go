@@ -61,15 +61,6 @@ func NewEEWA() *EEWA { return &EEWA{} }
 // Name implements Policy.
 func (*EEWA) Name() string { return "EEWA" }
 
-// Infeasible reports how many batches fell back to all-fast because no
-// tuple fit.
-func (e *EEWA) Infeasible() int {
-	if e.adj == nil {
-		return 0
-	}
-	return e.adj.Infeasible
-}
-
 // BeginBatch implements Policy.
 func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 	e.lowest = env.Cfg.Freqs.Slowest()
@@ -136,7 +127,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 // otherwise, with the adjuster's cost charged either way. HostTime adds
 // prep, the host time already spent deriving classes.
 func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Duration) (Plan, bool) {
-	before := e.adj.HostTime
+	before, infeasible := e.adj.HostTime, e.adj.Infeasible
 	asn, ok := e.adj.Adjust(classes, T)
 	p := e.classic()
 	if ok {
@@ -144,6 +135,7 @@ func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Du
 	}
 	p.Overhead, p.HostTime, p.Adjusted = env.AdjusterCharge, prep+e.adj.HostTime-before, true
 	p.CacheHit = e.adj.LastCacheHit
+	p.Infeasible = e.adj.Infeasible > infeasible
 	return p, ok
 }
 

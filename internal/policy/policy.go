@@ -119,6 +119,11 @@ type Plan struct {
 	// backtracking search (meaningful only when Adjusted is true; the
 	// engines count it on eewa_plan_cache_{hits,misses}_total).
 	CacheHit bool
+	// Infeasible reports that the adjuster ran its tuple search and not
+	// even the all-F0 row fit the core budget, so the plan keeps every
+	// core fast (one count of core.Adjuster.Infeasible; the engines
+	// count it on eewa_{sim,rt}_adjuster_infeasible_total).
+	Infeasible bool
 	// RandomSteal selects classic Cilk victim selection: each core
 	// uses only its own-group pool and probes every other core's
 	// own-group pool in random order, ignoring c-group structure.

@@ -345,22 +345,35 @@ func TestMemBoundBatchFallbacks(t *testing.T) {
 	e, prof, env := memAware(t)
 	feedMemBound(prof, "mb", 4, 0.01, 0.01, 0)
 	env.IdealTime = -1
-	wantAllFastClassic(t, "bad T, one level", e.BeginBatch(1, prof, env), env)
+	plans := []Plan{e.BeginBatch(1, prof, env)}
+	wantAllFastClassic(t, "bad T, one level", plans[0], env)
 	feedMemBound(prof, "mb", 4, 0.01, 0.01, 2)
-	wantAllFastClassic(t, "bad T", e.BeginBatch(2, prof, env), env)
+	plans = append(plans, e.BeginBatch(2, prof, env))
+	wantAllFastClassic(t, "bad T", plans[1], env)
 
 	// Empty profile: the application stays memory-bound, no class to
 	// plan for.
 	prof.Reset()
 	env.IdealTime = 0.1
-	wantAllFastClassic(t, "empty profile", e.BeginBatch(3, prof, env), env)
+	plans = append(plans, e.BeginBatch(3, prof, env))
+	wantAllFastClassic(t, "empty profile", plans[2], env)
+	// None of these searched for a tuple, so none is infeasible.
+	for i, p := range plans {
+		if p.Infeasible {
+			t.Errorf("fallback %d: plan marked infeasible without a tuple search", i)
+		}
+	}
+	if e.adj.Infeasible != 0 {
+		t.Errorf("adjuster Infeasible = %d after fallbacks that never searched, want 0", e.adj.Infeasible)
+	}
 
 	// Infeasible: per-batch work far beyond 16 cores within T.
 	e, prof, env = memAware(t)
 	feedMemBound(prof, "x", 400, 0.05, 0.05, 0, 2)
-	wantAllFastClassic(t, "infeasible", e.BeginBatch(1, prof, env), env)
-	if e.Infeasible() != 1 {
-		t.Errorf("Infeasible = %d, want 1", e.Infeasible())
+	plan := e.BeginBatch(1, prof, env)
+	wantAllFastClassic(t, "infeasible", plan, env)
+	if e.adj.Infeasible != 1 || !plan.Infeasible {
+		t.Errorf("adjuster Infeasible = %d, plan.Infeasible = %v; want 1, true", e.adj.Infeasible, plan.Infeasible)
 	}
 }
 

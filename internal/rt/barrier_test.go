@@ -54,7 +54,9 @@ func TestThrottleDebtConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratio := r.ladder.Ratio(level)
-	for _, n := range []int{100, 800} {
+	bound := (time.Duration(throttleQuantum) + slack).Seconds()
+	// attempt runs one batch of n tasks and returns what it got wrong.
+	attempt := func(n int) []string {
 		tasks := make([]Task, n)
 		var native atomic.Int64 // Σ dur as the payloads see it
 		for i := range tasks {
@@ -67,26 +69,44 @@ func TestThrottleDebtConverges(t *testing.T) {
 		}
 		bs := r.RunBatch(tasks)
 		ws := bs.Workers[0]
+		var errs []string
 		// Worker 0 runs on the caller, so it has no spawn lag: what is left
 		// of the wall after search and the dry tail is its physical time
 		// from first task to leaving, and Halt is that minus the model.
 		physical := bs.Wall.Seconds() - ws.Search - ws.Dry
-		bound := (time.Duration(throttleQuantum) + slack).Seconds()
 		if d := physical - ws.Busy; d > bound || d < -bound {
-			t.Errorf("%d tasks: physical %.3f ms vs modelled %.3f ms, off by %.3f ms (bound %.3f ms)",
-				n, physical*1e3, ws.Busy*1e3, d*1e3, bound*1e3)
+			errs = append(errs, fmt.Sprintf("physical %.3f ms vs modelled %.3f ms, off by %.3f ms (bound %.3f ms)",
+				physical*1e3, ws.Busy*1e3, d*1e3, bound*1e3))
 		}
 		if ws.Halt > bound {
-			t.Errorf("%d tasks: Halt %.3f ms exceeds one quantum + slack (%.3f ms): oversleep is being billed to Halt",
-				n, ws.Halt*1e3, bound*1e3)
+			errs = append(errs, fmt.Sprintf("Halt %.3f ms exceeds one quantum + slack (%.3f ms): oversleep is being billed to Halt",
+				ws.Halt*1e3, bound*1e3))
 		}
 		// The model itself: every task stretched by the level's ratio. The
 		// runtime's clock reads sit just outside the payload's own.
 		if want := float64(native.Load()) / 1e9 * ratio; ws.Busy < want || ws.Busy > 1.5*want+1e-3 {
-			t.Errorf("%d tasks: Busy %.3f ms, want Σ dur × %.3f ≈ %.3f ms", n, ws.Busy*1e3, ratio, want*1e3)
+			errs = append(errs, fmt.Sprintf("Busy %.3f ms, want Σ dur × %.3f ≈ %.3f ms", ws.Busy*1e3, ratio, want*1e3))
 		}
 		if ws.Residual > 1e-4 {
-			t.Errorf("%d tasks: residual %.6f s, want ≈0", n, ws.Residual)
+			errs = append(errs, fmt.Sprintf("residual %.6f s, want ≈0", ws.Residual))
+		}
+		return errs
+	}
+	for _, n := range []int{100, 800} {
+		// A host hiccup can stretch any one batch past the bound, so each
+		// size has three attempts and one must pass.
+		for try := 1; try <= 3; try++ {
+			errs := attempt(n)
+			if len(errs) == 0 {
+				break
+			}
+			for _, e := range errs {
+				if try < 3 {
+					t.Logf("%d tasks, attempt %d: %s", n, try, e)
+				} else {
+					t.Errorf("%d tasks, all three attempts failed; the last: %s", n, e)
+				}
+			}
 		}
 	}
 }

@@ -39,11 +39,12 @@ type rtObs struct {
 
 	census []*obs.Gauge // by frequency level
 
-	adjInv     *obs.Counter
-	adjHost    *obs.Counter
-	planHits   *obs.Counter
-	planMisses *obs.Counter
-	violations *obs.CounterVec
+	adjInv        *obs.Counter
+	adjHost       *obs.Counter
+	adjInfeasible *obs.Counter
+	planHits      *obs.Counter
+	planMisses    *obs.Counter
+	violations    *obs.CounterVec
 }
 
 func newRTObs(reg *obs.Registry, levels int) rtObs {
@@ -82,6 +83,8 @@ func newRTObs(reg *obs.Registry, levels int) rtObs {
 			"Invocations of the workload-aware frequency adjuster."),
 		adjHost: reg.Counter("eewa_rt_adjuster_host_seconds_total",
 			"Host wall time spent inside the frequency adjuster."),
+		adjInfeasible: reg.Counter("eewa_rt_adjuster_infeasible_total",
+			"Adjuster decisions where no frequency tuple fit the workers, so every worker stayed at F0."),
 		planHits: reg.Counter("eewa_plan_cache_hits_total",
 			"Adjusted plans served from the memoized tuple-search cache."),
 		planMisses: reg.Counter("eewa_plan_cache_misses_total",

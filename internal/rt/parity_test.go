@@ -97,7 +97,7 @@ func TestSimLiveEEWAParity(t *testing.T) {
 	simEEWA := policy.NewEEWA()
 	simEEWA.Offline = snap
 	simRec := &recordingPolicy{inner: simEEWA}
-	if _, err := sched.Run(cfg, parityBatchSim(), simRec, sched.DefaultParams()); err != nil {
+	if _, err := sched.Run(cfg, parityBatchSim(), simRec, sched.Params{}); err != nil {
 		t.Fatalf("sim run: %v", err)
 	}
 
@@ -197,7 +197,7 @@ func TestSimLiveCilkParity(t *testing.T) {
 	cfg.Cores = workers
 
 	simRec := &recordingPolicy{inner: policy.NewCilk()}
-	if _, err := sched.Run(cfg, parityBatchSim(), simRec, sched.DefaultParams()); err != nil {
+	if _, err := sched.Run(cfg, parityBatchSim(), simRec, sched.Params{}); err != nil {
 		t.Fatalf("sim run: %v", err)
 	}
 	liveRec := &recordingPolicy{inner: policy.NewCilk()}

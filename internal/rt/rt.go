@@ -582,6 +582,9 @@ func (r *Runtime) planBatch() {
 		} else {
 			r.ro.planMisses.Inc()
 		}
+		if plan.Infeasible {
+			r.ro.adjInfeasible.Inc()
+		}
 	}
 	if r.inv {
 		r.record(check.PlanFeasible(r.plan.Assignment, r.cfg.Workers, len(r.ladder)))

@@ -34,7 +34,7 @@ func TestTraceBusySecondsMatchMachineBusySeconds(t *testing.T) {
 	}
 	for _, p := range []policy.Policy{policy.NewCilk(), policy.NewCilkD(4), policy.NewEEWA()} {
 		rec := &sumRecorder{}
-		params := DefaultParams()
+		params := Params{}
 		params.Recorder = rec
 		res, err := Run(cfg, w, p, params)
 		if err != nil {

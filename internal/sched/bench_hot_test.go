@@ -24,7 +24,7 @@ func benchHotPath(b *testing.B, p policy.Policy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, w, p, DefaultParams()); err != nil {
+		if _, err := Run(cfg, w, p, Params{}); err != nil {
 			b.Fatal(err)
 		}
 	}

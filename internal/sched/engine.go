@@ -36,6 +36,7 @@ type engineObs struct {
 	adjInv        *obs.Counter
 	adjOverhead   *obs.Counter
 	adjHost       *obs.Counter
+	adjInfeasible *obs.Counter
 	planHits      *obs.Counter
 	planMisses    *obs.Counter
 	searchSteps   *obs.LogHistogram
@@ -91,11 +92,13 @@ func newEngineObs(reg *obs.Registry, levels int) engineObs {
 		adjInv:       reg.Counter("eewa_sim_adjuster_invocations_total", "Batches that charged a frequency-adjuster decision."),
 		adjOverhead:  reg.Counter("eewa_sim_adjuster_overhead_seconds_total", "Simulated adjuster charge."),
 		adjHost:      reg.Counter("eewa_sim_adjuster_host_seconds_total", "Measured host time of adjuster decisions."),
-		planHits:     reg.Counter("eewa_plan_cache_hits_total", "Adjusted plans served from the memoized tuple-search cache."),
-		planMisses:   reg.Counter("eewa_plan_cache_misses_total", "Adjusted plans that ran the backtracking tuple search."),
-		searchSteps:  reg.LogHistogram("eewa_sim_adjuster_search_steps", "Select attempts per Algorithm 1 tuple search."),
-		makespan:     reg.Gauge("eewa_sim_makespan_seconds", "Makespan of the most recent run."),
-		runs:         reg.Counter("eewa_sim_runs_total", "Completed simulation runs."),
+		adjInfeasible: reg.Counter("eewa_sim_adjuster_infeasible_total",
+			"Adjuster decisions where no frequency tuple fit the cores, so every core stayed at F0."),
+		planHits:    reg.Counter("eewa_plan_cache_hits_total", "Adjusted plans served from the memoized tuple-search cache."),
+		planMisses:  reg.Counter("eewa_plan_cache_misses_total", "Adjusted plans that ran the backtracking tuple search."),
+		searchSteps: reg.LogHistogram("eewa_sim_adjuster_search_steps", "Select attempts per Algorithm 1 tuple search."),
+		makespan:    reg.Gauge("eewa_sim_makespan_seconds", "Makespan of the most recent run."),
+		runs:        reg.Counter("eewa_sim_runs_total", "Completed simulation runs."),
 		taskWait: reg.LogHistogramVec("eewa_sim_task_wait_seconds",
 			"Simulated wait from batch start to execution start, by task class.", "class"),
 		taskLat: reg.LogHistogramVec("eewa_sim_task_latency_seconds",
@@ -211,7 +214,9 @@ func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	params = params.withDefaults()
+	if params.Seed == 0 {
+		params.Seed = 1
+	}
 
 	e := &engine{
 		cfg:    cfg,
@@ -249,7 +254,7 @@ func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (
 		}
 	})
 
-	env := &policy.Env{Cfg: cfg, AdjusterCharge: params.AdjusterCharge}
+	env := &policy.Env{Cfg: cfg, AdjusterCharge: adjusterCharge}
 	for bi := range w.Batches {
 		if err := e.runBatch(bi, &w.Batches[bi], env); err != nil {
 			return nil, err
@@ -404,6 +409,9 @@ func (e *engine) observeBatch(dur float64, census []int, plan policy.Plan) {
 		} else {
 			e.eo.planMisses.Inc()
 		}
+		if plan.Infeasible {
+			e.eo.adjInfeasible.Inc()
+		}
 	}
 }
 
@@ -479,9 +487,9 @@ func (e *engine) coreFree(c int) {
 		e.eo.migrations.Inc()
 	}
 
-	lead := float64(probes) * e.params.ProbeCost
+	lead := float64(probes) * probeCost
 	if stolen {
-		lead += e.params.StealCost
+		lead += stealCost
 		if e.spanRec != nil && lead > 0 {
 			e.spanRec.RecordSteal(c, now, now+lead, victimG)
 		}

@@ -21,7 +21,7 @@ func TestObsIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	params := DefaultParams()
+	params := Params{}
 	params.Obs = reg
 	res, err := Run(cfg, b.Workload(1), policy.NewEEWA(), params)
 	if err != nil {

@@ -20,22 +20,28 @@ import (
 	"repro/internal/profile"
 )
 
-// Params are engine tuning knobs. Zero values are replaced by
-// DefaultParams values in Run.
-type Params struct {
-	// ProbeCost is the simulated cost of checking one task pool during
+// The simulated costs of the engine's model: fixed, so a simulation is
+// a function of its machine, workload, policy and Params alone.
+const (
+	// probeCost is the simulated cost of checking one task pool during
 	// work search (seconds).
-	ProbeCost float64
-	// StealCost is the extra cost of a successful remote steal
+	probeCost = 0.2e-6
+	// stealCost is the extra cost of a successful remote steal
 	// (seconds) — CAS plus cache-line transfer.
-	StealCost float64
-	// AdjusterCharge is the simulated per-batch cost of running the
+	stealCost = 1.0e-6
+	// adjusterCharge is the simulated per-batch cost of running the
 	// frequency adjuster (profiling consolidation + CC table +
 	// Algorithm 1). The *measured host* cost of our implementation is
 	// reported separately in Result.AdjusterHostTime; the simulated
 	// charge is fixed for determinism and set conservatively above the
 	// measured values (Table III reports both).
-	AdjusterCharge float64
+	adjusterCharge = 2.0e-3
+)
+
+// Params are the per-run inputs of the engine besides the machine, the
+// workload and the policy. The zero value is the default: Run treats
+// Seed 0 as 1.
+type Params struct {
 	// Seed derives the per-core victim-selection streams, the engine's
 	// only random draws (placement is IndexedPlacer's deterministic
 	// round-robin).
@@ -66,34 +72,6 @@ type SpanRecorder interface {
 	Recorder
 	RecordSteal(core int, start, end float64, victimGroup int)
 	RecordIdle(core int, start, end float64)
-}
-
-// DefaultParams returns the parameters used by every experiment in the
-// repository.
-func DefaultParams() Params {
-	return Params{
-		ProbeCost:      0.2e-6,
-		StealCost:      1.0e-6,
-		AdjusterCharge: 2.0e-3,
-		Seed:           1,
-	}
-}
-
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.ProbeCost <= 0 {
-		p.ProbeCost = d.ProbeCost
-	}
-	if p.StealCost <= 0 {
-		p.StealCost = d.StealCost
-	}
-	if p.AdjusterCharge <= 0 {
-		p.AdjusterCharge = d.AdjusterCharge
-	}
-	if p.Seed == 0 {
-		p.Seed = d.Seed
-	}
-	return p
 }
 
 // Result is everything a simulation run reports.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cgroup"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/profile"
 	"repro/internal/task"
@@ -27,7 +28,7 @@ func tiny(batches int) *task.Workload {
 
 func mustRun(t *testing.T, cfg machine.Config, w *task.Workload, p policy.Policy) *Result {
 	t.Helper()
-	res, err := Run(cfg, w, p, DefaultParams())
+	res, err := Run(cfg, w, p, Params{})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", p.Name(), err)
 	}
@@ -35,10 +36,10 @@ func mustRun(t *testing.T, cfg machine.Config, w *task.Workload, p policy.Policy
 }
 
 func TestRunValidatesInputs(t *testing.T) {
-	if _, err := Run(machine.Config{}, tiny(1), policy.NewCilk(), DefaultParams()); err == nil {
+	if _, err := Run(machine.Config{}, tiny(1), policy.NewCilk(), Params{}); err == nil {
 		t.Error("invalid machine should error")
 	}
-	if _, err := Run(machine.Opteron16(), &task.Workload{Name: "x"}, policy.NewCilk(), DefaultParams()); err == nil {
+	if _, err := Run(machine.Opteron16(), &task.Workload{Name: "x"}, policy.NewCilk(), Params{}); err == nil {
 		t.Error("invalid workload should error")
 	}
 }
@@ -82,8 +83,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesSchedule(t *testing.T) {
 	cfg := machine.Opteron16()
-	p1, p2 := DefaultParams(), DefaultParams()
-	p2.Seed = 99
+	p1, p2 := Params{}, Params{Seed: 99}
 	a, err := Run(cfg, tiny(3), policy.NewCilk(), p1)
 	if err != nil {
 		t.Fatal(err)
@@ -198,14 +198,17 @@ func TestEEWAInfeasibleKeepsAllFast(t *testing.T) {
 		{Name: "y", Count: 24, MeanWork: 0.018, JitterFrac: 0.05},
 		{Name: "z", Count: 24, MeanWork: 0.016, JitterFrac: 0.05},
 	}, 3)
-	eewa := policy.NewEEWA()
-	res := mustRun(t, cfg, w, eewa)
+	reg := obs.NewRegistry()
+	res, err := Run(cfg, w, policy.NewEEWA(), Params{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for bi, census := range res.BatchCensus {
 		if census[0] != 4 {
 			t.Errorf("batch %d census %v — expected all cores at F0", bi, census)
 		}
 	}
-	if eewa.Infeasible() == 0 {
+	if n := reg.At("eewa_sim_adjuster_infeasible_total").(*obs.Counter).Value(); n == 0 {
 		t.Error("expected at least one infeasible adjustment on the starved machine")
 	}
 	cilk := mustRun(t, cfg, w, policy.NewCilk())
@@ -286,7 +289,7 @@ func TestAdjusterOverheadCharged(t *testing.T) {
 	if res.AdjusterSimTime <= 0 {
 		t.Error("EEWA runs the adjuster; simulated overhead must be positive")
 	}
-	wantMax := float64(len(w.Batches)) * DefaultParams().AdjusterCharge
+	wantMax := float64(len(w.Batches)) * adjusterCharge
 	if res.AdjusterSimTime > wantMax+1e-9 {
 		t.Errorf("adjuster charge %g exceeds %g (once per batch)", res.AdjusterSimTime, wantMax)
 	}
@@ -375,14 +378,19 @@ func TestResultString(t *testing.T) {
 }
 
 func TestParamsWithDefaults(t *testing.T) {
-	p := Params{}.withDefaults()
-	d := DefaultParams()
-	if p != d {
-		t.Errorf("withDefaults() = %+v, want %+v", p, d)
+	// The zero Params is the default: Run reads Seed 0 as seed 1.
+	cfg := machine.Opteron16()
+	zero, err := Run(cfg, tiny(3), policy.NewCilk(), Params{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	custom := Params{ProbeCost: 1e-9, StealCost: 2e-9, AdjusterCharge: 3e-9, Seed: 5}
-	if custom.withDefaults() != custom {
-		t.Error("explicit params must not be overridden")
+	one, err := Run(cfg, tiny(3), policy.NewCilk(), Params{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Makespan != one.Makespan || zero.Energy != one.Energy || zero.Steals != one.Steals || zero.Probes != one.Probes {
+		t.Errorf("Seed 0 ran %g s / %g J / %d steals / %d probes, seed 1 %g s / %g J / %d steals / %d probes; want identical runs",
+			zero.Makespan, zero.Energy, zero.Steals, zero.Probes, one.Makespan, one.Energy, one.Steals, one.Probes)
 	}
 }
 
@@ -547,13 +555,13 @@ func (*badPolicy) OutOfWork(int) policy.OutOfWorkAction {
 }
 
 func TestEngineRejectsNilAssignment(t *testing.T) {
-	if _, err := Run(machine.Opteron16(), tiny(1), &badPolicy{nilAssignment: true}, DefaultParams()); err == nil {
+	if _, err := Run(machine.Opteron16(), tiny(1), &badPolicy{nilAssignment: true}, Params{}); err == nil {
 		t.Error("nil assignment should error")
 	}
 }
 
 func TestEngineRejectsInvalidAssignment(t *testing.T) {
-	if _, err := Run(machine.Opteron16(), tiny(1), &badPolicy{}, DefaultParams()); err == nil {
+	if _, err := Run(machine.Opteron16(), tiny(1), &badPolicy{}, Params{}); err == nil {
 		t.Error("invalid assignment should error")
 	}
 }
@@ -615,7 +623,7 @@ func TestHighJitterRobustness(t *testing.T) {
 func TestRecorderSeesEveryTask(t *testing.T) {
 	w := tiny(2)
 	var spans int
-	params := DefaultParams()
+	params := Params{}
 	params.Recorder = recorderFunc(func() { spans++ })
 	if _, err := Run(machine.Opteron16(), w, policy.NewEEWA(), params); err != nil {
 		t.Fatal(err)
@@ -648,7 +656,7 @@ func TestEngineInvariantsProperty(t *testing.T) {
 		}
 		cfg := machine.Generic(cores)
 		for _, p := range []policy.Policy{policy.NewCilk(), policy.NewCilkD(len(cfg.Freqs)), policy.NewEEWA()} {
-			params := DefaultParams()
+			params := Params{}
 			params.Seed = seed ^ 0xABCD
 			res, err := Run(cfg, w, p, params)
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // Pooled, allocation-free response encoding for the ingest hot path.
@@ -26,10 +25,13 @@ import (
 
 var respPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
+// retryAfterSecs is the backoff hint, in whole seconds, that 429 and
+// 503 responses carry in their Retry-After header and retry_after_s.
+const retryAfterSecs = 1
+
 // staticBodies holds the canonical bytes of the fixed responses and
 // the precomputed Retry-After header value.
 type staticBodies struct {
-	retryAfterSecs  int
 	retryAfterStr   string
 	drainCluster    []byte // 503, route(): cluster draining
 	drainShards     []byte // 503, route(): every shard draining
@@ -48,15 +50,10 @@ func canonicalJSON(v any) []byte {
 	return buf.Bytes()
 }
 
-func (sb *staticBodies) init(retryAfter time.Duration) {
-	sec := int((retryAfter + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	sb.retryAfterSecs = sec
-	sb.retryAfterStr = strconv.Itoa(sec)
-	sb.drainCluster = canonicalJSON(errorBody{Error: "server is draining, not admitting new jobs", RetryAfter: sec})
-	sb.drainShards = canonicalJSON(errorBody{Error: "every shard is draining, not admitting new jobs", RetryAfter: sec})
+func (sb *staticBodies) init() {
+	sb.retryAfterStr = strconv.Itoa(retryAfterSecs)
+	sb.drainCluster = canonicalJSON(errorBody{Error: "server is draining, not admitting new jobs", RetryAfter: retryAfterSecs})
+	sb.drainShards = canonicalJSON(errorBody{Error: "every shard is draining, not admitting new jobs", RetryAfter: retryAfterSecs})
 	sb.deadlineExpired = canonicalJSON(errorBody{Error: "deadline expired"})
 	sb.expiredAtAdm = canonicalJSON(errorBody{Error: "deadline already expired at admission"})
 	sb.expiredQueued = canonicalJSON(errorBody{Error: "deadline expired while queued"})

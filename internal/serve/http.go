@@ -79,7 +79,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/shards", s.handleShards)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	if s.cfg.Obs != nil {
-		oh := obs.HandlerWith(s.cfg.Obs, obs.HandlerOptions{GoRuntime: s.cfg.GoMetrics})
+		oh := obs.Handler(s.cfg.Obs)
 		mux.Handle("/metrics", oh)
 		mux.Handle("/debug/", oh)
 	}
@@ -123,9 +123,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, rej.Status, rej.Msg, 0)
 			return
 		}
-		ra := s.static.retryAfterSecs
 		w.Header().Set("Retry-After", s.static.retryAfterStr)
-		s.writeError(w, rej.Status, rej.Msg, ra)
+		s.writeError(w, rej.Status, rej.Msg, retryAfterSecs)
 		return
 	}
 	s.shards[j.shard].wakeBatcher()
@@ -224,7 +223,7 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 		j.release()
 		items[i] = BatchItem{Status: rej.Status, Error: rej.Msg}
 		if rej.Status != http.StatusGatewayTimeout {
-			items[i].RetryAfter = s.static.retryAfterSecs
+			items[i].RetryAfter = retryAfterSecs
 		}
 	}
 	for i := range reqs {

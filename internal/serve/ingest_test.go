@@ -324,7 +324,7 @@ func TestWriteErrorAndPartialMatchStdlib(t *testing.T) {
 
 	// The drain 503s are pre-rendered with the server's own Retry-After
 	// (the only value production callers ever pass).
-	ra := s.static.retryAfterSecs
+	ra := retryAfterSecs
 	msgs := []struct {
 		status, retry int
 		msg           string

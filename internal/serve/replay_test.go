@@ -120,7 +120,7 @@ func TestRefusedJobIsNeverFilled(t *testing.T) {
 	refuse(expired, http.StatusServiceUnavailable) // draining outranks expired
 	resp, body = submit(t, ts.URL, JobRequest{Func: "sha1", SizeBytes: 16 << 10, Count: 4})
 	want = refEncode(http.StatusServiceUnavailable, errorBody{
-		Error: "server is draining, not admitting new jobs", RetryAfter: s.static.retryAfterSecs})
+		Error: "server is draining, not admitting new jobs", RetryAfter: retryAfterSecs})
 	if resp.StatusCode != want.Code || !bytes.Equal(body, want.Body.Bytes()) {
 		t.Errorf("draining: %d %q, want %d %q", resp.StatusCode, body, want.Code, want.Body.Bytes())
 	}

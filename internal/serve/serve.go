@@ -125,9 +125,6 @@ type Config struct {
 	// MaxInFlight is the per-shard bound on admitted-but-unfinished
 	// tasks across all tenants (default 512).
 	MaxInFlight int
-	// RetryAfter is the hint returned with 429/503 responses (default
-	// 1s, rounded up to whole seconds on the wire).
-	RetryAfter time.Duration
 
 	// Clock overrides the service's time source: admission timestamps,
 	// deadline arithmetic in newJob, and the queued-expiry and
@@ -149,11 +146,6 @@ type Config struct {
 	// wired into the runtime (eewa_rt_*). LatencySummary reads its
 	// request-span families, so without it the summary is zero.
 	Obs *obs.Registry
-	// GoMetrics additionally bridges runtime/metrics (goroutines, heap,
-	// GC pauses, scheduling latency) into the /metrics and /debug/vars
-	// endpoints as eewa_go_* gauges. Off by default; it only matters
-	// when Obs is set.
-	GoMetrics bool
 	// Invariants enables the runtime's internal/check batch invariants
 	// (task conservation, energy identity, plan feasibility) and the
 	// request-span account (queue + batch wait + exec + barrier == e2e).
@@ -184,9 +176,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 512
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 }
 
@@ -250,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, stamps: cfg.Obs != nil || checkSpans}
 	so := newServeObs(cfg.Obs)
 	s.so = &so
-	s.static.init(cfg.RetryAfter)
+	s.static.init()
 	if cfg.Shards > 1 {
 		s.ro = newRouterObs(cfg.Obs)
 	}

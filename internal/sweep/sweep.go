@@ -208,12 +208,10 @@ func (c Cell) run(reg *obs.Registry) (Cell, error) {
 		if err != nil {
 			return c, err
 		}
-		params := sched.DefaultParams()
-		params.Obs = reg
 		// The package's one seed rule, the derivation the serve router
 		// uses for shard runtimes: shard 0 runs on the grid seed, shard
 		// i > 0 on a stream split off it.
-		params.Seed = c.Seed
+		params := sched.Params{Seed: c.Seed, Obs: reg}
 		if i > 0 {
 			params.Seed = xrand.Split(c.Seed, uint64(i))
 		}

@@ -319,7 +319,7 @@ func TestCellRunsOnGridSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := sched.DefaultParams()
+	params := sched.Params{}
 	params.Seed = seed
 	want, err := sched.Run(machine.Generic(8), b.Workload(seed), policy.NewCilk(), params)
 	if err != nil {

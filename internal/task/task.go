@@ -40,9 +40,6 @@ type Task struct {
 	// cache-misses / retired-instructions the paper samples during the
 	// first batch to classify tasks as memory-bound.
 	CacheMissIntensity float64
-	// Payload, if non-nil, is real work for the live runtime; the
-	// simulator ignores it.
-	Payload func()
 }
 
 // TimeAt returns the task's execution time on a core at frequency level

@@ -102,7 +102,7 @@ func TestRecorderWithScheduler(t *testing.T) {
 		{Name: "a", Count: 16, MeanWork: 0.01, JitterFrac: 0.05},
 	}, 3)
 	rec := &Recorder{}
-	params := sched.DefaultParams()
+	params := sched.Params{}
 	params.Recorder = rec
 	res, err := sched.Run(cfg, w, policy.NewCilk(), params)
 	if err != nil {

@@ -170,15 +170,16 @@ func cohortSeed(seed uint64, tenant string) uint64 {
 // stream is generated from its own xrand.Split-derived seed and the
 // streams are merged in offset order (ties broken by tenant, then by
 // per-cohort sequence). The result is a pure function of spec.
+// Cohorts are generated on GOMAXPROCS workers.
 func Generate(spec Spec) (*Trace, error) {
-	return GenerateWith(spec, runtime.GOMAXPROCS(0))
+	return generate(spec, runtime.GOMAXPROCS(0))
 }
 
-// GenerateWith is Generate with an explicit cohort-generation worker
-// count. Cohort streams are independent, so any worker count produces
+// generate is Generate on the given number of cohort-generation
+// workers. Cohort streams are independent, so any worker count produces
 // the identical trace — the property TestGenerateParallelDeterminism
-// pins, mirroring the sweep driver's -j discipline.
-func GenerateWith(spec Spec, workers int) (*Trace, error) {
+// pins.
+func generate(spec Spec, workers int) (*Trace, error) {
 	if spec.DurationS <= 0 {
 		return nil, fmt.Errorf("traffic: spec %q needs a positive duration, got %g", spec.Name, spec.DurationS)
 	}

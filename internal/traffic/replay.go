@@ -351,9 +351,7 @@ func ReplaySim(tr *Trace, opt SimReplay) (*Log, *sched.Result, error) {
 		return nil, nil, err
 	}
 	w := &task.Workload{Name: "trace:" + tr.Name, Batches: batches}
-	params := sched.DefaultParams()
-	params.Seed = opt.Seed
-	res, err := sched.Run(cfg, w, pol, params)
+	res, err := sched.Run(cfg, w, pol, sched.Params{Seed: opt.Seed})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -78,16 +78,16 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestGenerateParallelDeterminism: the trace is identical for every
-// cohort-generation worker count — the -j discipline.
+// cohort-generation worker count.
 func TestGenerateParallelDeterminism(t *testing.T) {
 	spec := testSpec()
-	ref, err := GenerateWith(spec, 1)
+	ref, err := generate(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := encode(t, ref)
 	for _, j := range []int{2, 4, 8} {
-		tr, err := GenerateWith(spec, j)
+		tr, err := generate(spec, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +515,7 @@ func TestReplaySimRunsBatchInLiveOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := sched.DefaultParams()
+	params := sched.Params{}
 	params.Seed = 1
 	want, err := sched.Run(cfg, &task.Workload{Name: "trace:" + tr.Name, Batches: []task.Batch{b}}, pol, params)
 	if err != nil {

@@ -21,20 +21,22 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // reachExempt names the declarations under internal/ that no program
-// reaches but that stay in non-test files, each with the reason.
-// Keys are "<import path>.<Name>" or "<import path>.<Type>.<Method>". An
-// entry that a program does reach, or that names nothing, fails the
-// guard, so the list cannot go stale.
+// reaches, and the struct fields there that no program writes, but
+// that stay in non-test files, each with the reason. Keys are
+// "<import path>.<Name>" or "<import path>.<Type>.<Method or Field>".
+// An entry that a program does reach or write, or that names nothing,
+// fails the guard, so the list cannot go stale.
 var reachExempt = map[string]string{
-	"repro/internal/deque.Deque":            "the interface the deque tests and check's stress harness drive both implementations through",
-	"repro/internal/deque.Locked":           "the mutex-guarded oracle that deque's and check's tests compare the Chase–Lev deque against",
-	"repro/internal/deque.NewLocked":        "constructs the oracle (deque.Locked)",
-	"repro/internal/policy.EEWA.Infeasible": "sched's starved-machine test reads the adjuster's all-fast fallback count from another package; neither engine exports it",
+	"repro/internal/deque.Deque":                   "the interface the deque tests and check's stress harness drive both implementations through",
+	"repro/internal/deque.Locked":                  "the mutex-guarded oracle that deque's and check's tests compare the Chase–Lev deque against",
+	"repro/internal/deque.NewLocked":               "constructs the oracle (deque.Locked)",
+	"repro/internal/policy.EEWA.IgnoreMemoryBound": "the §IV-D negative control: only tests set it (TestMemBoundGolden's eewa-ignore row, TestEEWAIgnoreMemoryBoundControl), to show what planning a memory-bound workload with the CC model costs",
 }
 
 func TestInternalDeclarationsAreReached(t *testing.T) {
@@ -42,12 +44,23 @@ func TestInternalDeclarationsAreReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, stale := mod.unreached(reachExempt)
-	for _, s := range stale {
+	fields := mod.internalFields()
+	declExempt := map[string]string{}
+	for key, why := range reachExempt {
+		if _, ok := fields[key]; !ok {
+			declExempt[key] = why
+		}
+	}
+	dead, stale, programs := mod.unreached(declExempt)
+	unwritten, staleFields := mod.unwritten(fields, programs, reachExempt)
+	for _, s := range append(stale, staleFields...) {
 		t.Errorf("reachExempt: %s", s)
 	}
 	for _, d := range dead {
 		t.Errorf("%s: no program reaches it; delete it, move it into a _test.go file of its package, or exempt it in reachExempt with a reason", d)
+	}
+	for _, f := range unwritten {
+		t.Errorf("%s: no program writes this field, so it only ever holds its zero value; delete it, make it a constant, or exempt it in reachExempt with a reason", f)
 	}
 }
 
@@ -134,9 +147,10 @@ func loadModule(root string) (*module, error) {
 			}
 		}
 		p := &modPkg{path: path, name: bp.Name, info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
 		for _, f := range bp.GoFiles {
 			file, err := parser.ParseFile(m.fset, filepath.Join(bp.Dir, f), nil, parser.SkipObjectResolution)
@@ -212,9 +226,9 @@ type decl struct {
 // main package, the root package's exported API (with the methods of
 // every type it re-exports by alias), package-level var initializers
 // and init functions — and returns the declarations under internal/ it
-// never reaches, plus exemptions that are reached anyway or name
-// nothing.
-func (m *module) unreached(exempt map[string]string) (dead, stale []string) {
+// never reaches, exemptions that are reached anyway or name nothing,
+// and the code the roots reach (the roots included, exemptions not).
+func (m *module) unreached(exempt map[string]string) (dead, stale []string, programs []decl) {
 	decls := map[types.Object]decl{}
 	keys := map[string]types.Object{}
 	var initRoots []decl
@@ -328,8 +342,12 @@ func (m *module) unreached(exempt map[string]string) (dead, stale []string) {
 	walk()
 
 	fromPrograms := make(map[types.Object]bool, len(reached))
+	programs = append(programs, initRoots...)
 	for obj := range reached {
 		fromPrograms[obj] = true
+		if d, ok := decls[obj]; ok {
+			programs = append(programs, d)
+		}
 	}
 	for key := range exempt {
 		obj, ok := keys[key]
@@ -353,7 +371,142 @@ func (m *module) unreached(exempt map[string]string) (dead, stale []string) {
 		dead = append(dead, fmt.Sprintf("%s: %s", m.fset.Position(obj.Pos()), objKey(obj)))
 	}
 	sort.Strings(dead)
+	return dead, stale, programs
+}
+
+// internalFields returns, by reachExempt key ("<import path>.<Type>.<Field>"),
+// every exported, named field of a struct type declared in a non-test
+// file under internal/ that no json tag names: decoding writes those.
+// An embedded field is left out; the fields and methods it promotes
+// are what its users touch.
+func (m *module) internalFields() map[string]*types.Var {
+	fields := map[string]*types.Var{}
+	internal := m.path + "/internal/"
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.path, internal) {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range gd.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					ast.Inspect(ts.Type, func(n ast.Node) bool {
+						st, ok := n.(*ast.StructType)
+						if !ok {
+							return true
+						}
+						for _, fl := range st.Fields.List {
+							if fl.Tag != nil {
+								tag, err := strconv.Unquote(fl.Tag.Value)
+								if json, ok := reflect.StructTag(tag).Lookup("json"); err == nil && ok && json != "-" {
+									continue
+								}
+							}
+							for _, name := range fl.Names {
+								if v, ok := p.info.Defs[name].(*types.Var); ok && v.IsField() && v.Exported() {
+									fields[p.path+"."+ts.Name.Name+"."+v.Name()] = v
+								}
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	return fields
+}
+
+// unwritten returns the fields no code in programs writes, plus
+// exemptions that name a field a program writes. A write is a keyed or
+// positional composite-literal element, an assignment, ++/-- or range
+// target, or taking the field's address; the field counts as written
+// through any selector, index or dereference that an assigned
+// expression goes through (p.Cfg.Cores = 3 writes Cfg too).
+func (m *module) unwritten(fields map[string]*types.Var, programs []decl, exempt map[string]string) (dead, stale []string) {
+	written := map[*types.Var]bool{}
+	for _, d := range programs {
+		fieldWrites(d.node, d.pkg.info, written)
+	}
+	for key, v := range fields {
+		_, exempted := exempt[key]
+		switch {
+		case exempted && written[v]:
+			stale = append(stale, key+" is written by a program and needs no exemption")
+		case !exempted && !written[v]:
+			dead = append(dead, fmt.Sprintf("%s: %s", m.fset.Position(v.Pos()), key))
+		}
+	}
+	sort.Strings(dead)
+	sort.Strings(stale)
 	return dead, stale
+}
+
+// fieldWrites adds to written every struct field node writes.
+func fieldWrites(node ast.Node, info *types.Info, written map[*types.Var]bool) {
+	target := func(e ast.Expr) {
+		for e != nil {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					written[sel.Obj().(*types.Var).Origin()] = true
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				target(e)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				target(n.Key)
+				target(n.Value)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X)
+			}
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, _ := t.Underlying().(*types.Struct)
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							written[v.Origin()] = true
+						}
+					}
+				} else if st != nil {
+					written[st.Field(i).Origin()] = true
+				}
+			}
+		}
+		return true
+	})
 }
 
 // interfaceMethodNames returns the method names of every interface the

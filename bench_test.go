@@ -191,68 +191,44 @@ func BenchmarkAdjusterDecision(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md §5) ------------------------------------
 
-// BenchmarkAblationSearch compares Algorithm 1 against exhaustive and
-// greedy search as the adjuster's solver on the md5 mix.
-func BenchmarkAblationSearch(b *testing.B) {
-	cfg := machine.Opteron16()
-	bm, _ := workloads.ByName("md5")
-	w := bm.Workload(1)
-	variants := []struct {
-		name string
-		mk   func() *policy.EEWA
-	}{
-		{"backtracking", policy.NewEEWA},
-		{"exhaustive", func() *policy.EEWA {
-			e := policy.NewEEWA()
-			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.ExhaustiveSearch(m, cfg.Power) }
-			return e
-		}},
-		{"greedy", func() *policy.EEWA {
-			e := policy.NewEEWA()
-			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.GreedySearch(m) }
-			return e
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
+// benchPolicies runs w on cfg under each named policy (policy.New) as
+// a sub-benchmark and reports the last run's metric ("J" energy or "s"
+// makespan).
+func benchPolicies(b *testing.B, cfg machine.Config, w *Workload, unit string, names ...string) {
+	for _, name := range names {
+		b.Run(name, func(b *testing.B) {
 			var res *sched.Result
-			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = sched.Run(cfg, w, v.mk(), sched.Params{})
+				p, err := policy.New(name, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
+				if res, err = sched.Run(cfg, w, p, sched.Params{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.ReportMetric(res.Energy, "J")
+			if unit == "J" {
+				b.ReportMetric(res.Energy, unit)
+			} else {
+				b.ReportMetric(res.Makespan, unit)
+			}
 		})
 	}
 }
 
+// BenchmarkAblationSearch compares Algorithm 1 (eewa) against
+// exhaustive and greedy search as the adjuster's solver on the md5 mix.
+func BenchmarkAblationSearch(b *testing.B) {
+	bm, _ := workloads.ByName("md5")
+	benchPolicies(b, machine.Opteron16(), bm.Workload(1), "J", "eewa", "eewa-exhaustive", "eewa-greedy")
+}
+
 // BenchmarkAblationGranularity compares the granularity-aware CC table
-// against the paper's divisible-load formula on the chunkiest mix.
+// (eewa) against the paper's divisible-load formula on the chunkiest
+// mix.
 func BenchmarkAblationGranularity(b *testing.B) {
-	cfg := machine.Opteron16()
 	bm, _ := workloads.ByName("sha1")
-	w := bm.Workload(1)
-	for _, divisible := range []bool{false, true} {
-		name := "granular"
-		if divisible {
-			name = "divisible"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res *sched.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				e := policy.NewEEWA()
-				e.DivisibleCC = divisible
-				res, err = sched.Run(cfg, w, e, sched.Params{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Makespan, "s")
-		})
-	}
+	benchPolicies(b, machine.Opteron16(), bm.Workload(1), "s", "eewa", "eewa-divisible")
 }
 
 // BenchmarkAblationPackages quantifies the package-voltage-coupling
@@ -261,17 +237,7 @@ func BenchmarkAblationPackages(b *testing.B) {
 	bm, _ := workloads.ByName("sha1")
 	w := bm.Workload(1)
 	for _, cfg := range []machine.Config{machine.Opteron16(), machine.Uncoupled(machine.Opteron16())} {
-		b.Run(cfg.Name, func(b *testing.B) {
-			var res *sched.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = sched.Run(cfg, w, policy.NewEEWA(), sched.Params{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Energy, "J")
-		})
+		b.Run(cfg.Name, func(b *testing.B) { benchPolicies(b, cfg, w, "J", "eewa") })
 	}
 }
 
@@ -291,17 +257,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkMemBoundExtension regenerates the §IV-D future-work
-// comparison: the paper's fallback vs the frequency-response model.
+// comparison: the paper's fallback (eewa) vs the frequency-response
+// model (eewa-memaware), each as its energy saving over Cilk.
 func BenchmarkMemBoundExtension(b *testing.B) {
-	cfg := machine.Opteron16()
-	var res *experiments.MemBoundResult
+	var recs []sweep.Record
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = experiments.MemBound(cfg, []uint64{1})
-		if err != nil {
+		if recs, err = experiments.MemBound([]uint64{1}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(1-res.Fallback.Energy/res.Cilk.Energy, "fallback_save")
-	b.ReportMetric(1-res.MemAware.Energy/res.Cilk.Energy, "memaware_save")
+	for _, r := range recs {
+		switch r.Policy {
+		case "eewa":
+			b.ReportMetric(1-r.NormEnergy, "fallback_save")
+		case "eewa-memaware":
+			b.ReportMetric(1-r.NormEnergy, "memaware_save")
+		}
+	}
 }

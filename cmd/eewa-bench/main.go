@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	eewa-bench -exp fig1|fig6|fig7|fig8|fig9|table3|ablation|all [-seeds n]
+//	eewa-bench -exp fig1|fig6|fig7|fig8|fig9|table3|membound|ablation|all [-seeds n]
 //	eewa-bench -exp fig6 -metrics-out bench.prom     # metrics over all runs
 //
 // A Perfetto trace of one run is eewa-sim's -trace-out.
@@ -97,7 +97,7 @@ func main() {
 		return nil
 	})
 	run("membound", func() error {
-		res, err := experiments.MemBound(cfg, seeds)
+		res, err := experiments.MemBound(seeds)
 		if err != nil {
 			return err
 		}
@@ -113,7 +113,7 @@ func main() {
 		return nil
 	})
 	run("ablation", func() error {
-		rows, err := experiments.AblationSearch(cfg, seeds)
+		rows, err := experiments.AblationSearch(seeds)
 		if err != nil {
 			return err
 		}
@@ -121,7 +121,7 @@ func main() {
 			"Ablation — tuple search algorithm (EEWA variants)",
 			rows, []string{"backtracking", "exhaustive", "greedy"}))
 		fmt.Println()
-		rows, err = experiments.AblationGranularity(cfg, seeds)
+		rows, err = experiments.AblationGranularity(seeds)
 		if err != nil {
 			return err
 		}

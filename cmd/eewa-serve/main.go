@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/profile"
 	"repro/internal/serve"
 	"repro/internal/traffic"
@@ -56,8 +55,8 @@ func main() {
 	log.SetPrefix("eewa-serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 8, "runtime worker goroutines")
-	policyName := flag.String("policy", "eewa", "scheduling policy: cilk|cilk-d|wats|eewa")
-	profileIn := flag.String("profile-in", "", "offline workload profile (JSON, eewa only); EEWA configures before batch 1; a comma-separated list gives each shard its own (empty entry = none)")
+	policyName := flag.String("policy", "eewa", "scheduling policy: cilk|cilk-d|wats|eewa, or an EEWA variant (eewa-greedy, eewa-memaware, …)")
+	profileIn := flag.String("profile-in", "", "offline workload profile (JSON, EEWA policies only); EEWA configures before batch 1; a comma-separated list gives each shard its own (empty entry = none)")
 	shards := flag.Int("shards", 1, "runtime shards behind the router (each gets -workers cores)")
 	routing := flag.String("routing", serve.RouteClass, "shard placement policy: class|rr|least")
 	ladderSplit := flag.String("ladder-split", "uniform", "shard frequency ladders: uniform (all full) or tiered (shard i drops the top i rungs)")
@@ -84,18 +83,8 @@ func main() {
 		runtime.SetBlockProfileRate(*blockRate)
 	}
 
-	known := false
-	for _, id := range policy.IDs() {
-		if *policyName == id {
-			known = true
-			break
-		}
-	}
-	if !known {
-		log.Fatalf("unknown policy %q (want one of %v)", *policyName, policy.IDs())
-	}
-
-	// Topology flags fail loudly up front, like a bad policy name.
+	// Topology flags fail loudly up front; a bad policy name is
+	// serve.New's error.
 	if *shards <= 0 {
 		log.Fatalf("-shards must be positive, got %d", *shards)
 	}

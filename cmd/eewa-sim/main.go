@@ -30,7 +30,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("eewa-sim: ")
 	benchName := flag.String("bench", "sha1", "benchmark: bwc|bzip2|dmc|je|lzw|md5|sha1|membound|all")
-	policyName := flag.String("policy", "eewa", "policy: cilk|cilk-d|wats|eewa|all")
+	policyName := flag.String("policy", "eewa", "policy: cilk|cilk-d|wats|eewa|all, or an EEWA variant such as eewa-memaware (an unknown name lists them all)")
 	cores := flag.Int("cores", 16, "number of cores")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	gantt := flag.Bool("gantt", false, "print an ASCII Gantt chart of the schedule")
@@ -42,33 +42,29 @@ func main() {
 	profileIn := flag.String("profile-in", "", "load an offline workload profile (JSON); EEWA configures before batch 1")
 	flag.Parse()
 
-	// Validate the selector flags up front against the canonical name
-	// sets, so a typo exits non-zero with the full list instead of
-	// half-running a matrix or silently simulating the wrong thing.
-	var policies []string
-	if *policyName == "all" {
-		policies = policy.IDs()
-	} else {
-		known := false
-		for _, id := range policy.IDs() {
-			if *policyName == id {
-				known = true
-				break
-			}
+	// Validate the selector flags up front, so a typo exits non-zero
+	// with the full list instead of half-running a matrix or silently
+	// simulating the wrong thing.
+	cfg := machine.Generic(*cores)
+	policies := policy.IDs()
+	if *policyName != "all" {
+		p, err := policy.New(*policyName, cfg)
+		if err != nil {
+			log.Fatalf("%v, or all", err)
 		}
-		if !known {
-			log.Fatalf("unknown policy %q (want one of %v, or all)", *policyName, policy.IDs())
+		// An offline profile only influences EEWA (paper §IV-D); with
+		// any other single policy the flag is a no-op the user almost
+		// certainly did not intend.
+		if _, ok := p.(*policy.EEWA); !ok && *profileIn != "" {
+			log.Fatalf("-profile-in only affects EEWA policies, but -policy is %q", *policyName)
 		}
 		policies = []string{*policyName}
 	}
 
 	var benches []workloads.Benchmark
-	switch *benchName {
-	case "all":
+	if *benchName == "all" {
 		benches = workloads.All()
-	case "membound":
-		benches = []workloads.Benchmark{workloads.MemoryBound()}
-	default:
+	} else {
 		b, err := workloads.ByName(*benchName)
 		if err != nil {
 			log.Fatalf("unknown benchmark %q (want one of %v, membound, or all)", *benchName, workloads.Names())
@@ -78,12 +74,6 @@ func main() {
 
 	var offline *profile.Snapshot
 	if *profileIn != "" {
-		// An offline profile only influences EEWA (paper §IV-D); with
-		// any other single policy the flag is a no-op the user almost
-		// certainly did not intend.
-		if *policyName != "all" && *policyName != policy.IDEEWA {
-			log.Fatalf("-profile-in only affects the %s policy, but -policy is %q", policy.IDEEWA, *policyName)
-		}
 		if *policyName == "all" {
 			log.Printf("note: -profile-in applies only to the %s runs of the matrix", policy.IDEEWA)
 		}
@@ -108,7 +98,6 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 
-	cfg := machine.Generic(*cores)
 	for _, b := range benches {
 		w := b.Workload(*seed)
 		for _, pname := range policies {

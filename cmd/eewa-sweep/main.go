@@ -13,6 +13,7 @@
 //	eewa-sweep -j 8 -json cells.json             # 8-way fan-out, per-cell JSON
 //	eewa-sweep -shards 1,2,4 -routing class,rr,least -policies cilk,eewa
 //	eewa-sweep -shards 1,2 -ladder-split uniform,tiered -csv cluster.csv
+//	eewa-sweep -policies eewa,eewa-exhaustive,eewa-greedy   # search ablation
 //
 // Cells are sharded across -j worker goroutines (default GOMAXPROCS;
 // the count must be positive); every worker count produces
@@ -36,8 +37,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("eewa-sweep: ")
-	benches := flag.String("bench", "", "comma-separated benchmarks (default: all seven)")
-	policies := flag.String("policies", "", "comma-separated policies: cilk,cilk-d,wats,eewa (default: cilk,cilk-d,eewa)")
+	benches := flag.String("bench", "", "comma-separated benchmarks, Table II's or membound (default: all seven of Table II)")
+	policies := flag.String("policies", "", "comma-separated policies: cilk,cilk-d,wats,eewa or EEWA variants such as eewa-greedy (default: cilk,cilk-d,eewa)")
 	cores := flag.String("cores", "", "comma-separated core counts per shard (default: 16)")
 	nseeds := flag.Int("seeds", len(sweep.DefaultSeeds), "number of seeds per cell")
 	csvPath := flag.String("csv", "", "write CSV to this file instead of a table to stdout")
@@ -70,8 +71,8 @@ func main() {
 		Routings:     splitList(*routings),
 		LadderSplits: splitList(*splits),
 	}
-	// The axes get the same up-front validation as -j: a typo'd routing
-	// name is a usage error before any cell runs.
+	// The axes get the same up-front validation as -j: a typo'd policy,
+	// benchmark or routing name is a usage error before any cell runs.
 	if err := grid.Validate(); err != nil {
 		log.Print(err)
 		flag.Usage()

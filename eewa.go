@@ -68,6 +68,10 @@ type (
 	Benchmark = workloads.Benchmark
 	// LiveConfig configures the goroutine runtime.
 	LiveConfig = rt.Config
+	// LivePolicy names the live runtime's scheduling policy
+	// (LiveConfig.Policy): any name Simulate accepts, converted —
+	// LivePolicy("eewa-memaware"). NewRuntime rejects an unknown one.
+	LivePolicy = rt.Policy
 	// LiveTask is a real payload for the goroutine runtime.
 	LiveTask = rt.Task
 	// LiveRuntime executes real payloads with emulated DVFS.
@@ -123,8 +127,10 @@ type (
 )
 
 // Policy names accepted by Simulate, NewPolicy and every CLI's -policy
-// flag. These are the canonical identifiers owned by internal/policy —
-// the live runtime's rt.ParsePolicy accepts the same set.
+// flag. These are the canonical identifiers owned by internal/policy,
+// whose New also accepts the EEWA variants (eewa-exhaustive,
+// eewa-greedy, eewa-divisible, eewa-memaware, eewa-ignore); the live
+// runtime takes the same names as a LivePolicy.
 const (
 	// PolicyCilk is classic random work stealing at full frequency.
 	PolicyCilk = policy.IDCilk
@@ -157,7 +163,8 @@ func GenericMachine(cores int) MachineConfig { return machine.Generic(cores) }
 func Benchmarks() []Benchmark { return workloads.All() }
 
 // BenchmarkByName looks up one of the Table II benchmarks by name
-// (bwc, bzip2, dmc, je, lzw, md5, sha1).
+// (bwc, bzip2, dmc, je, lzw, md5, sha1), or the §IV-D memory-bound
+// workload (membound).
 func BenchmarkByName(name string) (Benchmark, error) { return workloads.ByName(name) }
 
 // MustBenchmark is BenchmarkByName for known-good names; it panics on
@@ -239,18 +246,14 @@ func Compare(cfg MachineConfig, w *Workload) (*Comparison, error) {
 // NewRuntime builds the live goroutine runtime with emulated DVFS.
 func NewRuntime(cfg LiveConfig) (*LiveRuntime, error) { return rt.New(cfg) }
 
-// Live-runtime policy selectors. All four paper policies run live;
-// their String() forms are the canonical names above.
+// Live-runtime policy names: the canonical names above as LivePolicy
+// values. All four paper policies run live.
 const (
 	LivePolicyCilk  = rt.PolicyCilk
 	LivePolicyCilkD = rt.PolicyCilkD
 	LivePolicyWATS  = rt.PolicyWATS
 	LivePolicyEEWA  = rt.PolicyEEWA
 )
-
-// ParseLivePolicy resolves a canonical policy name (PolicyCilk …) to
-// the live runtime's selector.
-func ParseLivePolicy(name string) (rt.Policy, error) { return rt.ParsePolicy(name) }
 
 // NewServer builds the job-submission service: per-tenant bounded
 // admission queues with 429/Retry-After backpressure, interval

@@ -68,10 +68,7 @@ func main() {
 		names = strings.Split(*policyList, ",")
 	}
 	for _, name := range names {
-		pol, err := eewa.ParseLivePolicy(strings.TrimSpace(name))
-		if err != nil {
-			log.Fatal(err)
-		}
+		pol := eewa.LivePolicy(strings.TrimSpace(name))
 		rt, err := eewa.NewRuntime(eewa.LiveConfig{
 			Workers: *workers, Machine: eewa.Opteron16(), Policy: pol, Seed: 1, Obs: reg,
 		})

@@ -22,16 +22,13 @@ import (
 	"log"
 
 	eewa "repro"
-	"repro/internal/policy"
-	"repro/internal/sched"
-	"repro/internal/workloads"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	cfg := eewa.Opteron16()
-	b := workloads.MemoryBound()
+	b := eewa.MustBenchmark("membound")
 	w := b.Workload(1)
 	fmt.Printf("workload: %s — %s\n\n", b.Name, b.Desc)
 
@@ -45,9 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	aware := policy.NewEEWA()
-	aware.MemAware = true
-	res, err := sched.Run(cfg, w, aware, eewa.Params{})
+	res, err := eewa.Simulate(cfg, w, "eewa-memaware")
 	if err != nil {
 		log.Fatal(err)
 	}

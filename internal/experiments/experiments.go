@@ -2,9 +2,10 @@
 // paper's evaluation (§IV), plus the ablations called out in DESIGN.md.
 // Each driver returns a typed result that the cmd/eewa-bench CLI and
 // the repository's bench harness render; the drivers themselves never
-// print. Fig. 6 and Fig. 9 are queries on the internal/sweep grid and
-// return its records; every driver runs the engine on the workload's
-// seed, the grid's seed rule.
+// print. Fig. 6, Fig. 9, the memory-bound comparison and the search and
+// CC-formula ablations are queries on the internal/sweep grid — an EEWA
+// variant is a policy name (policy.New) — and return its records; every
+// driver runs the engine on the workload's seed, the grid's seed rule.
 //
 // Experiment index (see DESIGN.md §4):
 //
@@ -15,6 +16,8 @@
 //	Fig8   — per-batch frequency census of SHA-1 under EEWA
 //	Fig9   — DMC scalability over 4/8/12/16 cores
 //	Table3 — adjuster overhead per benchmark
+//	MemBound — §IV-D fallback vs the frequency-response extension
+//	Ablation* — tuple search, CC formula, package voltage coupling
 package experiments
 
 import (
@@ -22,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cctable"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -331,120 +333,49 @@ func Table3(cfg machine.Config, seed uint64) ([]Table3Row, error) {
 
 // --- Memory-bound extension (§IV-D future work) ---------------------------
 
-// MemBoundResult compares the handling of a memory-bound application.
-type MemBoundResult struct {
-	// Cilk is the baseline; Fallback is the paper's §IV-D behaviour
-	// (detect and revert to classic stealing); MemAware is the
-	// future-work extension (calibrate + frequency-response model).
-	Cilk, Fallback, MemAware *sched.Result
-}
-
-// MemBound runs the synthetic memory-bound workload under the three
-// disciplines. Expected shape: Fallback saves only what idle
-// down-clocking yields; MemAware finds a model-corrected configuration
-// and saves substantially more at unchanged makespan.
-func MemBound(cfg machine.Config, seeds []uint64) (*MemBoundResult, error) {
-	b := workloads.MemoryBound()
-	out := &MemBoundResult{}
-	runs := []struct {
-		mk  func() policy.Policy
-		dst **sched.Result
-	}{
-		{func() policy.Policy { return policy.NewCilk() }, &out.Cilk},
-		{func() policy.Policy { return policy.NewEEWA() }, &out.Fallback},
-		{func() policy.Policy {
-			e := policy.NewEEWA()
-			e.MemAware = true
-			return e
-		}, &out.MemAware},
-	}
-	for _, r := range runs {
-		rs, err := runPolicy(cfg, b, r.mk, seeds)
-		if err != nil {
-			return nil, err
-		}
-		// Keep the first seed's full result; average scalar fields.
-		res := *rs[0]
-		res.Makespan = meanMakespan(rs)
-		res.Energy = meanEnergy(rs)
-		*r.dst = &res
-	}
-	return out, nil
+// MemBound runs the synthetic memory-bound workload under Cilk, EEWA
+// with the paper's §IV-D fallback (detect and revert to classic
+// stealing) and EEWA with the future-work extension (calibrate + fit
+// each class's frequency response), on 16 cores: one record per policy,
+// normalized against Cilk. Expected shape: the fallback saves only what
+// idle down-clocking yields; the extension finds a model-corrected
+// configuration and saves substantially more at unchanged makespan.
+func MemBound(seeds []uint64) ([]sweep.Record, error) {
+	return query(sweep.Grid{Benchmarks: []string{"membound"}, Policies: []string{"cilk", "eewa", "eewa-memaware"}, Seeds: seeds})
 }
 
 // --- Ablations (DESIGN.md §5) -------------------------------------------
 
-// AblationRow compares EEWA variants on one benchmark.
-type AblationRow struct {
-	Benchmark string
-	// Energy maps variant → mean energy (J); Time maps variant →
-	// mean makespan (s).
-	Energy map[string]float64
-	Time   map[string]float64
-}
-
-// variant is one ablation column: a policy on a machine.
-type variant struct {
-	cfg machine.Config
-	mk  func() policy.Policy
-}
-
-func newEEWA() policy.Policy { return policy.NewEEWA() }
-
 // AblationSearch compares Algorithm 1 against the exhaustive optimum
-// and the greedy heuristic as EEWA's tuple search.
-func AblationSearch(cfg machine.Config, seeds []uint64) ([]AblationRow, error) {
-	return runAblation(seeds, map[string]variant{
-		"backtracking": {cfg, newEEWA},
-		"exhaustive": {cfg, func() policy.Policy {
-			e := policy.NewEEWA()
-			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.ExhaustiveSearch(m, cfg.Power) }
-			return e
-		}},
-		"greedy": {cfg, func() policy.Policy {
-			e := policy.NewEEWA()
-			e.SearchFn = func(t *cctable.Table, m int) ([]int, bool) { return t.GreedySearch(m) }
-			return e
-		}},
-	})
+// and the greedy heuristic as EEWA's tuple search on 16 cores: one
+// record per (benchmark, variant), variants in that order.
+func AblationSearch(seeds []uint64) ([]sweep.Record, error) {
+	return query(sweep.Grid{Policies: []string{"eewa", "eewa-exhaustive", "eewa-greedy"}, Seeds: seeds})
 }
 
 // AblationGranularity compares the granularity-aware CC table (our
-// default) against the paper's divisible-load formula.
-func AblationGranularity(cfg machine.Config, seeds []uint64) ([]AblationRow, error) {
-	return runAblation(seeds, map[string]variant{
-		"granular": {cfg, newEEWA},
-		"divisible": {cfg, func() policy.Policy {
-			e := policy.NewEEWA()
-			e.DivisibleCC = true
-			return e
-		}},
-	})
+// default) against the paper's divisible-load formula on 16 cores: one
+// record per (benchmark, variant), granular first.
+func AblationGranularity(seeds []uint64) ([]sweep.Record, error) {
+	return query(sweep.Grid{Policies: []string{"eewa", "eewa-divisible"}, Seeds: seeds})
 }
 
 // AblationPackages quantifies how much of EEWA's saving comes from
-// package-aligned c-groups by re-running Fig. 6 on a machine with
-// per-core voltage planes.
-func AblationPackages(seeds []uint64) ([]AblationRow, error) {
-	return runAblation(seeds, map[string]variant{
-		"coupled":   {machine.Opteron16(), newEEWA},
-		"uncoupled": {machine.Uncoupled(machine.Opteron16()), newEEWA},
-	})
-}
-
-func runAblation(seeds []uint64, variants map[string]variant) ([]AblationRow, error) {
-	var rows []AblationRow
+// package-aligned c-groups by re-running EEWA on a machine with
+// per-core voltage planes. The machine is not a grid axis, so it runs
+// the benchmarks itself: one seed-averaged eewa record per (benchmark,
+// machine), the coupled Opteron first, in benchmark order.
+func AblationPackages(seeds []uint64) ([]sweep.Record, error) {
+	var recs []sweep.Record
 	for _, b := range workloads.All() {
-		row := AblationRow{Benchmark: b.Name, Energy: map[string]float64{}, Time: map[string]float64{}}
-		for name, v := range variants {
-			rs, err := runPolicy(v.cfg, b, v.mk, seeds)
+		for _, cfg := range []machine.Config{machine.Opteron16(), machine.Uncoupled(machine.Opteron16())} {
+			rs, err := runPolicy(cfg, b, func() policy.Policy { return policy.NewEEWA() }, seeds)
 			if err != nil {
 				return nil, err
 			}
-			row.Energy[name] = meanEnergy(rs)
-			row.Time[name] = meanMakespan(rs)
+			recs = append(recs, sweep.Record{Benchmark: b.Name, Policy: policy.IDEEWA, Shards: 1, Cores: cfg.Cores,
+				Runs: len(rs), Makespan: meanMakespan(rs), Energy: meanEnergy(rs)})
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return recs, nil
 }

@@ -271,47 +271,59 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
+// byPolicy indexes records by benchmark, then policy.
+func byPolicy(recs []sweep.Record) map[string]map[string]sweep.Record {
+	out := map[string]map[string]sweep.Record{}
+	for _, r := range recs {
+		if out[r.Benchmark] == nil {
+			out[r.Benchmark] = map[string]sweep.Record{}
+		}
+		out[r.Benchmark][r.Policy] = r
+	}
+	return out
+}
+
 func TestAblationGranularityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep in -short mode")
 	}
-	rows, err := AblationGranularity(machine.Opteron16(), []uint64{1})
+	recs, err := AblationGranularity([]uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The divisible-load formula must never beat the granularity-aware
 	// one on makespan by more than noise, and on sha1 (the chunkiest
 	// mix) it must be dramatically slower.
-	for _, r := range rows {
-		if r.Benchmark == "sha1" {
-			if r.Time["divisible"] < 1.5*r.Time["granular"] {
-				t.Errorf("sha1: divisible CC %.3fs vs granular %.3fs — expected a large overrun",
-					r.Time["divisible"], r.Time["granular"])
-			}
+	for bench, r := range byPolicy(recs) {
+		granular, divisible := r["eewa"].Makespan, r["eewa-divisible"].Makespan
+		if bench == "sha1" && divisible < 1.5*granular {
+			t.Errorf("sha1: divisible CC %.3fs vs granular %.3fs — expected a large overrun", divisible, granular)
 		}
-		if r.Time["granular"] > r.Time["divisible"]*1.05 {
-			t.Errorf("%s: granular CC slower (%.3f vs %.3f)", r.Benchmark, r.Time["granular"], r.Time["divisible"])
+		if granular > divisible*1.05 {
+			t.Errorf("%s: granular CC slower (%.3f vs %.3f)", bench, granular, divisible)
 		}
 	}
 }
 
 func TestMemBoundExtensionShape(t *testing.T) {
-	res, err := MemBound(machine.Opteron16(), []uint64{1})
+	recs, err := MemBound([]uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbSave := 1 - res.Fallback.Energy/res.Cilk.Energy
-	maSave := 1 - res.MemAware.Energy/res.Cilk.Energy
+	r := byPolicy(recs)["membound"]
+	cilk, fallback, memAware := r["cilk"], r["eewa"], r["eewa-memaware"]
+	fbSave := 1 - fallback.Energy/cilk.Energy
+	maSave := 1 - memAware.Energy/cilk.Energy
 	if fbSave <= 0 {
 		t.Errorf("fallback saving %.1f%%, want > 0 (idle down-clocking)", 100*fbSave)
 	}
 	if maSave < fbSave+0.10 {
 		t.Errorf("MemAware saving %.1f%% should exceed fallback %.1f%% by ≥ 10 pts", 100*maSave, 100*fbSave)
 	}
-	if res.MemAware.Makespan > 1.05*res.Cilk.Makespan {
-		t.Errorf("MemAware makespan %.4f degrades > 5%% vs Cilk %.4f", res.MemAware.Makespan, res.Cilk.Makespan)
+	if memAware.Makespan > 1.05*cilk.Makespan {
+		t.Errorf("MemAware makespan %.4f degrades > 5%% vs Cilk %.4f", memAware.Makespan, cilk.Makespan)
 	}
-	if out := RenderMemBound(res); !strings.Contains(out, "MemAware") {
+	if out := RenderMemBound(recs); !strings.Contains(out, "MemAware") {
 		t.Error("renderer missing MemAware row")
 	}
 }
@@ -320,27 +332,28 @@ func TestAblationSearchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep in -short mode")
 	}
-	rows, err := AblationSearch(machine.Opteron16(), []uint64{1})
+	recs, err := AblationSearch([]uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := byPolicy(recs)
 	if len(rows) != 7 {
-		t.Fatalf("got %d rows, want 7", len(rows))
+		t.Fatalf("got %d benchmarks, want 7", len(rows))
 	}
-	for _, r := range rows {
-		for _, v := range []string{"backtracking", "exhaustive", "greedy"} {
-			if r.Energy[v] <= 0 || r.Time[v] <= 0 {
-				t.Errorf("%s/%s: degenerate result", r.Benchmark, v)
+	for bench, r := range rows {
+		for _, v := range []string{"eewa", "eewa-exhaustive", "eewa-greedy"} {
+			if r[v].Energy <= 0 || r[v].Makespan <= 0 {
+				t.Errorf("%s/%s: degenerate result", bench, v)
 			}
 		}
 		// Backtracking's energy stays within 10% of the exhaustive
 		// optimum on every benchmark (the paper's "near-optimal" claim).
-		if r.Energy["backtracking"] > 1.10*r.Energy["exhaustive"] {
+		if r["eewa"].Energy > 1.10*r["eewa-exhaustive"].Energy {
 			t.Errorf("%s: backtracking %.1fJ vs exhaustive %.1fJ — not near-optimal",
-				r.Benchmark, r.Energy["backtracking"], r.Energy["exhaustive"])
+				bench, r["eewa"].Energy, r["eewa-exhaustive"].Energy)
 		}
 	}
-	out := RenderAblation("t", rows, []string{"backtracking", "exhaustive", "greedy"})
+	out := RenderAblation("t", recs, []string{"backtracking", "exhaustive", "greedy"})
 	if !strings.Contains(out, "backtracking") {
 		t.Error("render missing variant")
 	}
@@ -350,15 +363,19 @@ func TestAblationPackagesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep in -short mode")
 	}
-	rows, err := AblationPackages([]uint64{1})
+	recs, err := AblationPackages([]uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	if len(recs) != 14 {
+		t.Fatalf("got %d records, want a coupled and an uncoupled one per benchmark", len(recs))
+	}
+	for i := 0; i < len(recs); i += 2 {
+		coupled, uncoupled := recs[i], recs[i+1]
 		// Per-core voltage planes can only help EEWA (its groups are
 		// already package-aligned; uncoupling removes residual penalty).
-		if r.Energy["uncoupled"] > 1.01*r.Energy["coupled"] {
-			t.Errorf("%s: uncoupled %.1fJ worse than coupled %.1fJ", r.Benchmark, r.Energy["uncoupled"], r.Energy["coupled"])
+		if uncoupled.Energy > 1.01*coupled.Energy {
+			t.Errorf("%s: uncoupled %.1fJ worse than coupled %.1fJ", coupled.Benchmark, uncoupled.Energy, coupled.Energy)
 		}
 	}
 }

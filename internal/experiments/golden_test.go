@@ -151,3 +151,114 @@ func TestFiguresGolden(t *testing.T) {
 		}
 	}
 }
+
+// recordBits is one seed-averaged record as the ablation and
+// memory-bound tables pin it: makespan and energy as math.Float64bits.
+type recordBits struct {
+	bench, policy string
+	time, energy  uint64
+}
+
+// TestAblationAndMemBoundGolden pins every record of the search and
+// CC-formula ablations, the package-coupling ablation and the
+// memory-bound comparison at seeds {1, 2, 3}: makespan and energy as
+// they came out of the drivers that ran each EEWA variant as a
+// hand-configured policy, before the variants became policy names and
+// the drivers grid queries. Only a deliberate model or policy change may
+// update the tables.
+func TestAblationAndMemBoundGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full ablation sweeps in -short mode")
+	}
+	search := []recordBits{
+		{"bwc", "eewa", 0x4000d42dbd89dd33, 0x4083a28d963a3bfc},
+		{"bwc", "eewa-exhaustive", 0x4000d42dbd89dd33, 0x4083a28d963a3bfc},
+		{"bwc", "eewa-greedy", 0x400114246a8b4fe9, 0x40841d6393461ae9},
+		{"bzip2", "eewa", 0x4001b21f3d1f712b, 0x408505c17a845397},
+		{"bzip2", "eewa-exhaustive", 0x4001b21f3d1f712b, 0x408505c17a845397},
+		{"bzip2", "eewa-greedy", 0x4001b21f3d1f712b, 0x408505c17a845397},
+		{"dmc", "eewa", 0x3ffc455991d8a640, 0x407ff0671548e457},
+		{"dmc", "eewa-exhaustive", 0x3ffc455991d8a640, 0x407ff0671548e457},
+		{"dmc", "eewa-greedy", 0x3ffc455991d8a640, 0x407ff0671548e457},
+		{"je", "eewa", 0x3ffe6f824546ff90, 0x4082914de44a49b0},
+		{"je", "eewa-exhaustive", 0x3ffe6f824546ff90, 0x4082914de44a49b0},
+		{"je", "eewa-greedy", 0x40002b91912253bc, 0x40839058b108bbcd},
+		{"lzw", "eewa", 0x3ffe3a498a34cf5d, 0x4081ea6f53d0eb0f},
+		{"lzw", "eewa-exhaustive", 0x3ffe3a498a34cf5d, 0x4081ea6f53d0eb0f},
+		{"lzw", "eewa-greedy", 0x3ffe3a498a34cf5d, 0x4081ea6f53d0eb0f},
+		{"md5", "eewa", 0x3ff678f5f32a7a30, 0x407808462ffa88a3},
+		{"md5", "eewa-exhaustive", 0x3ff5d411a5a378a0, 0x4077d73a8ca598cd},
+		{"md5", "eewa-greedy", 0x3ff678f5f32a7a30, 0x407808462ffa88a3},
+		{"sha1", "eewa", 0x3ffc7609a51d930b, 0x407b030a0d995620},
+		{"sha1", "eewa-exhaustive", 0x3ffc7116a63bb919, 0x407d292032c76e2d},
+		{"sha1", "eewa-greedy", 0x3ffc7609a51d930b, 0x407b030a0d995620},
+	}
+	granularity := []recordBits{
+		{"bwc", "eewa", 0x4000d42dbd89dd33, 0x4083a28d963a3bfc},
+		{"bwc", "eewa-divisible", 0x4004abf345b22c3b, 0x40865b0e36fb2b8b},
+		{"bzip2", "eewa", 0x4001b21f3d1f712b, 0x408505c17a845397},
+		{"bzip2", "eewa-divisible", 0x4001b21f3d1f712b, 0x408505c17a845397},
+		{"dmc", "eewa", 0x3ffc455991d8a640, 0x407ff0671548e457},
+		{"dmc", "eewa-divisible", 0x3ffc35fbe2e82310, 0x407fbf28acf1353b},
+		{"je", "eewa", 0x3ffe6f824546ff90, 0x4082914de44a49b0},
+		{"je", "eewa-divisible", 0x4000b2014c285159, 0x408373cf00adbad9},
+		{"lzw", "eewa", 0x3ffe3a498a34cf5d, 0x4081ea6f53d0eb0f},
+		{"lzw", "eewa-divisible", 0x4005d6de47df4fd9, 0x4086fa5987493ec5},
+		{"md5", "eewa", 0x3ff678f5f32a7a30, 0x407808462ffa88a3},
+		{"md5", "eewa-divisible", 0x3ffb6401222da141, 0x407a9a623600d010},
+		{"sha1", "eewa", 0x3ffc7609a51d930b, 0x407b030a0d995620},
+		{"sha1", "eewa-divisible", 0x4009ba139c3f78ec, 0x4085305d5cbc85d1},
+	}
+	// Per benchmark: the Opteron's coupled voltage planes, then
+	// per-core planes.
+	packages := []recordBits{
+		{"bwc", "eewa", 0x4000d42dbd89dd33, 0x4083a28d963a3bfc},
+		{"bwc", "eewa", 0x4000d42dbd89dd33, 0x408382a1b7949aac}, // per-core planes
+		{"bzip2", "eewa", 0x4001b21f3d1f712b, 0x408505c17a845397},
+		{"bzip2", "eewa", 0x4001b21f3d1f712b, 0x4084fc4245df5d68}, // per-core planes
+		{"dmc", "eewa", 0x3ffc455991d8a640, 0x407ff0671548e457},
+		{"dmc", "eewa", 0x3ffc455991d8a640, 0x407fcac50dfef94b}, // per-core planes
+		{"je", "eewa", 0x3ffe6f824546ff90, 0x4082914de44a49b0},
+		{"je", "eewa", 0x3ffe6f824546ff90, 0x408273e86c2a185f}, // per-core planes
+		{"lzw", "eewa", 0x3ffe3a498a34cf5d, 0x4081ea6f53d0eb0f},
+		{"lzw", "eewa", 0x3ffe3a498a34cf5d, 0x4081e17a34b78be5}, // per-core planes
+		{"md5", "eewa", 0x3ff678f5f32a7a30, 0x407808462ffa88a3},
+		{"md5", "eewa", 0x3ff678f5f32a7a30, 0x4077cf0d76b760c3}, // per-core planes
+		{"sha1", "eewa", 0x3ffc7609a51d930b, 0x407b030a0d995620},
+		{"sha1", "eewa", 0x3ffc7609a51d930b, 0x407a72b67a24a24d}, // per-core planes
+	}
+	memBound := []recordBits{
+		{"membound", "cilk", 0x3ffaaa2ef7360623, 0x4081ea578e184c37},
+		{"membound", "eewa", 0x3ffaac06d32a8e20, 0x407ed0199b7e8fec},
+		{"membound", "eewa-memaware", 0x3ff806277d128928, 0x407764f62c7a2880},
+	}
+	seeds := []uint64{1, 2, 3}
+	for _, d := range []struct {
+		name string
+		run  func([]uint64) ([]sweep.Record, error)
+		want []recordBits
+	}{
+		{"search ablation", AblationSearch, search},
+		{"granularity ablation", AblationGranularity, granularity},
+		{"package ablation", AblationPackages, packages},
+		{"memory-bound comparison", MemBound, memBound},
+	} {
+		recs, err := d.run(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != len(d.want) {
+			t.Fatalf("%s: got %d records, want %d", d.name, len(recs), len(d.want))
+		}
+		for i, w := range d.want {
+			r := recs[i]
+			if r.Benchmark != w.bench || r.Policy != w.policy {
+				t.Fatalf("%s record %d is %s/%s, want %s/%s", d.name, i, r.Benchmark, r.Policy, w.bench, w.policy)
+			}
+			if !sameFloat(r.Makespan, math.Float64frombits(w.time)) || !sameFloat(r.Energy, math.Float64frombits(w.energy)) {
+				t.Errorf("%s %s/%s (record %d): makespan %#x energy %#x, want %#x %#x", d.name, w.bench, w.policy, i,
+					math.Float64bits(r.Makespan), math.Float64bits(r.Energy), w.time, w.energy)
+			}
+		}
+	}
+}

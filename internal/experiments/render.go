@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/policy"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -138,45 +137,39 @@ func RenderTable3(rows []Table3Row) string {
 	return b.String()
 }
 
-// RenderMemBound formats the memory-bound extension comparison.
-func RenderMemBound(res *MemBoundResult) string {
+// RenderMemBound formats the memory-bound extension comparison (the
+// records of MemBound).
+func RenderMemBound(recs []sweep.Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Memory-bound application (§IV-D): fallback vs frequency-response extension\n")
 	fmt.Fprintf(&b, "%-24s %12s %12s %10s\n", "discipline", "time (s)", "energy (J)", "saving")
-	rows := []struct {
-		name string
-		r    *sched.Result
-	}{
-		{"Cilk", res.Cilk},
-		{"EEWA (paper fallback)", res.Fallback},
-		{"EEWA (MemAware ext.)", res.MemAware},
-	}
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-24s %12.4f %12.1f %9.1f%%\n",
-			row.name, row.r.Makespan, row.r.Energy, 100*(1-row.r.Energy/res.Cilk.Energy))
+	names := map[string]string{"cilk": "Cilk", "eewa": "EEWA (paper fallback)", "eewa-memaware": "EEWA (MemAware ext.)"}
+	for _, r := range recs {
+		fmt.Fprintf(&b, "%-24s %12.4f %12.1f %9.1f%%\n", names[r.Policy], r.Makespan, r.Energy, 100*(1-r.NormEnergy))
 	}
 	return b.String()
 }
 
-// RenderAblation formats an ablation comparison.
-func RenderAblation(title string, rows []AblationRow, variants []string) string {
+// RenderAblation formats an ablation comparison: one line per
+// benchmark, its records in order under the column names.
+func RenderAblation(title string, recs []sweep.Record, columns []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-8s", "bench")
-	for _, v := range variants {
-		fmt.Fprintf(&b, " %12s", v+" E(J)")
+	for _, c := range columns {
+		fmt.Fprintf(&b, " %12s", c+" E(J)")
 	}
-	for _, v := range variants {
-		fmt.Fprintf(&b, " %12s", v+" t(s)")
+	for _, c := range columns {
+		fmt.Fprintf(&b, " %12s", c+" t(s)")
 	}
 	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s", r.Benchmark)
-		for _, v := range variants {
-			fmt.Fprintf(&b, " %12.1f", r.Energy[v])
+	for _, row := range byBenchmark(recs) {
+		fmt.Fprintf(&b, "%-8s", row[0].Benchmark)
+		for _, r := range row {
+			fmt.Fprintf(&b, " %12.1f", r.Energy)
 		}
-		for _, v := range variants {
-			fmt.Fprintf(&b, " %12.4f", r.Time[v])
+		for _, r := range row {
+			fmt.Fprintf(&b, " %12.4f", r.Makespan)
 		}
 		b.WriteString("\n")
 	}

@@ -18,7 +18,7 @@
 // a/(a+b), so the CC table is built by cctable's one builder, exactly
 // as for a CPU-bound class.
 //
-// EEWA's memory-aware mode (policy.EEWA with MemAware=true) therefore:
+// EEWA's memory-aware mode (the policy eewa-memaware) therefore:
 //
 //  1. runs batch 0 at F0 (as always — this defines T and provides the
 //     first sample point),

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -49,9 +48,7 @@ func Handler(r *Registry) http.Handler {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		sample()
 		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r.Snapshot()); err != nil {
+		if err := r.WriteJSON(&buf); err != nil {
 			http.Error(w, "encoding vars: "+err.Error(), http.StatusInternalServerError)
 			return
 		}

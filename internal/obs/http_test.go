@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -40,17 +41,32 @@ func TestHandlerMetrics(t *testing.T) {
 	}
 }
 
+// TestHandlerDebugVars pins /debug/vars: the registry's WriteJSON
+// bytes (the scrape samples the runtime gauges first, nothing after),
+// which parse as the snapshot.
 func TestHandlerDebugVars(t *testing.T) {
-	srv := httptest.NewServer(Handler(buildSample()))
+	reg := buildSample()
+	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := reg.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Errorf("/debug/vars differs from WriteJSON:\n%s\nwant:\n%s", body, want.Bytes())
+	}
 	var snap map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/debug/vars does not parse: %v", err)
 	}
 	if snap["jobs_total"] != 3.0 {

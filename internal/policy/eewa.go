@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/cgroup"
@@ -24,25 +25,11 @@ import (
 //     balances residual imbalance (rob-the-weaker-first, Fig. 5);
 //   - if the first batch classifies the application as memory-bound
 //     (§IV-D), EEWA permanently falls back to classic stealing at F0.
+//
+// New builds the variants that change one of these decisions
+// (eewa-exhaustive, eewa-greedy, eewa-divisible, eewa-memaware,
+// eewa-ignore); NewEEWA and New(IDEEWA) build the paper's scheduler.
 type EEWA struct {
-	// SearchFn overrides the tuple-search algorithm (Algorithm 1 by
-	// default); the ablation benches swap in ExhaustiveSearch /
-	// GreedySearch.
-	SearchFn core.SearchFunc
-	// DivisibleCC selects the paper's divisible-load CC formula
-	// instead of the granularity-aware default (ablation knob).
-	DivisibleCC bool
-	// MemAware enables the paper's future-work extension: instead of
-	// permanently falling back to classic stealing for memory-bound
-	// applications, EEWA spends one calibration batch at a lower
-	// uniform frequency, fits each class's frequency response
-	// t = a + b·(F0/Fj) (internal/memmodel), and adjusts from the fitted
-	// classes, whose MemFrac the CC table honours.
-	MemAware bool
-	// IgnoreMemoryBound disables the §IV-D detection entirely,
-	// applying the CPU-bound CC model regardless — the negative
-	// control for the memory-bound experiments (it overruns T).
-	IgnoreMemoryBound bool
 	// Offline, when set, supplies a previously collected workload
 	// profile (paper §IV-D last paragraph): the adjuster configures
 	// frequencies before the *first* batch instead of burning an
@@ -50,16 +37,27 @@ type EEWA struct {
 	// usual.
 	Offline *profile.Snapshot
 
+	// The variant New configures (the zero values are the paper's
+	// EEWA): its identifier, the tuple search replacing Algorithm 1,
+	// the divisible-load CC formula, the memory-bound extension and
+	// the memory-bound control.
+	variant           string
+	search            core.SearchFunc
+	divisibleCC       bool
+	memAware          bool
+	ignoreMemoryBound bool
+
 	adj         *core.Adjuster
 	memoryBound bool
 	lowest      int
 }
 
-// NewEEWA returns the EEWA policy with Algorithm 1 as the search.
+// NewEEWA returns the paper's EEWA policy, Algorithm 1 as the search.
 func NewEEWA() *EEWA { return &EEWA{} }
 
-// Name implements Policy.
-func (*EEWA) Name() string { return "EEWA" }
+// Name implements Policy: "EEWA", and for a variant "EEWA" followed by
+// its identifier's suffix ("EEWA-greedy").
+func (e *EEWA) Name() string { return "EEWA" + strings.TrimPrefix(e.variant, IDEEWA) }
 
 // BeginBatch implements Policy.
 func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
@@ -69,9 +67,9 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		if err != nil {
 			panic("policy: " + err.Error()) // env.Cfg was validated by the engine
 		}
-		adj.DivisibleCC = e.DivisibleCC
-		if e.SearchFn != nil {
-			adj.Search = e.SearchFn
+		adj.DivisibleCC = e.divisibleCC
+		if e.search != nil {
+			adj.Search = e.search
 		}
 		e.adj = adj
 	}
@@ -87,9 +85,9 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		// frequency; the batch duration defines T.
 		return e.classic()
 	}
-	if !e.IgnoreMemoryBound && (e.memoryBound || prof.MemoryBound()) {
+	if !e.ignoreMemoryBound && (e.memoryBound || prof.MemoryBound()) {
 		e.memoryBound = true
-		if !e.MemAware {
+		if !e.memAware {
 			// §IV-D: the CC model does not hold for memory-bound
 			// tasks; use traditional work stealing for the rest of
 			// the run.

@@ -27,14 +27,19 @@
 // CilkFixed, the Fig. 7 frozen-frequency control). Each policy has one
 // canonical lowercase identifier (IDs) accepted uniformly by every CLI
 // and the facade, and one display name (Policy.Name) used in result
-// tables.
+// tables. New also builds EEWA's variants by name — the tuple-search
+// and CC-formula ablations and the §IV-D memory-bound handling — so a
+// variant is a value of every -policy flag and of the sweep grid's
+// policy axis.
 package policy
 
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
+	"repro/internal/cctable"
 	"repro/internal/cgroup"
 	"repro/internal/machine"
 	"repro/internal/profile"
@@ -56,11 +61,35 @@ const (
 	IDEEWA = "eewa"
 )
 
-// IDs returns the canonical policy identifiers in presentation order.
+// EEWA variants: the paper's scheduler with one decision swapped.
+const (
+	// idEEWAExhaustive searches every monotone tuple for the
+	// lowest-power one (the search ablation's optimum).
+	idEEWAExhaustive = "eewa-exhaustive"
+	// idEEWAGreedy gives each class, heaviest first, the slowest level
+	// that fits (the search ablation's heuristic).
+	idEEWAGreedy = "eewa-greedy"
+	// idEEWADivisible builds the CC table from the paper's
+	// divisible-load formula instead of the granularity-aware one.
+	idEEWADivisible = "eewa-divisible"
+	// idEEWAMemAware is the paper's future work (§IV-D): a memory-bound
+	// application gets one calibration batch and is then scheduled from
+	// each class's fitted frequency response instead of falling back.
+	idEEWAMemAware = "eewa-memaware"
+	// idEEWAIgnore skips the §IV-D memory-bound detection and applies
+	// the CPU-bound CC model regardless — the negative control.
+	idEEWAIgnore = "eewa-ignore"
+)
+
+// IDs returns the canonical identifiers of the paper's four policies in
+// presentation order. New accepts these and the EEWA variants.
 func IDs() []string { return []string{IDCilk, IDCilkD, IDWATS, IDEEWA} }
 
-// New constructs a policy from its canonical identifier for machine
-// cfg. WATS freezes DefaultWATSLevels for cfg.
+// names lists every identifier New accepts, for its error.
+var names = append(IDs(), idEEWAExhaustive, idEEWAGreedy, idEEWADivisible, idEEWAMemAware, idEEWAIgnore)
+
+// New constructs a policy from its identifier for machine cfg: one of
+// IDs or an EEWA variant. WATS freezes DefaultWATSLevels for cfg.
 func New(name string, cfg machine.Config) (Policy, error) {
 	switch name {
 	case IDCilk:
@@ -71,9 +100,19 @@ func New(name string, cfg machine.Config) (Policy, error) {
 		return NewWATS(DefaultWATSLevels(cfg.Cores, len(cfg.Freqs)), len(cfg.Freqs))
 	case IDEEWA:
 		return NewEEWA(), nil
+	case idEEWAExhaustive:
+		pm := cfg.Power
+		return &EEWA{variant: name, search: func(t *cctable.Table, m int) ([]int, bool) { return t.ExhaustiveSearch(m, pm) }}, nil
+	case idEEWAGreedy:
+		return &EEWA{variant: name, search: (*cctable.Table).GreedySearch}, nil
+	case idEEWADivisible:
+		return &EEWA{variant: name, divisibleCC: true}, nil
+	case idEEWAMemAware:
+		return &EEWA{variant: name, memAware: true}, nil
+	case idEEWAIgnore:
+		return &EEWA{variant: name, ignoreMemoryBound: true}, nil
 	default:
-		return nil, fmt.Errorf("policy: unknown policy %q (want %s, %s, %s or %s)",
-			name, IDCilk, IDCilkD, IDWATS, IDEEWA)
+		return nil, fmt.Errorf("policy: unknown policy %q (want one of %s)", name, strings.Join(names, ", "))
 	}
 }
 

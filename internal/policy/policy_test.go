@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cctable"
@@ -13,28 +14,122 @@ import (
 	"repro/internal/xrand"
 )
 
+// TestNewConstructsEveryCanonicalPolicy walks New's name table: every
+// accepted name builds, its Name is its display label, the four IDs
+// build the same types as their constructors, each EEWA variant
+// configures exactly its one decision, and an unknown name's error
+// lists every accepted name.
 func TestNewConstructsEveryCanonicalPolicy(t *testing.T) {
 	cfg := machine.Opteron16()
-	wantNames := map[string]string{
-		IDCilk:  "Cilk",
-		IDCilkD: "Cilk-D",
-		IDWATS:  "WATS",
-		IDEEWA:  "EEWA",
+	cases := []struct {
+		id, name string
+		want     Policy // the policy New must build, variant fields set
+	}{
+		{IDCilk, "Cilk", NewCilk()},
+		{IDCilkD, "Cilk-D", NewCilkD(len(cfg.Freqs))},
+		{IDWATS, "WATS", &WATS{}},
+		{IDEEWA, "EEWA", NewEEWA()},
+		{"eewa-exhaustive", "EEWA-exhaustive", &EEWA{variant: "eewa-exhaustive"}},
+		{"eewa-greedy", "EEWA-greedy", &EEWA{variant: "eewa-greedy"}},
+		{"eewa-divisible", "EEWA-divisible", &EEWA{variant: "eewa-divisible", divisibleCC: true}},
+		{"eewa-memaware", "EEWA-memaware", &EEWA{variant: "eewa-memaware", memAware: true}},
+		{"eewa-ignore", "EEWA-ignore", &EEWA{variant: "eewa-ignore", ignoreMemoryBound: true}},
 	}
-	if len(IDs()) != len(wantNames) {
-		t.Fatalf("IDs() = %v, want %d entries", IDs(), len(wantNames))
+	if want := []string{IDCilk, IDCilkD, IDWATS, IDEEWA}; !reflect.DeepEqual(IDs(), want) {
+		t.Fatalf("IDs() = %v, want %v", IDs(), want)
 	}
-	for _, id := range IDs() {
-		p, err := New(id, cfg)
+	if len(names) != len(cases) {
+		t.Fatalf("New accepts %d names %v, the table has %d", len(names), names, len(cases))
+	}
+	for _, c := range cases {
+		p, err := New(c.id, cfg)
 		if err != nil {
-			t.Fatalf("New(%q): %v", id, err)
+			t.Fatalf("New(%q): %v", c.id, err)
 		}
-		if p.Name() != wantNames[id] {
-			t.Errorf("New(%q).Name() = %q, want %q", id, p.Name(), wantNames[id])
+		if p.Name() != c.name {
+			t.Errorf("New(%q).Name() = %q, want %q", c.id, p.Name(), c.name)
+		}
+		if reflect.TypeOf(p) != reflect.TypeOf(c.want) {
+			t.Errorf("New(%q) is a %T, want %T", c.id, p, c.want)
+			continue
+		}
+		e, ok := p.(*EEWA)
+		if !ok {
+			continue
+		}
+		w := c.want.(*EEWA)
+		if e.variant != w.variant || e.divisibleCC != w.divisibleCC || e.memAware != w.memAware || e.ignoreMemoryBound != w.ignoreMemoryBound {
+			t.Errorf("New(%q) = %+v, want %+v", c.id, e, w)
+		}
+		if wantSearch := c.id == "eewa-exhaustive" || c.id == "eewa-greedy"; (e.search != nil) != wantSearch {
+			t.Errorf("New(%q): search replaced = %v, want %v", c.id, e.search != nil, wantSearch)
 		}
 	}
-	if _, err := New("bogus", cfg); err == nil {
-		t.Error("New should reject unknown identifiers")
+	_, err := New("bogus", cfg)
+	if err == nil {
+		t.Fatal("New should reject unknown identifiers")
+	}
+	for _, c := range cases {
+		if !strings.Contains(err.Error(), c.id) {
+			t.Errorf("unknown-name error %q does not list %q", err, c.id)
+		}
+	}
+}
+
+// TestVariantsPlanWithTheirDecision pins what the search and CC-formula
+// variants change. From one offline profile each plan is what its CC
+// formula and tuple search give, and the profile separates all four:
+// Algorithm 1 slows the light class, the exhaustive optimum keeps both
+// classes fast, the divisible-load formula slows both, and the greedy
+// pass finds no tuple, so its first batch falls back to all-fast.
+func TestVariantsPlanWithTheirDecision(t *testing.T) {
+	cfg := machine.Opteron16()
+	const T = 0.0712
+	classes := []profile.Class{
+		{Name: "heavy", Count: 19, AvgWork: 0.0133, MaxWork: 0.01347},
+		{Name: "light", Count: 63, AvgWork: 0.00738, MaxWork: 0.00768},
+	}
+	granular := func() *cctable.Table {
+		tab := new(cctable.Table)
+		if err := tab.RebuildGranular(classes, cfg.Freqs, T, cfg.Cores); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	cases := []struct {
+		id     string
+		search func() ([]int, bool)
+		want   []int // nil: no tuple fits
+	}{
+		{IDEEWA, func() ([]int, bool) { return granular().SearchTuple(cfg.Cores) }, []int{0, 1}},
+		{"eewa-exhaustive", func() ([]int, bool) { return granular().ExhaustiveSearch(cfg.Cores, cfg.Power) }, []int{0, 0}},
+		{"eewa-greedy", func() ([]int, bool) { return granular().GreedySearch(cfg.Cores) }, nil},
+		{"eewa-divisible", func() ([]int, bool) {
+			tab := new(cctable.Table)
+			if err := tab.Rebuild(classes, cfg.Freqs, T); err != nil {
+				t.Fatal(err)
+			}
+			return tab.SearchTuple(cfg.Cores)
+		}, []int{1, 1}},
+	}
+	for _, c := range cases {
+		if tuple, ok := c.search(); ok != (c.want != nil) || ok && !reflect.DeepEqual(tuple, c.want) {
+			t.Fatalf("%s: the search gives %v (ok %v), the test expects %v", c.id, tuple, ok, c.want)
+		}
+		p, err := New(c.id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := p.(*EEWA)
+		e.Offline = &profile.Snapshot{Freqs: []float64(cfg.Freqs), T: T, Classes: classes}
+		plan := p.BeginBatch(0, profile.New(cfg.Freqs), &Env{Cfg: cfg})
+		if c.want == nil {
+			if e.adj.Infeasible != 1 || !plan.ScatterAll {
+				t.Errorf("%s: plan %+v after %d infeasible searches, want the all-fast fallback after one", c.id, plan, e.adj.Infeasible)
+			}
+		} else if !plan.Adjusted || !reflect.DeepEqual(plan.Assignment.Tuple, c.want) {
+			t.Errorf("%s: plan tuple %v, want %v", c.id, plan.Assignment.Tuple, c.want)
+		}
 	}
 }
 
@@ -278,8 +373,11 @@ func feedMemBound(p *profile.Profiler, name string, n int, a, b float64, levels 
 func memAware(t *testing.T) (*EEWA, *profile.Profiler, *Env) {
 	t.Helper()
 	cfg := machine.Opteron16()
-	e := NewEEWA()
-	e.MemAware = true
+	p, err := New("eewa-memaware", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := p.(*EEWA)
 	prof := profile.New(cfg.Freqs)
 	env := &Env{Cfg: cfg, AdjusterCharge: 2e-3}
 	if plan := e.BeginBatch(0, prof, env); plan.Adjusted {

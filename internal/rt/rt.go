@@ -111,57 +111,24 @@ type Task struct {
 	Cancelled func() bool
 }
 
-// Policy selects the scheduling discipline. The values mirror the
-// canonical policy set of internal/policy; String returns the
-// canonical identifier ("cilk", "cilk-d", "wats", "eewa").
-type Policy int
+// Policy names the scheduling discipline: an identifier policy.New
+// accepts (its four IDs or an EEWA variant). The empty Policy is
+// PolicyCilk.
+type Policy string
 
 const (
 	// PolicyCilk: classic random stealing, all workers at full speed.
-	PolicyCilk Policy = iota
+	PolicyCilk Policy = policy.IDCilk
 	// PolicyEEWA: the paper's scheduler — profile, adjust virtual
 	// frequencies per batch, preference stealing.
-	PolicyEEWA
+	PolicyEEWA Policy = policy.IDEEWA
 	// PolicyCilkD: Cilk with workers that run dry down-clocking to the
 	// lowest frequency until the barrier.
-	PolicyCilkD
+	PolicyCilkD Policy = policy.IDCilkD
 	// PolicyWATS: workload-aware stealing on a frozen asymmetric
 	// configuration (policy.DefaultWATSLevels).
-	PolicyWATS
+	PolicyWATS Policy = policy.IDWATS
 )
-
-// String returns the canonical policy identifier.
-func (p Policy) String() string {
-	switch p {
-	case PolicyCilk:
-		return policy.IDCilk
-	case PolicyCilkD:
-		return policy.IDCilkD
-	case PolicyWATS:
-		return policy.IDWATS
-	case PolicyEEWA:
-		return policy.IDEEWA
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy maps a canonical policy identifier (see policy.IDs) to
-// the Policy enum.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case policy.IDCilk:
-		return PolicyCilk, nil
-	case policy.IDCilkD:
-		return PolicyCilkD, nil
-	case policy.IDWATS:
-		return PolicyWATS, nil
-	case policy.IDEEWA:
-		return PolicyEEWA, nil
-	default:
-		return 0, fmt.Errorf("rt: unknown policy %q (want one of %v)", name, policy.IDs())
-	}
-}
 
 // Config configures a Runtime.
 type Config struct {
@@ -171,7 +138,7 @@ type Config struct {
 	// count is overridden by Workers.
 	Machine machine.Config
 	// Policy selects the scheduling discipline (ignored when Impl is
-	// set).
+	// set); empty is PolicyCilk, and an unknown name is New's error.
 	Policy Policy
 	// Impl, when non-nil, supplies the policy implementation directly
 	// — e.g. a policy.EEWA with an offline profile, or a recording
@@ -385,8 +352,12 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	pol := cfg.Impl
 	if pol == nil {
+		name := cfg.Policy
+		if name == "" {
+			name = PolicyCilk
+		}
 		var err error
-		pol, err = policy.New(cfg.Policy.String(), mc)
+		pol, err = policy.New(string(name), mc)
 		if err != nil {
 			return nil, fmt.Errorf("rt: %w", err)
 		}

@@ -1,12 +1,14 @@
 package rt
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/policy"
 )
 
 func testConfig(workers int, p Policy) Config {
@@ -61,7 +63,7 @@ func TestNewValidates(t *testing.T) {
 
 func TestAllTasksExecuteOnce(t *testing.T) {
 	for _, p := range Policies() {
-		t.Run(p.String(), func(t *testing.T) {
+		t.Run(string(p), func(t *testing.T) {
 			r, err := New(testConfig(4, p))
 			if err != nil {
 				t.Fatal(err)
@@ -189,6 +191,10 @@ func TestEnergyAccountingSane(t *testing.T) {
 	}
 }
 
+// TestPolicyString pins the live policy names: each constant is its
+// policy.New identifier, the empty Policy runs Cilk, every name New
+// accepts (the EEWA variants too) runs a batch, and an unknown name is
+// New's error.
 func TestPolicyString(t *testing.T) {
 	want := map[Policy]string{
 		PolicyCilk:  "cilk",
@@ -197,19 +203,39 @@ func TestPolicyString(t *testing.T) {
 		PolicyEEWA:  "eewa",
 	}
 	for p, name := range want {
-		if p.String() != name {
-			t.Errorf("%d stringifies as %q, want %q", int(p), p.String(), name)
-		}
-		back, err := ParsePolicy(name)
-		if err != nil || back != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, back, err, p)
+		if string(p) != name {
+			t.Errorf("policy constant %q, want %q", p, name)
 		}
 	}
-	if Policy(9).String() == "" {
-		t.Error("unknown policy should stringify")
+	empty, err := New(testConfig(2, ""))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Error("ParsePolicy should reject unknown names")
+	if got := empty.pol.Name(); got != "Cilk" {
+		t.Errorf("empty Policy runs %s, want Cilk", got)
+	}
+	names := []Policy{PolicyCilk, PolicyCilkD, PolicyWATS, PolicyEEWA,
+		"eewa-exhaustive", "eewa-greedy", "eewa-divisible", "eewa-memaware", "eewa-ignore"}
+	for _, p := range names {
+		r, err := New(testConfig(2, p))
+		if err != nil {
+			t.Errorf("New(%q): %v", p, err)
+			continue
+		}
+		var count atomic.Int64
+		for b := 0; b < 2; b++ { // the second batch is planned from a profile
+			if bs := r.RunBatch(makeBatch(&count, 1, 5, 0, 0)); bs.Tasks != 6 {
+				t.Errorf("%s batch %d: ran %d tasks, want 6", p, b, bs.Tasks)
+			}
+		}
+		if count.Load() != 12 {
+			t.Errorf("%s: %d payloads executed, want 12", p, count.Load())
+		}
+	}
+	_, err = New(testConfig(2, "nope"))
+	_, perr := policy.New("nope", machine.Opteron16())
+	if err == nil || perr == nil || !strings.Contains(err.Error(), perr.Error()) {
+		t.Errorf("New with an unknown policy: %v, want policy.New's error %v", err, perr)
 	}
 }
 
@@ -277,7 +303,7 @@ func TestEnergyIdentityPerWorker(t *testing.T) {
 	// Busy + Search + Dry + Halt − Residual = Wall — and a healthy
 	// runtime must record zero violations across all policies.
 	for _, p := range Policies() {
-		t.Run(p.String(), func(t *testing.T) {
+		t.Run(string(p), func(t *testing.T) {
 			cfg := testConfig(4, p)
 			cfg.Invariants = true
 			r, err := New(cfg)

@@ -109,28 +109,29 @@ var memBoundGolden = map[string]table2Sums{
 
 func TestMemBoundGolden(t *testing.T) {
 	cfg := machine.Opteron16()
-	policies := []struct {
-		name string
-		mk   func() policy.Policy
-	}{
-		{"cilk", func() policy.Policy { return policy.NewCilk() }},
-		{"eewa-fallback", func() policy.Policy { return policy.NewEEWA() }},
-		{"eewa-memaware", func() policy.Policy { e := policy.NewEEWA(); e.MemAware = true; return e }},
-		{"eewa-ignore", func() policy.Policy { e := policy.NewEEWA(); e.IgnoreMemoryBound = true; return e }},
+	// golden row → policy.New name
+	policies := []struct{ name, id string }{
+		{"cilk", "cilk"},
+		{"eewa-fallback", "eewa"},
+		{"eewa-memaware", "eewa-memaware"},
+		{"eewa-ignore", "eewa-ignore"},
 	}
 	for _, pol := range policies {
-		name, mk := pol.name, pol.mk
 		var got table2Sums
 		for seed := uint64(1); seed <= 3; seed++ {
-			res, err := Run(cfg, workloads.MemoryBound().Workload(seed), mk(), Params{Seed: 1})
+			p, err := policy.New(pol.id, cfg)
 			if err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
+				t.Fatal(err)
+			}
+			res, err := Run(cfg, workloads.MemoryBound().Workload(seed), p, Params{Seed: 1})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", pol.name, seed, err)
 			}
 			got = table2Sums{got.makespan + res.Makespan, got.energy + res.Energy}
 		}
-		want := memBoundGolden[name]
+		want := memBoundGolden[pol.name]
 		if !sameFloat(got.makespan, want.makespan) || !sameFloat(got.energy, want.energy) {
-			t.Errorf("%s: Σ makespan %v s, Σ energy %v J; golden %v s, %v J", name, got.makespan, got.energy, want.makespan, want.energy)
+			t.Errorf("%s: Σ makespan %v s, Σ energy %v J; golden %v s, %v J", pol.name, got.makespan, got.energy, want.makespan, want.energy)
 		}
 	}
 }

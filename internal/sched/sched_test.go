@@ -35,6 +35,16 @@ func mustRun(t *testing.T, cfg machine.Config, w *task.Workload, p policy.Policy
 	return res
 }
 
+// mustNew builds the named policy (policy.New) for cfg.
+func mustNew(t *testing.T, name string, cfg machine.Config) policy.Policy {
+	t.Helper()
+	p, err := policy.New(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestRunValidatesInputs(t *testing.T) {
 	if _, err := Run(machine.Config{}, tiny(1), policy.NewCilk(), Params{}); err == nil {
 		t.Error("invalid machine should error")
@@ -425,9 +435,7 @@ func TestEEWAMemAwareExtension(t *testing.T) {
 	w := b.Workload(1)
 
 	fallback := mustRun(t, cfg, w, policy.NewEEWA())
-	aware := policy.NewEEWA()
-	aware.MemAware = true
-	res := mustRun(t, cfg, w, aware)
+	res := mustRun(t, cfg, w, mustNew(t, "eewa-memaware", cfg))
 
 	if !res.MemoryBound {
 		t.Fatal("workload should classify memory-bound")
@@ -458,9 +466,7 @@ func TestEEWAMemAwareExtension(t *testing.T) {
 func TestEEWAIgnoreMemoryBoundControl(t *testing.T) {
 	cfg := machine.Opteron16()
 	w := workloads.MemoryBound().Workload(1)
-	naive := policy.NewEEWA()
-	naive.IgnoreMemoryBound = true
-	res := mustRun(t, cfg, w, naive)
+	res := mustRun(t, cfg, w, mustNew(t, "eewa-ignore", cfg))
 	// The control applies the CPU-bound model regardless; with the
 	// linear task model it is conservative (overestimates slow-level
 	// times), so it must still not blow the makespan.
@@ -480,7 +486,7 @@ func TestEEWAIgnoreMemoryBoundControl(t *testing.T) {
 		}
 	}
 	if !downscaled {
-		t.Error("IgnoreMemoryBound control should still downscale cores")
+		t.Error("eewa-ignore control should still downscale cores")
 	}
 }
 

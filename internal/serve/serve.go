@@ -77,11 +77,12 @@ type Config struct {
 	// machine.Opteron16(). With Shards > 1 every shard uses this machine
 	// unless ShardMachines overrides it.
 	Machine machine.Config
-	// Policy is the canonical scheduling-policy identifier
-	// (policy.IDs: cilk, cilk-d, wats, eewa). Empty defaults to eewa.
+	// Policy is a scheduling-policy name policy.New accepts (cilk,
+	// cilk-d, wats, eewa or an EEWA variant); an unknown one is New's
+	// error. Empty defaults to eewa.
 	Policy string
 	// Offline, when non-nil, is an offline workload profile (paper
-	// §IV-D) handed to the EEWA policy so the first batch already runs
+	// §IV-D) handed to an EEWA policy so the first batch already runs
 	// downscaled. It is validated against the machine's ladder at New
 	// time; an invalid snapshot is a construction error, never a silent
 	// no-op. With Shards > 1 it applies to every shard unless

@@ -163,8 +163,9 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if cfg.offline != nil {
-		if cfg.policy != policy.IDEEWA {
-			return nil, fmt.Errorf("serve: offline profile only applies to the %s policy, not %s", policy.IDEEWA, cfg.policy)
+		e, ok := pol.(*policy.EEWA)
+		if !ok {
+			return nil, fmt.Errorf("serve: offline profile only applies to EEWA policies, not %s", cfg.policy)
 		}
 		// Reject a corrupt snapshot loudly at startup: the EEWA policy
 		// would otherwise quietly ignore it (or worse, pre-fix, build a
@@ -172,7 +173,7 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 		if err := cfg.offline.Validate(mc.Freqs); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		pol.(*policy.EEWA).Offline = cfg.offline
+		e.Offline = cfg.offline
 	}
 	sh := &shard{
 		cfg:         cfg,

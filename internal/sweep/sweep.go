@@ -17,8 +17,10 @@
 // cores, seed) therefore faces the same task stream and the same
 // victim stream, a paired comparison; every cell is a deterministic
 // function of its identity fields, and sweeps are byte-identical for
-// every worker count. The paper's Fig. 6 and Fig. 9 are queries on this
-// grid (internal/experiments).
+// every worker count. The paper's Fig. 6 and Fig. 9, the §IV-D
+// memory-bound comparison and the search and CC-formula ablations are
+// queries on this grid (internal/experiments): an EEWA variant is a
+// policy name.
 package sweep
 
 import (
@@ -32,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sched"
@@ -48,11 +51,13 @@ var DefaultSeeds = []uint64{1, 2, 3}
 
 // Grid declares the sweep space. Zero-valued fields get defaults.
 type Grid struct {
-	// Benchmarks are Table II names; empty = all seven.
+	// Benchmarks are workloads.ByName names (Table II or "membound");
+	// empty = the seven of Table II.
 	Benchmarks []string
-	// Policies are the per-shard scheduling policies "cilk", "cilk-d",
-	// "wats", "eewa"; empty defaults to the Fig. 6 trio (cilk, cilk-d,
-	// eewa).
+	// Policies are per-shard scheduling policies, any name policy.New
+	// accepts: "cilk", "cilk-d", "wats", "eewa" or an EEWA variant
+	// ("eewa-greedy" …), so the ablations are grid queries; empty
+	// defaults to the Fig. 6 trio (cilk, cilk-d, eewa).
 	Policies []string
 	// Cores are per-shard machine sizes; empty = {16}.
 	Cores []int
@@ -94,10 +99,21 @@ func (g Grid) withDefaults() Grid {
 }
 
 // Validate rejects axes the sweep cannot run: non-positive shard counts
-// or core counts, and unknown routing or ladder-split names. The CLI
-// calls this before spawning workers so a typo is a usage error, not a
-// mid-sweep failure.
+// or core counts, and unknown benchmark, policy, routing or ladder-split
+// names. RunCells calls it before any cell runs, and so does the CLI
+// before spawning workers, so a typo is a usage error, not a mid-sweep
+// failure.
 func (g Grid) Validate() error {
+	for _, b := range g.Benchmarks {
+		if _, err := workloads.ByName(b); err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
+	}
+	for _, p := range g.Policies {
+		if _, err := policy.New(p, machine.Opteron16()); err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
+	}
 	for _, n := range g.Shards {
 		if n <= 0 {
 			return fmt.Errorf("sweep: shard count must be positive, got %d", n)

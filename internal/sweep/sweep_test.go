@@ -2,11 +2,13 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/workloads"
@@ -81,6 +83,34 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := RunCells(Grid{Benchmarks: []string{"md5"}, Policies: []string{"magic"}, Seeds: []uint64{1}}, 1); err == nil {
 		t.Error("unknown policy should error")
+	}
+}
+
+// TestValidateRejectsNamesBeforeAnyCell pins that an unknown policy or
+// benchmark name is Validate's error, returned by RunCells before any
+// cell runs: the grid's valid cells come first, and the registry they
+// would have fed records no simulation.
+func TestValidateRejectsNamesBeforeAnyCell(t *testing.T) {
+	for _, g := range []Grid{
+		{Benchmarks: []string{"md5"}, Policies: []string{"cilk", "eewa-greedy", "bogus"}},
+		{Benchmarks: []string{"md5", "membound", "bogus"}, Policies: []string{"cilk"}},
+	} {
+		g.Seeds = []uint64{1}
+		want := g.Validate()
+		if want == nil {
+			t.Fatalf("Validate accepted %v / %v", g.Benchmarks, g.Policies)
+		}
+		g.Obs = obs.NewRegistry()
+		cells, err := RunCells(g, 1)
+		if err == nil || err.Error() != want.Error() || cells != nil {
+			t.Errorf("RunCells = %d cells, %v; want Validate's error %v", len(cells), err, want)
+		}
+		if runs := g.Obs.At("eewa_sim_runs_total"); runs != nil {
+			t.Errorf("a cell ran before the name was rejected: eewa_sim_runs_total = %v", runs.(*obs.Counter).Value())
+		}
+	}
+	if err := (Grid{Benchmarks: []string{"membound"}, Policies: []string{"eewa-memaware", "eewa-ignore"}}).Validate(); err != nil {
+		t.Errorf("membound and the EEWA variants are grid values: %v", err)
 	}
 }
 
@@ -227,23 +257,30 @@ func TestCellSeedGridShapeIndependent(t *testing.T) {
 	t.Fatal("shared cell not found in the bigger grid")
 }
 
+// TestRunCellsErrorDeterministic pins the pool's error rule: with
+// several failing items, the first failing one in input order wins for
+// every worker count, and a failed run returns no results. (Validate
+// rejects a grid's unknown names before the pool, so the pool is driven
+// directly.)
 func TestRunCellsErrorDeterministic(t *testing.T) {
-	g := Grid{
-		Benchmarks: []string{"md5", "nope"},
-		Policies:   []string{"cilk"},
-		Cores:      []int{4},
-		Seeds:      []uint64{1},
+	items := make([]int, 40)
+	for i := range items {
+		items[i] = i
 	}
-	e1, err1 := RunCells(g, 1)
-	e8, err8 := RunCells(g, 8)
-	if err1 == nil || err8 == nil {
-		t.Fatalf("unknown benchmark must error (got %v, %v)", err1, err8)
+	fail := func(i int) (int, error) {
+		if i%7 == 5 {
+			return 0, fmt.Errorf("item %d failed", i)
+		}
+		return i, nil
 	}
-	if err1.Error() != err8.Error() {
-		t.Errorf("error depends on worker count: %q vs %q", err1, err8)
-	}
-	if e1 != nil || e8 != nil {
-		t.Error("failed sweeps must not return cells")
+	for _, workers := range []int{1, 3, 8} {
+		out, err := runPool(items, workers, fail)
+		if err == nil || err.Error() != "item 5 failed" {
+			t.Errorf("%d workers: error %v, want the first failing item's", workers, err)
+		}
+		if out != nil {
+			t.Errorf("%d workers: a failed run returned %d results", workers, len(out))
+		}
 	}
 }
 

@@ -121,9 +121,10 @@ func All() []Benchmark {
 	}
 }
 
-// ByName returns the benchmark with the given name.
+// ByName returns the benchmark with the given name: one of All, or
+// "membound" (MemoryBound).
 func ByName(name string) (Benchmark, error) {
-	for _, b := range All() {
+	for _, b := range append(All(), MemoryBound()) {
 		if b.Name == name {
 			return b, nil
 		}

@@ -6,14 +6,13 @@ import (
 
 	eewa "repro"
 	"repro/internal/policy"
-	"repro/internal/rt"
 )
 
-// TestCanonicalPolicyNamesAcceptedEverywhere pins the refactor's
-// contract: one canonical name set (owned by internal/policy) is
-// accepted by the facade's NewPolicy (simulator path) and by
-// rt.ParsePolicy (live path), and the facade constants are exactly
-// that set.
+// TestCanonicalPolicyNamesAcceptedEverywhere pins the contract: one
+// canonical name set (owned by internal/policy) is accepted by the
+// facade's NewPolicy (simulator path) and, as a LivePolicy, by
+// NewRuntime (live path), and the facade constants are exactly that
+// set.
 func TestCanonicalPolicyNamesAcceptedEverywhere(t *testing.T) {
 	cfg := eewa.Opteron16()
 	names := eewa.PolicyNames()
@@ -24,13 +23,8 @@ func TestCanonicalPolicyNamesAcceptedEverywhere(t *testing.T) {
 		if _, err := eewa.NewPolicy(name, cfg); err != nil {
 			t.Errorf("NewPolicy(%q): %v", name, err)
 		}
-		lp, err := eewa.ParseLivePolicy(name)
-		if err != nil {
-			t.Errorf("ParseLivePolicy(%q): %v", name, err)
-			continue
-		}
-		if lp.String() != name {
-			t.Errorf("live policy %q round-trips as %q", name, lp.String())
+		if _, err := eewa.NewRuntime(eewa.LiveConfig{Workers: 1, Machine: cfg, Policy: eewa.LivePolicy(name)}); err != nil {
+			t.Errorf("NewRuntime(%q): %v", name, err)
 		}
 	}
 
@@ -46,23 +40,23 @@ func TestCanonicalPolicyNamesAcceptedEverywhere(t *testing.T) {
 		}
 	}
 
-	wantLive := map[rt.Policy]string{
+	wantLive := map[eewa.LivePolicy]string{
 		eewa.LivePolicyCilk:  policy.IDCilk,
 		eewa.LivePolicyCilkD: policy.IDCilkD,
 		eewa.LivePolicyWATS:  policy.IDWATS,
 		eewa.LivePolicyEEWA:  policy.IDEEWA,
 	}
 	for sel, want := range wantLive {
-		if sel.String() != want {
-			t.Errorf("live selector %d stringifies as %q, want %q", int(sel), sel.String(), want)
+		if string(sel) != want {
+			t.Errorf("live policy %q, want %q", sel, want)
 		}
 	}
 
 	if _, err := eewa.NewPolicy("bogus", cfg); err == nil {
 		t.Error("NewPolicy should reject unknown names")
 	}
-	if _, err := eewa.ParseLivePolicy("bogus"); err == nil {
-		t.Error("ParseLivePolicy should reject unknown names")
+	if _, err := eewa.NewRuntime(eewa.LiveConfig{Workers: 1, Machine: cfg, Policy: "bogus"}); err == nil {
+		t.Error("NewRuntime should reject unknown policy names")
 	}
 }
 
@@ -73,12 +67,8 @@ func TestLiveRuntimeRunsEveryPolicy(t *testing.T) {
 	for _, name := range eewa.PolicyNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			pol, err := eewa.ParseLivePolicy(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			r, err := eewa.NewRuntime(eewa.LiveConfig{
-				Workers: 2, Machine: eewa.Opteron16(), Policy: pol, Seed: 1,
+				Workers: 2, Machine: eewa.Opteron16(), Policy: eewa.LivePolicy(name), Seed: 1,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -33,10 +33,9 @@ import (
 // An entry that a program does reach or write, or that names nothing,
 // fails the guard, so the list cannot go stale.
 var reachExempt = map[string]string{
-	"repro/internal/deque.Deque":                   "the interface the deque tests and check's stress harness drive both implementations through",
-	"repro/internal/deque.Locked":                  "the mutex-guarded oracle that deque's and check's tests compare the Chase–Lev deque against",
-	"repro/internal/deque.NewLocked":               "constructs the oracle (deque.Locked)",
-	"repro/internal/policy.EEWA.IgnoreMemoryBound": "the §IV-D negative control: only tests set it (TestMemBoundGolden's eewa-ignore row, TestEEWAIgnoreMemoryBoundControl), to show what planning a memory-bound workload with the CC model costs",
+	"repro/internal/deque.Deque":     "the interface the deque tests and check's stress harness drive both implementations through",
+	"repro/internal/deque.Locked":    "the mutex-guarded oracle that deque's and check's tests compare the Chase–Lev deque against",
+	"repro/internal/deque.NewLocked": "constructs the oracle (deque.Locked)",
 }
 
 func TestInternalDeclarationsAreReached(t *testing.T) {

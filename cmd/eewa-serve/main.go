@@ -100,16 +100,11 @@ func main() {
 		QueueDepth:  *queueDepth,
 		MaxInFlight: *maxInflight,
 	}
-	switch *ladderSplit {
-	case "uniform":
-	case "tiered":
-		cfg.ShardMachines = make([]machine.Config, *shards)
-		for i := range cfg.ShardMachines {
-			cfg.ShardMachines[i] = machine.Tiered(cfg.Machine, i)
-		}
-	default:
-		log.Fatalf("unknown ladder split %q (want uniform or tiered)", *ladderSplit)
+	mcs, err := machine.SplitLadders(*ladderSplit, cfg.Machine, *shards)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg.ShardMachines = mcs
 	if *profileIn != "" {
 		paths := strings.Split(*profileIn, ",")
 		if len(paths) == 1 {

@@ -41,14 +41,13 @@ type Assignment struct {
 	// CoreGroup maps a core ID to its c-group index.
 	CoreGroup []int
 	// Tuple is the k-tuple that produced this assignment (empty for
-	// AllFast), kept for tracing.
+	// FromLevels), kept for tracing.
 	Tuple []int
 	// classSlots maps a class to the cores inside its c-group reserved
 	// for its initial task placement — CC[a_i][i] cores each, in class
 	// (tuple) order. When two classes share a c-group this keeps their
 	// chunky tasks from colliding on the same pools; work stealing
-	// still rebalances afterwards. Nil for AllFast/FromLevels
-	// assignments.
+	// still rebalances afterwards. Nil for FromLevels assignments.
 	classSlots map[string][]int
 	// cores is 0..m-1 ascending. Rebuild hands cores out in that order,
 	// so every group's Cores and every class's slots are sub-slices of it.
@@ -197,56 +196,36 @@ func (a *Assignment) Rebuild(tuple []int, tab *cctable.Table, m int) error {
 	return nil
 }
 
-// AllFast returns the degenerate assignment used for the first batch
-// and for infeasible instances: a single c-group containing every core
-// at F0, with every known class allocated to it.
-func AllFast(m int, classNames []string) *Assignment {
-	g := Group{Level: 0, Cores: make([]int, m)}
-	asn := &Assignment{
-		Groups:     []Group{g},
-		ClassGroup: make(map[string]int, len(classNames)),
-		CoreGroup:  make([]int, m),
-	}
-	for c := 0; c < m; c++ {
-		g.Cores[c] = c
-	}
-	asn.Groups[0] = g
-	for _, n := range classNames {
-		asn.ClassGroup[n] = 0
-	}
-	return asn
-}
-
 // FromLevels builds an assignment from an explicit per-core frequency
 // level vector — the shape of the paper's Fig. 7 experiment, where the
 // machine's frequencies are *frozen* to a configuration EEWA chose and
-// other schedulers run on the resulting asymmetric machine. No classes
-// are pre-allocated; callers fill ClassGroup (WATS) or leave it empty
-// so every class maps to the fastest group.
+// other schedulers run on the resulting asymmetric machine; all zeros
+// is the all-F0 machine of classic work stealing. No classes are
+// pre-allocated; callers fill ClassGroup (WATS) or leave it empty so
+// every class maps to the fastest group.
 func FromLevels(levels []int, r int) (*Assignment, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("cgroup: no cores")
 	}
-	present := make([]bool, r)
+	count := make([]int, r) // cores per level, then each used level's group
 	for c, l := range levels {
 		if l < 0 || l >= r {
 			return nil, fmt.Errorf("cgroup: core %d level %d out of range [0,%d)", c, l, r)
 		}
-		present[l] = true
+		count[l]++
 	}
 	asn := &Assignment{
 		ClassGroup: make(map[string]int),
 		CoreGroup:  make([]int, len(levels)),
 	}
-	levelGroup := make(map[int]int)
-	for l := 0; l < r; l++ {
-		if present[l] {
-			levelGroup[l] = len(asn.Groups)
-			asn.Groups = append(asn.Groups, Group{Level: l})
+	for l, n := range count {
+		if n > 0 {
+			asn.Groups = append(asn.Groups, Group{Level: l, Cores: make([]int, 0, n)})
+			count[l] = len(asn.Groups) - 1
 		}
 	}
 	for c, l := range levels {
-		gi := levelGroup[l]
+		gi := count[l]
 		asn.Groups[gi].Cores = append(asn.Groups[gi].Cores, c)
 		asn.CoreGroup[c] = gi
 	}

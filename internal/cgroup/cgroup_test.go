@@ -128,16 +128,21 @@ func TestFromTupleRejectsBadTuples(t *testing.T) {
 	}
 }
 
+// TestAllFast: FromLevels of zeros is the all-F0 machine classic work
+// stealing runs on, one group holding every core.
 func TestAllFast(t *testing.T) {
-	asn := AllFast(8, []string{"x", "y"})
+	asn, err := FromLevels(make([]int, 8), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := asn.Validate(8, 4); err != nil {
-		t.Fatalf("AllFast invalid: %v", err)
+		t.Fatalf("all-F0 assignment invalid: %v", err)
 	}
 	if asn.U() != 1 || asn.Groups[0].Level != 0 {
-		t.Errorf("AllFast should be one group at level 0, got %+v", asn.Groups)
+		t.Errorf("all-F0 should be one group at level 0, got %+v", asn.Groups)
 	}
 	if asn.GroupOfClass("x") != 0 || asn.GroupOfClass("zz") != 0 {
-		t.Error("every class maps to group 0 under AllFast")
+		t.Error("every class maps to group 0 on the all-F0 machine")
 	}
 	for c := 0; c < 8; c++ {
 		if asn.FreqOf(c) != 0 {
@@ -316,10 +321,14 @@ func TestPlacementCoresPartitionsSharedGroup(t *testing.T) {
 }
 
 func TestPlacementCoresFallsBackToGroup(t *testing.T) {
-	asn := AllFast(8, []string{"x"})
+	asn, err := FromLevels(make([]int, 8), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asn.ClassGroup["x"] = 0
 	cores := asn.PlacementCores("x")
 	if len(cores) != 8 {
-		t.Errorf("AllFast placement should be the whole group, got %v", cores)
+		t.Errorf("all-F0 placement should be the whole group, got %v", cores)
 	}
 	// Unknown class: fastest group.
 	if got := asn.PlacementCores("ghost"); len(got) != 8 {

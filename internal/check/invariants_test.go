@@ -55,7 +55,10 @@ func TestPlanFeasible(t *testing.T) {
 	if vs := PlanFeasible(nil, 4, 3); len(vs) != 1 {
 		t.Errorf("nil assignment: %v", vs)
 	}
-	asn := cgroup.AllFast(4, nil)
+	asn, err := cgroup.FromLevels(make([]int, 4), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if vs := PlanFeasible(asn, 4, 3); len(vs) != 0 {
 		t.Errorf("all-fast flagged: %v", vs)
 	}

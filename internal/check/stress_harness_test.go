@@ -37,6 +37,22 @@ type StressConfig struct {
 	Locked bool
 }
 
+// chase drives a Chase through the value-form Deque the stress rounds
+// use: each pushed value is boxed, each taken pointer unboxed.
+type chase struct{ d *deque.Chase[int] }
+
+func (c chase) PushBottom(v int)       { c.d.PushBottomRef(&v) }
+func (c chase) PopBottom() (int, bool) { return unbox(c.d.PopBottomRef()) }
+func (c chase) Steal() (int, bool)     { return unbox(c.d.StealRef()) }
+func (c chase) Len() int               { return c.d.Len() }
+
+func unbox(p *int) (int, bool) {
+	if p == nil {
+		return 0, false
+	}
+	return *p, true
+}
+
 // StressReport is the outcome of a stress run.
 type StressReport struct {
 	// Rounds is the number of push/drain rounds completed.
@@ -83,7 +99,7 @@ func Stress(cfg StressConfig) StressReport {
 		if cfg.Locked {
 			d = deque.NewLocked[int]()
 		} else {
-			d = deque.NewChase[int]()
+			d = chase{deque.NewChase[int]()}
 		}
 		vs := stressRound(d, n, cfg, cfg.Seed+uint64(round)*0x9E3779B97F4A7C15, &rep)
 		rep.Rounds++

@@ -20,8 +20,9 @@
 // decides without allocating. The contract that buys this: what Adjust
 // returns, and LastTable and LastTuple, are valid until the adjuster's
 // next Adjust. A caller that keeps a decision
-// across the next one copies what it needs. The all-fast fallback is a
-// separate, immutable assignment and is never rebuilt.
+// across the next one copies what it needs. On a fallback Adjust
+// returns no assignment: the caller plans its own (EEWA's all-F0
+// classic stealing).
 package core
 
 import (
@@ -64,10 +65,6 @@ type Adjuster struct {
 	// the plan cache served the result without searching), surfaced as
 	// the adjuster's backtracking-depth metric.
 	LastSteps int
-	// TotalSteps accumulates LastSteps across every adjustment — the
-	// cumulative backtracking effort, which stays truthful when
-	// individual memoized decisions report 0.
-	TotalSteps uint64
 	// Cache memoizes tuple-search results keyed by the CC table's
 	// fingerprint (class set + weights + T + core budget), so batches
 	// whose profile did not change skip the backtracking search
@@ -82,9 +79,8 @@ type Adjuster struct {
 	// the quantity Table III reports.
 	HostTime time.Duration
 
-	tab     cctable.Table      // Adjust's table, rebuilt in place
-	asn     cgroup.Assignment  // the decision, rebuilt in place
-	allFast *cgroup.Assignment // the fallback, built once
+	tab cctable.Table     // Adjust's table, rebuilt in place
+	asn cgroup.Assignment // the decision, rebuilt in place
 }
 
 // NewAdjuster builds an adjuster for an m-core machine with the given
@@ -97,10 +93,9 @@ func NewAdjuster(ladder machine.FreqLadder, cores int) (*Adjuster, error) {
 		return nil, fmt.Errorf("core: need at least one core, got %d", cores)
 	}
 	a := &Adjuster{
-		ladder:  ladder,
-		cores:   cores,
-		Cache:   cctable.NewCache(0),
-		allFast: cgroup.AllFast(cores, nil),
+		ladder: ladder,
+		cores:  cores,
+		Cache:  cctable.NewCache(0),
 	}
 	// The default search consults the plan cache; a profile fingerprint
 	// already searched reuses its tuple and reports LastSearchSteps = 0.
@@ -115,22 +110,16 @@ func NewAdjuster(ladder machine.FreqLadder, cores int) (*Adjuster, error) {
 	return a, nil
 }
 
-// AllFast returns the degenerate everyone-at-F0 assignment the
-// adjuster falls back to (first batch, memory-bound applications,
-// infeasible instances). It is one shared assignment: read it, do not
-// write it.
-func (a *Adjuster) AllFast() *cgroup.Assignment { return a.allFast }
-
 // Adjust decides the frequency configuration for the next iteration
 // from the previous iteration's task classes (descending average
 // workload, as profile.Classes returns them) and the ideal iteration
-// time T (seconds). The boolean is false when the adjuster fell back
-// to all-fast — because the classes were empty, T was unusable, or no
-// tuple fit the core budget.
+// time T (seconds). It returns nil and false when the adjuster falls
+// back — because the classes were empty, T was unusable, or no tuple
+// fit the core budget — and the caller keeps every core fast.
 func (a *Adjuster) Adjust(classes []profile.Class, T float64) (*cgroup.Assignment, bool) {
 	a.LastCacheHit = false
 	if len(classes) == 0 || T <= 0 {
-		return a.AllFast(), false
+		return nil, false
 	}
 	start := time.Now()
 	defer func() { a.HostTime += time.Since(start) }()
@@ -142,16 +131,15 @@ func (a *Adjuster) Adjust(classes []profile.Class, T float64) (*cgroup.Assignmen
 		err = a.tab.RebuildGranular(classes, a.ladder, T, a.cores)
 	}
 	if err != nil {
-		return a.AllFast(), false
+		return nil, false
 	}
 	tuple, ok := a.Search(&a.tab, a.cores)
 	a.LastTable = &a.tab
 	a.LastTuple = tuple
 	a.LastSteps = a.tab.LastSearchSteps
-	a.TotalSteps += uint64(a.LastSteps)
 	if !ok || a.asn.Rebuild(tuple, &a.tab, a.cores) != nil {
 		a.Infeasible++
-		return a.AllFast(), false
+		return nil, false
 	}
 	return &a.asn, true
 }

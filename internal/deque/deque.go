@@ -1,19 +1,23 @@
 // Package deque provides the work-stealing double-ended queues used by
 // the live EEWA runtime (the paper's task pools, Fig. 4).
 //
-// Two implementations share the Deque interface:
+// Three implementations:
 //
 //   - Chase — a lock-free Chase–Lev deque (Chase & Lev, SPAA 2005, with
 //     the memory-model fixes of Lê et al., PPoPP 2013). The owner pushes
 //     and pops at the bottom without synchronization in the common case;
 //     thieves steal from the top with a single CAS. Slots are
 //     atomic.Pointer values so the implementation is exact under the Go
-//     race detector.
+//     race detector. It holds pointers (the live runtime's slot slab),
+//     so it has only pointer forms; its tests drive it through Deque
+//     with value wrappers.
 //   - Locked — a plain mutex-protected deque, the reference
 //     implementation the property tests compare against and a useful
 //     baseline for the contention benchmarks.
+//   - Ring — the unsynchronized deque of the single-threaded simulator
+//     (ring.go).
 //
-// Both are LIFO for the owner (good locality: recently spawned tasks
+// All are LIFO for the owner (good locality: recently spawned tasks
 // have hot caches) and FIFO for thieves (steal the oldest task, which
 // in divide-and-conquer programs is the largest), matching MIT Cilk.
 package deque
@@ -89,9 +93,6 @@ func NewChase[T any]() *Chase[T] {
 // &slab[i] and pay no allocation per element. p must be non-nil (nil is
 // the empty answer of PopBottomRef and StealRef) and must stay valid
 // until it has been popped or stolen. Only the owner may call it.
-//
-// The pointer forms are the one implementation; PushBottom, PopBottom
-// and Steal are thin wrappers that box and unbox a value.
 func (d *Chase[T]) PushBottomRef(p *T) {
 	b := d.bottom.Load()
 	t := d.top.Load()
@@ -171,25 +172,6 @@ func (d *Chase[T]) StealRef() *T {
 	return vp
 }
 
-// PushBottom adds a copy of v at the owner end (one heap allocation for
-// the copy; see PushBottomRef). Only the owner may call it.
-func (d *Chase[T]) PushBottom(v T) { d.PushBottomRef(&v) }
-
-// PopBottom removes the newest value. Only the owner may call it.
-func (d *Chase[T]) PopBottom() (T, bool) { return deref(d.PopBottomRef()) }
-
-// Steal removes the oldest value; ok is false when the deque is empty
-// or the steal lost a race. Any goroutine may call it.
-func (d *Chase[T]) Steal() (T, bool) { return deref(d.StealRef()) }
-
-func deref[T any](p *T) (T, bool) {
-	if p == nil {
-		var zero T
-		return zero, false
-	}
-	return *p, true
-}
-
 // Len returns a snapshot size (may be momentarily stale under
 // concurrency, exact when quiescent).
 func (d *Chase[T]) Len() int {
@@ -199,8 +181,6 @@ func (d *Chase[T]) Len() int {
 	}
 	return int(n)
 }
-
-var _ Deque[int] = (*Chase[int])(nil)
 
 // --- Locked reference -------------------------------------------------
 

@@ -9,6 +9,30 @@ import (
 	"repro/internal/xrand"
 )
 
+// Chase's value forms: the tests drive it through Deque, the runtime
+// through the pointer forms these wrap.
+
+// PushBottom adds a copy of v at the owner end (one heap allocation for
+// the copy; see PushBottomRef). Only the owner may call it.
+func (d *Chase[T]) PushBottom(v T) { d.PushBottomRef(&v) }
+
+// PopBottom removes the newest value. Only the owner may call it.
+func (d *Chase[T]) PopBottom() (T, bool) { return deref(d.PopBottomRef()) }
+
+// Steal removes the oldest value; ok is false when the deque is empty
+// or the steal lost a race. Any goroutine may call it.
+func (d *Chase[T]) Steal() (T, bool) { return deref(d.StealRef()) }
+
+func deref[T any](p *T) (T, bool) {
+	if p == nil {
+		var zero T
+		return zero, false
+	}
+	return *p, true
+}
+
+var _ Deque[int] = (*Chase[int])(nil)
+
 // both runs a subtest against each implementation.
 func both(t *testing.T, fn func(t *testing.T, mk func() Deque[int])) {
 	t.Helper()

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sweep"
 )
 
@@ -259,6 +261,52 @@ func TestAblationAndMemBoundGolden(t *testing.T) {
 				t.Errorf("%s %s/%s (record %d): makespan %#x energy %#x, want %#x %#x", d.name, w.bench, w.policy, i,
 					math.Float64bits(r.Makespan), math.Float64bits(r.Energy), w.time, w.energy)
 			}
+		}
+	}
+}
+
+// TestFig7Golden pins Fig. 7 at seeds {1, 2, 3} on the 16-core
+// Opteron: per benchmark the frozen levels (EEWA's modal configuration)
+// and Cilk's and WATS's makespan relative to EEWA's, as math.Float64bits.
+// The Cilk bar runs random stealing on the frozen machine and WATS
+// workload-aware stealing on it, so a change to how either policy plans
+// a batch shows here. Only a deliberate model or policy change may
+// update the table.
+func TestFig7Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Fig. 7 sweep in -short mode")
+	}
+	want := []struct {
+		bench      string
+		levels     []int
+		cilk, wats uint64
+	}{
+		{"bwc", []int{0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0x3ff4b554f5ad5017, 0x3ff071a511315554},
+		{"bzip2", []int{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}, 0x3ff3312d0d6f1d10, 0x3ff030cf58de70f3},
+		{"dmc", []int{0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0x3ff5270c7da8f758, 0x3ff3bc1b541507ec},
+		{"je", []int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1}, 0x3ff271ae52967973, 0x3ff2c0fad87fae00},
+		{"lzw", []int{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}, 0x3ff54354feb48cee, 0x3ff0309529ee9706},
+		{"md5", []int{0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 0x40002ee8119426c2, 0x3ff1334c9dead087},
+		{"sha1", []int{0, 0, 0, 0, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, 0x400a607a93fa2978, 0x3ff325e8ba360a74},
+	}
+	rows, err := Fig7(machine.Opteron16(), []uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Benchmark != w.bench {
+			t.Fatalf("row %d is %s, want %s", i, r.Benchmark, w.bench)
+		}
+		if !reflect.DeepEqual(r.Levels, w.levels) {
+			t.Errorf("%s: frozen levels %v, want %v", w.bench, r.Levels, w.levels)
+		}
+		if !sameFloat(r.RelTime["Cilk"], math.Float64frombits(w.cilk)) || !sameFloat(r.RelTime["WATS"], math.Float64frombits(w.wats)) {
+			t.Errorf("%s: Cilk %#x WATS %#x, want %#x %#x", w.bench,
+				math.Float64bits(r.RelTime["Cilk"]), math.Float64bits(r.RelTime["WATS"]), w.cilk, w.wats)
 		}
 	}
 }

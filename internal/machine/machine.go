@@ -246,6 +246,30 @@ func Tiered(base Config, shard int) Config {
 	return c
 }
 
+// Ladder splits: how a cluster of shards built from one base machine
+// shares out its frequency ladder. SplitUniform gives every shard the
+// base machine's full ladder; SplitTiered gives shard i Tiered(base, i),
+// making the cluster heterogeneous.
+const (
+	SplitUniform = "uniform"
+	SplitTiered  = "tiered"
+)
+
+// SplitLadders returns each shard's machine in a cluster of shards
+// built from base under a ladder split.
+func SplitLadders(split string, base Config, shards int) ([]Config, error) {
+	if split != SplitUniform && split != SplitTiered {
+		return nil, fmt.Errorf("machine: unknown ladder split %q (want %s or %s)", split, SplitUniform, SplitTiered)
+	}
+	mcs := make([]Config, shards)
+	for i := range mcs {
+		if mcs[i] = base; split == SplitTiered {
+			mcs[i] = Tiered(base, i)
+		}
+	}
+	return mcs, nil
+}
+
 // Machine is the runtime state of the simulated hardware: per-core
 // frequency levels and activity states, with exact lazy energy
 // integration. All mutation goes through SetState/SetFreq so that every

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -422,5 +423,30 @@ func TestTiered(t *testing.T) {
 	c.Power.Volt[0] = 99
 	if base.Freqs[1] == 99 || base.Power.Volt[1] == 99 {
 		t.Error("Tiered aliases the base ladder")
+	}
+}
+
+// SplitLadders is the one ladder-split rule: uniform hands every shard
+// the base machine, tiered shard i Tiered(base, i), and any other name
+// is an error.
+func TestSplitLadders(t *testing.T) {
+	base := Opteron16()
+	for _, split := range []string{SplitUniform, SplitTiered} {
+		mcs, err := SplitLadders(split, base, 3)
+		if err != nil || len(mcs) != 3 {
+			t.Fatalf("%s: %d machines, %v; want 3", split, len(mcs), err)
+		}
+		for i, mc := range mcs {
+			want := base
+			if split == SplitTiered {
+				want = Tiered(base, i)
+			}
+			if !reflect.DeepEqual(mc, want) {
+				t.Errorf("%s shard %d: %+v, want %+v", split, i, mc, want)
+			}
+		}
+	}
+	if _, err := SplitLadders("bogus", base, 3); err == nil {
+		t.Error("an unknown ladder split should be an error")
 	}
 }

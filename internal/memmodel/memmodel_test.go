@@ -21,7 +21,7 @@ var ladder = machine.FreqLadder{2.5, 1.8, 1.3, 0.8}
 func recordAt(p *profile.Profiler, name string, n int, a, b float64, level int) {
 	ratio := ladder.Ratio(level)
 	for i := 0; i < n; i++ {
-		p.Record(name, a+b*ratio, level, 0.5)
+		p.Ref(name).Record(a+b*ratio, level, 0.5)
 	}
 }
 
@@ -365,7 +365,7 @@ func TestBuilderMatchesReplacedBuildTable(t *testing.T) {
 			recordAt(p, name, count, a, b, l)
 			p.Reset()
 			recordAt(p, name, count, a, b, 0)
-			p.Record(name, (a+b)*maxRatio, 0, 0.5)
+			p.Ref(name).Record((a+b)*maxRatio, 0, 0.5)
 		}
 		T, m := rng.Range(0.005, 2), 1+rng.Intn(64)
 		models, ok := refFitAll(p, p.Classes(), ladder)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cgroup"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/memmodel"
@@ -47,9 +46,17 @@ type EEWA struct {
 	memAware          bool
 	ignoreMemoryBound bool
 
-	adj         *core.Adjuster
-	memoryBound bool
-	lowest      int
+	adj *core.Adjuster
+	// fast is the classic plan: every core at F0, random stealing (the
+	// first batch, the §IV-D fallback and every batch the adjuster
+	// finds no tuple for). calibrate, built on first use, is the same
+	// stealing with every core mid-ladder: a memory-bound batch whose
+	// classes lack a second frequency sample runs on it, far enough
+	// from F0 that the two samples separate a class's (a, b), not so
+	// slow that the batch pays a full F0/F(r−1) stretch.
+	fast, calibrate *Cilk
+	memoryBound     bool
+	lowest          int
 }
 
 // NewEEWA returns the paper's EEWA policy, Algorithm 1 as the search.
@@ -71,7 +78,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		if e.search != nil {
 			adj.Search = e.search
 		}
-		e.adj = adj
+		e.adj, e.fast = adj, NewCilk()
 	}
 
 	if bi == 0 {
@@ -83,7 +90,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		}
 		// No workload information yet: all cores at the highest
 		// frequency; the batch duration defines T.
-		return e.classic()
+		return e.fast.BeginBatch(bi, prof, env)
 	}
 	if !e.ignoreMemoryBound && (e.memoryBound || prof.MemoryBound()) {
 		e.memoryBound = true
@@ -91,7 +98,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 			// §IV-D: the CC model does not hold for memory-bound
 			// tasks; use traditional work stealing for the rest of
 			// the run.
-			return e.classic()
+			return e.fast.BeginBatch(bi, prof, env)
 		}
 		// Fit each class's frequency response; the fitted classes carry
 		// their measured MemFrac into the same adjuster the CPU-bound
@@ -101,7 +108,17 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 		start := time.Now()
 		classes, fitted := memmodel.FitAll(prof, prof.Classes(), env.Cfg.Freqs)
 		if !fitted && env.IdealTime > 0 {
-			p := calibration(env.Cfg)
+			if e.calibrate == nil {
+				mid := make([]int, env.Cfg.Cores)
+				for i := range mid {
+					mid[i] = len(env.Cfg.Freqs) / 2
+				}
+				var err error
+				if e.calibrate, err = NewCilkFixed(mid, len(env.Cfg.Freqs)); err != nil {
+					panic("policy: " + err.Error()) // in range by construction
+				}
+			}
+			p := e.calibrate.BeginBatch(bi, prof, env)
 			p.Overhead, p.HostTime, p.Adjusted = env.AdjusterCharge, time.Since(start), true
 			return p
 		}
@@ -127,41 +144,14 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Duration) (Plan, bool) {
 	before, infeasible := e.adj.HostTime, e.adj.Infeasible
 	asn, ok := e.adj.Adjust(classes, T)
-	p := e.classic()
-	if ok {
-		p = Plan{Assignment: asn, SearchSteps: e.adj.LastSteps}
+	p := Plan{Assignment: asn, SearchSteps: e.adj.LastSteps}
+	if !ok {
+		p = e.fast.BeginBatch(0, nil, env)
 	}
 	p.Overhead, p.HostTime, p.Adjusted = env.AdjusterCharge, prep+e.adj.HostTime-before, true
 	p.CacheHit = e.adj.LastCacheHit
 	p.Infeasible = e.adj.Infeasible > infeasible
 	return p, ok
-}
-
-// classic is the all-fast fallback plan: every core at F0, classic
-// random stealing.
-func (e *EEWA) classic() Plan {
-	return Plan{
-		Assignment:  e.adj.AllFast(),
-		RandomSteal: true,
-		ScatterAll:  true,
-	}
-}
-
-// calibration is the plan for a memory-bound batch whose classes lack a
-// second frequency sample: every core at the middle of the ladder — far
-// enough from F0 that the two samples separate a class's (a, b), not so
-// slow that the batch pays a full F0/F(r−1) stretch — under classic
-// stealing, so every class spreads over it.
-func calibration(cfg machine.Config) Plan {
-	levels := make([]int, cfg.Cores)
-	for i := range levels {
-		levels[i] = len(cfg.Freqs) / 2
-	}
-	asn, err := cgroup.FromLevels(levels, len(cfg.Freqs))
-	if err != nil {
-		panic("policy: " + err.Error()) // in range by construction; env.Cfg was validated
-	}
-	return Plan{Assignment: asn, RandomSteal: true, ScatterAll: true}
 }
 
 // OutOfWork implements Policy: a core that has exhausted every pool

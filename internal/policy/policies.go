@@ -6,125 +6,69 @@ import (
 	"repro/internal/profile"
 )
 
-// allFast returns the all-F0 assignment for m cores kept in *asn,
-// building it on first use: the baselines plan the same assignment
-// every batch, and nothing writes it. Like EEWA, a policy value that
-// keeps one serves one engine at a time.
-func allFast(asn **cgroup.Assignment, m int) *cgroup.Assignment {
-	if *asn == nil || len((*asn).CoreGroup) != m {
-		*asn = cgroup.AllFast(m, nil)
-	}
-	return *asn
-}
-
-// --- Cilk -------------------------------------------------------------
-
-// Cilk is classic random work stealing: every core at F0 for the whole
-// run; a core with nothing to steal spins at full frequency until the
-// barrier — the energy waste of Fig. 1(a).
+// Cilk is classic random work stealing: tasks scatter round-robin, an
+// out-of-work core probes every other core's pool in random order, and
+// no frequency is re-tuned between batches. The paper's three random-
+// stealing baselines differ only in their frequencies:
+//
+//   - Cilk (NewCilk): every core at F0; a dry core spins at full
+//     frequency until the barrier — the energy waste of Fig. 1(a);
+//   - Cilk-D (NewCilkD), the DVFS strawman: a core that finds no task
+//     in any pool drops to the lowest frequency for the rest of the
+//     batch and keeps polling (§IV). On the Opteron's shared voltage
+//     planes this saves only the frequency-linear part of dynamic power
+//     while a package peer still runs fast: the paper measures just
+//     6.7–12.8 % savings;
+//   - Fig. 7's Cilk (NewCilkFixed): per-core levels frozen to EEWA's
+//     configuration. Random stealing regularly lands heavy tasks on
+//     slow cores, stretching its makespan to 1.17–2.92× EEWA's.
+//
+// EEWA plans its all-F0 and calibration batches through Cilk values. A
+// Cilk keeps the assignment it plans, so like EEWA it serves one engine.
 type Cilk struct {
-	asn *cgroup.Assignment // see allFast
+	name   string
+	levels []int // per-core frequency levels; nil: every core at F0
+	idle   int   // the level a dry core drops to; -1 keeps its own
+	asn    *cgroup.Assignment
 }
 
 // NewCilk returns the Cilk baseline policy.
-func NewCilk() *Cilk { return &Cilk{} }
-
-// Name implements Policy.
-func (*Cilk) Name() string { return "Cilk" }
-
-// BeginBatch implements Policy: all cores fast, scatter placement,
-// random stealing, no overhead.
-func (p *Cilk) BeginBatch(_ int, _ *profile.Profiler, env *Env) Plan {
-	return Plan{
-		Assignment:  allFast(&p.asn, env.Cfg.Cores),
-		RandomSteal: true,
-		ScatterAll:  true,
-	}
-}
-
-// OutOfWork implements Policy: spin at the current (full) frequency.
-func (*Cilk) OutOfWork(int) OutOfWorkAction {
-	return OutOfWorkAction{State: machine.Spinning, FreqLevel: -1}
-}
-
-var _ Policy = (*Cilk)(nil)
-
-// --- Cilk-D -----------------------------------------------------------
-
-// CilkD is the paper's DVFS strawman: identical to Cilk, except that a
-// core that finds no task in any pool clocks itself down to the lowest
-// frequency for the rest of the batch (it keeps polling — "scaled down
-// to run at the lowest frequency", §IV). On the Opteron's shared
-// voltage planes this saves only the frequency-linear part of dynamic
-// power while any package peer still runs fast, which is why the paper
-// measures just 6.7–12.8 % savings for it.
-type CilkD struct {
-	lowest int
-	asn    *cgroup.Assignment // see allFast
-}
+func NewCilk() *Cilk { return &Cilk{name: "Cilk", idle: -1} }
 
 // NewCilkD returns the Cilk-D baseline for a machine with ladder length
 // r (the lowest level is r-1).
-func NewCilkD(r int) *CilkD { return &CilkD{lowest: r - 1} }
+func NewCilkD(r int) *Cilk { return &Cilk{name: "Cilk-D", idle: r - 1} }
 
-// Name implements Policy.
-func (*CilkD) Name() string { return "Cilk-D" }
-
-// BeginBatch implements Policy: like Cilk — the engine resets every
-// core to F0 when applying the assignment, which models the cores
-// ramping back up for the new batch.
-func (c *CilkD) BeginBatch(_ int, _ *profile.Profiler, env *Env) Plan {
-	return Plan{
-		Assignment:  allFast(&c.asn, env.Cfg.Cores),
-		RandomSteal: true,
-		ScatterAll:  true,
-	}
-}
-
-// OutOfWork implements Policy: drop to the lowest frequency, keep
-// spinning.
-func (c *CilkD) OutOfWork(int) OutOfWorkAction {
-	return OutOfWorkAction{State: machine.Spinning, FreqLevel: c.lowest}
-}
-
-var _ Policy = (*CilkD)(nil)
-
-// --- Cilk on a fixed asymmetric machine (Fig. 7) -----------------------
-
-// CilkFixed is random work stealing on a machine whose per-core
-// frequency levels are frozen (the Fig. 7 scenario: "frequencies of
-// cores are configured by EEWA", then Cilk runs obliviously on the
-// resulting asymmetric machine). Random stealing regularly lands heavy
-// tasks on slow cores, which is what stretches its makespan to
-// 1.17–2.92× EEWA's in the paper.
-type CilkFixed struct {
-	asn *cgroup.Assignment
-}
-
-// NewCilkFixed builds the policy from per-core frequency levels.
-func NewCilkFixed(levels []int, r int) (*CilkFixed, error) {
+// NewCilkFixed returns Cilk on a machine frozen at the given per-core
+// frequency levels (r = ladder length).
+func NewCilkFixed(levels []int, r int) (*Cilk, error) {
 	asn, err := cgroup.FromLevels(levels, r)
 	if err != nil {
 		return nil, err
 	}
-	return &CilkFixed{asn: asn}, nil
+	return &Cilk{name: "Cilk", levels: levels, idle: -1, asn: asn}, nil
 }
 
 // Name implements Policy.
-func (*CilkFixed) Name() string { return "Cilk" }
+func (p *Cilk) Name() string { return p.name }
 
-// BeginBatch implements Policy.
-func (p *CilkFixed) BeginBatch(_ int, _ *profile.Profiler, _ *Env) Plan {
-	return Plan{
-		Assignment:  p.asn,
-		RandomSteal: true,
-		ScatterAll:  true,
+// BeginBatch implements Policy: the policy's levels (applying them
+// resets a down-clocked core for the new batch), scatter placement,
+// random stealing, no overhead.
+func (p *Cilk) BeginBatch(_ int, _ *profile.Profiler, env *Env) Plan {
+	if p.levels == nil && (p.asn == nil || len(p.asn.CoreGroup) != env.Cfg.Cores) {
+		asn, err := cgroup.FromLevels(make([]int, env.Cfg.Cores), len(env.Cfg.Freqs))
+		if err != nil {
+			panic("policy: " + err.Error()) // env.Cfg was validated by the engine
+		}
+		p.asn = asn
 	}
+	return Plan{Assignment: p.asn, RandomSteal: true, ScatterAll: true}
 }
 
-// OutOfWork implements Policy: spin at the frozen frequency.
-func (*CilkFixed) OutOfWork(int) OutOfWorkAction {
-	return OutOfWorkAction{State: machine.Spinning, FreqLevel: -1}
+// OutOfWork implements Policy: keep spinning, at the idle level if any.
+func (p *Cilk) OutOfWork(int) OutOfWorkAction {
+	return OutOfWorkAction{State: machine.Spinning, FreqLevel: p.idle}
 }
 
-var _ Policy = (*CilkFixed)(nil)
+var _ Policy = (*Cilk)(nil)

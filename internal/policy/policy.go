@@ -23,11 +23,11 @@
 //   - OutOfWork — what a core does once every reachable pool is empty
 //     for the remainder of the batch.
 //
-// Four policies implement it: Cilk, Cilk-D, WATS and EEWA (plus
-// CilkFixed, the Fig. 7 frozen-frequency control). Each policy has one
-// canonical lowercase identifier (IDs) accepted uniformly by every CLI
-// and the facade, and one display name (Policy.Name) used in result
-// tables. New also builds EEWA's variants by name — the tuple-search
+// Three types implement it, one per discipline the paper compares:
+// Cilk (random stealing; Cilk-D and Fig. 7's frozen control differ from
+// Cilk only in frequencies), WATS and EEWA. Each of the paper's four
+// policies has one canonical lowercase identifier (IDs) accepted by every
+// CLI and the facade, and one display name (Policy.Name) for tables. New also builds EEWA's variants by name — the tuple-search
 // and CC-formula ablations and the §IV-D memory-bound handling — so a
 // variant is a value of every -policy flag and of the sweep grid's
 // policy axis.

@@ -160,6 +160,40 @@ func TestBaselinePlans(t *testing.T) {
 	if act := cilkd.OutOfWork(3); act.FreqLevel != len(cfg.Freqs)-1 {
 		t.Errorf("Cilk-D out-of-work %+v, want lowest level", act)
 	}
+
+	// The Fig. 7 Cilk: the same stealing on frozen levels, each core
+	// spinning at its own.
+	levels := DefaultWATSLevels(cfg.Cores, len(cfg.Freqs))
+	fixed, err := NewCilkFixed(levels, len(cfg.Freqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := fixed.BeginBatch(1, prof, env)
+	if fixed.Name() != "Cilk" || !plan.ScatterAll || !plan.RandomSteal {
+		t.Errorf("%s: plan %+v, want classic scatter + random stealing", fixed.Name(), plan)
+	}
+	for c, l := range levels {
+		if plan.Assignment.FreqOf(c) != l {
+			t.Errorf("fixed Cilk: core %d at level %d, want the frozen %d", c, plan.Assignment.FreqOf(c), l)
+		}
+	}
+	if act := fixed.OutOfWork(3); act.FreqLevel != -1 {
+		t.Errorf("fixed Cilk out-of-work %+v, want spin at the frozen level", act)
+	}
+	if _, err := NewCilkFixed([]int{0, len(cfg.Freqs)}, len(cfg.Freqs)); err == nil {
+		t.Error("a level off the ladder should not build")
+	}
+}
+
+// allF0 is the all-F0 assignment of an m-core machine, the one Cilk
+// plans.
+func allF0(t *testing.T, m int) *cgroup.Assignment {
+	t.Helper()
+	asn, err := cgroup.FromLevels(make([]int, m), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return asn
 }
 
 func TestDefaultWATSLevels(t *testing.T) {
@@ -184,7 +218,7 @@ func TestDefaultWATSLevels(t *testing.T) {
 }
 
 func TestPlacerScatterRoundRobins(t *testing.T) {
-	plan := &Plan{Assignment: cgroup.AllFast(4, nil), ScatterAll: true}
+	plan := &Plan{Assignment: allF0(t, 4), ScatterAll: true}
 	pl := NewIndexedPlacer(plan, 4, []string{"anything"})
 	for i := 0; i < 8; i++ {
 		c, g := pl.Place(0)
@@ -239,7 +273,7 @@ func collectProbes(so *StealOrder, self int, rng *xrand.RNG) [][2]int {
 }
 
 func TestStealOrderRandomCoversEveryRemoteOnce(t *testing.T) {
-	plan := &Plan{Assignment: cgroup.AllFast(6, nil), RandomSteal: true}
+	plan := &Plan{Assignment: allF0(t, 6), RandomSteal: true}
 	so := NewStealOrder(plan, 6)
 	seq := collectProbes(so, 2, xrand.New(7))
 	if len(seq) != 5 {
@@ -294,7 +328,7 @@ func TestStealOrderPreferenceIsRobTheWeakerFirst(t *testing.T) {
 }
 
 func TestStealOrderFindsTask(t *testing.T) {
-	plan := &Plan{Assignment: cgroup.AllFast(4, nil), RandomSteal: true}
+	plan := &Plan{Assignment: allF0(t, 4), RandomSteal: true}
 	so := NewStealOrder(plan, 4)
 	hits := 0
 	found := so.Walker(0).ForEachVictim(xrand.New(1), func(v, g int) bool {
@@ -330,10 +364,10 @@ func TestEEWAAdjustsFromProfile(t *testing.T) {
 
 	// Profile a skewed batch: few heavy tasks, many light ones.
 	for i := 0; i < 8; i++ {
-		prof.Record("heavy", 2e-3, 0, 0)
+		prof.Ref("heavy").Record(2e-3, 0, 0)
 	}
 	for i := 0; i < 64; i++ {
-		prof.Record("light", 1e-4, 0, 0)
+		prof.Ref("light").Record(1e-4, 0, 0)
 	}
 	env.IdealTime = 4e-3
 	plan := e.BeginBatch(1, prof, env)
@@ -363,7 +397,7 @@ func feedMemBound(p *profile.Profiler, name string, n int, a, b float64, levels 
 	for _, lvl := range levels {
 		ratio := machine.Opteron16().Freqs.Ratio(lvl)
 		for i := 0; i < n; i++ {
-			p.Record(name, a+b*ratio, lvl, 0.5)
+			p.Ref(name).Record(a+b*ratio, lvl, 0.5)
 		}
 	}
 }
@@ -530,7 +564,7 @@ func TestIndexedPlacerDiscipline(t *testing.T) {
 	asn.ClassGroup["light"] = 2
 	plans := map[string]*Plan{
 		"classes": {Assignment: asn},
-		"scatter": {Assignment: cgroup.AllFast(6, nil), ScatterAll: true},
+		"scatter": {Assignment: allF0(t, 6), ScatterAll: true},
 	}
 	classes := []string{"heavy", "mid", "light", "never-profiled"}
 	orders := map[string][]string{

@@ -104,13 +104,6 @@ func (p *Profiler) Normalize(t float64, level int) float64 {
 	return t * p.ladder[level] / p.ladder[0]
 }
 
-// Record folds one completed task into its class. execTime is the
-// observed wall time on a core at frequency level `level`;
-// missIntensity is the modeled cache-misses-per-instruction counter.
-func (p *Profiler) Record(name string, execTime float64, level int, missIntensity float64) {
-	p.recordInto(p.entry(name), execTime, level, missIntensity)
-}
-
 // entry returns (creating on first use) the record for name, for a
 // caller about to fold a task into it: a record not yet seen this batch
 // joins order, so the order is first-record order — the deterministic
@@ -173,12 +166,12 @@ func (p *Profiler) RecordBulk(name string, count int, sumExec, maxExec float64, 
 	p.foldInto(p.entry(name), count, sumExec, maxExec, level)
 }
 
-// ClassRef is a per-class recording handle that skips the map lookup
-// Record pays per task. A ref survives Reset: it lazily
-// re-resolves its entries on first use in each profiling generation,
-// so classes are still registered in first-*completion* order per
-// batch (the order Classes() tie-breaks by) — holding a ref does not
-// by itself create the class.
+// ClassRef is the per-task recording handle of one class: it resolves
+// the class's record once per batch, not per task. A ref survives
+// Reset: it lazily re-resolves its entries on first use in each
+// profiling generation, so classes are still registered in
+// first-*completion* order per batch (the order Classes() tie-breaks
+// by) — holding a ref does not by itself create the class.
 type ClassRef struct {
 	p    *Profiler
 	name string
@@ -193,8 +186,9 @@ func (p *Profiler) Ref(name string) *ClassRef {
 	return &ClassRef{p: p, name: name, gen: p.gen - 1}
 }
 
-// Record folds one completed task into the ref's class, exactly as
-// Profiler.Record(name, ...) would.
+// Record folds one completed task into the ref's class. execTime is
+// the observed wall time on a core at frequency level `level`;
+// missIntensity is the modeled cache-misses-per-instruction counter.
 func (r *ClassRef) Record(execTime float64, level int, missIntensity float64) {
 	p := r.p
 	if r.gen != p.gen {

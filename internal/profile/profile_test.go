@@ -36,9 +36,9 @@ func TestNormalizePanicsOnBadLevel(t *testing.T) {
 
 func TestRecordRunningAverage(t *testing.T) {
 	p := New(ladder)
-	p.Record("md5", 2, 0, 0)
-	p.Record("md5", 4, 0, 0)
-	p.Record("md5", 6, 0, 0)
+	p.Ref("md5").Record(2, 0, 0)
+	p.Ref("md5").Record(4, 0, 0)
+	p.Ref("md5").Record(6, 0, 0)
 	c, ok := p.Lookup("md5")
 	if !ok {
 		t.Fatal("class md5 missing")
@@ -57,8 +57,8 @@ func TestRecordRunningAverage(t *testing.T) {
 func TestRecordNormalizesAcrossFrequencies(t *testing.T) {
 	p := New(ladder)
 	// Same task observed on a slow core: longer wall time, same workload.
-	p.Record("f", 2.5, 0, 0)         // w = 2.5
-	p.Record("f", 2.5*2.5/0.8, 3, 0) // wall time stretched by F0/F3 → w = 2.5
+	p.Ref("f").Record(2.5, 0, 0)         // w = 2.5
+	p.Ref("f").Record(2.5*2.5/0.8, 3, 0) // wall time stretched by F0/F3 → w = 2.5
 	c, _ := p.Lookup("f")
 	if math.Abs(c.AvgWork-2.5) > 1e-9 {
 		t.Errorf("AvgWork = %g, want 2.5 (Eq. 1 should cancel core speed)", c.AvgWork)
@@ -67,9 +67,9 @@ func TestRecordNormalizesAcrossFrequencies(t *testing.T) {
 
 func TestClassesSortedByDescendingWork(t *testing.T) {
 	p := New(ladder)
-	p.Record("light", 1, 0, 0)
-	p.Record("heavy", 9, 0, 0)
-	p.Record("mid", 5, 0, 0)
+	p.Ref("light").Record(1, 0, 0)
+	p.Ref("heavy").Record(9, 0, 0)
+	p.Ref("mid").Record(5, 0, 0)
 	cs := p.Classes()
 	if len(cs) != 3 {
 		t.Fatalf("classes = %d, want 3", len(cs))
@@ -81,8 +81,8 @@ func TestClassesSortedByDescendingWork(t *testing.T) {
 
 func TestClassesTieBreakDeterministic(t *testing.T) {
 	p := New(ladder)
-	p.Record("b", 3, 0, 0)
-	p.Record("a", 3, 0, 0)
+	p.Ref("b").Record(3, 0, 0)
+	p.Ref("a").Record(3, 0, 0)
 	cs := p.Classes()
 	// Equal workloads: first-seen ("b") wins, every time.
 	if cs[0].Name != "b" {
@@ -100,20 +100,20 @@ func TestLookupMissing(t *testing.T) {
 func TestMemoryBoundMajorityRule(t *testing.T) {
 	p := New(ladder)
 	// 2 of 4 memory-bound: not a strict majority.
-	p.Record("a", 1, 0, 0.5)
-	p.Record("a", 1, 0, 0.5)
-	p.Record("a", 1, 0, 0.001)
-	p.Record("a", 1, 0, 0.001)
+	p.Ref("a").Record(1, 0, 0.5)
+	p.Ref("a").Record(1, 0, 0.5)
+	p.Ref("a").Record(1, 0, 0.001)
+	p.Ref("a").Record(1, 0, 0.001)
 	if p.MemoryBound() {
 		t.Error("exactly half memory-bound must not classify the app as memory-bound")
 	}
-	p.Record("a", 1, 0, 0.5)
+	p.Ref("a").Record(1, 0, 0.5)
 	if !p.MemoryBound() {
 		t.Error("3 of 5 memory-bound should classify the app as memory-bound")
 	}
 	// A task exactly at the threshold is not memory-bound: 3 of 7.
-	p.Record("a", 1, 0, DefaultMemBoundThreshold)
-	p.Record("a", 1, 0, DefaultMemBoundThreshold)
+	p.Ref("a").Record(1, 0, DefaultMemBoundThreshold)
+	p.Ref("a").Record(1, 0, DefaultMemBoundThreshold)
 	if p.MemoryBound() {
 		t.Error("3 of 7 memory-bound (two at the threshold) must not classify the app as memory-bound")
 	}
@@ -128,7 +128,7 @@ func TestMemoryBoundEmptyProfiler(t *testing.T) {
 
 func TestResetClearsClassesKeepsMemCounters(t *testing.T) {
 	p := New(ladder)
-	p.Record("a", 1, 0, 0.5)
+	p.Ref("a").Record(1, 0, 0.5)
 	p.Reset()
 	if p.NumClasses() != 0 {
 		t.Error("Reset should clear classes")
@@ -152,7 +152,7 @@ func TestRecordNegativeTimePanics(t *testing.T) {
 			t.Error("negative time should panic")
 		}
 	}()
-	p.Record("a", -1, 0, 0)
+	p.Ref("a").Record(-1, 0, 0)
 }
 
 func TestNewPanicsOnBadLadder(t *testing.T) {
@@ -176,7 +176,7 @@ func TestRunningAverageProperty(t *testing.T) {
 			level := rng.Intn(len(ladder))
 			w := rng.Range(0.01, 10)
 			wall := w * ladder[0] / ladder[level] // invert Eq. 1
-			p.Record("c", wall, level, 0)
+			p.Ref("c").Record(wall, level, 0)
 			sum += w
 		}
 		c, _ := p.Lookup("c")
@@ -203,7 +203,7 @@ func TestRecordBulkMatchesSequential(t *testing.T) {
 			sum, longest := 0.0, 0.0
 			for i := 0; i < n; i++ {
 				d := rng.Range(1e-7, 1e-2)
-				seq.Record(name, d, level, 0)
+				seq.Ref(name).Record(d, level, 0)
 				sum += d
 				longest = math.Max(longest, d)
 			}
@@ -240,7 +240,7 @@ func TestClassesSortedProperty(t *testing.T) {
 		p := New(ladder)
 		names := []string{"a", "b", "c", "d", "e"}
 		for i := 0; i < n; i++ {
-			p.Record(names[rng.Intn(len(names))], rng.Range(0.1, 5), rng.Intn(len(ladder)), 0)
+			p.Ref(names[rng.Intn(len(names))]).Record(rng.Range(0.1, 5), rng.Intn(len(ladder)), 0)
 		}
 		cs := p.Classes()
 		for i := 1; i < len(cs); i++ {
@@ -257,9 +257,9 @@ func TestClassesSortedProperty(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	p := New(ladder)
-	p.Record("heavy", 0.2, 0, 0)
-	p.Record("heavy", 0.22, 0, 0)
-	p.Record("light", 0.01, 0, 0)
+	p.Ref("heavy").Record(0.2, 0, 0)
+	p.Ref("heavy").Record(0.22, 0, 0)
+	p.Ref("light").Record(0.01, 0, 0)
 	snap := p.Snapshot(0.25)
 	if err := snap.Validate(ladder); err != nil {
 		t.Fatalf("snapshot invalid: %v", err)
@@ -285,7 +285,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotValidateRejects(t *testing.T) {
 	p := New(ladder)
-	p.Record("a", 0.1, 0, 0)
+	p.Ref("a").Record(0.1, 0, 0)
 	snap := p.Snapshot(0.2)
 	if err := snap.Validate(machine.FreqLadder{3.0, 1.0, 0.5, 0.2}); err == nil {
 		t.Error("ladder mismatch should be rejected")
@@ -318,9 +318,9 @@ func TestDecodeSnapshotGarbage(t *testing.T) {
 
 func TestRawAvgAndLevels(t *testing.T) {
 	p := New(ladder)
-	p.Record("c", 0.10, 0, 0)
-	p.Record("c", 0.20, 0, 0)
-	p.Record("c", 0.30, 3, 0)
+	p.Ref("c").Record(0.10, 0, 0)
+	p.Ref("c").Record(0.20, 0, 0)
+	p.Ref("c").Record(0.30, 3, 0)
 	if avg, ok := p.RawAvg("c", 0); !ok || math.Abs(avg-0.15) > 1e-12 {
 		t.Errorf("RawAvg level 0 = %g,%v want 0.15,true", avg, ok)
 	}

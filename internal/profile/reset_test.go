@@ -38,13 +38,13 @@ func TestResetThenSubsetEqualsFresh(t *testing.T) {
 	second := func(p *Profiler) {
 		// d before b, with equal average work: the tie-break must be
 		// this batch's first-seen order (d, b), not the previous (b, d).
-		p.Record("d", 0.25, 0, 0)
+		p.Ref("d").Record(0.25, 0, 0)
 		p.RecordBulk("b", 2, 0.5, 0.25, 0)
 	}
 	reused := New(ladder)
 	for i, n := range names {
-		reused.Record(n, float64(i+1), 1, 0)
-		reused.Record(n, float64(i+1), 0, 0)
+		reused.Ref(n).Record(float64(i+1), 1, 0)
+		reused.Ref(n).Record(float64(i+1), 0, 0)
 	}
 	if got := reused.NumClasses(); got != 4 {
 		t.Fatalf("NumClasses %d before Reset, want 4", got)
@@ -84,7 +84,7 @@ func TestClassRefSurvivesReset(t *testing.T) {
 	}
 	p.Reset()
 	ra.Record(3, 0, 0)
-	p.Record("b", 1, 0, 0)
+	p.Ref("b").Record(1, 0, 0)
 	if got := p.Classes(); len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" || got[1].Count != 1 {
 		t.Errorf("Classes() = %+v, want a then b, each from this batch alone", got)
 	}
@@ -95,12 +95,12 @@ func TestClassRefSurvivesReset(t *testing.T) {
 // also for a class the batches in between did not see.
 func TestRawObservationsAccumulateAcrossResets(t *testing.T) {
 	p := New(ladder)
-	p.Record("a", 1.0, 0, 0)
+	p.Ref("a").Record(1.0, 0, 0)
 	p.Reset()
-	p.Record("b", 9.0, 1, 0)
+	p.Ref("b").Record(9.0, 1, 0)
 	p.Reset()
-	p.Record("a", 3.0, 0, 0)
-	p.Record("a", 5.0, 2, 0)
+	p.Ref("a").Record(3.0, 0, 0)
+	p.Ref("a").Record(5.0, 2, 0)
 	if avg, ok := p.RawAvg("a", 0); !ok || avg != 2.0 {
 		t.Errorf("RawAvg(a, 0) = %v, %v; want 2 over both batches", avg, ok)
 	}
@@ -116,17 +116,18 @@ func TestRawObservationsAccumulateAcrossResets(t *testing.T) {
 // the slice is overwritten by the next call, and Snapshot copies.
 func TestClassesIsTheProfilersSlice(t *testing.T) {
 	p := New(ladder)
-	p.Record("a", 1, 0, 0)
+	p.Ref("a").Record(1, 0, 0)
 	snap := p.Snapshot(1)
 	p.Reset()
-	p.Record("z", 7, 0, 0)
+	z := p.Ref("z")
+	z.Record(7, 0, 0)
 	if got := p.Classes(); len(got) != 1 || got[0].Name != "z" {
 		t.Fatalf("Classes() = %+v, want z", got)
 	}
 	if snap.Classes[0].Name != "a" {
 		t.Errorf("snapshot taken before the Reset now reads %+v", snap.Classes)
 	}
-	if got := testing.AllocsPerRun(50, func() { _ = p.Classes(); p.Reset(); p.Record("z", 7, 0, 0) }); got != 0 {
+	if got := testing.AllocsPerRun(50, func() { _ = p.Classes(); p.Reset(); z.Record(7, 0, 0) }); got != 0 {
 		t.Errorf("%.1f allocations per warm Record/Classes/Reset cycle, want 0", got)
 	}
 }

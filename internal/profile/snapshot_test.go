@@ -73,9 +73,9 @@ func TestDecodeSnapshotMissingMaxWork(t *testing.T) {
 // bit-exactly — the indivisibility bound depends on the precise value.
 func TestSnapshotPreservesMaxWorkExactly(t *testing.T) {
 	p := New(ladder)
-	p.Record("heavy", 0.2, 0, 0)
-	p.Record("heavy", 0.217348915, 0, 0)
-	p.Record("light", 0.0113, 1, 0)
+	p.Ref("heavy").Record(0.2, 0, 0)
+	p.Ref("heavy").Record(0.217348915, 0, 0)
+	p.Ref("light").Record(0.0113, 1, 0)
 	snap := p.Snapshot(0.25)
 
 	want := map[string]float64{}
@@ -134,7 +134,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			for s := 0; s < samples; s++ {
 				dur := 1e-4 + rng.Float64()*0.3
 				level := rng.Intn(len(lad))
-				p.Record(name, dur, level, 0)
+				p.Ref(name).Record(dur, level, 0)
 			}
 		}
 		snap := p.Snapshot(0.05 + rng.Float64())
@@ -203,9 +203,9 @@ func TestSnapshotValidateMemFrac(t *testing.T) {
 // did before Class had a MemFrac: the bytes below were captured then.
 func TestSnapshotEncodingUnchangedByMemFrac(t *testing.T) {
 	p := New(ladder)
-	p.Record("heavy", 0.2, 0, 0)
-	p.Record("heavy", 0.217348915, 1, 0.5)
-	p.Record("light", 0.0113, 3, 0)
+	p.Ref("heavy").Record(0.2, 0, 0)
+	p.Ref("heavy").Record(0.217348915, 1, 0.5)
+	p.Ref("light").Record(0.0113, 3, 0)
 	var buf bytes.Buffer
 	if err := p.Snapshot(0.25).Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -369,7 +369,6 @@ func New(cfg Config) (*Runtime, error) {
 		env:      policy.Env{Cfg: mc},
 		prof:     profile.New(mc.Freqs),
 		levels:   make([]int, cfg.Workers),
-		asn:      cgroup.AllFast(cfg.Workers, nil),
 		workers:  make([]worker, cfg.Workers),
 		depths:   make([]int, cfg.Workers),
 		classIDs: make(map[string]int32),
@@ -541,7 +540,7 @@ func (r *Runtime) planBatch() {
 	plan := r.pol.BeginBatch(r.batchIndex, r.prof, &r.env)
 	r.prof.Reset()
 	if plan.Assignment == nil {
-		plan.Assignment = cgroup.AllFast(r.cfg.Workers, nil)
+		panic(fmt.Sprintf("rt: policy %s returned nil assignment for batch %d", r.pol.Name(), r.batchIndex))
 	}
 	r.plan = plan
 	r.asn = plan.Assignment

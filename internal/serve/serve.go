@@ -88,9 +88,9 @@ type Config struct {
 	// no-op. With Shards > 1 it applies to every shard unless
 	// ShardOfflines overrides it.
 	Offline *profile.Snapshot
-	// Seed drives the runtime's victim selection. Shard 0 uses it
-	// verbatim (single-shard parity); shard i>0 derives its stream with
-	// xrand.Split(Seed, i).
+	// Seed drives the runtime's victim selection, shard i's through
+	// ShardSeed(Seed, i): shard 0 uses it verbatim (single-shard
+	// parity).
 	Seed uint64
 
 	// Shards is the number of runtime shards behind the router
@@ -253,14 +253,6 @@ func New(cfg Config) (*Server, error) {
 		if len(cfg.ShardOfflines) > 0 {
 			off = cfg.ShardOfflines[i]
 		}
-		seed := cfg.Seed
-		if i > 0 {
-			// Independent victim-selection streams per shard, derived the
-			// same way sweep cells derive theirs. Shard 0 keeps the raw
-			// seed so one shard reproduces the pre-router server bit for
-			// bit.
-			seed = xrand.Split(cfg.Seed, uint64(i))
-		}
 		sh, err := newShard(shardConfig{
 			index:       i,
 			total:       cfg.Shards,
@@ -268,7 +260,7 @@ func New(cfg Config) (*Server, error) {
 			mc:          mc,
 			policy:      cfg.Policy,
 			offline:     off,
-			seed:        seed,
+			seed:        ShardSeed(cfg.Seed, i),
 			maxBatch:    cfg.MaxBatch,
 			flushEvery:  cfg.FlushEvery,
 			queueDepth:  cfg.QueueDepth,
@@ -285,6 +277,17 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sh)
 	}
 	return s, nil
+}
+
+// ShardSeed is shard i's victim-selection seed in a cluster seeded
+// with seed: shard 0 keeps it (one shard is the pre-router server bit
+// for bit), shard i > 0 takes a stream split off it. The live shards
+// and the cluster sweep's simulated ones both seed by it.
+func ShardSeed(seed uint64, i int) uint64 {
+	if i == 0 {
+		return seed
+	}
+	return xrand.Split(seed, uint64(i))
 }
 
 // now is the service's time source (Config.Clock, default time.Now).

@@ -13,32 +13,6 @@ import (
 	"repro/internal/task"
 )
 
-// Ladder-split identifiers for the topology axis. SplitUniform gives
-// every shard the base machine's full ladder; SplitTiered hands shard i
-// a ladder with the top i rungs dropped (machine.Tiered), making the
-// cluster heterogeneous.
-const (
-	SplitUniform = "uniform"
-	SplitTiered  = "tiered"
-)
-
-// LadderSplits returns the canonical ladder-split names.
-func LadderSplits() []string { return []string{SplitUniform, SplitTiered} }
-
-// shardMachines builds each shard's machine config for the split.
-func shardMachines(split string, shards, cores int) []machine.Config {
-	base := machine.Generic(cores)
-	mcs := make([]machine.Config, shards)
-	for i := range mcs {
-		if split == SplitTiered {
-			mcs[i] = machine.Tiered(base, i)
-		} else {
-			mcs[i] = base
-		}
-	}
-	return mcs
-}
-
 // splitWorkload routes w's tasks across shards batch by batch through
 // serve.RankShards, the live router's rule, taking each task as a job
 // of one and handing it to the first candidate (there are no admission

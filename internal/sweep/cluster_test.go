@@ -18,7 +18,7 @@ func smallClusterGrid() Grid {
 		Policies:     []string{"cilk", "eewa"},
 		Shards:       []int{1, 2},
 		Routings:     []string{serve.RouteClass, serve.RouteRR},
-		LadderSplits: []string{SplitUniform},
+		LadderSplits: []string{machine.SplitUniform},
 		Cores:        []int{8},
 		Seeds:        []uint64{1},
 	}
@@ -77,7 +77,7 @@ func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 	small, err := RunCells(Grid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
 		Shards: []int{2}, Routings: []string{serve.RouteClass},
-		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1},
+		LadderSplits: []string{machine.SplitUniform}, Cores: []int{8}, Seeds: []uint64{1},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestClusterCellSeedGridShapeIndependent(t *testing.T) {
 	big, err := RunCells(Grid{
 		Benchmarks: []string{"lzw", "md5"}, Policies: []string{"cilk", "eewa"},
 		Shards: []int{1, 2, 4}, Routings: serve.RoutingPolicies(),
-		LadderSplits: LadderSplits(), Cores: []int{8}, Seeds: []uint64{3, 1},
+		LadderSplits: []string{machine.SplitUniform, machine.SplitTiered}, Cores: []int{8}, Seeds: []uint64{3, 1},
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestClusterSingleShardDegenerates(t *testing.T) {
 	g := Grid{
 		Benchmarks: []string{"md5"}, Policies: []string{"eewa"},
 		Shards: []int{1}, Routings: serve.RoutingPolicies(),
-		LadderSplits: LadderSplits(), Cores: []int{8}, Seeds: []uint64{1},
+		LadderSplits: []string{machine.SplitUniform, machine.SplitTiered}, Cores: []int{8}, Seeds: []uint64{1},
 	}
 	cells, err := RunCells(g, 1)
 	if err != nil {
@@ -348,7 +348,7 @@ func TestAggregateClusterNormalization(t *testing.T) {
 	cells, err := RunCells(Grid{
 		Benchmarks: []string{"md5"}, Policies: []string{"cilk", "eewa"},
 		Shards: []int{1, 2}, Routings: []string{serve.RouteLeast},
-		LadderSplits: []string{SplitUniform}, Cores: []int{8}, Seeds: []uint64{1, 2},
+		LadderSplits: []string{machine.SplitUniform}, Cores: []int{8}, Seeds: []uint64{1, 2},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,10 @@
 // engine seed whatever the routing or ladder split.
 //
 // One seed rule: a cell's workload and its engine both take the raw
-// grid seed (shard i > 0 takes xrand.Split(seed, i), as the live
-// router's shards do). Every policy and topology of a (benchmark,
-// cores, seed) therefore faces the same task stream and the same
-// victim stream, a paired comparison; every cell is a deterministic
+// grid seed (shard i > 0 a stream split off it by serve.ShardSeed, as
+// the live router's shards do). Every policy and topology of a
+// (benchmark, cores, seed) therefore faces the same task stream and the
+// same victim stream, a paired comparison; every cell is a deterministic
 // function of its identity fields, and sweeps are byte-identical for
 // every worker count. The paper's Fig. 6 and Fig. 9, the §IV-D
 // memory-bound comparison and the search and CC-formula ablations are
@@ -41,7 +41,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/workloads"
-	"repro/internal/xrand"
 )
 
 // DefaultSeeds are the seeds runs are averaged over (the paper averages
@@ -67,7 +66,7 @@ type Grid struct {
 	Shards []int
 	// Routings are serve.RoutingPolicies() names; empty = {class}.
 	Routings []string
-	// LadderSplits are LadderSplits() names; empty = {uniform}.
+	// LadderSplits are machine.SplitLadders names; empty = {uniform}.
 	LadderSplits []string
 	// Obs, when non-nil, receives every cell's engine metrics.
 	Obs *obs.Registry
@@ -93,7 +92,7 @@ func (g Grid) withDefaults() Grid {
 		g.Routings = []string{serve.RouteClass}
 	}
 	if len(g.LadderSplits) == 0 {
-		g.LadderSplits = []string{SplitUniform}
+		g.LadderSplits = []string{machine.SplitUniform}
 	}
 	return g
 }
@@ -130,8 +129,8 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, s := range g.LadderSplits {
-		if !slices.Contains(LadderSplits(), s) {
-			return fmt.Errorf("sweep: unknown ladder split %q (want one of %v)", s, LadderSplits())
+		if _, err := machine.SplitLadders(s, machine.Config{}, 0); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	return nil
@@ -209,7 +208,10 @@ func (c Cell) run(reg *obs.Registry) (Cell, error) {
 	if err != nil {
 		return c, err
 	}
-	mcs := shardMachines(c.LadderSplit, c.Shards, c.Cores)
+	mcs, err := machine.SplitLadders(c.LadderSplit, machine.Generic(c.Cores), c.Shards)
+	if err != nil {
+		return c, err
+	}
 	parts := splitWorkload(b.Workload(c.Seed), mcs, c.Routing)
 
 	c.ShardMakespans = make([]float64, c.Shards)
@@ -224,14 +226,7 @@ func (c Cell) run(reg *obs.Registry) (Cell, error) {
 		if err != nil {
 			return c, err
 		}
-		// The package's one seed rule, the derivation the serve router
-		// uses for shard runtimes: shard 0 runs on the grid seed, shard
-		// i > 0 on a stream split off it.
-		params := sched.Params{Seed: c.Seed, Obs: reg}
-		if i > 0 {
-			params.Seed = xrand.Split(c.Seed, uint64(i))
-		}
-		res, err := sched.Run(mcs[i], part, p, params)
+		res, err := sched.Run(mcs[i], part, p, sched.Params{Seed: serve.ShardSeed(c.Seed, i), Obs: reg})
 		if err != nil {
 			return c, fmt.Errorf("sweep: %s/%s %s/%s shard %d/%d cores %d seed %d: %w",
 				c.Benchmark, c.Policy, c.Routing, c.LadderSplit, i, c.Shards, c.Cores, c.Seed, err)
@@ -440,15 +435,20 @@ func WriteCSV(w io.Writer, records []Record) error {
 	return nil
 }
 
-// WriteTable renders an aligned text table of the records.
+// WriteTable renders an aligned text table of the records. The policy
+// column is as wide as its longest name, at least 7.
 func WriteTable(w io.Writer, records []Record) error {
-	if _, err := fmt.Fprintf(w, "%-8s %-7s %-6s %-8s %6s %6s %12s %12s %8s %8s %8s %8s\n",
-		"bench", "policy", "route", "split", "shards", "cores", "time (s)", "energy (J)", "util", "imbal", "norm t", "norm E"); err != nil {
+	pw := 7
+	for _, r := range records {
+		pw = max(pw, len(r.Policy))
+	}
+	if _, err := fmt.Fprintf(w, "%-8s %-*s %-6s %-8s %6s %6s %12s %12s %8s %8s %8s %8s\n",
+		"bench", pw, "policy", "route", "split", "shards", "cores", "time (s)", "energy (J)", "util", "imbal", "norm t", "norm E"); err != nil {
 		return err
 	}
 	for _, r := range records {
-		if _, err := fmt.Fprintf(w, "%-8s %-7s %-6s %-8s %6d %6d %12.4f %12.1f %8.2f %8.3f %8.3f %8.3f\n",
-			r.Benchmark, r.Policy, r.Routing, r.LadderSplit, r.Shards, r.Cores,
+		if _, err := fmt.Fprintf(w, "%-8s %-*s %-6s %-8s %6d %6d %12.4f %12.1f %8.2f %8.3f %8.3f %8.3f\n",
+			r.Benchmark, pw, r.Policy, r.Routing, r.LadderSplit, r.Shards, r.Cores,
 			r.Makespan, r.Energy, r.Utilization, r.Imbalance, r.NormTime, r.NormEnergy); err != nil {
 			return err
 		}

@@ -53,7 +53,7 @@ func TestRunSmallGrid(t *testing.T) {
 		if r.Runs != 1 {
 			t.Errorf("runs = %d, want 1", r.Runs)
 		}
-		if r.Shards != 1 || r.Routing != "class" || r.LadderSplit != SplitUniform || r.Imbalance != 1 {
+		if r.Shards != 1 || r.Routing != "class" || r.LadderSplit != machine.SplitUniform || r.Imbalance != 1 {
 			t.Errorf("default topology must be one uniform shard: %+v", r)
 		}
 	}
@@ -72,7 +72,7 @@ func TestRunDefaults(t *testing.T) {
 	if len(full.Benchmarks) != 7 || len(full.Seeds) != 3 || full.Cores[0] != 16 ||
 		len(full.Shards) != 1 || full.Shards[0] != 1 ||
 		len(full.Routings) != 1 || full.Routings[0] != "class" ||
-		len(full.LadderSplits) != 1 || full.LadderSplits[0] != SplitUniform {
+		len(full.LadderSplits) != 1 || full.LadderSplits[0] != machine.SplitUniform {
 		t.Errorf("defaults = %+v", full)
 	}
 }
@@ -163,6 +163,55 @@ func TestWriteTable(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "md5") {
 		t.Errorf("table output:\n%s", buf.String())
+	}
+}
+
+// TestWriteTableAlignsLongPolicyNames: every row's columns start where
+// the header's do, also when a policy name is longer than the header's
+// column (eewa-exhaustive).
+func TestWriteTableAlignsLongPolicyNames(t *testing.T) {
+	recs, err := run(Grid{Benchmarks: []string{"md5"}, Policies: []string{"eewa", "eewa-exhaustive", "eewa-greedy"},
+		Cores: []int{8}, Seeds: []uint64{1}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("table has %d lines, want a header and 3 rows:\n%s", len(lines), buf.String())
+	}
+	// Where each column sits in the header: the four text columns are
+	// left-aligned (the label's start), the numbers right-aligned (its
+	// end).
+	head := lines[0]
+	var want [][2]int // {start, end} of each field; -1 where unpinned
+	for _, l := range []string{"bench", "policy", "route", "split"} {
+		want = append(want, [2]int{strings.Index(head, l), -1})
+	}
+	for _, l := range []string{"shards", "cores", "time (s)", "energy (J)", "util", "imbal", "norm t", "norm E"} {
+		want = append(want, [2]int{-1, strings.Index(head, l) + len(l)})
+	}
+	for _, row := range lines[1:] {
+		var got [][2]int
+		for i := 0; i < len(row); i++ {
+			if row[i] != ' ' && (i == 0 || row[i-1] == ' ') {
+				got = append(got, [2]int{i, -1})
+			}
+			if row[i] != ' ' && (i == len(row)-1 || row[i+1] == ' ') {
+				got[len(got)-1][1] = i + 1
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("row %q has %d fields, want %d", row, len(got), len(want))
+		}
+		for i, w := range want {
+			if w[0] >= 0 && got[i][0] != w[0] || w[1] >= 0 && got[i][1] != w[1] {
+				t.Errorf("row %q: field %d spans %v, the header's column %v", row, i, got[i], w)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,12 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -445,16 +449,6 @@ func TestCaptureRecordsSubmissions(t *testing.T) {
 	if cap.Len() != 12 {
 		t.Fatalf("captured %d events, want 12", cap.Len())
 	}
-	// The same events in groups of 4 go to /v1/jobs:batch, which the
-	// capture passes through without recording.
-	st4, err := ReplayWall(t.Context(), cap, small, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conserved(4, st4)
-	if cap.Len() != 12 {
-		t.Fatalf("captured %d events after grouped posts, want 12", cap.Len())
-	}
 	rec := cap.Trace("captured")
 	if err := rec.Validate(); err != nil {
 		t.Fatalf("captured trace invalid: %v", err)
@@ -472,6 +466,19 @@ func TestCaptureRecordsSubmissions(t *testing.T) {
 		t.Errorf("captured identity multiset differs:\n%v\nvs\n%v",
 			count(small.Events), count(rec.Events))
 	}
+	// The same events in groups of 4 go to /v1/jobs:batch: one event
+	// per job, the same identities again.
+	st4, err := ReplayWall(t.Context(), cap, small, 100, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conserved(4, st4)
+	if cap.Len() != 24 {
+		t.Fatalf("captured %d events after grouped posts, want 24", cap.Len())
+	}
+	if grouped := cap.Trace("captured").Events; !reflect.DeepEqual(count(append(small.Events, small.Events...)), count(grouped)) {
+		t.Errorf("batch posts captured identities %v, want each of %v twice", count(grouped), count(small.Events))
+	}
 	drain := func() {
 		ctx := t.Context()
 		if err := srv.Drain(ctx); err != nil {
@@ -479,6 +486,39 @@ func TestCaptureRecordsSubmissions(t *testing.T) {
 		}
 	}
 	drain()
+}
+
+// A batch submission is one arrival per job: each well-formed job of a
+// POST /v1/jobs:batch body becomes an event, and the wrapped handler
+// still reads the whole body.
+func TestCaptureRecordsEachJobOfABatch(t *testing.T) {
+	body, err := json.Marshal(serve.BatchRequest{Jobs: []serve.JobRequest{
+		{Tenant: "a", Func: "sha1", Count: 2, SizeBytes: 256, Seed: 1},
+		{Tenant: "b", Func: "lzw", SizeBytes: 512, Seed: 2, DeadlineMS: 50},
+		{Tenant: "a", Func: "md5", Count: 3, Seed: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	cap := NewCapture(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+	}))
+	cap.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/jobs:batch", bytes.NewReader(body)))
+	if cap.Len() != 3 {
+		t.Fatalf("captured %d events from a 3-job batch, want 3", cap.Len())
+	}
+	if !bytes.Equal(got, body) {
+		t.Errorf("the wrapped handler read %q, want the request body", got)
+	}
+	want := []Event{
+		{Tenant: "a", Class: "sha1", Count: 2, SizeBytes: 256, Seed: 1},
+		{Tenant: "a", Class: "md5", Count: 3, Seed: 3},
+		{Tenant: "b", Class: "lzw", Count: 1, SizeBytes: 512, Seed: 2, DeadlineMS: 50},
+	}
+	if evs := cap.Trace("batch").Events; !reflect.DeepEqual(evs, want) {
+		t.Errorf("captured %+v, want %+v", evs, want)
+	}
 }
 
 // ReplaySim hands the simulator each batch in the order the live

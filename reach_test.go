@@ -273,7 +273,7 @@ func (m *module) unreached(exempt map[string]string) (dead, stale []string, prog
 		keys[objKey(obj)] = obj
 	}
 
-	ifaceNames := m.interfaceMethodNames()
+	ifaceMethods := m.interfaceMethods()
 	reached := map[types.Object]bool{}
 	var work []decl
 	var mark func(obj types.Object)
@@ -297,7 +297,7 @@ func (m *module) unreached(exempt map[string]string) (dead, stale []string, prog
 		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
 			if named, ok := tn.Type().(*types.Named); ok {
 				for i := 0; i < named.NumMethods(); i++ {
-					if meth := named.Method(i); ifaceNames[meth.Name()] {
+					if meth := named.Method(i); ifaceMethods.match(meth) {
 						mark(meth)
 					}
 				}
@@ -508,18 +508,24 @@ func fieldWrites(node ast.Node, info *types.Info, written map[*types.Var]bool) {
 	})
 }
 
-// interfaceMethodNames returns the method names of every interface the
-// module declares or spells out, of every interface type exported by a
+// ifaceMethods holds, by name, the signature of every method of an
+// interface that a call may dispatch through.
+type ifaceMethods map[string][]*types.Signature
+
+// interfaceMethods returns the methods of every interface the module
+// declares or spells out, of every interface type exported by a
 // standard-library package the module imports, and of error. A method
-// of a reached type with one of these names is reached: a call through
-// the interface may dispatch to it.
-func (m *module) interfaceMethodNames() map[string]bool {
-	names := map[string]bool{"Error": true}
+// of a reached type that has the name and signature of one of these is
+// reached: a call through the interface may dispatch to it.
+func (m *module) interfaceMethods() ifaceMethods {
+	methods := ifaceMethods{}
 	addIface := func(it *types.Interface) {
 		for i := 0; i < it.NumMethods(); i++ {
-			names[it.Method(i).Name()] = true
+			f := it.Method(i)
+			methods[f.Name()] = append(methods[f.Name()], f.Type().(*types.Signature))
 		}
 	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	std := map[*types.Package]bool{}
 	for _, p := range m.pkgs {
 		for _, f := range p.files {
@@ -548,7 +554,58 @@ func (m *module) interfaceMethodNames() map[string]bool {
 			}
 		}
 	}
-	return names
+	return methods
+}
+
+// match reports whether meth has the name and signature of an interface
+// method.
+func (ms ifaceMethods) match(meth *types.Func) bool {
+	sig := meth.Type().(*types.Signature)
+	for _, want := range ms[meth.Name()] {
+		if sameSignature(sig, want) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameSignature compares parameters and results, receivers aside. A
+// method of a generic type and a method of a generic interface name
+// their type parameters apart, so a type parameter matches the one at
+// the same index of its own list (Locked[T].Steal matches Deque[T].Steal).
+func sameSignature(a, b *types.Signature) bool {
+	if a.Variadic() != b.Variadic() {
+		return false
+	}
+	sameTuple := func(x, y *types.Tuple) bool {
+		if x.Len() != y.Len() {
+			return false
+		}
+		for i := 0; i < x.Len(); i++ {
+			if !sameType(x.At(i).Type(), y.At(i).Type()) {
+				return false
+			}
+		}
+		return true
+	}
+	return sameTuple(a.Params(), b.Params()) && sameTuple(a.Results(), b.Results())
+}
+
+// sameType is types.Identical, except that two type parameters are the
+// same when they have the same index, also under a pointer or a slice.
+func sameType(x, y types.Type) bool {
+	switch x := x.(type) {
+	case *types.TypeParam:
+		y, ok := y.(*types.TypeParam)
+		return ok && x.Index() == y.Index()
+	case *types.Pointer:
+		y, ok := y.(*types.Pointer)
+		return ok && sameType(x.Elem(), y.Elem())
+	case *types.Slice:
+		y, ok := y.(*types.Slice)
+		return ok && sameType(x.Elem(), y.Elem())
+	}
+	return types.Identical(x, y)
 }
 
 // objKey names a declaration as reachExempt does.

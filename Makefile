@@ -127,9 +127,10 @@ cover:
 	$(GO) test -cover ./...
 
 # Text tables for every experiment (Figs. 1/6/7/8/9, Table III,
-# memory-bound extension, ablations).
+# memory-bound extension, ablations) and Fig. 3's worked k-tuple.
 experiments:
 	$(GO) run ./cmd/eewa-bench -exp all
+	$(GO) run ./cmd/eewa-ktuple
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -168,7 +169,7 @@ traffic-smoke:
 	rm -f traffic_golden.json
 	@echo "traffic smoke OK: golden fixture stable, sim + serve replays deterministic"
 
-# Reproduction artifacts referenced from EXPERIMENTS.md.
+# Reproduction artifacts: the whole test and benchmark output.
 artifacts:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt

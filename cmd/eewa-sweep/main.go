@@ -40,7 +40,7 @@ func main() {
 	benches := flag.String("bench", "", "comma-separated benchmarks, Table II's or membound (default: all seven of Table II)")
 	policies := flag.String("policies", "", "comma-separated policies: cilk,cilk-d,wats,eewa or EEWA variants such as eewa-greedy (default: cilk,cilk-d,eewa)")
 	cores := flag.String("cores", "", "comma-separated core counts per shard (default: 16)")
-	nseeds := flag.Int("seeds", len(sweep.DefaultSeeds), "number of seeds per cell")
+	nseeds := flag.Int("seeds", len(sweep.DefaultSeeds), "number of seeds per cell (must be positive)")
 	csvPath := flag.String("csv", "", "write CSV to this file instead of a table to stdout")
 	jsonPath := flag.String("json", "", "write per-cell JSON (with host wall time) to this file")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "cells simulated concurrently (must be positive)")
@@ -58,9 +58,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var seeds []uint64
-	for i := 0; i < *nseeds; i++ {
-		seeds = append(seeds, uint64(i+1))
+	seeds, err := sweep.SeedList(*nseeds)
+	if err != nil {
+		log.Printf("-seeds: %v", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	grid := sweep.Grid{
 		Benchmarks:   splitList(*benches),

@@ -70,8 +70,6 @@ var (
 type Table struct {
 	// CC[j][i]: cores at frequency level j needed for class i (ceiled).
 	CC [][]int
-	// Frac[j][i]: the analytic (unrounded) entry, kept for ablation.
-	Frac [][]float64
 	// Classes are the k task classes, sorted by descending AvgWork.
 	Classes []profile.Class
 	// Ladder is the machine's frequency ladder.
@@ -85,10 +83,9 @@ type Table struct {
 	// real searches lives on Cache.StepsTotal.
 	LastSearchSteps int
 
-	// Rebuild's flat r×k backing for CC and Frac, and the tuple
-	// SearchTuple writes — all reused from one build to the next.
+	// Rebuild's flat r×k backing for CC, and the tuple SearchTuple
+	// writes — both reused from one build to the next.
 	cc    []int
-	frac  []float64
 	tuple []int
 }
 
@@ -122,16 +119,12 @@ func (t *Table) Rebuild(classes []profile.Class, ladder machine.FreqLadder, T fl
 	t.Classes = append(t.Classes[:0], classes...)
 	t.Ladder, t.T = ladder, T
 	t.cc = slices.Grow(t.cc[:0], r*k)[:r*k]
-	t.frac = slices.Grow(t.frac[:0], r*k)[:r*k]
 	t.CC = slices.Grow(t.CC[:0], r)[:r]
-	t.Frac = slices.Grow(t.Frac[:0], r)[:r]
 	for j := 0; j < r; j++ {
 		t.CC[j] = t.cc[j*k : (j+1)*k : (j+1)*k]
-		t.Frac[j] = t.frac[j*k : (j+1)*k : (j+1)*k]
 		ratio := ladder.Ratio(j) // F0/Fj
 		for i := 0; i < k; i++ {
 			frac := scale(&classes[i], ratio) * classes[i].TotalWork() / T
-			t.Frac[j][i] = frac
 			cc := int(math.Ceil(frac - 1e-9)) // tolerance for exact-integer fracs
 			if cc < 1 {
 				cc = 1 // a class with any work needs at least one core
@@ -219,18 +212,16 @@ func FromCounts(cc [][]int, ladder machine.FreqLadder) (*Table, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("cctable: empty rows")
 	}
-	t := &Table{CC: make([][]int, len(cc)), Frac: make([][]float64, len(cc)), Ladder: ladder, T: 1}
+	t := &Table{CC: make([][]int, len(cc)), Ladder: ladder, T: 1}
 	for j := range cc {
 		if len(cc[j]) != k {
 			return nil, fmt.Errorf("cctable: ragged row %d", j)
 		}
 		t.CC[j] = append([]int(nil), cc[j]...)
-		t.Frac[j] = make([]float64, k)
 		for i, v := range cc[j] {
 			if v < 1 {
 				return nil, fmt.Errorf("cctable: entry [%d][%d] = %d < 1", j, i, v)
 			}
-			t.Frac[j][i] = float64(v)
 		}
 	}
 	t.Classes = make([]profile.Class, k)

@@ -1,8 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§IV), plus the ablations called out in DESIGN.md.
-// Each driver returns a typed result that the cmd/eewa-bench CLI and
-// the repository's bench harness render; the drivers themselves never
-// print. Fig. 6, Fig. 9, the memory-bound comparison and the search and
+// Each driver returns a typed result; Experiments renders them for
+// cmd/eewa-bench, and the drivers themselves never print. Fig. 6, Fig. 9, the memory-bound comparison and the search and
 // CC-formula ablations are queries on the internal/sweep grid — an EEWA
 // variant is a policy name (policy.New) — and return its records; every
 // driver runs the engine on the workload's seed, the grid's seed rule.
@@ -23,6 +22,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/machine"
@@ -36,6 +36,78 @@ import (
 
 // obsReg is the registry Observe installed; nil means no metrics.
 var obsReg *obs.Registry
+
+// Experiment is one `eewa-bench -exp` value: its name and the text its
+// drivers render over a seed set (plot appends the ASCII charts of
+// Fig. 6 and Fig. 9; single-seed experiments take the first seed).
+type Experiment struct {
+	Name   string
+	Output func(seeds []uint64, plot bool) (string, error)
+}
+
+// Experiments lists every experiment, in the order `eewa-bench -exp
+// all` prints them.
+var Experiments = []Experiment{
+	{"fig1", func([]uint64, bool) (string, error) { return RenderFig1(Fig1(1.0)), nil }},
+	{"fig6", func(seeds []uint64, plot bool) (string, error) {
+		recs, err := Fig6(seeds)
+		return figure(recs, plot, RenderFig6, RenderFig6Chart), err
+	}},
+	{"fig7", func(seeds []uint64, _ bool) (string, error) {
+		rows, err := Fig7(machine.Opteron16(), seeds)
+		return RenderFig7(rows), err
+	}},
+	{"fig8", func(seeds []uint64, _ bool) (string, error) {
+		res, err := Fig8(machine.Opteron16(), seeds[0])
+		if err != nil {
+			return "", err
+		}
+		return RenderFig8(res), nil
+	}},
+	{"fig9", func(seeds []uint64, plot bool) (string, error) {
+		recs, err := Fig9(seeds)
+		return figure(recs, plot, RenderFig9, RenderFig9Chart), err
+	}},
+	{"membound", func(seeds []uint64, _ bool) (string, error) {
+		recs, err := MemBound(seeds)
+		return RenderMemBound(recs), err
+	}},
+	{"table3", func(seeds []uint64, _ bool) (string, error) {
+		rows, err := Table3(machine.Opteron16(), seeds[0])
+		return RenderTable3(rows), err
+	}},
+	{"ablation", func(seeds []uint64, _ bool) (string, error) {
+		var b strings.Builder
+		for i, a := range []struct {
+			title   string
+			run     func([]uint64) ([]sweep.Record, error)
+			columns []string
+		}{
+			{"Ablation — tuple search algorithm (EEWA variants)", AblationSearch, []string{"backtracking", "exhaustive", "greedy"}},
+			{"Ablation — CC-table formula (granularity-aware vs paper's divisible-load)", AblationGranularity, []string{"granular", "divisible"}},
+			{"Ablation — package voltage coupling (EEWA on coupled vs per-core planes)", AblationPackages, []string{"coupled", "uncoupled"}},
+		} {
+			recs, err := a.run(seeds)
+			if err != nil {
+				return "", err
+			}
+			if i > 0 {
+				b.WriteString("\n")
+			}
+			b.WriteString(RenderAblation(a.title, recs, a.columns))
+		}
+		return b.String(), nil
+	}},
+}
+
+// figure renders a figure's records as its table, followed by its
+// chart when plot is set.
+func figure(recs []sweep.Record, plot bool, table, chart func([]sweep.Record) string) string {
+	if plot {
+		return table(recs) + "\n" + chart(recs)
+	}
+	return table(recs)
+}
 
 // Observe routes the engine metrics of every subsequent driver
 // simulation into reg, so a CLI can snapshot a whole experiment suite

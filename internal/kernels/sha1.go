@@ -69,7 +69,7 @@ func padTail(tail *[128]byte, rest []byte) int {
 // round helpers: the inlined bodies carry the helpers' line numbers,
 // the compiler schedules by line, and it hoisted all 64 schedule words
 // ahead of the rounds into stack slots (measured 9–19 % slower).
-// EXPERIMENTS.md ("SHA-1 rounds unrolled") has the measurements,
+// CHANGES.md's entry for this unrolling has the measurements,
 // including a 5-round-unrolled loop over an 80-word array.
 func sha1Block(h *[5]uint32, p []byte) {
 	p = p[:64]

@@ -46,7 +46,6 @@ import (
 // Model is one class's fitted frequency response t(ratio) = A + B·ratio
 // with ratio = F0/Fj ≥ 1.
 type Model struct {
-	Name string
 	// A is the frequency-insensitive seconds per task (memory stalls).
 	A float64
 	// B is the frequency-scaled seconds per task at F0 (compute).
@@ -95,7 +94,7 @@ func Fit(p *profile.Profiler, name string, ladder machine.FreqLadder) (Model, bo
 		b = 0
 		a = sy / n
 	}
-	return Model{Name: name, A: a, B: b}, true
+	return Model{A: a, B: b}, true
 }
 
 // FitAll fits every class in classes (the profiler's current view) and

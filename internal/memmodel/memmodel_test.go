@@ -270,7 +270,7 @@ func refFitAll(p *profile.Profiler, classes []profile.Class, ladder machine.Freq
 		if !ok {
 			return nil, false
 		}
-		m := refModel{Name: fm.Name, A: fm.A, B: fm.B, Count: c.Count, MaxRatio: 1}
+		m := refModel{Name: c.Name, A: fm.A, B: fm.B, Count: c.Count, MaxRatio: 1}
 		if c.AvgWork > 0 && c.MaxWork > c.AvgWork {
 			m.MaxRatio = c.MaxWork / c.AvgWork
 		}
@@ -311,7 +311,6 @@ func refBuildTable(models []refModel, ladder machine.FreqLadder, T float64, maxC
 	r, k := len(ladder), len(models)
 	t := &cctable.Table{
 		CC:      make([][]int, r),
-		Frac:    make([][]float64, r),
 		Classes: classes,
 		Ladder:  ladder,
 		T:       T,
@@ -319,12 +318,10 @@ func refBuildTable(models []refModel, ladder machine.FreqLadder, T float64, maxC
 	sentinel := maxCores*r + 1
 	for j := 0; j < r; j++ {
 		t.CC[j] = make([]int, k)
-		t.Frac[j] = make([]float64, k)
 		ratio := ladder.Ratio(j)
 		for i, m := range models {
 			perTask := m.TimeAt(ratio)
 			frac := float64(m.Count) * perTask / T
-			t.Frac[j][i] = frac
 			rounds := int(math.Floor(T/perTask + 1e-9))
 			biggest := perTask * m.MaxRatio
 			if rounds <= 0 || biggest > T*(1+1e-9) {
@@ -349,7 +346,7 @@ func refBuildTable(models []refModel, ladder machine.FreqLadder, T float64, maxC
 // replaced one (fit → models → BuildTable) on random profiles: 1–3
 // classes of random memory share (a, b), per-batch count, max/avg
 // inflation and sampled level pair, random T and core budget. CC must
-// match entry for entry; Frac differs only by float reassociation.
+// match entry for entry.
 func TestBuilderMatchesReplacedBuildTable(t *testing.T) {
 	rng := xrand.New(0x25)
 	sentinels := 0
@@ -388,9 +385,6 @@ func TestBuilderMatchesReplacedBuildTable(t *testing.T) {
 			for i := range want.CC[j] {
 				if got.CC[j][i] != want.CC[j][i] {
 					t.Fatalf("iter %d: CC[%d][%d] = %d, replaced builder %d\n%+v\n%+v", iter, j, i, got.CC[j][i], want.CC[j][i], models, classes)
-				}
-				if w := want.Frac[j][i]; math.Abs(got.Frac[j][i]-w) > 1e-12*w {
-					t.Fatalf("iter %d: Frac[%d][%d] = %v, replaced builder %v", iter, j, i, got.Frac[j][i], w)
 				}
 				if want.CC[j][i] == m*len(ladder)+1 {
 					sentinels++

@@ -48,6 +48,19 @@ import (
 // a fraction of the time).
 var DefaultSeeds = []uint64{1, 2, 3}
 
+// SeedList returns the seeds 1..n that a CLI's -seeds n averages over.
+// n < 1 is an error, not a request for the default.
+func SeedList(n int) ([]uint64, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("seed count must be positive, got %d", n)
+	}
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	return seeds, nil
+}
+
 // Grid declares the sweep space. Zero-valued fields get defaults.
 type Grid struct {
 	// Benchmarks are workloads.ByName names (Table II or "membound");

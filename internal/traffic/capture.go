@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,10 +61,13 @@ func (c *Capture) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // record appends one event per job with a function, all arriving now.
+// The clock is read under the lock, so events are appended in offset
+// order and no request that locks second can carry the earlier
+// reading (a negative offset when both are the first).
 func (c *Capture) record(jobs []serve.JobRequest) {
-	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := time.Now()
 	for _, req := range jobs {
 		if req.Func == "" {
 			continue // serve will 400 it, nothing to replay
@@ -101,21 +103,14 @@ func (c *Capture) record(jobs []serve.JobRequest) {
 	}
 }
 
-// Trace snapshots the capture as a validated trace. Events are sorted
-// by offset (concurrent submissions can record slightly out of order)
-// and the horizon extends to the last arrival.
+// Trace snapshots the capture as a valid trace: events in arrival
+// order (a batch's jobs in submission order), the horizon extended to
+// the last arrival.
 func (c *Capture) Trace(name string) *Trace {
 	c.mu.Lock()
 	events := make([]Event, len(c.events))
 	copy(events, c.events)
 	c.mu.Unlock()
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := &events[i], &events[j]
-		if a.OffsetS != b.OffsetS {
-			return a.OffsetS < b.OffsetS
-		}
-		return a.Tenant < b.Tenant
-	})
 	dur := 1e-3
 	if n := len(events); n > 0 && events[n-1].OffsetS > dur {
 		dur = events[n-1].OffsetS

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -511,13 +512,47 @@ func TestCaptureRecordsEachJobOfABatch(t *testing.T) {
 	if !bytes.Equal(got, body) {
 		t.Errorf("the wrapped handler read %q, want the request body", got)
 	}
+	// Submission order: a replay groups and orders the batch's jobs as
+	// the live request did.
 	want := []Event{
 		{Tenant: "a", Class: "sha1", Count: 2, SizeBytes: 256, Seed: 1},
-		{Tenant: "a", Class: "md5", Count: 3, Seed: 3},
 		{Tenant: "b", Class: "lzw", Count: 1, SizeBytes: 512, Seed: 2, DeadlineMS: 50},
+		{Tenant: "a", Class: "md5", Count: 3, Seed: 3},
 	}
 	if evs := cap.Trace("batch").Events; !reflect.DeepEqual(evs, want) {
 		t.Errorf("captured %+v, want %+v", evs, want)
+	}
+}
+
+// Concurrent first requests race for the capture's start: whichever
+// records first anchors it, so no event lands before offset 0 and the
+// trace validates with offsets that never decrease.
+func TestCaptureConcurrentSubmissionsStayOrdered(t *testing.T) {
+	body, err := json.Marshal(serve.JobRequest{Tenant: "t", Func: "sha1", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const posters, each = 8, 25
+	for round := 0; round < 20; round++ {
+		cap := NewCapture(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+		var wg sync.WaitGroup
+		for range posters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range each {
+					cap.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+				}
+			}()
+		}
+		wg.Wait()
+		tr := cap.Trace("concurrent")
+		if len(tr.Events) != posters*each {
+			t.Fatalf("round %d: captured %d events, want %d", round, len(tr.Events), posters*each)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
 }
 

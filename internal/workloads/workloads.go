@@ -49,7 +49,9 @@ func (b Benchmark) Workload(seed uint64) *task.Workload {
 
 // All returns the seven benchmarks of Table II. The mixes are frozen:
 // every experiment and test in this repository derives from them, so
-// changing a number here changes EXPERIMENTS.md.
+// changing a number here changes the output blocks and the scorecard
+// of EXPERIMENTS.md and README.md, which TestDocsMatchPrograms
+// (internal/experiments) diffs against the code.
 func All() []Benchmark {
 	return []Benchmark{
 		{

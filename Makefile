@@ -127,10 +127,17 @@ cover:
 	$(GO) test -cover ./...
 
 # Text tables for every experiment (Figs. 1/6/7/8/9, Table III,
-# memory-bound extension, ablations) and Fig. 3's worked k-tuple.
+# memory-bound extension, ablations), Fig. 3's worked k-tuple and the
+# §IV-D offline-profile round trip: a SHA-1 run saves its profile, a
+# second run schedules from it (EXPERIMENTS.md, "§IV-D — offline
+# profiling").
 experiments:
 	$(GO) run ./cmd/eewa-bench -exp all
 	$(GO) run ./cmd/eewa-ktuple
+	prof=$$(mktemp) && \
+	$(GO) run ./cmd/eewa-sim -bench sha1 -policy eewa -profile-out "$$prof" && \
+	$(GO) run ./cmd/eewa-sim -bench sha1 -policy eewa -profile-in "$$prof"; \
+	status=$$?; rm -f "$$prof"; exit $$status
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -60,10 +60,11 @@ type Adjuster struct {
 	// within the core budget (the adjuster then keeps every core
 	// fast).
 	Infeasible int
-	// LastSteps is the Select-attempt count of the most recent tuple
-	// search (0 for search functions that do not report it, and 0 when
-	// the plan cache served the result without searching), surfaced as
-	// the adjuster's backtracking-depth metric.
+	// LastSteps is the Select-attempt count of the most recent Adjust
+	// (0 for search functions that do not report it, 0 when the plan
+	// cache served the result without searching, and 0 when Adjust
+	// returned before searching), surfaced as the adjuster's
+	// backtracking-depth metric.
 	LastSteps int
 	// Cache memoizes tuple-search results keyed by the CC table's
 	// fingerprint (class set + weights + T + core budget), so batches
@@ -117,7 +118,7 @@ func NewAdjuster(ladder machine.FreqLadder, cores int) (*Adjuster, error) {
 // back — because the classes were empty, T was unusable, or no tuple
 // fit the core budget — and the caller keeps every core fast.
 func (a *Adjuster) Adjust(classes []profile.Class, T float64) (*cgroup.Assignment, bool) {
-	a.LastCacheHit = false
+	a.LastCacheHit, a.LastSteps = false, 0
 	if len(classes) == 0 || T <= 0 {
 		return nil, false
 	}

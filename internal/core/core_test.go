@@ -49,6 +49,37 @@ func TestAdjustBadTimeFallsBack(t *testing.T) {
 	}
 }
 
+// An Adjust that returns before searching reports no search steps, not
+// the previous search's count.
+func TestAdjustEarlyReturnsResetSteps(t *testing.T) {
+	a := mustAdjuster(t, 16)
+	classes := []profile.Class{
+		{Name: "heavy", Count: 5, AvgWork: 0.17, MaxWork: 0.17},
+		{Name: "light", Count: 123, AvgWork: 0.0046, MaxWork: 0.0046},
+	}
+	unsorted := []profile.Class{classes[1], classes[0]}
+	for _, c := range []struct {
+		name    string
+		classes []profile.Class
+		T       float64
+	}{
+		{"no classes", nil, 0.2},
+		{"zero T", classes, 0},
+		{"table rejected", unsorted, 0.2},
+	} {
+		a.Cache = nil // every search runs, so every search counts steps
+		if _, ok := a.Adjust(classes, 0.2); !ok || a.LastSteps == 0 {
+			t.Fatalf("%s: the search before reports ok %v after %d steps, want a fit after some", c.name, ok, a.LastSteps)
+		}
+		if _, ok := a.Adjust(c.classes, c.T); ok {
+			t.Fatalf("%s: Adjust fit", c.name)
+		}
+		if a.LastSteps != 0 {
+			t.Errorf("%s: LastSteps %d, want 0: nothing was searched", c.name, a.LastSteps)
+		}
+	}
+}
+
 func TestAdjustDownscalesUnderutilizedWorkload(t *testing.T) {
 	a := mustAdjuster(t, 16)
 	// 5 chunky tasks (stay at F0) + many fine tasks (downscale): the

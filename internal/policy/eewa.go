@@ -33,7 +33,9 @@ type EEWA struct {
 	// profile (paper §IV-D last paragraph): the adjuster configures
 	// frequencies before the *first* batch instead of burning an
 	// all-fast warmup iteration. Later batches re-profile online as
-	// usual.
+	// usual and are planned against the profile's T scaled to their
+	// share of its work (profile.Snapshot.IdealTimeFor), which is T
+	// itself on an iteration that matches the profile.
 	Offline *profile.Snapshot
 
 	// The variant New configures (the zero values are the paper's
@@ -127,28 +129,33 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 	}
 
 	// With an offline profile, its measured ideal time remains the
-	// performance target for the whole run: batch 0 already runs
-	// downscaled, so its duration would understate T.
-	T := env.IdealTime
+	// performance target for the whole run (batch 0 already runs
+	// downscaled, so its duration would understate T), scaled to the
+	// batch being planned: a batch holding a tenth of the profiled
+	// iteration's work gets a tenth of its T. On an iteration that
+	// matches the profile that is Offline.T itself.
+	T, classes := env.IdealTime, prof.Classes()
 	if e.Offline != nil && e.Offline.Validate(env.Cfg.Freqs) == nil {
-		T = e.Offline.T
+		T = e.Offline.IdealTimeFor(classes)
 	}
-	p, _ := e.adjust(prof.Classes(), T, env, 0)
+	p, _ := e.adjust(classes, T, env, 0)
 	return p
 }
 
 // adjust runs the adjuster on classes and T and wraps its decision in a
 // plan: the assignment when a tuple fit (ok), classic stealing at F0
-// otherwise, with the adjuster's cost charged either way. HostTime adds
-// prep, the host time already spent deriving classes.
+// otherwise, with the adjuster's cost, search steps and T reported
+// either way. HostTime adds prep, the host time already spent deriving
+// classes.
 func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Duration) (Plan, bool) {
 	before, infeasible := e.adj.HostTime, e.adj.Infeasible
 	asn, ok := e.adj.Adjust(classes, T)
-	p := Plan{Assignment: asn, SearchSteps: e.adj.LastSteps}
+	p := Plan{Assignment: asn}
 	if !ok {
 		p = e.fast.BeginBatch(0, nil, env)
 	}
 	p.Overhead, p.HostTime, p.Adjusted = env.AdjusterCharge, prep+e.adj.HostTime-before, true
+	p.SearchSteps, p.IdealTime = e.adj.LastSteps, T
 	p.CacheHit = e.adj.LastCacheHit
 	p.Infeasible = e.adj.Infeasible > infeasible
 	return p, ok

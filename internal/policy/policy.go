@@ -146,9 +146,15 @@ type Plan struct {
 	// plan on the host (Table III).
 	HostTime time.Duration
 	// SearchSteps is the number of Select attempts the tuple search
-	// performed for this plan (0 when no search ran) — the
+	// performed for this plan (0 when no search ran), also when no
+	// tuple fit and the plan fell back to every core at F0 — the
 	// backtracking depth surfaced to the metrics layer.
 	SearchSteps int
+	// IdealTime is the ideal iteration time T, in seconds, the
+	// frequency adjuster planned this batch against (0 when no
+	// adjustment ran); the engines observe it on
+	// eewa_{sim,rt}_plan_ideal_seconds.
+	IdealTime float64
 	// Adjusted reports that the frequency adjuster ran for this plan
 	// (used by the engines' adjuster-invocation metrics; Overhead may
 	// legitimately be zero in the live runtime).

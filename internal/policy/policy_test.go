@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -386,6 +387,122 @@ func TestEEWAAdjustsFromProfile(t *testing.T) {
 	if plan.Assignment.Groups[hg].Level > plan.Assignment.Groups[lg].Level {
 		t.Errorf("heavy class on slower group (level %d) than light (level %d)",
 			plan.Assignment.Groups[hg].Level, plan.Assignment.Groups[lg].Level)
+	}
+}
+
+// servedSnapshot is a 64-task offline profile shaped like a served
+// mix (four kernels, sha1 the most frequent, dmc the heaviest) with T
+// 1.25 × its work over two workers.
+func servedSnapshot(freqs machine.FreqLadder) *profile.Snapshot {
+	s := &profile.Snapshot{
+		Freqs: []float64(freqs),
+		Classes: []profile.Class{
+			{Name: "dmc", Count: 4, AvgWork: 1e-3, MaxWork: 1e-3},
+			{Name: "je", Count: 4, AvgWork: 180e-6, MaxWork: 180e-6},
+			{Name: "sha1", Count: 41, AvgWork: 42e-6, MaxWork: 42e-6},
+			{Name: "lzw", Count: 15, AvgWork: 30e-6, MaxWork: 30e-6},
+		},
+	}
+	var work float64
+	for _, c := range s.Classes {
+		work += c.TotalWork()
+	}
+	s.T = 1.25 * work / 2
+	return s
+}
+
+// servedPlan plans the batch after a first one that ran classes (each
+// at its snapshot average, at F0) on two workers, under an EEWA that
+// holds snap offline, or, when snap is nil, under an online EEWA whose
+// first batch took T.
+func servedPlan(t *testing.T, snap *profile.Snapshot, T float64, classes []profile.Class) Plan {
+	t.Helper()
+	cfg := machine.Opteron16()
+	cfg.Cores = 2
+	e := NewEEWA()
+	e.Offline = snap
+	prof := profile.New(cfg.Freqs)
+	env := &Env{Cfg: cfg}
+	e.BeginBatch(0, prof, env)
+	for _, c := range classes {
+		prof.RecordBulk(c.Name, c.Count, c.TotalWork(), c.MaxWork, 0)
+	}
+	env.IdealTime = T
+	return e.BeginBatch(1, prof, env)
+}
+
+func levels(plan Plan) []int {
+	out := make([]int, len(plan.Assignment.CoreGroup))
+	for w := range out {
+		out[w] = plan.Assignment.FreqOf(w)
+	}
+	return out
+}
+
+// A served batch of four sha1 tasks holds 168 µs of the profile's
+// 6.9 ms: planned against the whole profile's T (4.3 ms) both workers
+// would idle along at the slowest rung for 27× the batch's work, while
+// its share of T (105 µs) keeps both at F0.
+func TestEEWAOfflineScalesTToTheBatch(t *testing.T) {
+	snap := servedSnapshot(machine.Opteron16().Freqs)
+	sha1 := snap.Classes[2]
+	sha1.Count = 4
+	plan := servedPlan(t, snap, 0, []profile.Class{sha1})
+	if got := levels(plan); !reflect.DeepEqual(got, []int{0, 0}) {
+		t.Errorf("levels %v, want [0 0]", got)
+	}
+	if want := snap.T * 4 * 42e-6 / (2 * snap.T / 1.25); math.Abs(plan.IdealTime-want) > 1e-12 {
+		t.Errorf("planned T %g, want the batch's share of the profile's %g", plan.IdealTime, want)
+	}
+	// A class the profile lacks counts at its measured work.
+	extra := profile.Class{Name: "md5", Count: 2, AvgWork: 50e-6, MaxWork: 50e-6}
+	plan = servedPlan(t, snap, 0, []profile.Class{extra, sha1})
+	if want := snap.T * (4*42e-6 + 2*50e-6) / (2 * snap.T / 1.25); math.Abs(plan.IdealTime-want) > 1e-12 {
+		t.Errorf("planned T %g with an unprofiled class, want %g", plan.IdealTime, want)
+	}
+}
+
+// A batch that repeats the profiled iteration's counts is planned
+// against the profile's T bit for bit, so its plan is the one an
+// online EEWA with that T makes.
+func TestEEWAOfflineMatchingBatchKeepsT(t *testing.T) {
+	snap := servedSnapshot(machine.Opteron16().Freqs)
+	// The batch's measured averages differ from the profile's; only its
+	// counts decide the share.
+	batch := slices.Clone(snap.Classes)
+	for i := range batch {
+		batch[i].AvgWork *= 0.9
+		batch[i].MaxWork = batch[i].AvgWork
+	}
+	plan := servedPlan(t, snap, 0, batch)
+	if math.Float64bits(plan.IdealTime) != math.Float64bits(snap.T) {
+		t.Errorf("planned T %v, want the profile's %v bit for bit", plan.IdealTime, snap.T)
+	}
+	online := servedPlan(t, nil, snap.T, batch)
+	if !reflect.DeepEqual(plan.Assignment, online.Assignment) || plan.SearchSteps != online.SearchSteps {
+		t.Errorf("plan %+v (%d steps), want the profile-T plan %+v (%d steps)",
+			plan.Assignment, plan.SearchSteps, online.Assignment, online.SearchSteps)
+	}
+}
+
+// A plan that falls back to every core at F0 after Algorithm 1 found no
+// tuple still reports the search's steps and its T.
+func TestEEWAFallbackKeepsSearchSteps(t *testing.T) {
+	cfg := machine.Opteron16()
+	cfg.Cores = 2
+	e := NewEEWA()
+	prof := profile.New(cfg.Freqs)
+	env := &Env{Cfg: cfg, AdjusterCharge: 2e-3}
+	e.BeginBatch(0, prof, env)
+	prof.RecordBulk("wide", 10, 10e-3, 1e-3, 0) // ten 1 ms tasks on two cores
+	env.IdealTime = 1e-3
+	plan := e.BeginBatch(1, prof, env)
+	wantAllFastClassic(t, "infeasible batch", plan, env)
+	if !plan.Infeasible || plan.SearchSteps != len(cfg.Freqs) {
+		t.Errorf("infeasible %v after %d search steps, want true after %d (one per level)", plan.Infeasible, plan.SearchSteps, len(cfg.Freqs))
+	}
+	if plan.IdealTime != env.IdealTime {
+		t.Errorf("planned T %g, want %g", plan.IdealTime, env.IdealTime)
 	}
 }
 

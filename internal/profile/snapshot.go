@@ -26,7 +26,10 @@ type Snapshot struct {
 	// same ladder.
 	Freqs []float64 `json:"freqs"`
 	// T is the ideal iteration time in seconds (the all-fast batch
-	// duration the profile was normalized against).
+	// duration the profile was normalized against) of the profiled
+	// iteration. A batch of other counts is planned against T scaled to
+	// its share of the profiled work (IdealTimeFor); on an iteration
+	// that matches the profile that is T itself.
 	T float64 `json:"ideal_time_s"`
 	// Classes are the profiled task classes, descending AvgWork.
 	Classes []Class `json:"classes"`
@@ -40,6 +43,38 @@ func (p *Profiler) Snapshot(T float64) *Snapshot {
 		T:       T,
 		Classes: slices.Clone(p.Classes()),
 	}
+}
+
+// IdealTimeFor returns the ideal time of a batch whose profiled
+// classes are batch: T scaled by the batch's share of the snapshot's
+// work. Each snapshot class contributes the batch's count of it (0 when
+// absent) at the snapshot's average workload, and a batch class the
+// snapshot lacks contributes its own measured TotalWork; the sum is
+// divided by the snapshot's Σ TotalWork. A batch whose every class
+// count equals the snapshot's gets T bit for bit. It allocates nothing.
+func (s *Snapshot) IdealTimeFor(batch []Class) float64 {
+	var num, den float64
+	for _, sc := range s.Classes {
+		num += float64(countOf(batch, sc.Name)) * sc.AvgWork
+		den += sc.TotalWork()
+	}
+	for _, c := range batch {
+		if countOf(s.Classes, c.Name) == 0 {
+			num += c.TotalWork()
+		}
+	}
+	return s.T * (num / den)
+}
+
+// countOf returns the count of the class called name in classes, 0
+// when there is none.
+func countOf(classes []Class, name string) int {
+	for _, c := range classes {
+		if c.Name == name {
+			return c.Count
+		}
+	}
+	return 0
 }
 
 // Validate checks internal consistency and, when ladder is non-nil,

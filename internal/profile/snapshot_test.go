@@ -215,3 +215,33 @@ func TestSnapshotEncodingUnchangedByMemFrac(t *testing.T) {
 		t.Errorf("encoding changed:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// IdealTimeFor scales T by the batch's share of the profiled work —
+// snapshot averages for the snapshot's classes, measured work for the
+// rest — returns T bit for bit on the profiled counts whatever the
+// batch measured, and allocates nothing.
+func TestSnapshotIdealTimeFor(t *testing.T) {
+	s := &Snapshot{T: 0.3, Classes: []Class{
+		{Name: "a", Count: 3, AvgWork: 0.1, MaxWork: 0.1},
+		{Name: "b", Count: 7, AvgWork: 0.01, MaxWork: 0.02},
+	}}
+	same := []Class{{Name: "b", Count: 7, AvgWork: 0.5}, {Name: "a", Count: 3, AvgWork: 0.9}}
+	if got := s.IdealTimeFor(same); math.Float64bits(got) != math.Float64bits(s.T) {
+		t.Errorf("profiled counts: T %v, want %v bit for bit", got, s.T)
+	}
+	for _, c := range []struct {
+		batch []Class
+		share float64
+	}{
+		{nil, 0},
+		{[]Class{{Name: "a", Count: 1, AvgWork: 0.9}}, 0.1 / 0.37},
+		{[]Class{{Name: "b", Count: 14, AvgWork: 0.5}, {Name: "new", Count: 2, AvgWork: 0.05}}, (0.14 + 0.1) / 0.37},
+	} {
+		if got, want := s.IdealTimeFor(c.batch), s.T*c.share; math.Abs(got-want) > 1e-12 {
+			t.Errorf("batch %+v: T %v, want %v", c.batch, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.IdealTimeFor(same) }); n != 0 {
+		t.Errorf("IdealTimeFor allocates %v times", n)
+	}
+}

@@ -42,6 +42,7 @@ type rtObs struct {
 	adjInv        *obs.Counter
 	adjHost       *obs.Counter
 	adjInfeasible *obs.Counter
+	idealTime     *obs.LogHistogram
 	planHits      *obs.Counter
 	planMisses    *obs.Counter
 	violations    *obs.CounterVec
@@ -85,6 +86,8 @@ func newRTObs(reg *obs.Registry, levels int) rtObs {
 			"Host wall time spent inside the frequency adjuster."),
 		adjInfeasible: reg.Counter("eewa_rt_adjuster_infeasible_total",
 			"Adjuster decisions where no frequency tuple fit the workers, so every worker stayed at F0."),
+		idealTime: reg.LogHistogram("eewa_rt_plan_ideal_seconds",
+			"Ideal iteration time T each adjusted plan was planned against (0 when the adjuster did not run)."),
 		planHits: reg.Counter("eewa_plan_cache_hits_total",
 			"Adjusted plans served from the memoized tuple-search cache."),
 		planMisses: reg.Counter("eewa_plan_cache_misses_total",

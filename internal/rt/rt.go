@@ -547,6 +547,7 @@ func (r *Runtime) planBatch() {
 	if plan.Adjusted && r.ro.reg != nil {
 		r.ro.adjInv.Inc()
 		r.ro.adjHost.Add(plan.HostTime.Seconds())
+		r.ro.idealTime.Observe(plan.IdealTime)
 		if plan.CacheHit {
 			r.ro.planHits.Inc()
 		} else {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/profile"
 )
 
 func testConfig(workers int, p Policy) Config {
@@ -144,6 +145,50 @@ func TestEEWADownscalesSkewedWorkload(t *testing.T) {
 		t.Error("EEWA never downscaled any worker on a skewed workload")
 	}
 	// First batch must have been all-fast.
+}
+
+// A served EEWA holds an offline profile of a 64-task iteration (4.3 ms
+// of T over two workers) and runs batches of four no-op tasks. Planned
+// against the whole profile's T such a batch fits at the slowest rung
+// whatever it holds; planned against its share of the profiled work
+// (its measured work, as the profile lacks its class, so T is 1.25× the
+// batch's work over two workers) the slowest rung overruns T.
+func TestEEWAOfflineServedBatchNotAllSlowest(t *testing.T) {
+	cfg := testConfig(2, PolicyEEWA)
+	snap := &profile.Snapshot{
+		Freqs: []float64(cfg.Machine.Freqs),
+		Classes: []profile.Class{
+			{Name: "dmc", Count: 4, AvgWork: 1e-3, MaxWork: 1e-3},
+			{Name: "je", Count: 4, AvgWork: 180e-6, MaxWork: 180e-6},
+			{Name: "sha1", Count: 41, AvgWork: 42e-6, MaxWork: 42e-6},
+			{Name: "lzw", Count: 15, AvgWork: 30e-6, MaxWork: 30e-6},
+		},
+	}
+	snap.T = 1.25 * (4*1e-3 + 4*180e-6 + 41*42e-6 + 15*30e-6) / 2
+	e := policy.NewEEWA()
+	e.Offline = snap
+	cfg.Impl = e
+	cfg.Obs = obs.NewRegistry()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := make([]Task, 4)
+	for i := range tasks {
+		tasks[i] = Task{Class: "noop", Run: func() {}}
+	}
+	r.RunBatch(tasks)
+	bs := r.RunBatch(tasks)
+	slowest := cfg.Machine.Freqs.Slowest()
+	if bs.Levels[0] == slowest && bs.Levels[1] == slowest {
+		t.Errorf("levels %v after a four-task batch, want a worker above the slowest rung", bs.Levels)
+	}
+	// The profile's four classes never fit two workers, so batch 0 runs
+	// the unadjusted all-F0 plan; batch 1's plan observes its own T.
+	h := cfg.Obs.LogHistogram("eewa_rt_plan_ideal_seconds", "")
+	if h.Count() != 1 || !(h.Sum() > 0 && h.Sum() < snap.T) {
+		t.Errorf("eewa_rt_plan_ideal_seconds: %d observations summing to %g, want one in (0, %g)", h.Count(), h.Sum(), snap.T)
+	}
 }
 
 func TestFirstBatchAllFast(t *testing.T) {

@@ -40,6 +40,7 @@ type engineObs struct {
 	planHits      *obs.Counter
 	planMisses    *obs.Counter
 	searchSteps   *obs.LogHistogram
+	idealTime     *obs.LogHistogram
 	makespan      *obs.Gauge
 	runs          *obs.Counter
 
@@ -97,8 +98,10 @@ func newEngineObs(reg *obs.Registry, levels int) engineObs {
 		planHits:    reg.Counter("eewa_plan_cache_hits_total", "Adjusted plans served from the memoized tuple-search cache."),
 		planMisses:  reg.Counter("eewa_plan_cache_misses_total", "Adjusted plans that ran the backtracking tuple search."),
 		searchSteps: reg.LogHistogram("eewa_sim_adjuster_search_steps", "Select attempts per Algorithm 1 tuple search."),
-		makespan:    reg.Gauge("eewa_sim_makespan_seconds", "Makespan of the most recent run."),
-		runs:        reg.Counter("eewa_sim_runs_total", "Completed simulation runs."),
+		idealTime: reg.LogHistogram("eewa_sim_plan_ideal_seconds",
+			"Ideal iteration time T each adjusted plan was planned against (0 when the adjuster did not run)."),
+		makespan: reg.Gauge("eewa_sim_makespan_seconds", "Makespan of the most recent run."),
+		runs:     reg.Counter("eewa_sim_runs_total", "Completed simulation runs."),
 		taskWait: reg.LogHistogramVec("eewa_sim_task_wait_seconds",
 			"Simulated wait from batch start to execution start, by task class.", "class"),
 		taskLat: reg.LogHistogramVec("eewa_sim_task_latency_seconds",
@@ -404,6 +407,7 @@ func (e *engine) observeBatch(dur float64, census []int, plan policy.Plan) {
 		e.eo.searchSteps.Observe(float64(plan.SearchSteps))
 	}
 	if plan.Adjusted {
+		e.eo.idealTime.Observe(plan.IdealTime)
 		if plan.CacheHit {
 			e.eo.planHits.Inc()
 		} else {

@@ -87,6 +87,11 @@ func TestObsIntegration(t *testing.T) {
 	if reg.LogHistogram("eewa_sim_adjuster_search_steps", "").Sum() <= 0 {
 		t.Error("search-steps histogram saw no backtracking work")
 	}
+	// Online, every adjusted plan targets batch 0's duration.
+	ideal := reg.LogHistogram("eewa_sim_plan_ideal_seconds", "")
+	if n := len(res.BatchTimes) - 1; ideal.Count() != uint64(n) || !close(ideal.Sum(), float64(n)*res.BatchTimes[0], 1e-9) {
+		t.Errorf("plan ideal time: %d observations summing to %g, want %d of T = %g", ideal.Count(), ideal.Sum(), n, res.BatchTimes[0])
+	}
 
 	// Per-class wait/latency histograms: together the class children see
 	// every executed task, latency dominates wait per class, and the

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -516,6 +517,24 @@ func TestEEWAOfflineProfileSkipsWarmup(t *testing.T) {
 	// structural win is the immediate configuration above.
 	if res.Energy > 1.02*first.Energy {
 		t.Errorf("offline run energy %g should not exceed online %g by >2%%", res.Energy, first.Energy)
+	}
+	// The paper's regime, pinned bit for bit: every sha1 iteration
+	// repeats the profiled one's counts (5 file + 123 chunk tasks), so
+	// each batch is planned against the profile's own T, and the round
+	// trip is the one EXPERIMENTS.md §IV-D reports.
+	const wantEnergy, wantMakespan = 0x407a64886bf040f4, 0x3ffc1f2959a90258 // 422.2833… J, 1.75760… s
+	if math.Float64bits(res.Energy) != wantEnergy || math.Float64bits(res.Makespan) != wantMakespan {
+		t.Errorf("offline round trip: energy %v J (%#x), makespan %v s (%#x); golden %v J, %v s", res.Energy,
+			math.Float64bits(res.Energy), res.Makespan, math.Float64bits(res.Makespan),
+			math.Float64frombits(wantEnergy), math.Float64frombits(wantMakespan))
+	}
+	for bi, census := range res.BatchCensus {
+		if !slices.Equal(census, []int{5, 0, 0, 11}) {
+			t.Errorf("offline round trip: batch %d census %v, golden [5 0 0 11]", bi, census)
+		}
+	}
+	if len(res.BatchCensus) != 10 {
+		t.Errorf("offline round trip: %d batches, golden 10", len(res.BatchCensus))
 	}
 }
 

@@ -114,13 +114,15 @@ check:
 # and 10 s each of the differential targets: the serve codec's against
 # encoding/json, the scratch-reusing kernels' against the per-call
 # reference (go test -fuzz takes one target and one package per run).
+# Minimising a new input is capped at 50 execs: a kernel exec takes
+# milliseconds, and the default 60 s budget stalls every worker.
 check-long:
 	EEWA_STRESS_SECONDS=60 $(GO) test -race -count=2 -timeout 30m \
 		./internal/check/ ./internal/deque/ ./internal/event/ ./internal/policy/ ./internal/rt/ ./internal/serve/ ./internal/kernels/
 	$(GO) test -tags eewa_check -race ./internal/rt/ ./internal/check/ ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzQueue -fuzztime 60s ./internal/event/
 	for t in serve/FuzzDecodeJob serve/FuzzDecodeBatch serve/FuzzAppendBatchResponse kernels/FuzzScratchKernels kernels/FuzzDigests; do \
-		$(GO) test -run '^$$' -fuzz "^$${t#*/}$$" -fuzztime 10s ./internal/$${t%/*}/ || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*/}$$" -fuzztime 10s -fuzzminimizetime 50x ./internal/$${t%/*}/ || exit 1; \
 	done
 
 cover:

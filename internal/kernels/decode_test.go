@@ -425,7 +425,10 @@ func DMCDecompress(data []byte) ([]byte, error) {
 	if capHint > 1<<20 {
 		capHint = 1 << 20
 	}
-	model := newDMCModel(nil)
+	// The encoder models a block of bits before it codes them; a
+	// decoder needs each bit before the next prediction, so it steps
+	// the reference's bit-at-a-time model, which predicts the same.
+	model := refNewDMCModel()
 	dec := newArithDecoder(data[4:])
 	out := make([]byte, 0, capHint)
 	for len(out) < int(n) {
@@ -452,7 +455,7 @@ func idct8(block *[64]float64) {
 				if v == 0 {
 					c = 1 / (2 * math.Sqrt2)
 				}
-				sum += c * block[v*8+cidx] * dctCos[v][y]
+				sum += c * block[v*8+cidx] * dctCos[y][v]
 			}
 			tmp[y*8+cidx] = sum
 		}
@@ -466,7 +469,7 @@ func idct8(block *[64]float64) {
 				if u == 0 {
 					c = 1 / (2 * math.Sqrt2)
 				}
-				sum += c * tmp[r*8+u] * dctCos[u][x]
+				sum += c * tmp[r*8+u] * dctCos[x][u]
 			}
 			block[r*8+x] = sum
 		}

@@ -92,15 +92,16 @@ func scaledQuant(quality int) [64]int32 {
 	return out
 }
 
-// dctCos[u][x] is the DCT-II basis cos((2x+1)uπ/16). Its argument is
-// float64 arithmetic on loop variables, rounded step by step as in the
-// reference transforms that TestDCTMatchesReference holds fdct8 and
-// idct8 to bit for bit; written as a constant expression it would be
-// rounded once and could differ in the last bit.
+// dctCos[x][u] is the DCT-II basis cos((2x+1)uπ/16), a row per sample
+// x, the order fdct8 reads it in. Its argument is float64 arithmetic on
+// loop variables, rounded step by step as in the reference transforms
+// that TestDCTMatchesReference holds fdct8 and idct8 to bit for bit;
+// written as a constant expression it would be rounded once and could
+// differ in the last bit.
 var dctCos = func() (t [8][8]float64) {
-	for u := 0; u < 8; u++ {
-		for x := 0; x < 8; x++ {
-			t[u][x] = math.Cos((2*float64(x) + 1) * float64(u) * math.Pi / 16)
+	for x := 0; x < 8; x++ {
+		for u := 0; u < 8; u++ {
+			t[x][u] = math.Cos((2*float64(x) + 1) * float64(u) * math.Pi / 16)
 		}
 	}
 	return t
@@ -110,35 +111,43 @@ var dctCos = func() (t [8][8]float64) {
 // columns of the 8×8 block. The float multiply-adds are the kernel's
 // CPU work; the basis is read from dctCos, not recomputed.
 func fdct8(block *[64]float64) {
+	// Rows into tmp's columns, then tmp's rows (the block's columns)
+	// into the block's columns.
 	var tmp [64]float64
-	// Rows.
 	for r := 0; r < 8; r++ {
-		for u := 0; u < 8; u++ {
-			sum := 0.0
-			for x := 0; x < 8; x++ {
-				sum += block[r*8+x] * dctCos[u][x]
-			}
-			c := 0.5
-			if u == 0 {
-				c = 1 / (2 * math.Sqrt2)
-			}
-			tmp[r*8+u] = sum * c
-		}
+		dct8(&tmp, r, (*[8]float64)(block[r*8:]))
 	}
-	// Columns.
-	for cidx := 0; cidx < 8; cidx++ {
-		for v := 0; v < 8; v++ {
-			sum := 0.0
-			for y := 0; y < 8; y++ {
-				sum += tmp[y*8+cidx] * dctCos[v][y]
-			}
-			c := 0.5
-			if v == 0 {
-				c = 1 / (2 * math.Sqrt2)
-			}
-			block[v*8+cidx] = sum * c
-		}
+	for c := 0; c < 8; c++ {
+		dct8(block, c, (*[8]float64)(tmp[c*8:]))
 	}
+}
+
+// dct8 writes the 8-point DCT-II of in to column col of out. The eight
+// outputs accumulate side by side, so their multiply-adds overlap; each
+// still sums its products in x order, starting from zero, which keeps
+// every bit equal to the reference transform's.
+func dct8(out *[64]float64, col int, in *[8]float64) {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for x, v := range in {
+		k := &dctCos[x]
+		s0 += v * k[0]
+		s1 += v * k[1]
+		s2 += v * k[2]
+		s3 += v * k[3]
+		s4 += v * k[4]
+		s5 += v * k[5]
+		s6 += v * k[6]
+		s7 += v * k[7]
+	}
+	o := out[col:]
+	o[0] = s0 * (1 / (2 * math.Sqrt2))
+	o[8] = s1 * 0.5
+	o[16] = s2 * 0.5
+	o[24] = s3 * 0.5
+	o[32] = s4 * 0.5
+	o[40] = s5 * 0.5
+	o[48] = s6 * 0.5
+	o[56] = s7 * 0.5
 }
 
 // EncodeJPEGish compresses im at the given quality (1–100).

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -106,12 +107,20 @@ func BenchmarkBzip2Like(b *testing.B) {
 	}
 }
 
+// BenchmarkDMCCompress runs 16 KiB of text and the shape serve runs:
+// 4 KiB of StructuredCorpus, the input of bench's dmc_4k probe.
 func BenchmarkDMCCompress(b *testing.B) {
-	data := benchCorpus(16 << 10)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		KeepAlive(DMCCompress(data))
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"text16KiB", benchCorpus(16 << 10)}, {"structured4KiB", StructuredCorpus(1, 4<<10)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				KeepAlive(DMCCompress(c.data))
+			}
+		})
 	}
 }
 
@@ -128,16 +137,40 @@ func BenchmarkDMCDecompress(b *testing.B) {
 	}
 }
 
+// BenchmarkJPEGishEncode runs a 256×256 gradient and the shape serve
+// runs: a 64×64 gradient at quality 75, the input of bench's je_4k
+// probe.
 func BenchmarkJPEGishEncode(b *testing.B) {
-	im := GradientImage(3, 256, 256)
-	b.SetBytes(int64(len(im.Pix)))
+	for _, c := range []struct {
+		name string
+		im   *Image
+	}{{"256x256", GradientImage(3, 256, 256)}, {"64x64", GradientImage(1, 64, 64)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.im.Pix)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := EncodeJPEGish(c.im, 75)
+				if err != nil {
+					b.Fatal(err)
+				}
+				KeepAlive(out)
+			}
+		})
+	}
+}
+
+// BenchmarkFdct8 is the JE transform alone, on one block of
+// level-shifted pixels.
+func BenchmarkFdct8(b *testing.B) {
+	var src [64]float64
+	for i := range src {
+		src[i] = float64(i*37%256) - 128
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := EncodeJPEGish(im, 75)
-		if err != nil {
-			b.Fatal(err)
-		}
-		KeepAlive(out)
+		blk := src
+		fdct8(&blk)
+		Sink.Add(math.Float64bits(blk[0]))
 	}
 }
 

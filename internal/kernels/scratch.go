@@ -6,8 +6,8 @@ import (
 )
 
 // Scratch is the working memory of the compression kernels: the
-// bit-packed output buffer, the LZW dictionary, the DMC state slab, the
-// JE symbol stream and the Huffman tree nodes. A kernel resets what the
+// bit-packed output buffer, the LZW dictionary, the DMC state slab and
+// probability block, the JE symbol stream and the Huffman tree nodes. A kernel resets what the
 // last run left in it instead of allocating its own, so a warm Scratch
 // runs every kernel without touching the allocator.
 //
@@ -22,12 +22,18 @@ type Scratch struct {
 	dmc  []dmcState // DMC state slab
 	lzw  *lzwTable  // built by the first LZW run
 	huff huffTree
+	// p1 holds DMC's predictions for one block of bits, between the
+	// model pass and the coder pass. It lives here rather than in a
+	// 4 KiB stack frame: rt runs each batch on fresh goroutines, whose
+	// stacks would have to grow to hold it.
+	p1 [dmcBlockBits]uint16
 }
 
 // maxPooledScratch bounds the buffer capacity a pooled Scratch may
-// retain. DMC's slab grows by 16 B per input bit up to 16 MiB, and a
-// pool must not pin what one large request needed; 2 MiB keeps every
-// few-KiB shape warm (dmc over 4 KiB retains ≈0.6 MiB).
+// retain. DMC's slab grows by up to 16 B per input bit, to 16 MiB, and
+// a pool must not pin what one large request needed; 2 MiB keeps every
+// few-KiB shape warm (dmc over 4 KiB of StructuredCorpus retains
+// ≈0.1 MiB).
 const maxPooledScratch = 2 << 20
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

@@ -105,6 +105,26 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// TestDMCAtStateCapMatchesReference: TestKernelsMatchReference trims
+// DMC inputs to 32 KiB, far below the model's state cap. A MiB of text
+// or of random bytes fills the slab to the cap, so every clone past it
+// is refused, and the bytes must still be the reference's.
+func TestDMCAtStateCapMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compresses 2 MiB with DMC, twice")
+	}
+	s := dirty(t, 40_000)
+	for name, data := range map[string][]byte{"text": TextCorpus(1, 1<<20), "random": RandomCorpus(1, 1<<20)} {
+		got := s.DMCCompress(data)
+		if len(s.dmc) != dmcMaxStates {
+			t.Errorf("%s: the model ended with %d states, not at its cap of %d: the test no longer reaches it", name, len(s.dmc), dmcMaxStates)
+		}
+		if want := refDMCCompress(data); !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from the reference's %d", name, len(got), len(want))
+		}
+	}
+}
+
 func TestJPEGishMatchesReference(t *testing.T) {
 	s := dirty(t, 40_000)
 	for _, d := range [][2]int{{16, 16}, {17, 23}, {64, 64}, {100, 60}, {8, 200}, {199, 13}, {200, 200}, {1, 1}} {

@@ -85,10 +85,10 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 
 	if bi == 0 {
 		if e.Offline != nil && e.Offline.Validate(env.Cfg.Freqs) == nil {
-			// Offline profile available: configure immediately.
-			if p, ok := e.adjust(e.Offline.Classes, e.Offline.T, env, 0); ok {
-				return p
-			}
+			// Offline profile available: configure immediately. When
+			// no tuple fits, adjust's plan is the F0 one, and it still
+			// carries the adjuster's cost, steps and T.
+			return e.adjust(e.Offline.Classes, e.Offline.T, env, 0)
 		}
 		// No workload information yet: all cores at the highest
 		// frequency; the batch duration defines T.
@@ -124,8 +124,7 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 			p.Overhead, p.HostTime, p.Adjusted = env.AdjusterCharge, time.Since(start), true
 			return p
 		}
-		p, _ := e.adjust(classes, env.IdealTime, env, time.Since(start))
-		return p
+		return e.adjust(classes, env.IdealTime, env, time.Since(start))
 	}
 
 	// With an offline profile, its measured ideal time remains the
@@ -138,16 +137,15 @@ func (e *EEWA) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 	if e.Offline != nil && e.Offline.Validate(env.Cfg.Freqs) == nil {
 		T = e.Offline.IdealTimeFor(classes)
 	}
-	p, _ := e.adjust(classes, T, env, 0)
-	return p
+	return e.adjust(classes, T, env, 0)
 }
 
 // adjust runs the adjuster on classes and T and wraps its decision in a
-// plan: the assignment when a tuple fit (ok), classic stealing at F0
-// otherwise, with the adjuster's cost, search steps and T reported
-// either way. HostTime adds prep, the host time already spent deriving
-// classes.
-func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Duration) (Plan, bool) {
+// plan: the assignment when a tuple fit, classic stealing at F0
+// otherwise (Infeasible), with the adjuster's cost, search steps and T
+// reported either way. HostTime adds prep, the host time already spent
+// deriving classes.
+func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Duration) Plan {
 	before, infeasible := e.adj.HostTime, e.adj.Infeasible
 	asn, ok := e.adj.Adjust(classes, T)
 	p := Plan{Assignment: asn}
@@ -158,7 +156,7 @@ func (e *EEWA) adjust(classes []profile.Class, T float64, env *Env, prep time.Du
 	p.SearchSteps, p.IdealTime = e.adj.LastSteps, T
 	p.CacheHit = e.adj.LastCacheHit
 	p.Infeasible = e.adj.Infeasible > infeasible
-	return p, ok
+	return p
 }
 
 // OutOfWork implements Policy: a core that has exhausted every pool

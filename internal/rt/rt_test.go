@@ -177,17 +177,24 @@ func TestEEWAOfflineServedBatchNotAllSlowest(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{Class: "noop", Run: func() {}}
 	}
+	// The profile's four classes never fit two workers, so batch 0 runs
+	// the all-F0 fallback; the adjuster still ran, against the
+	// profile's whole T, and its plan records that.
 	r.RunBatch(tasks)
+	h := cfg.Obs.LogHistogram("eewa_rt_plan_ideal_seconds", "")
+	infeasible := cfg.Obs.Counter("eewa_rt_adjuster_infeasible_total", "")
+	if h.Count() != 1 || h.Sum() != snap.T || infeasible.Value() != 1 {
+		t.Errorf("after batch 0: eewa_rt_plan_ideal_seconds %d observations summing to %g, eewa_rt_adjuster_infeasible_total %g; want one of %g, and 1",
+			h.Count(), h.Sum(), infeasible.Value(), snap.T)
+	}
 	bs := r.RunBatch(tasks)
 	slowest := cfg.Machine.Freqs.Slowest()
 	if bs.Levels[0] == slowest && bs.Levels[1] == slowest {
 		t.Errorf("levels %v after a four-task batch, want a worker above the slowest rung", bs.Levels)
 	}
-	// The profile's four classes never fit two workers, so batch 0 runs
-	// the unadjusted all-F0 plan; batch 1's plan observes its own T.
-	h := cfg.Obs.LogHistogram("eewa_rt_plan_ideal_seconds", "")
-	if h.Count() != 1 || !(h.Sum() > 0 && h.Sum() < snap.T) {
-		t.Errorf("eewa_rt_plan_ideal_seconds: %d observations summing to %g, want one in (0, %g)", h.Count(), h.Sum(), snap.T)
+	// Batch 1's plan observes its own, smaller T.
+	if h.Count() != 2 || !(h.Sum() > snap.T && h.Sum() < 2*snap.T) {
+		t.Errorf("eewa_rt_plan_ideal_seconds: %d observations summing to %g, want two: %g and one in (0, %g)", h.Count(), h.Sum(), snap.T, snap.T)
 	}
 }
 

@@ -61,11 +61,13 @@ bench-smoke:
 		| grep '"correct":true' | grep -q '"failed":0,'
 	@echo "bench smoke OK: rt-iter, serve-mixed and serve-batch (untraced, traced) and sim-table2 correct, 0 failed"
 
-# The number the north star tracks (ROADMAP.md): non-test Go lines
-# outside the benchmark and its build directory.
+# The numbers the north star tracks (ROADMAP.md): non-test Go lines
+# outside the benchmark and its build directory, then the docs budget,
+# the lines of README.md, DESIGN.md and EXPERIMENTS.md together.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -print0 \
 		| xargs -0 cat | wc -l
+	@cat README.md DESIGN.md EXPERIMENTS.md | wc -l
 
 # Design-space sweep across all cores (-j defaults to GOMAXPROCS).
 sweep:
@@ -128,14 +130,13 @@ check-long:
 cover:
 	$(GO) test -cover ./...
 
-# Text tables for every experiment (Figs. 1/6/7/8/9, Table III,
-# memory-bound extension, ablations), Fig. 3's worked k-tuple and the
-# §IV-D offline-profile round trip: a SHA-1 run saves its profile, a
+# Text tables for every experiment (Figs. 1/3/6/7/8/9, Table III,
+# memory-bound extension, ablations) and the §IV-D offline-profile
+# round trip: a SHA-1 run saves its profile, a
 # second run schedules from it (EXPERIMENTS.md, "§IV-D — offline
 # profiling").
 experiments:
 	$(GO) run ./cmd/eewa-bench -exp all
-	$(GO) run ./cmd/eewa-ktuple
 	prof=$$(mktemp) && \
 	$(GO) run ./cmd/eewa-sim -bench sha1 -policy eewa -profile-out "$$prof" && \
 	$(GO) run ./cmd/eewa-sim -bench sha1 -policy eewa -profile-in "$$prof"; \

@@ -36,12 +36,7 @@ func BenchmarkFig1Schedules(b *testing.B) {
 // BenchmarkFig3Backtracking runs Algorithm 1 on the paper's worked
 // 4-class / 16-core example (the tuple must be (1,1,2,2)).
 func BenchmarkFig3Backtracking(b *testing.B) {
-	tab, err := cctable.FromCounts([][]int{
-		{2, 3, 1, 1},
-		{4, 6, 2, 2},
-		{6, 9, 3, 3},
-		{8, 12, 4, 4},
-	}, machine.FreqLadder{2.5, 1.8, 1.3, 0.8})
+	tab, err := cctable.FromCounts(experiments.Fig3Counts, machine.Opteron16().Freqs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -198,9 +198,9 @@ func (t *Table) RebuildGranular(classes []profile.Class, ladder machine.FreqLadd
 	return nil
 }
 
-// FromCounts builds a Table directly from integer core counts — used by
-// tests that reproduce the paper's Fig. 3 example, where the CC matrix
-// is given rather than derived.
+// FromCounts builds a Table directly from integer core counts: the
+// paper's Fig. 3 example, where the CC matrix is given rather than
+// derived.
 func FromCounts(cc [][]int, ladder machine.FreqLadder) (*Table, error) {
 	if err := ladder.Validate(); err != nil {
 		return nil, err
@@ -399,8 +399,8 @@ func (t *Table) GreedySearch(m int) ([]int, bool) {
 	return a, true
 }
 
-// String renders the table in the layout of the paper's Table I, for
-// the eewa-ktuple CLI and debugging.
+// String renders the table in the layout of the paper's Table I, as
+// the Fig. 3 experiment prints it.
 func (t *Table) String() string {
 	out := "      "
 	for i := range t.Classes {

@@ -52,8 +52,8 @@ type Adjuster struct {
 	// cctable.Table.RebuildGranular).
 	DivisibleCC bool
 
-	// LastTable and LastTuple expose the most recent decision for
-	// tracing and the eewa-ktuple CLI (valid until the next Adjust).
+	// LastTable and LastTuple expose the most recent decision (valid
+	// until the next Adjust).
 	LastTable *cctable.Table
 	LastTuple []int
 	// Infeasible counts adjustments where not even the all-F0 row fit

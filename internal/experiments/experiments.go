@@ -9,7 +9,7 @@
 // Experiment index (see DESIGN.md §4):
 //
 //	Fig1   — energy arithmetic of four schedules on a DVFS dual-core
-//	Fig3   — the worked k-tuple example (in cctable tests; CLI renders it)
+//	Fig3   — Algorithm 1 on the worked CC table: k-tuple, c-groups, preference lists
 //	Fig6   — normalized time & energy, 7 benchmarks × {Cilk, Cilk-D, EEWA}
 //	Fig7   — performance on frozen asymmetric configs × {Cilk, WATS, EEWA}
 //	Fig8   — per-batch frequency census of SHA-1 under EEWA
@@ -25,6 +25,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cctable"
+	"repro/internal/cgroup"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -49,6 +51,13 @@ type Experiment struct {
 // all` prints them.
 var Experiments = []Experiment{
 	{"fig1", func([]uint64, bool) (string, error) { return RenderFig1(Fig1(1.0)), nil }},
+	{"fig3", func([]uint64, bool) (string, error) {
+		res, err := Fig3(machine.Opteron16())
+		if err != nil {
+			return "", err
+		}
+		return RenderFig3(res), nil
+	}},
 	{"fig6", func(seeds []uint64, plot bool) (string, error) {
 		recs, err := Fig6(seeds)
 		return figure(recs, plot, RenderFig6, RenderFig6Chart), err
@@ -216,6 +225,46 @@ func Fig1(t float64) []Fig1Schedule {
 		mkSchedule("(c) γ0 core slow", 1, 0),
 		mkSchedule("(d) both slow", 1, 1),
 	}
+}
+
+// --- Fig. 3 ------------------------------------------------------------
+
+// Fig3Counts is the CC table of the paper's Fig. 3 worked example: the
+// cores each of 4 task classes (columns) needs at each of the Opteron's
+// 4 frequencies (rows, fastest first).
+var Fig3Counts = [][]int{
+	{2, 3, 1, 1},
+	{4, 6, 2, 2},
+	{6, 9, 3, 3},
+	{8, 12, 4, 4},
+}
+
+// Fig3Result is Algorithm 1's decision on the Fig. 3 table; the
+// table's LastSearchSteps is the search's cost.
+type Fig3Result struct {
+	Table  *cctable.Table
+	Cores  int
+	Tuple  []int
+	Groups *cgroup.Assignment
+}
+
+// Fig3 runs Algorithm 1 on the Fig. 3 table for cfg's cores and forms
+// the c-groups of the tuple it selects. The paper's answer on 16 cores
+// is the k-tuple (1, 1, 2, 2): 10 cores at F1 and 6 at F2.
+func Fig3(cfg machine.Config) (*Fig3Result, error) {
+	tab, err := cctable.FromCounts(Fig3Counts, cfg.Freqs)
+	if err != nil {
+		return nil, err
+	}
+	tuple, ok := tab.SearchTuple(cfg.Cores)
+	if !ok {
+		return nil, fmt.Errorf("experiments: no k-tuple of the Fig. 3 table fits %d cores", cfg.Cores)
+	}
+	asn, err := cgroup.FromTuple(tuple, tab, cfg.Cores)
+	if err != nil {
+		return nil, err
+	}
+	return &Fig3Result{Table: tab, Cores: cfg.Cores, Tuple: tuple, Groups: asn}, nil
 }
 
 // --- Fig. 6 ------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cgroup"
 	"repro/internal/machine"
 	"repro/internal/policy"
 	"repro/internal/sweep"
@@ -17,6 +18,31 @@ func RenderFig1(schedules []Fig1Schedule) string {
 	for _, s := range schedules {
 		fmt.Fprintf(&b, "%-20s %12.2f %12.1f\n", s.Name, s.Time, s.Energy)
 	}
+	return b.String()
+}
+
+// RenderFig3 formats Algorithm 1's decision on the Fig. 3 table: the
+// table, the k-tuple, the c-groups, where each class goes and each
+// group's steal order.
+func RenderFig3(r *Fig3Result) string {
+	var b strings.Builder
+	tab := r.Table
+	fmt.Fprintf(&b, "Fig. 3 — worked k-tuple example: %d task classes, %d frequencies, %d cores\n\n", tab.K(), tab.R(), r.Cores)
+	b.WriteString(tab.String())
+	fmt.Fprintf(&b, "\nk-tuple: %v  (cores needed: %d)\n", r.Tuple, tab.CoresNeeded(r.Tuple))
+	b.WriteString("c-groups:\n")
+	for gi, g := range r.Groups.Groups {
+		fmt.Fprintf(&b, "  G%d: %d cores at F%d (%.1f GHz): cores %v\n", gi, len(g.Cores), g.Level, tab.Ladder[g.Level], g.Cores)
+	}
+	b.WriteString("class allocation:\n")
+	for i, c := range tab.Classes {
+		fmt.Fprintf(&b, "  %-12s -> G%d (F%d)\n", c.Name, r.Groups.GroupOfClass(c.Name), r.Tuple[i])
+	}
+	b.WriteString("preference lists:\n")
+	for gi := range r.Groups.Groups {
+		fmt.Fprintf(&b, "  G%d: %v\n", gi, cgroup.PreferenceList(gi, r.Groups.U()))
+	}
+	fmt.Fprintf(&b, "search: %d select attempts\n", tab.LastSearchSteps)
 	return b.String()
 }
 

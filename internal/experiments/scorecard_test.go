@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cctable"
 	"repro/internal/machine"
 	"repro/internal/policy"
 	"repro/internal/sweep"
@@ -117,12 +116,11 @@ func scorecard(t *testing.T) []claim {
 		holds(best == 1)})
 
 	// Fig. 3: Algorithm 1 on the worked CC table.
-	tab, err := cctable.FromCounts([][]int{{2, 3, 1, 1}, {4, 6, 2, 2}, {6, 9, 3, 3}, {8, 12, 4, 4}}, cfg.Freqs)
+	res3, err := Fig3(cfg)
 	check(err)
-	tuple, ok := tab.SearchTuple(cfg.Cores)
 	rows = append(rows, claim{"Fig. 3: Algorithm 1's k-tuple", "(1, 1, 2, 2)",
-		"(" + commas(tuple) + ")",
-		holds(ok && slices.Equal(tuple, []int{1, 1, 2, 2}))})
+		"(" + commas(res3.Tuple) + ")",
+		holds(slices.Equal(res3.Tuple, []int{1, 1, 2, 2}))})
 
 	// Fig. 6: per benchmark Cilk, Cilk-D, EEWA, normalized to Cilk.
 	recs, err := Fig6(seeds)

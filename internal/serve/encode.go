@@ -137,7 +137,7 @@ func appendJSONFloat(b []byte, f float64, ok *bool) []byte {
 
 // floatMemo holds, per JobResult float field, the bits of its last
 // rendering and where in the buffer it sits, so a repeat is a copy
-// (DESIGN.md §12). Bits, not values: 0 == -0, but they render apart.
+// (CHANGES.md, PR 36). Bits, not values: 0 == -0, but they render apart.
 type floatMemo [4]struct {
 	bits     uint64
 	from, to int // the rendering is b[from:to]; to == 0: none yet

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Differential fuzz targets for the hand-written codec (DESIGN.md §12):
+// Differential fuzz targets for the hand-written codec (DESIGN.md §9):
 // each feeds the fast path and the stdlib reference the same input and
 // fails on any difference in acceptance, value, error text or bytes.
 // `go test` runs the seed corpora — the tables of ingest_test.go — as

@@ -34,7 +34,7 @@ import (
 // decode.go and encode.go, which is pinned to encoding/json: a body or a
 // value outside its subset goes through the stdlib on the same bytes, so
 // what is accepted, every error string and every response byte are the
-// stdlib's (DESIGN.md §12).
+// stdlib's (DESIGN.md §9).
 
 // errorBody is the JSON error envelope.
 type errorBody struct {

@@ -111,11 +111,21 @@ func (g Grid) withDefaults() Grid {
 }
 
 // Validate rejects axes the sweep cannot run: non-positive shard counts
-// or core counts, and unknown benchmark, policy, routing or ladder-split
-// names. RunCells calls it before any cell runs, and so does the CLI
-// before spawning workers, so a typo is a usage error, not a mid-sweep
-// failure.
+// or core counts, unknown benchmark, policy, routing or ladder-split
+// names, and a value listed twice on one axis (its cells would run
+// again and fold into the same record as extra seeds). RunCells calls
+// it before any cell runs, and so does the CLI before spawning workers,
+// so a typo is a usage error, not a mid-sweep failure.
 func (g Grid) Validate() error {
+	for _, err := range []error{
+		once("benchmark", g.Benchmarks), once("policy", g.Policies), once("cores", g.Cores),
+		once("seed", g.Seeds), once("shards", g.Shards), once("routing", g.Routings),
+		once("ladder split", g.LadderSplits),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	for _, b := range g.Benchmarks {
 		if _, err := workloads.ByName(b); err != nil {
 			return fmt.Errorf("sweep: %w", err)
@@ -145,6 +155,19 @@ func (g Grid) Validate() error {
 		if _, err := machine.SplitLadders(s, machine.Config{}, 0); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
+	}
+	return nil
+}
+
+// once returns an error naming the first value that xs, the values of
+// the named axis, lists twice.
+func once[T comparable](axis string, xs []T) error {
+	seen := make(map[T]bool, len(xs))
+	for _, x := range xs {
+		if seen[x] {
+			return fmt.Errorf("sweep: %s %v is listed twice", axis, x)
+		}
+		seen[x] = true
 	}
 	return nil
 }

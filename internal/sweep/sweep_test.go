@@ -114,6 +114,36 @@ func TestValidateRejectsNamesBeforeAnyCell(t *testing.T) {
 	}
 }
 
+// A value repeated on an axis would run its cells again and fold them
+// into one record as extra seeds (md5,md5 × 2 seeds read as 4 runs, and
+// a narrower CI95 than the 2 seeds give), so Validate names the axis
+// and the value, and RunCells runs nothing.
+func TestValidateRejectsRepeatedAxisValue(t *testing.T) {
+	for _, c := range []struct {
+		g    Grid
+		want string
+	}{
+		{Grid{Benchmarks: []string{"md5", "md5"}}, "sweep: benchmark md5 is listed twice"},
+		{Grid{Policies: []string{"cilk", "eewa", "eewa"}}, "sweep: policy eewa is listed twice"},
+		{Grid{Cores: []int{16, 8, 16}}, "sweep: cores 16 is listed twice"},
+		{Grid{Seeds: []uint64{1, 1}}, "sweep: seed 1 is listed twice"},
+		{Grid{Shards: []int{2, 2}}, "sweep: shards 2 is listed twice"},
+		{Grid{Routings: []string{"rr", "rr"}}, "sweep: routing rr is listed twice"},
+		{Grid{LadderSplits: []string{"tiered", "tiered"}}, "sweep: ladder split tiered is listed twice"},
+	} {
+		if err := c.g.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("Validate(%+v) = %v, want %q", c.g, err, c.want)
+		}
+		c.g.Obs = obs.NewRegistry()
+		if cells, err := RunCells(c.g, 1); err == nil || cells != nil {
+			t.Errorf("RunCells(%+v) = %d cells, %v; want %q and no cell", c.g, len(cells), err, c.want)
+		}
+		if runs := c.g.Obs.At("eewa_sim_runs_total"); runs != nil {
+			t.Errorf("%+v: a cell ran before the repeat was rejected", c.g)
+		}
+	}
+}
+
 func TestCI95PopulatedWithMultipleSeeds(t *testing.T) {
 	recs, err := run(Grid{
 		Benchmarks: []string{"lzw"},

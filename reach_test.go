@@ -67,6 +67,7 @@ func TestInternalDeclarationsAreReached(t *testing.T) {
 type modPkg struct {
 	path  string
 	name  string
+	dir   string
 	files []*ast.File
 	types *types.Package
 	info  *types.Info
@@ -145,7 +146,7 @@ func loadModule(root string) (*module, error) {
 				}
 			}
 		}
-		p := &modPkg{path: path, name: bp.Name, info: &types.Info{
+		p := &modPkg{path: path, name: bp.Name, dir: bp.Dir, info: &types.Info{
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Types:      map[ast.Expr]types.TypeAndValue{},

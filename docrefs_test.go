@@ -289,7 +289,7 @@ func TestDocReferenceScanner(t *testing.T) {
 		{"`cctable.Table.SearchTuple` and `policy.New`", nil},
 		{"`core.Adjuster.Cache`, a field", nil},
 		{"`cctable.NoSuch` and `cctable.Table.NoSuch`", []string{"cctable.NoSuch", "cctable.Table.NoSuch"}},
-		{"`cctable.Build` and `policy.EEWA.LastTable`, declared only in _test.go files", []string{"cctable.Build", "policy.EEWA.LastTable"}},
+		{"`cctable.Build` and `policy.NewStealOrder`, declared only in _test.go files", []string{"cctable.Build", "policy.NewStealOrder"}},
 		{"`TestDocsMatchPrograms` and `BenchmarkFig6`", nil},
 		{"`BenchmarkFig6_*`", []string{"BenchmarkFig6_*"}},
 		{"`BenchmarkFig*` and `experiments.Render*`", nil},

@@ -89,12 +89,13 @@ const DefaultCacheSize = 256
 // NewCache returns an empty plan cache holding at most max entries
 // (DefaultCacheSize when max <= 0). When full it resets wholesale —
 // cheaper than LRU bookkeeping, and a full cache of one-shot
-// fingerprints has no reuse worth preserving anyway.
+// fingerprints has no reuse worth preserving anyway. The map is sized
+// for max entries up front, so filling it never rehashes.
 func NewCache(max int) *Cache {
 	if max <= 0 {
 		max = DefaultCacheSize
 	}
-	return &Cache{entries: make(map[uint64]cacheEntry), max: max}
+	return &Cache{entries: make(map[uint64]cacheEntry, max), max: max}
 }
 
 // SearchTuple returns what t.SearchTuple(m) would, consulting the cache
@@ -105,7 +106,9 @@ func NewCache(max int) *Cache {
 // the infeasible outcome — an infeasible profile stays infeasible. The
 // returned tuple is the table's own either way, as from t.SearchTuple.
 // The memo lives in the cache's map and one slab, both kept across the
-// wholesale reset, so a cache that has filled once allocates nothing.
+// wholesale reset; the slab is sized at the first miss for max tuples
+// of that length, so a cache whose tuples keep their length allocates
+// nothing after its first miss.
 func (c *Cache) SearchTuple(t *Table, m int) (tuple []int, ok, hit bool) {
 	key := t.Fingerprint(m)
 	if e, have := c.entries[key]; have {
@@ -120,6 +123,9 @@ func (c *Cache) SearchTuple(t *Table, m int) (tuple []int, ok, hit bool) {
 	if len(c.entries) >= c.max {
 		clear(c.entries)
 		c.tuples = c.tuples[:0]
+	}
+	if c.tuples == nil {
+		c.tuples = make([]int, 0, c.max*len(tuple))
 	}
 	c.entries[key] = cacheEntry{off: len(c.tuples), k: len(tuple), ok: ok}
 	c.tuples = append(c.tuples, tuple...)

@@ -17,6 +17,7 @@ package cgroup
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cctable"
 )
@@ -84,7 +85,11 @@ func (a *Assignment) FreqOf(id int) int {
 }
 
 // Validate checks internal consistency for m cores and r frequency
-// levels.
+// levels, without allocating. Every constructor lists a group's cores
+// in ascending order, and Validate requires it: with each listed core
+// in range, agreeing with CoreGroup and distinct within its group, no
+// core can sit in two groups, so the groups partition the m cores once
+// they list m in all.
 func (a *Assignment) Validate(m, r int) error {
 	if len(a.Groups) == 0 {
 		return fmt.Errorf("cgroup: no groups")
@@ -92,8 +97,7 @@ func (a *Assignment) Validate(m, r int) error {
 	if len(a.CoreGroup) != m {
 		return fmt.Errorf("cgroup: CoreGroup has %d entries, want %d", len(a.CoreGroup), m)
 	}
-	seen := make([]bool, m)
-	prevLevel := -1
+	prevLevel, listed := -1, 0
 	for gi, g := range a.Groups {
 		if g.Level < 0 || g.Level >= r {
 			return fmt.Errorf("cgroup: group %d level %d out of range", gi, g.Level)
@@ -105,23 +109,23 @@ func (a *Assignment) Validate(m, r int) error {
 		if len(g.Cores) == 0 {
 			return fmt.Errorf("cgroup: group %d is empty", gi)
 		}
+		prev := -1
 		for _, c := range g.Cores {
 			if c < 0 || c >= m {
 				return fmt.Errorf("cgroup: group %d contains invalid core %d", gi, c)
 			}
-			if seen[c] {
-				return fmt.Errorf("cgroup: core %d in two groups", c)
+			if c <= prev {
+				return fmt.Errorf("cgroup: group %d lists core %d after core %d, want ascending distinct cores", gi, c, prev)
 			}
-			seen[c] = true
+			prev = c
 			if a.CoreGroup[c] != gi {
 				return fmt.Errorf("cgroup: CoreGroup[%d] = %d, want %d", c, a.CoreGroup[c], gi)
 			}
 		}
+		listed += len(g.Cores)
 	}
-	for c := 0; c < m; c++ {
-		if !seen[c] {
-			return fmt.Errorf("cgroup: core %d unassigned", c)
-		}
+	if listed != m {
+		return fmt.Errorf("cgroup: groups hold %d cores, want %d", listed, m)
 	}
 	for name, g := range a.ClassGroup {
 		if g < 0 || g >= len(a.Groups) {
@@ -153,11 +157,11 @@ func (a *Assignment) Rebuild(tuple []int, tab *cctable.Table, m int) error {
 		return fmt.Errorf("cgroup: tuple %v invalid for m=%d", tuple, m)
 	}
 	if len(a.cores) != m {
-		a.cores = make([]int, m)
+		ints := make([]int, 2*m)
+		a.cores, a.CoreGroup = ints[:m:m], ints[m:]
 		for c := range a.cores {
 			a.cores[c] = c
 		}
-		a.CoreGroup = make([]int, m)
 	}
 	if a.ClassGroup == nil {
 		a.ClassGroup = make(map[string]int, tab.K())
@@ -166,7 +170,7 @@ func (a *Assignment) Rebuild(tuple []int, tab *cctable.Table, m int) error {
 	clear(a.ClassGroup)
 	clear(a.classSlots)
 	a.Tuple = append(a.Tuple[:0], tuple...)
-	a.Groups = a.Groups[:0]
+	a.Groups = slices.Grow(a.Groups[:0], tab.R()) // one group per level at most
 
 	// tuple is monotone non-decreasing, so each run of equal levels is
 	// one c-group, fastest first, and class i takes the next CC[a_i][i]
@@ -207,21 +211,25 @@ func FromLevels(levels []int, r int) (*Assignment, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("cgroup: no cores")
 	}
-	count := make([]int, r) // cores per level, then each used level's group
+	m := len(levels)
+	// One slab: CoreGroup, then the cores grouped by level (every
+	// group's Cores is a window of it), then the per-level counts.
+	ints := make([]int, 2*m+r)
+	asn := &Assignment{ClassGroup: make(map[string]int), CoreGroup: ints[:m:m]}
+	cores, count := ints[m:2*m:2*m], ints[2*m:]
 	for c, l := range levels {
 		if l < 0 || l >= r {
 			return nil, fmt.Errorf("cgroup: core %d level %d out of range [0,%d)", c, l, r)
 		}
 		count[l]++
 	}
-	asn := &Assignment{
-		ClassGroup: make(map[string]int),
-		CoreGroup:  make([]int, len(levels)),
-	}
+	asn.Groups = make([]Group, 0, r)
+	start := 0
 	for l, n := range count {
 		if n > 0 {
-			asn.Groups = append(asn.Groups, Group{Level: l, Cores: make([]int, 0, n)})
-			count[l] = len(asn.Groups) - 1
+			asn.Groups = append(asn.Groups, Group{Level: l, Cores: cores[start : start : start+n]})
+			count[l] = len(asn.Groups) - 1 // from here on: the level's group
+			start += n
 		}
 	}
 	for c, l := range levels {
@@ -232,28 +240,16 @@ func FromLevels(levels []int, r int) (*Assignment, error) {
 	return asn, nil
 }
 
-// PreferenceList returns the steal order for a core in c-group gi of u
-// groups, per the paper's Fig. 5: own group, then slower groups in
-// increasing slowness, then faster groups from nearest to fastest.
-func PreferenceList(gi, u int) []int {
-	if gi < 0 || gi >= u {
-		panic(fmt.Sprintf("cgroup: group %d out of %d", gi, u))
+// Preference returns entry k of the steal order, the preference list,
+// of a core in c-group gi of u groups, per the paper's Fig. 5: own
+// group, then slower groups in increasing slowness, then faster groups
+// from nearest to fastest. Walking k from 0 to u-1 builds no list.
+func Preference(gi, k, u int) int {
+	if gi < 0 || gi >= u || k < 0 || k >= u {
+		panic(fmt.Sprintf("cgroup: entry %d of group %d's list of %d", k, gi, u))
 	}
-	out := make([]int, 0, u)
-	for g := gi; g < u; g++ {
-		out = append(out, g)
+	if k < u-gi {
+		return gi + k
 	}
-	for g := gi - 1; g >= 0; g-- {
-		out = append(out, g)
-	}
-	return out
-}
-
-// PreferenceLists returns the lists for all u groups, indexed by group.
-func PreferenceLists(u int) [][]int {
-	out := make([][]int, u)
-	for gi := 0; gi < u; gi++ {
-		out[gi] = PreferenceList(gi, u)
-	}
-	return out
+	return u - 1 - k
 }

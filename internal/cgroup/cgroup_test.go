@@ -180,6 +180,25 @@ func TestPreferenceListPanicsOutOfRange(t *testing.T) {
 	PreferenceList(4, 4)
 }
 
+// PreferenceList is the steal order of a core in c-group gi of u groups,
+// built from Preference.
+func PreferenceList(gi, u int) []int {
+	out := make([]int, u)
+	for k := range out {
+		out[k] = Preference(gi, k, u)
+	}
+	return out
+}
+
+// PreferenceLists returns the lists for all u groups, indexed by group.
+func PreferenceLists(u int) [][]int {
+	out := make([][]int, u)
+	for gi := 0; gi < u; gi++ {
+		out[gi] = PreferenceList(gi, u)
+	}
+	return out
+}
+
 func TestPreferenceLists(t *testing.T) {
 	lists := PreferenceLists(3)
 	if len(lists) != 3 {
@@ -333,5 +352,43 @@ func TestPlacementCoresFallsBackToGroup(t *testing.T) {
 	// Unknown class: fastest group.
 	if got := asn.PlacementCores("ghost"); len(got) != 8 {
 		t.Errorf("unknown class placement = %v", got)
+	}
+}
+
+// The engine validates every batch's plan, so Validate allocates
+// nothing on a valid assignment.
+func TestValidateAllocatesNothing(t *testing.T) {
+	asn, err := FromLevels([]int{0, 0, 1, 1, 3, 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asn.ClassGroup["heavy"] = 0
+	if n := testing.AllocsPerRun(100, func() {
+		if err := asn.Validate(6, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocated %v times, want 0", n)
+	}
+}
+
+// Without a scratch set Validate still rejects every way groups can
+// fail to partition the cores.
+func TestValidateRejectsNonPartitions(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		groups    []Group
+		coreGroup []int
+	}{
+		{"a core twice in one group", []Group{{0, []int{0, 0}}, {1, []int{2}}}, []int{0, 0, 1}},
+		{"a core in two groups", []Group{{0, []int{0, 1}}, {1, []int{1, 2}}}, []int{0, 1, 1}},
+		{"a core in no group", []Group{{0, []int{0}}, {1, []int{2}}}, []int{0, 0, 1}},
+		{"cores out of order", []Group{{0, []int{1, 0}}, {1, []int{2}}}, []int{0, 0, 1}},
+		{"CoreGroup disagrees", []Group{{0, []int{0, 1}}, {1, []int{2}}}, []int{0, 1, 1}},
+	} {
+		asn := &Assignment{Groups: c.groups, CoreGroup: c.coreGroup}
+		if err := asn.Validate(3, 4); err == nil {
+			t.Errorf("%s: Validate accepted %+v", c.name, c.groups)
+		}
 	}
 }

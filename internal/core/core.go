@@ -18,9 +18,8 @@
 // An Adjuster decides once per batch, so it owns one CC table, one
 // tuple and one assignment and rebuilds them in place: a warm adjuster
 // decides without allocating. The contract that buys this: what Adjust
-// returns, and LastTable and LastTuple, are valid until the adjuster's
-// next Adjust. A caller that keeps a decision
-// across the next one copies what it needs. On a fallback Adjust
+// returns is valid until the adjuster's next Adjust. A caller that
+// keeps a decision across the next one copies what it needs. On a fallback Adjust
 // returns no assignment: the caller plans its own (EEWA's all-F0
 // classic stealing).
 package core
@@ -52,10 +51,6 @@ type Adjuster struct {
 	// cctable.Table.RebuildGranular).
 	DivisibleCC bool
 
-	// LastTable and LastTuple expose the most recent decision (valid
-	// until the next Adjust).
-	LastTable *cctable.Table
-	LastTuple []int
 	// Infeasible counts adjustments where not even the all-F0 row fit
 	// within the core budget (the adjuster then keeps every core
 	// fast).
@@ -135,8 +130,6 @@ func (a *Adjuster) Adjust(classes []profile.Class, T float64) (*cgroup.Assignmen
 		return nil, false
 	}
 	tuple, ok := a.Search(&a.tab, a.cores)
-	a.LastTable = &a.tab
-	a.LastTuple = tuple
 	a.LastSteps = a.tab.LastSearchSteps
 	if !ok || a.asn.Rebuild(tuple, &a.tab, a.cores) != nil {
 		a.Infeasible++

@@ -96,7 +96,7 @@ func TestAdjustDownscalesUnderutilizedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if asn.U() < 2 {
-		t.Fatalf("expected ≥ 2 c-groups, got %d (tuple %v)", asn.U(), a.LastTuple)
+		t.Fatalf("expected ≥ 2 c-groups, got %d (tuple %v)", asn.U(), asn.Tuple)
 	}
 	// Heavy class on the fastest selected group, light on a slower one.
 	hg, lg := asn.GroupOfClass("heavy"), asn.GroupOfClass("light")
@@ -130,8 +130,8 @@ func TestAdjustRecordsHostTime(t *testing.T) {
 	if a.HostTime <= 0 {
 		t.Error("HostTime not accumulated")
 	}
-	if a.LastTable == nil || a.LastTuple == nil {
-		t.Error("LastTable/LastTuple not recorded")
+	if a.tab.K() != 1 {
+		t.Errorf("the adjuster's table holds %d classes, want 1", a.tab.K())
 	}
 }
 

@@ -30,7 +30,6 @@ type decision struct {
 	ok        bool
 	asn       cgroup.Assignment
 	placement map[string][]int
-	tuple     []int
 	cc        [][]int
 	steps     int
 }
@@ -53,8 +52,7 @@ func capture(a *Adjuster, classes []profile.Class, T float64) decision {
 			d.placement[c.Name] = append([]int(nil), asn.PlacementCores(c.Name)...)
 		}
 	}
-	d.tuple = append([]int{}, a.LastTuple...)
-	for _, row := range a.LastTable.CC {
+	for _, row := range a.tab.CC {
 		d.cc = append(d.cc, append([]int(nil), row...))
 	}
 	return d

@@ -11,6 +11,11 @@ package deque
 // property tests drive it against Locked as the oracle — but every
 // operation is a couple of integer ops and one slot move.
 //
+// A Ring is a value: an engine keeps its pools in one slice of Rings and
+// can hand each one a window of a shared backing array (NewRing), so a
+// run's pools cost one allocation for the headers and one for the slots.
+// The zero Ring is empty and allocates on its first push.
+//
 // Ring is NOT safe for concurrent use. Concurrent engines (internal/rt)
 // keep using Chase.
 type Ring[T any] struct {
@@ -23,14 +28,22 @@ type Ring[T any] struct {
 	slots  []T
 }
 
-// NewRing returns an empty unsynchronized deque.
-func NewRing[T any]() *Ring[T] {
-	return &Ring[T]{mask: initialRingCap - 1, slots: make([]T, initialRingCap)}
+// NewRing returns an empty ring over slots, whose length must be zero or
+// a power of two. Pushes fill slots without allocating; a push past
+// len(slots) moves the ring to a fresh array twice the size (at least
+// initialRingCap), so a caller that sizes slots for the most the ring
+// will hold never allocates.
+func NewRing[T any](slots []T) Ring[T] {
+	n := len(slots)
+	if n&(n-1) != 0 {
+		panic("deque: ring length is not a power of two")
+	}
+	return Ring[T]{mask: int64(n) - 1, slots: slots}
 }
 
 // grow doubles the capacity, copying the live window [top, bottom).
 func (d *Ring[T]) grow() {
-	next := make([]T, len(d.slots)*2)
+	next := make([]T, max(len(d.slots)*2, initialRingCap))
 	nmask := int64(len(next)) - 1
 	for i := d.top; i < d.bottom; i++ {
 		next[i&nmask] = d.slots[i&d.mask]

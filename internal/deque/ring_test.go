@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingBasics(t *testing.T) {
-	d := NewRing[int]()
+	d := NewRing[int](nil)
 	if _, ok := d.PopBottom(); ok {
 		t.Error("PopBottom on empty should fail")
 	}
@@ -37,7 +37,7 @@ func TestRingAgainstLockedOracle(t *testing.T) {
 	f := func(seed uint64, opsRaw uint16) bool {
 		rng := xrand.New(seed)
 		ops := int(opsRaw%800) + 100
-		r := NewRing[int]()
+		r := NewRing[int](nil)
 		l := NewLocked[int]()
 		next := 0
 		for i := 0; i < ops; i++ {
@@ -95,7 +95,7 @@ func TestRingAgainstLockedOracle(t *testing.T) {
 // TestRingGrowthPreservesOrder pushes far past the initial capacity with
 // the top already advanced, so growth must relocate a wrapped window.
 func TestRingGrowthPreservesOrder(t *testing.T) {
-	d := NewRing[int]()
+	d := NewRing[int](nil)
 	for i := 0; i < initialRingCap-2; i++ {
 		d.PushBottom(i)
 	}
@@ -123,7 +123,7 @@ func TestRingGrowthPreservesOrder(t *testing.T) {
 // times the ring capacity through it, so every slot index wraps
 // repeatedly without ever growing.
 func TestRingWraparoundShallow(t *testing.T) {
-	d := NewRing[int]()
+	d := NewRing[int](nil)
 	rng := xrand.New(11)
 	expectTop := 0
 	next := 0
@@ -149,7 +149,7 @@ func TestRingWraparoundShallow(t *testing.T) {
 
 func TestRingStructValues(t *testing.T) {
 	type payload struct{ a, b int }
-	d := NewRing[payload]()
+	d := NewRing[payload](nil)
 	d.PushBottom(payload{1, 2})
 	v, ok := d.PopBottom()
 	if !ok || v.a != 1 || v.b != 2 {
@@ -158,7 +158,7 @@ func TestRingStructValues(t *testing.T) {
 }
 
 func BenchmarkRingPushPop(b *testing.B) {
-	d := NewRing[int]()
+	d := NewRing[int](nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.PushBottom(i)
@@ -167,10 +167,41 @@ func BenchmarkRingPushPop(b *testing.B) {
 }
 
 func BenchmarkRingPushSteal(b *testing.B) {
-	d := NewRing[int]()
+	d := NewRing[int](nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.PushBottom(i)
 		d.Steal()
+	}
+}
+
+// A ring over slots sized for what it will hold never allocates, and a
+// push past them moves it to a larger array without losing order.
+func TestRingOverSlots(t *testing.T) {
+	slots := make([]int, 4)
+	d := NewRing(slots)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4; i++ {
+			d.PushBottom(i)
+		}
+		d.Steal()
+		d.PopBottom()
+		d.PopBottom()
+		d.Steal()
+	}); n != 0 {
+		t.Errorf("a ring within its slots allocated %v times, want 0", n)
+	}
+	for i := 0; i < 6; i++ {
+		d.PushBottom(i)
+	}
+	for i := 0; i < 6; i++ {
+		if v, ok := d.Steal(); !ok || v != i {
+			t.Fatalf("steal %d = %d,%v after growing past the slots", i, v, ok)
+		}
+	}
+	var zero Ring[int]
+	zero.PushBottom(7)
+	if v, ok := zero.PopBottom(); !ok || v != 7 {
+		t.Errorf("zero Ring round-trip = %d,%v", v, ok)
 	}
 }

@@ -22,6 +22,7 @@ package event
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // entry is one pending event.
@@ -49,6 +50,11 @@ type Queue struct {
 
 // New returns an empty queue with the clock at zero.
 func New() *Queue { return &Queue{} }
+
+// Grow makes room for n more pending events, so scheduling up to that
+// many allocates nothing. An engine that knows how many events it keeps
+// in flight (the simulator: one per core) sizes the queue once.
+func (q *Queue) Grow(n int) { q.heap = slices.Grow(q.heap, n) }
 
 // Now returns the current simulated time in seconds.
 func (q *Queue) Now() float64 { return q.now }

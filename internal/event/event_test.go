@@ -173,6 +173,21 @@ func TestFiredCounter(t *testing.T) {
 	}
 }
 
+// After Grow(n), scheduling n events allocates nothing.
+func TestGrowSizesTheQueue(t *testing.T) {
+	q := New()
+	q.SetIndexFn(func(int32) {})
+	q.Grow(64)
+	if n := testing.AllocsPerRun(20, func() {
+		for v := int32(0); v < 64; v++ {
+			q.AtIndex(q.Now()+float64(64-v), v)
+		}
+		q.Run()
+	}); n != 0 {
+		t.Errorf("64 events after Grow(64) allocated %v times, want 0", n)
+	}
+}
+
 func TestCascadingSchedule(t *testing.T) {
 	// An event chain where each event schedules the next relative to the
 	// current clock models how the simulator advances cores task by task.

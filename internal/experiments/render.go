@@ -39,8 +39,13 @@ func RenderFig3(r *Fig3Result) string {
 		fmt.Fprintf(&b, "  %-12s -> G%d (F%d)\n", c.Name, r.Groups.GroupOfClass(c.Name), r.Tuple[i])
 	}
 	b.WriteString("preference lists:\n")
+	u := r.Groups.U()
 	for gi := range r.Groups.Groups {
-		fmt.Fprintf(&b, "  G%d: %v\n", gi, cgroup.PreferenceList(gi, r.Groups.U()))
+		list := make([]int, u)
+		for k := range list {
+			list[k] = cgroup.Preference(gi, k, u)
+		}
+		fmt.Fprintf(&b, "  G%d: %v\n", gi, list)
 	}
 	fmt.Fprintf(&b, "search: %d select attempts\n", tab.LastSearchSteps)
 	return b.String()

@@ -478,12 +478,12 @@ func (m *Machine) ReclassifyBusyAsSpin(id int, dt float64) {
 	t[Spinning] += dt
 }
 
-// FreqCensus returns how many cores currently sit at each frequency
-// level — the quantity plotted per batch in the paper's Fig. 8.
-func (m *Machine) FreqCensus() []int {
-	census := make([]int, len(m.Config.Freqs))
+// FreqCensus writes into census, one entry per frequency level, how
+// many cores currently sit at each level — the quantity plotted per
+// batch in the paper's Fig. 8.
+func (m *Machine) FreqCensus(census []int) {
+	clear(census[:len(m.Config.Freqs)])
 	for _, f := range m.freqs {
 		census[f]++
 	}
-	return census
 }

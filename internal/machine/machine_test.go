@@ -275,7 +275,8 @@ func TestFreqCensus(t *testing.T) {
 	for i := 5; i < 16; i++ {
 		m.SetFreq(0, i, 3)
 	}
-	census := m.FreqCensus()
+	census := []int{9, 9, 9, 9}
+	m.FreqCensus(census)
 	want := []int{5, 0, 0, 11}
 	for j := range want {
 		if census[j] != want[j] {

@@ -269,40 +269,35 @@ func (pl *IndexedPlacer) Place(cid int32) (core, group int) {
 // so all workers may share it concurrently.
 type StealOrder struct {
 	random    bool
-	cores     int
+	u         int
 	coreGroup []int
-	prefs     [][]int
-	prefsByU  [][][]int // prefsByU[u] = cgroup.PreferenceLists(u), built once
 }
 
-// Reset points the steal order at plan on an m-core engine. It reads
-// plan.Assignment.CoreGroup until the next Reset.
-func (s *StealOrder) Reset(plan *Plan, cores int) {
-	s.random, s.cores = plan.RandomSteal, cores
+// Reset points the steal order at plan. It reads
+// plan.Assignment.CoreGroup until the next Reset and allocates nothing.
+func (s *StealOrder) Reset(plan *Plan) {
+	s.random, s.u = plan.RandomSteal, plan.Assignment.U()
 	s.coreGroup = plan.Assignment.CoreGroup
-	u := plan.Assignment.U()
-	for len(s.prefsByU) <= u {
-		s.prefsByU = append(s.prefsByU, cgroup.PreferenceLists(len(s.prefsByU)))
-	}
-	s.prefs = s.prefsByU[u]
 }
 
 // VictimWalker is a per-core victim iterator bound to a StealOrder. It
-// owns a reusable permutation buffer, so walking the victim order
-// allocates nothing — the engines keep one walker per core over their
-// one StealOrder (the plan, and with it the steal order, can only
+// walks with a permutation buffer it is given, so walking the victim
+// order allocates nothing — the engines keep one walker per core over
+// their one StealOrder (the plan, and with it the steal order, can only
 // change at a batch boundary, by Reset). A walker must only be used by
-// its core's worker; distinct walkers over the same StealOrder are safe
-// concurrently.
+// its core's worker; walkers with distinct buffers over the same
+// StealOrder are safe concurrently, and walkers that share one buffer
+// (the single-threaded simulator's) must not walk at the same time.
 type VictimWalker struct {
 	so   *StealOrder
 	self int
 	perm []int
 }
 
-// Walker returns a victim walker for core self over this steal order.
-func (s *StealOrder) Walker(self int) *VictimWalker {
-	return &VictimWalker{so: s, self: self, perm: make([]int, s.cores)}
+// Walker returns a victim walker for core self over this steal order,
+// walking in perm, which must have one entry per core.
+func (s *StealOrder) Walker(self int, perm []int) VictimWalker {
+	return VictimWalker{so: s, self: self, perm: perm}
 }
 
 // ForEachVictim calls probe(victim, group) for every remote pool the
@@ -333,7 +328,8 @@ func (w *VictimWalker) ForEachVictim(rng *xrand.RNG, probe func(victim, group in
 		return false
 	}
 	myG := s.coreGroup[w.self]
-	for _, g := range s.prefs[myG] {
+	for k := 0; k < s.u; k++ {
+		g := cgroup.Preference(myG, k, s.u)
 		rng.PermInto(w.perm)
 		for _, v := range w.perm {
 			if v == w.self && g == myG {
@@ -368,15 +364,16 @@ func (w *VictimWalker) SkipVictims(rng *xrand.RNG, missed func(group, probes int
 	}
 	myG := s.coreGroup[w.self]
 	probes := 0
-	for _, g := range s.prefs[myG] {
+	for k := 0; k < s.u; k++ {
+		g := cgroup.Preference(myG, k, s.u)
 		rng.SkipPerm(n)
-		k := n
+		p := n
 		if g == myG {
-			k-- // the owner's local pool
+			p-- // the owner's local pool
 		}
-		probes += k
+		probes += p
 		if missed != nil {
-			missed(g, k)
+			missed(g, p)
 		}
 	}
 	return probes

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cctable"
 	"repro/internal/cgroup"
 	"repro/internal/machine"
+	"repro/internal/memmodel"
 	"repro/internal/profile"
 	"repro/internal/xrand"
 )
@@ -266,7 +267,8 @@ func TestPlacerByClassUsesPlacementCores(t *testing.T) {
 // collectProbes drains the full probe sequence for a worker.
 func collectProbes(so *StealOrder, self int, rng *xrand.RNG) [][2]int {
 	var seq [][2]int
-	so.Walker(self).ForEachVictim(rng, func(v, g int) bool {
+	w := so.Walker(self, make([]int, len(so.coreGroup)))
+	w.ForEachVictim(rng, func(v, g int) bool {
 		seq = append(seq, [2]int{v, g})
 		return false
 	})
@@ -275,7 +277,7 @@ func collectProbes(so *StealOrder, self int, rng *xrand.RNG) [][2]int {
 
 func TestStealOrderRandomCoversEveryRemoteOnce(t *testing.T) {
 	plan := &Plan{Assignment: allF0(t, 6), RandomSteal: true}
-	so := NewStealOrder(plan, 6)
+	so := NewStealOrder(plan)
 	seq := collectProbes(so, 2, xrand.New(7))
 	if len(seq) != 5 {
 		t.Fatalf("%d probes, want 5", len(seq))
@@ -303,7 +305,7 @@ func TestStealOrderPreferenceIsRobTheWeakerFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &Plan{Assignment: asn}
-	so := NewStealOrder(plan, 6)
+	so := NewStealOrder(plan)
 
 	// A mid-group core must probe: own group G1, then weaker G2, then
 	// stronger G0 — Fig. 5's preference list — with every core's pool
@@ -330,9 +332,10 @@ func TestStealOrderPreferenceIsRobTheWeakerFirst(t *testing.T) {
 
 func TestStealOrderFindsTask(t *testing.T) {
 	plan := &Plan{Assignment: allF0(t, 4), RandomSteal: true}
-	so := NewStealOrder(plan, 4)
+	so := NewStealOrder(plan)
 	hits := 0
-	found := so.Walker(0).ForEachVictim(xrand.New(1), func(v, g int) bool {
+	w := so.Walker(0, make([]int, 4))
+	found := w.ForEachVictim(xrand.New(1), func(v, g int) bool {
 		hits++
 		return v == 3 // pretend core 3's pool yields
 	})
@@ -583,8 +586,8 @@ func TestMemBoundBatchCalibratesThenConfigures(t *testing.T) {
 	if lvl := plan.Assignment.Groups[plan.Assignment.GroupOfClass("mb")].Level; lvl == 0 {
 		t.Errorf("class mb kept at F0 (groups %+v), want downscaling", plan.Assignment.Groups)
 	}
-	if c := e.LastTable().Classes[0]; math.Abs(c.MemFrac-0.6) > 1e-9 {
-		t.Errorf("table class %+v, want the fitted MemFrac 0.6", c)
+	if fitted, ok := memmodel.FitAll(prof, prof.Classes(), env.Cfg.Freqs); !ok || math.Abs(fitted[0].MemFrac-0.6) > 1e-9 {
+		t.Errorf("fitted classes %+v (ok %v), want MemFrac 0.6: the class the adjuster planned", fitted, ok)
 	}
 }
 
@@ -731,10 +734,10 @@ func TestSkipVictimsMatchesFailedWalk(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				so := NewStealOrder(&Plan{Assignment: asn, RandomSteal: random}, cores)
+				so := NewStealOrder(&Plan{Assignment: asn, RandomSteal: random})
 				for self := 0; self < cores; self++ {
 					walkRNG, skipRNG := xrand.New(uint64(self)), xrand.New(uint64(self))
-					walker, skipper := so.Walker(self), so.Walker(self)
+					walker, skipper := so.Walker(self, make([]int, cores)), so.Walker(self, make([]int, cores))
 					for walk := 0; walk < 8; walk++ {
 						want := make([]int, u)
 						walker.ForEachVictim(walkRNG, func(v, g int) bool {
@@ -764,14 +767,6 @@ func TestSkipVictimsMatchesFailedWalk(t *testing.T) {
 	}
 }
 
-// LastTable returns the most recent CC table, if any.
-func (e *EEWA) LastTable() *cctable.Table {
-	if e.adj == nil {
-		return nil
-	}
-	return e.adj.LastTable
-}
-
 // NewIndexedPlacer builds a placer for plan on an m-core engine, for a
 // batch whose class id i is named classes[i].
 func NewIndexedPlacer(plan *Plan, cores int, classes []string) *IndexedPlacer {
@@ -780,9 +775,9 @@ func NewIndexedPlacer(plan *Plan, cores int, classes []string) *IndexedPlacer {
 	return pl
 }
 
-// NewStealOrder builds the steal order for plan on an m-core engine.
-func NewStealOrder(plan *Plan, cores int) *StealOrder {
+// NewStealOrder builds the steal order for plan.
+func NewStealOrder(plan *Plan) *StealOrder {
 	s := new(StealOrder)
-	s.Reset(plan, cores)
+	s.Reset(plan)
 	return s
 }

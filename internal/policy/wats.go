@@ -17,6 +17,11 @@ import (
 // EEWA's remaining edge to.
 type WATS struct {
 	asn *cgroup.Assignment
+	// alloc is asn with the class allocation of the batch being
+	// planned, in its own map; loads is allocateByCapacity's per-group
+	// scratch. Both are rebuilt every batch, like EEWA's assignment.
+	alloc cgroup.Assignment
+	loads []float64
 }
 
 // NewWATS builds the policy for a machine frozen at the given per-core
@@ -26,7 +31,9 @@ func NewWATS(levels []int, r int) (*WATS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WATS{asn: asn}, nil
+	w := &WATS{asn: asn, alloc: *asn, loads: make([]float64, asn.U())}
+	w.alloc.ClassGroup = make(map[string]int)
+	return w, nil
 }
 
 // DefaultWATSLevels is the frozen frequency configuration used when a
@@ -52,15 +59,14 @@ func (*WATS) Name() string { return "WATS" }
 // BeginBatch implements Policy. The first batch has no class history,
 // so tasks scatter round-robin; later batches allocate classes to
 // c-groups proportionally to group capacity, heaviest classes to the
-// fastest groups.
+// fastest groups. The returned assignment is valid until the next
+// BeginBatch.
 func (w *WATS) BeginBatch(bi int, prof *profile.Profiler, env *Env) Plan {
 	if bi == 0 || prof.NumClasses() == 0 {
 		return Plan{Assignment: w.asn, ScatterAll: true}
 	}
-	classes := prof.Classes()
-	asn := *w.asn // shallow copy; Groups/CoreGroup shared (immutable here)
-	asn.ClassGroup = allocateByCapacity(classes, w.asn, env.Cfg.Freqs)
-	return Plan{Assignment: &asn}
+	w.allocateByCapacity(prof.Classes(), env.Cfg.Freqs)
+	return Plan{Assignment: &w.alloc}
 }
 
 // OutOfWork implements Policy: spin at the frozen frequency.
@@ -71,24 +77,21 @@ func (*WATS) OutOfWork(int) OutOfWorkAction {
 var _ Policy = (*WATS)(nil)
 
 // allocateByCapacity maps classes (descending workload) onto c-groups
-// (descending frequency): each class, heaviest first, goes to the group
-// with the lowest projected relative load (assigned work divided by
-// computational capacity Σ f_core/F0). Heavy classes therefore claim
-// the fast groups while they are still empty, and no group ends up
-// overloaded relative to its speed — the workload-aware placement the
-// WATS baseline contributes on asymmetric machines.
-func allocateByCapacity(classes []profile.Class, asn *cgroup.Assignment, ladder machine.FreqLadder) map[string]int {
-	u := asn.U()
-	caps := make([]float64, u)
-	loads := make([]float64, u)
-	for gi, g := range asn.Groups {
-		caps[gi] = float64(len(g.Cores)) / ladder.Ratio(g.Level)
-	}
-	out := make(map[string]int, len(classes))
+// (descending frequency) in w.alloc.ClassGroup: each class, heaviest
+// first, goes to the group with the lowest projected relative load
+// (assigned work divided by computational capacity Σ f_core/F0). Heavy
+// classes therefore claim the fast groups while they are still empty,
+// and no group ends up overloaded relative to its speed — the
+// workload-aware placement the WATS baseline contributes on asymmetric
+// machines.
+func (w *WATS) allocateByCapacity(classes []profile.Class, ladder machine.FreqLadder) {
+	out, loads, groups := w.alloc.ClassGroup, w.loads, w.asn.Groups
+	clear(out)
+	clear(loads)
 	for _, c := range classes {
 		best, bestLoad := 0, 0.0
-		for gi := 0; gi < u; gi++ {
-			load := (loads[gi] + c.TotalWork()) / caps[gi]
+		for gi, g := range groups {
+			load := (loads[gi] + c.TotalWork()) / (float64(len(g.Cores)) / ladder.Ratio(g.Level))
 			if gi == 0 || load < bestLoad {
 				best, bestLoad = gi, load
 			}
@@ -96,5 +99,4 @@ func allocateByCapacity(classes []profile.Class, asn *cgroup.Assignment, ladder 
 		out[c.Name] = best
 		loads[best] += c.TotalWork()
 	}
-	return out
 }

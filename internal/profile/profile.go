@@ -49,12 +49,12 @@ type Class struct {
 // of every CC-table entry.
 func (c Class) TotalWork() float64 { return float64(c.Count) * c.AvgWork }
 
-// rawStats accumulates un-normalized execution times per frequency
-// level for one class — the inputs of the memory-bound frequency-
+// rawLevel accumulates one class's un-normalized execution times at
+// one frequency level — the inputs of the memory-bound frequency-
 // response model (§IV-D future work, implemented in internal/memmodel).
-type rawStats struct {
-	sum   []float64
-	count []int
+type rawLevel struct {
+	sum   float64
+	count int
 }
 
 // record is everything the profiler keeps under one function name. It
@@ -63,7 +63,7 @@ type rawStats struct {
 // observations persist.
 type record struct {
 	class Class
-	raw   rawStats
+	raw   []rawLevel // indexed by frequency level
 }
 
 // Profiler collects per-batch workload information. It is not
@@ -113,7 +113,7 @@ func (p *Profiler) entry(name string) *record {
 	if !ok {
 		rec = &record{
 			class: Class{Name: name},
-			raw:   rawStats{sum: make([]float64, len(p.ladder)), count: make([]int, len(p.ladder))},
+			raw:   make([]rawLevel, len(p.ladder)),
 		}
 		p.records[name] = rec
 	}
@@ -137,7 +137,7 @@ func (p *Profiler) foldInto(rec *record, count int, sumExec, maxExec float64, le
 	if sumExec < 0 || maxExec < 0 {
 		panic(fmt.Sprintf("profile: negative execution time %g", min(sumExec, maxExec)))
 	}
-	c, rs := &rec.class, &rec.raw
+	c := &rec.class
 	// Running-average update: for one task exactly the paper's
 	// TC(f, n+1, (n·w + wγ)/(n+1)), for several the same mean in one step.
 	c.AvgWork = (float64(c.Count)*c.AvgWork + p.Normalize(sumExec, level)) / float64(c.Count+count)
@@ -146,8 +146,9 @@ func (p *Profiler) foldInto(rec *record, count int, sumExec, maxExec float64, le
 		c.MaxWork = w
 	}
 
-	rs.sum[level] += sumExec
-	rs.count[level] += count
+	rs := &rec.raw[level]
+	rs.sum += sumExec
+	rs.count += count
 
 	p.totalTasks += count
 }
@@ -255,10 +256,10 @@ func (p *Profiler) Reset() {
 // exists. Unlike Classes, raw observations accumulate across batches.
 func (p *Profiler) RawAvg(name string, level int) (float64, bool) {
 	rec, ok := p.records[name]
-	if !ok || level < 0 || level >= len(p.ladder) || rec.raw.count[level] == 0 {
+	if !ok || level < 0 || level >= len(p.ladder) || rec.raw[level].count == 0 {
 		return 0, false
 	}
-	return rec.raw.sum[level] / float64(rec.raw.count[level]), true
+	return rec.raw[level].sum / float64(rec.raw[level].count), true
 }
 
 // RawLevels returns the frequency levels at which class `name` has
@@ -269,8 +270,8 @@ func (p *Profiler) RawLevels(name string) []int {
 		return nil
 	}
 	var out []int
-	for lvl, n := range rec.raw.count {
-		if n > 0 {
+	for lvl, rl := range rec.raw {
+		if rl.count > 0 {
 			out = append(out, lvl)
 		}
 	}

@@ -280,7 +280,7 @@ type worker struct {
 	r      *Runtime
 	id     int
 	spawn  func() // goroutine body for workers 1..n-1: run, then wg.Done
-	walker *policy.VictimWalker
+	walker policy.VictimWalker
 	rng    xrand.RNG
 	acc    []classAcc // indexed by class id
 
@@ -378,6 +378,8 @@ func New(cfg Config) (*Runtime, error) {
 	for id := range r.workers {
 		w := &r.workers[id]
 		w.r, w.id = r, id
+		// Each worker's own permutation buffer: walkers run at once.
+		w.walker = r.order.Walker(id, make([]int, cfg.Workers))
 		w.spawn = func() {
 			w.run()
 			r.wg.Done()
@@ -582,8 +584,8 @@ func (r *Runtime) applyLevels() {
 // place readies the batch, single-threaded: it interns the tasks' class
 // names into per-batch ids, places every task per the plan's discipline
 // (scatter, or by class over each class's reserved placement cores —
-// shared with the sim), binds each worker's victim walker to the plan's
-// steal order and zeroes the workers' batch state.
+// shared with the sim), points the steal order the workers' victim
+// walkers share at the plan and zeroes the workers' batch state.
 func (r *Runtime) place(tasks []Task) {
 	n, u := r.cfg.Workers, r.asn.U()
 	if len(r.pools) != n || len(r.pools[0]) != u {
@@ -637,12 +639,9 @@ func (r *Runtime) place(tasks []Task) {
 		r.depths[w]++
 	}
 
-	r.order.Reset(&r.plan, n)
+	r.order.Reset(&r.plan)
 	for id := range r.workers {
 		w := &r.workers[id]
-		if w.walker == nil {
-			w.walker = r.order.Walker(id)
-		}
 		w.acc = slices.Grow(w.acc[:0], len(r.classNames))[:len(r.classNames)]
 		clear(w.acc)
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/cgroup"
@@ -129,13 +130,13 @@ func newEngineObs(reg *obs.Registry, levels int) engineObs {
 // Locked oracle). The event loop is single-threaded, so per-operation
 // synchronization would buy nothing, and determinism is preserved.
 //
-// Nothing is allocated per task: completions are scheduled through
-// event.Queue.AtIndex as bare core indices (a core runs one task at a
-// time, so per-core running-task arrays carry what the completion
-// needs), placement runs through policy.IndexedPlacer over class ids,
-// and the profiler is fed through cached profile.ClassRef handles. The
-// SoA slab, the rings and every per-core array are reused across
-// batches.
+// A run allocates a fixed handful of times, whatever its core, task and
+// batch counts: Run sizes every per-core, per-pool and per-task array
+// once, from the machine and the workload's largest batch, as windows
+// of a few slabs that each batch refills. Only per-class state grows,
+// once per class name. Completions are event.Queue.AtIndex core
+// indices, placement runs over class ids (policy.IndexedPlacer), and
+// the profiler is fed through cached profile.ClassRef handles.
 type engine struct {
 	cfg    machine.Config
 	m      *machine.Machine
@@ -143,29 +144,32 @@ type engine struct {
 	prof   *profile.Profiler
 	policy policy.Policy
 	params Params
+	env    policy.Env
 
 	// soa holds the current batch's task arrays; ratios[j] = F0/Fj.
 	soa    task.SoA
 	ratios []float64
 
-	// pools[c*u+g] — flattened task-index pools, reused across batches
-	// while the plan's group count u is stable (each batch drains them
-	// completely), rebuilt when u changes.
-	pools []*deque.Ring[int32]
-	u     int
+	// pools[c*u+g] are the batch's task-index pools, room for cores ×
+	// ladder levels (u ≤ levels). Each batch, place gives each pool the
+	// window of slots its tasks fill, using poolOf (task → pool) and
+	// poolLen (per-pool counts) as scratch, so no ring ever grows.
+	pools   []deque.Ring[int32]
+	slots   []int32
+	poolOf  []int32
+	poolLen []int32
+	u       int
 
 	// asn is plan.Assignment — the policy's own, valid until its next
 	// BeginBatch. steal and placer are reset to the plan at each batch
-	// boundary; walkers[core] are the per-core victim iterators over
-	// steal, so the acquire loop re-derives neither the preference lists
-	// nor a fresh permutation buffer per attempt.
-	asn     *cgroup.Assignment
-	plan    policy.Plan
-	steal   policy.StealOrder
-	placer  policy.IndexedPlacer
-	walkers []*policy.VictimWalker
+	// boundary; every core's walker walks steal, so an acquire needs
+	// no buffer of its own.
+	asn    *cgroup.Assignment
+	plan   policy.Plan
+	steal  policy.StealOrder
+	placer policy.IndexedPlacer
 
-	victimRNG []*xrand.RNG // per-core victim selection streams
+	core []coreState
 
 	// Per-batch per-class-id state, indexed by soa class id: the
 	// class's c-group under the current assignment, its profiler
@@ -177,16 +181,6 @@ type engine struct {
 	classH     []classHandles
 	refCache   map[string]*profile.ClassRef
 
-	// Per-core running-task state, valid from acquire to completion (a
-	// core runs at most one task at a time). Completion and wake-up
-	// events carry only a core index through event.Queue.AtIndex:
-	// payload c < Cores means complete(c), payload Cores+c means
-	// coreFree(c).
-	runTask  []int32
-	runExec  []float64
-	runLead  []float64
-	runLevel []int32
-
 	// pooled counts the batch's tasks still in a pool: placed, not yet
 	// popped or stolen. At zero every steal walk must fail.
 	pooled         int
@@ -195,16 +189,29 @@ type engine struct {
 	batchStart     float64
 
 	// Observability state: spanRec mirrors params.Recorder when it also
-	// captures steal/idle intervals; idleAt[c] is when core c ran out of
-	// work this batch (-1 while it still has work); lastEnergy/lastDVFS
-	// are the previous batch boundary's cumulative values, for deltas.
+	// captures steal/idle intervals; lastEnergy/lastDVFS are the
+	// previous batch boundary's cumulative values, for deltas.
 	eo         engineObs
 	spanRec    SpanRecorder
-	idleAt     []float64
 	lastEnergy float64
 	lastDVFS   int
 
 	res *Result
+}
+
+// coreState is one core's engine state. Its events carry only the core
+// index: AtIndex payload c < Cores is complete(c), Cores+c coreFree(c).
+type coreState struct {
+	// The core's victim walk (all walkers share one permutation buffer:
+	// walks never overlap) and victim-selection stream.
+	walker policy.VictimWalker
+	rng    xrand.RNG
+	// The running task (one at a time, from acquire to completion): SoA
+	// index, frequency level, execution time, probe/steal lead-in.
+	task, level int32
+	exec, lead  float64
+	// idleAt is when the core ran out of work this batch (-1 until then).
+	idleAt float64
 }
 
 // Run simulates workload w on machine cfg under policy p and returns
@@ -220,6 +227,11 @@ func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (
 	if params.Seed == 0 {
 		params.Seed = 1
 	}
+	m, r, nb := cfg.Cores, len(cfg.Freqs), len(w.Batches)
+	n := 0 // the largest batch
+	for i := range w.Batches {
+		n = max(n, len(w.Batches[i].Tasks))
+	}
 
 	e := &engine{
 		cfg:    cfg,
@@ -228,42 +240,60 @@ func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (
 		prof:   profile.New(cfg.Freqs),
 		policy: p,
 		params: params,
-		res:    &Result{Policy: p.Name(), Workload: w.Name},
+		env:    policy.Env{Cfg: cfg, AdjusterCharge: adjusterCharge},
+		res: &Result{
+			Policy:      p.Name(),
+			Workload:    w.Name,
+			BatchTimes:  make([]float64, 0, nb),
+			BatchCensus: make([][]int, 0, nb),
+		},
+		pools:    make([]deque.Ring[int32], m*r),
+		core:     make([]coreState, m),
+		refCache: make(map[string]*profile.ClassRef),
 	}
-	e.victimRNG = make([]*xrand.RNG, cfg.Cores)
-	seedRNG := xrand.New(params.Seed)
-	for c := range e.victimRNG {
-		e.victimRNG[c] = seedRNG.Split()
-	}
-	e.eo = newEngineObs(params.Obs, len(cfg.Freqs))
-	if sr, ok := params.Recorder.(SpanRecorder); ok {
-		e.spanRec = sr
-	}
-	e.idleAt = make([]float64, cfg.Cores)
-	e.ratios = make([]float64, len(cfg.Freqs))
+	e.q.Grow(m) // each core has one event pending at most
+
+	// The slabs. The ring slots are twice the batch: each pool's window
+	// is the power of two at or above its count.
+	floats := make([]float64, r+3*n)
+	e.ratios = floats[:r:r]
 	for j := range e.ratios {
 		e.ratios[j] = cfg.Freqs.Ratio(j)
 	}
-	e.refCache = make(map[string]*profile.ClassRef)
-	e.runTask = make([]int32, cfg.Cores)
-	e.runExec = make([]float64, cfg.Cores)
-	e.runLead = make([]float64, cfg.Cores)
-	e.runLevel = make([]int32, cfg.Cores)
+	e.soa.Work = floats[r : r : r+n]
+	e.soa.MemFrac = floats[r+n : r+n : r+2*n]
+	e.soa.Miss = floats[r+2*n : r+2*n : r+3*n]
+	int32s := make([]int32, 4*n+m*r)
+	e.soa.ClassID = int32s[:0:n]
+	e.poolOf = int32s[n : 2*n : 2*n]
+	e.slots = int32s[2*n : 4*n : 4*n]
+	e.poolLen = int32s[4*n:]
+
+	perm := make([]int, m)
+	seedRNG := xrand.New(params.Seed)
+	for c := range e.core {
+		e.core[c].walker = e.steal.Walker(c, perm)
+		e.core[c].rng = *seedRNG.Split()
+	}
+	e.eo = newEngineObs(params.Obs, r)
+	if sr, ok := params.Recorder.(SpanRecorder); ok {
+		e.spanRec = sr
+	}
 	e.q.SetIndexFn(func(v int32) {
-		if c := int(v); c < cfg.Cores {
+		if c := int(v); c < m {
 			e.complete(c)
 		} else {
-			e.coreFree(c - cfg.Cores)
+			e.coreFree(c - m)
 		}
 	})
 
-	env := &policy.Env{Cfg: cfg, AdjusterCharge: adjusterCharge}
+	census := make([]int, nb*r) // the Result's census rows
 	for bi := range w.Batches {
-		if err := e.runBatch(bi, &w.Batches[bi], env); err != nil {
+		if err := e.runBatch(bi, &w.Batches[bi], census[bi*r:(bi+1)*r:(bi+1)*r]); err != nil {
 			return nil, err
 		}
 		if bi == 0 {
-			env.IdealTime = e.res.BatchTimes[0]
+			e.env.IdealTime = e.res.BatchTimes[0]
 		}
 	}
 
@@ -285,8 +315,9 @@ func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (
 	return e.res, nil
 }
 
-// runBatch plans, places and executes one batch.
-func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
+// runBatch plans, places and executes one batch, recording its census
+// in census.
+func (e *engine) runBatch(bi int, b *task.Batch, census []int) error {
 	now := e.q.Now()
 
 	// Barrier: everyone parks while the plan is computed.
@@ -294,7 +325,7 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 		e.m.SetState(now, c, machine.Halted)
 	}
 
-	plan := e.policy.BeginBatch(bi, e.prof, env)
+	plan := e.policy.BeginBatch(bi, e.prof, &e.env)
 	if plan.Assignment == nil {
 		return fmt.Errorf("sched: policy %s returned nil assignment for batch %d", e.policy.Name(), bi)
 	}
@@ -304,13 +335,7 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 	e.prof.Reset()
 	e.plan = plan
 	e.asn = plan.Assignment
-	e.steal.Reset(&e.plan, e.cfg.Cores)
-	if e.walkers == nil {
-		e.walkers = make([]*policy.VictimWalker, e.cfg.Cores)
-		for c := range e.walkers {
-			e.walkers[c] = e.steal.Walker(c)
-		}
-	}
+	e.steal.Reset(&e.plan)
 	e.res.AdjusterSimTime += plan.Overhead
 	e.res.AdjusterHostTime += plan.HostTime
 
@@ -341,7 +366,7 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 		now += e.cfg.DVFSLatency
 	}
 
-	census := e.m.FreqCensus()
+	e.m.FreqCensus(census)
 	e.res.BatchCensus = append(e.res.BatchCensus, census)
 
 	e.place(b)
@@ -349,8 +374,8 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 	e.remaining = len(b.Tasks)
 	e.batchStart = now
 	e.lastCompletion = now
-	for c := range e.idleAt {
-		e.idleAt[c] = -1
+	for c := range e.core {
+		e.core[c].idleAt = -1
 	}
 
 	// Every core wakes at the same instant; the queue fires the wake-ups
@@ -366,8 +391,8 @@ func (e *engine) runBatch(bi int, b *task.Batch, env *policy.Env) error {
 		return fmt.Errorf("sched: batch %d finished with %d tasks unexecuted", bi, e.remaining)
 	}
 	if e.spanRec != nil {
-		for c, ts := range e.idleAt {
-			if ts >= 0 && e.lastCompletion > ts {
+		for c := range e.core {
+			if ts := e.core[c].idleAt; ts >= 0 && e.lastCompletion > ts {
 				e.spanRec.RecordIdle(c, ts, e.lastCompletion)
 			}
 		}
@@ -427,15 +452,6 @@ func (e *engine) observeBatch(dur float64, census []int, plan policy.Plan) {
 func (e *engine) place(b *task.Batch) {
 	e.soa.Fill(b)
 	m, u := e.cfg.Cores, e.asn.U()
-	// A completed batch drains every pool (runBatch errors otherwise),
-	// so the rings can be reused as-is while the group count holds —
-	// only a plan with a different u forces a rebuild.
-	if len(e.pools) != m*u {
-		e.pools = make([]*deque.Ring[int32], m*u)
-		for i := range e.pools {
-			e.pools[i] = deque.NewRing[int32]()
-		}
-	}
 	e.u = u
 
 	nc := len(e.soa.Classes)
@@ -458,10 +474,28 @@ func (e *engine) place(b *task.Batch) {
 		e.classH[cid] = e.eo.class(name)
 	}
 
+	// Place every task and count each pool's share, give each pool the
+	// power-of-two window of the slots at or above its share, then push
+	// in task order.
 	e.placer.Reset(&e.plan, m, e.soa.Classes)
+	poolOf, poolLen := e.poolOf[:len(e.soa.ClassID)], e.poolLen[:m*u]
+	clear(poolLen)
 	for i, cid := range e.soa.ClassID {
 		c, g := e.placer.Place(cid)
-		e.pools[c*u+g].PushBottom(int32(i))
+		poolOf[i] = int32(c*u + g)
+		poolLen[c*u+g]++
+	}
+	slots := e.slots
+	for p, n := range poolLen {
+		size := 0
+		if n > 0 {
+			size = 1 << bits.Len32(uint32(n-1))
+		}
+		e.pools[p] = deque.NewRing(slots[:size:size])
+		slots = slots[size:]
+	}
+	for i, p := range poolOf {
+		e.pools[p].PushBottom(int32(i))
 	}
 }
 
@@ -472,7 +506,7 @@ func (e *engine) coreFree(c int) {
 	e.res.Probes += probes
 	if ti < 0 {
 		e.eo.probeMisses.Add(float64(probes))
-		e.idleAt[c] = now
+		e.core[c].idleAt = now
 		act := e.policy.OutOfWork(c)
 		if act.FreqLevel >= 0 {
 			e.m.SetFreq(now, c, act.FreqLevel)
@@ -501,7 +535,8 @@ func (e *engine) coreFree(c int) {
 	level := e.m.Freq(c)
 	exec := e.soa.TimeAt(ti, e.ratios[level])
 	e.m.SetState(now, c, machine.Busy)
-	e.runTask[c], e.runExec[c], e.runLead[c], e.runLevel[c] = ti, exec, lead, int32(level)
+	cs := &e.core[c]
+	cs.task, cs.exec, cs.lead, cs.level = ti, exec, lead, int32(level)
 	// One task runs per core at a time, so the completion event is just
 	// the core index — an AtIndex payload: no allocation and no pointer
 	// write per task.
@@ -511,8 +546,8 @@ func (e *engine) coreFree(c int) {
 // complete fires when core c finishes its running task.
 func (e *engine) complete(c int) {
 	now := e.q.Now()
-	ti := e.runTask[c]
-	exec, lead, level := e.runExec[c], e.runLead[c], int(e.runLevel[c])
+	cs := &e.core[c]
+	ti, exec, lead, level := cs.task, cs.exec, cs.lead, int(cs.level)
 	// The core was marked Busy at acquire time, but the first `lead`
 	// seconds of that interval were probe/steal overhead, not task
 	// execution — the recorded span is [now-exec, now]. Charge through
@@ -558,7 +593,7 @@ func (e *engine) acquire(c int) (int32, int, bool, int) {
 		return ti, probes, false, -1
 	}
 
-	w, rng := e.walkers[c], e.victimRNG[c]
+	w, rng := &e.core[c].walker, &e.core[c].rng
 	if e.pooled == 0 {
 		// Every pool is dry, so the walk fails: advance the core's
 		// victim stream and count its probes without probing a pool.

@@ -10,8 +10,10 @@ import "math"
 // of a pointer chase, and nothing per-task is allocated.
 //
 // A SoA is a reusable slab: Fill truncates and repopulates the arrays
-// in place, so one SoA serves every batch of a run with amortized-zero
-// allocation once capacities have grown to the largest batch.
+// in place, appending within their capacity, so one SoA serves every
+// batch of a run, and a caller that sizes the arrays for its largest
+// batch (the simulator carves them from its run's slabs) has Fill
+// allocate only for the class table.
 type SoA struct {
 	// ClassID[i] is task i's class id — an index into Classes.
 	ClassID []int32

@@ -144,9 +144,6 @@ experiments:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/energysweep
-	$(GO) run ./examples/asymmetric
-	$(GO) run ./examples/memorybound
 	$(GO) run ./examples/liveruntime -workers 4 -batches 3
 
 # Observability demo: one instrumented simulation producing a

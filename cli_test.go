@@ -45,6 +45,35 @@ func TestRepeatedSweepValueIsAUsageError(t *testing.T) {
 	}
 }
 
+// eewa-sim runs one policy on one workload: "all" is no selector
+// value. Each is an error listing the valid names, printed before
+// anything is simulated. Whole grids are eewa-sweep's.
+func TestSimRunsOnePolicyOnOneWorkload(t *testing.T) {
+	dir := buildCommands(t, "eewa-sim")
+	for _, tc := range []struct {
+		flag  string
+		names []string
+	}{
+		{"-bench", []string{"bwc", "sha1", "membound"}},
+		{"-policy", []string{"cilk", "cilk-d", "wats", "eewa", "eewa-memaware"}},
+	} {
+		out, err := exec.Command(filepath.Join(dir, "eewa-sim"), tc.flag, "all").CombinedOutput()
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Errorf("eewa-sim %s all: %v, want a non-zero exit; output:\n%s", tc.flag, err, out)
+			continue
+		}
+		line, rest, _ := strings.Cut(string(out), "\n")
+		if !strings.HasPrefix(line, "eewa-sim: ") || rest != "" {
+			t.Errorf("eewa-sim %s all printed more than its error:\n%s", tc.flag, out)
+		}
+		for _, name := range tc.names {
+			if !strings.Contains(line, name) {
+				t.Errorf("eewa-sim %s all: error %q does not list %s", tc.flag, line, name)
+			}
+		}
+	}
+}
+
 // buildCommands builds the named cmd/ programs into a temporary
 // directory and returns it.
 func buildCommands(t *testing.T, cmds ...string) string {

@@ -313,7 +313,7 @@ func Fig7(cfg machine.Config, seeds []uint64) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		levels := ModalLevels(eewaRS[0].BatchCensus)
+		levels := modalLevels(eewaRS[0].BatchCensus)
 		cilkRS, err := runPolicy(cfg, b, func() policy.Policy {
 			p, perr := policy.NewCilkFixed(levels, len(cfg.Freqs))
 			if perr != nil {
@@ -348,11 +348,11 @@ func Fig7(cfg machine.Config, seeds []uint64) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-// ModalLevels converts the most frequent census (over batches 1..n-1 —
+// modalLevels converts the most frequent census (over batches 1..n-1 —
 // batch 0 is always all-F0 warmup) into a contiguous per-core level
 // assignment, the way the paper freezes "the most often used frequency
 // configurations in different batches" for Fig. 7.
-func ModalLevels(censuses [][]int) []int {
+func modalLevels(censuses [][]int) []int {
 	counts := map[string]int{}
 	keyOf := func(c []int) string { return fmt.Sprint(c) }
 	var keys []string

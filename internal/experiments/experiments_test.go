@@ -222,7 +222,7 @@ func TestModalLevels(t *testing.T) {
 		{5, 0, 0, 11},
 		{4, 1, 0, 11},
 	}
-	levels := ModalLevels(censuses)
+	levels := modalLevels(censuses)
 	if len(levels) != 16 {
 		t.Fatalf("got %d levels, want 16", len(levels))
 	}
@@ -243,7 +243,7 @@ func TestModalLevels(t *testing.T) {
 }
 
 func TestModalLevelsSingleCensus(t *testing.T) {
-	levels := ModalLevels([][]int{{2, 0, 0, 2}})
+	levels := modalLevels([][]int{{2, 0, 0, 2}})
 	if len(levels) != 4 {
 		t.Fatalf("got %d levels, want 4", len(levels))
 	}

@@ -447,8 +447,8 @@ func (e *engine) observeBatch(dur float64, census []int, plan policy.Plan) {
 // place flattens the batch into the SoA slab, resolves the per-class
 // metadata (c-group, profiler ref, histogram handles) once, and
 // distributes task indices into the pools per the plan's placement
-// discipline (policy.IndexedPlacer — placement-identical to the
-// string-keyed Placer the live runtime shares).
+// discipline (policy.IndexedPlacer, the same placer the live runtime
+// uses).
 func (e *engine) place(b *task.Batch) {
 	e.soa.Fill(b)
 	m, u := e.cfg.Cores, e.asn.U()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -384,6 +385,36 @@ func TestNewValidatesTopology(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid topology accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// A shard that fails to build must not strand the batchers of the
+// shards built before it: New stops them before returning its error.
+func TestNewStopsBuiltShardsOnError(t *testing.T) {
+	before := batcherGoroutines()
+	_, err := New(Config{Workers: 2, Machine: machine.Opteron16(), Shards: 2,
+		ShardOfflines: []*profile.Snapshot{nil, {}}})
+	if err == nil || !strings.Contains(err.Error(), "non-positive ideal time") {
+		t.Fatalf("New: %v, want shard 1's empty profile rejected", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for batcherGoroutines() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batcher goroutines before New, %d after its error", before, batcherGoroutines())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// batcherGoroutines counts the running shard batchers.
+func batcherGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), ".(*shard).batcher(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

@@ -272,6 +272,10 @@ func New(cfg Config) (*Server, error) {
 			manualFlush: cfg.ManualFlush,
 		}, s.so, s.ro)
 		if err != nil {
+			// The shards already built run batchers; stop them.
+			for _, built := range s.shards {
+				built.drain(context.Background())
+			}
 			return nil, err
 		}
 		s.shards = append(s.shards, sh)

@@ -163,18 +163,3 @@ func MemoryBound() Benchmark {
 		Batches: DefaultBatches,
 	}
 }
-
-// Synthetic builds a two-class workload with a tunable utilization
-// headroom: heavyFrac of the total work sits in a chunky straggler
-// class. Used by sweeps and property tests.
-func Synthetic(name string, heavyCount int, heavyWork float64, lightCount int, lightWork float64, batches int) Benchmark {
-	return Benchmark{
-		Name: name,
-		Desc: "synthetic two-class workload",
-		Specs: []task.ClassSpec{
-			{Name: name + "/heavy", Count: heavyCount, MeanWork: heavyWork, JitterFrac: 0.05},
-			{Name: name + "/light", Count: lightCount, MeanWork: lightWork, JitterFrac: 0.05},
-		},
-		Batches: batches,
-	}
-}

@@ -93,20 +93,6 @@ func TestMemoryBoundWorkload(t *testing.T) {
 	}
 }
 
-func TestSynthetic(t *testing.T) {
-	b := Synthetic("syn", 8, 0.1, 120, 0.01, 5)
-	w := b.Workload(3)
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Batches) != 5 {
-		t.Errorf("batches = %d, want 5", len(w.Batches))
-	}
-	if got := len(w.Batches[0].Tasks); got != 128 {
-		t.Errorf("tasks per batch = %d, want 128", got)
-	}
-}
-
 func TestClassStructureHasHeavyAndLight(t *testing.T) {
 	// Every benchmark needs workload heterogeneity for EEWA to exploit:
 	// the heaviest class's mean work must be well above the lightest's.

@@ -38,32 +38,20 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rt"
 	"repro/internal/sched"
-	"repro/internal/serve"
-	"repro/internal/sweep"
 	"repro/internal/task"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// Re-exported types. The facade aliases rather than wraps so that
-// advanced callers can drop to the internal packages without
-// conversion.
+// Re-exported types. The facade aliases rather than wraps, so each
+// name keeps the methods and fields of the type it names.
 type (
 	// MachineConfig describes the simulated hardware: cores, frequency
 	// ladder, power model, package topology.
 	MachineConfig = machine.Config
-	// FreqLadder is the descending list of core frequencies (GHz).
-	FreqLadder = machine.FreqLadder
 	// Workload is a named sequence of task batches.
 	Workload = task.Workload
-	// ClassSpec declares one task class of a synthetic workload.
-	ClassSpec = task.ClassSpec
-	// Task is one simulated unit of work.
-	Task = task.Task
 	// Result is a simulation outcome (makespan, energy, censuses …).
 	Result = sched.Result
-	// Params tunes the simulation engine.
-	Params = sched.Params
 	// Benchmark is one paper benchmark (Table II).
 	Benchmark = workloads.Benchmark
 	// LiveConfig configures the goroutine runtime.
@@ -76,61 +64,17 @@ type (
 	LiveTask = rt.Task
 	// LiveRuntime executes real payloads with emulated DVFS.
 	LiveRuntime = rt.Runtime
-	// LiveBatchStats summarizes one live batch.
-	LiveBatchStats = rt.BatchStats
-	// Metrics is the observability registry both runtimes report into:
-	// counters, gauges and histograms exportable as Prometheus text or
-	// JSON (internal/obs). Set it as Params.Obs or LiveConfig.Obs.
+	// Metrics is the observability registry the live runtime reports
+	// into (LiveConfig.Obs): counters, gauges and histograms exportable
+	// as Prometheus text or JSON (internal/obs).
 	Metrics = obs.Registry
-	// LatencyHistogram is a lock-free log-bucketed histogram with
-	// quantile estimation (≤12.5 % relative error); both runtimes use
-	// it for task and request latencies. Fetch registered children via
-	// (*Metrics).At(name, labelValues...).
-	LatencyHistogram = obs.LogHistogram
-	// ServeLatencySummary is the end-of-run p50/p95/p99 digest the job
-	// service computes from its request-span histograms
-	// ((*JobServer).LatencySummary).
-	ServeLatencySummary = serve.LatencySummary
-	// TraceRecorder collects per-core execution, steal and idle spans
-	// and renders them as a Gantt chart, CSV or Perfetto-compatible
-	// trace-event JSON (internal/trace). Set it as Params.Recorder.
-	TraceRecorder = trace.Recorder
-	// ServeConfig configures the job-submission service (internal/serve):
-	// a backpressured HTTP front end that batches submissions into
-	// iterations and executes them on the live runtime.
-	ServeConfig = serve.Config
-	// JobServer is the long-running job-submission service. Mount
-	// (*JobServer).Handler on an http.Server and call Drain on SIGTERM.
-	JobServer = serve.Server
-	// JobRequest is one HTTP job submission (function, task count,
-	// payload size, optional deadline and workload hint).
-	JobRequest = serve.JobRequest
-	// JobResult is the synchronous response to a completed job.
-	JobResult = serve.JobResult
-	// ServeStats is a point-in-time snapshot of the service's admission
-	// and execution counters (cluster totals).
-	ServeStats = serve.Stats
-	// ServeShardStats is one runtime shard's slice of the routed
-	// cluster: admission counters, plan classes and energy account
-	// ((*JobServer).ShardStats, the /v1/shards endpoint).
-	ServeShardStats = serve.ShardStats
-	// ServeEnergyRollup is the cluster-wide energy account: per-shard
-	// attributed + overhead joules summing to the cluster total
-	// ((*JobServer).EnergyRollup).
-	ServeEnergyRollup = serve.EnergyRollup
-	// ClusterGrid declares a sweep: benchmark × policy × cores × seed,
-	// with the cluster topology axes (shard count × ladder split ×
-	// routing policy) defaulting to one shard; run it with ClusterSweep.
-	ClusterGrid = sweep.Grid
-	// ClusterCell is one deterministic sweep cell.
-	ClusterCell = sweep.Cell
 )
 
-// Policy names accepted by Simulate, NewPolicy and every CLI's -policy
-// flag. These are the canonical identifiers owned by internal/policy,
-// whose New also accepts the EEWA variants (eewa-exhaustive,
-// eewa-greedy, eewa-divisible, eewa-memaware, eewa-ignore); the live
-// runtime takes the same names as a LivePolicy.
+// The policy names Compare runs. Simulate and every CLI's -policy flag
+// accept any of PolicyNames (wats too) and the EEWA variants
+// (eewa-exhaustive, eewa-greedy, eewa-divisible, eewa-memaware,
+// eewa-ignore), all owned by internal/policy; the live runtime takes
+// the same names as a LivePolicy.
 const (
 	// PolicyCilk is classic random work stealing at full frequency.
 	PolicyCilk = policy.IDCilk
@@ -139,12 +83,6 @@ const (
 	PolicyCilkD = policy.IDCilkD
 	// PolicyEEWA is the paper's full scheduler.
 	PolicyEEWA = policy.IDEEWA
-	// PolicyWATS is workload-aware stealing on a fixed asymmetric
-	// frequency configuration (the paper's [9], its Fig. 7 baseline):
-	// class profiling and preference stealing like EEWA, but the
-	// frequencies are frozen at policy.DefaultWATSLevels — no per-batch
-	// adjuster.
-	PolicyWATS = policy.IDWATS
 )
 
 // PolicyNames returns the canonical policy identifiers in presentation
@@ -155,20 +93,12 @@ func PolicyNames() []string { return policy.IDs() }
 // packages, 2.5/1.8/1.3/0.8 GHz per-core DVFS.
 func Opteron16() MachineConfig { return machine.Opteron16() }
 
-// GenericMachine returns an Opteron-like machine with an arbitrary
-// core count (the Fig. 9 scalability sweep uses 4–16).
-func GenericMachine(cores int) MachineConfig { return machine.Generic(cores) }
-
 // Benchmarks returns the seven paper benchmarks of Table II.
 func Benchmarks() []Benchmark { return workloads.All() }
 
-// BenchmarkByName looks up one of the Table II benchmarks by name
-// (bwc, bzip2, dmc, je, lzw, md5, sha1), or the §IV-D memory-bound
-// workload (membound).
-func BenchmarkByName(name string) (Benchmark, error) { return workloads.ByName(name) }
-
-// MustBenchmark is BenchmarkByName for known-good names; it panics on
-// error.
+// MustBenchmark looks up one of the Table II benchmarks by name (bwc,
+// bzip2, dmc, je, lzw, md5, sha1), or the §IV-D memory-bound workload
+// (membound); it panics on an unknown name.
 func MustBenchmark(name string) Benchmark {
 	b, err := workloads.ByName(name)
 	if err != nil {
@@ -177,32 +107,14 @@ func MustBenchmark(name string) Benchmark {
 	return b
 }
 
-// GenerateWorkload builds a deterministic synthetic workload.
-func GenerateWorkload(name string, batches int, specs []ClassSpec, seed uint64) (*Workload, error) {
-	return task.Generate(name, batches, specs, seed)
-}
-
-// NewPolicy constructs a scheduling policy by name for cfg. The same
-// policy value drives both the simulator (Simulate) and the live
-// runtime (LiveConfig.Impl) — decisions live in internal/policy, the
-// engines only execute them.
-func NewPolicy(name string, cfg MachineConfig) (policy.Policy, error) {
-	return policy.New(name, cfg)
-}
-
 // Simulate runs workload w on machine cfg under the named policy with
-// default parameters.
-func Simulate(cfg MachineConfig, w *Workload, policy string) (*Result, error) {
-	return SimulateWithParams(cfg, w, policy, Params{})
-}
-
-// SimulateWithParams is Simulate with explicit engine parameters.
-func SimulateWithParams(cfg MachineConfig, w *Workload, policy string, params Params) (*Result, error) {
-	p, err := NewPolicy(policy, cfg)
+// the engine's default parameters.
+func Simulate(cfg MachineConfig, w *Workload, name string) (*Result, error) {
+	p, err := policy.New(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sched.Run(cfg, w, p, params)
+	return sched.Run(cfg, w, p, sched.Params{})
 }
 
 // Comparison is the outcome of running one workload under the three
@@ -215,12 +127,6 @@ type Comparison struct {
 // as a fraction (0.298 = 29.8 %).
 func (c *Comparison) EnergySaving() float64 {
 	return 1 - c.EEWA.Energy/c.Cilk.Energy
-}
-
-// Slowdown returns EEWA's makespan relative to Cilk minus one
-// (positive = slower).
-func (c *Comparison) Slowdown() float64 {
-	return c.EEWA.Makespan/c.Cilk.Makespan - 1
 }
 
 // Compare runs w under Cilk, Cilk-D and EEWA on cfg.
@@ -246,42 +152,9 @@ func Compare(cfg MachineConfig, w *Workload) (*Comparison, error) {
 // NewRuntime builds the live goroutine runtime with emulated DVFS.
 func NewRuntime(cfg LiveConfig) (*LiveRuntime, error) { return rt.New(cfg) }
 
-// Live-runtime policy names: the canonical names above as LivePolicy
-// values. All four paper policies run live.
-const (
-	LivePolicyCilk  = rt.PolicyCilk
-	LivePolicyCilkD = rt.PolicyCilkD
-	LivePolicyWATS  = rt.PolicyWATS
-	LivePolicyEEWA  = rt.PolicyEEWA
-)
-
-// NewServer builds the job-submission service: per-tenant bounded
-// admission queues with 429/Retry-After backpressure, interval
-// batching onto the live runtime, per-request deadlines and graceful
-// drain. With ServeConfig.Shards > 1 it is a routing tier over N
-// runtime shards — class-aware placement, per-shard drain, cluster
-// energy roll-ups. See cmd/eewa-serve for the standalone binary.
-func NewServer(cfg ServeConfig) (*JobServer, error) { return serve.New(cfg) }
-
-// ServeFuncs returns the function names accepted by JobRequest.Func
-// (the Table II kernels runnable as service payloads).
-func ServeFuncs() []string { return serve.Funcs() }
-
-// ServeRoutingPolicies returns the placement policies a routed
-// JobServer accepts as ServeConfig.Routing ("class", "rr", "least").
-func ServeRoutingPolicies() []string { return serve.RoutingPolicies() }
-
-// ClusterSweep runs a sweep — the paper's benchmark × policy × cores
-// grid, over shard count × ladder split × routing policy — on
-// `workers` goroutines, returning per-cell results that are
-// byte-identical for every worker count. See cmd/eewa-sweep.
-func ClusterSweep(g ClusterGrid, workers int) ([]ClusterCell, error) {
-	return sweep.RunCells(g, workers)
-}
-
-// NewMetrics builds an observability registry. Pass it as Params.Obs
-// (simulator) or LiveConfig.Obs (live runtime); export it with
-// (*Metrics).WritePrometheus, (*Metrics).WriteJSON or ServeMetrics.
+// NewMetrics builds an observability registry. Pass it as
+// LiveConfig.Obs; export it with (*Metrics).WritePrometheus,
+// (*Metrics).WriteJSON or ServeMetrics.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // ServeMetrics starts an HTTP server exposing reg on /metrics

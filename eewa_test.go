@@ -2,11 +2,13 @@ package eewa
 
 import (
 	"testing"
+
+	"repro/internal/task"
 )
 
 func TestSimulatePolicies(t *testing.T) {
 	cfg := Opteron16()
-	w, err := GenerateWorkload("facade", 3, []ClassSpec{
+	w, err := task.Generate("facade", 3, []task.ClassSpec{
 		{Name: "h", Count: 8, MeanWork: 0.05, JitterFrac: 0.05},
 		{Name: "l", Count: 24, MeanWork: 0.01, JitterFrac: 0.05},
 	}, 1)
@@ -25,7 +27,7 @@ func TestSimulatePolicies(t *testing.T) {
 }
 
 func TestSimulateUnknownPolicy(t *testing.T) {
-	w, _ := GenerateWorkload("x", 1, []ClassSpec{{Name: "a", Count: 1, MeanWork: 1}}, 1)
+	w := task.MustGenerate("x", 1, []task.ClassSpec{{Name: "a", Count: 1, MeanWork: 1}}, 1)
 	if _, err := Simulate(Opteron16(), w, "magic"); err == nil {
 		t.Error("unknown policy should error")
 	}
@@ -40,7 +42,7 @@ func TestCompareShape(t *testing.T) {
 	if cmp.EnergySaving() <= 0 {
 		t.Errorf("EEWA should save energy on md5, got %.1f%%", 100*cmp.EnergySaving())
 	}
-	if s := cmp.Slowdown(); s > 0.06 {
+	if s := cmp.EEWA.Makespan/cmp.Cilk.Makespan - 1; s > 0.06 {
 		t.Errorf("EEWA slowdown %.1f%% exceeds 6%%", 100*s)
 	}
 	if !(cmp.EEWA.Energy < cmp.CilkD.Energy && cmp.CilkD.Energy < cmp.Cilk.Energy) {
@@ -52,11 +54,8 @@ func TestBenchmarksFacade(t *testing.T) {
 	if got := len(Benchmarks()); got != 7 {
 		t.Errorf("Benchmarks() returned %d, want 7", got)
 	}
-	if _, err := BenchmarkByName("sha1"); err != nil {
-		t.Errorf("sha1 lookup failed: %v", err)
-	}
-	if _, err := BenchmarkByName("nope"); err == nil {
-		t.Error("unknown benchmark should error")
+	if b := MustBenchmark("sha1"); b.Name != "sha1" {
+		t.Errorf("MustBenchmark(sha1) = %q", b.Name)
 	}
 	defer func() {
 		if recover() == nil {
@@ -70,29 +69,20 @@ func TestMachinePresets(t *testing.T) {
 	if cfg := Opteron16(); cfg.Cores != 16 {
 		t.Errorf("Opteron16 has %d cores", cfg.Cores)
 	}
-	if cfg := GenericMachine(8); cfg.Cores != 8 {
-		t.Errorf("GenericMachine(8) has %d cores", cfg.Cores)
-	}
 }
 
 func TestLiveRuntimeFacade(t *testing.T) {
 	r, err := NewRuntime(LiveConfig{
 		Workers: 2,
 		Machine: Opteron16(),
-		Policy:  LivePolicyEEWA,
+		Policy:  LivePolicy(PolicyEEWA),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := 0
-	tasks := []LiveTask{
-		{Class: "t", Run: func() { done++ }},
-		{Class: "t", Run: func() { done++ }},
-	}
-	// Single-threaded closure mutation is fine with 2 workers only if
-	// synchronized; use per-task closures writing distinct slots.
+	// Two workers run the tasks concurrently: each writes its own slot.
 	results := make([]int, 4)
-	tasks = tasks[:0]
+	var tasks []LiveTask
 	for i := 0; i < 4; i++ {
 		i := i
 		tasks = append(tasks, LiveTask{Class: "t", Run: func() { results[i] = 1 }})

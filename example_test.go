@@ -36,26 +36,3 @@ func ExampleCompare() {
 	// energy ordering holds: true
 	// EEWA saves more than 20%: true
 }
-
-// ExampleGenerateWorkload builds a synthetic two-class workload and
-// checks the adjuster finds headroom on it.
-func ExampleGenerateWorkload() {
-	w, err := eewa.GenerateWorkload("demo", 6, []eewa.ClassSpec{
-		{Name: "chunky", Count: 6, MeanWork: 0.15, JitterFrac: 0.05},
-		{Name: "fine", Count: 122, MeanWork: 0.006, JitterFrac: 0.05},
-	}, 42)
-	if err != nil {
-		panic(err)
-	}
-	res, err := eewa.Simulate(eewa.Opteron16(), w, eewa.PolicyEEWA)
-	if err != nil {
-		panic(err)
-	}
-	slow := 0
-	for lvl := 1; lvl < 4; lvl++ {
-		slow += res.BatchCensus[5][lvl]
-	}
-	fmt.Println("cores below F0 in steady state:", slow > 0)
-	// Output:
-	// cores below F0 in steady state: true
-}

@@ -10,11 +10,10 @@ import (
 // as p50/p99/max gauges rather than raw bucket series: the runtime owns
 // the distribution, we only need its shape at scrape time.
 type goSample struct {
-	name string
-	g    *Gauge // scalar metrics
-	p50  *Gauge // histogram metrics
-	p99  *Gauge
-	max  *Gauge
+	g   *Gauge // scalar metrics
+	p50 *Gauge // histogram metrics
+	p99 *Gauge
+	max *Gauge
 }
 
 // GoRuntimeMetrics bridges runtime/metrics into a Registry under the
@@ -59,7 +58,6 @@ func NewGoRuntimeMetrics(reg *Registry) *GoRuntimeMetrics {
 		probe := []metrics.Sample{{Name: m.src}}
 		metrics.Read(probe)
 		var bind goSample
-		bind.name = m.src
 		switch probe[0].Value.Kind() {
 		case metrics.KindUint64, metrics.KindFloat64:
 			bind.g = reg.Gauge(m.dst, m.help)

@@ -55,9 +55,6 @@ func parityBatchSim() *task.Workload {
 	for i := 0; i < 24; i++ {
 		tasks = append(tasks, task.Task{Class: "light", Work: 2e-4})
 	}
-	for i := range tasks {
-		tasks[i].ID = i
-	}
 	return &task.Workload{Name: "parity", Batches: []task.Batch{{Tasks: tasks}}}
 }
 

@@ -122,12 +122,6 @@ const (
 	// PolicyEEWA: the paper's scheduler — profile, adjust virtual
 	// frequencies per batch, preference stealing.
 	PolicyEEWA Policy = policy.IDEEWA
-	// PolicyCilkD: Cilk with workers that run dry down-clocking to the
-	// lowest frequency until the barrier.
-	PolicyCilkD Policy = policy.IDCilkD
-	// PolicyWATS: workload-aware stealing on a frozen asymmetric
-	// configuration (policy.DefaultWATSLevels).
-	PolicyWATS Policy = policy.IDWATS
 )
 
 // Config configures a Runtime.
@@ -191,16 +185,13 @@ type WorkerSecs struct {
 	Residual float64
 }
 
-// ClassStats is one task class's share of a batch: executed tasks,
-// duty-cycle-stretched busy seconds, and the busy-state energy those
-// seconds drew at the executing workers' frequency levels. Summed over
-// classes, EnergyJ is the attributable part of BatchStats.Energy; the
-// remainder (search, dry spin, barrier halt, base draw) is scheduling
-// overhead no single class caused.
+// ClassStats is one task class's share of a batch: duty-cycle-stretched
+// busy seconds, and the busy-state energy those seconds drew at the
+// executing workers' frequency levels. Summed over classes, EnergyJ is
+// the attributable part of BatchStats.Energy; the remainder (search,
+// dry spin, barrier halt, base draw) is scheduling overhead no single
+// class caused.
 type ClassStats struct {
-	// Tasks is the number of payloads of this class that ran (cancelled
-	// tasks are not counted).
-	Tasks int
 	// BusySecs is the summed duty-cycle-stretched execution time.
 	BusySecs float64
 	// EnergyJ is the busy-state energy integral over BusySecs.
@@ -241,7 +232,6 @@ type RunStats struct {
 	Tasks   int
 	Wall    time.Duration
 	Energy  float64
-	Steals  int
 }
 
 // throttleQuantum is the smallest throttle debt a worker pays by
@@ -471,7 +461,6 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 			}
 			name := r.classNames[cid]
 			cs := bs.Classes[name]
-			cs.Tasks += a.tasks
 			cs.BusySecs += a.secs
 			cs.EnergyJ += a.secs * busyPower
 			bs.Classes[name] = cs
@@ -509,7 +498,6 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 	r.stats.Tasks += len(tasks)
 	r.stats.Wall += wall
 	r.stats.Energy += bs.Energy
-	r.stats.Steals += bs.Steals
 	r.ro.observeBatch(bs, busyTot, spinTot, haltTot, r.depths)
 	if r.inv {
 		counts := make([]int32, len(tasks))

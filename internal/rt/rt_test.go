@@ -12,6 +12,16 @@ import (
 	"repro/internal/profile"
 )
 
+// The other two paper policies by name, as the tests run them.
+const (
+	// PolicyCilkD: Cilk with workers that run dry down-clocking to the
+	// lowest frequency until the barrier.
+	PolicyCilkD Policy = policy.IDCilkD
+	// PolicyWATS: workload-aware stealing on a frozen asymmetric
+	// configuration (policy.DefaultWATSLevels).
+	PolicyWATS Policy = policy.IDWATS
+)
+
 func testConfig(workers int, p Policy) Config {
 	return Config{
 		Workers: workers,

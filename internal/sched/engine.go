@@ -303,7 +303,6 @@ func Run(cfg machine.Config, w *task.Workload, p policy.Policy, params Params) (
 	e.eo.runs.Inc()
 	e.res.Makespan = now
 	e.res.Energy = e.m.EnergyAt(now)
-	e.res.CoreEnergy = e.m.CoreEnergyAt(now)
 	e.res.BusyTime = e.m.TotalBusyTime()
 	e.res.SpinTime = e.m.TotalSpinTime()
 	e.res.HaltTime = e.m.TotalHaltTime()

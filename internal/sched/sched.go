@@ -83,8 +83,6 @@ type Result struct {
 	Makespan float64
 	// Energy is whole-machine energy (joules): cores + base draw.
 	Energy float64
-	// CoreEnergy excludes the base draw.
-	CoreEnergy float64
 
 	// BatchTimes are per-batch durations; BatchTimes[0] is the ideal
 	// iteration time T.

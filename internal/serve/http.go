@@ -108,18 +108,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "decoding job: "+err.Error(), 0)
 		return
 	}
-	j, err := s.newJob(in.req)
-	if err != nil {
-		s.so.rejected.With("invalid").Inc()
-		s.writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	if rej := s.route(j); rej != nil {
-		s.noteRejection(rej)
-		j.release()
-		if rej.Status == http.StatusGatewayTimeout {
-			// Admission fast-fail: the deadline had already passed, so
-			// there is no point hinting a retry of the same request.
+	j, rej := s.submit(in.req)
+	if rej != nil {
+		if rej.Status == http.StatusBadRequest || rej.Status == http.StatusGatewayTimeout {
+			// An invalid job, or an admission fast-fail (the deadline
+			// had already passed): retrying the same request is
+			// pointless, so there is no hint.
 			s.writeError(w, rej.Status, rej.Msg, 0)
 			return
 		}
@@ -127,7 +121,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, rej.Status, rej.Msg, retryAfterSecs)
 		return
 	}
-	s.shards[j.shard].wakeBatcher()
 
 	// The job is queued; wait for the batcher, the deadline, or the
 	// client hanging up — whichever comes first. On deadline/disconnect

@@ -354,7 +354,7 @@ type Rejection struct {
 }
 
 // noteRejection does the router-level bookkeeping for a refused
-// submission (shared by the HTTP handler and Submit). A 504 fast-fail
+// submission (shared by submit and the batch handler). A 504 fast-fail
 // is accounted as a timeout — the job's deadline had already expired
 // when it arrived — while everything else is a rejection.
 func (s *Server) noteRejection(rej *Rejection) {
@@ -403,6 +403,18 @@ func (p *Pending) Wait() (status int, res *JobResult, errMsg string) {
 // Rejection (400 invalid, 429/503 backpressure, 504 deadline already
 // expired). Counters and metrics advance exactly as for POST /v1/jobs.
 func (s *Server) Submit(req JobRequest) (*Pending, *Rejection) {
+	j, rej := s.submit(req)
+	if rej != nil {
+		return nil, rej
+	}
+	return &Pending{j: j}, nil
+}
+
+// submit is the one admission step of a single job, for Submit and
+// POST /v1/jobs alike: validate, route, account a refusal, and wake the
+// shard the job was queued on. A refused job is released; a queued one
+// is returned holding the caller's reference.
+func (s *Server) submit(req JobRequest) (*job, *Rejection) {
 	j, err := s.newJob(req)
 	if err != nil {
 		s.so.rejected.With("invalid").Inc()
@@ -414,7 +426,7 @@ func (s *Server) Submit(req JobRequest) (*Pending, *Rejection) {
 		return nil, rej
 	}
 	s.shards[j.shard].wakeBatcher()
-	return &Pending{j: j}, nil
+	return j, nil
 }
 
 // Flush forms and runs batches from every shard's current backlog, on

@@ -127,20 +127,25 @@ func TestClusterGridValidate(t *testing.T) {
 }
 
 // synWorkload builds a workload whose batches hold one task per class
-// name listed, with IDs numbered through the whole stream.
+// name listed. A task's Work numbers it through the whole stream (id+1
+// seconds; routing never reads Work), so taskID can follow it through
+// a split.
 func synWorkload(batches ...[]string) *task.Workload {
 	w := &task.Workload{Name: "syn"}
 	id := 0
 	for _, classes := range batches {
 		var b task.Batch
 		for _, c := range classes {
-			b.Tasks = append(b.Tasks, task.Task{ID: id, Class: c, Work: 1e-3})
+			b.Tasks = append(b.Tasks, task.Task{Class: c, Work: float64(id + 1)})
 			id++
 		}
 		w.Batches = append(w.Batches, b)
 	}
 	return w
 }
+
+// taskID recovers the number synWorkload gave tk.
+func taskID(tk task.Task) int { return int(tk.Work) - 1 }
 
 // shardOf maps every task ID to the shard splitWorkload routed it to.
 func shardOf(parts []*task.Workload) map[int]int {
@@ -151,7 +156,7 @@ func shardOf(parts []*task.Workload) map[int]int {
 		}
 		for _, b := range part.Batches {
 			for _, tk := range b.Tasks {
-				at[tk.ID] = i
+				at[taskID(tk)] = i
 			}
 		}
 	}
@@ -239,8 +244,8 @@ func TestSplitWorkload(t *testing.T) {
 	want := map[string]int{"a": 0, "b": 1, "c": 2}
 	for _, batch := range two.Batches {
 		for _, tk := range batch.Tasks {
-			if at[tk.ID] != want[tk.Class] {
-				t.Errorf("class: task %d (%s) went to shard %d, want %d", tk.ID, tk.Class, at[tk.ID], want[tk.Class])
+			if id := taskID(tk); at[id] != want[tk.Class] {
+				t.Errorf("class: task %d (%s) went to shard %d, want %d", id, tk.Class, at[id], want[tk.Class])
 			}
 		}
 	}
@@ -296,7 +301,7 @@ func routeLive(t *testing.T, w *task.Workload, mcs []machine.Config, cell string
 			if st != 200 || res.Shard == nil {
 				t.Fatalf("%s: batch %d job %d: status %d %s", cell, bi, k, st, msg)
 			}
-			if id := b.Tasks[k].ID; *res.Shard != at[id] {
+			if id := taskID(b.Tasks[k]); *res.Shard != at[id] {
 				t.Errorf("%s: batch %d job %d (%s): live shard %d, sweep shard %d",
 					cell, bi, k, b.Tasks[k].Class, *res.Shard, at[id])
 			}

@@ -72,8 +72,8 @@ func (s *SoA) Fill(b *Batch) {
 	}
 }
 
-// TimeAt returns task i's execution time at frequency ratio F0/Fj —
-// the SoA counterpart of Task.TimeAt.
+// TimeAt returns task i's execution time at frequency ratio F0/Fj:
+// Work·(MemFrac + (1−MemFrac)·ratio), the package's time model.
 func (s *SoA) TimeAt(i int32, ratio float64) float64 {
 	mf := s.MemFrac[i]
 	return s.Work[i] * (mf + (1-mf)*ratio)

@@ -27,8 +27,6 @@ import (
 
 // Task is one unit of parallel work.
 type Task struct {
-	// ID is unique within a workload; useful for tracing.
-	ID int
 	// Class is the task's function name (f in TC(f, n, w)).
 	Class string
 	// Work is the execution time in seconds on a core at F0.
@@ -42,25 +40,10 @@ type Task struct {
 	CacheMissIntensity float64
 }
 
-// TimeAt returns the task's execution time on a core at frequency level
-// j of ladder ratios, where ratio = F0/Fj.
-func (t *Task) TimeAt(ratio float64) float64 {
-	return t.Work * (t.MemFrac + (1-t.MemFrac)*ratio)
-}
-
 // Batch is one iteration's worth of tasks, executed between two
 // barriers.
 type Batch struct {
 	Tasks []Task
-}
-
-// TotalWork returns the sum of the batch's Work values (seconds at F0).
-func (b *Batch) TotalWork() float64 {
-	sum := 0.0
-	for i := range b.Tasks {
-		sum += b.Tasks[i].Work
-	}
-	return sum
 }
 
 // Workload is a named sequence of batches — one complete application
@@ -77,15 +60,6 @@ func (w *Workload) TotalTasks() int {
 		n += len(w.Batches[i].Tasks)
 	}
 	return n
-}
-
-// TotalWork returns the summed Work across all batches.
-func (w *Workload) TotalWork() float64 {
-	sum := 0.0
-	for i := range w.Batches {
-		sum += w.Batches[i].TotalWork()
-	}
-	return sum
 }
 
 // Validate checks the workload is non-degenerate: at least one batch,
@@ -150,19 +124,16 @@ func Generate(name string, batches int, specs []ClassSpec, seed uint64) (*Worklo
 	}
 	rng := xrand.New(seed)
 	w := &Workload{Name: name, Batches: make([]Batch, batches)}
-	id := 0
 	for bi := 0; bi < batches; bi++ {
 		var tasks []Task
 		for _, s := range specs {
 			for i := 0; i < s.Count; i++ {
 				tasks = append(tasks, Task{
-					ID:                 id,
 					Class:              s.Name,
 					Work:               rng.Jitter(s.MeanWork, s.JitterFrac),
 					MemFrac:            s.MemFrac,
 					CacheMissIntensity: s.CacheMissIntensity,
 				})
-				id++
 			}
 		}
 		rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })

@@ -6,37 +6,64 @@ import (
 	"testing/quick"
 )
 
+// soaOf fills a SoA with one batch of tasks.
+func soaOf(tasks ...Task) *SoA {
+	var s SoA
+	s.Fill(&Batch{Tasks: tasks})
+	return &s
+}
+
+// batchWork is a batch's summed Work (seconds at F0).
+func batchWork(b *Batch) float64 {
+	sum := 0.0
+	for i := range b.Tasks {
+		sum += b.Tasks[i].Work
+	}
+	return sum
+}
+
 func TestTimeAtCPUBound(t *testing.T) {
-	tk := Task{Work: 2.0, MemFrac: 0}
-	if got := tk.TimeAt(1.0); got != 2.0 {
+	s := soaOf(Task{Class: "c", Work: 2.0, MemFrac: 0})
+	if got := s.TimeAt(0, 1.0); got != 2.0 {
 		t.Errorf("TimeAt(F0) = %g, want 2", got)
 	}
 	// At half frequency a CPU-bound task takes twice as long (paper §II).
-	if got := tk.TimeAt(2.0); got != 4.0 {
+	if got := s.TimeAt(0, 2.0); got != 4.0 {
 		t.Errorf("TimeAt(0.5·F0) = %g, want 4", got)
 	}
 }
 
 func TestTimeAtMemoryBound(t *testing.T) {
-	tk := Task{Work: 2.0, MemFrac: 1.0}
+	s := soaOf(Task{Class: "m", Work: 2.0, MemFrac: 1.0}, Task{Class: "h", Work: 2.0, MemFrac: 0.5})
 	// A fully memory-bound task is frequency-insensitive.
-	if got := tk.TimeAt(3.0); got != 2.0 {
+	if got := s.TimeAt(0, 3.0); got != 2.0 {
 		t.Errorf("memory-bound TimeAt = %g, want 2", got)
 	}
-	half := Task{Work: 2.0, MemFrac: 0.5}
-	if got, want := half.TimeAt(2.0), 2.0*(0.5+0.5*2.0); math.Abs(got-want) > 1e-12 {
+	if got, want := s.TimeAt(1, 2.0), 2.0*(0.5+0.5*2.0); math.Abs(got-want) > 1e-12 {
 		t.Errorf("half-bound TimeAt = %g, want %g", got, want)
 	}
 }
 
+// SoA.Fill keeps every task's work and interns classes in
+// first-appearance order.
 func TestBatchTotalWorkAndClasses(t *testing.T) {
-	b := Batch{Tasks: []Task{
-		{Class: "md5", Work: 1},
-		{Class: "sha1", Work: 2},
-		{Class: "md5", Work: 3},
-	}}
-	if got := b.TotalWork(); got != 6 {
-		t.Errorf("TotalWork = %g, want 6", got)
+	s := soaOf(
+		Task{Class: "md5", Work: 1},
+		Task{Class: "sha1", Work: 2},
+		Task{Class: "md5", Work: 3},
+	)
+	sum := 0.0
+	for _, w := range s.Work {
+		sum += w
+	}
+	if sum != 6 || s.Len() != 3 {
+		t.Errorf("SoA holds %d tasks of work %g, want 3 of 6", s.Len(), sum)
+	}
+	if len(s.Classes) != 2 || s.Classes[0] != "md5" || s.Classes[1] != "sha1" {
+		t.Errorf("Classes = %v, want [md5 sha1]", s.Classes)
+	}
+	if got := s.ClassID; got[0] != 0 || got[1] != 1 || got[2] != 0 {
+		t.Errorf("ClassID = %v, want [0 1 0]", got)
 	}
 }
 
@@ -57,16 +84,6 @@ func TestGenerateShape(t *testing.T) {
 	}
 	if w.TotalTasks() != 10*128 {
 		t.Errorf("TotalTasks = %d, want 1280", w.TotalTasks())
-	}
-	// Every task ID unique.
-	seen := map[int]bool{}
-	for _, b := range w.Batches {
-		for _, tk := range b.Tasks {
-			if seen[tk.ID] {
-				t.Fatalf("duplicate task ID %d", tk.ID)
-			}
-			seen[tk.ID] = true
-		}
 	}
 }
 
@@ -160,8 +177,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// Property: TotalWork equals the sum over batches of per-batch totals,
-// and every batch's total work is within count·mean·(1±jitter).
+// Property: every batch's total work is within count·mean·(1±jitter).
 func TestGenerateWorkBoundsProperty(t *testing.T) {
 	f := func(seed uint64, countRaw, batchRaw uint8) bool {
 		count := int(countRaw%32) + 1
@@ -171,25 +187,17 @@ func TestGenerateWorkBoundsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, b := range w.Batches {
-			total := b.TotalWork()
+		for i := range w.Batches {
+			total := batchWork(&w.Batches[i])
 			lo := float64(count) * 2.0 * 0.9
 			hi := float64(count) * 2.0 * 1.1
 			if total < lo-1e-9 || total > hi+1e-9 {
 				return false
 			}
 		}
-		return math.Abs(w.TotalWork()-sumBatches(w)) < 1e-9
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func sumBatches(w *Workload) float64 {
-	s := 0.0
-	for i := range w.Batches {
-		s += w.Batches[i].TotalWork()
-	}
-	return s
 }

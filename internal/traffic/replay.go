@@ -310,7 +310,6 @@ func ReplaySim(tr *Trace, opt SimReplay) (*Log, *sched.Result, error) {
 	lg := newLog("sim", tr)
 	var batches []task.Batch
 	var queue, batch, expired []*simJob
-	id := 0
 	admit := func(ev *Event) bool {
 		queue = append(queue, (*simJob)(ev))
 		return true
@@ -329,8 +328,7 @@ func ReplaySim(tr *Trace, opt SimReplay) (*Log, *sched.Result, error) {
 			var b task.Batch
 			for _, j := range batch {
 				for k := 0; k < j.Count; k++ {
-					b.Tasks = append(b.Tasks, task.Task{ID: id, Class: j.Class, Work: workOf((*Event)(j))})
-					id++
+					b.Tasks = append(b.Tasks, task.Task{Class: j.Class, Work: workOf((*Event)(j))})
 				}
 				lg.count(j.Tenant, 200, j.Count)
 				workS += float64(j.Count) * workOf((*Event)(j))

@@ -582,7 +582,7 @@ func TestReplaySimRunsBatchInLiveOrder(t *testing.T) {
 	var b task.Batch
 	for k := len(jobs) - 1; k >= 0; k-- {
 		for range jobs[k].count {
-			b.Tasks = append(b.Tasks, task.Task{ID: len(b.Tasks), Class: jobs[k].class, Work: jobs[k].hint})
+			b.Tasks = append(b.Tasks, task.Task{Class: jobs[k].class, Work: jobs[k].hint})
 		}
 	}
 	cfg := machine.Generic(cores)

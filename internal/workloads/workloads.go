@@ -33,8 +33,6 @@ const DefaultBatches = 10
 type Benchmark struct {
 	// Name is the paper's benchmark name (lower-cased).
 	Name string
-	// Desc is the paper's one-line description.
-	Desc string
 	// Specs is the per-batch task-class mix.
 	Specs []task.ClassSpec
 	// Batches is the number of iterations in a run.
@@ -55,8 +53,7 @@ func (b Benchmark) Workload(seed uint64) *task.Workload {
 func All() []Benchmark {
 	return []Benchmark{
 		{
-			Name: "bwc",
-			Desc: "Burrows-Wheeler Transforming Compression",
+			Name: "bwc", // Burrows-Wheeler Transforming Compression
 			Specs: []task.ClassSpec{
 				{Name: "bwc/bwt", Count: 14, MeanWork: 0.095, JitterFrac: 0.05},
 				{Name: "bwc/mtf", Count: 50, MeanWork: 0.016, JitterFrac: 0.05},
@@ -65,8 +62,7 @@ func All() []Benchmark {
 			Batches: DefaultBatches,
 		},
 		{
-			Name: "bzip2",
-			Desc: "Bzip2 file compression algorithm",
+			Name: "bzip2", // Bzip2 file compression algorithm
 			Specs: []task.ClassSpec{
 				{Name: "bz2/block", Count: 24, MeanWork: 0.070, JitterFrac: 0.05},
 				{Name: "bz2/entropy", Count: 104, MeanWork: 0.012, JitterFrac: 0.05},
@@ -74,8 +70,7 @@ func All() []Benchmark {
 			Batches: DefaultBatches,
 		},
 		{
-			Name: "dmc",
-			Desc: "Dynamic Markov Coding",
+			Name: "dmc", // Dynamic Markov Coding
 			Specs: []task.ClassSpec{
 				{Name: "dmc/model", Count: 8, MeanWork: 0.085, JitterFrac: 0.05},
 				{Name: "dmc/encode", Count: 56, MeanWork: 0.018, JitterFrac: 0.05},
@@ -84,8 +79,7 @@ func All() []Benchmark {
 			Batches: DefaultBatches,
 		},
 		{
-			Name: "je",
-			Desc: "JPEG Encoding Algorithm",
+			Name: "je", // JPEG Encoding Algorithm
 			Specs: []task.ClassSpec{
 				{Name: "je/head", Count: 2, MeanWork: 0.100, JitterFrac: 0.05},
 				{Name: "je/dct", Count: 48, MeanWork: 0.036, JitterFrac: 0.05},
@@ -94,8 +88,7 @@ func All() []Benchmark {
 			Batches: DefaultBatches,
 		},
 		{
-			Name: "lzw",
-			Desc: "Lempel-Ziv-Welch data compression",
+			Name: "lzw", // Lempel-Ziv-Welch data compression
 			Specs: []task.ClassSpec{
 				{Name: "lzw/dict", Count: 16, MeanWork: 0.085, JitterFrac: 0.05},
 				{Name: "lzw/emit", Count: 112, MeanWork: 0.010, JitterFrac: 0.05},
@@ -103,8 +96,7 @@ func All() []Benchmark {
 			Batches: DefaultBatches,
 		},
 		{
-			Name: "md5",
-			Desc: "Message Digest Algorithm",
+			Name: "md5", // Message Digest Algorithm
 			Specs: []task.ClassSpec{
 				{Name: "md5/file", Count: 7, MeanWork: 0.120, JitterFrac: 0.03},
 				{Name: "md5/chunk", Count: 121, MeanWork: 0.0055, JitterFrac: 0.05},
@@ -112,8 +104,7 @@ func All() []Benchmark {
 			Batches: DefaultBatches,
 		},
 		{
-			Name: "sha1",
-			Desc: "SHA-1 cryptographic hash function",
+			Name: "sha1", // SHA-1 cryptographic hash function
 			Specs: []task.ClassSpec{
 				{Name: "sha1/file", Count: 5, MeanWork: 0.170, JitterFrac: 0.03},
 				{Name: "sha1/chunk", Count: 123, MeanWork: 0.0046, JitterFrac: 0.05},
@@ -154,8 +145,7 @@ func Names() []string {
 // the extension to exploit.
 func MemoryBound() Benchmark {
 	return Benchmark{
-		Name: "membound",
-		Desc: "synthetic memory-bound workload (EEWA §IV-D fallback and MemAware extension)",
+		Name: "membound", // synthetic memory-bound workload (EEWA §IV-D fallback and MemAware extension)
 		Specs: []task.ClassSpec{
 			{Name: "mb/stream", Count: 8, MeanWork: 0.100, JitterFrac: 0.04, MemFrac: 0.7, CacheMissIntensity: 0.05},
 			{Name: "mb/gather", Count: 120, MeanWork: 0.008, JitterFrac: 0.05, MemFrac: 0.6, CacheMissIntensity: 0.08},

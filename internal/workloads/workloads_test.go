@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/profile"
@@ -20,9 +21,6 @@ func TestAllSevenBenchmarks(t *testing.T) {
 			t.Errorf("unexpected benchmark %q", b.Name)
 		}
 		delete(wantNames, b.Name)
-		if b.Desc == "" {
-			t.Errorf("%s: missing description", b.Name)
-		}
 		if b.Batches != DefaultBatches {
 			t.Errorf("%s: %d batches, want %d", b.Name, b.Batches, DefaultBatches)
 		}
@@ -54,11 +52,11 @@ func TestWorkloadDeterministicPerSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	w1, w2 := b.Workload(9), b.Workload(9)
-	if w1.TotalWork() != w2.TotalWork() {
+	if !reflect.DeepEqual(w1, w2) {
 		t.Error("same seed must give identical workloads")
 	}
 	w3 := b.Workload(10)
-	if w1.TotalWork() == w3.TotalWork() {
+	if reflect.DeepEqual(w1, w3) {
 		t.Error("different seeds should differ")
 	}
 }

@@ -6,22 +6,24 @@ import (
 
 	eewa "repro"
 	"repro/internal/policy"
+	"repro/internal/task"
 )
 
 // TestCanonicalPolicyNamesAcceptedEverywhere pins the contract: one
 // canonical name set (owned by internal/policy) is accepted by the
-// facade's NewPolicy (simulator path) and, as a LivePolicy, by
-// NewRuntime (live path), and the facade constants are exactly that
+// facade's Simulate (simulator path) and, as a LivePolicy, by
+// NewRuntime (live path), and the facade constants are names of that
 // set.
 func TestCanonicalPolicyNamesAcceptedEverywhere(t *testing.T) {
 	cfg := eewa.Opteron16()
+	w := task.MustGenerate("names", 1, []task.ClassSpec{{Name: "a", Count: 4, MeanWork: 0.01}}, 1)
 	names := eewa.PolicyNames()
 	if len(names) != 4 {
 		t.Fatalf("PolicyNames() = %v, want 4 policies", names)
 	}
 	for _, name := range names {
-		if _, err := eewa.NewPolicy(name, cfg); err != nil {
-			t.Errorf("NewPolicy(%q): %v", name, err)
+		if _, err := eewa.Simulate(cfg, w, name); err != nil {
+			t.Errorf("Simulate(%q): %v", name, err)
 		}
 		if _, err := eewa.NewRuntime(eewa.LiveConfig{Workers: 1, Machine: cfg, Policy: eewa.LivePolicy(name)}); err != nil {
 			t.Errorf("NewRuntime(%q): %v", name, err)
@@ -31,7 +33,6 @@ func TestCanonicalPolicyNamesAcceptedEverywhere(t *testing.T) {
 	wantConsts := map[string]string{
 		eewa.PolicyCilk:  policy.IDCilk,
 		eewa.PolicyCilkD: policy.IDCilkD,
-		eewa.PolicyWATS:  policy.IDWATS,
 		eewa.PolicyEEWA:  policy.IDEEWA,
 	}
 	for got, want := range wantConsts {
@@ -40,20 +41,8 @@ func TestCanonicalPolicyNamesAcceptedEverywhere(t *testing.T) {
 		}
 	}
 
-	wantLive := map[eewa.LivePolicy]string{
-		eewa.LivePolicyCilk:  policy.IDCilk,
-		eewa.LivePolicyCilkD: policy.IDCilkD,
-		eewa.LivePolicyWATS:  policy.IDWATS,
-		eewa.LivePolicyEEWA:  policy.IDEEWA,
-	}
-	for sel, want := range wantLive {
-		if string(sel) != want {
-			t.Errorf("live policy %q, want %q", sel, want)
-		}
-	}
-
-	if _, err := eewa.NewPolicy("bogus", cfg); err == nil {
-		t.Error("NewPolicy should reject unknown names")
+	if _, err := eewa.Simulate(cfg, w, "bogus"); err == nil {
+		t.Error("Simulate should reject unknown names")
 	}
 	if _, err := eewa.NewRuntime(eewa.LiveConfig{Workers: 1, Machine: cfg, Policy: "bogus"}); err == nil {
 		t.Error("NewRuntime should reject unknown policy names")

@@ -1,10 +1,11 @@
 package eewa
 
-// The reachability guard: every declaration in a non-test file under
-// internal/, exported or not, must be reached from a program. Code that
-// only `go test` runs belongs in a _test.go file of its package, so the
-// non-test tree is exactly what the commands, the examples, the
-// benchmark and the root facade run.
+// The reachability guard: every declaration in a non-test file of a
+// library package (the root facade and everything under internal/),
+// exported or not, must be reached from a program. Code that only
+// `go test` runs belongs in a _test.go file of its package, so the
+// non-test tree is exactly what the commands, the examples and the
+// benchmark run.
 
 import (
 	"fmt"
@@ -26,9 +27,9 @@ import (
 	"testing"
 )
 
-// reachExempt names the declarations under internal/ that no program
-// reaches, and the struct fields there that no program writes, but
-// that stay in non-test files, each with the reason. Keys are
+// reachExempt names the library declarations that no program reaches,
+// and the library struct fields that no program writes, but that stay
+// in non-test files, each with the reason. Keys are
 // "<import path>.<Name>" or "<import path>.<Type>.<Method or Field>".
 // An entry that a program does reach or write, or that names nothing,
 // fails the guard, so the list cannot go stale.
@@ -43,7 +44,7 @@ func TestInternalDeclarationsAreReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := mod.internalFields()
+	fields := mod.libraryFields()
 	declExempt := map[string]string{}
 	for key, why := range reachExempt {
 		if _, ok := fields[key]; !ok {
@@ -223,11 +224,11 @@ type decl struct {
 }
 
 // unreached walks the module from its roots — every declaration of a
-// main package, the root package's exported API (with the methods of
-// every type it re-exports by alias), package-level var initializers
-// and init functions — and returns the declarations under internal/ it
-// never reaches, exemptions that are reached anyway or name nothing,
-// and the code the roots reach (the roots included, exemptions not).
+// main package, package-level var initializers and init functions —
+// and returns the library declarations (those of every other package,
+// the root facade included) it never reaches, exemptions that are
+// reached anyway or name nothing, and the code the roots reach (the
+// roots included, exemptions not).
 func (m *module) unreached(exempt map[string]string) (dead, stale []string, programs []decl) {
 	decls := map[types.Object]decl{}
 	keys := map[string]types.Object{}
@@ -322,21 +323,8 @@ func (m *module) unreached(exempt map[string]string) (dead, stale []string, prog
 
 	work = append(work, initRoots...)
 	for obj, d := range decls {
-		switch {
-		case d.pkg.name == "main":
+		if d.pkg.name == "main" {
 			mark(obj)
-		case d.pkg.path == m.path && obj.Exported():
-			mark(obj)
-			if tn, ok := obj.(*types.TypeName); ok && tn.IsAlias() {
-				if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-					mark(named.Obj())
-					for i := 0; i < named.NumMethods(); i++ {
-						if meth := named.Method(i); meth.Exported() {
-							mark(meth)
-						}
-					}
-				}
-			}
 		}
 	}
 	walk()
@@ -363,9 +351,8 @@ func (m *module) unreached(exempt map[string]string) (dead, stale []string, prog
 	walk()
 	sort.Strings(stale)
 
-	internal := m.path + "/internal/"
-	for obj := range decls {
-		if reached[obj] || !strings.HasPrefix(obj.Pkg().Path(), internal) {
+	for obj, d := range decls {
+		if reached[obj] || d.pkg.name == "main" {
 			continue
 		}
 		dead = append(dead, fmt.Sprintf("%s: %s", m.fset.Position(obj.Pos()), objKey(obj)))
@@ -374,16 +361,16 @@ func (m *module) unreached(exempt map[string]string) (dead, stale []string, prog
 	return dead, stale, programs
 }
 
-// internalFields returns, by reachExempt key ("<import path>.<Type>.<Field>"),
+// libraryFields returns, by reachExempt key ("<import path>.<Type>.<Field>"),
 // every exported, named field of a struct type declared in a non-test
-// file under internal/ that no json tag names: decoding writes those.
+// file of a library package that no json tag names: decoding writes
+// those.
 // An embedded field is left out; the fields and methods it promotes
 // are what its users touch.
-func (m *module) internalFields() map[string]*types.Var {
+func (m *module) libraryFields() map[string]*types.Var {
 	fields := map[string]*types.Var{}
-	internal := m.path + "/internal/"
 	for _, p := range m.pkgs {
-		if !strings.HasPrefix(p.path, internal) {
+		if p.name == "main" {
 			continue
 		}
 		for _, f := range p.files {

@@ -26,7 +26,7 @@ race:
 # LatencySummary reader with the batchers recording its span families.
 race-serve:
 	$(GO) test -race -count=2 ./internal/serve/ ./internal/traffic/
-	$(GO) test -race -cpu 4 -run 'Storm|Admission|Disconnect|LatencySummary' ./internal/serve/
+	$(GO) test -race -cpu 4 -run 'Storm|Admission|Disconnect|LatencySummary|RefusedJobIsNeverFilled' ./internal/serve/
 
 # The repository's one benchmark (BENCHMARK.json): every workload's
 # end-to-end metrics over the contract's 30 s window. bench/README.md has

@@ -47,7 +47,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/serve"
-	"repro/internal/traffic"
 )
 
 func main() {
@@ -66,7 +65,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 128, "per-tenant queued-task bound, per shard")
 	maxInflight := flag.Int("max-inflight", 512, "per-shard in-flight task budget (queued + running tasks)")
 	metricsOut := flag.String("metrics-out", "", "write a final Prometheus metrics snapshot here on drain")
-	captureOut := flag.String("capture-out", "", "record job submissions and write them as a replayable traffic trace here on drain")
 	drainSecs := flag.Int("drain-timeout", 60, "seconds to wait for the drain to finish")
 	demo := flag.Bool("demo", false, "drive a burst of submissions against the server, print the outcome, drain and exit")
 	mutexFrac := flag.Int("mutexprofile", 0, "sample 1/N mutex contention events into /debug/pprof/mutex (0 = off)")
@@ -129,13 +127,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	handler := srv.Handler()
-	var capture *traffic.Capture
-	if *captureOut != "" {
-		capture = traffic.NewCapture(handler)
-		handler = capture
-	}
-	hs := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	if *demo {
 		hs.Addr = "127.0.0.1:0"
 	}
@@ -184,17 +176,6 @@ func main() {
 		roll := srv.EnergyRollup()
 		log.Printf("cluster energy: %.1f J total (%.1f attributed, %.1f overhead) across %d shards",
 			roll.TotalJ, roll.AttributedJ, roll.OverheadJ, srv.Shards())
-	}
-	if capture != nil {
-		tr := capture.Trace("eewa-serve-capture")
-		var buf bytes.Buffer
-		if err := traffic.Encode(&buf, tr); err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*captureOut, buf.Bytes(), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("captured %d submissions over %.1fs → %s (replay with eewa-traffic)", len(tr.Events), tr.DurationS, *captureOut)
 	}
 	if *metricsOut != "" {
 		var buf bytes.Buffer

@@ -38,7 +38,6 @@ var runtimeMetricNames = []struct {
 	{"/gc/cycles/total:gc-cycles", "eewa_go_gc_cycles_total", "Completed GC cycles."},
 	{"/gc/heap/allocs:bytes", "eewa_go_heap_allocs_bytes_total", "Cumulative bytes allocated on the heap."},
 	{"/sched/pauses/total/gc:seconds", "eewa_go_gc_pause_seconds", "Stop-the-world GC pause latency."},
-	{"/gc/pauses:seconds", "eewa_go_gc_pause_seconds", "Stop-the-world GC pause latency."}, // pre-1.22 fallback
 	{"/sched/latencies:seconds", "eewa_go_sched_latency_seconds", "Goroutine scheduling latency (runnable to running)."},
 }
 
@@ -50,11 +49,7 @@ func NewGoRuntimeMetrics(reg *Registry) *GoRuntimeMetrics {
 	if reg == nil {
 		return b
 	}
-	seen := map[string]bool{}
 	for _, m := range runtimeMetricNames {
-		if seen[m.dst] {
-			continue // first supported source name wins (GC pause fallback)
-		}
 		probe := []metrics.Sample{{Name: m.src}}
 		metrics.Read(probe)
 		var bind goSample
@@ -68,7 +63,6 @@ func NewGoRuntimeMetrics(reg *Registry) *GoRuntimeMetrics {
 		default:
 			continue // KindBad: not supported by this toolchain
 		}
-		seen[m.dst] = true
 		b.samples = append(b.samples, metrics.Sample{Name: m.src})
 		b.binds = append(b.binds, bind)
 	}

@@ -262,9 +262,9 @@ func TestDryExitLiveness(t *testing.T) {
 // everything RunBatch does, the policy's planning included: cilk, one
 // real EEWA plan replayed without the planner (class placement over
 // c-groups, preference stealing, throttled workers), and the whole of
-// eewa with the adjuster deciding every batch. All three measure 5 —
-// what the batch hands back and the caller may keep: BatchStats' Census,
-// Levels and Workers slices and its Classes map (header and bucket). The
+// eewa with the adjuster deciding every batch. All three measure 4 —
+// what the batch hands back and the caller may keep: BatchStats' Census
+// and Workers slices and its Classes map (header and bucket). The
 // plan path (adjuster, placer, steal order, profiler) rebuilds in place
 // and adds nothing. Pinned at what it measures so that it can only fall
 // (24 and 46 before the plan path was rebuilt in place).
@@ -272,7 +272,7 @@ func TestRunBatchAllocBudget(t *testing.T) {
 	if check.BuildEnabled {
 		t.Skip("eewa_check forces the invariant bookkeeping on")
 	}
-	const budget, eewaBudget = 5, 5
+	const budget, eewaBudget = 4, 4
 	mc := machine.Opteron16()
 	mc.Cores = 2
 	newEEWA := func() *policy.EEWA {

@@ -155,9 +155,10 @@ func TestSimLiveEEWAParity(t *testing.T) {
 	}
 
 	// The live runtime must have actually applied the assignment.
+	levels := r.Levels()
 	for w := 0; w < workers; w++ {
-		if bs.Levels[w] != livePlan.Assignment.FreqOf(w) {
-			t.Errorf("worker %d ran at level %d, plan says %d", w, bs.Levels[w], livePlan.Assignment.FreqOf(w))
+		if levels[w] != livePlan.Assignment.FreqOf(w) {
+			t.Errorf("worker %d ran at level %d, plan says %d", w, levels[w], livePlan.Assignment.FreqOf(w))
 		}
 	}
 

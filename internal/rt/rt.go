@@ -206,9 +206,6 @@ type BatchStats struct {
 	Tasks int
 	// Census is the number of workers at each frequency level.
 	Census []int
-	// Levels is the per-worker frequency level the plan assigned for
-	// the batch.
-	Levels []int
 	// Steals counts non-local task acquisitions.
 	Steals int
 	// Cancelled counts tasks skipped through their Cancelled hook.
@@ -445,7 +442,6 @@ func (r *Runtime) RunBatch(tasks []Task) BatchStats {
 		Wall:    wall,
 		Tasks:   len(tasks),
 		Census:  r.Census(),
-		Levels:  append([]int(nil), r.levels...),
 		Energy:  pm.Base * wallS,
 		Workers: make([]WorkerSecs, n),
 		Classes: make(map[string]ClassStats, len(r.classNames)),

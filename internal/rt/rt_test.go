@@ -197,10 +197,10 @@ func TestEEWAOfflineServedBatchNotAllSlowest(t *testing.T) {
 		t.Errorf("after batch 0: eewa_rt_plan_ideal_seconds %d observations summing to %g, eewa_rt_adjuster_infeasible_total %g; want one of %g, and 1",
 			h.Count(), h.Sum(), infeasible.Value(), snap.T)
 	}
-	bs := r.RunBatch(tasks)
+	r.RunBatch(tasks)
 	slowest := cfg.Machine.Freqs.Slowest()
-	if bs.Levels[0] == slowest && bs.Levels[1] == slowest {
-		t.Errorf("levels %v after a four-task batch, want a worker above the slowest rung", bs.Levels)
+	if levels := r.Levels(); levels[0] == slowest && levels[1] == slowest {
+		t.Errorf("levels %v after a four-task batch, want a worker above the slowest rung", levels)
 	}
 	// Batch 1's plan observes its own, smaller T.
 	if h.Count() != 2 || !(h.Sum() > snap.T && h.Sum() < 2*snap.T) {
@@ -311,11 +311,12 @@ func TestWATSFrozenLevels(t *testing.T) {
 	var count atomic.Int64
 	var first []int
 	for b := 0; b < 3; b++ {
-		bs := r.RunBatch(makeBatch(&count, 2, 10, time.Millisecond, 100*time.Microsecond))
+		r.RunBatch(makeBatch(&count, 2, 10, time.Millisecond, 100*time.Microsecond))
+		levels := r.Levels()
 		if b == 0 {
-			first = bs.Levels
+			first = levels
 			slow := 0
-			for _, l := range bs.Levels {
+			for _, l := range levels {
 				if l > 0 {
 					slow++
 				}
@@ -325,7 +326,7 @@ func TestWATSFrozenLevels(t *testing.T) {
 			}
 			continue
 		}
-		for w, l := range bs.Levels {
+		for w, l := range levels {
 			if l != first[w] {
 				t.Fatalf("batch %d: worker %d moved to level %d (frozen at %d)", b, w, l, first[w])
 			}

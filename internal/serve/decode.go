@@ -180,21 +180,10 @@ func (t *tenantTable) intern(b []byte) string {
 // internFunc returns the canonical string for a known kernel name
 // without allocating.
 func internFunc(b []byte) string {
-	switch string(b) {
-	case "sha1":
-		return "sha1"
-	case "md5":
-		return "md5"
-	case "lzw":
-		return "lzw"
-	case "bwc":
-		return "bwc"
-	case "bzip2":
-		return "bzip2"
-	case "dmc":
-		return "dmc"
-	case "je":
-		return "je"
+	for _, f := range funcs {
+		if string(b) == f {
+			return f
+		}
 	}
 	return string(b)
 }

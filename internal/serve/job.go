@@ -220,10 +220,12 @@ func (s *Server) getJob() *job {
 	return j
 }
 
+// funcs are the servable kernel names, in the order a 400 lists them.
+// Each has a kernelSpecs entry, and internFunc interns each.
+var funcs = []string{"sha1", "md5", "lzw", "bwc", "bzip2", "dmc", "je"}
+
 // Funcs returns the servable kernel names.
-func Funcs() []string {
-	return []string{"sha1", "md5", "lzw", "bwc", "bzip2", "dmc", "je"}
-}
+func Funcs() []string { return slices.Clone(funcs) }
 
 // maxSizeBytes bounds the per-task corpus so a single request cannot
 // pin arbitrary memory.

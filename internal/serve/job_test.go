@@ -87,6 +87,24 @@ func TestPayloadStampsOnlyWhenRead(t *testing.T) {
 	}
 }
 
+// TestFuncsAreServable: every name in the one kernel list has a
+// kernelSpecs entry, and the decoder interns it without allocating.
+func TestFuncsAreServable(t *testing.T) {
+	for _, f := range funcs {
+		if _, ok := kernelSpecs[f]; !ok {
+			t.Errorf("%q has no kernelSpecs entry", f)
+		}
+		b := []byte(f)
+		var got string
+		if n := testing.AllocsPerRun(100, func() { got = internFunc(b) }); n != 0 {
+			t.Errorf("internFunc(%q) allocates %v times, want 0", f, n)
+		}
+		if got != f {
+			t.Errorf("internFunc(%q) = %q", f, got)
+		}
+	}
+}
+
 // TestJEIsASlabKernel pins what the je entry of kernelSpecs must keep
 // from the per-task closure it replaced: size_bytes is a pixel count
 // rounded down to a square of side 16…512, task i encodes

@@ -29,7 +29,7 @@ func TestSingleShardWireParity(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := testServer(t, func(c *Config) { c.Obs = reg })
 
-	if got := s.shards[0].cfg.seed; got != 7 {
+	if got := s.shards[0].seed; got != 7 {
 		t.Errorf("shard 0 seed = %d, want the raw config seed 7", got)
 	}
 	resp, body := submit(t, ts.URL, JobRequest{Func: "sha1", Count: 2, SizeBytes: 1024})
@@ -119,8 +119,8 @@ func TestMultiShardSeedsAndShardField(t *testing.T) {
 		if i > 0 {
 			want = xrand.Split(7, uint64(i))
 		}
-		if sh.cfg.seed != want {
-			t.Errorf("shard %d seed = %d, want %d", i, sh.cfg.seed, want)
+		if sh.seed != want {
+			t.Errorf("shard %d seed = %d, want %d", i, sh.seed, want)
 		}
 	}
 	resp, body := submit(t, ts.URL, JobRequest{Func: "sha1", Count: 2, SizeBytes: 1024})

@@ -207,6 +207,10 @@ type Server struct {
 	so     *serveObs
 	ro     *routerObs // nil with one shard: no router-only families
 	stamps bool       // payloads stamp their spans: Obs or the span check reads them
+	// checkSpans: every job's spans must sum to its end-to-end time. On
+	// with invariants, and only on the wall clock (payload stamps are
+	// wall time, not the service clock's).
+	checkSpans bool
 
 	mu       sync.Mutex
 	rejected uint64 // jobs refused at admission (router-level counter)
@@ -236,8 +240,8 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.ShardOfflines) != 0 && len(cfg.ShardOfflines) != cfg.Shards {
 		return nil, fmt.Errorf("serve: %d shard profiles for %d shards", len(cfg.ShardOfflines), cfg.Shards)
 	}
-	checkSpans := (cfg.Invariants || check.BuildEnabled) && cfg.Clock == nil
-	s := &Server{cfg: cfg, stamps: cfg.Obs != nil || checkSpans}
+	s := &Server{cfg: cfg, checkSpans: (cfg.Invariants || check.BuildEnabled) && cfg.Clock == nil}
+	s.stamps = cfg.Obs != nil || s.checkSpans
 	so := newServeObs(cfg.Obs)
 	s.so = &so
 	s.static.init()
@@ -253,24 +257,7 @@ func New(cfg Config) (*Server, error) {
 		if len(cfg.ShardOfflines) > 0 {
 			off = cfg.ShardOfflines[i]
 		}
-		sh, err := newShard(shardConfig{
-			index:       i,
-			total:       cfg.Shards,
-			workers:     cfg.Workers,
-			mc:          mc,
-			policy:      cfg.Policy,
-			offline:     off,
-			seed:        ShardSeed(cfg.Seed, i),
-			maxBatch:    cfg.MaxBatch,
-			flushEvery:  cfg.FlushEvery,
-			queueDepth:  cfg.QueueDepth,
-			maxInFlight: cfg.MaxInFlight,
-			invariants:  cfg.Invariants,
-			reg:         cfg.Obs,
-			clock:       s.now,
-			checkSpans:  checkSpans,
-			manualFlush: cfg.ManualFlush,
-		}, s.so, s.ro)
+		sh, err := newShard(s, i, mc, off)
 		if err != nil {
 			// The shards already built run batchers; stop them.
 			for _, built := range s.shards {

@@ -17,37 +17,6 @@ import (
 	"repro/internal/rt"
 )
 
-// shardConfig is one shard's slice of the cluster configuration. Every
-// bound (queue depth, in-flight budget, batch size) is per shard.
-type shardConfig struct {
-	index   int // shard index within the cluster
-	total   int // cluster shard count
-	workers int
-	mc      machine.Config // per-shard machine (ladder heterogeneity)
-	policy  string
-	offline *profile.Snapshot
-	seed    uint64
-
-	maxBatch    int
-	flushEvery  time.Duration
-	queueDepth  int
-	maxInFlight int
-	invariants  bool
-	reg         *obs.Registry
-
-	// clock is the service time source (Server.now); admission stamps,
-	// queued-expiry and cancellation checks all read it so a virtual
-	// clock makes deadline outcomes deterministic under trace replay.
-	clock func() time.Time
-	// checkSpans: verify that every job's spans sum to its end-to-end
-	// time. On with invariants, and only on the wall clock: the payload
-	// stamps are wall time, not the service clock's.
-	checkSpans bool
-	// manualFlush skips the batcher goroutine: batches form only in
-	// Server.Flush and drain, on the caller's goroutine.
-	manualFlush bool
-}
-
 // tenantEntry is one tenant's admission state on its shard: the
 // queued-task count the depth bound checks, plus this tenant's metric
 // handles, resolved once so the admission hot path never walks the
@@ -64,11 +33,16 @@ type tenantEntry struct {
 // that used to be the whole of Server. A single-shard cluster routes
 // every job here, making the routed server behave exactly like the
 // pre-router JobServer.
+//
+// A shard holds only per-shard facts and state; it reads every setting,
+// the clock and the metric bundles through srv. Every bound (queue
+// depth, in-flight budget, batch size) applies per shard.
 type shard struct {
-	cfg shardConfig
-	rt  *rt.Runtime
-	so  *serveObs // shared across the cluster: families aggregate
-	ro  *routerObs
+	srv   *Server
+	index int            // shard index within the cluster
+	mc    machine.Config // this shard's machine (ladder heterogeneity)
+	seed  uint64         // victim-selection seed: ShardSeed(Config.Seed, index)
+	rt    *rt.Runtime
 
 	// The admission queue: one FIFO and one tenant table, both under
 	// qmu. Admitters append, the batcher pops from the head, drain
@@ -150,35 +124,35 @@ type spanSet struct {
 // monotonic reading, so what is left is nanoseconds.
 const spanTol = 1e-3
 
-// newShard builds the shard's policy and runtime and starts its
-// batcher goroutine.
-func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
-	mc := cfg.mc
-	mc.Cores = cfg.workers
+// newShard builds shard index of s on machine mc, with the offline
+// profile off (nil for none), and starts its batcher goroutine.
+func newShard(s *Server, index int, mc machine.Config, off *profile.Snapshot) (*shard, error) {
+	mc.Cores = s.cfg.Workers
 	if err := mc.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: shard %d: %w", cfg.index, err)
+		return nil, fmt.Errorf("serve: shard %d: %w", index, err)
 	}
-	pol, err := policy.New(cfg.policy, mc)
+	pol, err := policy.New(s.cfg.Policy, mc)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if cfg.offline != nil {
+	if off != nil {
 		e, ok := pol.(*policy.EEWA)
 		if !ok {
-			return nil, fmt.Errorf("serve: offline profile only applies to EEWA policies, not %s", cfg.policy)
+			return nil, fmt.Errorf("serve: offline profile only applies to EEWA policies, not %s", s.cfg.Policy)
 		}
 		// Reject a corrupt snapshot loudly at startup: the EEWA policy
 		// would otherwise quietly ignore it (or worse, pre-fix, build a
 		// CC table without the indivisibility bound).
-		if err := cfg.offline.Validate(mc.Freqs); err != nil {
+		if err := off.Validate(mc.Freqs); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		e.Offline = cfg.offline
+		e.Offline = off
 	}
 	sh := &shard{
-		cfg:         cfg,
-		so:          so,
-		ro:          ro,
+		srv:         s,
+		index:       index,
+		mc:          mc,
+		seed:        ShardSeed(s.cfg.Seed, index),
 		tenants:     map[string]*tenantEntry{},
 		planClasses: map[string]struct{}{},
 		classRan:    map[string]int{},
@@ -186,19 +160,18 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 		wake:        make(chan struct{}, 1),
 		drained:     make(chan struct{}),
 	}
-	rcfg := rt.Config{
-		Workers:    cfg.workers,
-		Machine:    cfg.mc,
+	sh.rt, err = rt.New(rt.Config{
+		Workers:    s.cfg.Workers,
+		Machine:    mc,
 		Impl:       pol,
-		Seed:       cfg.seed,
-		Obs:        cfg.reg,
-		Invariants: cfg.invariants,
-	}
-	sh.rt, err = rt.New(rcfg)
+		Seed:       sh.seed,
+		Obs:        s.cfg.Obs,
+		Invariants: s.cfg.Invariants,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if !cfg.manualFlush {
+	if !s.cfg.ManualFlush {
 		go sh.batcher()
 	}
 	return sh, nil
@@ -208,7 +181,7 @@ func newShard(cfg shardConfig, so *serveObs, ro *routerObs) (*shard, error) {
 // family, the plan-class set the router consults, and the energy
 // roll-up. The batch's count and wall time are the runtime's to record.
 func (sh *shard) batchEnd(batch int, bs rt.BatchStats) {
-	sh.so.batchTasks.Observe(float64(bs.Tasks))
+	sh.srv.so.batchTasks.Observe(float64(bs.Tasks))
 
 	attr := 0.0
 	for _, cs := range bs.Classes {
@@ -235,7 +208,7 @@ func (sh *shard) batchEnd(batch int, bs rt.BatchStats) {
 	sh.energyAttrJ += attr
 	sh.energyOverheadJ += bs.Energy - attr
 	sh.mu.Unlock()
-	sh.ro.shardEnergy(sh.cfg.index, bs.Energy)
+	sh.srv.ro.shardEnergy(sh.index, bs.Energy)
 	if sh.testBatchEnd != nil {
 		sh.testBatchEnd(batch, bs)
 	}
@@ -248,10 +221,10 @@ func (sh *shard) view(class string) ShardView {
 	_, knows := sh.planClasses[class]
 	sh.mu.Unlock()
 	return ShardView{
-		Index:    sh.cfg.index,
-		Headroom: sh.cfg.maxInFlight - int(sh.inflight.Load()),
+		Index:    sh.index,
+		Headroom: sh.srv.cfg.MaxInFlight - int(sh.inflight.Load()),
 		Knows:    knows,
-		Fastest:  sh.cfg.mc.Freqs[0],
+		Fastest:  sh.mc.Freqs[0],
 	}
 }
 
@@ -261,8 +234,8 @@ func (sh *shard) tenant(name string) *tenantEntry {
 	te := sh.tenants[name]
 	if te == nil {
 		te = &tenantEntry{
-			qd:       sh.so.queueDepth.With(name),
-			admitted: sh.so.admittedTenant.With(name),
+			qd:       sh.srv.so.queueDepth.With(name),
+			admitted: sh.srv.so.admittedTenant.With(name),
 		}
 		sh.tenants[name] = te
 	}
@@ -285,21 +258,21 @@ func (sh *shard) admit(j *job) *Rejection {
 			Msg: "server is draining, not admitting new jobs"}
 	}
 	te := sh.tenant(j.tenant)
-	if te.queued+n > sh.cfg.queueDepth {
+	if te.queued+n > sh.srv.cfg.QueueDepth {
 		cur := te.queued
 		sh.qmu.Unlock()
 		return &Rejection{Status: 429, Reason: "tenant_queue_full",
-			Msg: fmt.Sprintf("tenant %q queue full (%d/%d tasks)", j.tenant, cur, sh.cfg.queueDepth)}
+			Msg: fmt.Sprintf("tenant %q queue full (%d/%d tasks)", j.tenant, cur, sh.srv.cfg.QueueDepth)}
 	}
 	// Every admitter holds qmu and the batcher only ever lowers
 	// inflight, so checking before adding is exact.
-	if cur := sh.inflight.Load(); cur+int64(n) > int64(sh.cfg.maxInFlight) {
+	if cur := sh.inflight.Load(); cur+int64(n) > int64(sh.srv.cfg.MaxInFlight) {
 		sh.qmu.Unlock()
 		return &Rejection{Status: 429, Reason: "inflight_budget",
-			Msg: fmt.Sprintf("in-flight budget full (%d/%d tasks)", cur, sh.cfg.maxInFlight)}
+			Msg: fmt.Sprintf("in-flight budget full (%d/%d tasks)", cur, sh.srv.cfg.MaxInFlight)}
 	}
 	sh.inflight.Add(int64(n))
-	j.shard = sh.cfg.index
+	j.shard = sh.index
 	j.retain() // admission reference, released by the batcher
 	sh.pending = append(sh.pending, j)
 	te.queued += n
@@ -309,9 +282,9 @@ func (sh *shard) admit(j *job) *Rejection {
 	sh.qmu.Unlock()
 
 	sh.admitted.Add(1)
-	sh.so.inflight.Add(float64(n))
-	sh.ro.shardInflight(sh.cfg.index, int(sh.inflight.Load()))
-	if queued >= int64(sh.cfg.maxBatch) {
+	sh.srv.so.inflight.Add(float64(n))
+	sh.srv.ro.shardInflight(sh.index, int(sh.inflight.Load()))
+	if queued >= int64(sh.srv.cfg.MaxBatch) {
 		sh.wakeBatcher()
 	}
 	return nil
@@ -322,7 +295,7 @@ func (sh *shard) admit(j *job) *Rejection {
 // running a batch costs nothing and is not lost: it looks at the queue
 // again when the batch ends. Manual-flush shards have no batcher.
 func (sh *shard) wakeBatcher() {
-	if sh.cfg.manualFlush {
+	if sh.srv.cfg.ManualFlush {
 		return
 	}
 	select {
@@ -348,7 +321,7 @@ func (sh *shard) backlogEmpty() bool {
 // load. The ticker is only the ceiling on how long an admitted job can
 // sit if a wake-up were ever missed.
 func (sh *shard) batcher() {
-	tick := time.NewTicker(sh.cfg.flushEvery)
+	tick := time.NewTicker(sh.srv.cfg.FlushEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -430,8 +403,8 @@ func (sh *shard) flushOnce() bool {
 	// The formation reading, every batched job's started edge. Under qmu,
 	// so no job it pops was stamped at admission after it.
 	sh.qmu.Lock()
-	now := sh.cfg.clock()
-	batch, expired, popped := NextBatch(now, sh.pending[sh.head:], sh.cfg.maxBatch, sh.batchBuf[:0], sh.expiredBuf[:0])
+	now := sh.srv.now()
+	batch, expired, popped := NextBatch(now, sh.pending[sh.head:], sh.srv.cfg.MaxBatch, sh.batchBuf[:0], sh.expiredBuf[:0])
 	clear(sh.pending[sh.head : sh.head+popped])
 	sh.head += popped
 	if sh.head == len(sh.pending) {
@@ -452,11 +425,11 @@ func (sh *shard) flushOnce() bool {
 	sh.inflight.Add(int64(-expiredTasks))
 	sh.timeouts.Add(uint64(len(expired)))
 	sh.qmu.Unlock()
-	sh.so.inflight.Add(float64(-expiredTasks))
-	sh.ro.shardInflight(sh.cfg.index, int(sh.inflight.Load()))
+	sh.srv.so.inflight.Add(float64(-expiredTasks))
+	sh.srv.ro.shardInflight(sh.index, int(sh.inflight.Load()))
 
 	for _, j := range expired {
-		sh.so.timeouts.Inc()
+		sh.srv.so.timeouts.Inc()
 		j.finish(outcome{status: 504, err: "deadline expired while queued"})
 		j.release()
 	}
@@ -480,10 +453,10 @@ func (sh *shard) flushOnce() bool {
 	sh.batches.Add(1)
 	sh.tasksRun.Add(uint64(bs.Tasks - bs.Cancelled))
 	sh.tasksCan.Add(uint64(bs.Cancelled))
-	sh.so.inflight.Add(float64(-tasks))
-	sh.ro.shardInflight(sh.cfg.index, int(sh.inflight.Load()))
-	sh.so.tasksRun.Add(float64(bs.Tasks - bs.Cancelled))
-	sh.so.tasksCancelled.Add(float64(bs.Cancelled))
+	sh.srv.so.inflight.Add(float64(-tasks))
+	sh.srv.ro.shardInflight(sh.index, int(sh.inflight.Load()))
+	sh.srv.so.tasksRun.Add(float64(bs.Tasks - bs.Cancelled))
+	sh.srv.so.tasksCancelled.Add(float64(bs.Cancelled))
 
 	// Per-tenant energy attribution: the runtime reports each class's
 	// busy-state energy (rt.ClassStats); split every class's share
@@ -494,7 +467,7 @@ func (sh *shard) flushOnce() bool {
 		sh.classRan[j.req.Func] += int(j.ran.Load())
 	}
 
-	done := sh.cfg.clock()
+	done := sh.srv.now()
 	for _, j := range batch {
 		ran := int(j.ran.Load())
 		var attr float64
@@ -519,7 +492,7 @@ func (sh *shard) flushOnce() bool {
 			sp.batch.Observe(batchWait)
 			sp.exec.Observe(exec)
 			sp.barrier.Observe(barrier)
-			if sh.cfg.checkSpans {
+			if sh.srv.checkSpans {
 				if vs := check.SpanIdentity(j.id, queueWait, batchWait, exec, barrier, e2e, spanTol); vs != nil {
 					sh.mu.Lock()
 					sh.violations = append(sh.violations, vs...)
@@ -541,22 +514,22 @@ func (sh *shard) flushOnce() bool {
 			EnergyJ:     bs.Energy,
 			EnergyAttrJ: attr,
 			Steals:      bs.Steals,
-			Policy:      sh.cfg.policy,
+			Policy:      sh.srv.cfg.Policy,
 		}
-		if sh.cfg.total > 1 {
+		if sh.srv.cfg.Shards > 1 {
 			j.res.Shard = &j.shard
 		}
 		if ran < len(j.tasks) {
 			// Some tasks were withdrawn mid-batch (deadline or client
 			// disconnect); report the job as timed out, with partials.
 			sh.timeouts.Add(1)
-			sh.so.timeouts.Inc()
+			sh.srv.so.timeouts.Inc()
 			j.finish(outcome{status: 504, err: "deadline expired mid-batch", res: &j.res})
 			j.release()
 			continue
 		}
 		sh.completed.Add(1)
-		sh.so.completed.Inc()
+		sh.srv.so.completed.Inc()
 		j.finish(outcome{status: 200, res: &j.res})
 		j.release()
 	}
@@ -572,12 +545,12 @@ func (sh *shard) spanSetFor(class, tenant string) *spanSet {
 	sp := sh.spans[k]
 	if sp == nil {
 		sp = &spanSet{
-			queue:   sh.so.spanQueue.With(class, tenant),
-			batch:   sh.so.spanBatch.With(class, tenant),
-			exec:    sh.so.spanExec.With(class, tenant),
-			barrier: sh.so.spanBarrier.With(class, tenant),
-			e2e:     sh.so.spanE2E.With(class, tenant),
-			energy:  sh.so.tenantEnergy.With(tenant),
+			queue:   sh.srv.so.spanQueue.With(class, tenant),
+			batch:   sh.srv.so.spanBatch.With(class, tenant),
+			exec:    sh.srv.so.spanExec.With(class, tenant),
+			barrier: sh.srv.so.spanBarrier.With(class, tenant),
+			e2e:     sh.srv.so.spanE2E.With(class, tenant),
+			energy:  sh.srv.so.tenantEnergy.With(tenant),
 		}
 		sh.spans[k] = sp
 	}
@@ -596,8 +569,8 @@ func (sh *shard) drain(ctx context.Context) error {
 	sh.qmu.Lock()
 	//lint:ignore SA2001 empty section is the barrier
 	sh.qmu.Unlock()
-	sh.ro.shardDraining(sh.cfg.index, true)
-	if sh.cfg.manualFlush {
+	sh.srv.ro.shardDraining(sh.index, true)
+	if sh.srv.cfg.ManualFlush {
 		// No batcher goroutine: the backlog drains here, synchronously.
 		for sh.flushOnce() {
 		}
@@ -624,9 +597,9 @@ func (sh *shard) snapshot() ShardStats {
 	sh.mu.Unlock()
 	sort.Strings(classes)
 	return ShardStats{
-		Shard:       sh.cfg.index,
-		Workers:     sh.cfg.workers,
-		FastestGHz:  sh.cfg.mc.Freqs[0],
+		Shard:       sh.index,
+		Workers:     sh.srv.cfg.Workers,
+		FastestGHz:  sh.mc.Freqs[0],
 		Draining:    sh.draining.Load(),
 		Queued:      int(sh.queuedN.Load()),
 		Inflight:    int(sh.inflight.Load()),

@@ -40,7 +40,6 @@ func main() {
 	csvPath := flag.String("csv", "", "write per-task spans to this CSV file")
 	metricsOut := flag.String("metrics-out", "", "write the run's Prometheus-format metrics to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file")
-	maxSpans := flag.Int("max-spans", 0, "cap retained trace spans (drop-oldest); 0 keeps every span")
 	profileOut := flag.String("profile-out", "", "save the run's workload profile (JSON) for offline reuse")
 	profileIn := flag.String("profile-in", "", "load an offline workload profile (JSON); EEWA configures before batch 1")
 	flag.Parse()
@@ -87,7 +86,7 @@ func main() {
 	params := sched.Params{Seed: *seed, Obs: reg}
 	var rec *trace.Recorder
 	if *gantt || *csvPath != "" || *traceOut != "" {
-		rec = &trace.Recorder{MaxSpans: *maxSpans}
+		rec = &trace.Recorder{}
 		params.Recorder = rec
 	}
 	res, err := sched.Run(cfg, b.Workload(*seed), p, params)
@@ -103,9 +102,6 @@ func main() {
 	}
 	if rec != nil && *gantt {
 		fmt.Print(rec.Gantt(100))
-	}
-	if rec != nil && rec.Dropped() > 0 {
-		fmt.Printf("  (trace capped at %d spans: %d oldest dropped)\n", rec.Len(), rec.Dropped())
 	}
 	if *profileOut != "" && res.Profile != nil {
 		if err := writeTo(*profileOut, res.Profile.Encode); err != nil {

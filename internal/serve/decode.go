@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -17,9 +18,9 @@ import (
 // fixed shapes the job endpoints accept: one JobRequest object, or
 // {"jobs":[object,…]}. The parser is deliberately strict: the moment it
 // sees anything it is not certain about — an escape sequence, a
-// non-ASCII byte, a float that needs slow-path rounding, an unknown or
-// repeated envelope key, malformed syntax — it bails and the same
-// buffered bytes are re-parsed with encoding/json into a zeroed value.
+// non-ASCII byte, a number out of range, an unknown or repeated
+// envelope key, malformed syntax — it bails and the same buffered
+// bytes are re-parsed with encoding/json into a zeroed value.
 // The fallback is both the correctness net (exotic-but-valid bodies
 // still decode, with identical results) and the error bank (clients
 // keep the exact stdlib error strings the tests and traces pin).
@@ -343,67 +344,6 @@ func atouBytes(tok []byte) (uint64, bool) {
 	return n, true
 }
 
-// pow10tab holds the exactly representable powers of ten.
-var pow10tab = [23]float64{
-	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
-// atofBytes parses a float on the classic exact fast path: when the
-// mantissa fits in 53 bits and the decimal exponent is within ±22, one
-// IEEE multiply or divide by an exact power of ten is correctly
-// rounded, so the result is bit-identical to strconv.ParseFloat.
-// Anything outside that window bails to the stdlib decoder.
-func atofBytes(tok []byte) (float64, bool) {
-	i, neg := 0, false
-	if tok[0] == '-' {
-		neg = true
-		i = 1
-	}
-	var mant uint64
-	dexp := 0
-	seenDot := false
-	for ; i < len(tok); i++ {
-		c := tok[i]
-		switch {
-		case c >= '0' && c <= '9':
-			if mant > ((1<<53)-10)/10 {
-				return 0, false
-			}
-			mant = mant*10 + uint64(c-'0')
-			if seenDot {
-				dexp--
-			}
-		case c == '.':
-			seenDot = true
-		case c == 'e' || c == 'E':
-			rest := tok[i+1:]
-			if rest[0] == '+' {
-				rest = rest[1:]
-			}
-			e, ok := atoiBytes(rest)
-			if !ok || e > 40 || e < -40 {
-				return 0, false
-			}
-			dexp += int(e)
-			i = len(tok) - 1
-		}
-	}
-	if dexp > 22 || dexp < -22 {
-		return 0, false
-	}
-	f := float64(mant)
-	if dexp > 0 {
-		f *= pow10tab[dexp]
-	} else if dexp < 0 {
-		f /= pow10tab[-dexp]
-	}
-	if neg {
-		f = -f
-	}
-	return f, true
-}
-
 // parseJobRequest is the fast path for a single JobRequest body.
 // Returns false to fall back to encoding/json. Trailing bytes after the
 // closing brace are ignored, exactly as json.Decoder.Decode reads one
@@ -524,8 +464,10 @@ func (p *jparser) field(key []byte, req *JobRequest) bool {
 		if !ok {
 			return false
 		}
-		v, ok := atofBytes(tok)
-		if !ok {
+		// The conversion encoding/json itself makes; an error (1e400
+		// is ErrRange) bails so the stdlib reports it.
+		v, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil {
 			return false
 		}
 		req.WorkHintS = v

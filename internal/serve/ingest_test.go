@@ -96,6 +96,10 @@ func jobDecodeCases() []string {
 		`{"func":"sha1","work_hint_s":1e-3}`,
 		`{"func":"sha1","work_hint_s":2.5e-7}`,
 		`{"func":"sha1","work_hint_s":-0.5}`,
+		`{"func":"sha1","work_hint_s":0.00013083381906757807}`, // as json.Marshal renders a generated hint
+		`{"func":"sha1","work_hint_s":-0}`,
+		`{"func":"sha1","work_hint_s":4.9e-324}`,
+		`{"func":"sha1","work_hint_s":1E+2}`,
 		`{"func":"sha1","deadline_ms":-7}`,
 		`{"tenant":"","func":"bwc","count":0}`,
 		`  {  "func" : "dmc" ,  "count" : 2 }  `,
@@ -110,6 +114,7 @@ func jobDecodeCases() []string {
 		`{"count":2e1}`,
 		`{"seed":18446744073709551616}`,
 		`{"seed":-1}`,
+		`{"work_hint_s":1e400}`,
 		`{"count":01}`,
 		`{"func":"sha1",}`,
 		`{"func" "sha1"}`,
@@ -139,26 +144,31 @@ func TestDecodeJobMatchesStdlib(t *testing.T) {
 }
 
 // The steady-state decode path must be allocation-free: pooled buffer,
-// pooled request struct, interned tenant and func strings.
+// pooled request struct, interned tenant and func strings, and a work
+// hint of any precision (the second body's is one json.Marshal renders
+// for a generated trace).
 func TestDecodeJobZeroAllocSteadyState(t *testing.T) {
 	s, _ := testServer(t, nil)
 	t.Cleanup(func() { drain(t, s) })
 
-	body := []byte(`{"tenant":"acme","func":"sha1","size_bytes":256,"count":4,"seed":9,"work_hint_s":0.5}`)
-	rd := bytes.NewReader(body)
 	in := getIngest()
 	defer putIngest(in)
-
-	decode := func() {
-		rd.Reset(body)
-		in.readBody(rd, maxBodyBytes)
-		if err := s.decodeJob(in); err != nil {
-			t.Fatal(err)
+	for _, body := range [][]byte{
+		[]byte(`{"tenant":"acme","func":"sha1","size_bytes":256,"count":4,"seed":9,"work_hint_s":0.5}`),
+		[]byte(`{"tenant":"acme","func":"sha1","size_bytes":256,"count":4,"seed":9,"work_hint_s":0.00013083381906757807}`),
+	} {
+		rd := bytes.NewReader(body)
+		decode := func() {
+			rd.Reset(body)
+			in.readBody(rd, maxBodyBytes)
+			if err := s.decodeJob(in); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	decode() // warm the buffer and the tenant intern table
-	if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
-		t.Errorf("steady-state decode allocates %.1f times per request, want 0", allocs)
+		decode() // warm the buffer and the tenant intern table
+		if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
+			t.Errorf("%s: steady-state decode allocates %.1f times per request, want 0", body, allocs)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func (r *Recorder) TraceEvents() []TraceEvent {
 
 	var spans []TraceEvent
 	counterTimes := map[int][]TraceEvent{} // per core, freq samples
-	r.forEach(func(s Span) {
+	for _, s := range r.spans {
 		ev := TraceEvent{
 			Name: s.Label,
 			Ph:   "X",
@@ -82,7 +82,7 @@ func (r *Recorder) TraceEvents() []TraceEvent {
 			})
 		}
 		spans = append(spans, ev)
-	})
+	}
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Ts < spans[j].Ts })
 	out = append(out, spans...)
 

@@ -52,91 +52,56 @@ type Span struct {
 // Recorder accumulates spans. It satisfies the sched.Recorder hook (and
 // the extended sched.SpanRecorder hook, so the engine also hands it
 // steal and idle intervals). The zero value is ready to use and retains
-// every span; set MaxSpans before recording to bound memory.
+// every span in recording order.
 type Recorder struct {
-	// MaxSpans, when > 0, caps the retained spans. Once the cap is
-	// reached each new span evicts the oldest (drop-oldest), so a
-	// long-running recording keeps the most recent window at a fixed
-	// ~56 bytes per span; evictions are counted in Dropped. 0 keeps
-	// everything (the historical behavior).
-	MaxSpans int
-
-	spans   []Span
-	head    int // ring start once the cap is reached
-	dropped uint64
+	spans []Span
 }
-
-// add appends a span, evicting the oldest when the cap is reached.
-func (r *Recorder) add(s Span) {
-	if r.MaxSpans > 0 && len(r.spans) >= r.MaxSpans {
-		r.spans[r.head] = s
-		r.head = (r.head + 1) % len(r.spans)
-		r.dropped++
-		return
-	}
-	r.spans = append(r.spans, s)
-}
-
-// forEach visits every retained span in recording (chronological)
-// order.
-func (r *Recorder) forEach(fn func(Span)) {
-	for i := r.head; i < len(r.spans); i++ {
-		fn(r.spans[i])
-	}
-	for i := 0; i < r.head; i++ {
-		fn(r.spans[i])
-	}
-}
-
-// Len returns the number of retained spans.
-func (r *Recorder) Len() int { return len(r.spans) }
-
-// Dropped returns how many spans the MaxSpans cap has evicted.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
 
 // Record implements the scheduler's trace hook: one task execution.
 func (r *Recorder) Record(core int, start, end float64, label string, level int) {
-	r.add(Span{Core: core, Start: start, End: end, Label: label, Level: level, Kind: KindExec})
+	r.spans = append(r.spans, Span{Core: core, Start: start, End: end, Label: label, Level: level, Kind: KindExec})
 }
 
 // RecordSteal implements sched.SpanRecorder: the probe/steal lead-in
 // interval before a stolen task runs. label carries the victim c-group.
 func (r *Recorder) RecordSteal(core int, start, end float64, victimGroup int) {
-	r.add(Span{Core: core, Start: start, End: end, Label: "steal", Level: victimGroup, Kind: KindSteal})
+	r.spans = append(r.spans, Span{Core: core, Start: start, End: end, Label: "steal", Level: victimGroup, Kind: KindSteal})
 }
 
 // RecordIdle implements sched.SpanRecorder: the terminal wait at the
 // batch barrier.
 func (r *Recorder) RecordIdle(core int, start, end float64) {
-	r.add(Span{Core: core, Start: start, End: end, Label: "idle", Kind: KindIdle})
+	r.spans = append(r.spans, Span{Core: core, Start: start, End: end, Label: "idle", Kind: KindIdle})
 }
 
 // ExecSpans returns only the task-execution spans.
 func (r *Recorder) ExecSpans() []Span {
 	out := make([]Span, 0, len(r.spans))
-	r.forEach(func(s Span) {
+	for _, s := range r.spans {
 		if s.Kind == KindExec {
 			out = append(out, s)
 		}
-	})
+	}
 	return out
 }
 
 // Makespan returns the latest span end (0 when empty).
 func (r *Recorder) Makespan() float64 {
 	m := 0.0
-	r.forEach(func(s Span) {
+	for _, s := range r.spans {
 		if s.End > m {
 			m = s.End
 		}
-	})
+	}
 	return m
 }
 
 // cores returns the sorted distinct core IDs seen.
 func (r *Recorder) cores() []int {
 	seen := map[int]bool{}
-	r.forEach(func(s Span) { seen[s.Core] = true })
+	for _, s := range r.spans {
+		seen[s.Core] = true
+	}
 	out := make([]int, 0, len(seen))
 	for c := range seen {
 		out = append(out, c)
@@ -192,12 +157,10 @@ func (r *Recorder) CSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "core,start,end,label,level,kind"); err != nil {
 		return err
 	}
-	var werr error
-	r.forEach(func(s Span) {
-		if werr != nil {
-			return
+	for _, s := range r.spans {
+		if _, err := fmt.Fprintf(w, "%d,%.9f,%.9f,%s,%d,%s\n", s.Core, s.Start, s.End, s.Label, s.Level, s.Kind); err != nil {
+			return err
 		}
-		_, werr = fmt.Fprintf(w, "%d,%.9f,%.9f,%s,%d,%s\n", s.Core, s.Start, s.End, s.Label, s.Level, s.Kind)
-	})
-	return werr
+	}
+	return nil
 }

@@ -114,8 +114,8 @@ func TestRecorderWithScheduler(t *testing.T) {
 	// The recorder also captures steal lead-ins and terminal idle waits
 	// (the engine saw steals on this workload, and cores must wait at
 	// the barrier), so the raw span list is strictly larger.
-	if rec.Len() <= 32 {
-		t.Errorf("recorded %d total spans, want steal/idle intervals beyond the 32 exec spans", rec.Len())
+	if len(rec.spans) <= 32 {
+		t.Errorf("recorded %d total spans, want steal/idle intervals beyond the 32 exec spans", len(rec.spans))
 	}
 	total := 0.0
 	for _, busy := range rec.BusyTime() {
@@ -135,66 +135,14 @@ func TestRecorderWithScheduler(t *testing.T) {
 	}
 }
 
-// TestRecorderMaxSpans exercises the drop-oldest bound: retained spans
-// never exceed the cap, evictions are counted, order stays
-// chronological, and every consumer sees only the retained window.
-func TestRecorderMaxSpans(t *testing.T) {
-	r := &Recorder{MaxSpans: 8}
-	for i := 0; i < 20; i++ {
-		r.Record(i%2, float64(i), float64(i)+0.5, "cls", 0)
-	}
-	if r.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", r.Len())
-	}
-	if r.Dropped() != 12 {
-		t.Errorf("Dropped = %d, want 12", r.Dropped())
-	}
-	all := r.ExecSpans()
-	if len(all) != 8 {
-		t.Fatalf("ExecSpans returned %d spans", len(all))
-	}
-	for i, s := range all {
-		if want := float64(12 + i); s.Start != want {
-			t.Errorf("ExecSpans[%d].Start = %g, want %g (oldest dropped, order kept)", i, s.Start, want)
-		}
-	}
-	if got := r.Makespan(); got != 19.5 {
-		t.Errorf("Makespan = %g, want 19.5 (latest span retained)", got)
-	}
-	if got := len(r.ExecSpans()); got != 8 {
-		t.Errorf("ExecSpans = %d, want 8", got)
-	}
-	// CSV rows follow the same window.
-	var buf bytes.Buffer
-	if err := r.CSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 9 { // header + 8 spans
-		t.Errorf("CSV has %d lines, want 9", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "0,12.0") {
-		t.Errorf("first CSV row = %q, want the oldest retained span (start 12)", lines[1])
-	}
-
-	// Unbounded recorder (zero value) keeps everything.
-	u := &Recorder{}
-	for i := 0; i < 20; i++ {
-		u.Record(0, float64(i), float64(i)+1, "cls", 0)
-	}
-	if u.Len() != 20 || u.Dropped() != 0 {
-		t.Errorf("unbounded recorder: Len = %d, Dropped = %d", u.Len(), u.Dropped())
-	}
-}
-
 // BusyTime returns the summed execution-span durations per core (steal
 // and idle intervals are excluded).
 func (r *Recorder) BusyTime() map[int]float64 {
 	out := map[int]float64{}
-	r.forEach(func(s Span) {
+	for _, s := range r.spans {
 		if s.Kind == KindExec {
 			out[s.Core] += s.End - s.Start
 		}
-	})
+	}
 	return out
 }

@@ -3,9 +3,7 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/xrand"
 )
@@ -170,16 +168,7 @@ func cohortSeed(seed uint64, tenant string) uint64 {
 // stream is generated from its own xrand.Split-derived seed and the
 // streams are merged in offset order (ties broken by tenant, then by
 // per-cohort sequence). The result is a pure function of spec.
-// Cohorts are generated on GOMAXPROCS workers.
 func Generate(spec Spec) (*Trace, error) {
-	return generate(spec, runtime.GOMAXPROCS(0))
-}
-
-// generate is Generate on the given number of cohort-generation
-// workers. Cohort streams are independent, so any worker count produces
-// the identical trace — the property TestGenerateParallelDeterminism
-// pins.
-func generate(spec Spec, workers int) (*Trace, error) {
 	if spec.DurationS <= 0 {
 		return nil, fmt.Errorf("traffic: spec %q needs a positive duration, got %g", spec.Name, spec.DurationS)
 	}
@@ -196,31 +185,13 @@ func generate(spec Spec, workers int) (*Trace, error) {
 		}
 		seen[spec.Cohorts[i].Tenant] = true
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	perCohort := make([][]Event, len(spec.Cohorts))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range spec.Cohorts {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			perCohort[i] = generateCohort(&spec.Cohorts[i], spec.Seed, spec.DurationS)
-		}(i)
-	}
-	wg.Wait()
 
 	// Stable merge: offset, then tenant, then per-cohort sequence. The
-	// per-cohort slices are already offset-sorted, so a sort over the
-	// concatenation with the tenant tie-break is deterministic
-	// regardless of generation order.
+	// per-cohort slices are already offset-sorted, so a stable sort over
+	// the concatenation with the tenant tie-break is deterministic.
 	var events []Event
-	for _, evs := range perCohort {
-		events = append(events, evs...)
+	for i := range spec.Cohorts {
+		events = append(events, generateCohort(&spec.Cohorts[i], spec.Seed, spec.DurationS)...)
 	}
 	sort.SliceStable(events, func(a, b int) bool {
 		if events[a].OffsetS != events[b].OffsetS {

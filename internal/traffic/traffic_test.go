@@ -82,26 +82,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateParallelDeterminism: the trace is identical for every
-// cohort-generation worker count.
-func TestGenerateParallelDeterminism(t *testing.T) {
-	spec := testSpec()
-	ref, err := generate(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := encode(t, ref)
-	for _, j := range []int{2, 4, 8} {
-		tr, err := generate(spec, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encode(t, tr); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d produced a different trace than workers=1", j)
-		}
-	}
-}
-
 // TestCohortIndependence: adding a tenant leaves every other cohort's
 // event stream bit-identical, and reordering cohorts changes nothing.
 func TestCohortIndependence(t *testing.T) {
